@@ -28,7 +28,7 @@ from .darboux import (LadderOperator, ladder, synthesize_shift,
 from .irreducibility import (SymmetrySpace, order_zero_symmetries,
                              try_reduce_2x2, try_reduce_3x3_w1w3)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "MvopError", "InvalidParam", "SizeMismatch", "OutOfRange",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import click
 import numpy as np
+import sympy as sp
 
 from . import darboux as dx
 from . import irreducibility as irr
@@ -214,6 +215,8 @@ def _check_det(seq, cfg):
     worst, worst_n = 0.0, None
     for n in range(1, cfg.n_max + 1):
         fast = continuant(seq.rho_values(n))
+        if seq.exact:       # Beta-function ratios can stay unevaluated
+            fast = complex(sp.N(fast))
         brute = np.linalg.det(seq.reduced_leading_matrix(n)).real
         r = abs(fast - brute) / max(abs(brute), 1e-300)
         if r > worst:
@@ -246,7 +249,9 @@ def _check_symmetries(seq, cfg):
     space = irr.order_zero_symmetries(seq.weight)
     return {"passed": True, "dimension": space.dimension,
             "reducible_at_order_zero": space.reducible_at_order_zero,
-            "validation_residual": space.validation_residual}
+            "validation_residual": space.validation_residual,
+            "sample_points": len(space.sample_points),
+            "null_gap": space.null_gap}
 
 
 _CHECKS = {"orth": _check_orth, "norm": _check_norm,

@@ -4,9 +4,12 @@ A constant nonsingular F commuting with the weight in this twisted sense
 witnesses a congruence of W to a direct sum; the identity always works, so
 a symmetry space of dimension 1 means no order-zero reduction was
 detected.  The defining relation is linear in (Re F, Im F) and is imposed
-at sample points spread over the support, which is equivalent to the
-functional identity because every entry of W is a polynomial times the
-scalar densities.
+at sample points spread over the support.  Every entry of
+W = T diag(w_1..w_N) T* with T = I + Ax is a combination of the functions
+w_k(x) x^j, j <= 2, so span{W(x)} has dimension at most 3N: a relation that
+holds at 3N points in general position holds on the whole support.  The
+default samples 3N + 10 Chebyshev points, and the basis is re-checked on a
+fresh, larger set of points.
 """
 
 from dataclasses import dataclass, field
@@ -60,6 +63,14 @@ class SymmetrySpace:
     def reducible_at_order_zero(self) -> bool:
         return self.dimension >= 2
 
+    @property
+    def null_gap(self) -> float:
+        """sigma_last_kept / sigma_first_null, the ratio across the NULL_TOL
+        cut; a small value means the dimension was a near miss.  Both sides
+        are non-empty: the identity is always a symmetry."""
+        cut = len(self.singular_values) - self.dimension
+        return float(self.singular_values[cut - 1] / self.singular_values[cut])
+
     def to_json(self) -> dict:
         return {"dimension": self.dimension,
                 "validation_residual": self.validation_residual,
@@ -67,75 +78,72 @@ class SymmetrySpace:
                           for F in self.basis]}
 
 
-def _relation_block(W: np.ndarray) -> np.ndarray:
-    """Real matrix of the map (Re F, Im F) -> (Re G, Im G), G = FW - WF*.
+def _weight_stack(spec: WeightSpec, xs):
+    """W(x)/max|W(x)| at the points where W is not negligible, as (P, N, N),
+    together with those points."""
+    Ws = np.stack([weight_eval(spec, float(x)) for x in xs])
+    top = np.max(np.abs(Ws), axis=(1, 2))
+    keep = top >= 1e-280
+    return Ws[keep] / top[keep, None, None], xs[keep]
 
-    Column order: real parts of F (row-major), then imaginary parts.
+
+def _relation_rows(Ws: np.ndarray) -> np.ndarray:
+    """Real matrix of (Re F, Im F) -> (Re G, Im G), G = FW - WF*, for every
+    W in the stack Ws (P, N, N), stacked point by point: (P 2N^2, 2N^2).
+
+    Row-major vec gives vec G = D vec F - T vec(conj F) with
+    D = I (x) W^T and T = (W (x) I) K, K the commutation matrix: G_ij
+    has W_lj F_il from D and -W_il conj(F_jl) from T.  With F = a + ib
+    that is (D - T) a + i (D + T) b.  Columns: real parts of F
+    (row-major), then imaginary parts; rows: Re G, then Im G.
     """
-    N = W.shape[0]
-    cols = np.zeros((2 * N * N, N, N), dtype=complex)
-    idx = 0
-    for part in (0, 1):
-        for p in range(N):
-            for q in range(N):
-                G = cols[idx]
-                if part == 0:       # F = E_pq
-                    G[p, :] += W[q, :]
-                    G[:, p] -= W[:, q]
-                else:               # F = i E_pq
-                    G[p, :] += 1j * W[q, :]
-                    G[:, p] += 1j * W[:, q]
-                idx += 1
-    flat = cols.reshape(2 * N * N, N * N).T      # (N^2, 2N^2)
-    return np.vstack([flat.real, flat.imag])     # (2N^2, 2N^2)
+    P, N, _ = Ws.shape
+    d = np.arange(N)
+    WT = Ws.swapaxes(1, 2)
+    # out[p, r, i, j, c, k, l]: part r of G_ij against part c of F_kl
+    out = np.zeros((P, 2, N, N, 2, N, N))
+    for c, (f, sign) in enumerate(((1.0, -1.0), (1j, 1.0))):
+        for r, part in enumerate((np.real, np.imag)):
+            out[:, r, d, :, c, d, :] = part(f * WT)             # D: k = i
+            out[:, r, :, d, c, d, :] += sign * part(f * Ws)     # T: k = j
+    return out.reshape(P * 2 * N * N, 2 * N * N)
 
 
 def order_zero_symmetries(spec: WeightSpec,
                           n_points: Optional[int] = None) -> SymmetrySpace:
     """Orthonormal basis of constant solutions of F W(x) = W(x) F*."""
     N = spec.N
-    min_pts = 2 * N * N + 2
+    min_pts = 3 * N
     if n_points is None:
-        n_points = max(min_pts, 4 * N * N + 10)
+        n_points = 3 * N + 10
     if n_points < min_pts:
         raise InvalidParam(f"need n_points >= {min_pts}")
 
     lo, hi = _truncated_support(spec)
-    xs = _chebyshev_points(lo, hi, n_points)
-    blocks, used = [], []
-    for x in xs:
-        W = weight_eval(spec, float(x))
-        top = np.max(np.abs(W))
-        if top < 1e-280:
-            continue
-        blocks.append(_relation_block(W) / top)
-        used.append(float(x))
+    Ws, used = _weight_stack(spec, _chebyshev_points(lo, hi, n_points))
     if len(used) < min_pts:
         raise InvalidParam("support sampling left too few usable points")
 
-    mat = np.vstack(blocks)
-    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    # the R factor has the singular values and right vectors of the rows
+    R = np.linalg.qr(_relation_rows(Ws), mode="r")
+    _, svals, vt = np.linalg.svd(R)
     null = svals <= NULL_TOL * svals[0]
-    basis = []
-    for v in vt[null]:
-        basis.append((v[:N * N] + 1j * v[N * N:]).reshape(N, N))
+    basis = [(v[:N * N] + 1j * v[N * N:]).reshape(N, N) for v in vt[null]]
 
-    # defining relation re-checked on twice as many fresh points
+    # the guard does not lean on the span bound: the relation is re-checked
+    # on fresh points, at least twice 4N^2 + 10 of them
+    fresh, _ = _weight_stack(spec, _chebyshev_points(
+        lo, hi, 2 * max(n_points, 4 * N * N + 10), phase=0.25))
     worst = 0.0
-    fresh = _chebyshev_points(lo, hi, 2 * n_points, phase=0.25)
-    for x in fresh:
-        W = weight_eval(spec, float(x))
-        top = np.max(np.abs(W))
-        if top < 1e-280:
-            continue
-        for F in basis:
-            r = np.max(np.abs(F @ W - W @ F.conj().T)) / top
-            worst = max(worst, r)
+    if basis and len(fresh):
+        B = np.stack(basis)[:, None]                  # (d, 1, N, N)
+        BH = B.conj().swapaxes(-1, -2)
+        worst = float(np.max(np.abs(B @ fresh - fresh @ BH)))
     if worst > VALIDATE_TOL:
         raise InvalidParam(f"symmetry basis failed validation ({worst:.2e}); "
                            "increase n_points")
     return SymmetrySpace(dimension=len(basis), basis=basis,
-                         sample_points=used,
+                         sample_points=used.tolist(),
                          singular_values=list(svals),
                          validation_residual=worst)
 

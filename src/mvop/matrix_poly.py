@@ -212,18 +212,3 @@ class MatrixPolynomial:
                         row.append(f"{z.real:.17g}{z.imag:+.17g}i")
                 w.writerow(row)
 
-
-def mp_add(p, q):
-    return p + q
-
-
-def mp_multiply(p, q):
-    return p * q
-
-
-def mp_evaluate(p, x):
-    return p.evaluate(x)
-
-
-def mp_derivative(p, k=0):
-    return p.derivative(k) if k else p

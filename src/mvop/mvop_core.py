@@ -210,22 +210,6 @@ class MVOPSequence:
             self._cache_Q.setdefault(n, q)
         return self._cache_Q[n]
 
-    def leading_coeff_det(self, n: int):
-        """(K_n, det via the continuant recurrence).
-
-        The continuant evaluates det(I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A),
-        which is det K_n after the unimodular reduction in the construction.
-        """
-        self._check_n(n)
-        K = self.build_Q(n).coeffs[n]
-        if n == 0:
-            if self.exact:
-                det = sp.Matrix(K.tolist()).det()
-            else:
-                det = float(np.linalg.det(K).real)
-            return K, det
-        return K, continuant(self.rho_values(n))
-
     def rho_values(self, n: int):
         """rho_i = a_i^2 ||p_n^{w_{2ceil(i/2)}}||^2 / ||p_{n-1}^{w_{2floor(i/2)+1}}||^2."""
         self._check_n(n, self.n_max + 1)

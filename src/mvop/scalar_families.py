@@ -265,11 +265,6 @@ def _chebyshev_from_moments(moments, n_max):
     return b[:n_max + 1], c
 
 
-def monic_polynomial(seq: MonicScalarSequence, n: int):
-    """Monic orthogonal polynomial of degree n as an ascending coefficient list."""
-    return seq.polynomial(n)
-
-
 def squared_norm_log(seq: MonicScalarSequence, n: int) -> float:
     """log ||p_n||^2."""
     if n < 0 or n > seq.n_max:

@@ -90,6 +90,25 @@ class TestRun:
         assert len(red["M"]) == 2
         assert report["checks"]["symmetries"]["dimension"] == 2
 
+    def test_symmetry_report_gives_points_and_gap(self):
+        lag = [{"family": "laguerre", "alpha": al} for al in (0.5, 1.5, 0.5)]
+        data = base_config(size=3, a=[1.0, 1.0], weights=lag,
+                           checks=["symmetries"])
+        res = run(config_from_json(data))["checks"]["symmetries"]
+        assert res["dimension"] == 2
+        assert res["sample_points"] == 19          # 3N + 10
+        assert res["null_gap"] > 1e6
+
+    def test_exact_jacobi_det(self):
+        # the continuant keeps unevaluated Beta-function ratios here
+        jac = [{"family": "jacobi", "alpha": al, "beta": al}
+               for al in (1.5, 0.5, 1.5)]
+        data = base_config(size=3, a=[1.0, 0.5], weights=jac, n_max=6,
+                           backend="exact", checks=["det"])
+        res = run(config_from_json(data))["checks"]["det"]
+        assert res["passed"]
+        assert res["max_relative_error"] < 1e-10
+
     def test_darboux_check_n5_chain(self):
         data = base_config(
             size=5, a=[1.0, 1.0, 1.0, 1.0],

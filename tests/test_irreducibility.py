@@ -5,8 +5,9 @@ import pytest
 
 import mvop.scalar_families as sf
 from mvop.errors import InvalidParam, Unsupported
-from mvop.irreducibility import (SymmetrySpace, order_zero_symmetries,
-                                 try_reduce_2x2, try_reduce_3x3_w1w3)
+from mvop.irreducibility import (SymmetrySpace, _relation_rows,
+                                 order_zero_symmetries, try_reduce_2x2,
+                                 try_reduce_3x3_w1w3)
 from mvop.weight_model import weight_eval, weight_spec
 
 
@@ -66,6 +67,48 @@ class TestSymmetryDimension:
                             for k in range(10)])
         S = order_zero_symmetries(spec, n_points=250)
         assert S.dimension == 1
+
+
+A10 = [1.0, -0.7, 1.3, 0.6, -1.1, 0.9, 1.5, -0.8, 1.2]
+
+
+class TestSpanSizedSolve:
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_rows_match_direct_relation(self, N):
+        rng = np.random.default_rng(N)
+        Ws = []
+        for _ in range(3):
+            A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            Ws.append(A + A.conj().T)
+        Ws = np.stack(Ws)
+        rows = _relation_rows(Ws).reshape(len(Ws), 2 * N * N, 2 * N * N)
+        for _ in range(4):
+            F = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            v = np.concatenate([F.real.ravel(), F.imag.ravel()])
+            for W, block in zip(Ws, rows):
+                G = (F @ W - W @ F.conj().T).ravel()
+                want = np.concatenate([G.real, G.imag])
+                assert np.max(np.abs(block @ v - want)) < 1e-12
+
+    @pytest.mark.parametrize("scalars,dim", [
+        ([sf.hermite(0.2)] * 10, 5),
+        ([sf.jacobi(0.5, 1.0)] * 10, 5),
+        ([sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)], 1),
+    ])
+    def test_default_points_at_n10(self, scalars, dim):
+        S = order_zero_symmetries(weight_spec(A10, scalars))
+        assert S.dimension == dim
+        assert len(S.sample_points) == 40
+        assert len(S.singular_values) == 200
+        assert S.validation_residual < 1e-9
+        assert S.null_gap > 1e6
+
+    def test_fewer_than_3n_points_rejected(self):
+        spec = weight_spec([1.0, 1.0], [sf.laguerre(0.5), sf.laguerre(1.5),
+                                        sf.laguerre(0.5)])
+        with pytest.raises(InvalidParam):
+            order_zero_symmetries(spec, n_points=8)
+        assert order_zero_symmetries(spec, n_points=9).dimension == 2
 
 
 class TestReduce2x2:
