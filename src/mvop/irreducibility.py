@@ -4,14 +4,18 @@ A constant nonsingular F commuting with the weight in this twisted sense
 witnesses a congruence of W to a direct sum; the identity always works, so
 a symmetry space of dimension 1 means no order-zero reduction was
 detected.  The defining relation is linear in (Re F, Im F) and is imposed
-at sample points spread over the support.  Every entry of
-W = T diag(w_1..w_N) T* with T = I + Ax is a combination of the functions
-w_k(x) x^j, j <= 2, so span{W(x)} has dimension at most 3N: a relation that
-holds at 3N points in general position holds on the whole support.  The
-default samples 3N + 10 Chebyshev points, and the basis is re-checked on a
-fresh, larger set of points.
+at sample points.  Every entry of W = T diag(w_1..w_N) T* with T = I + Ax
+is a combination of the functions w_k(x) x^j, j <= 2, so span{W(x)} has
+dimension at most 3N: a relation that holds at points whose W(x) span that
+space holds on the whole support.  Each w_k vanishes off its own support,
+and a narrow support inside a wide one would catch few points from a grid
+over their union.  So the points are laid out per truncated support: 3
+Chebyshev points for every scalar weight on it, plus a share of the spare
+points (10 by default, 3N + 10 points in all).  The basis is re-checked on
+a fresh, larger set of points spread over the union of the supports.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
 from typing import Optional
@@ -26,20 +30,17 @@ NULL_TOL = 1e-10
 VALIDATE_TOL = 1e-9
 
 
-def _truncated_support(spec: WeightSpec):
-    """Interval covering every scalar support, with exponential tails cut
-    where the densities are below roughly 1e-12 of their peak."""
-    lo, hi = inf, -inf
-    for s in spec.scalars:
-        slo, shi = s.support
-        if slo == -inf:
-            slo = (s.b if s.family == sf.HERMITE else 0.0) - 6.5
-        if shi == inf:
-            if s.family == sf.HERMITE:
-                shi = s.b + 6.5
-            else:
-                shi = max(70.0, 4.0 * max(s.alpha, 0.0) + 50.0)
-        lo, hi = min(lo, slo), max(hi, shi)
+def _truncated_support(s: sf.ScalarWeightSpec):
+    """Support of one scalar weight, with exponential tails cut where the
+    density is below roughly 1e-12 of its peak."""
+    lo, hi = s.support
+    if lo == -inf:
+        lo = (s.b if s.family == sf.HERMITE else 0.0) - 6.5
+    if hi == inf:
+        if s.family == sf.HERMITE:
+            hi = s.b + 6.5
+        else:
+            hi = max(70.0, 4.0 * max(s.alpha, 0.0) + 50.0)
     return lo, hi
 
 
@@ -47,6 +48,17 @@ def _chebyshev_points(lo, hi, m, phase=0.0):
     k = np.arange(m)
     t = np.cos((k + 0.5 + phase) * np.pi / m)
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+
+
+def _sample_points(spec: WeightSpec, n_points: int):
+    """n_points Chebyshev points: 3 per scalar weight on that weight's
+    truncated support, and the n_points - 3N spare points shared out
+    evenly over the distinct supports."""
+    counts = Counter(_truncated_support(s) for s in spec.scalars)
+    share, rest = divmod(n_points - 3 * spec.N, len(counts))
+    return np.concatenate([
+        _chebyshev_points(lo, hi, 3 * m + share + (g < rest))
+        for g, ((lo, hi), m) in enumerate(counts.items())])
 
 
 @dataclass
@@ -119,8 +131,7 @@ def order_zero_symmetries(spec: WeightSpec,
     if n_points < min_pts:
         raise InvalidParam(f"need n_points >= {min_pts}")
 
-    lo, hi = _truncated_support(spec)
-    Ws, used = _weight_stack(spec, _chebyshev_points(lo, hi, n_points))
+    Ws, used = _weight_stack(spec, _sample_points(spec, n_points))
     if len(used) < min_pts:
         raise InvalidParam("support sampling left too few usable points")
 
@@ -131,7 +142,10 @@ def order_zero_symmetries(spec: WeightSpec,
     basis = [(v[:N * N] + 1j * v[N * N:]).reshape(N, N) for v in vt[null]]
 
     # the guard does not lean on the span bound: the relation is re-checked
-    # on fresh points, at least twice 4N^2 + 10 of them
+    # on fresh points over the union of the supports, at least twice
+    # 4N^2 + 10 of them
+    lo, hi = zip(*(_truncated_support(s) for s in spec.scalars))
+    lo, hi = min(lo), max(hi)
     fresh, _ = _weight_stack(spec, _chebyshev_points(
         lo, hi, 2 * max(n_points, 4 * N * N + 10), phase=0.25))
     worst = 0.0

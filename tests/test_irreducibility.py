@@ -51,6 +51,8 @@ class TestSymmetryDimension:
     def test_small_sample_rejected(self):
         with pytest.raises(InvalidParam):
             order_zero_symmetries(jacobi_reducible(), n_points=3)
+        with pytest.raises(InvalidParam):
+            order_zero_symmetries(jacobi_reducible(), n_points=5)  # 3N - 1
 
     def test_validation_residual_reported(self):
         S = order_zero_symmetries(jacobi_reducible())
@@ -103,12 +105,23 @@ class TestSpanSizedSolve:
         assert S.validation_residual < 1e-9
         assert S.null_gap > 1e6
 
-    def test_fewer_than_3n_points_rejected(self):
+    def test_3n_points_suffice(self):
         spec = weight_spec([1.0, 1.0], [sf.laguerre(0.5), sf.laguerre(1.5),
                                         sf.laguerre(0.5)])
-        with pytest.raises(InvalidParam):
-            order_zero_symmetries(spec, n_points=8)
         assert order_zero_symmetries(spec, n_points=9).dimension == 2
+
+    # a narrow support inside a wide one still gets its own points
+    @pytest.mark.parametrize("scalars,dim", [
+        ([sf.hermite(0.0), sf.jacobi(0.5, 1.0), sf.hermite(0.0)], 2),
+        ([sf.jacobi(0.5, 1.0), sf.laguerre(0.5), sf.jacobi(0.5, 1.0)], 2),
+        ([sf.laguerre(0.5), sf.jacobi(0.5, 1.0), sf.laguerre(0.5)], 2),
+        ([sf.hermite(0.0), sf.jacobi(0.5, 1.0), sf.laguerre(0.5)], 1),
+    ])
+    def test_mixed_supports(self, scalars, dim):
+        S = order_zero_symmetries(weight_spec([1.0, 1.0], scalars))
+        assert S.dimension == dim
+        assert len(S.sample_points) == 19
+        assert S.validation_residual < 1e-9
 
 
 class TestReduce2x2:
