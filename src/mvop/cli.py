@@ -21,7 +21,7 @@ from . import irreducibility as irr
 from . import scalar_families as sf
 from .diff_operators import build_bispectral_operator, eigencheck, op_apply
 from .errors import ConfigError, MvopError, Unsupported
-from .mvop_core import MVOPSequence, continuant
+from .mvop_core import MVOPSequence, continuant, peak
 from .weight_model import WeightSpec, weight_spec
 
 CHECK_NAMES = ("orth", "norm", "recurrence", "eigen", "darboux",
@@ -138,35 +138,38 @@ def config_from_json(data: dict) -> RunConfig:
 
 # -- individual checks -----------------------------------------------------
 
+# A non-finite residual is reported as the peak (see ``peak``), so every
+# ``worst < tol`` verdict below fails on it, and ``non_finite`` says so.
+
 def _check_orth(seq, cfg):
     rep = seq.verify_orthogonality(cfg.n_max, cfg.tol)
     return {"passed": rep["passed"],
             "max_scaled_residual": rep["max_scaled_residual"],
-            "worst_pair": rep["worst_pair"]}
+            "worst_pair": rep["worst_pair"],
+            "non_finite": rep["non_finite"], **seq.quadrature_summary()}
 
 
 def _check_norm(seq, cfg):
-    worst, worst_n = 0.0, None
+    residuals = {}
     for n in range(cfg.n_max + 1):
-        closed = seq.squared_norm_Q(n)
-        if seq.exact:
-            closed = np.array([[complex(v) for v in row] for row in closed])
-        gram = seq.gram_qt(n, n)
-        r = np.linalg.norm(gram - closed) / np.linalg.norm(gram)
-        if r > worst:
-            worst, worst_n = r, n
+        # both sides divided by sigma_n^2, so neither can overflow
+        closed = np.asarray(
+            seq.squared_norm_Q(n, 2.0 * seq.log_gram_scale(n)), dtype=complex)
+        gram = seq.gram_qt(n, n, scaled=True)
+        residuals[n] = np.linalg.norm(gram - closed) / np.linalg.norm(gram)
+    worst, worst_n, non_finite = peak(residuals)
     return {"passed": worst < cfg.tol, "max_relative_error": worst,
-            "worst_n": worst_n}
+            "worst_n": worst_n, "non_finite": non_finite,
+            **seq.quadrature_summary()}
 
 
 def _check_recurrence(seq, cfg):
-    worst, worst_n = 0.0, None
-    for n in range(1, cfg.n_max):
-        _, _, _, r = seq.three_term_coefficients(n)
-        if r > worst:
-            worst, worst_n = r, n
+    residuals = {n: seq.three_term_coefficients(n)[3]
+                 for n in range(1, cfg.n_max)}
+    worst, worst_n, non_finite = peak(residuals)
     return {"passed": worst < max(cfg.tol, 1e-8),
-            "max_relative_residual": worst, "worst_n": worst_n}
+            "max_relative_residual": worst, "worst_n": worst_n,
+            "non_finite": non_finite, **seq.quadrature_summary()}
 
 
 def _check_eigen(seq, cfg):
@@ -174,7 +177,7 @@ def _check_eigen(seq, cfg):
     rep = eigencheck(seq, D, lam, cfg.n_max)
     return {"passed": rep["max_scaled_residual"] < cfg.tol,
             "max_scaled_residual": rep["max_scaled_residual"],
-            "worst_n": rep["worst_n"]}
+            "worst_n": rep["worst_n"], "non_finite": rep["non_finite"]}
 
 
 def _is_n5_laguerre_chain(spec):
@@ -212,17 +215,16 @@ def _check_darboux(seq, cfg):
 
 
 def _check_det(seq, cfg):
-    worst, worst_n = 0.0, None
+    residuals = {}
     for n in range(1, cfg.n_max + 1):
         fast = continuant(seq.rho_values(n))
         if seq.exact:       # Beta-function ratios can stay unevaluated
             fast = complex(sp.N(fast))
         brute = np.linalg.det(seq.reduced_leading_matrix(n)).real
-        r = abs(fast - brute) / max(abs(brute), 1e-300)
-        if r > worst:
-            worst, worst_n = r, n
+        residuals[n] = abs(fast - brute) / max(abs(brute), 1e-300)
+    worst, worst_n, non_finite = peak(residuals)
     return {"passed": worst < 1e-10, "max_relative_error": worst,
-            "worst_n": worst_n}
+            "worst_n": worst_n, "non_finite": non_finite}
 
 
 def _check_reduce(seq, cfg):

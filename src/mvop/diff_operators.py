@@ -14,6 +14,7 @@ import numpy as np
 from . import scalar_families as sf
 from .errors import ConditionFailed, SizeMismatch, Unsupported
 from .matrix_poly import MatrixPolynomial
+from .mvop_core import peak
 from .weight_model import WeightSpec, build_T
 from ._poly import binom
 
@@ -261,17 +262,15 @@ def build_bispectral_operator(spec: WeightSpec, exact: bool = False):
 
 def eigencheck(seq, D: MatrixDiffOperator, lam: EigenvalueMap,
                n_max: int) -> dict:
-    """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max."""
-    worst, worst_n = 0.0, None
+    """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max; a
+    non-finite residual is the peak and sets ``non_finite``."""
     residuals = []
     for n in range(n_max + 1):
         Q = seq.build_Q(n).to_float()
         lhs = op_apply(Q, D)
         rhs = Q.left_mul(lam(n))
         scalemax = max(rhs.max_coeff_norm(), lhs.max_coeff_norm(), 1e-300)
-        r = (lhs - rhs).max_coeff_norm() / scalemax
-        residuals.append(r)
-        if r > worst:
-            worst, worst_n = r, n
+        residuals.append((lhs - rhs).max_coeff_norm() / scalemax)
+    worst, worst_n, non_finite = peak(dict(enumerate(residuals)))
     return {"max_scaled_residual": worst, "worst_n": worst_n,
-            "residuals": residuals}
+            "residuals": residuals, "non_finite": non_finite}

@@ -93,7 +93,7 @@ class SymmetrySpace:
 def _weight_stack(spec: WeightSpec, xs):
     """W(x)/max|W(x)| at the points where W is not negligible, as (P, N, N),
     together with those points."""
-    Ws = np.stack([weight_eval(spec, float(x)) for x in xs])
+    Ws = weight_eval(spec, xs)
     top = np.max(np.abs(Ws), axis=(1, 2))
     keep = top >= 1e-280
     return Ws[keep] / top[keep, None, None], xs[keep]
@@ -185,13 +185,11 @@ def try_reduce_2x2(spec: WeightSpec):
     a = float(np.real(spec.a_params[0]))
 
     xs = _sample_inside(w1.support, 5)
-    ratio = np.array([sf.weight_value(w1, x) / sf.weight_value(w2, x)
-                      for x in xs])
+    ratio = sf.weight_value(w1, xs) / sf.weight_value(w2, xs)
     q = np.polynomial.polynomial.polyfit(xs, ratio, 2)
 
     xv = _sample_inside(w1.support, 20)
-    rv = np.array([sf.weight_value(w1, x) / sf.weight_value(w2, x)
-                   for x in xv])
+    rv = sf.weight_value(w1, xv) / sf.weight_value(w2, xv)
     fit = np.polynomial.polynomial.polyval(xv, q)
     scale = np.max(np.abs(rv))
     if np.max(np.abs(fit - rv)) > 1e-10 * scale:
@@ -208,12 +206,10 @@ def try_reduce_2x2(spec: WeightSpec):
 
     M = np.array([[1.0 / (a * (b - c)), -b / (b - c)],
                   [1.0, -a * c]])
-    for x in xv:
-        W = weight_eval(spec, float(x))
-        D = M @ W @ M.conj().T
-        off = max(abs(D[0, 1]), abs(D[1, 0]))
-        if off > 1e-10 * np.max(np.abs(D)):
-            return None
+    D = M @ weight_eval(spec, xv) @ M.conj().T
+    off = np.maximum(np.abs(D[:, 0, 1]), np.abs(D[:, 1, 0]))
+    if np.any(off > 1e-10 * np.max(np.abs(D), axis=(1, 2))):
+        return None
     desc = ("W congruent to diag(w2(x)(x-b)/(c-b), a^2 w2(x)(c-b)(c-x)) "
             f"with b={b:.12g}, c={c:.12g}")
     return b, c, M, desc
@@ -237,17 +233,16 @@ def try_reduce_3x3_w1w3(spec: WeightSpec):
 
     lo = min(w.support[0] for w in spec.scalars)
     hi = max(w.support[1] for w in spec.scalars)
-    for x in _sample_inside((lo, hi), 20):
-        W = weight_eval(spec, float(x))
-        D = M @ W @ M.conj().T
-        off = max(abs(D[0, 1]), abs(D[0, 2]),
-                  abs(D[1, 0]), abs(D[2, 0]))
-        top = np.max(np.abs(D))
-        if off > 1e-10 * top:
-            raise InvalidParam("block structure failed numeric verification")
-        want = s / (a2 * a2) * sf.weight_value(w1, float(x))
-        if abs(D[0, 0] - want) > 1e-10 * max(top, abs(want)):
-            raise InvalidParam("scalar block failed numeric verification")
+    xs = _sample_inside((lo, hi), 20)
+    D = M @ weight_eval(spec, xs) @ M.conj().T
+    off = np.max(np.abs(D[:, [0, 0, 1, 2], [1, 2, 0, 0]]), axis=1)
+    top = np.max(np.abs(D), axis=(1, 2))
+    if np.any(off > 1e-10 * top):
+        raise InvalidParam("block structure failed numeric verification")
+    want = s / (a2 * a2) * sf.weight_value(w1, xs)
+    if np.any(np.abs(D[:, 0, 0] - want)
+              > 1e-10 * np.maximum(top, np.abs(want))):
+        raise InvalidParam("scalar block failed numeric verification")
     desc = ("W congruent to diag((a1^2+a2^2)/a2^2 w1(x), "
             "[[w2, a2 x w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w2]])")
     return M, desc

@@ -5,22 +5,46 @@ Q_n is assembled through the identity Q_n (I + A x) = P_n + A P_{n+1}
 pattern of A*; multiplying by I - A x then gives Q_n itself.  The ratio
 entries are formed in log space (float backend) because the scalar norms
 grow factorially.
+
+All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
+n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
+exact for every product of that degree.  Column k of Q_n T involves only
+p_{n-1}, p_n, p_{n+1} of w_k, so the orthonormal recurrence values at the
+nodes are taken once per weight, every Q_n T column is stacked into one
+(n_max + 1) N x nodes array, and two matmuls give the whole block.  Rows
+and columns of degree n are divided by sigma_n = exp(1/2 max_k log
+||p_n^{w_k}||^2), which keeps the block finite where the norms themselves
+overflow; ``gram_qt`` reads pairs from it.
 """
 
-import threading
-from dataclasses import dataclass
 from math import exp
 
 import numpy as np
 import sympy as sp
 
 from . import scalar_families as sf
-from .errors import DegreeCap, OutOfRange, SingularLeading
+from .errors import DegreeCap, InvalidParam, OutOfRange, SingularLeading
 from .matrix_poly import MatrixPolynomial, conj_transpose
 from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent, build_T
 
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
+
+
+def peak(residuals: dict):
+    """(largest residual, its key, non_finite) over {key: residual}.
+
+    The first non-finite residual is the peak, so a NaN or an overflow can
+    never hide behind a finite maximum; (0.0, None, False) when no
+    residual exceeds zero.
+    """
+    worst, where = 0.0, None
+    for key, r in residuals.items():
+        if not np.isfinite(r):
+            return float(r), key, True
+        if r > worst:
+            worst, where = float(r), key
+    return worst, where, False
 
 
 def continuant(rho) -> float:
@@ -51,7 +75,8 @@ def tridiagonal_from_rho(rho, rng=None):
 
 
 class MVOPSequence:
-    """Lazily built Q_n, P_n, norms and leading coefficients for one weight."""
+    """Lazily built Q_n, P_n, norms, leading coefficients and the Gram
+    block for one weight."""
 
     def __init__(self, weight: WeightSpec, n_max: int, backend: str = "float"):
         self.weight = weight
@@ -63,16 +88,10 @@ class MVOPSequence:
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
         self.T, self.T_inv = build_T(weight, exact=self.exact)
-        self._engine = None
+        self.engine = InnerProductEngine(weight)
+        self._gram = None
         self._cache_Q = {}
         self._cache_QT = {}
-        self._lock = threading.Lock()
-
-    @property
-    def engine(self) -> InnerProductEngine:
-        if self._engine is None:
-            self._engine = InnerProductEngine(self.weight)
-        return self._engine
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
@@ -94,8 +113,9 @@ class MVOPSequence:
             coeffs.append(c)
         return MatrixPolynomial(coeffs, size=N, exact=self.exact)
 
-    def norm_P(self, n: int) -> np.ndarray:
-        """Diagonal matrix ||P_n||^2."""
+    def norm_P(self, n: int, log_scale: float = 0.0) -> np.ndarray:
+        """Diagonal matrix ||P_n||^2 / exp(log_scale), formed in log space
+        by the float backend."""
         self._check_n(n, self.n_max + 1)
         N = self.weight.N
         if self.exact:
@@ -103,9 +123,10 @@ class MVOPSequence:
             out = np.zeros((N, N), dtype=object)
             out[:] = sp.Integer(0)
             for i, v in enumerate(d):
-                out[i, i] = v
+                out[i, i] = v * exp(-log_scale) if log_scale else v
             return out
-        return np.diag([exp(s.log_norms[n]) for s in self.scalar_seqs]).astype(complex)
+        return np.diag([exp(s.log_norms[n] - log_scale)
+                        for s in self.scalar_seqs]).astype(complex)
 
     def ratio_matrix(self, n: int) -> np.ndarray:
         """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2}, assembled entrywise.
@@ -150,9 +171,7 @@ class MVOPSequence:
         qt = self.build_P(n) + self.build_P(n + 1).left_mul(self.A)
         if n >= 1:
             qt = qt - self.build_P(n - 1).left_mul(self.ratio_matrix(n))
-        with self._lock:
-            self._cache_QT.setdefault(n, qt)
-        return self._cache_QT[n]
+        return self._cache_QT.setdefault(n, qt)
 
     def leading_closed_form(self, n: int) -> np.ndarray:
         """K_n = I + A D - D' A + G_n A, with D = diag([x^n] p_{n+1}) and
@@ -206,9 +225,7 @@ class MVOPSequence:
                 raise SingularLeading(f"singular leading coefficient at n={n}")
             q = MatrixPolynomial([q.coeff(k) for k in range(n)] + [K],
                                  size=self.weight.N, trim=False)
-        with self._lock:
-            self._cache_Q.setdefault(n, q)
-        return self._cache_Q[n]
+        return self._cache_Q.setdefault(n, q)
 
     def rho_values(self, n: int):
         """rho_i = a_i^2 ||p_n^{w_{2ceil(i/2)}}||^2 / ||p_{n-1}^{w_{2floor(i/2)+1}}||^2."""
@@ -240,115 +257,136 @@ class MVOPSequence:
             return eye
         norms_n = np.array([exp(s.log_norms[n]) for s in self.scalar_seqs])
         inv_prev = np.array([exp(-s.log_norms[n - 1]) for s in self.scalar_seqs])
-        A = self.A.astype(complex) if not self.exact else None
-        if A is None:
-            A = np.array([[complex(x) for x in row] for row in self.A])
+        A = np.asarray(self.A, dtype=complex)
         return eye + np.diag(norms_n) @ A.conj().T - np.diag(inv_prev) @ A
 
-    def squared_norm_Q(self, n: int) -> np.ndarray:
-        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2."""
+    def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
+        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2,
+        divided by exp(log_scale)."""
         self._check_n(n)
         A = self.A
-        term = self.norm_P(n) + A @ self.norm_P(n + 1) @ conj_transpose(A)
+        term = (self.norm_P(n, log_scale)
+                + A @ self.norm_P(n + 1, log_scale) @ conj_transpose(A))
         if n >= 1:
-            term = term + self.ratio_matrix(n) @ A @ self.norm_P(n)
+            term = term + self.ratio_matrix(n) @ A @ self.norm_P(n, log_scale)
         return term
 
-    # -- stable node evaluation ---------------------------------------------
+    # -- the Gram block ------------------------------------------------------
 
-    def _scalar_values(self, k: int, nodes: np.ndarray) -> np.ndarray:
-        """Values of p_0..p_{n_max+1} for weight k at the nodes, computed
-        by the three-term recurrence (stable where the power basis is not)."""
-        seq = self.scalar_seqs[k]
-        hi = self.n_max + 1
-        bs = [float(b) for b in seq.b_coeffs]
-        cs = [float(c) for c in seq.c_coeffs]
-        vals = np.empty((hi + 1, len(nodes)))
-        vals[0] = 1.0
-        if hi >= 1:
-            vals[1] = nodes - bs[0]
-        for j in range(1, hi):
-            vals[j + 1] = (nodes - bs[j]) * vals[j] - cs[j - 1] * vals[j - 1]
-        return vals
+    def log_gram_scale(self, n: int) -> float:
+        """log sigma_n = 1/2 max_k log ||p_n^{w_k}||^2, the scale of degree
+        n in the Gram block."""
+        self._check_n(n)
+        return 0.5 * max(float(s.log_norms[n]) for s in self.scalar_seqs)
 
-    def _qt_column(self, n: int, k: int, vals: np.ndarray,
-                   G: np.ndarray) -> np.ndarray:
-        """Column k of (Q_n T)(x) at the nodes behind ``vals``.
+    def _gram_block(self) -> np.ndarray:
+        """(2, n_max+1, N, n_max+1, N) array of <x^s Q_n, Q_m>_W / (sigma_n
+        sigma_m), from one (n_max + 2)-node Gauss rule per scalar weight.
 
-        P_n is diagonal, so the column mixes only weight-k scalars:
-        e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}.
+        Reads the sequence and changes nothing, so threads that race to
+        build it produce the same array.  At node x_j of weight k,
+        sqrt(lambda_j) p_i(x_j) / sigma_n = u_i(x_j) ||p_i|| / sigma_n,
+        where u_i(x_j) = sqrt(lambda_j) phat_i(x_j) is phat_i(x_j) over the
+        norm of (phat_0..phat_{n_max+1})(x_j), lambda_j being the
+        Christoffel weight; formed that way it stays finite where lambda_j
+        underflows.
         """
-        N = self.weight.N
-        A = self.A if not self.exact else np.array(
-            [[complex(v) for v in row] for row in self.A])
-        col = np.outer(A[:, k], vals[n + 1]).astype(complex)
-        col[k] += vals[n]
-        if n >= 1:
-            col -= np.outer(G[:, k], vals[n - 1])
-        return col
+        M, N = self.n_max, self.weight.N
+        m = M + 2
+        A = np.asarray(self.A, dtype=complex)
+        G = np.stack([np.asarray(self.ratio_matrix(n), dtype=complex)
+                      for n in range(M + 1)])
+        log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
+        out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
+        for k, seq in enumerate(self.scalar_seqs):
+            nodes, _ = self.engine.rule(k, m)
+            vals, _ = sf.orthonormal_values(seq, nodes, m)
+            u = vals / np.linalg.norm(vals, axis=0)
+            half = 0.5 * np.asarray(seq.log_norms[:m], dtype=float)
+            # sqrt(lambda) p_{n+d} / sigma_n at the nodes, n = 0..M
+            lo = np.exp(half[:M] - log_sigma[1:])[:, None] * u[:M]
+            mid = np.exp(half[:M + 1] - log_sigma)[:, None] * u[:M + 1]
+            hi = np.exp(half[1:] - log_sigma)[:, None] * u[1:]
+            # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
+            C = A[None, :, k, None] * hi[:, None, :]
+            C[:, k] += mid
+            C[1:] -= G[1:, :, k, None] * lo[:, None, :]
+            F = C.reshape(-1, m)
+            FH = F.conj().T
+            out[0] += F @ FH
+            out[1] += (F * nodes) @ FH
+        return out.reshape(2, M + 1, N, M + 1, N)
 
-    def gram_qt(self, n: int, m: int, shift: int = 0) -> np.ndarray:
-        """<x^shift Q_n, Q_m>_W via per-column Gauss rules on recurrence
-        values; accurate at degrees where coefficient evaluation is not."""
+    def gram_qt(self, n: int, m: int, shift: int = 0,
+                scaled: bool = False) -> np.ndarray:
+        """<x^shift Q_n, Q_m>_W for shift 0 or 1, read from the Gram block.
+
+        With ``scaled`` the result is divided by sigma_n sigma_m (see
+        ``log_gram_scale``); residuals are formed from that form, which
+        stays finite at degrees where the Gram itself overflows.  The
+        block is built on first use and published in one assignment.
+        """
         self._check_n(n)
         self._check_n(m)
-        N = self.weight.N
-        npts = (n + m + 2 + shift) // 2 + 1
-        Gn = self._ratio_float(n)
-        Gm = self._ratio_float(m)
-        out = np.zeros((N, N), dtype=complex)
-        for k in range(N):
-            nodes, weights = self.engine.rule(k, npts)
-            vals = self._scalar_values(k, nodes)
-            cn = self._qt_column(n, k, vals, Gn)
-            if shift:
-                cn = cn * nodes ** shift
-            cm = self._qt_column(m, k, vals, Gm)
-            out += (cn * weights) @ cm.conj().T
-        return out
+        if shift not in (0, 1):
+            raise InvalidParam(f"shift must be 0 or 1, got {shift}")
+        block = self._gram
+        if block is None:
+            block = self._gram = self._gram_block()
+        g = block[shift, n, :, m, :]
+        if scaled:
+            return g.copy()
+        log_s = self.log_gram_scale(n) + self.log_gram_scale(m)
+        try:
+            return g * exp(log_s)
+        except OverflowError:
+            raise DegreeCap(f"<Q_{n}, Q_{m}> is past the float range (log "
+                            f"scale {log_s:.1f}); read it scaled") from None
 
-    def _ratio_float(self, n: int) -> np.ndarray:
-        G = self.ratio_matrix(n)
-        if self.exact:
-            G = np.array([[complex(v) for v in row] for row in G])
-        return G
+    def quadrature_summary(self) -> dict:
+        """Nodes per scalar weight of the Gauss rules behind the Gram block
+        and the smallest Gauss weight among them."""
+        m = self.n_max + 2
+        smallest = min(float(np.min(self.engine.rule(k, m)[1]))
+                       for k in range(self.weight.N))
+        return {"gauss_nodes": m, "min_gauss_weight": smallest}
 
     # -- verification -------------------------------------------------------
 
     def verify_orthogonality(self, n_max: int, tol: float) -> dict:
-        """Scaled Gram residuals over all pairs n != m up to n_max."""
+        """Scaled Gram residuals over all pairs n != m up to n_max; a
+        non-finite residual fails."""
         self._check_n(n_max)
-        self_norm = [np.linalg.norm(self.gram_qt(n, n))
+        self_norm = [np.linalg.norm(self.gram_qt(n, n, scaled=True))
                      for n in range(n_max + 1)]
-        worst = 0.0
-        worst_pair = None
-        failures = []
+        residuals = {}
         for n in range(n_max + 1):
             for m in range(n + 1, n_max + 1):
-                g = self.gram_qt(n, m)
-                r = np.linalg.norm(g) / np.sqrt(self_norm[n] * self_norm[m])
-                if r > worst:
-                    worst, worst_pair = r, (n, m)
-                if r > tol:
-                    failures.append((n, m, r))
+                g = self.gram_qt(n, m, scaled=True)
+                residuals[n, m] = (np.linalg.norm(g)
+                                   / np.sqrt(self_norm[n] * self_norm[m]))
+        worst, worst_pair, non_finite = peak(residuals)
+        failures = [(n, m, r) for (n, m), r in residuals.items()
+                    if not r <= tol]
         return {"max_scaled_residual": worst, "worst_pair": worst_pair,
-                "tol": tol, "passed": not failures, "failures": failures}
+                "tol": tol, "passed": not failures, "failures": failures,
+                "non_finite": non_finite}
 
     def three_term_coefficients(self, n: int):
         """(A_n, B_n, C_n, residual) for Q_n x = A_n Q_{n+1} + B_n Q_n + C_n Q_{n-1}.
 
-        Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}.
+        Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, from the
+        scaled Gram block and closed-form norms, (sigma_n / sigma_m) times
+        the scaled ratio.
         """
         if n < 1 or n > self.n_max - 1:
             raise OutOfRange(f"n={n} outside 1..{self.n_max - 1}")
         mats = []
         for m in (n + 1, n, n - 1):
-            g = self.gram_qt(n, m, shift=1)
-            norm = self.squared_norm_Q(m)
-            if self.exact:
-                norm = np.array([[complex(v) for v in row] for row in norm])
-            else:
-                norm = norm.astype(complex)
+            lm = self.log_gram_scale(m)
+            g = (self.gram_qt(n, m, shift=1, scaled=True)
+                 * exp(self.log_gram_scale(n) - lm))
+            norm = np.asarray(self.squared_norm_Q(m, 2.0 * lm), dtype=complex)
             mats.append(np.linalg.solve(norm.conj().T, g.conj().T).conj().T)
         An, Bn, Cn = mats
         xQ = self.build_Q(n).to_float().shift(1)

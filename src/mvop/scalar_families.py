@@ -2,8 +2,14 @@
 
 Covers the shifted Hermite, Laguerre and Jacobi families (closed-form
 recurrences and norms) plus weights given by raw moments (Chebyshev
-algorithm).  Gauss rules come from the Golub-Welsch eigendecomposition of
-the Jacobi matrix.
+algorithm).  Gauss rules take their nodes from the eigenvalues of the
+symmetric Jacobi matrix and their weights from the Christoffel function
+lambda_j = 1 / sum_{k<m} phat_k(x_j)^2, with phat_k the orthonormal
+polynomials evaluated by their recurrence (Gautschi, Orthogonal
+Polynomials, 2004, section 3.1).  Unlike the squared first components of
+the Golub-Welsch eigenvectors, these weights keep their relative accuracy
+in the tails, where the eigenvector entries are only accurate in absolute
+terms.
 
 Two backends: ``float`` (binary64) and ``exact`` (sympy rationals, for
 classical families with rational parameters at small degree).  Norms are
@@ -11,7 +17,7 @@ kept in log space in the float backend to dodge factorial overflow.
 """
 
 from dataclasses import dataclass, field
-from math import exp, inf, lgamma, log, pi, sqrt
+from math import inf, lgamma, log, pi
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,18 +92,23 @@ def custom(moments, support) -> ScalarWeightSpec:
                             support=(float(support[0]), float(support[1])))
 
 
-def weight_value(spec: ScalarWeightSpec, x: float) -> float:
-    """Density at x; zero outside the (open) support interval."""
+def weight_value(spec: ScalarWeightSpec, x):
+    """Density at x (a float, or elementwise over an array); zero outside
+    the (open) support interval."""
+    if spec.family == CUSTOM:
+        raise Unsupported("no closed-form density for a moment-supplied "
+                          "weight")
+    x = np.asarray(x, dtype=float)
     lo, hi = spec.support
-    if not (lo < x < hi):
-        return 0.0
-    if spec.family == HERMITE:
-        return spec.scale * exp(-x * x + 2.0 * spec.b * x)
-    if spec.family == LAGUERRE:
-        return spec.scale * exp(-x) * x ** spec.alpha
-    if spec.family == JACOBI:
-        return spec.scale * (1.0 - x) ** spec.alpha * (1.0 + x) ** spec.beta
-    raise Unsupported("no closed-form density for a moment-supplied weight")
+    with np.errstate(all="ignore"):         # points off the support drop out
+        if spec.family == HERMITE:
+            w = np.exp(-x * x + 2.0 * spec.b * x)
+        elif spec.family == LAGUERRE:
+            w = np.exp(-x) * x ** spec.alpha
+        else:
+            w = (1.0 - x) ** spec.alpha * (1.0 + x) ** spec.beta
+    out = np.where((lo < x) & (x < hi), spec.scale * w, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _rat(x):
@@ -151,20 +162,26 @@ class MonicScalarSequence:
     _polys: list = field(default_factory=list, repr=False)
 
     def polynomial(self, n: int):
-        """Coefficients (ascending) of the monic p_n."""
+        """Coefficients (ascending) of the monic p_n.
+
+        The table is extended on a local copy and published with one
+        assignment, so threads sharing the sequence never see a list that
+        another thread is still filling.
+        """
         if n < 0 or n > self.n_max:
             raise OutOfRange(f"n={n} outside 0..{self.n_max}")
-        if not self._polys:
+        polys = self._polys
+        if len(polys) <= n:
             one = sp.Integer(1) if self.backend == "exact" else 1.0
-            self._polys = [[one]]
-        while len(self._polys) <= n:
-            k = len(self._polys) - 1  # have p_k, build p_{k+1}
-            pk = self._polys[k]
-            nxt = _poly.sub(_poly.mul([-self.b_coeffs[k], 1], pk),
-                            _poly.scale(self._polys[k - 1], self.c_coeffs[k - 1])
-                            if k >= 1 else [0])
-            self._polys.append(nxt)
-        return list(self._polys[n])
+            polys = list(polys) or [[one]]
+            while len(polys) <= n:
+                k = len(polys) - 1  # have p_k, build p_{k+1}
+                nxt = _poly.sub(_poly.mul([-self.b_coeffs[k], 1], polys[k]),
+                                _poly.scale(polys[k - 1], self.c_coeffs[k - 1])
+                                if k >= 1 else [0])
+                polys.append(nxt)
+            self._polys = polys
+        return list(polys[n])
 
 
 def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
@@ -281,12 +298,50 @@ def squared_norm_exact(seq: MonicScalarSequence, n: int):
     return seq.exact_norms[n]
 
 
+#: rescale a node's recurrence values once they pass this magnitude
+_RESCALE_AT = 2.0 ** 500
+
+
+def orthonormal_values(seq: MonicScalarSequence, x, count: int):
+    """Orthonormal phat_0..phat_{count-1} at the points x, in scaled form.
+
+    Returns (vals, log_scale) with phat_k(x_j) = vals[k, j] *
+    exp(log_scale[j]).  The recurrence phat_{k+1} = ((x - b_k) phat_k -
+    sqrt(c_k) phat_{k-1}) / sqrt(c_{k+1}) is rescaled per point whenever
+    a value passes 2^500, so Laguerre and Hermite values far out in the
+    tails stay finite at every degree below ``NODE_CAP``; entries that
+    a rescale pushes below the float range are negligible against the
+    largest value at their point.
+    """
+    if count < 1 or count > seq.n_max + 1:
+        raise OutOfRange(f"count={count} outside 1..{seq.n_max + 1}")
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(seq.b_coeffs, dtype=float)
+    rc = np.sqrt(np.asarray(seq.c_coeffs, dtype=float))    # sqrt(c_1..)
+    vals = np.empty((count, len(x)))
+    log_scale = np.full(len(x), -0.5 * float(seq.log_norms[0]))
+    vals[0] = 1.0
+    for k in range(count - 1):
+        nxt = (x - b[k]) * vals[k]
+        if k >= 1:
+            nxt -= rc[k - 1] * vals[k - 1]
+        vals[k + 1] = nxt / rc[k]
+        big = np.abs(vals[k + 1]) > _RESCALE_AT
+        if big.any():
+            f = np.abs(vals[k + 1, big])
+            vals[:k + 2, big] /= f
+            log_scale[big] += np.log(f)
+    return vals, log_scale
+
+
 def gauss_rule(spec: ScalarWeightSpec, m: int):
     """m-point Gauss rule (nodes, weights) for the weight of ``spec``.
 
-    Golub-Welsch: nodes are eigenvalues of the symmetrized Jacobi matrix,
-    weights are moment0 times the squared first eigenvector components.
-    Exact for polynomials of degree <= 2m - 1.
+    Nodes are the eigenvalues of the symmetric Jacobi matrix; weights are
+    the Christoffel numbers lambda_j = 1 / sum_{k<m} phat_k(x_j)^2, formed
+    from scaled recurrence values, so tail weights below the float range
+    come out as 0 rather than NaN.  Exact for polynomials of degree
+    <= 2m - 1.
     """
     if m < 1:
         raise InvalidParam("need at least one node")
@@ -295,8 +350,9 @@ def gauss_rule(spec: ScalarWeightSpec, m: int):
     if m > 1:
         off = np.sqrt(np.asarray(seq.c_coeffs[:m - 1], dtype=float))
         J += np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(J)
-    weights = exp(seq.log_norms[0]) * vecs[0, :] ** 2
+    nodes = np.linalg.eigvalsh(J)
+    vals, log_scale = orthonormal_values(seq, nodes, m)
+    weights = np.exp(-2.0 * log_scale - np.log(np.sum(vals ** 2, axis=0)))
     return nodes, weights
 
 

@@ -1,16 +1,18 @@
-"""Weight matrices W = T diag(w_1..w_N) T* and their matrix inner product.
+"""Weight matrices W = T diag(w_1..w_N) T* and the Gauss rules of their
+inner product.
 
 The inner product <P,Q> = int P W Q* dx is evaluated as <PT, QT> against
 the diagonal weight: column k of the integrand sees only the scalar weight
-w_k, so every integral is a polynomial against one classical weight and a
-scalar Gauss rule of sufficient order is exact.  Mixed supports (e.g. a
-Hermite next to a Laguerre weight) come for free since each column is
+w_k, so every integral is a polynomial against one scalar weight, and one
+Gauss rule per scalar weight, with enough nodes for the highest degree a
+sequence reaches, is exact for all of them.  ``InnerProductEngine`` holds
+those rules; ``mvop_core.MVOPSequence`` evaluates every Q_n T column on
+them once and forms the whole Gram block from that.  Mixed supports (e.g.
+a Hermite next to a Laguerre weight) come for free since each column is
 integrated over its own weight's support.
 """
 
-import threading
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 import sympy as sp
@@ -71,52 +73,39 @@ def build_T(spec: WeightSpec, exact: bool = False):
     return T, T_inv
 
 
-def weight_eval(spec: WeightSpec, x: float) -> np.ndarray:
-    """W(x) = T(x) diag(w_1(x), ..., w_N(x)) T(x)*; Hermitian PSD."""
+def weight_eval(spec: WeightSpec, x) -> np.ndarray:
+    """W(x) = T(x) diag(w_1(x), ..., w_N(x)) T(x)*; Hermitian PSD.
+
+    A float x gives one (N, N) matrix; an array of P points gives the
+    (P, N, N) stack.
+    """
+    xs = np.asarray(x, dtype=float)
+    pts = xs.reshape(-1)
     A = build_nilpotent(spec)
-    Tx = np.eye(spec.N, dtype=complex) + A * x
-    wd = np.array([sf.weight_value(s, x) for s in spec.scalars], dtype=complex)
-    return Tx @ np.diag(wd) @ Tx.conj().T
+    Tx = np.eye(spec.N, dtype=complex) + A * pts[:, None, None]
+    wd = np.stack([sf.weight_value(s, pts) for s in spec.scalars], axis=-1)
+    W = (Tx * wd[:, None, :]) @ Tx.conj().swapaxes(1, 2)
+    return W[0] if xs.ndim == 0 else W
 
 
 class InnerProductEngine:
-    """Caches per-scalar Gauss rules and evaluates <P, Q>_W."""
+    """Caches the Gauss rules of the scalar weights of one W.
+
+    Rules are keyed by the scalar weight itself, so equal weights in
+    different slots share one rule.
+    """
 
     def __init__(self, weight: WeightSpec):
         self.weight = weight
-        self._T, _ = build_T(weight)
         self._rules = {}
-        self._lock = threading.Lock()
 
     def rule(self, scalar_index: int, m: int):
-        key = (scalar_index, m)
+        """(nodes, weights) of the m-point Gauss rule of w_{scalar_index+1}."""
+        if m > NODE_CAP:
+            raise DegreeCap(f"Gauss rule needs {m} > {NODE_CAP} nodes")
+        key = (self.weight.scalars[scalar_index], m)
         got = self._rules.get(key)
         if got is None:
-            got = sf.gauss_rule(self.weight.scalars[scalar_index], m)
-            with self._lock:
-                self._rules.setdefault(key, got)
-        return self._rules[key]
-
-    def inner_product(self, P: MatrixPolynomial,
-                      Q: MatrixPolynomial) -> np.ndarray:
-        """<P, Q>_W via <PT, QT> against the diagonal weight."""
-        PT = (P.to_float() if P.exact else P) * self._T
-        QT = (Q.to_float() if Q.exact else Q) * self._T
-        return self.inner_product_tilde(PT, QT)
-
-    def inner_product_tilde(self, PT: MatrixPolynomial,
-                            QT: MatrixPolynomial) -> np.ndarray:
-        """<PT, QT> against diag(w_1..w_N), column by column."""
-        N = self.weight.N
-        m = ceil((PT.degree + QT.degree) / 2) + 1
-        if m > NODE_CAP:
-            raise DegreeCap(f"inner product needs {m} > {NODE_CAP} nodes")
-        Pc = np.stack([c for c in PT.coeffs])   # (dP+1, N, N)
-        Qc = np.stack([c for c in QT.coeffs])
-        G = np.zeros((N, N), dtype=complex)
-        for k in range(N):
-            nodes, weights = self.rule(k, m)
-            vp = np.polynomial.polynomial.polyval(nodes, Pc[:, :, k])  # (N, m)
-            vq = np.polynomial.polynomial.polyval(nodes, Qc[:, :, k])
-            G += (vp * weights) @ vq.conj().T
-        return G
+            got = self._rules.setdefault(
+                key, sf.gauss_rule(self.weight.scalars[scalar_index], m))
+        return got

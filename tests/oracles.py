@@ -98,3 +98,33 @@ def monic_from_recurrence(bs, cs, n):
                for i in range(len(xp))]
         polys.append(nxt)
     return polys[n]
+
+
+def pairwise_quadrature(weight, A, P, Q):
+    """<P, Q>_W on a Gauss rule sized for this one pair: Golub-Welsch
+    eigenvector weights, P and Q evaluated in the power basis, and
+    W(x) = sum_k w_k t_k t_k^* with t_k = e_k + x A[:, k].
+
+    Shares no code with the package's Gram block; fine at low degree,
+    where eigenvector weights and the power basis are both accurate.
+    P, Q are lists of (N, N) coefficient arrays (ascending).
+    """
+    import numpy as np
+    from mvop.scalar_families import recurrence_coefficients
+    N = weight.N
+    m = (len(P) + len(Q)) // 2 + 2
+    A = np.asarray(A, dtype=complex)
+    G = np.zeros((N, N), dtype=complex)
+    for k, s in enumerate(weight.scalars):
+        seq = recurrence_coefficients(s, m)
+        off = np.sqrt(np.asarray(seq.c_coeffs[:m - 1], dtype=float))
+        J = (np.diag(np.asarray(seq.b_coeffs[:m], dtype=float))
+             + np.diag(off, 1) + np.diag(off, -1))
+        nodes, vecs = np.linalg.eigh(J)
+        lam = np.exp(seq.log_norms[0]) * vecs[0] ** 2
+        for x, w in zip(nodes, lam):
+            t = np.eye(N)[:, k] + x * A[:, k]
+            px = sum(c * x ** i for i, c in enumerate(P)) @ t
+            qx = sum(c * x ** i for i, c in enumerate(Q)) @ t
+            G += w * np.outer(px, qx.conj())
+    return G

@@ -1,12 +1,16 @@
 """Config parsing, the batch runner, and CLI exit codes."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mvop.cli import (CHECK_NAMES, SCHEMA, config_from_json, main, run)
+from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
+                      run)
 from mvop.errors import ConfigError
+from mvop.mvop_core import MVOPSequence, peak
 
 
 def base_config(**over):
@@ -128,6 +132,74 @@ class TestRun:
         run(cfg, csv_dir=str(tmp_path / "csv"))
         for n in range(4):
             assert (tmp_path / "csv" / f"Q_{n}.csv").exists()
+
+
+class TestHighDegree:
+    """The Gram checks at the run tolerance on unbounded supports, where
+    eigenvector Gauss weights failed (2x2 Laguerre from n = 26, 3x3
+    Hermite by n = 40) and n = 80 overflowed."""
+
+    WEIGHTS = {
+        "lag2": ([1.5], [{"family": "laguerre", "alpha": 0.0},
+                         {"family": "laguerre", "alpha": 0.5}]),
+        "her3": ([1.0, -0.7], [{"family": "hermite", "b": 0.2},
+                               {"family": "hermite", "b": -0.3},
+                               {"family": "hermite", "b": 0.0}]),
+    }
+
+    @pytest.mark.parametrize("n_max", [40, 80])
+    @pytest.mark.parametrize("name", ["lag2", "her3"])
+    def test_gram_checks_pass(self, name, n_max, monkeypatch):
+        monkeypatch.setenv("MVOP_THREADS", "1")
+        a, weights = self.WEIGHTS[name]
+        cfg = config_from_json(base_config(
+            size=len(weights), a=a, weights=weights, n_max=n_max, tol=1e-9,
+            checks=["orth", "norm", "recurrence"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow or NaN warnings
+            report = run(cfg)
+        for check, res in report["checks"].items():
+            assert res["passed"], (check, res)
+            assert not res["non_finite"]
+            assert res["gauss_nodes"] == n_max + 3
+            assert res["min_gauss_weight"] > 0
+
+
+class TestNonFinite:
+    def test_peak_prefers_non_finite(self):
+        assert peak({}) == (0.0, None, False)
+        assert peak({1: 0.1, 2: 0.5, 3: 0.2}) == (0.5, 2, False)
+        worst, where, non_finite = peak({1: 0.1, 2: np.nan, 3: np.inf})
+        assert np.isnan(worst) and where == 2 and non_finite
+
+    @pytest.mark.parametrize("check", ["orth", "norm", "recurrence", "det",
+                                       "eigen"])
+    def test_nan_residual_fails(self, check):
+        # one poisoned value at degree 2; every other residual is tiny
+        cfg = config_from_json(base_config(n_max=5, checks=[check]))
+        seq = MVOPSequence(cfg.spec, cfg.n_max + 1)
+        nan = float("nan")
+        if check in ("orth", "norm"):
+            gram = seq.gram_qt
+            seq.gram_qt = lambda n, m, *a, **k: (
+                gram(n, m, *a, **k) * nan if (n, m) == (2, 2)
+                else gram(n, m, *a, **k))
+        elif check == "recurrence":
+            ttc = seq.three_term_coefficients
+            seq.three_term_coefficients = lambda n: (
+                ttc(n)[:3] + (nan,) if n == 2 else ttc(n))
+        elif check == "det":
+            rho = seq.rho_values
+            seq.rho_values = lambda n: [nan] if n == 2 else rho(n)
+        else:
+            build_Q = seq.build_Q
+            seq.build_Q = lambda n: (build_Q(n) * nan if n == 2
+                                     else build_Q(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = _CHECKS[check](seq, cfg)
+        assert not res["passed"]
+        assert res["non_finite"]
 
 
 class TestCommandLine:

@@ -7,9 +7,10 @@ import pytest
 import sympy as sp
 
 import mvop.scalar_families as sf
-from mvop.errors import OutOfRange
+from mvop.errors import DegreeCap, OutOfRange
 from mvop.mvop_core import MVOPSequence, continuant, tridiagonal_from_rho
 from mvop.weight_model import weight_spec
+from oracles import pairwise_quadrature
 
 
 def lag2(a=1.0):
@@ -114,6 +115,40 @@ class TestOrthogonality:
         rep = seq.verify_orthogonality(10, 1e-9)
         assert rep["passed"]
         assert rep["max_scaled_residual"] < 1e-11
+
+    @pytest.mark.parametrize("spec", [
+        weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
+        weight_spec([1.0, -0.7], [sf.hermite(0.2), sf.hermite(-0.3),
+                                  sf.hermite(0.0)]),
+        weight_spec([0.8, 1.2], [sf.jacobi(0.5, -0.5), sf.hermite(0.0),
+                                 sf.laguerre(1.5)]),
+    ], ids=["lag2", "her3", "mixed3"])
+    def test_block_matches_pairwise_integration(self, spec):
+        # every pair n, m <= 6 and shift 0, 1 of the one-rule block against
+        # a Gauss rule of its own for x^shift Q_n against Q_m
+        seq = MVOPSequence(spec, 6)
+        Q = [seq.build_Q(n).to_float() for n in range(7)]
+        worst = 0.0
+        for shift in (0, 1):
+            scale = [np.linalg.norm(seq.gram_qt(n, n, shift))
+                     for n in range(7)]
+            for n in range(7):
+                for m in range(7):
+                    want = pairwise_quadrature(
+                        spec, seq.A, Q[n].shift(shift).coeffs, Q[m].coeffs)
+                    got = seq.gram_qt(n, m, shift)
+                    err = np.max(np.abs(got - want))
+                    worst = max(worst, err / np.sqrt(scale[n] * scale[m]))
+        assert worst < 1e-12
+
+    def test_unscaled_gram_past_float_range(self):
+        # ||Q_150||^2 ~ e^1200 for Laguerre: the plain reading raises a
+        # typed error, the scaled one stays usable
+        seq = MVOPSequence(lag2(), 150)
+        with pytest.raises(DegreeCap):
+            seq.gram_qt(150, 150)
+        g = seq.gram_qt(150, 150, scaled=True)
+        assert np.all(np.isfinite(g)) and np.linalg.norm(g) > 0
 
     def test_gram_cross_zero(self):
         seq = MVOPSequence(herm2(), 11)

@@ -1,6 +1,8 @@
 """Scalar weight recurrences, norms, quadrature and differential operators."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -174,6 +176,77 @@ class TestGaussRules:
         _, w1 = sf.gauss_rule(sf.laguerre(0.0), 3)
         _, w2 = sf.gauss_rule(sf.laguerre(0.0, scale=5.0), 3)
         assert w2 == pytest.approx(5.0 * w1)
+
+    @pytest.mark.parametrize("spec", [sf.hermite(0.4), sf.laguerre(1.5),
+                                      sf.jacobi(0.5, -0.5)])
+    def test_weights_finite_up_to_node_cap(self, spec):
+        # NODE_CAP = 512; Laguerre tail weights there are far below the
+        # float range and must come out as 0, not NaN
+        m0 = math.exp(sf.squared_norm_log(sf.recurrence_coefficients(spec, 0),
+                                          0))
+        for m in (1, 2, 7, 40, 90, 200, 512):
+            nodes, weights = sf.gauss_rule(spec, m)
+            assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+            assert np.all(weights >= 0)
+            assert np.all(np.diff(nodes) > 0)
+            assert np.sum(weights) == pytest.approx(m0, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [sf.jacobi(0.5, -0.5),
+                                      sf.jacobi(1.3, 0.2),
+                                      sf.jacobi(0.0, 0.0, scale=2.0)])
+    def test_jacobi_matches_eigenvector_weights(self, spec):
+        # on a bounded support the Golub-Welsch eigenvector weights are
+        # accurate, so the Christoffel weights must reproduce them
+        for m in range(1, 21):
+            seq = sf.recurrence_coefficients(spec, m)
+            off = np.sqrt(np.asarray(seq.c_coeffs[:m - 1], dtype=float))
+            J = (np.diag(np.asarray(seq.b_coeffs[:m], dtype=float))
+                 + np.diag(off, 1) + np.diag(off, -1))
+            want_nodes, vecs = np.linalg.eigh(J)
+            want = math.exp(seq.log_norms[0]) * vecs[0] ** 2
+            nodes, weights = sf.gauss_rule(spec, m)
+            assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+            assert np.allclose(weights, want, rtol=1e-13, atol=0)
+
+
+class TestPolynomialTable:
+    def test_shared_sequence_under_thread_contention(self):
+        # 8 threads extend one table at once with a tiny switch interval;
+        # an extension that is not published whole loses or repeats entries
+        spec = sf.laguerre(0.5)
+        want = [sf.recurrence_coefficients(spec, 30).polynomial(n)
+                for n in range(31)]
+        rng = np.random.default_rng(17)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        bad = []
+        try:
+            for trial in range(200):
+                seq = sf.recurrence_coefficients(spec, 30)
+                start = threading.Barrier(8)
+                orders = [rng.permutation(31) for _ in range(8)]
+                errors = []
+
+                def work(order):
+                    start.wait(timeout=10)
+                    try:
+                        for n in order:
+                            if seq.polynomial(int(n)) != want[n]:
+                                errors.append((trial, int(n)))
+                    except Exception as exc:    # reported below, not lost
+                        errors.append((trial, repr(exc)))
+
+                threads = [threading.Thread(target=work, args=(o,))
+                           for o in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                bad.extend(errors)
+        finally:
+            sys.setswitchinterval(old)
+        assert not bad, bad[:5]
 
 
 class TestScalarDiffOperators:

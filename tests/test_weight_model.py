@@ -6,8 +6,10 @@ import pytest
 import mvop.scalar_families as sf
 from mvop.errors import DegreeCap, InvalidParam
 from mvop.matrix_poly import MatrixPolynomial
-from mvop.weight_model import (InnerProductEngine, build_nilpotent, build_T,
+from mvop.mvop_core import MVOPSequence
+from mvop.weight_model import (NODE_CAP, build_nilpotent, build_T,
                                weight_eval, weight_spec)
+from oracles import pairwise_quadrature
 
 
 def lag2(a=1.0):
@@ -63,56 +65,89 @@ class TestWeightEval:
     def test_outside_support(self):
         assert np.allclose(weight_eval(lag2(), -2.0), 0)
 
+    def test_batched_matches_pointwise(self):
+        spec = weight_spec([1.5, -0.5], [sf.hermite(0.3), sf.laguerre(1.0),
+                                         sf.jacobi(0.5, -0.5)])
+        xs = np.array([-3.0, -1.0, -0.4, 0.0, 0.7, 1.0, 2.5, 40.0])
+        Ws = weight_eval(spec, xs)
+        assert Ws.shape == (len(xs), 3, 3)
+        for x, W in zip(xs, Ws):
+            assert np.allclose(W, weight_eval(spec, float(x)),
+                               rtol=1e-14, atol=0)
+
 
 class TestInnerProduct:
+    """The inner product as the sequence's Gram block reads it."""
+
     def test_gram_of_identity_frozen(self):
-        # <I, I> for the 2x2 Laguerre(0)^2 a=1 weight: moments of W
-        eng = InnerProductEngine(lag2())
-        G = eng.inner_product(MatrixPolynomial.identity(2),
-                              MatrixPolynomial.identity(2))
+        # <I, I> for the 2x2 Laguerre(0)^2 a=1 weight: moments of W.
+        # Q_0 = I - b_0 A is constant, so <I, I> = Q_0^{-1} <Q_0, Q_0> Q_0^{-*}
+        seq = MVOPSequence(lag2(), 3)
+        C = np.linalg.inv(seq.build_Q(0).coeffs[0])
+        G = C @ seq.gram_qt(0, 0) @ C.conj().T
         assert np.allclose(G, [[3, 1], [1, 1]], atol=1e-12)
 
     def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(3)
-        eng = InnerProductEngine(lag2(a=1.3))
-        P = MatrixPolynomial([rng.standard_normal((2, 2))
-                              + 1j * rng.standard_normal((2, 2))
-                              for _ in range(3)])
-        Q = MatrixPolynomial([rng.standard_normal((2, 2))
-                              + 1j * rng.standard_normal((2, 2))
-                              for _ in range(2)])
-        G1 = eng.inner_product(P, Q)
-        G2 = eng.inner_product(Q, P)
-        assert np.allclose(G1, G2.conj().T, rtol=1e-11, atol=1e-11)
+        seq = MVOPSequence(lag2(a=1.3), 8)
+        for n in range(8):
+            for m in range(8):
+                scale = np.sqrt(np.linalg.norm(seq.gram_qt(n, n))
+                                * np.linalg.norm(seq.gram_qt(m, m)))
+                for shift in (0, 1):
+                    G1 = seq.gram_qt(n, m, shift)
+                    G2 = seq.gram_qt(m, n, shift)
+                    assert np.allclose(G1, G2.conj().T, rtol=1e-11,
+                                       atol=1e-11 * scale)
 
     def test_sesquilinearity(self):
+        # <z sum_n M_n Q_n, sum_m K_m Q_m> = z sum_nm M_n <Q_n, Q_m> K_m^*,
+        # and conjugate-linear in the second slot, against a Gauss rule of
+        # its own for the assembled polynomials
         rng = np.random.default_rng(5)
-        eng = InnerProductEngine(lag2())
-        P = MatrixPolynomial([rng.standard_normal((2, 2)) for _ in range(3)])
-        Q = MatrixPolynomial([rng.standard_normal((2, 2)) for _ in range(3)])
+        spec = lag2()
+        seq = MVOPSequence(spec, 5)
+
+        def combo():
+            Ms = [rng.standard_normal((2, 2))
+                  + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+            P = sum((seq.build_Q(n).left_mul(Mn) for n, Mn in enumerate(Ms)),
+                    MatrixPolynomial.zero(2))
+            return Ms, P.coeffs
+
+        (Ms, P), (Ks, R) = combo(), combo()
         z = 0.7 - 0.2j
-        assert np.allclose(eng.inner_product(P * z, Q),
-                           z * eng.inner_product(P, Q))
-        assert np.allclose(eng.inner_product(P, Q * z),
-                           np.conj(z) * eng.inner_product(P, Q))
+        want = sum(Mn @ seq.gram_qt(n, m) @ Km.conj().T
+                   for n, Mn in enumerate(Ms) for m, Km in enumerate(Ks))
+        zP = [z * c for c in P]
+        tol = 1e-10 * np.max(np.abs(want))
+        assert np.allclose(pairwise_quadrature(spec, seq.A, zP, R),
+                           z * want, rtol=1e-10, atol=tol)
+        assert np.allclose(pairwise_quadrature(spec, seq.A, R, zP),
+                           np.conj(z) * want.conj().T, rtol=1e-10, atol=tol)
 
     def test_mixed_supports(self):
         # each column integrates over its own scalar support
         spec = weight_spec([1.0], [sf.hermite(0.0), sf.laguerre(0.5)])
-        eng = InnerProductEngine(spec)
-        G = eng.inner_product(MatrixPolynomial.identity(2),
-                              MatrixPolynomial.identity(2))
+        seq = MVOPSequence(spec, 3)
+        C = np.linalg.inv(seq.build_Q(0).coeffs[0])
+        G = C @ seq.gram_qt(0, 0) @ C.conj().T
         assert np.allclose(G, G.conj().T)
         assert np.min(np.linalg.eigvalsh(G.real)) > 0
+        eye = [np.eye(2)]
+        assert np.allclose(G, pairwise_quadrature(spec, seq.A, eye, eye))
 
     def test_node_cap(self):
-        eng = InnerProductEngine(lag2())
-        big = MatrixPolynomial([np.eye(2)] * 600)
+        # degrees up to n_max need an (n_max + 2)-node rule
+        seq = MVOPSequence(lag2(), NODE_CAP - 1)
         with pytest.raises(DegreeCap):
-            eng.inner_product_tilde(big, big)
+            seq.gram_qt(0, 0)
 
     def test_rule_cache_reuse(self):
-        eng = InnerProductEngine(lag2())
-        r1 = eng.rule(0, 4)
-        r2 = eng.rule(0, 4)
+        seq = MVOPSequence(lag2(), 4)
+        g = seq.gram_qt(1, 2)
+        r1 = seq.engine.rule(0, 6)
+        r2 = seq.engine.rule(0, 6)
         assert r1 is r2
+        # both slots hold laguerre(0): one rule serves them
+        assert seq.engine.rule(1, 6) is r1
+        assert np.array_equal(seq.gram_qt(1, 2), g)
