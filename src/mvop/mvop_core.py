@@ -10,14 +10,17 @@ All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
 exact for every product of that degree.  Column k of Q_n T involves only
 p_{n-1}, p_n, p_{n+1} of w_k, so the orthonormal recurrence values at the
-nodes are taken once per weight, every Q_n T column is stacked into one
-(n_max + 1) N x nodes array, and two matmuls give the whole block.  Rows
-and columns of degree n are divided by sigma_n = exp(1/2 max_k log
-||p_n^{w_k}||^2), which keeps the block finite where the norms themselves
-overflow; ``gram_qt`` reads pairs from it.
+nodes are taken once per weight and give a node table C_k[n] =
+sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n of every Q_n T column; two
+matmuls per weight on the stacked table give the whole block.  sigma_n =
+exp(1/2 max_k log ||p_n^{w_k}||^2) keeps both finite where the norms
+themselves overflow.  ``gram_qt`` reads pairs from the block, and the
+three-term recurrence residual is the W-norm of x Q_n - A_n Q_{n+1} -
+B_n Q_n - C_n Q_{n-1} summed over the tables, so the orth, norm and
+recurrence checks share this one quadrature path.
 """
 
-from math import exp
+from math import exp, sqrt
 
 import numpy as np
 import sympy as sp
@@ -75,8 +78,8 @@ def tridiagonal_from_rho(rho, rng=None):
 
 
 class MVOPSequence:
-    """Lazily built Q_n, P_n, norms, leading coefficients and the Gram
-    block for one weight."""
+    """Lazily built Q_n, P_n, norms, leading coefficients, and the Gram
+    block with its node tables, for one weight."""
 
     def __init__(self, weight: WeightSpec, n_max: int, backend: str = "float"):
         self.weight = weight
@@ -255,7 +258,10 @@ class MVOPSequence:
         eye = np.eye(N, dtype=complex)
         if n == 0:
             return eye
-        norms_n = np.array([exp(s.log_norms[n]) for s in self.scalar_seqs])
+        try:
+            norms_n = np.array([exp(s.log_norms[n]) for s in self.scalar_seqs])
+        except OverflowError:
+            raise DegreeCap(f"||P_{n}||^2 is past the float range") from None
         inv_prev = np.array([exp(-s.log_norms[n - 1]) for s in self.scalar_seqs])
         A = np.asarray(self.A, dtype=complex)
         return eye + np.diag(norms_n) @ A.conj().T - np.diag(inv_prev) @ A
@@ -279,12 +285,18 @@ class MVOPSequence:
         self._check_n(n)
         return 0.5 * max(float(s.log_norms[n]) for s in self.scalar_seqs)
 
-    def _gram_block(self) -> np.ndarray:
-        """(2, n_max+1, N, n_max+1, N) array of <x^s Q_n, Q_m>_W / (sigma_n
-        sigma_m), from one (n_max + 2)-node Gauss rule per scalar weight.
+    def _gram_block(self):
+        """(block, tables) from one (n_max + 2)-node Gauss rule per scalar
+        weight.
+
+        ``block`` is the (2, n_max+1, N, n_max+1, N) array of <x^s Q_n,
+        Q_m>_W / (sigma_n sigma_m).  ``tables`` holds, per scalar weight k,
+        the nodes x_j and the (n_max+1, N, nodes) array C_k[n] =
+        sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n, so <x^s Q_n, Q_m>_W =
+        sigma_n sigma_m sum_k C_k[n] diag(x^s) C_k[m]*.
 
         Reads the sequence and changes nothing, so threads that race to
-        build it produce the same array.  At node x_j of weight k,
+        build it produce the same arrays.  At node x_j of weight k,
         sqrt(lambda_j) p_i(x_j) / sigma_n = u_i(x_j) ||p_i|| / sigma_n,
         where u_i(x_j) = sqrt(lambda_j) phat_i(x_j) is phat_i(x_j) over the
         norm of (phat_0..phat_{n_max+1})(x_j), lambda_j being the
@@ -298,6 +310,7 @@ class MVOPSequence:
                       for n in range(M + 1)])
         log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
         out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
+        tables = []
         for k, seq in enumerate(self.scalar_seqs):
             nodes, _ = self.engine.rule(k, m)
             vals, _ = sf.orthonormal_values(seq, nodes, m)
@@ -311,11 +324,20 @@ class MVOPSequence:
             C = A[None, :, k, None] * hi[:, None, :]
             C[:, k] += mid
             C[1:] -= G[1:, :, k, None] * lo[:, None, :]
+            tables.append((nodes, C))
             F = C.reshape(-1, m)
             FH = F.conj().T
             out[0] += F @ FH
             out[1] += (F * nodes) @ FH
-        return out.reshape(2, M + 1, N, M + 1, N)
+        return out.reshape(2, M + 1, N, M + 1, N), tables
+
+    def gram_data(self):
+        """The Gram block and the node tables (see ``_gram_block``), built
+        on first use and published together in one assignment."""
+        got = self._gram
+        if got is None:
+            got = self._gram = self._gram_block()
+        return got
 
     def gram_qt(self, n: int, m: int, shift: int = 0,
                 scaled: bool = False) -> np.ndarray:
@@ -323,17 +345,13 @@ class MVOPSequence:
 
         With ``scaled`` the result is divided by sigma_n sigma_m (see
         ``log_gram_scale``); residuals are formed from that form, which
-        stays finite at degrees where the Gram itself overflows.  The
-        block is built on first use and published in one assignment.
+        stays finite at degrees where the Gram itself overflows.
         """
         self._check_n(n)
         self._check_n(m)
         if shift not in (0, 1):
             raise InvalidParam(f"shift must be 0 or 1, got {shift}")
-        block = self._gram
-        if block is None:
-            block = self._gram = self._gram_block()
-        g = block[shift, n, :, m, :]
+        g = self.gram_data()[0][shift, n, :, m, :]
         if scaled:
             return g.copy()
         log_s = self.log_gram_scale(n) + self.log_gram_scale(m)
@@ -373,26 +391,34 @@ class MVOPSequence:
                 "non_finite": non_finite}
 
     def three_term_coefficients(self, n: int):
-        """(A_n, B_n, C_n, residual) for Q_n x = A_n Q_{n+1} + B_n Q_n + C_n Q_{n-1}.
+        """(A_n, B_n, C_n, residual) for x Q_n = A_n Q_{n+1} + B_n Q_n + C_n Q_{n-1}.
 
         Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, from the
         scaled Gram block and closed-form norms, (sigma_n / sigma_m) times
-        the scaled ratio.
+        the scaled ratio.  The residual is ||R_n||_W / ||x Q_n||_W with
+        R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and ||P||_W^2 =
+        tr <P, P>_W, summed over the node tables of ``_gram_block`` with
+        every term divided by sigma_n (so A_n and C_n carry the factors
+        sigma_{n+1} / sigma_n and sigma_{n-1} / sigma_n).  It is exact:
+        R_n T has degree n + 2, which the n_max + 2 nodes integrate for
+        every n <= n_max - 1.
         """
         if n < 1 or n > self.n_max - 1:
             raise OutOfRange(f"n={n} outside 1..{self.n_max - 1}")
-        mats = []
+        ln = self.log_gram_scale(n)
+        mats, terms = [], []
         for m in (n + 1, n, n - 1):
             lm = self.log_gram_scale(m)
-            g = (self.gram_qt(n, m, shift=1, scaled=True)
-                 * exp(self.log_gram_scale(n) - lm))
+            g = self.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
             norm = np.asarray(self.squared_norm_Q(m, 2.0 * lm), dtype=complex)
-            mats.append(np.linalg.solve(norm.conj().T, g.conj().T).conj().T)
+            X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
+            mats.append(X)
+            terms.append((m, X * exp(lm - ln)))
+        num = den = 0.0
+        for nodes, C in self.gram_data()[1]:
+            xq = C[n] * nodes
+            r = xq - sum(X @ C[m] for m, X in terms)
+            num += np.vdot(r, r).real
+            den += np.vdot(xq, xq).real
         An, Bn, Cn = mats
-        xQ = self.build_Q(n).to_float().shift(1)
-        rhs = (self.build_Q(n + 1).to_float().left_mul(An)
-               + self.build_Q(n).to_float().left_mul(Bn)
-               + self.build_Q(n - 1).to_float().left_mul(Cn))
-        diff = xQ - rhs
-        residual = diff.max_coeff_norm() / xQ.max_coeff_norm()
-        return An, Bn, Cn, residual
+        return An, Bn, Cn, sqrt(num / den)

@@ -127,6 +127,25 @@ class TestRun:
         assert res["passed"]
         assert res["kind"] == "laguerre_n5_chain"
 
+    def test_gram_data_built_once_with_pool(self, monkeypatch):
+        monkeypatch.setenv("MVOP_THREADS", "2")
+        calls = []
+        build = MVOPSequence._gram_block
+
+        def counted(seq):
+            calls.append(1)
+            return build(seq)
+        monkeypatch.setattr(MVOPSequence, "_gram_block", counted)
+        report = run(config_from_json(base_config(
+            n_max=20, checks=["orth", "norm", "recurrence", "det"])))
+        assert report["passed"]
+        assert len(calls) == 1
+
+    def test_checks_report_wall_time(self):
+        report = run(config_from_json(base_config()))
+        for res in report["checks"].values():
+            assert 0 <= res["wall_time_s"] <= report["wall_time_s"]
+
     def test_csv_dump(self, tmp_path):
         cfg = config_from_json(base_config(checks=["orth"], n_max=3))
         run(cfg, csv_dir=str(tmp_path / "csv"))
@@ -147,7 +166,7 @@ class TestHighDegree:
                                {"family": "hermite", "b": 0.0}]),
     }
 
-    @pytest.mark.parametrize("n_max", [40, 80])
+    @pytest.mark.parametrize("n_max", [40, 80, 300])
     @pytest.mark.parametrize("name", ["lag2", "her3"])
     def test_gram_checks_pass(self, name, n_max, monkeypatch):
         monkeypatch.setenv("MVOP_THREADS", "1")
@@ -162,7 +181,33 @@ class TestHighDegree:
             assert res["passed"], (check, res)
             assert not res["non_finite"]
             assert res["gauss_nodes"] == n_max + 3
-            assert res["min_gauss_weight"] > 0
+            # the smallest of 303 Laguerre weights is below the float range
+            assert (res["min_gauss_weight"] > 0
+                    or (name, n_max) == ("lag2", 300))
+
+    def test_det_past_float_range_is_typed_error(self, monkeypatch):
+        # ||P_n||^2 of the Laguerre weights leaves the float range below
+        # n = 150; the det check reports DegreeCap and the run goes on
+        monkeypatch.setenv("MVOP_THREADS", "1")
+        a, weights = self.WEIGHTS["lag2"]
+        cfg = config_from_json(base_config(
+            a=a, weights=weights, n_max=150, checks=["orth", "norm", "det"]))
+        checks = run(cfg)["checks"]
+        assert checks["orth"]["passed"] and checks["norm"]["passed"]
+        assert checks["det"]["status"] == "error"
+        assert checks["det"]["error"].startswith("DegreeCap")
+
+    def test_wrong_ratio_matrix_fails_recurrence(self):
+        # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n
+        # leaves the span of its three neighbours
+        cfg = config_from_json(base_config(n_max=6, checks=["recurrence"]))
+        seq = MVOPSequence(cfg.spec, cfg.n_max + 1)
+        ratio = seq.ratio_matrix
+        seq.ratio_matrix = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
+                                      else ratio(n))
+        res = _CHECKS["recurrence"](seq, cfg)
+        assert not res["passed"]
+        assert res["max_relative_residual"] > 1e-8
 
 
 class TestNonFinite:
