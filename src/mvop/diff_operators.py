@@ -1,9 +1,18 @@
 """Right-acting matrix differential operators D = sum_j d^j . F_j(x).
 
-Application is P . D = sum_j (d^j P)(x) F_j(x).  Composition satisfies
-P . (D1 o D2) = (P . D1) . D2.  Conjugation by T = I + A x stays inside
-polynomial coefficients because A^2 = 0, so it is done by composing with
-the order-zero multiplication operators for T and T^{-1}.
+Application is P . D = sum_j (d^j P)(x) F_j(x).  ``op_apply`` takes one
+MatrixPolynomial or a whole stack of coefficient arrays (..., deg + 1, N,
+N): each term x^l of F_j is one GEMM on the reshaped stack, with the
+falling factorials p!/(p-j)! as a per-power scale, so a second-order
+operator costs about fifteen GEMMs whatever the number of polynomials.
+``eigencheck`` runs it on blocks of ``EIGEN_BLOCK`` degrees of
+``MVOPSequence.q_block``.  numpy matmul takes the object arrays of the
+exact backend too, so exact operands go through the same code.
+
+Composition satisfies P . (D1 o D2) = (P . D1) . D2.  Conjugation by T =
+I + A x stays inside polynomial coefficients because A^2 = 0, so it is
+done by composing with the order-zero multiplication operators for T and
+T^{-1}.
 """
 
 from dataclasses import dataclass
@@ -19,6 +28,11 @@ from .weight_model import WeightSpec, build_T
 from ._poly import binom
 
 CONDITION_TOL = 1e-12
+
+#: degrees per ``q_block`` in ``eigencheck``; bounds the stacked arrays
+#: (all degrees of n_max = 60-80 sequences at once took about 5 MB more
+#: peak memory than blocks of 16)
+EIGEN_BLOCK = 16
 
 
 class MatrixDiffOperator:
@@ -108,13 +122,49 @@ class MatrixDiffOperator:
         return cls(fs, size=size)
 
 
-def op_apply(P: MatrixPolynomial, D: MatrixDiffOperator) -> MatrixPolynomial:
-    """P . D = sum_j (d^j P) F_j."""
-    if P.size != D.size:
-        raise SizeMismatch(f"sizes {P.size} and {D.size} differ")
-    out = MatrixPolynomial.zero(P.size, P.exact)
-    for j, fj in enumerate(D.f_coeffs):
-        out = out + P.derivative(j) * fj
+def op_apply(P, D: MatrixDiffOperator):
+    """P . D = sum_j (d^j P) F_j, for a MatrixPolynomial P or for every
+    polynomial of a stack P of power coefficients at once.
+
+    A stack has shape (..., deg + 1, N, N), powers ascending on axis -3,
+    and comes back as a stack with the same leading axes and as many
+    powers as the highest term needs; object arrays (sympy entries) stay
+    exact.  d^j P is the stack scaled per power j times over (the falling
+    factorials p!/(p-j)!), and each x^l coefficient of F_j is one GEMM of
+    it, reshaped to (rows, N), landing on powers p - j + l.  The terms of
+    each j add up in the order of the per-coefficient Cauchy product, so
+    a stack gives the sums of the polynomial-by-polynomial products.
+    """
+    if isinstance(P, MatrixPolynomial):
+        C = np.array(P.coeffs, dtype=object if P.exact else complex)
+        return MatrixPolynomial(list(_apply_stack(C, D)), size=P.size,
+                                exact=P.exact)
+    return _apply_stack(P, D)
+
+
+def _apply_stack(C: np.ndarray, D: MatrixDiffOperator) -> np.ndarray:
+    *lead, width, N, _ = C.shape
+    if N != D.size:
+        raise SizeMismatch(f"sizes {N} and {D.size} differ")
+    exact = C.dtype == object
+    dtype = object if exact else complex
+    fs = [[np.asarray(c, dtype=dtype) for c in f.coeffs]
+          for f in D.f_coeffs[:width]]
+    out_width = max(width - j + len(f) - 1 for j, f in enumerate(fs))
+    out = np.zeros((*lead, out_width, N, N), dtype=dtype)
+    S = C
+    for j, f in enumerate(fs):
+        if j:
+            powers = np.arange(1, width - j + 1,
+                               dtype=object if exact else float)
+            S = S[..., 1:, :, :] * powers[:, None, None]
+        rows = width - j
+        flat = S.reshape(-1, N)
+        term = np.zeros_like(out)
+        for l in reversed(range(len(f))):      # Cauchy order: p ascending
+            term[..., l:l + rows, :, :] += (flat @ f[l]).reshape(
+                *lead, rows, N, N)
+        out += term
     return out
 
 
@@ -262,15 +312,24 @@ def build_bispectral_operator(spec: WeightSpec, exact: bool = False):
 
 def eigencheck(seq, D: MatrixDiffOperator, lam: EigenvalueMap,
                n_max: int) -> dict:
-    """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max; a
-    non-finite residual is the peak and sets ``non_finite``."""
+    """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max.
+
+    Degrees go in blocks of ``EIGEN_BLOCK`` rows of ``seq.q_block``; the
+    residual of degree n is max|lhs - rhs| / max(max|lhs|, max|rhs|,
+    1e-300) over all coefficients.  A non-finite residual is the peak and
+    sets ``non_finite``.
+    """
     residuals = []
-    for n in range(n_max + 1):
-        Q = seq.build_Q(n).to_float()
+    for lo in range(0, n_max + 1, EIGEN_BLOCK):
+        hi = min(lo + EIGEN_BLOCK, n_max + 1)
+        Q = seq.q_block(lo, hi)
         lhs = op_apply(Q, D)
-        rhs = Q.left_mul(lam(n))
-        scalemax = max(rhs.max_coeff_norm(), lhs.max_coeff_norm(), 1e-300)
-        residuals.append((lhs - rhs).max_coeff_norm() / scalemax)
+        rhs = np.stack([lam(n) for n in range(lo, hi)])[:, None] @ Q
+        scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
+                           np.abs(rhs).max(axis=(1, 2, 3)))
+        lhs[:, :rhs.shape[1]] -= rhs
+        residuals += (np.abs(lhs).max(axis=(1, 2, 3))
+                      / np.maximum(scale, 1e-300)).tolist()
     worst, worst_n, non_finite = peak(dict(enumerate(residuals)))
     return {"max_scaled_residual": worst, "worst_n": worst_n,
             "residuals": residuals, "non_finite": non_finite}

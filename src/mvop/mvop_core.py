@@ -4,7 +4,12 @@ Q_n is assembled through the identity Q_n (I + A x) = P_n + A P_{n+1}
 - G_n P_{n-1}, where G_n is the norm-ratio matrix with the sparsity
 pattern of A*; multiplying by I - A x then gives Q_n itself.  The ratio
 entries are formed in log space (float backend) because the scalar norms
-grow factorially.
+grow factorially.  The float backend assembles a range of degrees at
+once: ``q_block`` reads P_{n-1}, P_n and P_{n+1} from one table of scalar
+power coefficients per sequence, forms every Q_n T of the range as one
+(degrees, powers, N, N) array, applies I - A x by one shifted matmul and
+puts in the closed-form leading coefficient K_n; ``build_Q`` is one row
+of it.  The exact backend multiplies sympy polynomials degree by degree.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -20,7 +25,7 @@ B_n Q_n - C_n Q_{n-1} summed over the tables, so the orth, norm and
 recurrence checks share this one quadrature path.
 """
 
-from math import exp, sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 import sympy as sp
@@ -93,13 +98,45 @@ class MVOPSequence:
         self.T, self.T_inv = build_T(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
         self._gram = None
-        self._cache_Q = {}
+        self._cache_Q = {}          # exact backend only
         self._cache_QT = {}
+        self._ptab = None
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
         if n < 0 or n > hi:
             raise OutOfRange(f"n={n} outside 0..{hi}")
+
+    def _scalar_table(self) -> np.ndarray:
+        """Float power coefficients of every scalar polynomial.
+
+        Shape (n_max+3, n_max+3, N): entry [n + 1, p, k] is [x^p] p_n^{w_k}
+        for n = -1..n_max+1, row 0 (p_{-1}) being zero.  The recurrence
+        p_{n+1} = (x - b_n) p_n - c_n p_{n-1} runs on all N weights at once,
+        with the operations of ``MonicScalarSequence.polynomial``.  Built
+        on first use and published in one assignment; coefficients past
+        the float range (Laguerre near n = 300) are left infinite for
+        ``q_block`` to refuse.
+        """
+        got = self._ptab
+        if got is not None:
+            return got
+        M, N = self.n_max, self.weight.N
+        b = np.array([s.b_coeffs[:M + 1] for s in self.scalar_seqs],
+                     dtype=float).T
+        c = np.zeros((M + 1, N))
+        c[1:] = np.array([s.c_coeffs[:M] for s in self.scalar_seqs],
+                         dtype=float).T
+        tab = np.zeros((M + 3, M + 3, N))
+        tab[1, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(M + 1):
+                p = tab[n + 1]
+                tab[n + 2, 1:] = p[:-1]
+                tab[n + 2] -= b[n] * p
+                tab[n + 2] -= c[n] * tab[n]
+        self._ptab = tab
+        return tab
 
     # -- diagonal scalar objects ------------------------------------------
 
@@ -176,6 +213,27 @@ class MVOPSequence:
             qt = qt - self.build_P(n - 1).left_mul(self.ratio_matrix(n))
         return self._cache_QT.setdefault(n, qt)
 
+    def _leading(self, ns, G) -> np.ndarray:
+        """K_n = I + A D - D' A + G_n A for the degrees ``ns``, with D =
+        diag([x^n] p_{n+1}), D' = diag([x^{n-1}] p_n) and G the stacked
+        G_n; a (len(ns), N, N) stack."""
+        N = self.weight.N
+        if self.exact:
+            eye = np.array(sp.eye(N).tolist(), dtype=object)
+            top = np.array([[s.polynomial(n + 1)[n] for s in self.scalar_seqs]
+                            for n in ns], dtype=object)
+            below = np.array([[s.polynomial(n)[n - 1] if n else sp.Integer(0)
+                               for s in self.scalar_seqs] for n in ns],
+                             dtype=object)
+        else:
+            eye = np.eye(N)
+            ns = np.asarray(ns)
+            tab = self._scalar_table()
+            top = tab[ns + 2, ns]
+            below = np.where((ns >= 1)[:, None], tab[ns + 1, ns - 1], 0.0)
+        return (eye + self.A * top[:, None, :] - below[:, :, None] * self.A
+                + G @ self.A)
+
     def leading_closed_form(self, n: int) -> np.ndarray:
         """K_n = I + A D - D' A + G_n A, with D = diag([x^n] p_{n+1}) and
         D' = diag([x^{n-1}] p_n).
@@ -185,49 +243,81 @@ class MVOPSequence:
         the largest scalar coefficient, which dwarfs K_n at large n.
         """
         self._check_n(n)
-        N = self.weight.N
-        if self.exact:
-            eye = np.array(sp.eye(N).tolist(), dtype=object)
-        else:
-            eye = np.eye(N, dtype=complex)
-        D = np.zeros((N, N), dtype=object if self.exact else complex)
-        Dp = np.zeros((N, N), dtype=object if self.exact else complex)
-        for k, seq in enumerate(self.scalar_seqs):
-            D[k, k] = seq.polynomial(n + 1)[n]
-            if n >= 1:
-                Dp[k, k] = seq.polynomial(n)[n - 1]
-        K = eye + self.A @ D - Dp @ self.A + self.ratio_matrix(n) @ self.A
+        K = self._leading([n], self.ratio_matrix(n)[None])[0]
         if self.exact:
             K = np.array([[sp.expand(v) for v in row] for row in K],
                          dtype=object)
         return K
 
+    def q_block(self, lo: int, hi: int) -> np.ndarray:
+        """Power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo, n_max + 3,
+        N, N), zero above each degree.
+
+        Float backend: Q_n T = P_n + A P_{n+1} - G_n P_{n-1} for the whole
+        range from the scalar table, times T^{-1} = I - A x by one shifted
+        matmul.  Powers n + 1 and n + 2 cancel structurally (A^2 = 0);
+        anything left there above 1e-8 of the largest coefficient, or a
+        singular K_n, raises ``SingularLeading``; scalar coefficients past
+        the float range raise ``DegreeCap``.  The x^n coefficient is
+        then replaced by its closed form K_n (see ``leading_closed_form``),
+        which roundoff at the top coefficient scale would swamp.  Exact
+        backend: the exact ``build_Q(n)`` in floats, so the Q under test
+        is still the exact one.
+        """
+        if not 0 <= lo < hi <= self.n_max + 1:
+            raise OutOfRange(f"degrees {lo}..{hi - 1} outside 0..{self.n_max}")
+        N, width = self.weight.N, self.n_max + 3
+        if self.exact:
+            q = np.zeros((hi - lo, width, N, N), dtype=complex)
+            for i, n in enumerate(range(lo, hi)):
+                q[i, :n + 1] = self.build_Q(n).to_float().coeffs
+            return q
+        tab = self._scalar_table()[:, :, None, :]
+        finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2, 3))
+        if not finite.all():
+            k = lo - 1 + int(finite.argmin())
+            raise DegreeCap(f"power coefficients of p_{k} are past the float "
+                            f"range")
+        ns = np.arange(lo, hi)
+        rows = np.arange(hi - lo)
+        G = np.stack([self.ratio_matrix(n) for n in ns])
+        # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
+        qt = (np.eye(N) * tab[lo + 1:hi + 1] + self.A * tab[lo + 2:hi + 2]
+              - G[:, None] * tab[lo:hi])
+        q = qt.copy()
+        q[:, 1:] -= (qt[:, :-1].reshape(-1, N) @ self.A).reshape(
+            hi - lo, width - 1, N, N)
+        top = np.abs(q).max(axis=(1, 2, 3))
+        spill = np.maximum(np.abs(q[rows, ns + 1]).max(axis=(1, 2)),
+                           np.abs(q[rows, ns + 2]).max(axis=(1, 2)))
+        K = self._leading(ns, G)
+        overflow = spill > 1e-8 * top
+        singular = np.abs(np.linalg.det(K)) == 0.0
+        if (overflow | singular).any():
+            i = int(np.argmax(overflow | singular))
+            what = "degree overflow" if overflow[i] else \
+                "singular leading coefficient"
+            raise SingularLeading(f"{what} at n={lo + i}")
+        q[rows, ns] = K
+        q[np.arange(width)[None, :] > ns[:, None]] = 0.0
+        return q
+
     def build_Q(self, n: int) -> MatrixPolynomial:
-        """Q_n = (Q_n T) T^{-1}; degree n with nonsingular leading coefficient."""
+        """Q_n = (Q_n T) T^{-1}; degree n with nonsingular leading
+        coefficient.  Float: row n of ``q_block``; exact: the sympy
+        product, cached."""
         self._check_n(n)
+        if not self.exact:
+            return MatrixPolynomial(list(self.q_block(n, n + 1)[0, :n + 1]),
+                                    size=self.weight.N, trim=False)
         got = self._cache_Q.get(n)
         if got is not None:
             return got
         q = self.build_QT(n) * self.T_inv
-        if self.exact:
-            if q.degree != n:
-                raise SingularLeading(f"Q_{n} came out with degree {q.degree}")
-            lead = q.coeffs[n]
-            if sp.Matrix(lead.tolist()).det() == 0:
-                raise SingularLeading(f"singular leading coefficient at n={n}")
-        else:
-            # degrees n+1, n+2 cancel structurally (A^2 = 0); anything left
-            # there is roundoff, and the x^n coefficient is replaced by its
-            # closed form, which roundoff at the top coefficient scale swamps
-            top = q.max_coeff_norm()
-            for k in (n + 1, n + 2):
-                if np.max(np.abs(q.coeff(k))) > 1e-8 * top:
-                    raise SingularLeading(f"degree overflow at n={n}")
-            K = self.leading_closed_form(n)
-            if abs(np.linalg.det(K)) == 0.0:
-                raise SingularLeading(f"singular leading coefficient at n={n}")
-            q = MatrixPolynomial([q.coeff(k) for k in range(n)] + [K],
-                                 size=self.weight.N, trim=False)
+        if q.degree != n:
+            raise SingularLeading(f"Q_{n} came out with degree {q.degree}")
+        if sp.Matrix(q.coeffs[n].tolist()).det() == 0:
+            raise SingularLeading(f"singular leading coefficient at n={n}")
         return self._cache_Q.setdefault(n, q)
 
     def rho_values(self, n: int):
@@ -252,19 +342,35 @@ class MVOPSequence:
         return out
 
     def reduced_leading_matrix(self, n: int) -> np.ndarray:
-        """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A, for brute-force det checks."""
+        """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
+        similarity, for brute-force det checks.
+
+        The off-diagonal entries sit on the adjacent pairs (i, i+1)/(i+1,
+        i), one from A and one from A* (see ``build_nilpotent``).  A
+        diagonal similarity built from the log norms gives both entries of
+        pair i the magnitude sqrt(rho_i), so only the log ratio of
+        ``rho_values`` is exponentiated, halved: the matrix stays in range
+        where the norms themselves overflow, and the determinant does not
+        change.
+        """
         self._check_n(n)
         N = self.weight.N
-        eye = np.eye(N, dtype=complex)
+        M = np.eye(N, dtype=complex)
         if n == 0:
-            return eye
-        try:
-            norms_n = np.array([exp(s.log_norms[n]) for s in self.scalar_seqs])
-        except OverflowError:
-            raise DegreeCap(f"||P_{n}||^2 is past the float range") from None
-        inv_prev = np.array([exp(-s.log_norms[n - 1]) for s in self.scalar_seqs])
+            return M
         A = np.asarray(self.A, dtype=complex)
-        return eye + np.diag(norms_n) @ A.conj().T - np.diag(inv_prev) @ A
+        for i in range(N - 1):
+            # r: row of the A entry of the pair, u: row of the A* entry
+            r, u = (i, i + 1) if A[i, i + 1] != 0 else (i + 1, i)
+            a = A[r, u]
+            lr = (self.scalar_seqs[u].log_norms[n]
+                  - self.scalar_seqs[r].log_norms[n - 1])
+            if abs(lr) > LOG_RATIO_CAP:
+                raise DegreeCap(f"rho log ratio {lr:.1f} exceeds cap")
+            m = exp(0.5 * lr)
+            M[r, u] = -a * m
+            M[u, r] = a.conjugate() * m
+        return M
 
     def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2,
@@ -286,14 +392,17 @@ class MVOPSequence:
         return 0.5 * max(float(s.log_norms[n]) for s in self.scalar_seqs)
 
     def _gram_block(self):
-        """(block, tables) from one (n_max + 2)-node Gauss rule per scalar
-        weight.
+        """(block, tables, log10_min_weight) from one (n_max + 2)-node
+        Gauss rule per scalar weight.
 
         ``block`` is the (2, n_max+1, N, n_max+1, N) array of <x^s Q_n,
         Q_m>_W / (sigma_n sigma_m).  ``tables`` holds, per scalar weight k,
         the nodes x_j and the (n_max+1, N, nodes) array C_k[n] =
         sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n, so <x^s Q_n, Q_m>_W =
-        sigma_n sigma_m sum_k C_k[n] diag(x^s) C_k[m]*.
+        sigma_n sigma_m sum_k C_k[n] diag(x^s) C_k[m]*.  ``log10_min_weight``
+        is log10 of the smallest Christoffel weight lambda_j of all rules,
+        read in the scaled form, so it stays a number where lambda_j
+        underflows.
 
         Reads the sequence and changes nothing, so threads that race to
         build it produce the same arrays.  At node x_j of weight k,
@@ -311,10 +420,15 @@ class MVOPSequence:
         log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
         out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
         tables = []
+        log_min = np.inf
         for k, seq in enumerate(self.scalar_seqs):
             nodes, _ = self.engine.rule(k, m)
-            vals, _ = sf.orthonormal_values(seq, nodes, m)
-            u = vals / np.linalg.norm(vals, axis=0)
+            vals, log_scale = sf.orthonormal_values(seq, nodes, m)
+            norm = np.linalg.norm(vals, axis=0)
+            u = vals / norm
+            # log lambda_j, lambda_j = 1 / sum_i phat_i(x_j)^2
+            log_lam = -2.0 * (log_scale + np.log(norm))
+            log_min = min(log_min, float(log_lam.min()))
             half = 0.5 * np.asarray(seq.log_norms[:m], dtype=float)
             # sqrt(lambda) p_{n+d} / sigma_n at the nodes, n = 0..M
             lo = np.exp(half[:M] - log_sigma[1:])[:, None] * u[:M]
@@ -329,11 +443,13 @@ class MVOPSequence:
             FH = F.conj().T
             out[0] += F @ FH
             out[1] += (F * nodes) @ FH
-        return out.reshape(2, M + 1, N, M + 1, N), tables
+        return (out.reshape(2, M + 1, N, M + 1, N), tables,
+                log_min / log(10.0))
 
     def gram_data(self):
-        """The Gram block and the node tables (see ``_gram_block``), built
-        on first use and published together in one assignment."""
+        """The Gram block, the node tables and the log10 of the smallest
+        Gauss weight (see ``_gram_block``), built on first use and
+        published together in one assignment."""
         got = self._gram
         if got is None:
             got = self._gram = self._gram_block()
@@ -363,26 +479,31 @@ class MVOPSequence:
 
     def quadrature_summary(self) -> dict:
         """Nodes per scalar weight of the Gauss rules behind the Gram block
-        and the smallest Gauss weight among them."""
+        and the smallest Gauss weight among them, also as a log10 that
+        stays finite where the weight itself underflows to 0."""
         m = self.n_max + 2
         smallest = min(float(np.min(self.engine.rule(k, m)[1]))
                        for k in range(self.weight.N))
-        return {"gauss_nodes": m, "min_gauss_weight": smallest}
+        return {"gauss_nodes": m, "min_gauss_weight": smallest,
+                "log10_min_gauss_weight": self.gram_data()[2]}
 
     # -- verification -------------------------------------------------------
 
     def verify_orthogonality(self, n_max: int, tol: float) -> dict:
-        """Scaled Gram residuals over all pairs n != m up to n_max; a
+        """Scaled Gram residuals ||G_nm|| / sqrt(||G_nn|| ||G_mm||) over all
+        pairs n < m <= n_max, formed from the scaled block by array
+        operations (the n_max + 1 diagonal blocks through ``gram_qt``); a
         non-finite residual fails."""
         self._check_n(n_max)
-        self_norm = [np.linalg.norm(self.gram_qt(n, n, scaled=True))
-                     for n in range(n_max + 1)]
-        residuals = {}
-        for n in range(n_max + 1):
-            for m in range(n + 1, n_max + 1):
-                g = self.gram_qt(n, m, scaled=True)
-                residuals[n, m] = (np.linalg.norm(g)
-                                   / np.sqrt(self_norm[n] * self_norm[m]))
+        k = n_max + 1
+        self_norm = np.array([np.linalg.norm(self.gram_qt(n, n, scaled=True))
+                              for n in range(k)])
+        block = self.gram_data()[0][0, :k, :, :k, :]
+        ratio = (np.linalg.norm(block, axis=(1, 3))
+                 / np.sqrt(np.outer(self_norm, self_norm)))
+        n_idx, m_idx = np.triu_indices(k, 1)
+        residuals = dict(zip(zip(n_idx.tolist(), m_idx.tolist()),
+                             ratio[n_idx, m_idx].tolist()))
         worst, worst_pair, non_finite = peak(residuals)
         failures = [(n, m, r) for (n, m), r in residuals.items()
                     if not r <= tol]

@@ -128,3 +128,13 @@ def pairwise_quadrature(weight, A, P, Q):
             qx = sum(c * x ** i for i, c in enumerate(Q)) @ t
             G += w * np.outer(px, qx.conj())
     return G
+
+
+def op_apply_loop(P, D):
+    """P . D = sum_j (d^j P) F_j, one MatrixPolynomial product per term:
+    the per-polynomial reference for the stacked operator kernel."""
+    from mvop.matrix_poly import MatrixPolynomial
+    out = MatrixPolynomial.zero(P.size, P.exact)
+    for j, fj in enumerate(D.f_coeffs):
+        out = out + P.derivative(j) * fj
+    return out

@@ -164,6 +164,9 @@ class TestHighDegree:
         "her3": ([1.0, -0.7], [{"family": "hermite", "b": 0.2},
                                {"family": "hermite", "b": -0.3},
                                {"family": "hermite", "b": 0.0}]),
+        "lag3": ([1.0, -1.5], [{"family": "laguerre", "alpha": 0.5},
+                               {"family": "laguerre", "alpha": 0.5},
+                               {"family": "laguerre", "alpha": 1.5}]),
     }
 
     @pytest.mark.parametrize("n_max", [40, 80, 300])
@@ -184,18 +187,44 @@ class TestHighDegree:
             # the smallest of 303 Laguerre weights is below the float range
             assert (res["min_gauss_weight"] > 0
                     or (name, n_max) == ("lag2", 300))
+            # its log10 is a number either way
+            log10 = res["log10_min_gauss_weight"]
+            assert np.isfinite(log10)
+            if res["min_gauss_weight"] > 0:
+                assert log10 == pytest.approx(
+                    np.log10(res["min_gauss_weight"]), abs=1e-9)
 
-    def test_det_past_float_range_is_typed_error(self, monkeypatch):
+    @pytest.mark.parametrize("n_max", [150, 300])
+    def test_det_passes_past_float_range(self, n_max, monkeypatch):
         # ||P_n||^2 of the Laguerre weights leaves the float range below
-        # n = 150; the det check reports DegreeCap and the run goes on
+        # n = 150; the scaled brute-force matrix stays in range
         monkeypatch.setenv("MVOP_THREADS", "1")
         a, weights = self.WEIGHTS["lag2"]
         cfg = config_from_json(base_config(
-            a=a, weights=weights, n_max=150, checks=["orth", "norm", "det"]))
-        checks = run(cfg)["checks"]
-        assert checks["orth"]["passed"] and checks["norm"]["passed"]
-        assert checks["det"]["status"] == "error"
-        assert checks["det"]["error"].startswith("DegreeCap")
+            a=a, weights=weights, n_max=n_max,
+            checks=["orth", "norm", "det"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run(cfg)["checks"]
+        for res in checks.values():
+            assert res["passed"], res
+            assert not res["non_finite"]
+        assert checks["det"]["max_relative_error"] < 1e-13
+
+    @pytest.mark.parametrize("n_max", [80, 150])
+    @pytest.mark.parametrize("name", ["lag2", "her3", "lag3"])
+    def test_eigen_passes(self, name, n_max, monkeypatch):
+        monkeypatch.setenv("MVOP_THREADS", "1")
+        a, weights = self.WEIGHTS[name]
+        cfg = config_from_json(base_config(
+            size=len(weights), a=a, weights=weights, n_max=n_max, tol=1e-9,
+            checks=["eigen"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg)["checks"]["eigen"]
+        assert res["passed"], res
+        assert not res["non_finite"]
+        assert res["max_scaled_residual"] < 1e-13
 
     def test_wrong_ratio_matrix_fails_recurrence(self):
         # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n
@@ -237,9 +266,14 @@ class TestNonFinite:
             rho = seq.rho_values
             seq.rho_values = lambda n: [nan] if n == 2 else rho(n)
         else:
-            build_Q = seq.build_Q
-            seq.build_Q = lambda n: (build_Q(n) * nan if n == 2
-                                     else build_Q(n))
+            q_block = seq.q_block
+
+            def poisoned(lo, hi):
+                q = q_block(lo, hi)
+                if lo <= 2 < hi:
+                    q[2 - lo] *= nan
+                return q
+            seq.q_block = poisoned
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = _CHECKS[check](seq, cfg)

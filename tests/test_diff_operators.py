@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import mvop.scalar_families as sf
 from mvop.diff_operators import (MatrixDiffOperator, build_bispectral_operator,
@@ -11,6 +12,18 @@ from mvop.errors import ConditionFailed, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence
 from mvop.weight_model import weight_spec
+from oracles import op_apply_loop
+
+#: the weights of every bispectral family: Laguerre, Hermite, Jacobi and
+#: the mixed Hermite-Laguerre 2x2
+FAMILY_WEIGHTS = {
+    "laguerre": weight_spec([2.0], [sf.laguerre(0.0), sf.laguerre(0.5)]),
+    "hermite": weight_spec([1.0, -0.7], [sf.hermite(0.2), sf.hermite(0.0),
+                                         sf.hermite(0.2)]),
+    "jacobi": weight_spec([1.0], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5)]),
+    "hermite_laguerre": weight_spec([1.0], [sf.hermite(0.0),
+                                            sf.laguerre(0.5)]),
+}
 
 
 def rand_op(rng, size=2, order=2, deg=2):
@@ -136,6 +149,51 @@ class TestConjugation:
         lhs = op_apply(P, C)
         rhs = op_apply(P * T, D) * T_inv
         assert (lhs - rhs).max_coeff_norm() <= 1e-11 * lhs.max_coeff_norm()
+
+
+class TestStackKernel:
+    """op_apply on a stack of coefficient arrays against the term-by-term
+    MatrixPolynomial products of ``oracles.op_apply_loop``."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_WEIGHTS))
+    def test_stack_matches_loop_float(self, name):
+        spec = FAMILY_WEIGHTS[name]
+        seq = MVOPSequence(spec, 12)
+        D, _ = build_bispectral_operator(spec)
+        got = op_apply(seq.q_block(0, 13), D)
+        eps = np.finfo(float).eps
+        for n in range(13):
+            want = op_apply_loop(seq.build_Q(n), D)
+            top = want.max_coeff_norm()
+            for k in range(got.shape[1]):
+                assert np.max(np.abs(got[n, k] - want.coeff(k))) <= \
+                    16 * eps * top, (n, k)
+
+    def test_stack_matches_loop_exact(self):
+        # exact Q_n against an operator with rational coefficients
+        spec = weight_spec([1.0], [sf.hermite(0.0), sf.hermite(0.0)])
+        seq = MVOPSequence(spec, 5, backend="exact")
+        rng = np.random.default_rng(3)
+
+        def rational_poly(deg):
+            return MatrixPolynomial(
+                [np.array([[sp.Rational(int(v), 7) for v in row]
+                           for row in rng.integers(-9, 10, (2, 2))],
+                          dtype=object) for _ in range(deg + 1)], exact=True)
+        D = MatrixDiffOperator([rational_poly(d) for d in (0, 1, 2)],
+                               exact=True)
+        Qs = [seq.build_Q(n) for n in range(5)]
+        stack = np.zeros((5, 5, 2, 2), dtype=object)
+        for n, Q in enumerate(Qs):
+            stack[n, :n + 1] = Q.coeffs
+        got = op_apply(stack, D)
+        assert got.dtype == object
+        for n, Q in enumerate(Qs):
+            want = op_apply_loop(Q, D)
+            assert op_apply(Q, D).exact
+            for k in range(got.shape[1]):
+                diff = got[n, k] - want.coeff(k)
+                assert all(sp.expand(v) == 0 for v in diff.flat), (n, k)
 
 
 class TestBispectral:

@@ -1,13 +1,14 @@
 """The matrix orthogonal sequence: construction, norms, determinants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
 
 import mvop.scalar_families as sf
-from mvop.errors import DegreeCap, OutOfRange
+from mvop.errors import DegreeCap, OutOfRange, SingularLeading
 from mvop.mvop_core import MVOPSequence, continuant, tridiagonal_from_rho
 from mvop.weight_model import weight_spec
 from oracles import pairwise_quadrature
@@ -78,6 +79,63 @@ class TestConstruction:
         seq = MVOPSequence(lag2(), 3)
         with pytest.raises(OutOfRange):
             seq.build_Q(4)
+        with pytest.raises(OutOfRange):
+            seq.q_block(2, 5)
+
+    def test_q_block_matches_product(self):
+        # rows of the block against the per-degree (Q_n T) T^{-1} product,
+        # with the x^n coefficient replaced by K_n and nothing above it
+        seq = MVOPSequence(lag2(1.5), 9)
+        block = seq.q_block(0, 10)
+        assert block.shape == (10, 12, 2, 2)
+        for n in range(10):
+            prod = seq.build_QT(n) * seq.T_inv
+            scale = prod.max_coeff_norm()
+            for k in range(n):
+                assert np.max(np.abs(block[n, k] - prod.coeff(k))) <= \
+                    1e-14 * scale
+            assert np.array_equal(block[n, n], seq.leading_closed_form(n))
+            assert not block[n, n + 1:].any()
+
+    def test_q_block_float_matches_exact(self):
+        sf_, se = MVOPSequence(herm2(), 6), MVOPSequence(herm2(), 6,
+                                                         backend="exact")
+        got, want = sf_.q_block(0, 7), se.q_block(0, 7)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_q_block_singular_leading(self):
+        # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3) and every
+        # block holding degree 3 refuse it, other degrees are unaffected
+        seq = MVOPSequence(lag2(2.0), 8)
+        ratio = seq.ratio_matrix
+        bad = np.array([[0, 0], [-0.5, 0]], dtype=complex)
+        seq.ratio_matrix = lambda n: bad if n == 3 else ratio(n)
+        for lo, hi in ((3, 4), (0, 9), (2, 5)):
+            with pytest.raises(SingularLeading, match="n=3"):
+                seq.q_block(lo, hi)
+        with pytest.raises(SingularLeading):
+            seq.build_Q(3)
+        seq.q_block(4, 9)
+        seq.build_Q(2)
+
+    def test_q_block_past_float_range(self):
+        # Laguerre power coefficients overflow near degree 170: a typed
+        # error there, no warning, and lower blocks are unaffected
+        seq = MVOPSequence(lag2(), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegreeCap, match="power coefficients"):
+                seq.q_block(184, 200)
+            assert np.isfinite(seq.q_block(0, 16)).all()
+
+    def test_q_block_degree_overflow(self):
+        # with A^2 != 0 the x^{n+1}, x^{n+2} terms no longer cancel
+        seq = MVOPSequence(lag2(), 4)
+        seq.A = seq.A + seq.A.T
+        with pytest.raises(SingularLeading, match="degree overflow at n=0"):
+            seq.q_block(0, 3)
+        with pytest.raises(SingularLeading, match="degree overflow"):
+            seq.build_Q(2)
 
 
 class TestNorms:
@@ -115,6 +173,24 @@ class TestOrthogonality:
         rep = seq.verify_orthogonality(10, 1e-9)
         assert rep["passed"]
         assert rep["max_scaled_residual"] < 1e-11
+
+    def test_verify_matches_pairwise_loop(self):
+        # the array form against one gram_qt read per pair
+        seq = MVOPSequence(weight_spec([1.5], [sf.laguerre(0.0),
+                                               sf.laguerre(0.5)]), 30)
+        norm = [np.linalg.norm(seq.gram_qt(n, n, scaled=True))
+                for n in range(31)]
+        loop = {(n, m): np.linalg.norm(seq.gram_qt(n, m, scaled=True))
+                / np.sqrt(norm[n] * norm[m])
+                for n in range(31) for m in range(n + 1, 31)}
+        worst = max(loop, key=loop.get)
+        rep = seq.verify_orthogonality(30, 1e-9)
+        assert rep["worst_pair"] == worst
+        assert rep["max_scaled_residual"] == pytest.approx(loop[worst],
+                                                           rel=1e-12)
+        tight = seq.verify_orthogonality(30, loop[worst] / 10)
+        assert {(n, m) for n, m, _ in tight["failures"]} == \
+            {k for k, r in loop.items() if r > loop[worst] / 10}
 
     @pytest.mark.parametrize("spec", [
         weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
@@ -171,6 +247,24 @@ class TestRho:
             det = np.linalg.det(seq.reduced_leading_matrix(n)).real
             assert continuant(seq.rho_values(n)) == pytest.approx(
                 det, rel=1e-11)
+
+    def test_reduced_matrix_is_similar_to_unscaled(self):
+        # same determinant as I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A, formed
+        # directly at a degree where that is still in range
+        spec = weight_spec([1.0, -0.7, 0.4], [sf.hermite(0.2), sf.hermite(0.0),
+                                              sf.hermite(-0.1),
+                                              sf.hermite(0.3)])
+        seq = MVOPSequence(spec, 12)
+        A = np.asarray(seq.A, dtype=complex)
+        for n in range(1, 12):
+            norms = np.diag([np.exp(s.log_norms[n]) for s in seq.scalar_seqs])
+            inv = np.diag([np.exp(-s.log_norms[n - 1])
+                           for s in seq.scalar_seqs])
+            direct = np.eye(4) + norms @ A.conj().T - inv @ A
+            got = seq.reduced_leading_matrix(n)
+            assert np.linalg.det(got) == pytest.approx(np.linalg.det(direct),
+                                                       rel=1e-12)
+            assert np.array_equal(got != 0, direct != 0)
 
 
 class TestThreeTerm:
