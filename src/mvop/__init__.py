@@ -9,8 +9,7 @@ factorizations and order-zero irreducibility.
 
 from .errors import (MvopError, InvalidParam, SizeMismatch, OutOfRange,
                      IllConditioned, DegreeCap, Unsupported, SingularLeading,
-                     NonPolynomialResult, ConditionFailed, CapExceeded,
-                     ConfigError, CheckError)
+                     ConditionFailed, CapExceeded, ConfigError)
 from .scalar_families import (ScalarWeightSpec, MonicScalarSequence,
                               hermite, laguerre, jacobi, custom,
                               weight_value, recurrence_coefficients,
@@ -18,7 +17,7 @@ from .scalar_families import (ScalarWeightSpec, MonicScalarSequence,
 from .matrix_poly import MatrixPolynomial
 from .weight_model import (WeightSpec, weight_spec, build_nilpotent, build_T,
                            weight_eval, InnerProductEngine)
-from .mvop_core import MVOPSequence, continuant, tridiagonal_from_rho
+from .mvop_core import MVOPSequence, continuant
 from .diff_operators import (MatrixDiffOperator, EigenvalueMap, op_apply,
                              op_compose, conjugate_by_T,
                              build_bispectral_operator, eigencheck)
@@ -33,15 +32,14 @@ __version__ = "0.1.0"
 __all__ = [
     "MvopError", "InvalidParam", "SizeMismatch", "OutOfRange",
     "IllConditioned", "DegreeCap", "Unsupported", "SingularLeading",
-    "NonPolynomialResult", "ConditionFailed", "CapExceeded", "ConfigError",
-    "CheckError",
+    "ConditionFailed", "CapExceeded", "ConfigError",
     "ScalarWeightSpec", "MonicScalarSequence", "hermite", "laguerre",
     "jacobi", "custom", "weight_value", "recurrence_coefficients",
     "gauss_rule", "scalar_diff_operator",
     "MatrixPolynomial",
     "WeightSpec", "weight_spec", "build_nilpotent", "build_T", "weight_eval",
     "InnerProductEngine",
-    "MVOPSequence", "continuant", "tridiagonal_from_rho",
+    "MVOPSequence", "continuant",
     "MatrixDiffOperator", "EigenvalueMap", "op_apply", "op_compose",
     "conjugate_by_T", "build_bispectral_operator", "eigencheck",
     "LadderOperator", "ladder", "synthesize_shift", "builtin_n5_laguerre",

@@ -21,6 +21,7 @@ from . import irreducibility as irr
 from . import scalar_families as sf
 from .diff_operators import build_bispectral_operator, eigencheck, op_apply
 from .errors import ConfigError, MvopError, Unsupported
+from .matrix_poly import MatrixPolynomial
 from .mvop_core import MVOPSequence, continuant, peak
 from .weight_model import WeightSpec, weight_spec
 
@@ -198,12 +199,11 @@ def _check_darboux(seq, cfg):
     if _is_n5_laguerre_chain(spec):
         _, d1_tilde, _ = dx.builtin_n5_laguerre(spec.scalars[0].alpha,
                                                 spec.a_params)
-        worst = 0.0
-        for n in range(n_hi + 1):
-            lhs = op_apply(seq.build_P(n).to_float(), d1_tilde)
-            rhs = seq.build_QT(n).to_float()
-            r = (lhs - rhs).max_coeff_norm() / rhs.max_coeff_norm()
-            worst = max(worst, r)
+        lhs = op_apply(seq.p_block(0, n_hi + 1), d1_tilde)
+        rhs = seq.qt_block(0, n_hi + 1)
+        scale = np.abs(rhs).max(axis=(1, 2, 3))
+        lhs[:, :rhs.shape[1]] -= rhs
+        worst = float(np.max(np.abs(lhs).max(axis=(1, 2, 3)) / scale))
         return {"passed": worst < 1e-10, "kind": "laguerre_n5_chain",
                 "max_relative_residual": worst}
     try:
@@ -211,7 +211,8 @@ def _check_darboux(seq, cfg):
     except Unsupported:
         return {"passed": True, "status": "skipped",
                 "reason": "no Darboux template for this weight"}
-    rep = dx.darboux_verify(seq.build_P, D1, seq, n_hi, tol=cfg.tol)
+    rep = dx.darboux_verify(seq.p_block(0, n_hi + 1), D1, seq, n_hi,
+                            tol=cfg.tol)
     return {"passed": rep.passed, "kind": "hermite_A_factorization",
             "worst_residual": rep.worst_residual,
             "singular_ns": rep.singular_ns}
@@ -298,8 +299,10 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
 
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
+        Q = seq.q_block(0, cfg.n_max + 1)
         for n in range(cfg.n_max + 1):
-            seq.build_Q(n).to_float().dump_csv(
+            MatrixPolynomial(list(Q[n, :n + 1]), size=cfg.spec.N,
+                             trim=False).dump_csv(
                 os.path.join(csv_dir, f"Q_{n}.csv"))
 
     ordered = {c: results[c] for c in cfg.checks}

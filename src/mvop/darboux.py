@@ -304,35 +304,36 @@ class DarbouxReport:
                 "singular_ns": self.singular_ns, "passed": self.passed}
 
 
-def darboux_verify(p_of, D1: MatrixDiffOperator, q_seq: MVOPSequence,
+def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
                    n_max: int, tol: float = 1e-9) -> DarbouxReport:
     """Check the connection P_n . D1 = A_n Q_n for n <= n_max.
 
-    ``p_of`` maps n to the diagonal polynomial P_n.  A_n is solved from the
-    leading coefficients; the pass verdict needs every residual under tol
+    ``P`` stacks the power coefficients of P_0..P_{n_max}, shape (n_max +
+    1, powers, N, N), for example ``q_seq.p_block(0, n_max + 1)``.  One
+    ``op_apply`` gives every P_n . D1 and one ``q_block`` every Q_n; all
+    A_n come from one batched solve on the leading coefficients.  The
+    residual of degree n is max|L - A_n Q| / max(max|L|, max|Q|, 1e-300)
+    over all coefficients; the pass verdict needs every residual under tol
     and nonsingular A_n apart from (at most) an initial finite set.
     """
-    conn, dets, singular = [], [], []
-    worst = 0.0
-    for n in range(n_max + 1):
-        P = p_of(n)
-        if P.exact:
-            P = P.to_float()
-        L = op_apply(P, D1)
-        Q = q_seq.build_Q(n).to_float()
-        K = Q.coeffs[Q.degree]
-        lead = L.coeff(n)
-        An = np.linalg.solve(K.T, lead.T).T   # lead = An @ K
-        d = complex(np.linalg.det(An))
-        scale = max(L.max_coeff_norm(), Q.max_coeff_norm(), 1e-300)
-        res = (L - Q.left_mul(An)).max_coeff_norm() / scale
-        worst = max(worst, res)
-        conn.append(An)
-        dets.append(d)
-        if abs(d) <= 1e-12:
-            singular.append(n)
+    d = np.arange(n_max + 1)
+    L = op_apply(np.asarray(P, dtype=complex), D1)
+    Q = q_seq.q_block(0, n_max + 1)
+    K, lead = Q[d, d], L[d, d]
+    An = np.linalg.solve(K.swapaxes(1, 2),                 # lead = A_n K
+                         lead.swapaxes(1, 2)).swapaxes(1, 2)
+    R = np.zeros((n_max + 1, max(L.shape[1], Q.shape[1])) + Q.shape[2:],
+                 dtype=complex)
+    R[:, :L.shape[1]] += L
+    R[:, :Q.shape[1]] -= An[:, None] @ Q
+    scale = np.maximum(np.abs(L).max(axis=(1, 2, 3)),
+                       np.abs(Q).max(axis=(1, 2, 3)))
+    res = np.abs(R).max(axis=(1, 2, 3)) / np.maximum(scale, 1e-300)
+    worst = float(res.max())
+    dets = np.linalg.det(An).tolist()
+    singular = [n for n, v in enumerate(dets) if abs(v) <= 1e-12]
     passed = (worst <= tol and len(singular) <= n_max
               and (not singular or singular[-1] < n_max))
     return DarbouxReport(n_max=n_max, tol=tol, worst_residual=worst,
-                         connection=conn, dets=dets, singular_ns=singular,
-                         passed=passed)
+                         connection=list(An), dets=dets,
+                         singular_ns=singular, passed=passed)

@@ -33,10 +33,6 @@ class SingularLeading(MvopError):
     """A leading coefficient came out singular; signals a backend bug."""
 
 
-class NonPolynomialResult(MvopError):
-    """An operator conjugation failed to cancel its rational parts."""
-
-
 class ConditionFailed(MvopError):
     """The eigenvalue matching condition for bispectrality is violated."""
 
@@ -47,7 +43,3 @@ class CapExceeded(MvopError):
 
 class ConfigError(MvopError):
     """A run configuration does not validate."""
-
-
-class CheckError(MvopError):
-    """A requested check cannot be executed for the given spec."""

@@ -4,12 +4,14 @@ Q_n is assembled through the identity Q_n (I + A x) = P_n + A P_{n+1}
 - G_n P_{n-1}, where G_n is the norm-ratio matrix with the sparsity
 pattern of A*; multiplying by I - A x then gives Q_n itself.  The ratio
 entries are formed in log space (float backend) because the scalar norms
-grow factorially.  The float backend assembles a range of degrees at
-once: ``q_block`` reads P_{n-1}, P_n and P_{n+1} from one table of scalar
-power coefficients per sequence, forms every Q_n T of the range as one
-(degrees, powers, N, N) array, applies I - A x by one shifted matmul and
-puts in the closed-form leading coefficient K_n; ``build_Q`` is one row
-of it.  The exact backend multiplies sympy polynomials degree by degree.
+grow factorially.  Both backends assemble a range of degrees at once from
+one table of scalar power coefficients per sequence (floats, or sympy
+rationals on the exact backend): ``_rows`` reads P_{n-1}, P_n and P_{n+1}
+from it, forms every Q_n T of the range as one (degrees, powers, N, N)
+array, applies I - A x by one shifted matmul and puts in the closed-form
+leading coefficient K_n.  ``q_block`` (complex), ``build_Q`` and
+``build_QT`` (backend arithmetic) read rows of it, and ``p_block`` reads
+the diagonal P_n from the same table.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -37,6 +39,8 @@ from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent, build
 
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
+
+_expand = np.frompyfunc(sp.expand, 1, 1)
 
 
 def peak(residuals: dict):
@@ -67,21 +71,6 @@ def continuant(rho) -> float:
     return d
 
 
-def tridiagonal_from_rho(rho, rng=None):
-    """A unit-diagonal tridiagonal matrix realizing the products -u_i l_i = rho_i.
-
-    Used as the brute-force cross-check of ``continuant``; the determinant
-    only depends on the products, so the split into u_i and l_i is free.
-    """
-    n = len(rho) + 1
-    K = np.eye(n)
-    for i, r in enumerate(rho):
-        u = 1.0 if rng is None else rng.uniform(0.5, 2.0)
-        K[i, i + 1] = u
-        K[i + 1, i] = -r / u
-    return K
-
-
 class MVOPSequence:
     """Lazily built Q_n, P_n, norms, leading coefficients, and the Gram
     block with its node tables, for one weight."""
@@ -97,9 +86,10 @@ class MVOPSequence:
         self.A = build_nilpotent(weight, exact=self.exact)
         self.T, self.T_inv = build_T(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
+        N = weight.N
+        self._eye = (np.array(sp.eye(N).tolist(), dtype=object) if self.exact
+                     else np.eye(N))
         self._gram = None
-        self._cache_Q = {}          # exact backend only
-        self._cache_QT = {}
         self._ptab = None
 
     def _check_n(self, n, hi=None):
@@ -108,27 +98,29 @@ class MVOPSequence:
             raise OutOfRange(f"n={n} outside 0..{hi}")
 
     def _scalar_table(self) -> np.ndarray:
-        """Float power coefficients of every scalar polynomial.
+        """Power coefficients of every scalar polynomial: floats, or sympy
+        rationals on the exact backend.
 
         Shape (n_max+3, n_max+3, N): entry [n + 1, p, k] is [x^p] p_n^{w_k}
         for n = -1..n_max+1, row 0 (p_{-1}) being zero.  The recurrence
         p_{n+1} = (x - b_n) p_n - c_n p_{n-1} runs on all N weights at once,
         with the operations of ``MonicScalarSequence.polynomial``.  Built
-        on first use and published in one assignment; coefficients past
-        the float range (Laguerre near n = 300) are left infinite for
-        ``q_block`` to refuse.
+        on first use and published in one assignment; float coefficients
+        past the float range (Laguerre near n = 170) are left infinite for
+        ``_rows`` to refuse.
         """
         got = self._ptab
         if got is not None:
             return got
         M, N = self.n_max, self.weight.N
+        dtype = object if self.exact else float
         b = np.array([s.b_coeffs[:M + 1] for s in self.scalar_seqs],
-                     dtype=float).T
-        c = np.zeros((M + 1, N))
+                     dtype=dtype).T
+        c = np.zeros((M + 1, N), dtype=dtype)
         c[1:] = np.array([s.c_coeffs[:M] for s in self.scalar_seqs],
-                         dtype=float).T
-        tab = np.zeros((M + 3, M + 3, N))
-        tab[1, 0] = 1.0
+                         dtype=dtype).T
+        tab = np.zeros((M + 3, M + 3, N), dtype=dtype)
+        tab[1, 0] = 1
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(M + 1):
                 p = tab[n + 1]
@@ -140,18 +132,14 @@ class MVOPSequence:
 
     # -- diagonal scalar objects ------------------------------------------
 
-    def build_P(self, n: int) -> MatrixPolynomial:
-        """P_n = diag(p_n^{w_1}, ..., p_n^{w_N}), monic of degree n."""
-        self._check_n(n, self.n_max + 1)
-        N = self.weight.N
-        polys = [seq.polynomial(n) for seq in self.scalar_seqs]
-        coeffs = []
-        for k in range(n + 1):
-            c = np.zeros((N, N), dtype=object if self.exact else complex)
-            for i, p in enumerate(polys):
-                c[i, i] = p[k] if k < len(p) else 0
-            coeffs.append(c)
-        return MatrixPolynomial(coeffs, size=N, exact=self.exact)
+    def p_block(self, lo: int, hi: int) -> np.ndarray:
+        """P_n = diag(p_n^{w_1}, ..., p_n^{w_N}) for n = lo..hi-1, read
+        from the scalar table: complex power coefficients shaped like
+        ``q_block``.  The table is real on both backends, and sympy
+        rationals convert far faster through float than through complex."""
+        self._check_range(lo, hi)
+        tab = np.asarray(self._scalar_table()[lo + 1:hi + 1], dtype=float)
+        return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(complex)
 
     def norm_P(self, n: int, log_scale: float = 0.0) -> np.ndarray:
         """Diagonal matrix ||P_n||^2 / exp(log_scale), formed in log space
@@ -202,37 +190,20 @@ class MVOPSequence:
 
     # -- the orthogonal sequence ------------------------------------------
 
-    def build_QT(self, n: int) -> MatrixPolynomial:
-        """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1)."""
-        self._check_n(n)
-        got = self._cache_QT.get(n)
-        if got is not None:
-            return got
-        qt = self.build_P(n) + self.build_P(n + 1).left_mul(self.A)
-        if n >= 1:
-            qt = qt - self.build_P(n - 1).left_mul(self.ratio_matrix(n))
-        return self._cache_QT.setdefault(n, qt)
+    def _check_range(self, lo, hi):
+        if not 0 <= lo < hi <= self.n_max + 1:
+            raise OutOfRange(f"degrees {lo}..{hi - 1} outside 0..{self.n_max}")
 
     def _leading(self, ns, G) -> np.ndarray:
         """K_n = I + A D - D' A + G_n A for the degrees ``ns``, with D =
-        diag([x^n] p_{n+1}), D' = diag([x^{n-1}] p_n) and G the stacked
-        G_n; a (len(ns), N, N) stack."""
-        N = self.weight.N
-        if self.exact:
-            eye = np.array(sp.eye(N).tolist(), dtype=object)
-            top = np.array([[s.polynomial(n + 1)[n] for s in self.scalar_seqs]
-                            for n in ns], dtype=object)
-            below = np.array([[s.polynomial(n)[n - 1] if n else sp.Integer(0)
-                               for s in self.scalar_seqs] for n in ns],
-                             dtype=object)
-        else:
-            eye = np.eye(N)
-            ns = np.asarray(ns)
-            tab = self._scalar_table()
-            top = tab[ns + 2, ns]
-            below = np.where((ns >= 1)[:, None], tab[ns + 1, ns - 1], 0.0)
-        return (eye + self.A * top[:, None, :] - below[:, :, None] * self.A
-                + G @ self.A)
+        diag([x^n] p_{n+1}), D' = diag([x^{n-1}] p_n) read from the scalar
+        table and G the stacked G_n; a (len(ns), N, N) stack."""
+        ns = np.asarray(ns)
+        tab = self._scalar_table()
+        top = tab[ns + 2, ns]
+        below = np.where((ns >= 1)[:, None], tab[ns + 1, ns - 1], 0)
+        return (self._eye + self.A * top[:, None, :]
+                - below[:, :, None] * self.A + G @ self.A)
 
     def leading_closed_form(self, n: int) -> np.ndarray:
         """K_n = I + A D - D' A + G_n A, with D = diag([x^n] p_{n+1}) and
@@ -244,81 +215,87 @@ class MVOPSequence:
         """
         self._check_n(n)
         K = self._leading([n], self.ratio_matrix(n)[None])[0]
-        if self.exact:
-            K = np.array([[sp.expand(v) for v in row] for row in K],
-                         dtype=object)
-        return K
+        return _expand(K) if self.exact else K
 
-    def q_block(self, lo: int, hi: int) -> np.ndarray:
-        """Power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo, n_max + 3,
-        N, N), zero above each degree.
+    def _rows(self, lo: int, hi: int):
+        """(Q_n T, Q_n) for n = lo..hi-1 in backend arithmetic: power
+        coefficients of shape (hi - lo, n_max + 3, N, N), Q_n zero above
+        degree n.
 
-        Float backend: Q_n T = P_n + A P_{n+1} - G_n P_{n-1} for the whole
-        range from the scalar table, times T^{-1} = I - A x by one shifted
-        matmul.  Powers n + 1 and n + 2 cancel structurally (A^2 = 0);
-        anything left there above 1e-8 of the largest coefficient, or a
-        singular K_n, raises ``SingularLeading``; scalar coefficients past
-        the float range raise ``DegreeCap``.  The x^n coefficient is
-        then replaced by its closed form K_n (see ``leading_closed_form``),
-        which roundoff at the top coefficient scale would swamp.  Exact
-        backend: the exact ``build_Q(n)`` in floats, so the Q under test
-        is still the exact one.
+        Q_n T = P_n + A P_{n+1} - G_n P_{n-1} for the whole range from the
+        scalar table, times T^{-1} = I - A x by one shifted matmul.  Powers
+        n + 1 and n + 2 of Q_n cancel structurally (A^2 = 0); anything left
+        there, or a singular K_n, raises ``SingularLeading`` at the first
+        bad n.  Float: "left" means above 1e-8 of the largest coefficient,
+        scalar coefficients past the float range raise ``DegreeCap``, and
+        the x^n coefficient is replaced by its closed form K_n (see
+        ``leading_closed_form``), which roundoff at the top coefficient
+        scale would swamp.  Exact: every entry is expanded, the leftover
+        powers must expand to 0 and the sympy det of K_n must not be 0.
         """
-        if not 0 <= lo < hi <= self.n_max + 1:
-            raise OutOfRange(f"degrees {lo}..{hi - 1} outside 0..{self.n_max}")
+        self._check_range(lo, hi)
         N, width = self.weight.N, self.n_max + 3
-        if self.exact:
-            q = np.zeros((hi - lo, width, N, N), dtype=complex)
-            for i, n in enumerate(range(lo, hi)):
-                q[i, :n + 1] = self.build_Q(n).to_float().coeffs
-            return q
         tab = self._scalar_table()[:, :, None, :]
-        finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2, 3))
-        if not finite.all():
-            k = lo - 1 + int(finite.argmin())
-            raise DegreeCap(f"power coefficients of p_{k} are past the float "
-                            f"range")
+        if not self.exact:
+            finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2, 3))
+            if not finite.all():
+                k = lo - 1 + int(finite.argmin())
+                raise DegreeCap(f"power coefficients of p_{k} are past the "
+                                f"float range")
         ns = np.arange(lo, hi)
         rows = np.arange(hi - lo)
         G = np.stack([self.ratio_matrix(n) for n in ns])
         # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
-        qt = (np.eye(N) * tab[lo + 1:hi + 1] + self.A * tab[lo + 2:hi + 2]
+        qt = (self._eye * tab[lo + 1:hi + 1] + self.A * tab[lo + 2:hi + 2]
               - G[:, None] * tab[lo:hi])
         q = qt.copy()
         q[:, 1:] -= (qt[:, :-1].reshape(-1, N) @ self.A).reshape(
             hi - lo, width - 1, N, N)
-        top = np.abs(q).max(axis=(1, 2, 3))
-        spill = np.maximum(np.abs(q[rows, ns + 1]).max(axis=(1, 2)),
-                           np.abs(q[rows, ns + 2]).max(axis=(1, 2)))
         K = self._leading(ns, G)
-        overflow = spill > 1e-8 * top
-        singular = np.abs(np.linalg.det(K)) == 0.0
-        if (overflow | singular).any():
-            i = int(np.argmax(overflow | singular))
+        spill = q[rows[:, None], ns[:, None] + [1, 2]]
+        if self.exact:
+            qt, q, K, spill = map(_expand, (qt, q, K, spill))
+            overflow = (spill != 0).any(axis=(1, 2, 3))
+            singular = np.array([sp.Matrix(k.tolist()).det() == 0 for k in K])
+        else:
+            overflow = (np.abs(spill).max(axis=(1, 2, 3))
+                        > 1e-8 * np.abs(q).max(axis=(1, 2, 3)))
+            singular = np.abs(np.linalg.det(K)) == 0.0
+        bad = overflow | singular
+        if bad.any():
+            i = int(np.argmax(bad))
             what = "degree overflow" if overflow[i] else \
                 "singular leading coefficient"
             raise SingularLeading(f"{what} at n={lo + i}")
         q[rows, ns] = K
-        q[np.arange(width)[None, :] > ns[:, None]] = 0.0
-        return q
+        q[np.arange(width)[None, :] > ns[:, None]] = 0
+        return qt, q
+
+    def q_block(self, lo: int, hi: int) -> np.ndarray:
+        """Complex power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo,
+        n_max + 3, N, N), zero above each degree: the Q_n rows of ``_rows``.
+        Exact rows are converted entry by entry, so the Q under test is
+        still the exact one."""
+        return np.asarray(self._rows(lo, hi)[1], dtype=complex)
+
+    def qt_block(self, lo: int, hi: int) -> np.ndarray:
+        """Complex power coefficients of Q_lo T..Q_{hi-1} T, shaped like
+        ``q_block``: the Q_n T rows of ``_rows``."""
+        return np.asarray(self._rows(lo, hi)[0], dtype=complex)
+
+    def build_QT(self, n: int) -> MatrixPolynomial:
+        """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
+        arithmetic, row n of ``_rows``."""
+        qt = self._rows(n, n + 1)[0][0, :n + 2]
+        return MatrixPolynomial(list(qt), size=self.weight.N,
+                                exact=self.exact, trim=False)
 
     def build_Q(self, n: int) -> MatrixPolynomial:
-        """Q_n = (Q_n T) T^{-1}; degree n with nonsingular leading
-        coefficient.  Float: row n of ``q_block``; exact: the sympy
-        product, cached."""
-        self._check_n(n)
-        if not self.exact:
-            return MatrixPolynomial(list(self.q_block(n, n + 1)[0, :n + 1]),
-                                    size=self.weight.N, trim=False)
-        got = self._cache_Q.get(n)
-        if got is not None:
-            return got
-        q = self.build_QT(n) * self.T_inv
-        if q.degree != n:
-            raise SingularLeading(f"Q_{n} came out with degree {q.degree}")
-        if sp.Matrix(q.coeffs[n].tolist()).det() == 0:
-            raise SingularLeading(f"singular leading coefficient at n={n}")
-        return self._cache_Q.setdefault(n, q)
+        """Q_n = (Q_n T) T^{-1}, degree n with nonsingular leading
+        coefficient K_n, in backend arithmetic: row n of ``_rows``."""
+        q = self._rows(n, n + 1)[1][0, :n + 1]
+        return MatrixPolynomial(list(q), size=self.weight.N,
+                                exact=self.exact, trim=False)
 
     def rho_values(self, n: int):
         """rho_i = a_i^2 ||p_n^{w_{2ceil(i/2)}}||^2 / ||p_{n-1}^{w_{2floor(i/2)+1}}||^2."""

@@ -2,10 +2,14 @@
 
 The recurrence oracle runs Gram-Schmidt on exact moments in sympy
 rationals, sharing no code with the library's recurrence generation.
+The product oracles build P_n and Q_n one degree at a time from
+``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
+reference for the stacked construction in ``MVOPSequence``.
 """
 
 from math import comb
 
+import numpy as np
 import sympy as sp
 
 
@@ -109,7 +113,6 @@ def pairwise_quadrature(weight, A, P, Q):
     where eigenvector weights and the power basis are both accurate.
     P, Q are lists of (N, N) coefficient arrays (ascending).
     """
-    import numpy as np
     from mvop.scalar_families import recurrence_coefficients
     N = weight.N
     m = (len(P) + len(Q)) // 2 + 2
@@ -138,3 +141,75 @@ def op_apply_loop(P, D):
     for j, fj in enumerate(D.f_coeffs):
         out = out + P.derivative(j) * fj
     return out
+
+
+def tridiagonal_from_rho(rho, rng=None):
+    """A unit-diagonal tridiagonal matrix realizing the products -u_i l_i = rho_i.
+
+    The brute-force cross-check of ``continuant``; the determinant only
+    depends on the products, so the split into u_i and l_i is free.
+    """
+    n = len(rho) + 1
+    K = np.eye(n)
+    for i, r in enumerate(rho):
+        u = 1.0 if rng is None else rng.uniform(0.5, 2.0)
+        K[i, i + 1] = u
+        K[i + 1, i] = -r / u
+    return K
+
+
+def p_product(seq, n):
+    """P_n = diag(p_n^{w_1}, ..., p_n^{w_N}) as a MatrixPolynomial in the
+    sequence's arithmetic, from ``MonicScalarSequence.polynomial``."""
+    from mvop.matrix_poly import MatrixPolynomial
+    N = seq.weight.N
+    polys = [s.polynomial(n) for s in seq.scalar_seqs]
+    coeffs = []
+    for k in range(n + 1):
+        c = np.zeros((N, N), dtype=object if seq.exact else complex)
+        for i, p in enumerate(polys):
+            c[i, i] = p[k] if k < len(p) else 0
+        coeffs.append(c)
+    return MatrixPolynomial(coeffs, size=N, exact=seq.exact)
+
+
+def q_product(seq, n):
+    """Q_n = (P_n + A P_{n+1} - G_n P_{n-1}) T^{-1}, one MatrixPolynomial
+    product per term, untouched at the x^n coefficient."""
+    qt = p_product(seq, n) + p_product(seq, n + 1).left_mul(seq.A)
+    if n >= 1:
+        qt = qt - p_product(seq, n - 1).left_mul(seq.ratio_matrix(n))
+    return qt * seq.T_inv
+
+
+def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
+    """P_n . D1 = A_n Q_n one degree at a time: ``p_of(n)`` is P_n as a
+    MatrixPolynomial, Q_n is ``q_seq.build_Q(n)``, and A_n is solved from
+    the leading coefficients.  The reference for the stacked
+    ``darboux_verify``; returns its report."""
+    from mvop.darboux import DarbouxReport
+    from mvop.diff_operators import op_apply
+    conn, dets, singular = [], [], []
+    worst = 0.0
+    for n in range(n_max + 1):
+        P = p_of(n)
+        if P.exact:
+            P = P.to_float()
+        L = op_apply(P, D1)
+        Q = q_seq.build_Q(n).to_float()
+        K = Q.coeffs[Q.degree]
+        lead = L.coeff(n)
+        An = np.linalg.solve(K.T, lead.T).T   # lead = An @ K
+        d = complex(np.linalg.det(An))
+        scale = max(L.max_coeff_norm(), Q.max_coeff_norm(), 1e-300)
+        res = (L - Q.left_mul(An)).max_coeff_norm() / scale
+        worst = max(worst, res)
+        conn.append(An)
+        dets.append(d)
+        if abs(d) <= 1e-12:
+            singular.append(n)
+    passed = (worst <= tol and len(singular) <= n_max
+              and (not singular or singular[-1] < n_max))
+    return DarbouxReport(n_max=n_max, tol=tol, worst_residual=worst,
+                         connection=conn, dets=dets, singular_ns=singular,
+                         passed=passed)

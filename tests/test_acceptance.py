@@ -19,8 +19,9 @@ from mvop.diff_operators import build_bispectral_operator, eigencheck, op_apply,
 from mvop.irreducibility import (order_zero_symmetries, try_reduce_2x2,
                                  try_reduce_3x3_w1w3)
 from mvop.matrix_poly import MatrixPolynomial
-from mvop.mvop_core import MVOPSequence, continuant, tridiagonal_from_rho
+from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_eval, weight_spec
+from oracles import p_product, tridiagonal_from_rho
 
 
 def family_specs():
@@ -197,7 +198,7 @@ def test_criterion_6_darboux_identities():
     seq = MVOPSequence(spec, 12)
     worst5 = 0.0
     for n in range(11):
-        lhs = op_apply(seq.build_P(n).to_float(), d1_tilde)
+        lhs = op_apply(p_product(seq, n), d1_tilde)
         rhs = seq.build_QT(n).to_float()
         worst5 = max(worst5, (lhs - rhs).max_coeff_norm()
                      / rhs.max_coeff_norm())
@@ -215,13 +216,7 @@ def test_criterion_6_darboux_identities():
     # h_n . D1 = Q_n (up to the connection coefficient) for n <= 10
     _, D1f, _, _ = hermite_A_factorization(hspec)
     hseq = MVOPSequence(hspec, 12)
-    h = sf.recurrence_coefficients(sf.hermite(0.0), 12)
-
-    def p_of(n):
-        return MatrixPolynomial([np.eye(3, dtype=complex) * h.polynomial(n)[j]
-                                 for j in range(n + 1)], size=3)
-
-    rep = darboux_verify(p_of, D1f, hseq, 10, tol=1e-10)
+    rep = darboux_verify(hseq.p_block(0, 11), D1f, hseq, 10, tol=1e-10)
     report(6, "Darboux identities",
            worst5 < 1e-10 and exact_ok and rep.passed,
            f"5x5 residual {worst5:.2e}, exact factorization {exact_ok}, "

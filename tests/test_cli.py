@@ -151,6 +151,9 @@ class TestRun:
         run(cfg, csv_dir=str(tmp_path / "csv"))
         for n in range(4):
             assert (tmp_path / "csv" / f"Q_{n}.csv").exists()
+        MVOPSequence(cfg.spec, 4).build_Q(2).dump_csv(tmp_path / "Q_2.csv")
+        assert ((tmp_path / "csv" / "Q_2.csv").read_text()
+                == (tmp_path / "Q_2.csv").read_text())
 
 
 class TestHighDegree:

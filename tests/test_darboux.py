@@ -13,7 +13,8 @@ from mvop.diff_operators import MatrixDiffOperator, op_apply, op_compose
 from mvop.errors import CapExceeded, InvalidParam, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence
-from mvop.weight_model import weight_spec
+from mvop.weight_model import build_T, weight_spec
+from oracles import darboux_loop, p_product
 
 
 def laguerre_seq(alpha, n_max):
@@ -151,14 +152,7 @@ class TestHermiteA:
         spec = self.spec()
         _, D1, _, _ = hermite_A_factorization(spec)
         seq = MVOPSequence(spec, 11)
-        h = sf.recurrence_coefficients(sf.hermite(0.0), 11)
-
-        def p_of(n):
-            return MatrixPolynomial(
-                [np.eye(2, dtype=complex) * h.polynomial(n)[j]
-                 for j in range(n + 1)], size=2)
-
-        rep = darboux_verify(p_of, D1, seq, 10, tol=1e-10)
+        rep = darboux_verify(seq.p_block(0, 11), D1, seq, 10, tol=1e-10)
         assert rep.passed
         assert rep.worst_residual < 1e-10
 
@@ -166,14 +160,7 @@ class TestHermiteA:
         spec = self.spec(4, (1.0, 0.5, 2.0))
         _, D1, _, _ = hermite_A_factorization(spec)
         seq = MVOPSequence(spec, 9)
-        h = sf.recurrence_coefficients(sf.hermite(0.0), 9)
-
-        def p_of(n):
-            return MatrixPolynomial(
-                [np.eye(4, dtype=complex) * h.polynomial(n)[j]
-                 for j in range(n + 1)], size=4)
-
-        rep = darboux_verify(p_of, D1, seq, 8, tol=1e-9)
+        rep = darboux_verify(seq.p_block(0, 9), D1, seq, 8, tol=1e-9)
         assert rep.passed
 
     def test_unsupported(self):
@@ -190,8 +177,9 @@ class TestDarbouxVerify:
         spec = weight_spec([1.0], [sf.hermite(0.0)] * 2)
         seq = MVOPSequence(spec, 5)
         Z = MatrixDiffOperator.zero(2)
-        rep = darboux_verify(lambda n: MatrixPolynomial.identity(2).shift(n),
-                             Z, seq, 4)
+        P = np.zeros((5, 5, 2, 2), dtype=complex)
+        P[range(5), range(5)] = np.eye(2)           # P_n = x^n I
+        rep = darboux_verify(P, Z, seq, 4)
         assert not rep.passed
         assert rep.singular_ns == list(range(5))
 
@@ -199,15 +187,35 @@ class TestDarbouxVerify:
         spec = weight_spec([1.0], [sf.hermite(0.0)] * 2)
         _, D1, _, _ = hermite_A_factorization(spec)
         seq = MVOPSequence(spec, 5)
-        h = sf.recurrence_coefficients(sf.hermite(0.0), 5)
-
-        def p_of(n):
-            return MatrixPolynomial(
-                [np.eye(2, dtype=complex) * h.polynomial(n)[j]
-                 for j in range(n + 1)], size=2)
-
-        rep = darboux_verify(p_of, D1, seq, 4)
+        rep = darboux_verify(seq.p_block(0, 5), D1, seq, 4)
         js = rep.to_json()
         assert js["passed"] is True
         assert js["n_max"] == 4
         assert len(js["dets"]) == 5
+
+    @staticmethod
+    def assert_matches_loop(D1, seq, n_max):
+        # one op_apply and one batched solve against the per-degree loop
+        rep = darboux_verify(seq.p_block(0, n_max + 1), D1, seq, n_max)
+        loop = darboux_loop(lambda n: p_product(seq, n), D1, seq, n_max)
+        assert rep.passed and loop.passed
+        assert abs(rep.worst_residual - loop.worst_residual) <= 1e-15
+        assert rep.singular_ns == loop.singular_ns
+        assert np.allclose(rep.dets, loop.dets, rtol=1e-12, atol=0)
+        assert np.allclose(rep.connection, loop.connection, rtol=1e-12,
+                           atol=1e-300)
+
+    @pytest.mark.parametrize("n_max", [10, 80])
+    @pytest.mark.parametrize("a", [(1.0,), (1.0, -0.5), (1.0, 0.5, 2.0)],
+                             ids=["her2", "her3", "her4"])
+    def test_stacked_matches_loop(self, a, n_max):
+        spec = weight_spec(list(a), [sf.hermite(0.0)] * (len(a) + 1))
+        _, D1, _, _ = hermite_A_factorization(spec)
+        self.assert_matches_loop(D1, MVOPSequence(spec, n_max), n_max)
+
+    def test_stacked_matches_loop_chain(self):
+        # D1_tilde T^{-1} maps P_n to Q_n on the 5x5 chain, so A_n = I
+        spec, d1_tilde, _ = builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))
+        D1 = op_compose(d1_tilde,
+                        MatrixDiffOperator.multiplication(build_T(spec)[1]))
+        self.assert_matches_loop(D1, MVOPSequence(spec, 60), 60)

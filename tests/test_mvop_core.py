@@ -9,9 +9,10 @@ import sympy as sp
 
 import mvop.scalar_families as sf
 from mvop.errors import DegreeCap, OutOfRange, SingularLeading
-from mvop.mvop_core import MVOPSequence, continuant, tridiagonal_from_rho
+from mvop.darboux import builtin_n5_laguerre
+from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import pairwise_quadrature
+from oracles import pairwise_quadrature, q_product, tridiagonal_from_rho
 
 
 def lag2(a=1.0):
@@ -71,7 +72,7 @@ class TestConstruction:
         seq = MVOPSequence(lag2(1.5), 6)
         for n in range(6):
             K = seq.leading_closed_form(n)
-            prod = (seq.build_QT(n) * seq.T_inv).coeff(n)
+            prod = q_product(seq, n).coeff(n)
             scale = max(np.max(np.abs(K)), 1.0)
             assert np.max(np.abs(K - prod)) <= 1e-10 * scale
 
@@ -89,7 +90,7 @@ class TestConstruction:
         block = seq.q_block(0, 10)
         assert block.shape == (10, 12, 2, 2)
         for n in range(10):
-            prod = seq.build_QT(n) * seq.T_inv
+            prod = q_product(seq, n)
             scale = prod.max_coeff_norm()
             for k in range(n):
                 assert np.max(np.abs(block[n, k] - prod.coeff(k))) <= \
@@ -106,17 +107,18 @@ class TestConstruction:
     def test_q_block_singular_leading(self):
         # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3) and every
         # block holding degree 3 refuse it, other degrees are unaffected
-        seq = MVOPSequence(lag2(2.0), 8)
-        ratio = seq.ratio_matrix
-        bad = np.array([[0, 0], [-0.5, 0]], dtype=complex)
-        seq.ratio_matrix = lambda n: bad if n == 3 else ratio(n)
-        for lo, hi in ((3, 4), (0, 9), (2, 5)):
-            with pytest.raises(SingularLeading, match="n=3"):
-                seq.q_block(lo, hi)
-        with pytest.raises(SingularLeading):
-            seq.build_Q(3)
-        seq.q_block(4, 9)
-        seq.build_Q(2)
+        for backend, g in (("float", -0.5), ("exact", sp.Rational(-1, 2))):
+            seq = MVOPSequence(lag2(2.0), 8, backend=backend)
+            ratio = seq.ratio_matrix
+            bad = np.array([[0, 0], [g, 0]], dtype=ratio(3).dtype)
+            seq.ratio_matrix = lambda n: bad if n == 3 else ratio(n)
+            for lo, hi in ((3, 4), (0, 9), (2, 5)):
+                with pytest.raises(SingularLeading, match="n=3"):
+                    seq.q_block(lo, hi)
+            with pytest.raises(SingularLeading):
+                seq.build_Q(3)
+            seq.q_block(4, 9)
+            seq.build_Q(2)
 
     def test_q_block_past_float_range(self):
         # Laguerre power coefficients overflow near degree 170: a typed
@@ -130,12 +132,35 @@ class TestConstruction:
 
     def test_q_block_degree_overflow(self):
         # with A^2 != 0 the x^{n+1}, x^{n+2} terms no longer cancel
-        seq = MVOPSequence(lag2(), 4)
-        seq.A = seq.A + seq.A.T
-        with pytest.raises(SingularLeading, match="degree overflow at n=0"):
-            seq.q_block(0, 3)
-        with pytest.raises(SingularLeading, match="degree overflow"):
-            seq.build_Q(2)
+        for backend in ("float", "exact"):
+            seq = MVOPSequence(lag2(), 4, backend=backend)
+            seq.A = seq.A + seq.A.T
+            with pytest.raises(SingularLeading,
+                               match="degree overflow at n=0"):
+                seq.q_block(0, 3)
+            with pytest.raises(SingularLeading, match="degree overflow"):
+                seq.build_Q(2)
+
+    @pytest.mark.parametrize("spec", [
+        weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
+        weight_spec([1.0, -0.5], [sf.hermite(0.5), sf.hermite(0.0),
+                                  sf.hermite(-0.5)]),
+        builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))[0],
+        weight_spec([1.0, 0.5], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5),
+                                 sf.jacobi(1.5, 1.5)]),
+    ], ids=["lag2", "her3", "lag5_chain", "jac3_half_step"])
+    def test_exact_build_Q_matches_product(self, spec):
+        # every coefficient of the exact Q_n, n <= 6, equals the per-degree
+        # (Q_n T) T^{-1} product (the Jacobi norm ratios keep unevaluated
+        # Beta functions, hence simplify where expand leaves a difference)
+        seq = MVOPSequence(spec, 6, backend="exact")
+        for n in range(7):
+            got, want = seq.build_Q(n), q_product(seq, n)
+            assert got.degree == want.degree == n
+            for g, w in zip(got.coeffs, want.coeffs):
+                for d in (g - w).flat:
+                    d = sp.expand(d)
+                    assert d == 0 or sp.simplify(d) == 0
 
 
 class TestNorms:
