@@ -6,12 +6,19 @@ pattern of A*; multiplying by I - A x then gives Q_n itself.  The ratio
 entries are formed in log space (float backend) because the scalar norms
 grow factorially.  Both backends assemble a range of degrees at once from
 one table of scalar power coefficients per sequence (floats, or sympy
-rationals on the exact backend): ``_rows`` reads P_{n-1}, P_n and P_{n+1}
-from it, forms every Q_n T of the range as one (degrees, powers, N, N)
-array, applies I - A x by one shifted matmul and puts in the closed-form
-leading coefficient K_n.  ``q_block`` (complex), ``build_Q`` and
-``build_QT`` (backend arithmetic) read rows of it, and ``p_block`` reads
-the diagonal P_n from the same table.
+rationals on the exact backend): ``_assemble`` reads P_{n-1}, P_n and
+P_{n+1} from it, forms every Q_n T of the range as one (degrees, powers,
+N, N) array, applies I - A x by one shifted matmul, puts in the
+closed-form leading coefficient K_n and gives each degree a verdict
+(valid, past the float range, degree overflow, singular K_n).
+``q_block``, ``qt_block`` (complex), ``build_Q`` and ``build_QT``
+(backend arithmetic) read rows of it and refuse the first faulty degree
+of the range they ask for; ``p_block`` reads the diagonal P_n from the
+same table.  The float backend assembles each requested range anew.  The
+exact backend assembles degrees 0..n_max once per sequence, rounds the
+rows to complex doubles once, and rounds each exact ||Q_n||^2 once for
+the norm and recurrence checks, so every check reads the same exact
+quantities without building them again.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -40,7 +47,32 @@ from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent, build
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
 
-_expand = np.frompyfunc(sp.expand, 1, 1)
+#: sp.expand of every entry of an object array; plain numbers (most exact
+#: Q_n entries are 0 or a rational) are already expanded
+_expand = np.frompyfunc(
+    lambda v: v if isinstance(v, sp.Number) else sp.expand(v), 1, 1)
+
+#: errors of the nonzero per-degree verdicts of ``MVOPSequence._assemble``
+_FAULTS = (None,
+           (DegreeCap, "coefficients of Q_{n} are past the float range"),
+           (SingularLeading, "degree overflow at n={n}"),
+           (SingularLeading, "singular leading coefficient at n={n}"))
+
+
+def _to_complex(a) -> np.ndarray:
+    """An array of sympy entries (or numbers) rounded to complex doubles.
+
+    Real sympy entries go through float, the same doubles as complex() at
+    a fraction of its cost (complex() runs evalf and then splits the
+    result into real and imaginary parts); only a non-real entry raises
+    the TypeError that sends the whole array through complex().
+    """
+    if a.dtype != object:
+        return a.astype(complex, copy=False)
+    try:
+        return np.asarray(a, dtype=float).astype(complex)
+    except TypeError:
+        return np.asarray(a, dtype=complex)
 
 
 def peak(residuals: dict):
@@ -91,6 +123,9 @@ class MVOPSequence:
                      else np.eye(N))
         self._gram = None
         self._ptab = None
+        self._qrows = None
+        self._qrounded = {}
+        self._qnorms = {}
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
@@ -217,21 +252,25 @@ class MVOPSequence:
         K = self._leading([n], self.ratio_matrix(n)[None])[0]
         return _expand(K) if self.exact else K
 
-    def _rows(self, lo: int, hi: int):
-        """(Q_n T, Q_n) for n = lo..hi-1 in backend arithmetic: power
-        coefficients of shape (hi - lo, n_max + 3, N, N), Q_n zero above
-        degree n.
+    def _assemble(self, lo: int, hi: int):
+        """(Q_n T, Q_n, verdict) for n = lo..hi-1 in backend arithmetic:
+        power coefficients of shape (hi - lo, n_max + 3, N, N), Q_n zero
+        above degree n, and one verdict per degree (0 for a valid Q_n, else
+        an index into ``_FAULTS``; ``_refuse`` turns it into the error).
 
         Q_n T = P_n + A P_{n+1} - G_n P_{n-1} for the whole range from the
         scalar table, times T^{-1} = I - A x by one shifted matmul.  Powers
         n + 1 and n + 2 of Q_n cancel structurally (A^2 = 0); anything left
-        there, or a singular K_n, raises ``SingularLeading`` at the first
-        bad n.  Float: "left" means above 1e-8 of the largest coefficient,
-        scalar coefficients past the float range raise ``DegreeCap``, and
-        the x^n coefficient is replaced by its closed form K_n (see
+        there is a degree overflow, and a singular K_n is refused too.
+        Float: "left" means above 1e-8 of the largest coefficient, scalar
+        coefficients past the float range raise ``DegreeCap`` at once, a
+        degree whose Q_n T or Q_n coefficients leave the float range (G_n
+        P_{n-1} on mixed families) gets a ``DegreeCap`` verdict, and the x^n
+        coefficient is replaced by its closed form K_n (see
         ``leading_closed_form``), which roundoff at the top coefficient
-        scale would swamp.  Exact: every entry is expanded, the leftover
-        powers must expand to 0 and the sympy det of K_n must not be 0.
+        scale would swamp.  Exact: every entry that is not already a number
+        is expanded, the leftover powers must expand to 0 and the sympy det
+        of K_n must not be 0.
         """
         self._check_range(lo, hi)
         N, width = self.weight.N, self.n_max + 3
@@ -245,55 +284,95 @@ class MVOPSequence:
         ns = np.arange(lo, hi)
         rows = np.arange(hi - lo)
         G = np.stack([self.ratio_matrix(n) for n in ns])
-        # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
-        qt = (self._eye * tab[lo + 1:hi + 1] + self.A * tab[lo + 2:hi + 2]
-              - G[:, None] * tab[lo:hi])
-        q = qt.copy()
-        q[:, 1:] -= (qt[:, :-1].reshape(-1, N) @ self.A).reshape(
-            hi - lo, width - 1, N, N)
-        K = self._leading(ns, G)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
+            qt = (self._eye * tab[lo + 1:hi + 1] + self.A * tab[lo + 2:hi + 2]
+                  - G[:, None] * tab[lo:hi])
+            q = qt.copy()
+            q[:, 1:] -= (qt[:, :-1].reshape(-1, N) @ self.A).reshape(
+                hi - lo, width - 1, N, N)
+            K = self._leading(ns, G)
         spill = q[rows[:, None], ns[:, None] + [1, 2]]
         if self.exact:
             qt, q, K, spill = map(_expand, (qt, q, K, spill))
+            finite = np.ones(hi - lo, dtype=bool)
             overflow = (spill != 0).any(axis=(1, 2, 3))
             singular = np.array([sp.Matrix(k.tolist()).det() == 0 for k in K])
         else:
-            overflow = (np.abs(spill).max(axis=(1, 2, 3))
-                        > 1e-8 * np.abs(q).max(axis=(1, 2, 3)))
-            singular = np.abs(np.linalg.det(K)) == 0.0
-        bad = overflow | singular
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "degree overflow" if overflow[i] else \
-                "singular leading coefficient"
-            raise SingularLeading(f"{what} at n={lo + i}")
+            # a non-finite Q_n T coefficient leaves Q_n non-finite too
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = np.abs(q).max(axis=(1, 2, 3))
+                finite = np.isfinite(top)
+                overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
+                singular = np.abs(np.linalg.det(K)) == 0.0
+        verdict = np.select([~finite, overflow, singular], [1, 2, 3], 0)
         q[rows, ns] = K
         q[np.arange(width)[None, :] > ns[:, None]] = 0
-        return qt, q
+        return qt, q, verdict
+
+    @staticmethod
+    def _refuse(lo: int, verdict):
+        """Raise the error of the first faulty degree among ``verdict``
+        (degrees lo, lo + 1, ...), if any."""
+        bad = np.flatnonzero(verdict)
+        if bad.size:
+            err, what = _FAULTS[verdict[bad[0]]]
+            raise err(what.format(n=lo + int(bad[0])))
+
+    def _rows(self, lo: int, hi: int, which: int, rounded: bool):
+        """Rows ``which`` of ``_assemble`` (0: Q_n T, 1: Q_n) for n =
+        lo..hi-1, in backend arithmetic or, with ``rounded``, complex;
+        ``SingularLeading`` or ``DegreeCap`` at the first faulty degree of
+        the range.
+
+        Float rows are assembled for the range alone: whole-range float
+        rows would take hundreds of MB at n_max 509.  Exact rows are
+        assembled once for degrees 0..n_max, each kind is rounded to
+        complex once on first use, and both are published in one
+        assignment each; readers get copies of their slice.  Checks racing
+        in the pool may each build them; they build equal arrays, so
+        whichever lands last is as good.
+        """
+        self._check_range(lo, hi)
+        if not self.exact:
+            *rows, verdict = self._assemble(lo, hi)
+            self._refuse(lo, verdict)
+            return rows[which]
+        got = self._qrows
+        if got is None:
+            got = self._qrows = self._assemble(0, self.n_max + 1)
+        self._refuse(lo, got[2][lo:hi])
+        rows = got[which]
+        if rounded:
+            rows = self._qrounded.get(which)
+            if rows is None:
+                rows = self._qrounded[which] = _to_complex(got[which])
+        return rows[lo:hi].copy()
 
     def q_block(self, lo: int, hi: int) -> np.ndarray:
         """Complex power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo,
-        n_max + 3, N, N), zero above each degree: the Q_n rows of ``_rows``.
-        Exact rows are converted entry by entry, so the Q under test is
-        still the exact one."""
-        return np.asarray(self._rows(lo, hi)[1], dtype=complex)
+        n_max + 3, N, N), zero above each degree: the Q_n rows of
+        ``_assemble``; exact rows are rounded to the nearest doubles once
+        per sequence (see ``_rows``)."""
+        return self._rows(lo, hi, 1, rounded=True)
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
         """Complex power coefficients of Q_lo T..Q_{hi-1} T, shaped like
-        ``q_block``: the Q_n T rows of ``_rows``."""
-        return np.asarray(self._rows(lo, hi)[0], dtype=complex)
+        ``q_block``: the Q_n T rows of ``_assemble``, rounded like
+        ``q_block``'s on the exact backend."""
+        return self._rows(lo, hi, 0, rounded=True)
 
     def build_QT(self, n: int) -> MatrixPolynomial:
         """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
-        arithmetic, row n of ``_rows``."""
-        qt = self._rows(n, n + 1)[0][0, :n + 2]
+        arithmetic, row n of ``_assemble``."""
+        qt = self._rows(n, n + 1, 0, rounded=False)[0, :n + 2]
         return MatrixPolynomial(list(qt), size=self.weight.N,
                                 exact=self.exact, trim=False)
 
     def build_Q(self, n: int) -> MatrixPolynomial:
         """Q_n = (Q_n T) T^{-1}, degree n with nonsingular leading
-        coefficient K_n, in backend arithmetic: row n of ``_rows``."""
-        q = self._rows(n, n + 1)[1][0, :n + 1]
+        coefficient K_n, in backend arithmetic: row n of ``_assemble``."""
+        q = self._rows(n, n + 1, 1, rounded=False)[0, :n + 1]
         return MatrixPolynomial(list(q), size=self.weight.N,
                                 exact=self.exact, trim=False)
 
@@ -305,7 +384,7 @@ class MVOPSequence:
             num = 2 * ((i + 1) // 2)       # weight index, 1-based
             den = 2 * (i // 2) + 1
             if self.exact:
-                a = sp.nsimplify(self.weight.a_params[i - 1], rational=True)
+                a = sf._rat(self.weight.a_params[i - 1])
                 out.append(a ** 2
                            * sf.squared_norm_exact(self.scalar_seqs[num - 1], n)
                            / sf.squared_norm_exact(self.scalar_seqs[den - 1], n - 1))
@@ -351,7 +430,9 @@ class MVOPSequence:
 
     def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2,
-        divided by exp(log_scale)."""
+        divided by exp(log_scale): complex on the float backend, sympy
+        entries (built anew on each call) on the exact backend, where the
+        checks read it rounded through ``_norm_Q``."""
         self._check_n(n)
         A = self.A
         term = (self.norm_P(n, log_scale)
@@ -359,6 +440,22 @@ class MVOPSequence:
         if n >= 1:
             term = term + self.ratio_matrix(n) @ A @ self.norm_P(n, log_scale)
         return term
+
+    def _norm_Q(self, n: int, log_scale: float) -> np.ndarray:
+        """Complex ||Q_n||^2 / exp(log_scale), as the norm and recurrence
+        checks read it: ``squared_norm_Q`` on the float backend.  On the
+        exact backend the unscaled exact ||Q_n||^2 is built and rounded
+        once per degree and scaled in float; a rounding past the float range
+        falls back to rounding the scaled exact matrix.  Racing checks may
+        both build a degree; they store equal arrays."""
+        if not self.exact:
+            return self.squared_norm_Q(n, log_scale)
+        got = self._qnorms.get(n)
+        if got is None:
+            got = self._qnorms[n] = _to_complex(self.squared_norm_Q(n))
+        if np.isfinite(got).all():
+            return got * exp(-log_scale)
+        return _to_complex(self.squared_norm_Q(n, log_scale))
 
     # -- the Gram block ------------------------------------------------------
 
@@ -392,8 +489,7 @@ class MVOPSequence:
         M, N = self.n_max, self.weight.N
         m = M + 2
         A = np.asarray(self.A, dtype=complex)
-        G = np.stack([np.asarray(self.ratio_matrix(n), dtype=complex)
-                      for n in range(M + 1)])
+        G = np.stack([_to_complex(self.ratio_matrix(n)) for n in range(M + 1)])
         log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
         out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
         tables = []
@@ -508,7 +604,7 @@ class MVOPSequence:
         for m in (n + 1, n, n - 1):
             lm = self.log_gram_scale(m)
             g = self.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
-            norm = np.asarray(self.squared_norm_Q(m, 2.0 * lm), dtype=complex)
+            norm = self._norm_Q(m, 2.0 * lm)
             X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
             mats.append(X)
             terms.append((m, X * exp(lm - ln)))

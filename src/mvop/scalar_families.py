@@ -17,6 +17,7 @@ kept in log space in the float backend to dodge factorial overflow.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import inf, lgamma, log, pi
 from typing import Callable, Optional
 
@@ -111,7 +112,10 @@ def weight_value(spec: ScalarWeightSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=1024)
 def _rat(x):
+    """x as a sympy Rational; every exact-backend parameter goes through
+    here, and a sequence only ever meets a handful of distinct ones."""
     return sp.nsimplify(x, rational=True)
 
 
@@ -206,7 +210,9 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
         exact_norms = [m0]
         for ck in c:
             exact_norms.append(sp.expand(exact_norms[-1] * ck))
-        log_norms = [float(sp.log(v)) for v in exact_norms]
+        # unevaluated log: evalf rounds it as float(sp.log(v)) would,
+        # without first simplifying the log of a product
+        log_norms = [float(sp.log(v, evaluate=False)) for v in exact_norms]
     else:
         exact_norms = None
         log_norms = [_log_moment0(spec)]

@@ -55,8 +55,7 @@ def build_nilpotent(spec: WeightSpec, exact: bool = False) -> np.ndarray:
     A = np.zeros((N, N), dtype=object if exact else complex)
     if exact:
         A[:] = sp.Integer(0)
-    a = [sp.nsimplify(v, rational=True) if exact else complex(v)
-         for v in spec.a_params]
+    a = [sf._rat(v) if exact else complex(v) for v in spec.a_params]
     for j in range(1, N // 2 + 1):            # a_{2j-1} at (2j-1, 2j)
         A[2 * j - 2, 2 * j - 1] = a[2 * j - 2]
     for j in range(1, (N - 1) // 2 + 1):      # a_{2j} at (2j+1, 2j)

@@ -182,6 +182,12 @@ def q_product(seq, n):
     return qt * seq.T_inv
 
 
+def complex_rows(rows):
+    """Exact Q_n (or Q_n T) rows rounded entry by entry through complex():
+    the conversion the exact ``q_block`` and ``qt_block`` used to make."""
+    return np.asarray(rows, dtype=complex)
+
+
 def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
     """P_n . D1 = A_n Q_n one degree at a time: ``p_of(n)`` is P_n as a
     MatrixPolynomial, Q_n is ``q_seq.build_Q(n)``, and A_n is solved from

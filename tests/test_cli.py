@@ -1,6 +1,7 @@
 """Config parsing, the batch runner, and CLI exit codes."""
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -141,6 +142,49 @@ class TestRun:
         assert report["passed"]
         assert len(calls) == 1
 
+    HER3_EXACT = base_config(
+        size=3, a=[1.0, -0.5], backend="exact", n_max=5,
+        weights=[{"family": "hermite", "b": 0.0}] * 3)
+
+    def test_exact_rows_assembled_once(self, monkeypatch):
+        monkeypatch.setenv("MVOP_THREADS", "1")
+        calls = []
+        assemble = MVOPSequence._assemble
+
+        def counted(seq, lo, hi):
+            calls.append((lo, hi))
+            return assemble(seq, lo, hi)
+        monkeypatch.setattr(MVOPSequence, "_assemble", counted)
+        report = run(config_from_json(dict(self.HER3_EXACT,
+                                           checks=["eigen", "darboux"])))
+        assert report["passed"]
+        assert report["checks"]["darboux"]["kind"] == \
+            "hermite_A_factorization"
+        assert calls == [(0, 7)]
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_exact_reports_same_with_pool(self, threads, monkeypatch):
+        # pooled checks may each build the exact rows and norms, and with
+        # a short switch interval they interleave inside those builds; the
+        # reports must not change
+        def report(threads):
+            monkeypatch.setenv("MVOP_THREADS", threads)
+            checks = run(config_from_json(dict(
+                self.HER3_EXACT,
+                checks=["eigen", "darboux", "norm", "recurrence"])))["checks"]
+            for res in checks.values():
+                del res["wall_time_s"]
+            return checks
+        serial = report("1")
+        assert all(res["passed"] for res in serial.values())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = report(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
     def test_checks_report_wall_time(self):
         report = run(config_from_json(base_config()))
         for res in report["checks"].values():
@@ -228,6 +272,29 @@ class TestHighDegree:
         assert res["passed"], res
         assert not res["non_finite"]
         assert res["max_scaled_residual"] < 1e-13
+
+    HERMITE_LAGUERRE = ([1.5], [{"family": "hermite", "b": 0.0},
+                                {"family": "laguerre", "alpha": 0.5}])
+
+    @pytest.mark.parametrize("n_max, passes", [(80, True), (120, False),
+                                               (160, False)])
+    def test_eigen_typed_error_on_mixed_families(self, n_max, passes,
+                                                 monkeypatch):
+        # G_n P_{n-1} leaves the float range at Q_116 of the mixed
+        # Hermite-Laguerre weight: a DegreeCap there, never NaN residuals
+        monkeypatch.setenv("MVOP_THREADS", "1")
+        a, weights = self.HERMITE_LAGUERRE
+        cfg = config_from_json(base_config(a=a, weights=weights,
+                                           n_max=n_max, checks=["eigen"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg)["checks"]["eigen"]
+        if passes:
+            assert res["passed"], res
+            assert res["max_scaled_residual"] < 1e-13
+        else:
+            assert res["status"] == "error"
+            assert res["error"].startswith("DegreeCap: coefficients of Q_116")
 
     def test_wrong_ratio_matrix_fails_recurrence(self):
         # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n

@@ -12,7 +12,8 @@ from mvop.errors import DegreeCap, OutOfRange, SingularLeading
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import pairwise_quadrature, q_product, tridiagonal_from_rho
+from oracles import (complex_rows, pairwise_quadrature, q_product,
+                     tridiagonal_from_rho)
 
 
 def lag2(a=1.0):
@@ -21,6 +22,23 @@ def lag2(a=1.0):
 
 def herm2():
     return weight_spec([1.0], [sf.hermite(0.0), sf.hermite(0.0)])
+
+
+#: exact-backend weights: mixed Laguerre, shifted Hermite, the 5x5 Laguerre
+#: chain and a half-step Jacobi weight whose norms keep Beta functions
+EXACT_SPECS = pytest.mark.parametrize("spec", [
+    weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
+    weight_spec([1.0, -0.5], [sf.hermite(0.5), sf.hermite(0.0),
+                              sf.hermite(-0.5)]),
+    builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))[0],
+    weight_spec([1.0, 0.5], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5),
+                             sf.jacobi(1.5, 1.5)]),
+], ids=["lag2", "her3", "lag5_chain", "jac3_half_step"])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
 
 
 class TestContinuant:
@@ -141,14 +159,7 @@ class TestConstruction:
             with pytest.raises(SingularLeading, match="degree overflow"):
                 seq.build_Q(2)
 
-    @pytest.mark.parametrize("spec", [
-        weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
-        weight_spec([1.0, -0.5], [sf.hermite(0.5), sf.hermite(0.0),
-                                  sf.hermite(-0.5)]),
-        builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))[0],
-        weight_spec([1.0, 0.5], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5),
-                                 sf.jacobi(1.5, 1.5)]),
-    ], ids=["lag2", "her3", "lag5_chain", "jac3_half_step"])
+    @EXACT_SPECS
     def test_exact_build_Q_matches_product(self, spec):
         # every coefficient of the exact Q_n, n <= 6, equals the per-degree
         # (Q_n T) T^{-1} product (the Jacobi norm ratios keep unevaluated
@@ -161,6 +172,78 @@ class TestConstruction:
                 for d in (g - w).flat:
                     d = sp.expand(d)
                     assert d == 0 or sp.simplify(d) == 0
+
+
+class TestExactCache:
+    """The exact rows and norms are built once per sequence and rounded to
+    doubles once, to the doubles complex() gives entry by entry."""
+
+    @EXACT_SPECS
+    def test_rounded_rows_match_complex_oracle(self, spec):
+        seq = MVOPSequence(spec, 6, backend="exact")
+        qt, q, verdict = seq._assemble(0, 7)
+        assert not verdict.any()
+        assert same_bits(seq.q_block(0, 7), complex_rows(q))
+        assert same_bits(seq.qt_block(0, 7), complex_rows(qt))
+        assert same_bits(seq.q_block(2, 5), complex_rows(q[2:5]))
+        assert same_bits(seq.qt_block(6, 7), complex_rows(qt[6:7]))
+
+    def test_readers_return_copies(self):
+        seq = MVOPSequence(herm2(), 4, backend="exact")
+        want, want_q2 = seq.q_block(0, 5).copy(), seq.build_Q(2).coeffs[0]
+        seq.q_block(0, 5)[:] = np.nan
+        seq.qt_block(0, 5)[:] = np.nan
+        seq.build_Q(2).coeffs[0][:] = sp.Integer(7)
+        assert same_bits(seq.q_block(0, 5), want)
+        assert (seq.build_Q(2).coeffs[0] == want_q2).all()
+
+    def test_exact_readers_keep_sympy_entries(self):
+        seq = MVOPSequence(herm2(), 4, backend="exact")
+        seq.q_block(0, 5)
+        for poly in (seq.build_Q(3), seq.build_QT(3)):
+            assert all(isinstance(v, sp.Basic)
+                       for c in poly.coeffs for v in c.flat)
+        assert all(isinstance(v, sp.Basic)
+                   for v in seq.squared_norm_Q(3).flat)
+
+    @EXACT_SPECS
+    def test_norm_reader_matches_complex(self, spec):
+        seq = MVOPSequence(spec, 6, backend="exact")
+        for n in range(7):
+            unscaled = np.array([[complex(v) for v in row]
+                                 for row in seq.squared_norm_Q(n)])
+            assert same_bits(seq._norm_Q(n, 0.0), unscaled)
+            log_scale = 2.0 * seq.log_gram_scale(n)
+            want = complex_rows(seq.squared_norm_Q(n, log_scale))
+            got = seq._norm_Q(n, log_scale)
+            assert np.abs(got - want).max() <= \
+                2 * np.spacing(np.abs(want).max())
+
+    def test_norm_reader_past_float_range(self):
+        # ||Q_0||^2 rounds to inf unscaled; the reader scales it exactly
+        spec = weight_spec([2.0], [sf.hermite(0.0, scale=1e308)] * 2)
+        seq = MVOPSequence(spec, 3, backend="exact")
+        log_scale = 2.0 * seq.log_gram_scale(0)
+        got = seq._norm_Q(0, log_scale)
+        assert np.isfinite(got).all()
+        assert np.allclose(got, [[3, 0], [0, 1]], rtol=1e-12, atol=0)
+
+    def test_rat_matches_nsimplify(self):
+        # every a and family parameter the benchmark generator draws:
+        # binary fractions for the exact suite, six-decimal floats elsewhere
+        rng = np.random.default_rng(3)
+        values = ([s * v for s in (-1, 1)
+                   for v in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)]
+                  + [k / 2 for k in range(8)] + [1e308]
+                  + [round(float(v), 6) for v in rng.uniform(-2.0, 4.0, 40)])
+        for v in values:
+            assert sf._rat(v) == sp.nsimplify(v, rational=True)
+            assert sf._rat(v) is sf._rat(v)
+
+    @EXACT_SPECS
+    def test_log_norms_round_the_exact_norms(self, spec):
+        for s in MVOPSequence(spec, 6, backend="exact").scalar_seqs:
+            assert s.log_norms == [float(sp.log(v)) for v in s.exact_norms]
 
 
 class TestNorms:
