@@ -157,7 +157,7 @@ def _check_norm(seq, cfg):
     residuals = {}
     for n in range(cfg.n_max + 1):
         # both sides divided by sigma_n^2, so neither can overflow
-        closed = seq._norm_Q(n, 2.0 * seq.log_gram_scale(n))
+        closed = seq._norm_Q(n)
         gram = seq.gram_qt(n, n, scaled=True)
         residuals[n] = np.linalg.norm(gram - closed) / np.linalg.norm(gram)
     worst, worst_n, non_finite = peak(residuals)

@@ -16,8 +16,8 @@ closed-form leading coefficient K_n and gives each degree a verdict
 of the range they ask for; ``p_block`` reads the diagonal P_n from the
 same table.  The float backend assembles each requested range anew.  The
 exact backend assembles degrees 0..n_max once per sequence, rounds the
-rows to complex doubles once, and rounds each exact ||Q_n||^2 once for
-the norm and recurrence checks, so every check reads the same exact
+rows to complex doubles once, and rounds each exact ||Q_n||^2 /
+sigma_n^2 once for the norm and recurrence checks, so every check reads the same exact
 quantities without building them again.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
@@ -124,7 +124,6 @@ class MVOPSequence:
         self._gram = None
         self._ptab = None
         self._qrows = None
-        self._qrounded = {}
         self._qnorms = {}
 
     def _check_n(self, n, hi=None):
@@ -319,60 +318,56 @@ class MVOPSequence:
             err, what = _FAULTS[verdict[bad[0]]]
             raise err(what.format(n=lo + int(bad[0])))
 
-    def _rows(self, lo: int, hi: int, which: int, rounded: bool):
-        """Rows ``which`` of ``_assemble`` (0: Q_n T, 1: Q_n) for n =
-        lo..hi-1, in backend arithmetic or, with ``rounded``, complex;
-        ``SingularLeading`` or ``DegreeCap`` at the first faulty degree of
-        the range.
+    def _rows(self, lo: int, hi: int):
+        """(Q_n T, Q_n) in backend arithmetic, then (Q_n T, Q_n) in
+        complex, for n = lo..hi-1; ``SingularLeading`` or ``DegreeCap`` at
+        the first faulty degree of the range.
 
-        Float rows are assembled for the range alone: whole-range float
-        rows would take hundreds of MB at n_max 509.  Exact rows are
-        assembled once for degrees 0..n_max, each kind is rounded to
-        complex once on first use, and both are published in one
-        assignment each; readers get copies of their slice.  Checks racing
-        in the pool may each build them; they build equal arrays, so
-        whichever lands last is as good.
+        Float rows are assembled for the range alone (whole-range float
+        rows would take hundreds of MB at n_max 509) and are complex
+        already.  Exact rows are assembled once for degrees 0..n_max,
+        rounded to complex and published with their verdicts in one
+        assignment; readers get copies of their slice.  Checks racing in
+        the pool may each build them; they build equal tuples, so whichever
+        lands last is as good.
         """
         self._check_range(lo, hi)
         if not self.exact:
-            *rows, verdict = self._assemble(lo, hi)
+            qt, q, verdict = self._assemble(lo, hi)
             self._refuse(lo, verdict)
-            return rows[which]
+            return qt, q, qt, q
         got = self._qrows
         if got is None:
-            got = self._qrows = self._assemble(0, self.n_max + 1)
-        self._refuse(lo, got[2][lo:hi])
-        rows = got[which]
-        if rounded:
-            rows = self._qrounded.get(which)
-            if rows is None:
-                rows = self._qrounded[which] = _to_complex(got[which])
-        return rows[lo:hi].copy()
+            qt, q, verdict = self._assemble(0, self.n_max + 1)
+            got = self._qrows = (verdict, qt, q, _to_complex(qt),
+                                 _to_complex(q))
+        self._refuse(lo, got[0][lo:hi])
+        return tuple(a[lo:hi].copy() for a in got[1:])
 
     def q_block(self, lo: int, hi: int) -> np.ndarray:
         """Complex power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo,
         n_max + 3, N, N), zero above each degree: the Q_n rows of
         ``_assemble``; exact rows are rounded to the nearest doubles once
         per sequence (see ``_rows``)."""
-        return self._rows(lo, hi, 1, rounded=True)
+        return self._rows(lo, hi)[3]
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
         """Complex power coefficients of Q_lo T..Q_{hi-1} T, shaped like
         ``q_block``: the Q_n T rows of ``_assemble``, rounded like
         ``q_block``'s on the exact backend."""
-        return self._rows(lo, hi, 0, rounded=True)
+        return self._rows(lo, hi)[2]
 
     def build_QT(self, n: int) -> MatrixPolynomial:
         """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
         arithmetic, row n of ``_assemble``."""
-        qt = self._rows(n, n + 1, 0, rounded=False)[0, :n + 2]
+        qt = self._rows(n, n + 1)[0][0, :n + 2]
         return MatrixPolynomial(list(qt), size=self.weight.N,
                                 exact=self.exact, trim=False)
 
     def build_Q(self, n: int) -> MatrixPolynomial:
         """Q_n = (Q_n T) T^{-1}, degree n with nonsingular leading
         coefficient K_n, in backend arithmetic: row n of ``_assemble``."""
-        q = self._rows(n, n + 1, 1, rounded=False)[0, :n + 1]
+        q = self._rows(n, n + 1)[1][0, :n + 1]
         return MatrixPolynomial(list(q), size=self.weight.N,
                                 exact=self.exact, trim=False)
 
@@ -441,21 +436,21 @@ class MVOPSequence:
             term = term + self.ratio_matrix(n) @ A @ self.norm_P(n, log_scale)
         return term
 
-    def _norm_Q(self, n: int, log_scale: float) -> np.ndarray:
-        """Complex ||Q_n||^2 / exp(log_scale), as the norm and recurrence
-        checks read it: ``squared_norm_Q`` on the float backend.  On the
-        exact backend the unscaled exact ||Q_n||^2 is built and rounded
-        once per degree and scaled in float; a rounding past the float range
-        falls back to rounding the scaled exact matrix.  Racing checks may
-        both build a degree; they store equal arrays."""
+    def _norm_Q(self, n: int) -> np.ndarray:
+        """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
+        as the norm and recurrence checks read it: ``squared_norm_Q``
+        rounded to complex, once per degree on the exact backend and
+        read-only there.  Checks racing in the pool may both build a
+        degree; they store equal arrays."""
         if not self.exact:
-            return self.squared_norm_Q(n, log_scale)
+            return self.squared_norm_Q(n, 2.0 * self.log_gram_scale(n))
         got = self._qnorms.get(n)
         if got is None:
-            got = self._qnorms[n] = _to_complex(self.squared_norm_Q(n))
-        if np.isfinite(got).all():
-            return got * exp(-log_scale)
-        return _to_complex(self.squared_norm_Q(n, log_scale))
+            got = _to_complex(
+                self.squared_norm_Q(n, 2.0 * self.log_gram_scale(n)))
+            got.flags.writeable = False
+            self._qnorms[n] = got
+        return got
 
     # -- the Gram block ------------------------------------------------------
 
@@ -604,7 +599,7 @@ class MVOPSequence:
         for m in (n + 1, n, n - 1):
             lm = self.log_gram_scale(m)
             g = self.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
-            norm = self._norm_Q(m, 2.0 * lm)
+            norm = self._norm_Q(m)
             X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
             mats.append(X)
             terms.append((m, X * exp(lm - ln)))

@@ -210,21 +210,17 @@ class TestExactCache:
     def test_norm_reader_matches_complex(self, spec):
         seq = MVOPSequence(spec, 6, backend="exact")
         for n in range(7):
-            unscaled = np.array([[complex(v) for v in row]
-                                 for row in seq.squared_norm_Q(n)])
-            assert same_bits(seq._norm_Q(n, 0.0), unscaled)
-            log_scale = 2.0 * seq.log_gram_scale(n)
-            want = complex_rows(seq.squared_norm_Q(n, log_scale))
-            got = seq._norm_Q(n, log_scale)
-            assert np.abs(got - want).max() <= \
-                2 * np.spacing(np.abs(want).max())
+            want = complex_rows(
+                seq.squared_norm_Q(n, 2.0 * seq.log_gram_scale(n)))
+            assert same_bits(seq._norm_Q(n), want)
+            assert seq._norm_Q(n) is seq._norm_Q(n)
+            assert not seq._norm_Q(n).flags.writeable
 
     def test_norm_reader_past_float_range(self):
         # ||Q_0||^2 rounds to inf unscaled; the reader scales it exactly
         spec = weight_spec([2.0], [sf.hermite(0.0, scale=1e308)] * 2)
         seq = MVOPSequence(spec, 3, backend="exact")
-        log_scale = 2.0 * seq.log_gram_scale(0)
-        got = seq._norm_Q(0, log_scale)
+        got = seq._norm_Q(0)
         assert np.isfinite(got).all()
         assert np.allclose(got, [[3, 0], [0, 1]], rtol=1e-12, atol=0)
 
