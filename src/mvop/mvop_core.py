@@ -304,7 +304,11 @@ class MVOPSequence:
                 finite = np.isfinite(top)
                 overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
                 singular = np.abs(np.linalg.det(K)) == 0.0
-        verdict = np.select([~finite, overflow, singular], [1, 2, 3], 0)
+        # later assignments win: non-finite, then overflow, then singular
+        verdict = np.zeros(hi - lo, dtype=np.int8)
+        verdict[singular] = 3
+        verdict[overflow] = 2
+        verdict[~finite] = 1
         q[rows, ns] = K
         q[np.arange(width)[None, :] > ns[:, None]] = 0
         return qt, q, verdict
