@@ -17,8 +17,8 @@ of the range they ask for; ``p_block`` reads the diagonal P_n from the
 same table.  The float backend assembles each requested range anew.  The
 exact backend assembles degrees 0..n_max once per sequence, rounds the
 rows to complex doubles once, and rounds each exact ||Q_n||^2 /
-sigma_n^2 once for the norm and recurrence checks, so every check reads the same exact
-quantities without building them again.
+sigma_n^2 once for the norm and recurrence checks, so every check reads
+the same exact quantities without building them again.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
