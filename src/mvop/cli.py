@@ -256,6 +256,7 @@ def _check_symmetries(seq, cfg):
             "reducible_at_order_zero": space.reducible_at_order_zero,
             "validation_residual": space.validation_residual,
             "sample_points": len(space.sample_points),
+            "unknowns": len(space.singular_values),
             "null_gap": space.null_gap}
 
 
@@ -331,13 +332,11 @@ def run_cmd(config_path, out_path, csv_dir, nmax, tol):
     except (OSError, json.JSONDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         raise SystemExit(2)
+    if isinstance(data, dict):      # the overrides go through validation
+        data.update({k: v for k, v in (("n_max", nmax), ("tol", tol))
+                     if v is not None})
     try:
-        cfg = config_from_json(data)
-        if nmax is not None:
-            cfg.n_max = nmax
-        if tol is not None:
-            cfg.tol = tol
-        report = run(cfg, csv_dir=csv_dir)
+        report = run(config_from_json(data), csv_dir=csv_dir)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         raise SystemExit(2)

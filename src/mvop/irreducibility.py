@@ -3,16 +3,18 @@
 A constant nonsingular F commuting with the weight in this twisted sense
 witnesses a congruence of W to a direct sum; the identity always works, so
 a symmetry space of dimension 1 means no order-zero reduction was
-detected.  The defining relation is linear in (Re F, Im F) and is imposed
-at sample points.  Every entry of W = T diag(w_1..w_N) T* with T = I + Ax
-is a combination of the functions w_k(x) x^j, j <= 2, so span{W(x)} has
-dimension at most 3N: a relation that holds at points whose W(x) span that
-space holds on the whole support.  Each w_k vanishes off its own support,
-and a narrow support inside a wide one would catch few points from a grid
-over their union.  So the points are laid out per truncated support: 3
-Chebyshev points for every scalar weight on it, plus a share of the spare
-points (10 by default, 3N + 10 points in all).  The basis is re-checked on
-a fresh, larger set of points spread over the union of the supports.
+detected (Tirao & Zurrian, Ramanujan J. 45, 2018).  The relation is
+imposed at sample points.  Every entry of W = T diag(w_1..w_N) T* with
+T = I + Ax is a combination of the functions w_k(x) x^j, j <= 2, so
+span{W(x)} has dimension at most 3N: a relation that holds at points whose
+W(x) span that space holds on the whole support.  Each w_k vanishes off its
+own support, so the points are laid out per truncated support: 3 Chebyshev
+points for every scalar weight on it, plus a share of 10 spare points.
+With S = sum_i W(x_i) = L L*, the Wt_i = L^-1 W(x_i) L^-* sum to I, so F
+is a solution exactly when L^-1 F L is Hermitian and commutes with every
+Wt_i, hence with H = sum_i r_i Wt_i: in an eigenbasis of H it lives on
+pairs of equal eigenvalues (Murota, Kanno, Kojima & Kojima, Japan J.
+Indust. Appl. Math. 27, 2010).  The basis is re-checked on fresh points.
 """
 
 from collections import Counter
@@ -29,12 +31,14 @@ from .weight_model import WeightSpec, weight_eval
 NULL_TOL = 1e-10
 VALIDATE_TOL = 1e-9
 
-#: sample points per block of relation rows; the R factor is accumulated
-#: block by block, so memory stays at a few blocks whatever n_points is
-#: (N = 10 at 250 points: 298 MB process peak RSS in one QR, 88 MB in
-#: blocks of 16; blocks of 4 reach 73 MB but run 1.3-1.4x longer than
-#: blocks of 16 when OpenBLAS runs the QRs on two threads)
-QR_BLOCK_POINTS = 16
+#: eigenvalue pairs of H closer than PAIR_WINDOW times the spread get
+#: unknowns, as eigenvectors are off by about eps spread / gap.  Over 140
+#: configs (20 seeds of the benchmark's symmetry workload), equal eigenvalues
+#: alone gave 20 wrong dimensions, 1e-6 residuals up to 8e-12, 0.05 8.9e-16
+PAIR_WINDOW = 0.05
+#: CGLS steps that take out the rounding amplified by L (cond(S) = 120 on a
+#: 3x3 Laguerre weight: 4.6e-15 unpolished, 1.7e-15 by a dense solve)
+POLISH_STEPS = 8
 
 
 def _truncated_support(s: sf.ScalarWeightSpec):
@@ -70,13 +74,15 @@ def _sample_points(spec: WeightSpec, n_points: int):
 
 @dataclass
 class SymmetrySpace:
-    """Real span of constant matrices F with F W(x) = W(x) F* on the support."""
+    """Real span of constant matrices F with F W(x) = W(x) F* on the support;
+    one singular value per unknown, null when <= NULL_TOL * null_scale."""
 
     dimension: int
     basis: list = field(repr=False)
     sample_points: list = field(repr=False)
     singular_values: list = field(repr=False)
     validation_residual: float = 0.0
+    null_scale: float = 1.0
 
     @property
     def reducible_at_order_zero(self) -> bool:
@@ -84,11 +90,11 @@ class SymmetrySpace:
 
     @property
     def null_gap(self) -> float:
-        """sigma_last_kept / sigma_first_null, the ratio across the NULL_TOL
-        cut; a small value means the dimension was a near miss.  Both sides
-        are non-empty: the identity is always a symmetry."""
+        """sigma_last_kept (null_scale if none) / sigma_first_null, across the
+        NULL_TOL cut; a small value means the dimension was a near miss."""
         cut = len(self.singular_values) - self.dimension
-        return float(self.singular_values[cut - 1] / self.singular_values[cut])
+        kept = self.singular_values[cut - 1] if cut else self.null_scale
+        return float(kept / self.singular_values[cut])
 
     def to_json(self) -> dict:
         return {"dimension": self.dimension,
@@ -106,26 +112,45 @@ def _weight_stack(spec: WeightSpec, xs):
     return Ws[keep] / top[keep, None, None], xs[keep]
 
 
-def _relation_rows(Ws: np.ndarray) -> np.ndarray:
-    """Real matrix of (Re F, Im F) -> (Re G, Im G), G = FW - WF*, for every
-    W in the stack Ws (P, N, N), stacked point by point: (P 2N^2, 2N^2).
+def _commutator_rows(M, a, b):
+    """Real rows (P N(N+1), K) of X -> [X, M_p] for the Hermitian stack M,
+    X = Z + Z*, Z = c E_ab on the pairs a <= b, c = 1/2 on the diagonal and
+    1/sqrt 2, i/sqrt 2 off it; [Z*, M] = -[Z, M]*, so the commutator is D - D*
+    with D = c (e_a M[b, :] - M[:, a] e_b^T).  Also gives (c, a, b)."""
+    P, N, _ = M.shape
+    off = a < b
+    c = np.concatenate([np.where(off, 2 ** -0.5, 0.5),
+                        np.full(off.sum(), 2 ** -0.5 * 1j)])
+    a, b = np.concatenate([a, a[off]]), np.concatenate([b, b[off]])
+    k = np.arange(len(c))
+    D = np.zeros((len(c), P, N, N), complex)
+    D[k, :, a, :] = c[:, None, None] * M[:, b, :].swapaxes(0, 1)
+    D[k, :, :, b] -= c[:, None, None] * M[:, :, a].transpose(2, 0, 1)
+    i, j = np.triu_indices(N)
+    C = (D[..., i, j] - D[..., j, i].conj()).reshape(len(c), -1)
+    return np.concatenate([C.real, C.imag], axis=1).T, (c, a, b)
 
-    Row-major vec gives vec G = D vec F - T vec(conj F) with
-    D = I (x) W^T and T = (W (x) I) K, K the commutation matrix: G_ij
-    has W_lj F_il from D and -W_il conj(F_jl) from T.  With F = a + ib
-    that is (D - T) a + i (D + T) b.  Columns: real parts of F
-    (row-major), then imaginary parts; rows: Re G, then Im G.
-    """
-    P, N, _ = Ws.shape
-    d = np.arange(N)
-    WT = Ws.swapaxes(1, 2)
-    # out[p, r, i, j, c, k, l]: part r of G_ij against part c of F_kl
-    out = np.zeros((P, 2, N, N, 2, N, N))
-    for c, (f, sign) in enumerate(((1.0, -1.0), (1j, 1.0))):
-        for r, part in enumerate((np.real, np.imag)):
-            out[:, r, d, :, c, d, :] = part(f * WT)             # D: k = i
-            out[:, r, :, d, c, d, :] += sign * part(f * Ws)     # T: k = j
-    return out.reshape(P * 2 * N * N, 2 * N * N)
+
+def _polish(F, Ws):
+    """F after CGLS steps on min ||T(F)||, T(F) = (F W_i - W_i F*)_i; the
+    steps lie in the range of T*: G -> 2 sum_i G_i W_i for anti-Hermitian G,
+    orthogonal to the symmetries."""
+    def T(X):
+        XW = X[:, None] @ Ws
+        return XW - XW.conj().swapaxes(-1, -2)
+
+    r = T(F)
+    p = s = 2 * np.sum(r @ Ws, axis=1)
+    gamma = np.sum(np.abs(s) ** 2, axis=(1, 2))
+    for _ in range(POLISH_STEPS):
+        q = T(p)
+        alpha = gamma / np.maximum(np.sum(np.abs(q) ** 2, axis=(1, 2, 3)),
+                                   1e-300)
+        F, r = F - alpha[:, None, None] * p, r - alpha[:, None, None, None] * q
+        s = 2 * np.sum(r @ Ws, axis=1)
+        g = np.sum(np.abs(s) ** 2, axis=(1, 2))
+        p, gamma = s + (g / np.maximum(gamma, 1e-300))[:, None, None] * p, g
+    return F
 
 
 def order_zero_symmetries(spec: WeightSpec,
@@ -142,35 +167,43 @@ def order_zero_symmetries(spec: WeightSpec,
     if len(used) < min_pts:
         raise InvalidParam("support sampling left too few usable points")
 
-    # the R factor has the singular values and right vectors of the rows:
-    # R of [R_prev; rows of the next block] is R of all rows so far
-    R = np.zeros((0, 2 * N * N))
-    for i in range(0, len(Ws), QR_BLOCK_POINTS):
-        R = np.linalg.qr(np.vstack([R, _relation_rows(
-            Ws[i:i + QR_BLOCK_POINTS])]), mode="r")
-    _, svals, vt = np.linalg.svd(R)
-    null = svals <= NULL_TOL * svals[0]
-    basis = [(v[:N * N] + 1j * v[N * N:]).reshape(N, N) for v in vt[null]]
+    L = np.linalg.cholesky(Ws.sum(axis=0))
+    Wt = np.linalg.solve(L, np.linalg.solve(L, Ws).conj().swapaxes(1, 2))
+    # fixed r_i, so that repeated calls give identical bases
+    lam, U = np.linalg.eigh(np.tensordot(
+        np.random.default_rng(0).standard_normal(len(Wt)), Wt, 1))
+    M = U.conj().T @ Wt @ U
+    rows, (c, a, b) = _commutator_rows(M, *np.nonzero(np.triu(
+        np.abs(lam[:, None] - lam) <= PAIR_WINDOW * np.ptp(lam))))
+    _, svals, vt = np.linalg.svd(np.linalg.qr(rows, mode="r"))
+    # sigma_0 alone is noise when every unknown is null
+    scale = max(svals[0], np.linalg.norm(M))
+    null = svals <= NULL_TOL * scale
+
+    # F = L U (Z + Z*) U* L^-1, polished, orthonormal as real vectors
+    Z = np.zeros((null.sum(), N, N), complex)
+    np.add.at(Z, (slice(None), a, b), vt[null] * c)
+    F = _polish(L @ U @ (Z + Z.conj().swapaxes(1, 2)) @ U.conj().T
+                @ np.linalg.inv(L), Ws)
+    V = np.linalg.qr(np.concatenate([F.real, F.imag], axis=1)
+                     .reshape(len(F), -1).T)[0].T
+    basis = [(v[:N * N] + 1j * v[N * N:]).reshape(N, N) for v in V]
 
     # the guard does not lean on the span bound: the relation is re-checked
     # on fresh points over the union of the supports, at least twice
-    # 4N^2 + 10 of them
+    # 4N^2 + 10 of them, one basis matrix at a time
     lo, hi = zip(*(_truncated_support(s) for s in spec.scalars))
-    lo, hi = min(lo), max(hi)
     fresh, _ = _weight_stack(spec, _chebyshev_points(
-        lo, hi, 2 * max(n_points, 4 * N * N + 10), phase=0.25))
-    worst = 0.0
-    if basis and len(fresh):
-        B = np.stack(basis)[:, None]                  # (d, 1, N, N)
-        BH = B.conj().swapaxes(-1, -2)
-        worst = float(np.max(np.abs(B @ fresh - fresh @ BH)))
+        min(lo), max(hi), 2 * max(n_points, 4 * N * N + 10), phase=0.25))
+    worst = max((float(np.max(np.abs(B @ fresh - fresh @ B.conj().T),
+                              initial=0.0)) for B in basis), default=0.0)
     if worst > VALIDATE_TOL:
         raise InvalidParam(f"symmetry basis failed validation ({worst:.2e}); "
                            "increase n_points")
     return SymmetrySpace(dimension=len(basis), basis=basis,
                          sample_points=used.tolist(),
                          singular_values=list(svals),
-                         validation_residual=worst)
+                         validation_residual=worst, null_scale=float(scale))
 
 
 def _sample_inside(support, m=20):

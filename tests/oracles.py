@@ -4,7 +4,9 @@ The recurrence oracle runs Gram-Schmidt on exact moments in sympy
 rationals, sharing no code with the library's recurrence generation.
 The product oracles build P_n and Q_n one degree at a time from
 ``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
-reference for the stacked construction in ``MVOPSequence``.
+reference for the stacked construction in ``MVOPSequence``.  The dense
+symmetry solve is the reference for the commutant solve in
+``order_zero_symmetries``.
 """
 
 from math import comb
@@ -219,3 +221,43 @@ def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
     return DarbouxReport(n_max=n_max, tol=tol, worst_residual=worst,
                          connection=conn, dets=dets, singular_ns=singular,
                          passed=passed)
+
+
+def relation_rows(Ws):
+    """Real matrix of (Re F, Im F) -> (Re G, Im G), G = FW - WF*, for every
+    W in the stack Ws (P, N, N), stacked point by point: (P 2N^2, 2N^2).
+
+    Row-major vec gives vec G = D vec F - T vec(conj F) with
+    D = I (x) W^T and T = (W (x) I) K, K the commutation matrix: G_ij
+    has W_lj F_il from D and -W_il conj(F_jl) from T.  With F = a + ib
+    that is (D - T) a + i (D + T) b.  Columns: real parts of F
+    (row-major), then imaginary parts; rows: Re G, then Im G.
+    """
+    P, N, _ = Ws.shape
+    d = np.arange(N)
+    WT = Ws.swapaxes(1, 2)
+    # out[p, r, i, j, c, k, l]: part r of G_ij against part c of F_kl
+    out = np.zeros((P, 2, N, N, 2, N, N))
+    for c, (f, sign) in enumerate(((1.0, -1.0), (1j, 1.0))):
+        for r, part in enumerate((np.real, np.imag)):
+            out[:, r, d, :, c, d, :] = part(f * WT)             # D: k = i
+            out[:, r, :, d, c, d, :] += sign * part(f * Ws)     # T: k = j
+    return out.reshape(P * 2 * N * N, 2 * N * N)
+
+
+def dense_symmetries(spec, n_points=None):
+    """Order-zero symmetries from the full relation F W = W F* in the
+    2N^2 real unknowns (Re F, Im F): one QR of the Kronecker rows at the
+    same sample points as ``order_zero_symmetries``, then an SVD of R.
+    Returns a SymmetrySpace without validation."""
+    from mvop.irreducibility import (NULL_TOL, SymmetrySpace, _sample_points,
+                                     _weight_stack)
+    N = spec.N
+    Ws, used = _weight_stack(spec, _sample_points(
+        spec, 3 * N + 10 if n_points is None else n_points))
+    _, svals, vt = np.linalg.svd(np.linalg.qr(relation_rows(Ws), mode="r"))
+    null = svals <= NULL_TOL * svals[0]
+    basis = [(v[:N * N] + 1j * v[N * N:]).reshape(N, N) for v in vt[null]]
+    return SymmetrySpace(dimension=len(basis), basis=basis,
+                         sample_points=used.tolist(),
+                         singular_values=list(svals), null_scale=svals[0])

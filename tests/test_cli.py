@@ -102,7 +102,21 @@ class TestRun:
         res = run(config_from_json(data))["checks"]["symmetries"]
         assert res["dimension"] == 2
         assert res["sample_points"] == 19          # 3N + 10
+        assert res["unknowns"] == 3                # X_11, X_22, X_33
         assert res["null_gap"] > 1e6
+
+    def test_symmetry_report_same_with_pool(self, monkeypatch):
+        her = [{"family": "hermite", "b": 0.3}] * 5
+        data = base_config(size=5, a=[1.0, -0.7, 1.3, 0.6], weights=her,
+                           checks=["symmetries", "reduce", "det"])
+        reports = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("MVOP_THREADS", threads)
+            res = run(config_from_json(data))["checks"]["symmetries"]
+            del res["wall_time_s"]
+            reports.append(res)
+        assert reports[0]["dimension"] == 3
+        assert reports[0] == reports[1]
 
     def test_exact_jacobi_det(self):
         # the continuant keeps unevaluated Beta-function ratios here
@@ -387,6 +401,17 @@ class TestCommandLine:
                                         self.write(tmp_path, base_config()),
                                         "--nmax", "3", "--tol", "1e-6"])
         assert res.exit_code == 0
+
+    # the overrides are validated like the config fields they replace
+    @pytest.mark.parametrize("flags", [["--nmax", "0"], ["--nmax", "-3"],
+                                       ["--tol", "-1"]])
+    def test_bad_overrides_exit_two(self, tmp_path, flags):
+        res = CliRunner().invoke(main, ["run", "--config",
+                                        self.write(tmp_path, base_config())]
+                                 + flags)
+        assert res.exit_code == 2
+        assert "need n_max >= 1 and tol > 0" in res.output
+        assert "overall" not in res.output
 
     def test_schema_command(self):
         res = CliRunner().invoke(main, ["schema"])

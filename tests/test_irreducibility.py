@@ -1,14 +1,24 @@
 """Order-zero symmetry spaces and explicit scalar reductions."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import mvop.scalar_families as sf
+from mvop.cli import config_from_json
 from mvop.errors import InvalidParam, Unsupported
-from mvop.irreducibility import (SymmetrySpace, _relation_rows,
+from mvop.irreducibility import (NULL_TOL, SymmetrySpace, _commutator_rows,
                                  order_zero_symmetries, try_reduce_2x2,
                                  try_reduce_3x3_w1w3)
 from mvop.weight_model import weight_eval, weight_spec
+
+from oracles import dense_symmetries, relation_rows
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from generate import generate  # noqa: E402
 
 
 def jacobi_reducible(a=1.0, alpha=0.0, beta=0.5):
@@ -60,7 +70,7 @@ class TestSymmetryDimension:
         js = S.to_json()
         assert js["dimension"] == 2
         assert len(js["basis"]) == 2
-        assert len(S.singular_values) == 8
+        assert len(S.singular_values) == 2      # unknowns X_11, X_22
 
     def test_ten_by_ten_chain(self):
         alpha = 0.5
@@ -83,7 +93,7 @@ class TestSpanSizedSolve:
             A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
             Ws.append(A + A.conj().T)
         Ws = np.stack(Ws)
-        rows = _relation_rows(Ws).reshape(len(Ws), 2 * N * N, 2 * N * N)
+        rows = relation_rows(Ws).reshape(len(Ws), 2 * N * N, 2 * N * N)
         for _ in range(4):
             F = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
             v = np.concatenate([F.real.ravel(), F.imag.ravel()])
@@ -92,18 +102,39 @@ class TestSpanSizedSolve:
                 want = np.concatenate([G.real, G.imag])
                 assert np.max(np.abs(block @ v - want)) < 1e-12
 
-    @pytest.mark.parametrize("scalars,dim", [
-        ([sf.hermite(0.2)] * 10, 5),
-        ([sf.jacobi(0.5, 1.0)] * 10, 5),
-        ([sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)], 1),
+    @pytest.mark.parametrize("scalars,dim,unknowns", [
+        ([sf.hermite(0.2)] * 10, 5, 32),
+        ([sf.jacobi(0.5, 1.0)] * 10, 5, 14),
+        ([sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)], 1, 16),
     ])
-    def test_default_points_at_n10(self, scalars, dim):
+    def test_default_points_at_n10(self, scalars, dim, unknowns):
         S = order_zero_symmetries(weight_spec(A10, scalars))
         assert S.dimension == dim
         assert len(S.sample_points) == 40
-        assert len(S.singular_values) == 200
+        assert len(S.singular_values) == unknowns
         assert S.validation_residual < 1e-9
         assert S.null_gap > 1e6
+
+    def test_commutator_rows_match_direct_commutator(self):
+        rng = np.random.default_rng(5)
+        N = 4
+        A = rng.normal(size=(3, N, N)) + 1j * rng.normal(size=(3, N, N))
+        M = A + A.conj().swapaxes(1, 2)
+        a, b = np.array([0, 0, 1, 2, 2, 3]), np.array([0, 1, 1, 2, 3, 3])
+        rows, (c, ka, kb) = _commutator_rows(M, a, b)
+        assert rows.shape == (3 * N * (N + 1), 8)   # 4 diagonal, 2 x 2 off
+        v = rng.normal(size=rows.shape[1])
+        X = np.zeros((N, N), complex)
+        for vk, ck, i, j in zip(v, c, ka, kb):
+            X[i, j] += vk * ck
+            X[j, i] += vk * np.conj(ck)
+        assert np.allclose(X, X.conj().T)
+        G = X @ M - M @ X
+        i, j = np.triu_indices(N)
+        want = G[:, i, j].ravel()
+        got = rows @ v
+        half = len(got) // 2
+        assert np.max(np.abs(got[:half] + 1j * got[half:] - want)) < 1e-12
 
     def test_3n_points_suffice(self):
         spec = weight_spec([1.0, 1.0], [sf.laguerre(0.5), sf.laguerre(1.5),
@@ -121,6 +152,87 @@ class TestSpanSizedSolve:
         S = order_zero_symmetries(weight_spec([1.0, 1.0], scalars))
         assert S.dimension == dim
         assert len(S.sample_points) == 19
+        assert S.validation_residual < 1e-9
+
+
+def _span(basis):
+    """The basis as columns of real vectors (Re F, Im F)."""
+    return np.stack([np.concatenate([F.real.ravel(), F.imag.ravel()])
+                     for F in basis], axis=1)
+
+
+def _largest_angle(S, T):
+    """sin of the largest principal angle between the two real spans."""
+    Q1, Q2 = np.linalg.qr(_span(S.basis))[0], np.linalg.qr(_span(T.basis))[0]
+    return np.linalg.norm(Q2 - Q1 @ (Q1.T @ Q2), 2)
+
+
+def _mixed_weights(count, seed=2018):
+    """Seeded 2-6 sized weights: one family throughout, two alternating,
+    or a free mix of Hermite, Laguerre and Jacobi."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        f = rng.integers(3)
+        if f == 0:
+            return sf.hermite(round(rng.uniform(-0.5, 0.5), 3))
+        if f == 1:
+            return sf.laguerre(round(rng.uniform(0.0, 2.0), 2))
+        return sf.jacobi(round(rng.uniform(0.0, 1.5), 2),
+                         round(rng.uniform(0.0, 1.5), 2))
+
+    for _ in range(count):
+        N = int(rng.integers(2, 7))
+        u, pool = rng.uniform(), [draw() for _ in range(N)]
+        scalars = ([pool[0]] * N if u < 0.3 else
+                   [pool[k % 2] for k in range(N)] if u < 0.6 else pool)
+        a = rng.choice([-1, 1], N - 1) * rng.uniform(0.5, 2.0, N - 1)
+        yield weight_spec(list(np.round(a, 4)), scalars)
+
+
+class TestCommutantSolve:
+    """The commutant solve against the dense Kronecker solve."""
+
+    def agree(self, spec, want=None):
+        S, D = order_zero_symmetries(spec), dense_symmetries(spec)
+        assert S.dimension == D.dimension
+        if want is not None:
+            assert S.dimension == want
+        assert _largest_angle(S, D) <= 1e-8
+        assert S.validation_residual <= 1e-14
+
+    @pytest.mark.parametrize("seed", [4242, 11, 7])
+    def test_symmetry_workload(self, seed):
+        for case in generate("symmetry-wide", seed):
+            self.agree(config_from_json(case["config"]).spec,
+                       case["expect"]["symmetry_dimension"])
+
+    def test_mixed_weights(self):
+        for spec in _mixed_weights(60):
+            self.agree(spec)
+
+    def test_repeat_calls_identical(self):
+        spec = weight_spec(A10, [sf.hermite(0.2)] * 10)
+        S, T = order_zero_symmetries(spec), order_zero_symmetries(spec)
+        assert np.array_equal(np.stack(S.basis), np.stack(T.basis))
+        assert S.singular_values == T.singular_values
+
+    def test_every_unknown_null(self):
+        # two unknowns, both null: sigma_0 is noise and cannot set the cut
+        S = order_zero_symmetries(jacobi_reducible())
+        assert S.dimension == 2
+        assert max(S.singular_values) <= NULL_TOL * S.null_scale
+        assert np.isfinite(S.null_gap) and S.null_gap > 1e6
+
+    @pytest.mark.parametrize("scalars,dim", [
+        ([sf.hermite(0.2)] * 20, 10),
+        ([sf.laguerre(0.5 + (k + 1) // 2) for k in range(20)], 1),
+        ([sf.jacobi(0.5, 1.0)] * 20, 10),
+    ])
+    def test_twenty_by_twenty(self, scalars, dim):
+        a = [(-1) ** k * (0.6 + 0.05 * k) for k in range(19)]
+        S = order_zero_symmetries(weight_spec(a, scalars))
+        assert S.dimension == dim
         assert S.validation_residual < 1e-9
 
 
