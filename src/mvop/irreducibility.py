@@ -34,10 +34,10 @@ VALIDATE_TOL = 1e-9
 #: eigenvalue pairs of H closer than PAIR_WINDOW times the spread get
 #: unknowns, as eigenvectors are off by about eps spread / gap.  Over 140
 #: configs (20 seeds of the benchmark's symmetry workload), equal eigenvalues
-#: alone gave 20 wrong dimensions, 1e-6 residuals up to 8e-12, 0.05 8.9e-16
+#: alone gave 12 wrong dimensions, 1e-6 residuals up to 2e-11, 0.05 1.1e-15
 PAIR_WINDOW = 0.05
-#: CGLS steps that take out the rounding amplified by L (cond(S) = 120 on a
-#: 3x3 Laguerre weight: 4.6e-15 unpolished, 1.7e-15 by a dense solve)
+#: CGLS steps that take out the rounding amplified by L (3x3 Laguerre
+#: weights: up to 1.0e-14 unpolished; a dense solve gives 1.7e-15 at worst)
 POLISH_STEPS = 8
 
 
@@ -132,9 +132,9 @@ def _commutator_rows(M, a, b):
 
 
 def _polish(F, Ws):
-    """F after CGLS steps on min ||T(F)||, T(F) = (F W_i - W_i F*)_i; the
-    steps lie in the range of T*: G -> 2 sum_i G_i W_i for anti-Hermitian G,
-    orthogonal to the symmetries."""
+    """F after POLISH_STEPS CGLS steps on min ||T(F)||, T(F) = (F W_p -
+    W_p F*)_p; the steps lie in the range of T*: G -> 2 sum_p G_p W_p for
+    anti-Hermitian G, orthogonal to the symmetries."""
     def T(X):
         XW = X[:, None] @ Ws
         return XW - XW.conj().swapaxes(-1, -2)
@@ -169,9 +169,9 @@ def order_zero_symmetries(spec: WeightSpec,
 
     L = np.linalg.cholesky(Ws.sum(axis=0))
     Wt = np.linalg.solve(L, np.linalg.solve(L, Ws).conj().swapaxes(1, 2))
-    # fixed r_i, so that repeated calls give identical bases
-    lam, U = np.linalg.eigh(np.tensordot(
-        np.random.default_rng(0).standard_normal(len(Wt)), Wt, 1))
+    # fixed, equidistributed r_i (a Weyl sequence): calls repeat exactly
+    r = np.arange(1, len(Wt) + 1) * 0.6180339887498949 % 1.0 - 0.5
+    lam, U = np.linalg.eigh(np.tensordot(r, Wt, 1))
     M = U.conj().T @ Wt @ U
     rows, (c, a, b) = _commutator_rows(M, *np.nonzero(np.triu(
         np.abs(lam[:, None] - lam) <= PAIR_WINDOW * np.ptp(lam))))
