@@ -9,12 +9,13 @@ T = I + Ax is a combination of the functions w_k(x) x^j, j <= 2, so
 span{W(x)} has dimension at most 3N: a relation that holds at points whose
 W(x) span that space holds on the whole support.  Each w_k vanishes off its
 own support, so the points are laid out per truncated support: 3 Chebyshev
-points for every scalar weight on it, plus a share of 10 spare points.
-With S = sum_i W(x_i) = L L*, the Wt_i = L^-1 W(x_i) L^-* sum to I, so F
-is a solution exactly when L^-1 F L is Hermitian and commutes with every
-Wt_i, hence with H = sum_i r_i Wt_i: in an eigenbasis of H it lives on
-pairs of equal eigenvalues (Murota, Kanno, Kojima & Kojima, Japan J.
-Indust. Appl. Math. 27, 2010).  The basis is re-checked on fresh points.
+points for every scalar weight on it, plus a share of the spare points (10
+by default).  With S = sum_i W(x_i) = L L*, the Wt_i = L^-1 W(x_i) L^-*
+sum to I, so F is a solution exactly when L^-1 F L is Hermitian and
+commutes with every Wt_i, hence with H = sum_i r_i Wt_i: in an eigenbasis
+of H it lives on pairs of equal eigenvalues (Murota, Kanno, Kojima &
+Kojima, Japan J. Indust. Appl. Math. 27, 2010).  The basis is re-checked
+on fresh points.
 """
 
 from collections import Counter

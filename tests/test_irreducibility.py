@@ -103,9 +103,10 @@ class TestSpanSizedSolve:
                 assert np.max(np.abs(block @ v - want)) < 1e-12
 
     @pytest.mark.parametrize("scalars,dim,unknowns", [
-        ([sf.hermite(0.2)] * 10, 5, 32),
-        ([sf.jacobi(0.5, 1.0)] * 10, 5, 30),
-        ([sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)], 1, 14),
+        pytest.param([sf.hermite(0.2)] * 10, 5, 32, id="scalars0-5"),
+        pytest.param([sf.jacobi(0.5, 1.0)] * 10, 5, 30, id="scalars1-5"),
+        pytest.param([sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)],
+                     1, 14, id="scalars2-1"),
     ])
     def test_default_points_at_n10(self, scalars, dim, unknowns):
         S = order_zero_symmetries(weight_spec(A10, scalars))
