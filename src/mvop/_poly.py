@@ -6,14 +6,17 @@ the exact backend; every routine here only uses +, * and so works for both.
 """
 
 import math
-
-import sympy as sp
+import sys
 
 ZERO_TOL = 1e-13
 
 
 def is_exact(coeffs) -> bool:
-    return any(isinstance(c, sp.Basic) for c in coeffs)
+    """True if any coefficient is a sympy object.  Never imports sympy:
+    until it is loaded (far enough to define Basic), no coefficient can
+    be one."""
+    basic = getattr(sys.modules.get("sympy"), "Basic", None)
+    return basic is not None and any(isinstance(c, basic) for c in coeffs)
 
 
 def trim(coeffs):
@@ -26,6 +29,7 @@ def trim(coeffs):
     if not c:
         return [0]
     if is_exact(c):
+        import sympy as sp
         c = [sp.expand(x) for x in c]
     while len(c) > 1 and c[-1] == 0:
         c.pop()

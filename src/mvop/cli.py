@@ -7,6 +7,7 @@ or I/O.
 """
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import click
 import numpy as np
-import sympy as sp
 
 from . import darboux as dx
 from . import irreducibility as irr
@@ -95,45 +95,91 @@ class RunConfig:
                 "tol": self.tol, "checks": list(self.checks)}
 
 
-def _scalar_from_json(d: dict):
-    fam = d.get("family")
-    scale = float(d.get("scale", 1.0))
+def _is_number(v) -> bool:
+    """A JSON number that a double holds finitely; booleans are not
+    numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
     try:
+        return math.isfinite(v)
+    except OverflowError:           # an int past the double range
+        return False
+
+
+def _number(d: dict, key: str, default=None, integer=False):
+    """d[key] (``default`` when absent) as a float, or as an int when
+    ``integer``; ``ConfigError`` when it is missing without a default or
+    is not such a number."""
+    if key not in d and default is None:
+        raise ConfigError(f"missing field {key!r}")
+    v = d.get(key, default)
+    if not _is_number(v) or (integer and v != int(v)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{key} must be {kind}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
+def _array(data: dict, key: str, default=None):
+    """data[key] (``default`` when absent), which must be a JSON array."""
+    v = data.get(key, default)
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{key} must be an array, got {v!r}")
+    return v
+
+
+def _scalar_from_json(d):
+    if not isinstance(d, dict):
+        raise ConfigError(f"a weight must be an object, got {d!r}")
+    fam = d.get("family")
+    try:
+        scale = _number(d, "scale", 1.0)
         if fam == "hermite":
-            return sf.hermite(float(d.get("b", 0.0)), scale=scale)
+            return sf.hermite(_number(d, "b", 0.0), scale=scale)
         if fam == "laguerre":
-            return sf.laguerre(float(d["alpha"]), scale=scale)
+            return sf.laguerre(_number(d, "alpha"), scale=scale)
         if fam == "jacobi":
-            return sf.jacobi(float(d["alpha"]), float(d["beta"]), scale=scale)
+            return sf.jacobi(_number(d, "alpha"), _number(d, "beta"),
+                             scale=scale)
         if fam == "custom":
-            return sf.custom(d["moments"], d["support"])
-    except (KeyError, MvopError, TypeError, ValueError) as exc:
+            moments, support = _array(d, "moments"), _array(d, "support")
+            if (len(support) != 2
+                    or not all(map(_is_number, [*moments, *support]))):
+                raise ConfigError("moments must be an array of numbers and "
+                                  "support an array of two")
+            return sf.custom(moments, support)
+    except MvopError as exc:
         raise ConfigError(f"bad scalar weight entry {d}: {exc}") from exc
     raise ConfigError(f"unknown weight family {fam!r}")
 
 
 def config_from_json(data: dict) -> RunConfig:
+    """Validate a parsed JSON config; every malformed field raises
+    ``ConfigError``."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("size", "a", "weights"):
         if key not in data:
             raise ConfigError(f"missing config field {key!r}")
-    scalars = [_scalar_from_json(w) for w in data["weights"]]
-    if len(scalars) != data["size"]:
+    size = _number(data, "size", integer=True)
+    a = _array(data, "a")
+    if not all(_is_number(v) for v in a):
+        raise ConfigError(f"a must be an array of numbers, got {a!r}")
+    scalars = [_scalar_from_json(w) for w in _array(data, "weights")]
+    if len(scalars) != size:
         raise ConfigError("size does not match the number of weights")
     try:
-        spec = weight_spec(data["a"], scalars)
+        spec = weight_spec(a, scalars)
     except MvopError as exc:
         raise ConfigError(str(exc)) from exc
     backend = data.get("backend", "float")
     if backend not in ("float", "exact"):
         raise ConfigError(f"unknown backend {backend!r}")
-    checks = tuple(data.get("checks", ["orth", "norm"]))
+    checks = tuple(_array(data, "checks", ["orth", "norm"]))
     for c in checks:
         if c not in CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}")
-    n_max = int(data.get("n_max", 10))
-    tol = float(data.get("tol", 1e-9))
+    n_max = _number(data, "n_max", 10, integer=True)
+    tol = _number(data, "tol", 1e-9)
     if n_max < 1 or tol <= 0:
         raise ConfigError("need n_max >= 1 and tol > 0")
     return RunConfig(spec=spec, backend=backend, n_max=n_max, tol=tol,
@@ -222,6 +268,7 @@ def _check_det(seq, cfg):
     for n in range(1, cfg.n_max + 1):
         fast = continuant(seq.rho_values(n))
         if seq.exact:       # Beta-function ratios can stay unevaluated
+            import sympy as sp
             fast = complex(sp.N(fast))
         brute = np.linalg.det(seq.reduced_leading_matrix(n)).real
         residuals[n] = abs(fast - brute) / max(abs(brute), 1e-300)
@@ -266,9 +313,27 @@ _CHECKS = {"orth": _check_orth, "norm": _check_norm,
            "reduce": _check_reduce, "symmetries": _check_symmetries}
 
 
+def _pool_workers(n_checks: int) -> int:
+    """Check threads: ``MVOP_THREADS`` when set and not empty, else one
+    per check up to the CPU count."""
+    env = os.environ.get("MVOP_THREADS", "")
+    if not env:
+        return min(n_checks or 1, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MVOP_THREADS must be a positive integer, "
+                          f"got {env!r}")
+    return workers
+
+
 def run(cfg: RunConfig, csv_dir=None) -> dict:
-    """Execute the requested checks and assemble the report dict."""
+    """Execute the requested checks and assemble the report dict;
+    ``ConfigError`` on a bad ``MVOP_THREADS``."""
     t0 = time.perf_counter()
+    workers = _pool_workers(len(cfg.checks))
     seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=cfg.backend)
     if any(c in GRAM_CHECKS for c in cfg.checks):
         # built once here, so checks in the pool only read it
@@ -289,8 +354,6 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
         res["wall_time_s"] = time.perf_counter() - t
         return name, res
 
-    workers = int(os.environ.get("MVOP_THREADS", "0")) or min(
-        len(cfg.checks) or 1, os.cpu_count() or 1)
     if workers > 1 and len(cfg.checks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(one, cfg.checks))

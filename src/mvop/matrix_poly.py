@@ -1,14 +1,14 @@
 """Polynomials with square complex-matrix coefficients.
 
 Coefficients are dense numpy arrays indexed by power.  The float backend
-uses complex128; the exact backend uses object arrays of sympy scalars.
+uses complex128; the exact backend uses object arrays of sympy scalars,
+and only its branches import sympy.
 Multiplication is the noncommutative Cauchy product.
 """
 
 import csv
 
 import numpy as np
-import sympy as sp
 
 from .errors import SizeMismatch
 
@@ -24,6 +24,7 @@ def _as_coeff(mat, size, exact):
 
 def _mat_is_zero(a, exact, tol=0.0):
     if exact:
+        import sympy as sp
         return all(sp.expand(x) == 0 for x in a.flat)
     return np.max(np.abs(a)) <= tol
 
@@ -31,6 +32,7 @@ def _mat_is_zero(a, exact, tol=0.0):
 def conj_transpose(a):
     """Conjugate transpose that also works on sympy object arrays."""
     if a.dtype == object:
+        import sympy as sp
         return np.array([[sp.conjugate(a[j, i]) for j in range(a.shape[0])]
                          for i in range(a.shape[1])], dtype=object)
     return a.conj().T
@@ -59,6 +61,7 @@ class MatrixPolynomial:
         # while near-zero tests would chop small-but-meaningful top
         # coefficients whenever entry magnitudes are mixed
         if self.exact:
+            import sympy as sp
             self.coeffs = [np.array([[sp.expand(x) for x in row] for row in c],
                                     dtype=object) for c in self.coeffs]
         while len(self.coeffs) > 1 and _mat_is_zero(self.coeffs[-1], self.exact):
@@ -71,6 +74,7 @@ class MatrixPolynomial:
     @classmethod
     def identity(cls, size, exact=False):
         if exact:
+            import sympy as sp
             eye = np.array(sp.eye(size).tolist(), dtype=object)
         else:
             eye = np.eye(size, dtype=complex)
@@ -175,6 +179,7 @@ class MatrixPolynomial:
     def conj(self):
         """Entrywise conjugate (so that P.conj()(x) = conj(P(conj(x)))."""
         if self.exact:
+            import sympy as sp
             cs = [np.array([[sp.conjugate(x) for x in row] for row in c],
                            dtype=object) for c in self.coeffs]
         else:

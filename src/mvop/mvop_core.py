@@ -37,7 +37,6 @@ recurrence checks share this one quadrature path.
 from math import exp, log, sqrt
 
 import numpy as np
-import sympy as sp
 
 from . import scalar_families as sf
 from .errors import DegreeCap, InvalidParam, OutOfRange, SingularLeading
@@ -47,10 +46,14 @@ from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent, build
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
 
-#: sp.expand of every entry of an object array; plain numbers (most exact
-#: Q_n entries are 0 or a rational) are already expanded
-_expand = np.frompyfunc(
-    lambda v: v if isinstance(v, sp.Number) else sp.expand(v), 1, 1)
+
+def _expand(a) -> np.ndarray:
+    """sp.expand of every entry of an object array; plain numbers (most
+    exact Q_n entries are 0 or a rational) are already expanded."""
+    import sympy as sp
+    return np.frompyfunc(
+        lambda v: v if isinstance(v, sp.Number) else sp.expand(v), 1, 1)(a)
+
 
 #: errors of the nonzero per-degree verdicts of ``MVOPSequence._assemble``
 _FAULTS = (None,
@@ -119,8 +122,11 @@ class MVOPSequence:
         self.T, self.T_inv = build_T(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
         N = weight.N
-        self._eye = (np.array(sp.eye(N).tolist(), dtype=object) if self.exact
-                     else np.eye(N))
+        if self.exact:
+            import sympy as sp
+            self._eye = np.array(sp.eye(N).tolist(), dtype=object)
+        else:
+            self._eye = np.eye(N)
         self._gram = None
         self._ptab = None
         self._qrows = None
@@ -181,6 +187,7 @@ class MVOPSequence:
         self._check_n(n, self.n_max + 1)
         N = self.weight.N
         if self.exact:
+            import sympy as sp
             d = [sf.squared_norm_exact(s, n) for s in self.scalar_seqs]
             out = np.zeros((N, N), dtype=object)
             out[:] = sp.Integer(0)
@@ -200,6 +207,7 @@ class MVOPSequence:
         N = self.weight.N
         G = np.zeros((N, N), dtype=object if self.exact else complex)
         if self.exact:
+            import sympy as sp
             G[:] = sp.Integer(0)
         if n == 0:
             return G
@@ -293,6 +301,7 @@ class MVOPSequence:
             K = self._leading(ns, G)
         spill = q[rows[:, None], ns[:, None] + [1, 2]]
         if self.exact:
+            import sympy as sp
             qt, q, K, spill = map(_expand, (qt, q, K, spill))
             finite = np.ones(hi - lo, dtype=bool)
             overflow = (spill != 0).any(axis=(1, 2, 3))

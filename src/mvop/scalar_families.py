@@ -12,8 +12,9 @@ in the tails, where the eigenvector entries are only accurate in absolute
 terms.
 
 Two backends: ``float`` (binary64) and ``exact`` (sympy rationals, for
-classical families with rational parameters at small degree).  Norms are
-kept in log space in the float backend to dodge factorial overflow.
+classical families with rational parameters at small degree); only the
+exact branches import sympy.  Norms are kept in log space in the float
+backend to dodge factorial overflow.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +23,6 @@ from math import inf, lgamma, log, pi
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 from . import _poly
 from .errors import IllConditioned, InvalidParam, OutOfRange, Unsupported
@@ -116,6 +116,7 @@ def weight_value(spec: ScalarWeightSpec, x):
 def _rat(x):
     """x as a sympy Rational; every exact-backend parameter goes through
     here, and a sequence only ever meets a handful of distinct ones."""
+    import sympy as sp
     return sp.nsimplify(x, rational=True)
 
 
@@ -132,6 +133,7 @@ def _log_moment0(spec: ScalarWeightSpec) -> float:
 
 
 def _exact_moment0(spec: ScalarWeightSpec):
+    import sympy as sp
     scale = _rat(spec.scale)
     if spec.family == HERMITE:
         b = _rat(spec.b)
@@ -176,7 +178,11 @@ class MonicScalarSequence:
             raise OutOfRange(f"n={n} outside 0..{self.n_max}")
         polys = self._polys
         if len(polys) <= n:
-            one = sp.Integer(1) if self.backend == "exact" else 1.0
+            if self.backend == "exact":
+                import sympy as sp
+                one = sp.Integer(1)
+            else:
+                one = 1.0
             polys = list(polys) or [[one]]
             while len(polys) <= n:
                 k = len(polys) - 1  # have p_k, build p_{k+1}
@@ -206,6 +212,7 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
         b, c = _classical_recurrence(spec, n_max, backend)
 
     if backend == "exact":
+        import sympy as sp
         m0 = _exact_moment0(spec)
         exact_norms = [m0]
         for ck in c:
@@ -226,6 +233,7 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
 
 def _classical_recurrence(spec, n_max, backend):
     if backend == "exact":
+        import sympy as sp
         one = sp.Integer(1)
         b0 = _rat(spec.b)
         al = _rat(spec.alpha)

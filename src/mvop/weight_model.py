@@ -15,7 +15,6 @@ integrated over its own weight's support.
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from . import scalar_families as sf
 from .errors import DegreeCap, InvalidParam
@@ -54,6 +53,7 @@ def build_nilpotent(spec: WeightSpec, exact: bool = False) -> np.ndarray:
     N = spec.N
     A = np.zeros((N, N), dtype=object if exact else complex)
     if exact:
+        import sympy as sp
         A[:] = sp.Integer(0)
     a = [sf._rat(v) if exact else complex(v) for v in spec.a_params]
     for j in range(1, N // 2 + 1):            # a_{2j-1} at (2j-1, 2j)

@@ -413,6 +413,48 @@ class TestCommandLine:
         assert "need n_max >= 1 and tol > 0" in res.output
         assert "overall" not in res.output
 
+    @pytest.mark.parametrize("over, message", [
+        ({"weights": {"family": "laguerre", "alpha": 0.0}},
+         "weights must be an array"),
+        ({"weights": [1, 2]}, "a weight must be an object"),
+        ({"tol": "x"}, "tol must be a finite number"),
+        ({"tol": float("nan")}, "tol must be a finite number"),
+        ({"a": ["q"]}, "a must be an array of numbers"),
+        ({"size": "2"}, "size must be an integer"),
+        ({"n_max": 4.7}, "n_max must be an integer"),
+        ({"n_max": True}, "n_max must be an integer"),
+        ({"tol": 10 ** 400}, "tol must be a finite number"),
+        ({"checks": "orth"}, "checks must be an array"),
+        ({"weights": [{"family": "laguerre", "alpha": 0.0, "scale": "x"},
+                      {"family": "laguerre", "alpha": 0.5}]},
+         "scale must be a finite number"),
+        ({"weights": [{"family": "custom", "moments": [10 ** 400, 0, 1],
+                       "support": [-1, 1]},
+                      {"family": "laguerre", "alpha": 0.5}]},
+         "moments must be an array of numbers"),
+        ({"weights": [{"family": "custom", "moments": [2, "0", 1],
+                       "support": [-1, 1, 5]},
+                      {"family": "laguerre", "alpha": 0.5}]},
+         "support an array of two"),
+    ])
+    def test_malformed_field_exits_two(self, tmp_path, over, message):
+        res = CliRunner().invoke(main, ["run", "--config",
+                                        self.write(tmp_path,
+                                                   base_config(**over))])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [res.output.strip()]
+        assert res.output.startswith("config error: ")
+        assert message in res.output
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
+    def test_bad_thread_count_exits_two(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("MVOP_THREADS", value)
+        res = CliRunner().invoke(main, ["run", "--config",
+                                        self.write(tmp_path, base_config())])
+        assert res.exit_code == 2
+        assert res.output == ("config error: MVOP_THREADS must be a positive "
+                              f"integer, got {value!r}\n")
+
     def test_schema_command(self):
         res = CliRunner().invoke(main, ["schema"])
         assert res.exit_code == 0
