@@ -10,8 +10,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -27,9 +26,6 @@ from .weight_model import WeightSpec, weight_spec
 
 CHECK_NAMES = ("orth", "norm", "recurrence", "eigen", "darboux",
                "det", "reduce", "symmetries")
-
-#: checks that read the sequence's Gram block and node tables
-GRAM_CHECKS = ("orth", "norm", "recurrence")
 
 SCHEMA = {
     "type": "object",
@@ -72,7 +68,6 @@ class RunConfig:
     n_max: int = 10
     tol: float = 1e-9
     checks: tuple = ("orth", "norm")
-    raw: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         ws = []
@@ -182,8 +177,21 @@ def config_from_json(data: dict) -> RunConfig:
     tol = _number(data, "tol", 1e-9)
     if n_max < 1 or tol <= 0:
         raise ConfigError("need n_max >= 1 and tol > 0")
+    # run builds Q_0..Q_{n_max+1}, whose scalar recurrences reach n_max + 2
+    # and read 2 (n_max + 2) + 2 moments
+    for s in scalars:
+        if s.family != sf.CUSTOM:
+            continue
+        if n_max + 2 > sf.CUSTOM_DEGREE_CAP:
+            raise ConfigError(f"custom weights need n_max <= "
+                              f"{sf.CUSTOM_DEGREE_CAP - 2}, got "
+                              f"n_max={n_max}")
+        if len(s.moments) < 2 * n_max + 6:
+            raise ConfigError(f"a custom weight needs {2 * n_max + 6} "
+                              f"moments for n_max={n_max}, got "
+                              f"{len(s.moments)}")
     return RunConfig(spec=spec, backend=backend, n_max=n_max, tol=tol,
-                     checks=checks, raw=dict(data))
+                     checks=checks)
 
 
 # -- individual checks -----------------------------------------------------
@@ -286,12 +294,12 @@ def _check_reduce(seq, cfg):
                     "note": "no scalar-sum reduction detected"}
         b, c, M, desc = got
         return {"passed": True, "reducible": True, "b": b, "c": c,
-                "M": [[v for v in row] for row in M.tolist()],
+                "M": M.tolist(),
                 "description": desc}
     if spec.N == 3 and spec.scalars[0] == spec.scalars[2]:
         M, desc = irr.try_reduce_3x3_w1w3(spec)
         return {"passed": True, "reducible": True,
-                "M": [[v for v in row] for row in M.tolist()],
+                "M": M.tolist(),
                 "description": desc}
     return {"passed": True, "status": "skipped",
             "reason": "no reduction template for this size"}
@@ -313,36 +321,13 @@ _CHECKS = {"orth": _check_orth, "norm": _check_norm,
            "reduce": _check_reduce, "symmetries": _check_symmetries}
 
 
-def _pool_workers(n_checks: int) -> int:
-    """Check threads: ``MVOP_THREADS`` when set and not empty, else one
-    per check up to the CPU count."""
-    env = os.environ.get("MVOP_THREADS", "")
-    if not env:
-        return min(n_checks or 1, os.cpu_count() or 1)
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"MVOP_THREADS must be a positive integer, "
-                          f"got {env!r}")
-    return workers
-
-
 def run(cfg: RunConfig, csv_dir=None) -> dict:
-    """Execute the requested checks and assemble the report dict;
-    ``ConfigError`` on a bad ``MVOP_THREADS``."""
+    """Execute the requested checks in order and assemble the report
+    dict."""
     t0 = time.perf_counter()
-    workers = _pool_workers(len(cfg.checks))
     seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=cfg.backend)
-    if any(c in GRAM_CHECKS for c in cfg.checks):
-        # built once here, so checks in the pool only read it
-        try:
-            seq.gram_data()
-        except MvopError:
-            pass        # each Gram check meets the error again and reports it
-
-    def one(name):
+    checks = {}
+    for name in cfg.checks:
         t = time.perf_counter()
         try:
             res = _CHECKS[name](seq, cfg)
@@ -352,13 +337,7 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
             res = {"passed": False, "status": "error",
                    "error": f"{type(exc).__name__}: {exc}"}
         res["wall_time_s"] = time.perf_counter() - t
-        return name, res
-
-    if workers > 1 and len(cfg.checks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, cfg.checks))
-    else:
-        results = dict(one(c) for c in cfg.checks)
+        checks[name] = res
 
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
@@ -368,11 +347,10 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
                              trim=False).dump_csv(
                 os.path.join(csv_dir, f"Q_{n}.csv"))
 
-    ordered = {c: results[c] for c in cfg.checks}
     return {"config": cfg.to_json(),
-            "checks": ordered,
+            "checks": checks,
             "wall_time_s": time.perf_counter() - t0,
-            "passed": all(r.get("passed", False) for r in ordered.values())}
+            "passed": all(r.get("passed", False) for r in checks.values())}
 
 
 @click.group()

@@ -119,6 +119,11 @@ class MVOPSequence:
         self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
+        # (r, u, A[r, u]) for the nonzeros of A in row-major order: one per
+        # adjacent pair, in pair order, rounded to complex on both backends
+        A = _to_complex(self.A)
+        self._pairs = [(int(r), int(u), A[r, u])
+                       for r, u in zip(*np.nonzero(A))]
         self.T, self.T_inv = build_T(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
         N = weight.N
@@ -197,6 +202,19 @@ class MVOPSequence:
         return np.diag([exp(s.log_norms[n] - log_scale)
                         for s in self.scalar_seqs]).astype(complex)
 
+    def _log_ratios(self, n: int):
+        """(r, u, a, lr) for each nonzero a = A[r, u] (see ``_pairs``), with
+        lr = log ||p_n^{w_u}||^2 - log ||p_{n-1}^{w_r}||^2 from the float log
+        norms both backends keep; ``DegreeCap`` once |lr| passes
+        ``LOG_RATIO_CAP``, before exp(lr) can overflow."""
+        for r, u, a in self._pairs:
+            lr = (self.scalar_seqs[u].log_norms[n]
+                  - self.scalar_seqs[r].log_norms[n - 1])
+            if abs(lr) > LOG_RATIO_CAP:
+                raise DegreeCap(f"norm-ratio log {lr:.1f} exceeds "
+                                f"{LOG_RATIO_CAP} at n={n}")
+            yield r, u, a, lr
+
     def ratio_matrix(self, n: int) -> np.ndarray:
         """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2}, assembled entrywise.
 
@@ -212,22 +230,18 @@ class MVOPSequence:
         if n == 0:
             return G
         self._check_n(n, self.n_max + 1)
+        if not self.exact:
+            for r, u, a, lr in self._log_ratios(n):
+                G[u, r] = a.conjugate() * exp(lr)
+            return G
         Astar = conj_transpose(self.A)
         for r in range(N):
             for s in range(N):
                 a = Astar[r, s]
                 if a == 0:
                     continue
-                if self.exact:
-                    G[r, s] = a * (sf.squared_norm_exact(self.scalar_seqs[r], n)
-                                   / sf.squared_norm_exact(self.scalar_seqs[s], n - 1))
-                else:
-                    lr = (self.scalar_seqs[r].log_norms[n]
-                          - self.scalar_seqs[s].log_norms[n - 1])
-                    if abs(lr) > LOG_RATIO_CAP:
-                        raise DegreeCap(f"norm-ratio log {lr:.1f} exceeds "
-                                        f"{LOG_RATIO_CAP} at n={n}")
-                    G[r, s] = a * exp(lr)
+                G[r, s] = a * (sf.squared_norm_exact(self.scalar_seqs[r], n)
+                               / sf.squared_norm_exact(self.scalar_seqs[s], n - 1))
         return G
 
     # -- the orthogonal sequence ------------------------------------------
@@ -340,9 +354,7 @@ class MVOPSequence:
         rows would take hundreds of MB at n_max 509) and are complex
         already.  Exact rows are assembled once for degrees 0..n_max,
         rounded to complex and published with their verdicts in one
-        assignment; readers get copies of their slice.  Checks racing in
-        the pool may each build them; they build equal tuples, so whichever
-        lands last is as good.
+        assignment; readers get copies of their slice.
         """
         self._check_range(lo, hi)
         if not self.exact:
@@ -387,27 +399,22 @@ class MVOPSequence:
     def rho_values(self, n: int):
         """rho_i = a_i^2 ||p_n^{w_{2ceil(i/2)}}||^2 / ||p_{n-1}^{w_{2floor(i/2)+1}}||^2."""
         self._check_n(n, self.n_max + 1)
+        if not self.exact:
+            return [a.real * a.real * exp(lr)
+                    for _, _, a, lr in self._log_ratios(n)]
         out = []
         for i in range(1, self.weight.N):
             num = 2 * ((i + 1) // 2)       # weight index, 1-based
             den = 2 * (i // 2) + 1
-            if self.exact:
-                a = sf._rat(self.weight.a_params[i - 1])
-                out.append(a ** 2
-                           * sf.squared_norm_exact(self.scalar_seqs[num - 1], n)
-                           / sf.squared_norm_exact(self.scalar_seqs[den - 1], n - 1))
-            else:
-                a = float(self.weight.a_params[i - 1])
-                lr = (self.scalar_seqs[num - 1].log_norms[n]
-                      - self.scalar_seqs[den - 1].log_norms[n - 1])
-                if abs(lr) > LOG_RATIO_CAP:
-                    raise DegreeCap(f"rho log ratio {lr:.1f} exceeds cap")
-                out.append(a * a * exp(lr))
+            a = sf._rat(self.weight.a_params[i - 1])
+            out.append(a ** 2
+                       * sf.squared_norm_exact(self.scalar_seqs[num - 1], n)
+                       / sf.squared_norm_exact(self.scalar_seqs[den - 1], n - 1))
         return out
 
     def reduced_leading_matrix(self, n: int) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
-        similarity, for brute-force det checks.
+        similarity, for brute-force det checks; floats on both backends.
 
         The off-diagonal entries sit on the adjacent pairs (i, i+1)/(i+1,
         i), one from A and one from A* (see ``build_nilpotent``).  A
@@ -418,19 +425,11 @@ class MVOPSequence:
         change.
         """
         self._check_n(n)
-        N = self.weight.N
-        M = np.eye(N, dtype=complex)
+        M = np.eye(self.weight.N, dtype=complex)
         if n == 0:
             return M
-        A = np.asarray(self.A, dtype=complex)
-        for i in range(N - 1):
-            # r: row of the A entry of the pair, u: row of the A* entry
-            r, u = (i, i + 1) if A[i, i + 1] != 0 else (i + 1, i)
-            a = A[r, u]
-            lr = (self.scalar_seqs[u].log_norms[n]
-                  - self.scalar_seqs[r].log_norms[n - 1])
-            if abs(lr) > LOG_RATIO_CAP:
-                raise DegreeCap(f"rho log ratio {lr:.1f} exceeds cap")
+        # r: row of the A entry of the pair, u: row of the A* entry
+        for r, u, a, lr in self._log_ratios(n):
             m = exp(0.5 * lr)
             M[r, u] = -a * m
             M[u, r] = a.conjugate() * m
@@ -453,8 +452,7 @@ class MVOPSequence:
         """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
         as the norm and recurrence checks read it: ``squared_norm_Q``
         rounded to complex, once per degree on the exact backend and
-        read-only there.  Checks racing in the pool may both build a
-        degree; they store equal arrays."""
+        read-only there."""
         if not self.exact:
             return self.squared_norm_Q(n, 2.0 * self.log_gram_scale(n))
         got = self._qnorms.get(n)
@@ -486,8 +484,7 @@ class MVOPSequence:
         read in the scaled form, so it stays a number where lambda_j
         underflows.
 
-        Reads the sequence and changes nothing, so threads that race to
-        build it produce the same arrays.  At node x_j of weight k,
+        At node x_j of weight k,
         sqrt(lambda_j) p_i(x_j) / sigma_n = u_i(x_j) ||p_i|| / sigma_n,
         where u_i(x_j) = sqrt(lambda_j) phat_i(x_j) is phat_i(x_j) over the
         norm of (phat_0..phat_{n_max+1})(x_j), lambda_j being the

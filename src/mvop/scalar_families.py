@@ -355,11 +355,12 @@ def gauss_rule(spec: ScalarWeightSpec, m: int):
     the Christoffel numbers lambda_j = 1 / sum_{k<m} phat_k(x_j)^2, formed
     from scaled recurrence values, so tail weights below the float range
     come out as 0 rather than NaN.  Exact for polynomials of degree
-    <= 2m - 1.
+    <= 2m - 1.  Reads the recurrence up to degree m - 1 only, so a
+    moment-supplied weight needs 2m moments.
     """
     if m < 1:
         raise InvalidParam("need at least one node")
-    seq = recurrence_coefficients(spec, m, backend="float")
+    seq = recurrence_coefficients(spec, m - 1, backend="float")
     J = np.diag(np.asarray(seq.b_coeffs[:m], dtype=float))
     if m > 1:
         off = np.sqrt(np.asarray(seq.c_coeffs[:m - 1], dtype=float))

@@ -1,7 +1,6 @@
 """Config parsing, the batch runner, and CLI exit codes."""
 
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -12,6 +11,10 @@ from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
                       run)
 from mvop.errors import ConfigError
 from mvop.mvop_core import MVOPSequence, peak
+
+
+#: raw moments of the Legendre weight on [-1, 1]
+LEGENDRE = [2 / (k + 1) if k % 2 == 0 else 0.0 for k in range(60)]
 
 
 def base_config(**over):
@@ -27,6 +30,15 @@ def base_config(**over):
     return cfg
 
 
+def custom_config(n_moments, **over):
+    """A 2x2 config with a moment-supplied Legendre weight next to the
+    Jacobi weight it equals."""
+    return base_config(
+        weights=[{"family": "custom", "moments": LEGENDRE[:n_moments],
+                  "support": [-1, 1]},
+                 {"family": "jacobi", "alpha": 0.0, "beta": 0.0}], **over)
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = config_from_json(base_config())
@@ -39,8 +51,7 @@ class TestConfig:
             weights=[{"family": "hermite", "b": 1.0},
                      {"family": "hermite", "b": 1.0, "scale": 3.0},
                      {"family": "jacobi", "alpha": 0.5, "beta": 1.5},
-                     {"family": "custom",
-                      "moments": [2, 0, 2 / 3, 0, 2 / 5, 0],
+                     {"family": "custom", "moments": LEGENDRE[:18],
                       "support": [-1, 1]}],
             checks=["orth"])
         cfg = config_from_json(data)
@@ -105,18 +116,12 @@ class TestRun:
         assert res["unknowns"] == 3                # X_11, X_22, X_33
         assert res["null_gap"] > 1e6
 
-    def test_symmetry_report_same_with_pool(self, monkeypatch):
+    def test_symmetry_report_same_with_pool(self):
         her = [{"family": "hermite", "b": 0.3}] * 5
         data = base_config(size=5, a=[1.0, -0.7, 1.3, 0.6], weights=her,
                            checks=["symmetries", "reduce", "det"])
-        reports = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("MVOP_THREADS", threads)
-            res = run(config_from_json(data))["checks"]["symmetries"]
-            del res["wall_time_s"]
-            reports.append(res)
-        assert reports[0]["dimension"] == 3
-        assert reports[0] == reports[1]
+        res = run(config_from_json(data))["checks"]["symmetries"]
+        assert res["dimension"] == 3
 
     def test_exact_jacobi_det(self):
         # the continuant keeps unevaluated Beta-function ratios here
@@ -143,7 +148,6 @@ class TestRun:
         assert res["kind"] == "laguerre_n5_chain"
 
     def test_gram_data_built_once_with_pool(self, monkeypatch):
-        monkeypatch.setenv("MVOP_THREADS", "2")
         calls = []
         build = MVOPSequence._gram_block
 
@@ -161,7 +165,6 @@ class TestRun:
         weights=[{"family": "hermite", "b": 0.0}] * 3)
 
     def test_exact_rows_assembled_once(self, monkeypatch):
-        monkeypatch.setenv("MVOP_THREADS", "1")
         calls = []
         assemble = MVOPSequence._assemble
 
@@ -176,28 +179,13 @@ class TestRun:
             "hermite_A_factorization"
         assert calls == [(0, 7)]
 
-    @pytest.mark.parametrize("threads", ["2", "4"])
-    def test_exact_reports_same_with_pool(self, threads, monkeypatch):
-        # pooled checks may each build the exact rows and norms, and with
-        # a short switch interval they interleave inside those builds; the
-        # reports must not change
-        def report(threads):
-            monkeypatch.setenv("MVOP_THREADS", threads)
-            checks = run(config_from_json(dict(
-                self.HER3_EXACT,
-                checks=["eigen", "darboux", "norm", "recurrence"])))["checks"]
-            for res in checks.values():
-                del res["wall_time_s"]
-            return checks
-        serial = report("1")
-        assert all(res["passed"] for res in serial.values())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = report(threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pooled == serial
+    @pytest.mark.parametrize("n_max", [2, 18])
+    def test_custom_weight_at_its_moment_count(self, n_max):
+        # 2 n_max + 6 moments and n_max 18 are enough for every Gram check
+        report = run(config_from_json(custom_config(
+            2 * n_max + 6, n_max=n_max,
+            checks=["orth", "norm", "recurrence", "det"])))
+        assert report["passed"], report["checks"]
 
     def test_checks_report_wall_time(self):
         report = run(config_from_json(base_config()))
@@ -232,8 +220,7 @@ class TestHighDegree:
 
     @pytest.mark.parametrize("n_max", [40, 80, 300])
     @pytest.mark.parametrize("name", ["lag2", "her3"])
-    def test_gram_checks_pass(self, name, n_max, monkeypatch):
-        monkeypatch.setenv("MVOP_THREADS", "1")
+    def test_gram_checks_pass(self, name, n_max):
         a, weights = self.WEIGHTS[name]
         cfg = config_from_json(base_config(
             size=len(weights), a=a, weights=weights, n_max=n_max, tol=1e-9,
@@ -256,10 +243,9 @@ class TestHighDegree:
                     np.log10(res["min_gauss_weight"]), abs=1e-9)
 
     @pytest.mark.parametrize("n_max", [150, 300])
-    def test_det_passes_past_float_range(self, n_max, monkeypatch):
+    def test_det_passes_past_float_range(self, n_max):
         # ||P_n||^2 of the Laguerre weights leaves the float range below
         # n = 150; the scaled brute-force matrix stays in range
-        monkeypatch.setenv("MVOP_THREADS", "1")
         a, weights = self.WEIGHTS["lag2"]
         cfg = config_from_json(base_config(
             a=a, weights=weights, n_max=n_max,
@@ -274,8 +260,7 @@ class TestHighDegree:
 
     @pytest.mark.parametrize("n_max", [80, 150])
     @pytest.mark.parametrize("name", ["lag2", "her3", "lag3"])
-    def test_eigen_passes(self, name, n_max, monkeypatch):
-        monkeypatch.setenv("MVOP_THREADS", "1")
+    def test_eigen_passes(self, name, n_max):
         a, weights = self.WEIGHTS[name]
         cfg = config_from_json(base_config(
             size=len(weights), a=a, weights=weights, n_max=n_max, tol=1e-9,
@@ -292,11 +277,9 @@ class TestHighDegree:
 
     @pytest.mark.parametrize("n_max, passes", [(80, True), (120, False),
                                                (160, False)])
-    def test_eigen_typed_error_on_mixed_families(self, n_max, passes,
-                                                 monkeypatch):
+    def test_eigen_typed_error_on_mixed_families(self, n_max, passes):
         # G_n P_{n-1} leaves the float range at Q_116 of the mixed
         # Hermite-Laguerre weight: a DegreeCap there, never NaN residuals
-        monkeypatch.setenv("MVOP_THREADS", "1")
         a, weights = self.HERMITE_LAGUERRE
         cfg = config_from_json(base_config(a=a, weights=weights,
                                            n_max=n_max, checks=["eigen"]))
@@ -309,6 +292,20 @@ class TestHighDegree:
         else:
             assert res["status"] == "error"
             assert res["error"].startswith("DegreeCap: coefficients of Q_116")
+
+    def test_gram_checks_past_node_cap(self):
+        # n_max 510 needs 513-node Gauss rules: each Gram check reports the
+        # cap, and det, which reads no rule, still runs and passes
+        jac = [{"family": "jacobi", "alpha": 0.5, "beta": 1.0},
+               {"family": "jacobi", "alpha": 1.5, "beta": 0.0}]
+        checks = run(config_from_json(base_config(
+            a=[1.5], weights=jac, n_max=510,
+            checks=["orth", "norm", "recurrence", "det"])))["checks"]
+        for name in ("orth", "norm", "recurrence"):
+            assert checks[name]["status"] == "error"
+            assert checks[name]["error"] == \
+                "DegreeCap: Gauss rule needs 513 > 512 nodes"
+        assert checks["det"]["passed"], checks["det"]
 
     def test_wrong_ratio_matrix_fails_recurrence(self):
         # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n
@@ -436,6 +433,11 @@ class TestCommandLine:
                        "support": [-1, 1, 5]},
                       {"family": "laguerre", "alpha": 0.5}]},
          "support an array of two"),
+        # run reads moments two degrees past n_max; the message names n_max
+        ({**custom_config(8), "n_max": 2},
+         "a custom weight needs 10 moments for n_max=2, got 8"),
+        ({**custom_config(60), "n_max": 19},
+         "custom weights need n_max <= 18, got n_max=19"),
     ])
     def test_malformed_field_exits_two(self, tmp_path, over, message):
         res = CliRunner().invoke(main, ["run", "--config",
@@ -445,15 +447,6 @@ class TestCommandLine:
         assert res.output.splitlines() == [res.output.strip()]
         assert res.output.startswith("config error: ")
         assert message in res.output
-
-    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
-    def test_bad_thread_count_exits_two(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("MVOP_THREADS", value)
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path, base_config())])
-        assert res.exit_code == 2
-        assert res.output == ("config error: MVOP_THREADS must be a positive "
-                              f"integer, got {value!r}\n")
 
     def test_schema_command(self):
         res = CliRunner().invoke(main, ["schema"])
