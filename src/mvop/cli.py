@@ -21,7 +21,7 @@ from . import scalar_families as sf
 from .diff_operators import build_bispectral_operator, eigencheck, op_apply
 from .errors import ConfigError, MvopError, Unsupported
 from .matrix_poly import MatrixPolynomial
-from .mvop_core import MVOPSequence, continuant, peak
+from .mvop_core import MVOPSequence, continuant, frobenius, peak
 from .weight_model import WeightSpec, weight_spec
 
 CHECK_NAMES = ("orth", "norm", "recurrence", "eigen", "darboux",
@@ -182,6 +182,9 @@ def config_from_json(data: dict) -> RunConfig:
     for s in scalars:
         if s.family != sf.CUSTOM:
             continue
+        if backend == "exact":
+            raise ConfigError("the exact backend needs classical families, "
+                              "not a custom weight")
         if n_max + 2 > sf.CUSTOM_DEGREE_CAP:
             raise ConfigError(f"custom weights need n_max <= "
                               f"{sf.CUSTOM_DEGREE_CAP - 2}, got "
@@ -208,12 +211,15 @@ def _check_orth(seq, cfg):
 
 
 def _check_norm(seq, cfg):
-    residuals = {}
-    for n in range(cfg.n_max + 1):
-        # both sides divided by sigma_n^2, so neither can overflow
-        closed = seq._norm_Q(n)
-        gram = seq.gram_qt(n, n, scaled=True)
-        residuals[n] = np.linalg.norm(gram - closed) / np.linalg.norm(gram)
+    # both sides divided by sigma_n^2, so neither can overflow
+    k = cfg.n_max + 1
+    gram = np.stack([seq.gram_qt(n, n, scaled=True) for n in range(k)])
+    closed = np.stack([seq._norm_Q(n) for n in range(k)])
+    g = frobenius(gram, axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        rel = frobenius(gram - closed, axis=(1, 2)) / g
+    # a ||gram|| that is not finite is the residual
+    residuals = dict(enumerate(np.where(np.isfinite(g), rel, g).tolist()))
     worst, worst_n, non_finite = peak(residuals)
     return {"passed": worst < cfg.tol, "max_relative_error": worst,
             "worst_n": worst_n, "non_finite": non_finite,
@@ -311,6 +317,7 @@ def _check_symmetries(seq, cfg):
             "reducible_at_order_zero": space.reducible_at_order_zero,
             "validation_residual": space.validation_residual,
             "sample_points": len(space.sample_points),
+            "generators": space.generators,
             "unknowns": len(space.singular_values),
             "null_gap": space.null_gap}
 

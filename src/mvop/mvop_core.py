@@ -94,6 +94,23 @@ def peak(residuals: dict):
     return worst, where, False
 
 
+def frobenius(X, axis):
+    """Frobenius norms of X over ``axis`` that never square past the float
+    range.  When a plain norm reads 1e150 or more, inf or nan, every norm
+    is formed again after dividing its block by the block's largest entry:
+    a norm then reads inf only when it is past the float range itself, and
+    a block holding inf or nan reads inf or nan."""
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(X, axis=axis)
+        if np.all(norm < 1e150):
+            return norm
+        top = np.max(np.abs(X), axis=axis, keepdims=True)
+        s = np.where(np.isfinite(top) & (top > 0), top, 1.0)
+        sq = np.sum((X.real / s) ** 2 + (X.imag / s) ** 2, axis=axis,
+                    keepdims=True)
+        return np.squeeze(s * np.sqrt(sq), axis=axis)
+
+
 def continuant(rho) -> float:
     """Determinant of the unit-diagonal tridiagonal matrix with
     superdiagonal u and subdiagonal l such that -u_i l_i = rho_i.
@@ -568,17 +585,23 @@ class MVOPSequence:
     # -- verification -------------------------------------------------------
 
     def verify_orthogonality(self, n_max: int, tol: float) -> dict:
-        """Scaled Gram residuals ||G_nm|| / sqrt(||G_nn|| ||G_mm||) over all
-        pairs n < m <= n_max, formed from the scaled block by array
-        operations (the n_max + 1 diagonal blocks through ``gram_qt``); a
-        non-finite residual fails."""
+        """Scaled Gram residuals ||G_nm|| / sqrt(||G_nn||) / sqrt(||G_mm||)
+        over all pairs n < m <= n_max, formed from the scaled block by array
+        operations (the n_max + 1 diagonal blocks through ``gram_qt``),
+        with every norm taken by ``frobenius``; a non-finite residual
+        fails, and a pair with a non-finite ||G_nn|| reads that norm."""
         self._check_n(n_max)
         k = n_max + 1
-        self_norm = np.array([np.linalg.norm(self.gram_qt(n, n, scaled=True))
-                              for n in range(k)])
+        self_norm = frobenius(np.stack([self.gram_qt(n, n, scaled=True)
+                                        for n in range(k)]), axis=(1, 2))
+        root = np.sqrt(self_norm)
         block = self.gram_data()[0][0, :k, :, :k, :]
-        ratio = (np.linalg.norm(block, axis=(1, 3))
-                 / np.sqrt(np.outer(self_norm, self_norm)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = frobenius(block, axis=(1, 3)) / root[:, None] / root
+        # a diagonal norm that is not finite is the residual of its pairs
+        bad = ~np.isfinite(self_norm)
+        ratio[bad] = self_norm[bad, None]
+        ratio[:, bad] = self_norm[bad]
         n_idx, m_idx = np.triu_indices(k, 1)
         residuals = dict(zip(zip(n_idx.tolist(), m_idx.tolist()),
                              ratio[n_idx, m_idx].tolist()))

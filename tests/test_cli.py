@@ -114,7 +114,14 @@ class TestRun:
         assert res["dimension"] == 2
         assert res["sample_points"] == 19          # 3N + 10
         assert res["unknowns"] == 3                # X_11, X_22, X_33
+        assert res["generators"] == 4              # x^0..x^3 of one class
         assert res["null_gap"] > 1e6
+
+    def test_symmetries_skip_custom_weight(self):
+        res = run(config_from_json(custom_config(
+            20, checks=["symmetries"])))["checks"]["symmetries"]
+        assert res["passed"] and res["status"] == "skipped"
+        assert "moment-supplied" in res["reason"]
 
     def test_symmetry_report_same_with_pool(self):
         her = [{"family": "hermite", "b": 0.3}] * 5
@@ -293,6 +300,20 @@ class TestHighDegree:
             assert res["status"] == "error"
             assert res["error"].startswith("DegreeCap: coefficients of Q_116")
 
+    @pytest.mark.parametrize("n_max", [90, 120])
+    def test_gram_checks_on_mixed_families(self, n_max):
+        # the scaled diagonal blocks reach 3e163 by degree 88; norms formed
+        # from plain squares overflowed there and read residuals as 0 or NaN
+        a, weights = self.HERMITE_LAGUERRE
+        cfg = config_from_json(base_config(a=a, weights=weights, n_max=n_max,
+                                           checks=["orth", "norm"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run(cfg)["checks"]
+        for res in checks.values():
+            assert not res["non_finite"], res    # every residual is finite
+            assert res["passed"], res
+
     def test_gram_checks_past_node_cap(self):
         # n_max 510 needs 513-node Gauss rules: each Gram check reports the
         # cap, and det, which reads no rule, still runs and passes
@@ -360,6 +381,27 @@ class TestNonFinite:
             res = _CHECKS[check](seq, cfg)
         assert not res["passed"]
         assert res["non_finite"]
+
+
+    def test_inf_diagonal_block_fails(self, monkeypatch):
+        # an inf in G_33 must fail both Gram checks, never read as 0
+        build = MVOPSequence._gram_block
+
+        def poisoned(seq):
+            block, tables, log_min = build(seq)
+            block[0, 3, 0, 3, 0] = np.inf
+            return block, tables, log_min
+        monkeypatch.setattr(MVOPSequence, "_gram_block", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run(config_from_json(base_config(
+                checks=["orth", "norm"])))["checks"]
+        for res in checks.values():
+            assert not res["passed"] and res["non_finite"], res
+        assert checks["orth"]["max_scaled_residual"] == np.inf
+        assert checks["orth"]["worst_pair"] == (0, 3)
+        assert checks["norm"]["max_relative_error"] == np.inf
+        assert checks["norm"]["worst_n"] == 3
 
 
 class TestCommandLine:
@@ -438,6 +480,8 @@ class TestCommandLine:
          "a custom weight needs 10 moments for n_max=2, got 8"),
         ({**custom_config(60), "n_max": 19},
          "custom weights need n_max <= 18, got n_max=19"),
+        ({**custom_config(20), "backend": "exact"},
+         "the exact backend needs classical families, not a custom weight"),
     ])
     def test_malformed_field_exits_two(self, tmp_path, over, message):
         res = CliRunner().invoke(main, ["run", "--config",

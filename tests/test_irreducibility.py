@@ -9,9 +9,10 @@ import pytest
 import mvop.scalar_families as sf
 from mvop.cli import config_from_json
 from mvop.errors import InvalidParam, Unsupported
+import mvop.irreducibility as irr
 from mvop.irreducibility import (NULL_TOL, SymmetrySpace, _commutator_rows,
-                                 order_zero_symmetries, try_reduce_2x2,
-                                 try_reduce_3x3_w1w3)
+                                 _weight_classes, order_zero_symmetries,
+                                 try_reduce_2x2, try_reduce_3x3_w1w3)
 from mvop.weight_model import weight_eval, weight_spec
 
 from oracles import dense_symmetries, relation_rows
@@ -103,10 +104,10 @@ class TestSpanSizedSolve:
                 assert np.max(np.abs(block @ v - want)) < 1e-12
 
     @pytest.mark.parametrize("scalars,dim,unknowns", [
-        pytest.param([sf.hermite(0.2)] * 10, 5, 32, id="scalars0-5"),
-        pytest.param([sf.jacobi(0.5, 1.0)] * 10, 5, 30, id="scalars1-5"),
+        pytest.param([sf.hermite(0.2)] * 10, 5, 36, id="scalars0-5"),
+        pytest.param([sf.jacobi(0.5, 1.0)] * 10, 5, 14, id="scalars1-5"),
         pytest.param([sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)],
-                     1, 14, id="scalars2-1"),
+                     1, 18, id="scalars2-1"),
     ])
     def test_default_points_at_n10(self, scalars, dim, unknowns):
         S = order_zero_symmetries(weight_spec(A10, scalars))
@@ -235,6 +236,94 @@ class TestCommutantSolve:
         S = order_zero_symmetries(weight_spec(a, scalars))
         assert S.dimension == dim
         assert S.validation_residual < 1e-9
+
+
+class TestGenerators:
+    """W = sum_g w_g(x) Pi_g(x) and the solve on the coefficients of Pi_g."""
+
+    @pytest.mark.parametrize("a,scalars,lo,hi", [
+        (A10[:4], [sf.hermite(0.3)] * 5, -4.0, 4.0),
+        (A10[:5], [sf.laguerre(0.5 + (k + 1) // 2) for k in range(6)],
+         0.01, 30.0),
+        (A10[:3], [sf.laguerre(1.5, scale=2.0)] * 4, 0.01, 30.0),
+        (A10[:4], [sf.jacobi(0.5, 1.0), sf.jacobi(1.5, 3.0, scale=0.5),
+                   sf.jacobi(-0.5, 0.0), sf.jacobi(0.5, 1.0),
+                   sf.jacobi(0.2, 0.7)], -0.99, 0.99),
+        ([0.8, -1.2], [sf.hermite(0.0), sf.laguerre(0.5), sf.jacobi(0.5, 1.0)],
+         -3.0, 8.0),
+    ], ids=["hermite", "laguerre-ladder", "laguerre-equal", "jacobi",
+            "mixed3"])
+    def test_identity(self, a, scalars, lo, hi):
+        spec = weight_spec(a, scalars)
+        xs = np.linspace(lo, hi, 50)
+        got = sum(sf.weight_value(base, xs)[:, None, None]
+                  * np.polynomial.polynomial.polyval(xs, Pi)
+                  .transpose(2, 0, 1) for base, Pi in _weight_classes(spec))
+        want = weight_eval(spec, xs)
+        top = np.max(np.abs(want), axis=(1, 2))
+        assert np.all(top > 0)
+        assert np.max(np.abs(got - want) / top[:, None, None]) < 1e-13
+
+    @pytest.mark.parametrize("scalars,classes", [
+        ([sf.laguerre(0.1), sf.laguerre(1.1)], 1),
+        ([sf.laguerre(0.1), sf.laguerre(0.6)], 2),
+        ([sf.hermite(0.0), sf.hermite(0.5)], 2),
+        ([sf.hermite(0.2), sf.hermite(0.2, scale=3.0)], 1),
+        ([sf.jacobi(0.3, 0.4), sf.jacobi(1.3, 2.4)], 1),
+        ([sf.jacobi(0.3, 0.4), sf.jacobi(1.3, 2.9)], 2),
+        ([sf.laguerre(-0.5), sf.laguerre(1.5), sf.laguerre(0.5)], 1),
+        ([sf.hermite(0.0), sf.laguerre(0.0), sf.jacobi(0.0, 0.0)], 3),
+    ])
+    def test_classes(self, scalars, classes):
+        spec = weight_spec([1.0] * (len(scalars) - 1), scalars)
+        assert len(_weight_classes(spec)) == classes
+
+    def test_negative_alpha_factors(self):
+        # alpha -0.5 is the class minimum: the slots get x^0, x^2 and x^1
+        spec = weight_spec([1.0, 1.0], [sf.laguerre(-0.5), sf.laguerre(1.5),
+                                        sf.laguerre(0.5)])
+        (base, Pi), = _weight_classes(spec)
+        assert base == sf.laguerre(-0.5)
+        assert len(Pi) == 5
+
+    def test_cancelled_coefficient_dropped(self):
+        # w_1 = a^2 (1 - x^2) w_2: the x^2 coefficient cancels, up to the
+        # rounding of 0.7 * 0.7 = 0.48999999999999994 against 0.49
+        spec = weight_spec([0.7], [sf.jacobi(1.0, 1.5, scale=0.49),
+                                   sf.jacobi(0.0, 0.5)])
+        (_, Pi), = _weight_classes(spec)
+        assert np.all(Pi[2] == 0)
+        S = order_zero_symmetries(spec)
+        assert S.dimension == 2 and S.generators == 2
+
+    @pytest.mark.parametrize("scalars,dim", [
+        ([sf.hermite(0.2)] * 30, 15),
+        ([sf.jacobi(0.5, 1.0)] * 30, 15),
+        ([sf.laguerre(0.5 + (k + 1) // 2) for k in range(30)], 1),
+    ], ids=["hermite", "jacobi", "laguerre-ladder"])
+    def test_thirty_by_thirty(self, scalars, dim):
+        a = [(-1) ** k * (0.6 + 0.05 * (k % 10)) for k in range(29)]
+        S = order_zero_symmetries(weight_spec(a, scalars))
+        assert S.dimension == dim
+        assert S.validation_residual < 1e-14
+        assert S.generators <= 30 // 2 + 3
+
+    def test_perturbed_basis_fails(self, monkeypatch):
+        polish = irr._polish
+
+        def perturbed(F, Gs):
+            F = polish(F, Gs)
+            F[:, 0, 1] += 1e-6
+            return F
+        monkeypatch.setattr(irr, "_polish", perturbed)
+        with pytest.raises(InvalidParam, match="failed on the generators"):
+            order_zero_symmetries(weight_spec(A10, [sf.hermite(0.2)] * 10))
+
+    def test_custom_slot_unsupported(self):
+        spec = weight_spec([1.0], [sf.custom([2.0, 0.0, 2 / 3], (-1, 1)),
+                                   sf.jacobi(0.0, 0.0)])
+        with pytest.raises(Unsupported, match="moment-supplied"):
+            order_zero_symmetries(spec)
 
 
 class TestReduce2x2:
