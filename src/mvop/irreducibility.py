@@ -26,7 +26,6 @@ from math import inf
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import scalar_families as sf
 from .errors import InvalidParam, Unsupported
@@ -148,6 +147,7 @@ def _weight_classes(spec: WeightSpec):
             classes.append((s.family, [(k, p)]))
 
     A, eye = build_nilpotent(spec), np.eye(spec.N)
+    npoly = np.polynomial.polynomial
     out = []
     for fam, slots in classes:
         low = np.min([p for _, p in slots], axis=0)
