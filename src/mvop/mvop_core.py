@@ -2,23 +2,20 @@
 
 Q_n is assembled through the identity Q_n (I + A x) = P_n + A P_{n+1}
 - G_n P_{n-1}, where G_n is the norm-ratio matrix with the sparsity
-pattern of A*; multiplying by I - A x then gives Q_n itself.  The ratio
-entries are formed in log space (float backend) because the scalar norms
-grow factorially.  Both backends assemble a range of degrees at once from
-one table of scalar power coefficients per sequence (floats, or sympy
-rationals on the exact backend): ``_assemble`` reads P_{n-1}, P_n and
-P_{n+1} from it, forms every Q_n T of the range as one (degrees, powers,
-N, N) array, applies I - A x by one shifted matmul, puts in the
-closed-form leading coefficient K_n and gives each degree a verdict
-(valid, past the float range, degree overflow, singular K_n).
-``q_block``, ``qt_block`` (complex), ``build_Q`` and ``build_QT``
-(backend arithmetic) read rows of it and refuse the first faulty degree
-of the range they ask for; ``p_block`` reads the diagonal P_n from the
-same table.  The float backend assembles each requested range anew.  The
-exact backend assembles degrees 0..n_max once per sequence, rounds the
-rows to complex doubles once, and rounds each exact ||Q_n||^2 /
-sigma_n^2 once for the norm and recurrence checks, so every check reads
-the same exact quantities without building them again.
+pattern of A*; multiplying by I - A x then gives Q_n itself.  A has one
+nonzero per adjacent pair, and every product with A, A* or G_n is placed
+on those pairs, never formed as a dense N x N product.  The ratio entries
+are formed in log space (float backend) because the scalar norms grow
+factorially; each G_n is built once into a table all readers share.
+From one table of scalar power coefficients per sequence (floats, or
+sympy rationals on the exact backend) ``_assemble`` places the three
+terms of every Q_n T column for a range of degrees, applies I - A x by
+one shifted column update per pair, which leaves the closed-form K_n at
+x^n, and gives each degree a verdict.  ``q_block``, ``qt_block``,
+``build_Q`` and ``build_QT`` read its rows, ``p_block`` the diagonal
+P_n.  The float backend assembles each requested range anew; the exact
+backend assembles degrees 0..n_max once and rounds the nonzero entries
+to complex doubles once, as it rounds each ||Q_n||^2 / sigma_n^2.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -34,17 +31,21 @@ B_n Q_n - C_n Q_{n-1} summed over the tables, so the orth, norm and
 recurrence checks share this one quadrature path.
 """
 
-from math import exp, log, sqrt
+import sys
+from math import exp, inf, log, sqrt
 
 import numpy as np
 
 from . import scalar_families as sf
-from .errors import DegreeCap, InvalidParam, OutOfRange, SingularLeading
-from .matrix_poly import MatrixPolynomial, conj_transpose
+from .errors import (DegreeCap, IllConditioned, InvalidParam, OutOfRange,
+                     SingularLeading)
+from .matrix_poly import MatrixPolynomial
 from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent, build_T
 
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
+#: the largest x whose exp(x) is a double
+_LOG_MAX = log(sys.float_info.max)
 
 
 def _expand(a) -> np.ndarray:
@@ -65,17 +66,19 @@ _FAULTS = (None,
 def _to_complex(a) -> np.ndarray:
     """An array of sympy entries (or numbers) rounded to complex doubles.
 
-    Real sympy entries go through float, the same doubles as complex() at
-    a fraction of its cost (complex() runs evalf and then splits the
-    result into real and imaginary parts); only a non-real entry raises
-    the TypeError that sends the whole array through complex().
-    """
+    Only nonzero entries are rounded (a sympy zero is false).  Real entries
+    go through float, the same doubles as complex() at a fraction of its
+    cost (complex() runs evalf, then splits real and imaginary parts); a
+    non-real entry raises the TypeError that sends them through complex()."""
     if a.dtype != object:
         return a.astype(complex, copy=False)
+    out = np.zeros(a.shape, dtype=complex)
+    nonzero = a.astype(bool)
     try:
-        return np.asarray(a, dtype=float).astype(complex)
+        out[nonzero] = np.asarray(a[nonzero], dtype=float)
     except TypeError:
-        return np.asarray(a, dtype=complex)
+        out[nonzero] = np.asarray(a[nonzero], dtype=complex)
+    return out
 
 
 def peak(residuals: dict):
@@ -136,23 +139,14 @@ class MVOPSequence:
         self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
-        # (r, u, A[r, u]) for the nonzeros of A in row-major order: one per
-        # adjacent pair, in pair order, rounded to complex on both backends
-        A = _to_complex(self.A)
-        self._pairs = [(int(r), int(u), A[r, u])
-                       for r, u in zip(*np.nonzero(A))]
         self.T, self.T_inv = build_T(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
-        N = weight.N
-        if self.exact:
-            import sympy as sp
-            self._eye = np.array(sp.eye(N).tolist(), dtype=object)
-        else:
-            self._eye = np.eye(N)
         self._gram = None
         self._ptab = None
         self._qrows = None
         self._qnorms = {}
+        self._ratios = {}
+        self._pairs_of = None
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
@@ -203,21 +197,39 @@ class MVOPSequence:
         tab = np.asarray(self._scalar_table()[lo + 1:hi + 1], dtype=float)
         return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(complex)
 
-    def norm_P(self, n: int, log_scale: float = 0.0) -> np.ndarray:
-        """Diagonal matrix ||P_n||^2 / exp(log_scale), formed in log space
-        by the float backend."""
-        self._check_n(n, self.n_max + 1)
-        N = self.weight.N
-        if self.exact:
+    @property
+    def _pairs(self) -> list:
+        """(r, u, a) for the nonzeros a = A[r, u] of A in row-major order
+        (one per adjacent pair, in pair order), a in backend arithmetic;
+        found again whenever A is replaced."""
+        if self._pairs_of is not self.A:
+            self._pairs_of, self._pair_list = self.A, [
+                (int(r), int(u), self.A[r, u])
+                for r, u in zip(*np.nonzero(self.A))]
+        return self._pair_list
+
+    def _zeros(self, shape) -> np.ndarray:
+        """Zeros in backend arithmetic: complex, or sympy zeros."""
+        if not self.exact:
+            return np.zeros(shape, dtype=complex)
+        import sympy as sp
+        return np.full(shape, sp.S.Zero, dtype=object)
+
+    def _scaled_norms(self, n: int, log_scale: float) -> list:
+        """||p_n^{w_k}||^2 / exp(log_scale), k = 1..N, in log space on the
+        float backend.  Exact norms are multiplied by exp(-log_scale) as a
+        double while that is a normal one, else as a sympy Float, whose
+        exponent has no range limit."""
+        if not self.exact:
+            return [exp(s.log_norms[n] - log_scale) for s in self.scalar_seqs]
+        norms = [sf.squared_norm_exact(s, n) for s in self.scalar_seqs]
+        if not log_scale:
+            return norms
+        factor = exp(-log_scale) if -log_scale <= _LOG_MAX else inf
+        if not sys.float_info.min <= factor < inf:    # not a normal double
             import sympy as sp
-            d = [sf.squared_norm_exact(s, n) for s in self.scalar_seqs]
-            out = np.zeros((N, N), dtype=object)
-            out[:] = sp.Integer(0)
-            for i, v in enumerate(d):
-                out[i, i] = v * exp(-log_scale) if log_scale else v
-            return out
-        return np.diag([exp(s.log_norms[n] - log_scale)
-                        for s in self.scalar_seqs]).astype(complex)
+            factor = sp.exp(sp.Float(-log_scale))
+        return [v * factor for v in norms]
 
     def _log_ratios(self, n: int):
         """(r, u, a, lr) for each nonzero a = A[r, u] (see ``_pairs``), with
@@ -233,33 +245,28 @@ class MVOPSequence:
             yield r, u, a, lr
 
     def ratio_matrix(self, n: int) -> np.ndarray:
-        """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2}, assembled entrywise.
-
-        Nonzero exactly on the pattern of A*; entry (r, s) there equals
-        conj(a) * ||p_n^{w_r}||^2 / ||p_{n-1}^{w_s}||^2.  Zero for n = 0
-        (the paper's ||P_{-1}||^{-2} = 0 convention).
-        """
-        N = self.weight.N
-        G = np.zeros((N, N), dtype=object if self.exact else complex)
-        if self.exact:
-            import sympy as sp
-            G[:] = sp.Integer(0)
+        """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*: entry
+        (u, r) is conj(a) ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2 for a = A[r,
+        u], the ratio taken as exp(lr) on the float backend (see
+        ``_log_ratios``).  Zero for n = 0 (the paper's ||P_{-1}||^{-2} = 0
+        convention).  Readers take G_n from the table of ``_ratio``."""
+        G, s = self._zeros((self.weight.N,) * 2), self.scalar_seqs
         if n == 0:
             return G
         self._check_n(n, self.n_max + 1)
-        if not self.exact:
-            for r, u, a, lr in self._log_ratios(n):
-                G[u, r] = a.conjugate() * exp(lr)
-            return G
-        Astar = conj_transpose(self.A)
-        for r in range(N):
-            for s in range(N):
-                a = Astar[r, s]
-                if a == 0:
-                    continue
-                G[r, s] = a * (sf.squared_norm_exact(self.scalar_seqs[r], n)
-                               / sf.squared_norm_exact(self.scalar_seqs[s], n - 1))
+        for r, u, a, lr in self._log_ratios(n):
+            G[u, r] = a.conjugate() * (
+                s[u].exact_norms[n] / s[r].exact_norms[n - 1] if self.exact
+                else exp(lr))
         return G
+
+    def _ratio(self, n: int) -> np.ndarray:
+        """G_n from the sequence's table, filled through ``ratio_matrix``
+        on the first read of each degree; every reader shares it."""
+        got = self._ratios.get(n)
+        if got is None:
+            got = self._ratios[n] = self.ratio_matrix(n)
+        return got
 
     # -- the orthogonal sequence ------------------------------------------
 
@@ -267,28 +274,12 @@ class MVOPSequence:
         if not 0 <= lo < hi <= self.n_max + 1:
             raise OutOfRange(f"degrees {lo}..{hi - 1} outside 0..{self.n_max}")
 
-    def _leading(self, ns, G) -> np.ndarray:
-        """K_n = I + A D - D' A + G_n A for the degrees ``ns``, with D =
-        diag([x^n] p_{n+1}), D' = diag([x^{n-1}] p_n) read from the scalar
-        table and G the stacked G_n; a (len(ns), N, N) stack."""
-        ns = np.asarray(ns)
-        tab = self._scalar_table()
-        top = tab[ns + 2, ns]
-        below = np.where((ns >= 1)[:, None], tab[ns + 1, ns - 1], 0)
-        return (self._eye + self.A * top[:, None, :]
-                - below[:, :, None] * self.A + G @ self.A)
-
     def leading_closed_form(self, n: int) -> np.ndarray:
-        """K_n = I + A D - D' A + G_n A, with D = diag([x^n] p_{n+1}) and
-        D' = diag([x^{n-1}] p_n).
-
-        Stable where reading K_n off the product (Q_n T) T^{-1} is not:
-        the product coefficients carry absolute roundoff on the scale of
-        the largest scalar coefficient, which dwarfs K_n at large n.
-        """
-        self._check_n(n)
-        K = self._leading([n], self.ratio_matrix(n)[None])[0]
-        return _expand(K) if self.exact else K
+        """K_n = I + A D - D' A + G_n A (D = diag([x^n] p_{n+1}), D' =
+        diag([x^{n-1}] p_n)), the x^n coefficient of ``build_Q(n)``: each
+        entry is placed from these and G_n alone, so no roundoff on the
+        scale of the larger coefficients, which dwarf K_n, reaches it."""
+        return self._rows(n, n + 1)[1][0, n]
 
     def _assemble(self, lo: int, hi: int):
         """(Q_n T, Q_n, verdict) for n = lo..hi-1 in backend arithmetic:
@@ -296,44 +287,46 @@ class MVOPSequence:
         above degree n, and one verdict per degree (0 for a valid Q_n, else
         an index into ``_FAULTS``; ``_refuse`` turns it into the error).
 
-        Q_n T = P_n + A P_{n+1} - G_n P_{n-1} for the whole range from the
-        scalar table, times T^{-1} = I - A x by one shifted matmul.  Powers
-        n + 1 and n + 2 of Q_n cancel structurally (A^2 = 0); anything left
-        there is a degree overflow, and a singular K_n is refused too.
-        Float: "left" means above 1e-8 of the largest coefficient, scalar
-        coefficients past the float range raise ``DegreeCap`` at once, a
-        degree whose Q_n T or Q_n coefficients leave the float range (G_n
-        P_{n-1} on mixed families) gets a ``DegreeCap`` verdict, and the x^n
-        coefficient is replaced by its closed form K_n (see
-        ``leading_closed_form``), which roundoff at the top coefficient
-        scale would swamp.  Exact: every entry that is not already a number
-        is expanded, the leftover powers must expand to 0 and the sympy det
-        of K_n must not be 0.
+        Column k of Q_n T holds e_k p_n, A[:, k] p_{n+1} and -G_n[:, k]
+        p_{n-1}, placed on the pairs of A (N + 2(N - 1) entries); column u
+        of Q_n = (Q_n T)(I - A x) loses x (Q_n T)[:, r] A[r, u] per pair,
+        which leaves K_n (``leading_closed_form``) at x^n.  Powers n + 1
+        and n + 2 cancel structurally (A^2 = 0); anything left there is a
+        degree overflow, and a singular K_n is refused too.  Float: "left"
+        means above 1e-8 of the largest coefficient, scalar coefficients
+        past the float range raise ``DegreeCap`` at once, and a degree
+        whose coefficients leave the float range (G_n P_{n-1} on mixed
+        families) gets a ``DegreeCap`` verdict.  Exact: every entry that is
+        not already a number is expanded, the leftover powers must expand
+        to 0 and the sympy det of K_n must not be 0.
         """
         self._check_range(lo, hi)
         N, width = self.weight.N, self.n_max + 3
-        tab = self._scalar_table()[:, :, None, :]
+        tab = self._scalar_table()
         if not self.exact:
-            finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2, 3))
+            finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2))
             if not finite.all():
                 k = lo - 1 + int(finite.argmin())
                 raise DegreeCap(f"power coefficients of p_{k} are past the "
                                 f"float range")
         ns = np.arange(lo, hi)
         rows = np.arange(hi - lo)
-        G = np.stack([self.ratio_matrix(n) for n in ns])
+        G = np.stack([self._ratio(n) for n in ns])
+        pairs = self._pairs
+        qt = self._zeros((hi - lo, width, N, N))
         with np.errstate(over="ignore", invalid="ignore"):
-            # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
-            qt = (self._eye * tab[lo + 1:hi + 1] + self.A * tab[lo + 2:hi + 2]
-                  - G[:, None] * tab[lo:hi])
+            qt[:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
+            for r, u, a in pairs:
+                qt[:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
+                qt[:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
             q = qt.copy()
-            q[:, 1:] -= (qt[:, :-1].reshape(-1, N) @ self.A).reshape(
-                hi - lo, width - 1, N, N)
-            K = self._leading(ns, G)
-        spill = q[rows[:, None], ns[:, None] + [1, 2]]
+            for r, u, a in pairs:
+                q[:, 1:, :, u] -= qt[:, :-1, :, r] * a
+        if self.exact:
+            qt, q = _expand(qt), _expand(q)
+        K, spill = q[rows, ns], q[rows[:, None], ns[:, None] + [1, 2]]
         if self.exact:
             import sympy as sp
-            qt, q, K, spill = map(_expand, (qt, q, K, spill))
             finite = np.ones(hi - lo, dtype=bool)
             overflow = (spill != 0).any(axis=(1, 2, 3))
             singular = np.array([sp.Matrix(k.tolist()).det() == 0 for k in K])
@@ -349,7 +342,6 @@ class MVOPSequence:
         verdict[singular] = 3
         verdict[overflow] = 2
         verdict[~finite] = 1
-        q[rows, ns] = K
         q[np.arange(width)[None, :] > ns[:, None]] = 0
         return qt, q, verdict
 
@@ -414,20 +406,12 @@ class MVOPSequence:
                                 exact=self.exact, trim=False)
 
     def rho_values(self, n: int):
-        """rho_i = a_i^2 ||p_n^{w_{2ceil(i/2)}}||^2 / ||p_{n-1}^{w_{2floor(i/2)+1}}||^2."""
-        self._check_n(n, self.n_max + 1)
-        if not self.exact:
-            return [a.real * a.real * exp(lr)
-                    for _, _, a, lr in self._log_ratios(n)]
-        out = []
-        for i in range(1, self.weight.N):
-            num = 2 * ((i + 1) // 2)       # weight index, 1-based
-            den = 2 * (i // 2) + 1
-            a = sf._rat(self.weight.a_params[i - 1])
-            out.append(a ** 2
-                       * sf.squared_norm_exact(self.scalar_seqs[num - 1], n)
-                       / sf.squared_norm_exact(self.scalar_seqs[den - 1], n - 1))
-        return out
+        """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
+        for the pairs a_i = A[r, u] in pair order, read from the G_n table
+        (real floats on the float backend)."""
+        G = self._ratio(n)
+        rho = [a * G[u, r] for r, u, a in self._pairs]
+        return rho if self.exact else [v.real for v in rho]
 
     def reduced_leading_matrix(self, n: int) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
@@ -445,33 +429,44 @@ class MVOPSequence:
         M = np.eye(self.weight.N, dtype=complex)
         if n == 0:
             return M
+        A = _to_complex(self.A)
         # r: row of the A entry of the pair, u: row of the A* entry
-        for r, u, a, lr in self._log_ratios(n):
-            m = exp(0.5 * lr)
+        for r, u, _, lr in self._log_ratios(n):
+            a, m = A[r, u], exp(0.5 * lr)
             M[r, u] = -a * m
             M[u, r] = a.conjugate() * m
         return M
 
     def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
-        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2,
-        divided by exp(log_scale): complex on the float backend, sympy
-        entries (built anew on each call) on the exact backend, where the
-        checks read it rounded through ``_norm_Q``."""
+        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 over
+        exp(log_scale) (``_scaled_norms``), placed on the pairs of A: complex,
+        or sympy entries that the checks read rounded (``_norm_Q``).  Terms
+        are added in the order of the dense products, (A D_{n+1}) A* over
+        ascending k, then D_n + A D_{n+1} A* + (G_n A) D_n, so sympy Floats
+        round as they did there."""
         self._check_n(n)
-        A = self.A
-        term = (self.norm_P(n, log_scale)
-                + A @ self.norm_P(n + 1, log_scale) @ conj_transpose(A))
-        if n >= 1:
-            term = term + self.ratio_matrix(n) @ A @ self.norm_P(n, log_scale)
-        return term
+        d, d1 = (self._scaled_norms(m, log_scale) for m in (n, n + 1))
+        G, pairs = self._ratio(n), self._pairs
+        ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
+        for r, u, a in pairs:
+            t = a * d1[u]
+            for r2, u2, a2 in pairs:
+                if u2 == u:
+                    ada[r, r2] = ada.get((r, r2), 0) + t * a2.conjugate()
+                if r2 == r:
+                    ga[u2, u] = ga.get((u2, u), 0) + G[u2, r] * a
+        out = self._zeros((self.weight.N,) * 2)
+        out[np.diag_indices_from(out)] = d
+        for key, v in ada.items():
+            out[key] += v
+        for (v, u), t in ga.items():
+            out[v, u] += t * d[u]
+        return out
 
     def _norm_Q(self, n: int) -> np.ndarray:
         """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
         as the norm and recurrence checks read it: ``squared_norm_Q``
-        rounded to complex, once per degree on the exact backend and
-        read-only there."""
-        if not self.exact:
-            return self.squared_norm_Q(n, 2.0 * self.log_gram_scale(n))
+        rounded to complex, once per degree, and read-only."""
         got = self._qnorms.get(n)
         if got is None:
             got = _to_complex(
@@ -511,7 +506,7 @@ class MVOPSequence:
         M, N = self.n_max, self.weight.N
         m = M + 2
         A = np.asarray(self.A, dtype=complex)
-        G = np.stack([_to_complex(self.ratio_matrix(n)) for n in range(M + 1)])
+        G = np.stack([_to_complex(self._ratio(n)) for n in range(M + 1)])
         log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
         out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
         tables = []
@@ -633,7 +628,12 @@ class MVOPSequence:
             lm = self.log_gram_scale(m)
             g = self.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
             norm = self._norm_Q(m)
-            X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
+            if not np.isfinite(norm).all():
+                raise IllConditioned(f"||Q_{m}||^2 is not finite")
+            try:
+                X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
+            except np.linalg.LinAlgError:
+                raise IllConditioned(f"||Q_{m}||^2 is singular") from None
             mats.append(X)
             terms.append((m, X * exp(lm - ln)))
         num = den = 0.0

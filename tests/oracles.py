@@ -4,12 +4,13 @@ The recurrence oracle runs Gram-Schmidt on exact moments in sympy
 rationals, sharing no code with the library's recurrence generation.
 The product oracles build P_n and Q_n one degree at a time from
 ``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
-reference for the stacked construction in ``MVOPSequence``.  The dense
+reference for the stacked construction in ``MVOPSequence``; the dense
+norm products are the reference for its sparse ||Q_n||^2.  The dense
 symmetry solve is the reference for the commutant solve in
 ``order_zero_symmetries``.
 """
 
-from math import comb
+from math import comb, exp
 
 import numpy as np
 import sympy as sp
@@ -188,6 +189,30 @@ def complex_rows(rows):
     """Exact Q_n (or Q_n T) rows rounded entry by entry through complex():
     the conversion the exact ``q_block`` and ``qt_block`` used to make."""
     return np.asarray(rows, dtype=complex)
+
+
+def dense_norm_Q(seq, n, log_scale):
+    """||Q_n||^2 / exp(log_scale) from the three dense N x N products the
+    sparse placement replaced: D_n + (A D_{n+1}) A* + (G_n A) D_n, with
+    D_m = diag(||p_m^{w_k}||^2 / exp(log_scale)); sympy objects on the
+    exact backend, complex in log space on the float one."""
+    from mvop.matrix_poly import conj_transpose
+
+    def norms(m):
+        if not seq.exact:
+            return np.diag([exp(s.log_norms[m] - log_scale)
+                            for s in seq.scalar_seqs]).astype(complex)
+        D = np.full((seq.weight.N,) * 2, sp.S.Zero, dtype=object)
+        for k, s in enumerate(seq.scalar_seqs):
+            v = s.exact_norms[m]
+            D[k, k] = v * exp(-log_scale) if log_scale else v
+        return D
+
+    A = seq.A
+    term = norms(n) + A @ norms(n + 1) @ conj_transpose(A)
+    if n >= 1:
+        term = term + seq.ratio_matrix(n) @ A @ norms(n)
+    return term
 
 
 def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):

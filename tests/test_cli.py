@@ -186,6 +186,22 @@ class TestRun:
             "hermite_A_factorization"
         assert calls == [(0, 7)]
 
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_ratio_matrix_once_per_degree(self, backend):
+        # every reader takes G_n from the sequence's table
+        cfg = config_from_json(dict(self.HER3_EXACT, backend=backend))
+        seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=backend)
+        calls = []
+        ratio = seq.ratio_matrix
+
+        def counted(n):
+            calls.append(n)
+            return ratio(n)
+        seq.ratio_matrix = counted
+        for name in ("orth", "norm", "recurrence", "eigen", "det"):
+            assert _CHECKS[name](seq, cfg)["passed"], name
+        assert sorted(calls) == list(range(cfg.n_max + 2))
+
     @pytest.mark.parametrize("n_max", [2, 18])
     def test_custom_weight_at_its_moment_count(self, n_max):
         # 2 n_max + 6 moments and n_max 18 are enough for every Gram check
@@ -327,6 +343,35 @@ class TestHighDegree:
             assert checks[name]["error"] == \
                 "DegreeCap: Gauss rule needs 513 > 512 nodes"
         assert checks["det"]["passed"], checks["det"]
+
+    @pytest.mark.parametrize("n_max", [25, 30])
+    def test_exact_norms_past_the_normal_range(self, n_max):
+        # log sigma_n^2 passes 708 from n = 15 on: exp(-log sigma_n^2) is
+        # no longer a normal double, and the exact norms keep their digits
+        cfg = config_from_json(base_config(
+            a=[1.5], backend="exact", n_max=n_max,
+            weights=[{"family": "hermite", "b": 0.0, "scale": 1e300}] * 2,
+            checks=["norm", "recurrence"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run(cfg)["checks"]
+        assert checks["norm"]["passed"], checks["norm"]
+        assert checks["norm"]["max_relative_error"] < 1e-12
+        assert checks["recurrence"]["passed"], checks["recurrence"]
+        assert checks["recurrence"]["max_relative_residual"] < 1e-12
+
+    def test_singular_norm_is_a_typed_error(self, monkeypatch):
+        # a zero ||Q_n||^2 fails the recurrence check with IllConditioned
+        # and leaves the other checks to report
+        monkeypatch.setattr(MVOPSequence, "_norm_Q",
+                            lambda seq, n: np.zeros((2, 2), dtype=complex))
+        checks = run(config_from_json(base_config(
+            checks=["orth", "norm", "recurrence", "det"])))["checks"]
+        assert checks["recurrence"]["status"] == "error"
+        assert checks["recurrence"]["error"].startswith("IllConditioned")
+        assert checks["orth"]["passed"] and checks["det"]["passed"]
+        assert not checks["norm"]["passed"]
+        assert "status" not in checks["norm"]
 
     def test_wrong_ratio_matrix_fails_recurrence(self):
         # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n

@@ -12,8 +12,8 @@ from mvop.errors import DegreeCap, OutOfRange, SingularLeading
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import (complex_rows, pairwise_quadrature, q_product,
-                     tridiagonal_from_rho)
+from oracles import (complex_rows, dense_norm_Q, pairwise_quadrature,
+                     q_product, tridiagonal_from_rho)
 
 
 def lag2(a=1.0):
@@ -215,6 +215,22 @@ class TestExactCache:
             assert same_bits(seq._norm_Q(n), want)
             assert seq._norm_Q(n) is seq._norm_Q(n)
             assert not seq._norm_Q(n).flags.writeable
+
+    @EXACT_SPECS
+    def test_norm_matches_dense_products(self, spec):
+        # the sparse placement against the dense N x N products: the same
+        # sympy entries unscaled, the same bits once scaled and rounded;
+        # float sums may round in another order, within 4 eps
+        seq = MVOPSequence(spec, 6, backend="exact")
+        fseq = MVOPSequence(spec, 6)
+        for n in range(7):
+            assert (seq.squared_norm_Q(n) == dense_norm_Q(seq, n, 0.0)).all()
+            log_scale = 2.0 * seq.log_gram_scale(n)
+            want = complex_rows(dense_norm_Q(seq, n, log_scale))
+            assert same_bits(seq._norm_Q(n), want)
+            want = dense_norm_Q(fseq, n, 2.0 * fseq.log_gram_scale(n))
+            assert np.abs(fseq._norm_Q(n) - want).max() <= \
+                4 * np.finfo(float).eps * np.abs(want).max()
 
     def test_norm_reader_past_float_range(self):
         # ||Q_0||^2 rounds to inf unscaled; the reader scales it exactly
