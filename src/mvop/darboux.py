@@ -3,7 +3,11 @@
 The ladder operators are stored in calibrated normal form: each one is
 normalized so that the image of the monic Laguerre polynomial is a known
 scalar factor times another monic Laguerre polynomial, with the factor
-checked against the scalar sequences at build time.
+checked against the scalar sequences at build time.  Ladders and
+synthesized shifts go through one stacked check (``_verify``): one
+``op_apply`` on the power coefficients of p_0..p_{n_hi}, compared with the
+factor times the target rows.  Every operator given entry by entry is
+built by ``diff_operators.entries_to_operator``.
 """
 
 from dataclasses import dataclass, field
@@ -12,12 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _poly
 from . import scalar_families as sf
 from .errors import CapExceeded, InvalidParam, Unsupported
 from .matrix_poly import MatrixPolynomial, conj_transpose
 from .mvop_core import MVOPSequence
-from .diff_operators import MatrixDiffOperator, op_apply, op_compose
+from .diff_operators import (MatrixDiffOperator, apply_scalar,
+                             entries_to_operator, op_apply, op_compose)
 from .weight_model import WeightSpec, build_T, build_nilpotent, weight_spec
 
 LADDER_KINDS = ("alpha_up", "alpha_down", "n_up", "n_down", "eigen")
@@ -26,18 +30,6 @@ LADDER_KINDS = ("alpha_up", "alpha_down", "n_up", "n_down", "eigen")
 SHIFT_CAP = 6
 
 _VERIFY_TOL = 1e-9
-
-
-def _scalar_operator(fs, exact=False) -> MatrixDiffOperator:
-    """Size-1 operator from scalar coefficient lists f_0, f_1, ..."""
-    return MatrixDiffOperator([MatrixPolynomial.from_scalar(f, exact=exact)
-                               for f in fs], size=1, exact=exact)
-
-
-def apply_scalar(op: MatrixDiffOperator, poly):
-    """Apply a size-1 operator to a scalar coefficient list."""
-    p = MatrixPolynomial.from_scalar(poly, exact=op.exact)
-    return op_apply(p, op).entry(0, 0)
 
 
 @dataclass(frozen=True)
@@ -65,83 +57,105 @@ def _ladder_forms(alpha):
     }
 
 
-def ladder(kind: str, alpha: float, verify_to: int = 8) -> LadderOperator:
-    """Calibrated Laguerre ladder operator of the given kind at parameter alpha."""
+def ladder(kind: str, alpha: float) -> LadderOperator:
+    """Calibrated Laguerre ladder operator of the given kind at parameter
+    alpha, checked for n <= 8."""
     if kind not in LADDER_KINDS:
         raise InvalidParam(f"unknown ladder kind {kind!r}")
     if alpha <= -1:
         raise InvalidParam("alpha must be > -1")
-    fs, factor, delta = _ladder_forms(alpha)[kind]
-    if alpha + delta[1] <= -1:
+    fs, factor, (dn, da) = _ladder_forms(alpha)[kind]
+    if alpha + da <= -1:
         raise InvalidParam(f"{kind} at alpha={alpha} leaves the family")
-    op = LadderOperator(kind=kind, alpha=alpha,
-                        operator=_scalar_operator(fs),
-                        factor=factor, delta=delta)
-    if verify_to >= 0:
-        _verify_ladder(op, verify_to)
-    return op
+    op = entries_to_operator({(0, 0): fs}, 1)
+    _verify(op, alpha, da, dn, factor, 8, _VERIFY_TOL,
+            f"ladder {kind} failed its shift identity at n={{n}} "
+            f"(residual {{r:.2e}})")
+    return LadderOperator(kind=kind, alpha=alpha, operator=op,
+                          factor=factor, delta=(dn, da))
 
 
-def _verify_ladder(op: LadderOperator, n_hi: int):
-    dn, da = op.delta
-    src = sf.recurrence_coefficients(sf.laguerre(op.alpha), n_hi + abs(dn) + 1)
-    dst = sf.recurrence_coefficients(sf.laguerre(op.alpha + da), n_hi + abs(dn) + 1)
-    for n in range(n_hi + 1):
-        img = op.apply(src.polynomial(n))
-        want = ([0] if n + dn < 0 else
-                _poly.scale(dst.polynomial(n + dn), op.factor(n)))
-        diff = _poly.sub(img, want)
-        scale = max(_poly.max_abs(img), _poly.max_abs(want), 1.0)
-        if _poly.max_abs(diff) > _VERIFY_TOL * scale:
-            raise InvalidParam(f"ladder {op.kind} failed its shift identity "
-                               f"at n={n} (residual {_poly.max_abs(diff):.2e})")
+def _verify(op, alpha, da, dn, factor, n_hi, tol, message):
+    """Raise ``InvalidParam(message)`` unless ell_n^(alpha) . op =
+    factor(n) ell_{n+dn}^(alpha+da) for n <= n_hi, with ell_m = 0 for m < 0.
+
+    One ``op_apply`` on the stacked power coefficients of the source
+    polynomials; the residual of degree n is max|img - want| /
+    max(max|img|, max|want|, 1), and ``message`` is formatted with the
+    first n whose residual r is above tol or not a number.
+    """
+    n_dst = n_hi + max(dn, 0)
+    tab = sf.power_table([sf.recurrence_coefficients(sf.laguerre(a), n_dst)
+                          for a in (alpha, alpha + da)], n_dst)
+    img = op_apply(tab[1:n_hi + 2, :, 0, None, None].astype(complex),
+                   op)[..., 0, 0]
+    n = np.arange(n_hi + 1)
+    # row 0 of a power table is p_{-1} = 0
+    want = (np.array([factor(k) for k in n])[:, None]
+            * tab[np.maximum(n + dn + 1, 0), :, 1])
+    diff = np.zeros((n_hi + 1, max(img.shape[1], want.shape[1])),
+                    dtype=complex)
+    diff[:, :img.shape[1]] += img
+    diff[:, :want.shape[1]] -= want
+    scale = np.maximum(np.maximum(np.abs(img).max(axis=1),
+                                  np.abs(want).max(axis=1)), 1.0)
+    res = np.abs(diff).max(axis=1) / scale
+    bad = np.flatnonzero(~(res <= tol))      # a NaN residual fails too
+    if bad.size:
+        raise InvalidParam(message.format(n=int(bad[0]), r=res[bad[0]]))
 
 
 def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
     """Operator tau and polynomial q with
     ell_n^(alpha) . tau = q(n) (r1(n)/r2(n)) ell_{n+m}^(alpha+k).
 
-    r1 and r2 are polynomials in n given as ascending coefficient lists.
-    Built by composing calibrated ladders; the rational prefactor r1 is
-    realized as r1(-delta_alpha) applied up front.
+    r1 and r2 are polynomials in n given as nonempty ascending coefficient
+    lists.  Built by composing calibrated ladders; the rational prefactor
+    r1 is realized as r1(-delta_alpha) applied up front.  q(n) is r2(n)
+    times the ladder factors f_i(n), so r2 cancels and the identity is
+    checked as ell_n . tau = r1(n) prod_i f_i(n) ell_{n+m}.
     """
     if abs(k) + abs(m) > SHIFT_CAP:
         raise CapExceeded(f"|k|+|m| = {abs(k) + abs(m)} exceeds {SHIFT_CAP}")
     if alpha <= -1 or alpha + k <= -1:
         raise InvalidParam("alpha and alpha+k must both be > -1")
+    r1, r2 = list(r1), list(r2)
+    if not r1 or not r2:
+        raise InvalidParam("r1 and r2 need at least one coefficient")
+
+    def form(kind, a):
+        return entries_to_operator({(0, 0): _ladder_forms(a)[kind][0]}, 1)
 
     ops = []
     factors = []
     cur_alpha, cur_dn = float(alpha), 0
     if m >= 0:
         for _ in range(m):
-            L = ladder("n_up", cur_alpha, verify_to=-1)
-            ops.append(L.operator)
+            ops.append(form("n_up", cur_alpha))
             cur_dn += 1
     else:
         for _ in range(-m):
-            L = ladder("n_down", cur_alpha, verify_to=-1)
-            ops.append(L.operator)
+            ops.append(form("n_down", cur_alpha))
             factors.append(lambda n, d=cur_dn: float(n + d))
             cur_dn -= 1
             cur_alpha += 1.0
     k_rem = k - round(cur_alpha - alpha)
     while k_rem > 0:
-        ops.append(ladder("alpha_up", cur_alpha, verify_to=-1).operator)
+        ops.append(form("alpha_up", cur_alpha))
         cur_alpha += 1.0
         k_rem -= 1
     while k_rem < 0:
-        ops.append(ladder("alpha_down", cur_alpha, verify_to=-1).operator)
+        ops.append(form("alpha_down", cur_alpha))
         factors.append(lambda n, d=cur_dn, a=cur_alpha: float(n + d) + a)
         cur_alpha -= 1.0
         k_rem += 1
 
     tau = reduce(op_compose, ops) if ops else MatrixDiffOperator.identity(1)
     # rational prefactor: r1(n) is realized by r1(-delta_alpha) applied first
-    r1 = list(r1)
-    if _poly.degree(r1) > 0 or r1[0] != 1:
+    if any(r1[1:]) or r1[0] != 1:
         eig = _ladder_forms(alpha)["eigen"][0]
-        neg_eig = _scalar_operator([[-c for c in f] for f in eig])
+        neg_eig = entries_to_operator({(0, 0): [[-c for c in f] for f in eig]},
+                                      1)
         term = MatrixDiffOperator.identity(1)
         r1_op = MatrixDiffOperator.zero(1)
         for c in r1:
@@ -149,44 +163,15 @@ def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
             term = op_compose(term, neg_eig)
         tau = op_compose(r1_op, tau)
 
-    def q(n, _f=tuple(factors), _r2=tuple(r2)):
-        out = _poly.evaluate(list(_r2), float(n))
+    def q(n, _r=tuple(r2), _f=tuple(factors)):
+        out = float(np.polyval(_r[::-1], float(n)))
         for f in _f:
             out *= f(n)
         return out
 
-    _verify_shift(alpha, k, m, tau, q, r1, list(r2))
+    _verify(tau, alpha, k, m, lambda n: q(n, tuple(r1)), 10, 1e-10,
+            f"shift synthesis (k={k}, m={m}) failed at n={{n}}")
     return tau, q
-
-
-def _verify_shift(alpha, k, m, tau, q, r1, r2, n_hi=10, tol=1e-10):
-    src = sf.recurrence_coefficients(sf.laguerre(alpha), n_hi + abs(m) + 1)
-    dst = sf.recurrence_coefficients(sf.laguerre(alpha + k), n_hi + abs(m) + 1)
-    for n in range(n_hi + 1):
-        img = apply_scalar(tau, src.polynomial(n))
-        fac = q(n) * _poly.evaluate(r1, float(n)) / _poly.evaluate(r2, float(n))
-        want = ([0] if n + m < 0 else _poly.scale(dst.polynomial(n + m), fac))
-        diff = _poly.sub(img, want)
-        scale = max(_poly.max_abs(img), _poly.max_abs(want), 1.0)
-        if _poly.max_abs(diff) > tol * scale:
-            raise InvalidParam(f"shift synthesis (k={k}, m={m}) failed at n={n}")
-
-
-def _entries_to_operator(entries: dict, size: int, exact=False) -> MatrixDiffOperator:
-    """Matrix operator from a dict (i, j) -> scalar coefficient lists."""
-    order = max(len(fs) for fs in entries.values()) - 1
-    f_coeffs = []
-    for j in range(order + 1):
-        deg = max((len(fs[j]) for fs in entries.values() if j < len(fs)),
-                  default=1)
-        coeffs = [np.zeros((size, size), dtype=object if exact else complex)
-                  for _ in range(deg)]
-        for (r, c), fs in entries.items():
-            if j < len(fs):
-                for kk, val in enumerate(fs[j]):
-                    coeffs[kk][r, c] = coeffs[kk][r, c] + val
-        f_coeffs.append(MatrixPolynomial(coeffs, size=size, exact=exact))
-    return MatrixDiffOperator(f_coeffs, size=size, exact=exact)
 
 
 def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
@@ -230,7 +215,7 @@ def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
         (4, 3): smul(-a4, down1(alpha + 1)),
         (4, 4): ([1.0],),
     }
-    d1_tilde = _entries_to_operator(entries, 5)
+    d1_tilde = entries_to_operator(entries, 5)
 
     T, T_inv = build_T(spec)
     two_minus = MatrixDiffOperator.identity(5) * 2.0 - d1_tilde

@@ -13,9 +13,16 @@ Composition satisfies P . (D1 o D2) = (P . D1) . D2.  Conjugation by T =
 I + A x stays inside polynomial coefficients because A^2 = 0, so it is
 done by composing with the order-zero multiplication operators for T and
 T^{-1}.
+
+Operators given entry by entry, as scalar coefficient lists (f_0, f_1,
+...) per matrix entry, are built by one routine, ``entries_to_operator``:
+the diagonal of the bispectral operator, the 5x5 Laguerre chain and every
+size-1 ladder operator.  A size-1 operator acts on a scalar polynomial
+through the same kernel (``apply_scalar``).
 """
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -25,7 +32,6 @@ from .errors import ConditionFailed, SizeMismatch, Unsupported
 from .matrix_poly import MatrixPolynomial
 from .mvop_core import peak
 from .weight_model import WeightSpec, build_T
-from ._poly import binom
 
 CONDITION_TOL = 1e-12
 
@@ -181,7 +187,7 @@ def op_compose(D1: MatrixDiffOperator, D2: MatrixDiffOperator) -> MatrixDiffOper
     for i, fi in enumerate(D1.f_coeffs):
         for j, gj in enumerate(D2.f_coeffs):
             for l in range(j + 1):
-                out[i + l] = out[i + l] + fi.derivative(j - l) * gj * binom(j, l)
+                out[i + l] = out[i + l] + fi.derivative(j - l) * gj * comb(j, l)
     return MatrixDiffOperator(out, size=size, exact=exact)
 
 
@@ -196,32 +202,31 @@ class EigenvalueMap:
         return self.fn(n)
 
 
-def diagonal_operator(scalar_ops, shifts=None, scales=None,
-                      exact=False) -> MatrixDiffOperator:
-    """Assemble diag(delta_1, ..., delta_N) (+ diagonal constant shifts)."""
-    N = len(scalar_ops)
-    shifts = shifts or [0.0] * N
-    scales = scales or [1.0] * N
-    order = max(len(op.fs) for op in scalar_ops) - 1
-    fs = []
+def entries_to_operator(entries: dict, size: int) -> MatrixDiffOperator:
+    """Matrix operator from a dict (i, j) -> scalar coefficient lists
+    (f_0, f_1, ...) of that entry, each ascending in powers of x."""
+    order = max(len(fs) for fs in entries.values()) - 1
+    f_coeffs = []
     for j in range(order + 1):
-        entries = []
-        for i, op in enumerate(scalar_ops):
-            fj = list(op.fs[j]) if j < len(op.fs) else [0]
-            fj = [scales[i] * c for c in fj]
-            if j == 0:
-                fj[0] = fj[0] + shifts[i]
-            entries.append(fj)
-        deg = max(len(e) for e in entries)
-        coeffs = []
-        for k in range(deg):
-            c = np.zeros((N, N), dtype=complex)
-            for i, e in enumerate(entries):
-                if k < len(e):
-                    c[i, i] = e[k]
-            coeffs.append(c)
-        fs.append(MatrixPolynomial(coeffs, size=N))
-    return MatrixDiffOperator(fs, size=N, exact=exact)
+        deg = max((len(fs[j]) for fs in entries.values() if j < len(fs)),
+                  default=1)
+        coeffs = [np.zeros((size, size), dtype=complex) for _ in range(deg)]
+        for (r, c), fs in entries.items():
+            if j < len(fs):
+                for k, val in enumerate(fs[j]):
+                    coeffs[k][r, c] += val
+        f_coeffs.append(MatrixPolynomial(coeffs, size=size))
+    return MatrixDiffOperator(f_coeffs, size=size)
+
+
+def apply_scalar(op: MatrixDiffOperator, poly):
+    """Apply a size-1 operator to a scalar coefficient list (ascending);
+    the image comes back as a list without trailing zeros."""
+    C = np.asarray(poly, dtype=complex).reshape(-1, 1, 1)
+    out = op_apply(C, op)[:, 0, 0].tolist()
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def conjugate_by_T(D_tilde: MatrixDiffOperator, spec: WeightSpec,
@@ -259,7 +264,7 @@ def _check_condition(eigs, shifts, N):
                     f"slots {even + 1},{nxt + 1}: L_(n+1) != L_n ({a} vs {b})")
 
 
-def build_bispectral_operator(spec: WeightSpec, exact: bool = False):
+def build_bispectral_operator(spec: WeightSpec):
     """The second-order operator D with Q_n . D = Lambda_n Q_n, plus Lambda.
 
     Families: all-Laguerre (+1 shift on even slots), all-Hermite (-2 on odd
@@ -272,11 +277,7 @@ def build_bispectral_operator(spec: WeightSpec, exact: bool = False):
     if any(f == sf.CUSTOM for f in fams):
         raise Unsupported("bispectral operators need classical scalar weights")
 
-    scalar_ops, eigs = [], []
-    for s in spec.scalars:
-        op, ev = sf.scalar_diff_operator(s)
-        scalar_ops.append(op)
-        eigs.append(ev)
+    scalar_ops, eigs = zip(*map(sf.scalar_diff_operator, spec.scalars))
     scales = [1.0] * N
 
     if all(f == sf.LAGUERRE for f in fams):
@@ -301,7 +302,11 @@ def build_bispectral_operator(spec: WeightSpec, exact: bool = False):
     scaled_eigs = [(lambda n, e=e, s=sc: s * e(n))
                    for e, sc in zip(eigs, scales)]
     _check_condition(scaled_eigs, shifts, N)
-    d_tilde = diagonal_operator(scalar_ops, shifts=shifts, scales=scales)
+    entries = {}
+    for i, (fs, sc, sh) in enumerate(zip(scalar_ops, scales, shifts)):
+        entries[i, i] = [[sc * c for c in f] for f in fs]
+        entries[i, i][0][0] += sh
+    d_tilde = entries_to_operator(entries, N)
     D = conjugate_by_T(d_tilde, spec)
 
     def lam(n, _e=tuple(scaled_eigs), _s=tuple(shifts)):

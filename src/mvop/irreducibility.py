@@ -23,7 +23,6 @@ Math. 27, 2010).  The basis is checked on the generators.
 from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
-from typing import Optional
 
 import numpy as np
 
@@ -218,23 +217,16 @@ def _polish(F, Gs):
     return F
 
 
-def order_zero_symmetries(spec: WeightSpec,
-                          n_points: Optional[int] = None) -> SymmetrySpace:
+def order_zero_symmetries(spec: WeightSpec) -> SymmetrySpace:
     """Orthonormal basis of constant solutions of F W(x) = W(x) F*, solved
-    on the generators of W and normalized by W summed over n_points sample
-    points (3N + 10 by default)."""
+    on the generators of W and normalized by W summed over 3N + 10 sample
+    points."""
     N = spec.N
-    min_pts = 3 * N
-    if n_points is None:
-        n_points = 3 * N + 10
-    if n_points < min_pts:
-        raise InvalidParam(f"need n_points >= {min_pts}")
-
     Gs = np.concatenate([Pi for _, Pi in _weight_classes(spec)])
     top = np.max(np.abs(Gs), axis=(1, 2))
     Gs = Gs[top > 0] / top[top > 0, None, None]
-    Ws, used = _weight_stack(spec, _sample_points(spec, n_points))
-    if len(used) < min_pts:
+    Ws, used = _weight_stack(spec, _sample_points(spec, 3 * N + 10))
+    if len(used) < 3 * N:
         raise InvalidParam("support sampling left too few usable points")
 
     L = np.linalg.cholesky(Ws.sum(axis=0))

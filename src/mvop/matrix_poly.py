@@ -80,16 +80,6 @@ class MatrixPolynomial:
             eye = np.eye(size, dtype=complex)
         return cls([eye], exact=exact)
 
-    @classmethod
-    def constant(cls, mat, exact=False):
-        return cls([mat], exact=exact)
-
-    @classmethod
-    def from_scalar(cls, coeffs, exact=False):
-        """Lift a scalar polynomial (ascending coefficients) to size 1."""
-        return cls([np.array([[c]], dtype=object if exact else complex)
-                    for c in coeffs], exact=exact)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -194,9 +184,12 @@ class MatrixPolynomial:
         return MatrixPolynomial(cs, size=self.size, exact=False)
 
     def entry(self, i, j):
-        """Scalar polynomial (ascending list) sitting at entry (i, j)."""
-        from . import _poly
-        return _poly.trim([c[i, j] for c in self.coeffs])
+        """Scalar polynomial (ascending list) sitting at entry (i, j),
+        without trailing zeros."""
+        out = [c[i, j] for c in self.coeffs]
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return out
 
     def _check(self, other):
         if self.size != other.size:

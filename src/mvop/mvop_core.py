@@ -154,37 +154,15 @@ class MVOPSequence:
             raise OutOfRange(f"n={n} outside 0..{hi}")
 
     def _scalar_table(self) -> np.ndarray:
-        """Power coefficients of every scalar polynomial: floats, or sympy
-        rationals on the exact backend.
-
-        Shape (n_max+3, n_max+3, N): entry [n + 1, p, k] is [x^p] p_n^{w_k}
-        for n = -1..n_max+1, row 0 (p_{-1}) being zero.  The recurrence
-        p_{n+1} = (x - b_n) p_n - c_n p_{n-1} runs on all N weights at once,
-        with the operations of ``MonicScalarSequence.polynomial``.  Built
-        on first use and published in one assignment; float coefficients
-        past the float range (Laguerre near n = 170) are left infinite for
-        ``_rows`` to refuse.
-        """
+        """``scalar_families.power_table`` of the N scalar sequences up to
+        p_{n_max+1}, shape (n_max+3, n_max+3, N): entry [n + 1, p, k] is
+        [x^p] p_n^{w_k}.  Built on first use and published in one
+        assignment; ``_assemble`` refuses float coefficients past the float
+        range."""
         got = self._ptab
-        if got is not None:
-            return got
-        M, N = self.n_max, self.weight.N
-        dtype = object if self.exact else float
-        b = np.array([s.b_coeffs[:M + 1] for s in self.scalar_seqs],
-                     dtype=dtype).T
-        c = np.zeros((M + 1, N), dtype=dtype)
-        c[1:] = np.array([s.c_coeffs[:M] for s in self.scalar_seqs],
-                         dtype=dtype).T
-        tab = np.zeros((M + 3, M + 3, N), dtype=dtype)
-        tab[1, 0] = 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(M + 1):
-                p = tab[n + 1]
-                tab[n + 2, 1:] = p[:-1]
-                tab[n + 2] -= b[n] * p
-                tab[n + 2] -= c[n] * tab[n]
-        self._ptab = tab
-        return tab
+        if got is None:
+            got = self._ptab = sf.power_table(self.scalar_seqs, self.n_max + 1)
+        return got
 
     # -- diagonal scalar objects ------------------------------------------
 

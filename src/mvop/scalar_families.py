@@ -15,6 +15,13 @@ Two backends: ``float`` (binary64) and ``exact`` (sympy rationals, for
 classical families with rational parameters at small degree); only the
 exact branches import sympy.  Norms are kept in log space in the float
 backend to dodge factorial overflow.
+
+Power coefficients of the monic polynomials come from one routine,
+``power_table``, which runs the recurrence on a whole list of sequences
+at once; ``MonicScalarSequence.polynomial`` and the matrix sequences of
+``mvop_core`` read its tables.  ``scalar_diff_operator`` gives each
+family's second-order operator as plain coefficient lists (f_0, f_1,
+f_2), which ``diff_operators.entries_to_operator`` turns into operators.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _poly
 from .errors import IllConditioned, InvalidParam, OutOfRange, Unsupported
 
 HERMITE = "hermite"
@@ -146,13 +152,6 @@ def _exact_moment0(spec: ScalarWeightSpec):
     return _rat(spec.moments[0])
 
 
-def _prefactor_tag(spec: ScalarWeightSpec) -> str:
-    return {HERMITE: "sqrt(pi)*exp(b^2)",
-            LAGUERRE: "Gamma(alpha+1)",
-            JACOBI: "2^(alpha+beta+1)*B(alpha+1,beta+1)",
-            CUSTOM: "moment0"}[spec.family]
-
-
 @dataclass
 class MonicScalarSequence:
     """Recurrence data for p_{n+1} = (x - b_n) p_n - c_n p_{n-1}."""
@@ -163,35 +162,48 @@ class MonicScalarSequence:
     b_coeffs: list          # b_0 .. b_{n_max}
     c_coeffs: list          # c_1 .. c_{n_max}
     log_norms: list         # log ||p_n||^2, n = 0 .. n_max
-    norm_prefactor: str
     exact_norms: Optional[list] = None
-    _polys: list = field(default_factory=list, repr=False)
+    _table: Optional[np.ndarray] = field(default=None, repr=False,
+                                         compare=False)
 
     def polynomial(self, n: int):
-        """Coefficients (ascending) of the monic p_n.
-
-        The table is extended on a local copy and published with one
-        assignment, so threads sharing the sequence never see a list that
-        another thread is still filling.
-        """
+        """Coefficients (ascending) of the monic p_n: row n of the
+        sequence's ``power_table``, built on first use and published with
+        one assignment, so threads sharing the sequence never see a table
+        that another thread is still filling."""
         if n < 0 or n > self.n_max:
             raise OutOfRange(f"n={n} outside 0..{self.n_max}")
-        polys = self._polys
-        if len(polys) <= n:
-            if self.backend == "exact":
-                import sympy as sp
-                one = sp.Integer(1)
-            else:
-                one = 1.0
-            polys = list(polys) or [[one]]
-            while len(polys) <= n:
-                k = len(polys) - 1  # have p_k, build p_{k+1}
-                nxt = _poly.sub(_poly.mul([-self.b_coeffs[k], 1], polys[k]),
-                                _poly.scale(polys[k - 1], self.c_coeffs[k - 1])
-                                if k >= 1 else [0])
-                polys.append(nxt)
-            self._polys = polys
-        return list(polys[n])
+        tab = self._table
+        if tab is None:
+            tab = self._table = power_table([self], self.n_max)
+        return tab[n + 1, :n + 1, 0].tolist()
+
+
+def power_table(seqs, n_hi: int) -> np.ndarray:
+    """Power coefficients of p_{-1}..p_{n_hi} of every sequence in
+    ``seqs``: floats, or sympy rationals when the first sequence is exact.
+
+    Shape (n_hi + 2, n_hi + 2, len(seqs)): entry [n + 1, p, k] is [x^p]
+    p_n of sequence k, row 0 (p_{-1}) being zero.  The recurrence
+    p_{n+1} = (x - b_n) p_n - c_n p_{n-1} runs on all sequences at once.
+    Float coefficients past the float range (Laguerre near n = 170) are
+    left infinite for the caller to refuse.
+    """
+    N = len(seqs)
+    dtype = object if seqs[0].backend == "exact" else float
+    b = np.array([s.b_coeffs[:n_hi] for s in seqs], dtype=dtype).T
+    c = np.zeros((n_hi, N), dtype=dtype)
+    c[1:] = np.array([s.c_coeffs[:max(n_hi - 1, 0)] for s in seqs],
+                     dtype=dtype).T
+    tab = np.zeros((n_hi + 2, n_hi + 2, N), dtype=dtype)
+    tab[1, 0] = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_hi):
+            p = tab[n + 1]
+            tab[n + 2, 1:] = p[:-1]
+            tab[n + 2] -= b[n] * p
+            tab[n + 2] -= c[n] * tab[n]
+    return tab
 
 
 def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
@@ -227,7 +239,6 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
             log_norms.append(log_norms[-1] + log(ck))
     return MonicScalarSequence(spec=spec, backend=backend, n_max=n_max,
                                b_coeffs=b, c_coeffs=c, log_norms=log_norms,
-                               norm_prefactor=_prefactor_tag(spec),
                                exact_norms=exact_norms)
 
 
@@ -371,29 +382,16 @@ def gauss_rule(spec: ScalarWeightSpec, m: int):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class ScalarDiffOperator:
-    """Right-acting scalar operator sum_j d^j/dx^j . f_j(x), order <= 2."""
-
-    fs: tuple  # coefficient lists for f_0, f_1, f_2
-
-    def apply(self, p):
-        out = [0]
-        for j, fj in enumerate(self.fs):
-            out = _poly.add(out, _poly.mul(_poly.derivative(p, j), fj))
-        return out
-
-
 def scalar_diff_operator(spec: ScalarWeightSpec):
-    """Second-order operator with p_n as eigenfunctions, plus its eigenvalue map."""
+    """Coefficient lists (f_0, f_1, f_2) of the right-acting operator
+    sum_j d^j/dx^j . f_j(x) with p_n as eigenfunctions, plus its
+    eigenvalue map."""
     if spec.family == HERMITE:
-        op = ScalarDiffOperator(([0], [2.0 * spec.b, -2.0], [1.0]))
-        return op, lambda n: -2.0 * n
+        return ([0], [2.0 * spec.b, -2.0], [1.0]), lambda n: -2.0 * n
     if spec.family == LAGUERRE:
-        op = ScalarDiffOperator(([0], [spec.alpha + 1.0, -1.0], [0.0, 1.0]))
-        return op, lambda n: -float(n)
+        return ([0], [spec.alpha + 1.0, -1.0], [0.0, 1.0]), lambda n: -float(n)
     if spec.family == JACOBI:
         a, b = spec.alpha, spec.beta
-        op = ScalarDiffOperator(([0], [b - a, -(a + b + 2.0)], [1.0, 0.0, -1.0]))
-        return op, lambda n: -n * (n + a + b + 1.0)
+        return (([0], [b - a, -(a + b + 2.0)], [1.0, 0.0, -1.0]),
+                lambda n: -n * (n + a + b + 1.0))
     raise Unsupported("no differential operator for moment-supplied weights")

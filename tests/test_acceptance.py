@@ -12,7 +12,6 @@ import pytest
 import sympy as sp
 
 import mvop.scalar_families as sf
-from mvop import _poly
 from mvop.darboux import (builtin_n5_laguerre, darboux_verify,
                           hermite_A_factorization)
 from mvop.diff_operators import build_bispectral_operator, eigencheck, op_apply, op_compose
@@ -256,7 +255,7 @@ def test_criterion_7_irreducibility():
     t0 = time.perf_counter()
     big = weight_spec([1.0] * 9,
                       [sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)])
-    dim10 = order_zero_symmetries(big, n_points=250).dimension
+    dim10 = order_zero_symmetries(big).dimension
     dt = time.perf_counter() - t0
     report(7, "irreducibility",
            red_ok and dims_ok and ok3 and dim10 == 1 and dt < 60.0,

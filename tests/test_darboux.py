@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import mvop.darboux as darboux
 import mvop.scalar_families as sf
-from mvop import _poly
 from mvop.darboux import (DarbouxReport, LadderOperator, apply_scalar,
                           builtin_n5_laguerre, darboux_verify,
                           hermite_A_factorization, ladder, synthesize_shift)
@@ -22,9 +22,12 @@ def laguerre_seq(alpha, n_max):
 
 
 def scalar_close(p, q, tol=1e-10):
-    d = _poly.sub(list(p), list(q))
-    scale = max(_poly.max_abs(list(p)), _poly.max_abs(list(q)), 1.0)
-    return _poly.max_abs(d) <= tol * scale
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    d = np.zeros(max(len(p), len(q)), dtype=complex)
+    d[:len(p)] += p
+    d[:len(q)] -= q
+    scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
+    return np.abs(d).max() <= tol * scale
 
 
 class TestLadders:
@@ -42,7 +45,7 @@ class TestLadders:
             if n + dn < 0:
                 continue
             img = L.apply(src.polynomial(n))
-            want = _poly.scale(dst.polynomial(n + dn), L.factor(n))
+            want = np.multiply(dst.polynomial(n + dn), L.factor(n))
             assert scalar_close(img, want)
 
     def test_factor_values(self):
@@ -73,7 +76,7 @@ class TestShiftSynthesis:
             if n + m < 0:
                 continue
             img = apply_scalar(tau, src.polynomial(n))
-            want = _poly.scale(dst.polynomial(n + m), q(n))
+            want = np.multiply(dst.polynomial(n + m), q(n))
             assert scalar_close(img, want)
 
     def test_rational_prefactor(self):
@@ -84,8 +87,26 @@ class TestShiftSynthesis:
         dst = laguerre_seq(alpha + 1, 10)
         for n in range(1, 8):
             img = apply_scalar(tau, src.polynomial(n))
-            want = _poly.scale(dst.polynomial(n), q(n) * n / (n + 1))
+            want = np.multiply(dst.polynomial(n), q(n) * n / (n + 1))
             assert scalar_close(img, want)
+
+    @pytest.mark.parametrize("r2,root", [((0, 1), 0), ((-3, 1), 3)])
+    def test_r2_root_in_checked_range(self, r2, root):
+        # r2 vanishes at a checked degree: q(n) r1(n)/r2(n) = prod f_i(n)
+        # there, and nothing is divided by r2
+        alpha = 0.5
+        tau, q = synthesize_shift(alpha, 1, 0, r2=r2)
+        assert q(root) == 0.0
+        src = laguerre_seq(alpha, 10)
+        dst = laguerre_seq(alpha + 1, 10)
+        for n in range(9):
+            img = apply_scalar(tau, src.polynomial(n))
+            assert scalar_close(img, dst.polynomial(n))
+
+    @pytest.mark.parametrize("r1,r2", [((), (1,)), ((1,), ())])
+    def test_empty_prefactor_rejected(self, r1, r2):
+        with pytest.raises(InvalidParam):
+            synthesize_shift(0.5, 1, 0, r1=r1, r2=r2)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -94,6 +115,30 @@ class TestShiftSynthesis:
     def test_invalid_target(self):
         with pytest.raises(InvalidParam):
             synthesize_shift(0.5, -2, 0)   # alpha + k = -1.5
+
+
+class TestVerifiersRejectWrongOperator:
+    @pytest.fixture
+    def perturbed_n_up(self, monkeypatch):
+        # the x coefficient of f_2 in n_up, off by a relative 1e-6
+        forms = darboux._ladder_forms
+
+        def wrong(alpha):
+            out = forms(alpha)
+            fs, factor, delta = out["n_up"]
+            out["n_up"] = ((fs[0], fs[1], [fs[2][0], fs[2][1] * (1 + 1e-6)]),
+                           factor, delta)
+            return out
+
+        monkeypatch.setattr(darboux, "_ladder_forms", wrong)
+
+    def test_ladder(self, perturbed_n_up):
+        with pytest.raises(InvalidParam, match="failed its shift identity"):
+            ladder("n_up", 0.5)
+
+    def test_shift_synthesis(self, perturbed_n_up):
+        with pytest.raises(InvalidParam, match=r"shift synthesis .* failed"):
+            synthesize_shift(0.5, 0, 2)
 
 
 class TestBuiltinFiveByFive:
