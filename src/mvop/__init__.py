@@ -18,8 +18,8 @@ from .matrix_poly import MatrixPolynomial
 from .weight_model import (WeightSpec, weight_spec, build_nilpotent, build_T,
                            weight_eval, InnerProductEngine)
 from .mvop_core import MVOPSequence, continuant
-from .diff_operators import (MatrixDiffOperator, EigenvalueMap, op_apply,
-                             op_compose, conjugate_by_T,
+from .diff_operators import (MatrixDiffOperator, op_apply, op_compose,
+                             conjugate_by_T,
                              build_bispectral_operator, eigencheck)
 from .darboux import (LadderOperator, ladder, synthesize_shift,
                       builtin_n5_laguerre, hermite_A_factorization,
@@ -40,7 +40,7 @@ __all__ = [
     "WeightSpec", "weight_spec", "build_nilpotent", "build_T", "weight_eval",
     "InnerProductEngine",
     "MVOPSequence", "continuant",
-    "MatrixDiffOperator", "EigenvalueMap", "op_apply", "op_compose",
+    "MatrixDiffOperator", "op_apply", "op_compose",
     "conjugate_by_T", "build_bispectral_operator", "eigencheck",
     "LadderOperator", "ladder", "synthesize_shift", "builtin_n5_laguerre",
     "hermite_A_factorization", "darboux_verify", "DarbouxReport",

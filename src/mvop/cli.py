@@ -350,7 +350,7 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
         os.makedirs(csv_dir, exist_ok=True)
         Q = seq.q_block(0, cfg.n_max + 1)
         for n in range(cfg.n_max + 1):
-            MatrixPolynomial(list(Q[n, :n + 1]), size=cfg.spec.N,
+            MatrixPolynomial(Q[n, :n + 1], size=cfg.spec.N,
                              trim=False).dump_csv(
                 os.path.join(csv_dir, f"Q_{n}.csv"))
 

@@ -188,9 +188,6 @@ def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
                         sf.laguerre(alpha + 1), sf.laguerre(alpha + 1),
                         sf.laguerre(alpha + 2)])
 
-    def nup(al):
-        return ([-al - 1.0, 1.0], [al + 1.0, -2.0], [0.0, 1.0])
-
     def down2(al):           # d^2 x + d (al+1)
         return ([0.0], [al + 1.0], [0.0, 1.0])
 
@@ -200,18 +197,20 @@ def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
     def smul(s, fs):
         return tuple([s * c for c in f] for f in fs)
 
+    up = [_ladder_forms(al)["n_up"][0] for al in (alpha, alpha + 1)]
+    d = _ladder_forms(alpha)["n_down"][0]
     entries = {
         (0, 0): ([1.0],),
-        (0, 1): smul(a1, nup(alpha)),
+        (0, 1): smul(a1, up[0]),
         (1, 0): smul(-a1, down2(alpha)),
         (1, 1): ([1.0],),
-        (1, 2): smul(-a2, ([0.0], [1.0])),
+        (1, 2): smul(-a2, d),
         (2, 1): smul(-a2, down1(alpha)),
         (2, 2): ([1.0],),
-        (2, 3): smul(a3, nup(alpha + 1)),
+        (2, 3): smul(a3, up[1]),
         (3, 2): smul(-a3, down2(alpha + 1)),
         (3, 3): ([1.0],),
-        (3, 4): smul(-a4, ([0.0], [1.0])),
+        (3, 4): smul(-a4, d),
         (4, 3): smul(-a4, down1(alpha + 1)),
         (4, 4): ([1.0],),
     }
@@ -241,32 +240,28 @@ def hermite_A_factorization(spec: WeightSpec, exact: bool = False):
         eye = np.array(sp.eye(N).tolist(), dtype=object)
         half = sp.Rational(1, 2)
         quarter = sp.Rational(1, 4)
-        two = sp.Integer(2)
     else:
         eye = np.eye(N, dtype=complex)
-        half, quarter, two = 0.5, 0.25, 2.0
-
-    def mp(coeffs):
-        return MatrixPolynomial(coeffs, size=N, exact=exact)
+        half, quarter = 0.5, 0.25
 
     D = MatrixDiffOperator([
-        mp([AAs * half + eye]),
-        mp([0 * eye, (AAs + AsA) * half]),
-        mp([-(AAs + AsA) * quarter]),
-    ], exact=exact)
+        MatrixPolynomial([AAs * half + eye]),
+        MatrixPolynomial([0 * eye, (AAs + AsA) * half]),
+        MatrixPolynomial([-(AAs + AsA) * quarter]),
+    ])
     D1 = MatrixDiffOperator([
-        mp([eye]),
-        mp([-(A + Astar) * half, AsA * half]),
-    ], exact=exact)
+        MatrixPolynomial([eye]),
+        MatrixPolynomial([-(A + Astar) * half, AsA * half]),
+    ])
     D2 = MatrixDiffOperator([
-        mp([AAs * half + eye]),
-        mp([(A + Astar) * half, AAs * half]),
-    ], exact=exact)
+        MatrixPolynomial([AAs * half + eye]),
+        MatrixPolynomial([(A + Astar) * half, AAs * half]),
+    ])
     D_swapped = MatrixDiffOperator([
-        mp([AAs * half + eye]),
-        mp([-(AAs @ A) * half, (AAs + AsA) * half]),
-        mp([-(AsA + AAs) * quarter]),
-    ], exact=exact)
+        MatrixPolynomial([AAs * half + eye]),
+        MatrixPolynomial([-(AAs @ A) * half, (AAs + AsA) * half]),
+        MatrixPolynomial([-(AsA + AAs) * quarter]),
+    ])
     return D, D1, D2, D_swapped
 
 

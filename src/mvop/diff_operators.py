@@ -2,12 +2,14 @@
 
 Application is P . D = sum_j (d^j P)(x) F_j(x).  ``op_apply`` takes one
 MatrixPolynomial or a whole stack of coefficient arrays (..., deg + 1, N,
-N): each term x^l of F_j is one GEMM on the reshaped stack, with the
-falling factorials p!/(p-j)! as a per-power scale, so a second-order
-operator costs about fifteen GEMMs whatever the number of polynomials.
-``eigencheck`` runs it on blocks of ``EIGEN_BLOCK`` degrees of
-``MVOPSequence.q_block``.  numpy matmul takes the object arrays of the
-exact backend too, so exact operands go through the same code.
+N) and runs the two stack routines of ``matrix_poly`` on it: ``falling``
+for d^j P and ``cauchy`` for the product with the coefficient stack of
+F_j, one GEMM per power of F_j, so a second-order operator costs about
+fifteen GEMMs whatever the number of polynomials.  ``eigencheck`` runs it
+on blocks of ``EIGEN_BLOCK`` degrees of ``MVOPSequence.q_block``.  numpy
+matmul takes the object arrays of the exact backend too, so exact operands
+go through the same code, and an operator is exact when its coefficient
+stacks are.
 
 Composition satisfies P . (D1 o D2) = (P . D1) . D2.  Conjugation by T =
 I + A x stays inside polynomial coefficients because A^2 = 0, so it is
@@ -21,15 +23,13 @@ size-1 ladder operator.  A size-1 operator acts on a scalar polynomial
 through the same kernel (``apply_scalar``).
 """
 
-from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
 from . import scalar_families as sf
 from .errors import ConditionFailed, SizeMismatch, Unsupported
-from .matrix_poly import MatrixPolynomial
+from .matrix_poly import MatrixPolynomial, cauchy, falling
 from .mvop_core import peak
 from .weight_model import WeightSpec, build_T
 
@@ -44,19 +44,19 @@ EIGEN_BLOCK = 16
 class MatrixDiffOperator:
     """Operator of order m with MatrixPolynomial coefficients F_0..F_m."""
 
-    def __init__(self, f_coeffs, size=None, exact=False):
+    def __init__(self, f_coeffs):
         f_coeffs = list(f_coeffs)
-        if not f_coeffs:
-            if size is None:
-                raise ValueError("empty operator needs an explicit size")
-            f_coeffs = [MatrixPolynomial.zero(size, exact)]
         self.size = f_coeffs[0].size
-        self.exact = exact
         if any(f.size != self.size for f in f_coeffs):
             raise SizeMismatch("operator coefficients disagree in size")
         while len(f_coeffs) > 1 and f_coeffs[-1].is_zero():
             f_coeffs.pop()
         self.f_coeffs = f_coeffs
+
+    @property
+    def exact(self):
+        """True when every coefficient is exact (see ``matrix_poly``)."""
+        return all(f.exact for f in self.f_coeffs)
 
     @property
     def order(self):
@@ -69,34 +69,31 @@ class MatrixDiffOperator:
 
     @classmethod
     def zero(cls, size, exact=False):
-        return cls([], size=size, exact=exact)
+        return cls([MatrixPolynomial.zero(size, exact)])
 
     @classmethod
     def identity(cls, size, exact=False):
-        return cls([MatrixPolynomial.identity(size, exact)], exact=exact)
+        return cls([MatrixPolynomial.identity(size, exact)])
 
     @classmethod
     def multiplication(cls, poly: MatrixPolynomial):
         """Order-zero operator P -> P * poly."""
-        return cls([poly], exact=poly.exact)
+        return cls([poly])
 
     def __add__(self, other):
         self._check(other)
         m = max(self.order, other.order)
         return MatrixDiffOperator([self.coeff(j) + other.coeff(j)
-                                   for j in range(m + 1)],
-                                  size=self.size, exact=self.exact)
+                                   for j in range(m + 1)])
 
     def __sub__(self, other):
         self._check(other)
         m = max(self.order, other.order)
         return MatrixDiffOperator([self.coeff(j) - other.coeff(j)
-                                   for j in range(m + 1)],
-                                  size=self.size, exact=self.exact)
+                                   for j in range(m + 1)])
 
     def __mul__(self, scalar):
-        return MatrixDiffOperator([f * scalar for f in self.f_coeffs],
-                                  size=self.size, exact=self.exact)
+        return MatrixDiffOperator([f * scalar for f in self.f_coeffs])
 
     def is_zero(self):
         return all(f.is_zero() for f in self.f_coeffs)
@@ -125,7 +122,7 @@ class MatrixDiffOperator:
             coeffs = [np.array([[complex(e[0], e[1]) for e in row]
                                 for row in ck]) for ck in fj]
             fs.append(MatrixPolynomial(coeffs, size=size))
-        return cls(fs, size=size)
+        return cls(fs)
 
 
 def op_apply(P, D: MatrixDiffOperator):
@@ -134,43 +131,28 @@ def op_apply(P, D: MatrixDiffOperator):
 
     A stack has shape (..., deg + 1, N, N), powers ascending on axis -3,
     and comes back as a stack with the same leading axes and as many
-    powers as the highest term needs; object arrays (sympy entries) stay
-    exact.  d^j P is the stack scaled per power j times over (the falling
-    factorials p!/(p-j)!), and each x^l coefficient of F_j is one GEMM of
-    it, reshaped to (rows, N), landing on powers p - j + l.  The terms of
-    each j add up in the order of the per-coefficient Cauchy product, so
-    a stack gives the sums of the polynomial-by-polynomial products.
+    powers as the highest term needs; it is an object array (sympy
+    entries) when P or D is exact.  Term j is ``cauchy(falling(P, j),
+    F_j)``, each derivative one ``falling`` step from the last, and the
+    terms add up in ascending j, so a stack gives the sums of the
+    polynomial-by-polynomial products.
     """
     if isinstance(P, MatrixPolynomial):
-        C = np.array(P.coeffs, dtype=object if P.exact else complex)
-        return MatrixPolynomial(list(_apply_stack(C, D)), size=P.size,
-                                exact=P.exact)
-    return _apply_stack(P, D)
-
-
-def _apply_stack(C: np.ndarray, D: MatrixDiffOperator) -> np.ndarray:
-    *lead, width, N, _ = C.shape
+        return MatrixPolynomial(op_apply(P.coeffs, D))
+    *lead, width, N, _ = P.shape
     if N != D.size:
         raise SizeMismatch(f"sizes {N} and {D.size} differ")
-    exact = C.dtype == object
-    dtype = object if exact else complex
-    fs = [[np.asarray(c, dtype=dtype) for c in f.coeffs]
-          for f in D.f_coeffs[:width]]
-    out_width = max(width - j + len(f) - 1 for j, f in enumerate(fs))
-    out = np.zeros((*lead, out_width, N, N), dtype=dtype)
-    S = C
+    fs = [f.coeffs for f in D.f_coeffs[:width]]
+    out = np.zeros((*lead, max(width - j + len(f) - 1
+                               for j, f in enumerate(fs)), N, N),
+                   dtype=np.result_type(P, *fs))
+    # every term goes through one work array of out's shape: terms of their
+    # own sizes made glibc fault in fresh pages on every call (+35 % page
+    # faults, +8 % wall time on the operator-sweep workload, 2-core VM)
+    term = np.empty_like(out)
     for j, f in enumerate(fs):
-        if j:
-            powers = np.arange(1, width - j + 1,
-                               dtype=object if exact else float)
-            S = S[..., 1:, :, :] * powers[:, None, None]
-        rows = width - j
-        flat = S.reshape(-1, N)
-        term = np.zeros_like(out)
-        for l in reversed(range(len(f))):      # Cauchy order: p ascending
-            term[..., l:l + rows, :, :] += (flat @ f[l]).reshape(
-                *lead, rows, N, N)
-        out += term
+        P = falling(P, 1) if j else P
+        out += cauchy(P, f, out=term)
     return out
 
 
@@ -180,26 +162,13 @@ def op_compose(D1: MatrixDiffOperator, D2: MatrixDiffOperator) -> MatrixDiffOper
     H_k = sum over i + l = k, l <= j of C(j, l) (d^{j-l} F_i) G_j.
     """
     D1._check(D2)
-    exact = D1.exact and D2.exact
-    size = D1.size
     m = D1.order + D2.order
-    out = [MatrixPolynomial.zero(size, exact) for _ in range(m + 1)]
+    out = [MatrixPolynomial.zero(D1.size) for _ in range(m + 1)]
     for i, fi in enumerate(D1.f_coeffs):
         for j, gj in enumerate(D2.f_coeffs):
             for l in range(j + 1):
                 out[i + l] = out[i + l] + fi.derivative(j - l) * gj * comb(j, l)
-    return MatrixDiffOperator(out, size=size, exact=exact)
-
-
-@dataclass(frozen=True)
-class EigenvalueMap:
-    """Closed-form map n -> diagonal eigenvalue matrix."""
-
-    fn: Callable[[int], np.ndarray]
-    description: str = ""
-
-    def __call__(self, n: int) -> np.ndarray:
-        return self.fn(n)
+    return MatrixDiffOperator(out)
 
 
 def entries_to_operator(entries: dict, size: int) -> MatrixDiffOperator:
@@ -216,7 +185,7 @@ def entries_to_operator(entries: dict, size: int) -> MatrixDiffOperator:
                 for k, val in enumerate(fs[j]):
                     coeffs[k][r, c] += val
         f_coeffs.append(MatrixPolynomial(coeffs, size=size))
-    return MatrixDiffOperator(f_coeffs, size=size)
+    return MatrixDiffOperator(f_coeffs)
 
 
 def apply_scalar(op: MatrixDiffOperator, poly):
@@ -229,10 +198,11 @@ def apply_scalar(op: MatrixDiffOperator, poly):
     return out
 
 
-def conjugate_by_T(D_tilde: MatrixDiffOperator, spec: WeightSpec,
-                   exact: bool = False) -> MatrixDiffOperator:
-    """T D_tilde T^{-1} as a right-acting operator: P -> ((P T) . D_tilde) T^{-1}."""
-    T, T_inv = build_T(spec, exact=exact)
+def conjugate_by_T(D_tilde: MatrixDiffOperator,
+                   spec: WeightSpec) -> MatrixDiffOperator:
+    """T D_tilde T^{-1} as a right-acting operator: P -> ((P T) . D_tilde)
+    T^{-1}, in the arithmetic of D_tilde."""
+    T, T_inv = build_T(spec, exact=D_tilde.exact)
     left = MatrixDiffOperator.multiplication(T)
     right = MatrixDiffOperator.multiplication(T_inv)
     return op_compose(op_compose(left, D_tilde), right)
@@ -265,7 +235,8 @@ def _check_condition(eigs, shifts, N):
 
 
 def build_bispectral_operator(spec: WeightSpec):
-    """The second-order operator D with Q_n . D = Lambda_n Q_n, plus Lambda.
+    """The second-order operator D with Q_n . D = Lambda_n Q_n, plus the
+    map n -> Lambda_n.
 
     Families: all-Laguerre (+1 shift on even slots), all-Hermite (-2 on odd
     slots, matching the explicit 2x2 display), all-Jacobi (+(a1+b1) on even
@@ -312,12 +283,12 @@ def build_bispectral_operator(spec: WeightSpec):
     def lam(n, _e=tuple(scaled_eigs), _s=tuple(shifts)):
         return np.diag([e(n) + s for e, s in zip(_e, _s)]).astype(complex)
 
-    return D, EigenvalueMap(lam, description="diag of shifted scalar eigenvalues")
+    return D, lam
 
 
-def eigencheck(seq, D: MatrixDiffOperator, lam: EigenvalueMap,
-               n_max: int) -> dict:
-    """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max.
+def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
+    """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max, with
+    Lambda_n = lam(n).
 
     Degrees go in blocks of ``EIGEN_BLOCK`` rows of ``seq.q_block``; the
     residual of degree n is max|lhs - rhs| / max(max|lhs|, max|rhs|,

@@ -1,9 +1,16 @@
 """Polynomials with square complex-matrix coefficients.
 
-Coefficients are dense numpy arrays indexed by power.  The float backend
-uses complex128; the exact backend uses object arrays of sympy scalars,
-and only its branches import sympy.
-Multiplication is the noncommutative Cauchy product.
+A polynomial is one coefficient stack of shape (deg + 1, N, N), powers
+ascending on axis 0: complex128 on the float backend, an object array of
+sympy scalars on the exact backend, and only the exact branches import
+sympy.  Exactness is the dtype: an object stack is exact, and arithmetic
+with an exact operand gives an exact result (numpy's type promotion).
+
+Two stack routines hold the arithmetic: ``cauchy``, the noncommutative
+Cauchy product, and ``falling``, the j-th derivative.  They take stacks
+with any leading axes, so ``MatrixPolynomial`` and the operator kernel
+``diff_operators.op_apply`` run the same code on one polynomial or on a
+whole block of them.
 """
 
 import csv
@@ -12,21 +19,39 @@ import numpy as np
 
 from .errors import SizeMismatch
 
-ZERO_TOL = 1e-13
+
+def cauchy(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Products A_i(x) B(x) for a stack a (..., ra, N, N) of polynomials
+    and one polynomial b (rb, N, N), as a stack (..., ra + rb - 1, N, N).
+
+    One GEMM per power of b on a reshaped to (rows, N); coefficient k adds
+    a_p b_{k-p} in ascending p.  The result is an object array when either
+    operand is one.  ``out``, if given, receives the product and may hold
+    more powers, which come back zero.
+    """
+    *lead, rows, N, _ = a.shape
+    if out is None:
+        out = np.empty((*lead, rows + len(b) - 1, N, N),
+                       dtype=np.result_type(a, b))
+    # zeros written at once: the lazily zeroed pages of a large np.zeros
+    # fault twice under += (read, then copy on write)
+    out[...] = 0
+    flat = a.reshape(-1, N)
+    for l in reversed(range(len(b))):           # p ascending for every k
+        out[..., l:l + rows, :, :] += (flat @ b[l]).reshape(*lead, rows, N, N)
+    return out
 
 
-def _as_coeff(mat, size, exact):
-    a = np.array(mat, dtype=object if exact else complex)
-    if a.shape != (size, size):
-        raise SizeMismatch(f"expected {size}x{size} coefficient, got {a.shape}")
+def falling(a: np.ndarray, j: int) -> np.ndarray:
+    """d^j/dx^j of every polynomial of the stack a (..., rows, N, N): j
+    steps of dropping the constant and scaling power p by p, so rows - j
+    powers remain (none when j >= rows).  The scale is the falling
+    factorial p!/(p-j)!, in Python integers on object stacks."""
+    for _ in range(j):
+        p = np.arange(1, a.shape[-3], dtype=object if a.dtype == object
+                      else float)
+        a = a[..., 1:, :, :] * p[:, None, None]
     return a
-
-
-def _mat_is_zero(a, exact, tol=0.0):
-    if exact:
-        import sympy as sp
-        return all(sp.expand(x) == 0 for x in a.flat)
-    return np.max(np.abs(a)) <= tol
 
 
 def conj_transpose(a):
@@ -38,20 +63,35 @@ def conj_transpose(a):
     return a.conj().T
 
 
-class MatrixPolynomial:
-    """A polynomial sum_k C_k x^k with N x N matrix coefficients."""
+def _zeros(rows, size, exact):
+    return np.zeros((rows, size, size), dtype=object if exact else complex)
 
-    def __init__(self, coeffs, size=None, exact=False, trim=True):
-        coeffs = list(coeffs)
-        if not coeffs:
-            if size is None:
-                raise ValueError("empty coefficient list needs an explicit size")
-            coeffs = [np.zeros((size, size), dtype=object if exact else complex)]
-        first = np.asarray(coeffs[0])
-        n = first.shape[0] if size is None else size
-        self.size = n
-        self.exact = exact
-        self.coeffs = [_as_coeff(c, n, exact) for c in coeffs]
+
+def _pad(c, rows):
+    """The stack c with zero coefficients appended up to ``rows`` powers."""
+    return np.concatenate([c, np.zeros((rows - len(c),) + c.shape[1:],
+                                       dtype=c.dtype)])
+
+
+class MatrixPolynomial:
+    """A polynomial sum_k C_k x^k with N x N matrix coefficients, stored
+    as the stack ``coeffs`` (see the module docstring).
+
+    ``coeffs`` is anything numpy stacks into shape (deg + 1, N, N); object
+    entries keep the polynomial exact, anything else becomes complex128.
+    An empty stack (0, N, N) is the zero polynomial.
+    """
+
+    def __init__(self, coeffs, size=None, trim=True):
+        c = np.array(coeffs)
+        if c.dtype != object:
+            c = c.astype(complex, copy=False)
+        if (c.ndim != 3 or c.shape[1] != c.shape[2]
+                or size not in (None, c.shape[1])):
+            raise SizeMismatch(f"not a stack of {size or 'N'} x "
+                               f"{size or 'N'} coefficients: shape {c.shape}")
+        self.size = c.shape[1]
+        self.coeffs = c if len(c) else _pad(c, 1)
         if trim:
             self._normalize()
 
@@ -60,136 +100,88 @@ class MatrixPolynomial:
         # structure makes the intended cancellations exact even in floats,
         # while near-zero tests would chop small-but-meaningful top
         # coefficients whenever entry magnitudes are mixed
+        c = self.coeffs
         if self.exact:
             import sympy as sp
-            self.coeffs = [np.array([[sp.expand(x) for x in row] for row in c],
-                                    dtype=object) for c in self.coeffs]
-        while len(self.coeffs) > 1 and _mat_is_zero(self.coeffs[-1], self.exact):
-            self.coeffs.pop()
+            c = np.frompyfunc(sp.expand, 1, 1)(c)
+        k = len(c)
+        while k > 1 and not (c[k - 1] != 0).any():
+            k -= 1
+        self.coeffs = c[:k]
+
+    @property
+    def exact(self):
+        """True for an object stack of sympy entries."""
+        return self.coeffs.dtype == object
 
     @classmethod
     def zero(cls, size, exact=False):
-        return cls([], size=size, exact=exact)
+        return cls(_zeros(1, size, exact))
 
     @classmethod
     def identity(cls, size, exact=False):
-        if exact:
-            import sympy as sp
-            eye = np.array(sp.eye(size).tolist(), dtype=object)
-        else:
-            eye = np.eye(size, dtype=complex)
-        return cls([eye], exact=exact)
+        return cls(np.eye(size, dtype=object if exact else complex)[None])
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
 
     def is_zero(self):
-        return self.degree == 0 and _mat_is_zero(self.coeffs[0], self.exact,
-                                                 0.0 if self.exact else ZERO_TOL
-                                                 * (self.max_coeff_norm() or 1.0))
+        return self.degree == 0 and not (self.coeffs != 0).any()
 
     def coeff(self, k):
         """Coefficient of x^k (a zero matrix past the degree)."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return np.zeros((self.size, self.size),
-                        dtype=object if self.exact else complex)
+        return _zeros(1, self.size, self.exact)[0]
 
     def max_coeff_norm(self):
         """Largest entrywise absolute value over all coefficients."""
-        return max(float(max(abs(complex(x)) for x in c.flat))
-                   for c in self.coeffs)
+        return float(np.abs(self.coeffs.astype(complex)).max())
 
     def __add__(self, other):
         self._check(other)
-        d = max(self.degree, other.degree)
-        return MatrixPolynomial([self.coeff(k) + other.coeff(k)
-                                 for k in range(d + 1)],
-                                size=self.size, exact=self.exact)
+        rows = max(len(self.coeffs), len(other.coeffs))
+        return MatrixPolynomial(_pad(self.coeffs, rows)
+                                + _pad(other.coeffs, rows))
 
     def __sub__(self, other):
         self._check(other)
-        d = max(self.degree, other.degree)
-        return MatrixPolynomial([self.coeff(k) - other.coeff(k)
-                                 for k in range(d + 1)],
-                                size=self.size, exact=self.exact)
+        rows = max(len(self.coeffs), len(other.coeffs))
+        return MatrixPolynomial(_pad(self.coeffs, rows)
+                                - _pad(other.coeffs, rows))
 
     def __neg__(self):
-        return MatrixPolynomial([-c for c in self.coeffs],
-                                size=self.size, exact=self.exact)
+        return MatrixPolynomial(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, MatrixPolynomial):
             self._check(other)
-            out = [np.zeros((self.size, self.size),
-                            dtype=object if self.exact else complex)
-                   for _ in range(self.degree + other.degree + 1)]
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a @ b
-            return MatrixPolynomial(out, size=self.size, exact=self.exact)
-        # scalar
-        return MatrixPolynomial([c * other for c in self.coeffs],
-                                size=self.size, exact=self.exact)
+            return MatrixPolynomial(cauchy(self.coeffs, other.coeffs))
+        return MatrixPolynomial(self.coeffs * other)        # scalar
 
     def left_mul(self, mat):
         """Constant matrix times the polynomial."""
-        m = _as_coeff(mat, self.size, self.exact)
-        return MatrixPolynomial([m @ c for c in self.coeffs],
-                                size=self.size, exact=self.exact)
-
-    def right_mul(self, mat):
-        m = _as_coeff(mat, self.size, self.exact)
-        return MatrixPolynomial([c @ m for c in self.coeffs],
-                                size=self.size, exact=self.exact)
+        return MatrixPolynomial(np.asarray(mat) @ self.coeffs, size=self.size)
 
     def shift(self, k=1):
         """Multiply by x^k."""
-        zero = np.zeros((self.size, self.size),
-                        dtype=object if self.exact else complex)
-        return MatrixPolynomial([zero] * k + self.coeffs,
-                                size=self.size, exact=self.exact)
+        return MatrixPolynomial(np.concatenate(
+            [_zeros(k, self.size, self.exact), self.coeffs]))
 
     def derivative(self, k=1):
-        c = self.coeffs
-        for _ in range(k):
-            c = [i * c[i] for i in range(1, len(c))]
-            if not c:
-                return MatrixPolynomial.zero(self.size, self.exact)
-        return MatrixPolynomial(c, size=self.size, exact=self.exact)
-
-    def evaluate(self, x):
-        acc = np.zeros((self.size, self.size),
-                       dtype=object if self.exact else complex)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return MatrixPolynomial(falling(self.coeffs, k))
 
     def conj(self):
         """Entrywise conjugate (so that P.conj()(x) = conj(P(conj(x)))."""
         if self.exact:
             import sympy as sp
-            cs = [np.array([[sp.conjugate(x) for x in row] for row in c],
-                           dtype=object) for c in self.coeffs]
-        else:
-            cs = [c.conj() for c in self.coeffs]
-        return MatrixPolynomial(cs, size=self.size, exact=self.exact)
+            return MatrixPolynomial(np.frompyfunc(sp.conjugate, 1, 1)(
+                self.coeffs))
+        return MatrixPolynomial(self.coeffs.conj())
 
     def to_float(self):
-        if not self.exact:
-            return self
-        cs = [np.array([[complex(x) for x in row] for row in c], dtype=complex)
-              for c in self.coeffs]
-        return MatrixPolynomial(cs, size=self.size, exact=False)
-
-    def entry(self, i, j):
-        """Scalar polynomial (ascending list) sitting at entry (i, j),
-        without trailing zeros."""
-        out = [c[i, j] for c in self.coeffs]
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
+        return MatrixPolynomial(self.coeffs.astype(complex))
 
     def _check(self, other):
         if self.size != other.size:
@@ -209,4 +201,3 @@ class MatrixPolynomial:
                         z = complex(c[i, j])
                         row.append(f"{z.real:.17g}{z.imag:+.17g}i")
                 w.writerow(row)
-

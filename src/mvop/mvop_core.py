@@ -40,7 +40,7 @@ from . import scalar_families as sf
 from .errors import (DegreeCap, IllConditioned, InvalidParam, OutOfRange,
                      SingularLeading)
 from .matrix_poly import MatrixPolynomial
-from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent, build_T
+from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent
 
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
@@ -139,7 +139,6 @@ class MVOPSequence:
         self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
-        self.T, self.T_inv = build_T(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
         self._gram = None
         self._ptab = None
@@ -373,15 +372,13 @@ class MVOPSequence:
         """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
         arithmetic, row n of ``_assemble``."""
         qt = self._rows(n, n + 1)[0][0, :n + 2]
-        return MatrixPolynomial(list(qt), size=self.weight.N,
-                                exact=self.exact, trim=False)
+        return MatrixPolynomial(qt, size=self.weight.N, trim=False)
 
     def build_Q(self, n: int) -> MatrixPolynomial:
         """Q_n = (Q_n T) T^{-1}, degree n with nonsingular leading
         coefficient K_n, in backend arithmetic: row n of ``_assemble``."""
         q = self._rows(n, n + 1)[1][0, :n + 1]
-        return MatrixPolynomial(list(q), size=self.weight.N,
-                                exact=self.exact, trim=False)
+        return MatrixPolynomial(q, size=self.weight.N, trim=False)
 
     def rho_values(self, n: int):
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2

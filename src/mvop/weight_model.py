@@ -67,8 +67,8 @@ def build_T(spec: WeightSpec, exact: bool = False):
     """T = I + A x and its inverse T^{-1} = I - A x (A^2 = 0)."""
     A = build_nilpotent(spec, exact=exact)
     eye = MatrixPolynomial.identity(spec.N, exact=exact)
-    T = eye + MatrixPolynomial([A], exact=exact).shift(1)
-    T_inv = eye - MatrixPolynomial([A], exact=exact).shift(1)
+    T = eye + MatrixPolynomial([A]).shift(1)
+    T_inv = eye - MatrixPolynomial([A]).shift(1)
     return T, T_inv
 
 

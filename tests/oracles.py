@@ -2,7 +2,9 @@
 
 The recurrence oracle runs Gram-Schmidt on exact moments in sympy
 rationals, sharing no code with the library's recurrence generation.
-The product oracles build P_n and Q_n one degree at a time from
+The per-coefficient Cauchy product and derivative loops are the reference
+for the stack routines of ``matrix_poly`` and the operator kernel built on
+them.  The product oracles build P_n and Q_n one degree at a time from
 ``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
 reference for the stacked construction in ``MVOPSequence``; the dense
 norm products are the reference for its sparse ||Q_n||^2.  The dense
@@ -136,13 +138,36 @@ def pairwise_quadrature(weight, A, P, Q):
     return G
 
 
+def cauchy_loop(a, b):
+    """Noncommutative Cauchy product of two lists of (N, N) coefficients,
+    one matrix product per pair, added in ascending power of a: the
+    reference for ``matrix_poly.cauchy``."""
+    out = [np.zeros(a[0].shape, dtype=np.result_type(a[0], b[0]))
+           for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai @ bj
+    return out
+
+
+def derivative_loop(c, k):
+    """k-th derivative of a list of coefficients, one power at a time (an
+    empty list past the degree): the reference for ``matrix_poly.falling``."""
+    for _ in range(k):
+        c = [i * c[i] for i in range(1, len(c))]
+    return c
+
+
 def op_apply_loop(P, D):
-    """P . D = sum_j (d^j P) F_j, one MatrixPolynomial product per term:
-    the per-polynomial reference for the stacked operator kernel."""
+    """P . D = sum_j (d^j P) F_j for one MatrixPolynomial P, from
+    ``derivative_loop`` and ``cauchy_loop``: the per-polynomial reference
+    for the stacked operator kernel."""
     from mvop.matrix_poly import MatrixPolynomial
-    out = MatrixPolynomial.zero(P.size, P.exact)
+    out = MatrixPolynomial.zero(P.size)
     for j, fj in enumerate(D.f_coeffs):
-        out = out + P.derivative(j) * fj
+        dP = derivative_loop(list(P.coeffs), j)
+        if dP:
+            out = out + MatrixPolynomial(cauchy_loop(dP, list(fj.coeffs)))
     return out
 
 
@@ -173,16 +198,17 @@ def p_product(seq, n):
         for i, p in enumerate(polys):
             c[i, i] = p[k] if k < len(p) else 0
         coeffs.append(c)
-    return MatrixPolynomial(coeffs, size=N, exact=seq.exact)
+    return MatrixPolynomial(coeffs, size=N)
 
 
 def q_product(seq, n):
     """Q_n = (P_n + A P_{n+1} - G_n P_{n-1}) T^{-1}, one MatrixPolynomial
     product per term, untouched at the x^n coefficient."""
+    from mvop.weight_model import build_T
     qt = p_product(seq, n) + p_product(seq, n + 1).left_mul(seq.A)
     if n >= 1:
         qt = qt - p_product(seq, n - 1).left_mul(seq.ratio_matrix(n))
-    return qt * seq.T_inv
+    return qt * build_T(seq.weight, exact=seq.exact)[1]
 
 
 def complex_rows(rows):

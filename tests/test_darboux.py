@@ -6,6 +6,7 @@ import sympy as sp
 
 import mvop.darboux as darboux
 import mvop.scalar_families as sf
+from mvop.cli import config_from_json, run
 from mvop.darboux import (DarbouxReport, LadderOperator, apply_scalar,
                           builtin_n5_laguerre, darboux_verify,
                           hermite_A_factorization, ladder, synthesize_shift)
@@ -139,6 +140,17 @@ class TestVerifiersRejectWrongOperator:
     def test_shift_synthesis(self, perturbed_n_up):
         with pytest.raises(InvalidParam, match=r"shift synthesis .* failed"):
             synthesize_shift(0.5, 0, 2)
+
+    def test_five_by_five_chain(self, perturbed_n_up):
+        # the chain's D1_tilde takes its n_up entries from the ladder table
+        cfg = config_from_json({
+            "size": 5, "a": [1.0, -0.5, 2.0, 0.75], "n_max": 8,
+            "weights": [{"family": "laguerre", "alpha": a}
+                        for a in (0.5, 0.5, 1.5, 1.5, 2.5)],
+            "checks": ["darboux"]})
+        rep = run(cfg)["checks"]["darboux"]
+        assert rep["kind"] == "laguerre_n5_chain"
+        assert not rep["passed"] and rep["max_relative_residual"] > 1e-8
 
 
 class TestBuiltinFiveByFive:

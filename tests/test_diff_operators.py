@@ -152,8 +152,8 @@ class TestConjugation:
 
 
 class TestStackKernel:
-    """op_apply on a stack of coefficient arrays against the term-by-term
-    MatrixPolynomial products of ``oracles.op_apply_loop``."""
+    """op_apply on a stack of coefficient arrays against the
+    per-coefficient loops of ``oracles.op_apply_loop``."""
 
     @pytest.mark.parametrize("name", sorted(FAMILY_WEIGHTS))
     def test_stack_matches_loop_float(self, name):
@@ -179,9 +179,8 @@ class TestStackKernel:
             return MatrixPolynomial(
                 [np.array([[sp.Rational(int(v), 7) for v in row]
                            for row in rng.integers(-9, 10, (2, 2))],
-                          dtype=object) for _ in range(deg + 1)], exact=True)
-        D = MatrixDiffOperator([rational_poly(d) for d in (0, 1, 2)],
-                               exact=True)
+                          dtype=object) for _ in range(deg + 1)])
+        D = MatrixDiffOperator([rational_poly(d) for d in (0, 1, 2)])
         Qs = [seq.build_Q(n) for n in range(5)]
         stack = np.zeros((5, 5, 2, 2), dtype=object)
         for n, Q in enumerate(Qs):
@@ -194,6 +193,36 @@ class TestStackKernel:
             for k in range(got.shape[1]):
                 diff = got[n, k] - want.coeff(k)
                 assert all(sp.expand(v) == 0 for v in diff.flat), (n, k)
+
+
+class TestExactness:
+    """An operator is exact when its coefficients are: nothing is passed
+    along beside them, so nothing can disagree with them."""
+
+    @staticmethod
+    def operator():
+        third = sp.Rational(1, 3)
+        P = MatrixPolynomial([
+            np.array([[third, 0], [0, 1]], dtype=object),
+            np.array([[0, third], [0, 0]], dtype=object)])
+        return MatrixDiffOperator([P, P])
+
+    def test_compose_keeps_rationals(self):
+        D = self.operator()
+        assert D.exact
+        DD = op_compose(D, D)
+        assert DD.exact
+        assert DD.coeff(0).coeffs[0][0, 0] == sp.Rational(1, 9)
+
+    def test_sum_with_float_zero_keeps_rationals(self):
+        S = MatrixDiffOperator.zero(2) + self.operator()
+        assert S.exact
+        assert S.coeff(0).coeffs[0][0, 0] == sp.Rational(1, 3)
+
+    def test_conjugation_follows_operator(self):
+        spec = weight_spec([0.5], [sf.hermite(0.0), sf.hermite(0.0)])
+        C = conjugate_by_T(self.operator(), spec)
+        assert C.exact and all(f.exact for f in C.f_coeffs)
 
 
 class TestBispectral:

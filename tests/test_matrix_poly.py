@@ -5,7 +5,8 @@ import pytest
 import sympy as sp
 
 from mvop.errors import SizeMismatch
-from mvop.matrix_poly import MatrixPolynomial, conj_transpose
+from mvop.matrix_poly import MatrixPolynomial, cauchy, conj_transpose, falling
+from oracles import cauchy_loop, derivative_loop
 
 
 def rand_poly(rng, size=2, deg=3):
@@ -24,7 +25,7 @@ class TestBasics:
         z = MatrixPolynomial.zero(3)
         assert z.is_zero() and z.degree == 0
         e = MatrixPolynomial.identity(3)
-        assert np.allclose(e.evaluate(2.5), np.eye(3))
+        assert e.degree == 0 and np.allclose(e.coeffs[0], np.eye(3))
 
     def test_degree_trims_exact_zero_tail(self):
         p = MatrixPolynomial([np.eye(2), np.zeros((2, 2))])
@@ -67,17 +68,12 @@ class TestRingLaws:
         assert ((p * e) - p).max_coeff_norm() == 0
         assert ((e * p) - p).max_coeff_norm() == 0
 
-    def test_evaluate_is_homomorphism(self, rng):
-        p, q = rand_poly(rng), rand_poly(rng)
-        x = 0.77
-        assert np.allclose((p * q).evaluate(x),
-                           p.evaluate(x) @ q.evaluate(x))
-
     def test_left_right_mul(self, rng):
         p = rand_poly(rng)
         m = rng.standard_normal((2, 2))
-        assert np.allclose(p.left_mul(m).evaluate(1.3), m @ p.evaluate(1.3))
-        assert np.allclose(p.right_mul(m).evaluate(1.3), p.evaluate(1.3) @ m)
+        got = p.left_mul(m)
+        assert got.degree == p.degree
+        assert np.allclose(got.coeffs, [m @ c for c in p.coeffs])
 
 
 class TestCalculus:
@@ -100,13 +96,71 @@ class TestCalculus:
         assert p.derivative().is_zero()
 
 
+class TestStackRoutines:
+    """``cauchy`` and ``falling`` against the per-coefficient loops of
+    ``oracles``: bit for bit on floats, exactly on sympy entries."""
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    @pytest.mark.parametrize("rows,b_rows", [(1, 1), (1, 4), (7, 2),
+                                             (17, 3), (40, 40)])
+    def test_float_bit_identical(self, rng, N, rows, b_rows):
+        a = (rng.standard_normal((3, rows, N, N))
+             + 1j * rng.standard_normal((3, rows, N, N)))
+        b = (rng.standard_normal((b_rows, N, N))
+             + 1j * rng.standard_normal((b_rows, N, N)))
+        got = cauchy(a, b)
+        wide = cauchy(a, b, out=np.ones((3, rows + b_rows + 2, N, N),
+                                        dtype=complex))
+        assert wide[:, :got.shape[1]].tobytes() == got.tobytes()
+        assert not wide[:, got.shape[1]:].any()
+        for j in range(4):
+            dj = falling(a, j)
+            assert dj.shape == (3, max(rows - j, 0), N, N)
+        for s in range(3):
+            want = np.array(cauchy_loop(list(a[s]), list(b)))
+            assert got[s].tobytes() == want.tobytes()
+            for j in range(4):
+                want = derivative_loop(list(a[s]), j)
+                assert falling(a, j)[s].tobytes() == \
+                    np.array(want, dtype=complex).reshape(-1, N, N).tobytes()
+
+    def test_exact(self):
+        r = np.random.default_rng(5)
+
+        def stack(*shape):
+            return np.array([sp.Rational(int(v), int(w)) for v, w in
+                             zip(r.integers(-9, 10, np.prod(shape)),
+                                 r.integers(1, 8, np.prod(shape)))],
+                            dtype=object).reshape(shape)
+        a, b = stack(2, 5, 3, 3), stack(4, 3, 3)
+        got = cauchy(a, b)
+        assert got.dtype == object
+        for s in range(2):
+            want = cauchy_loop(list(a[s]), list(b))
+            assert all(sp.expand(x - y) == 0
+                       for x, y in zip(got[s].flat, np.array(want).flat))
+            for j in range(3):
+                want = np.array(derivative_loop(list(a[s]), j))
+                got_j = falling(a, j)[s]
+                assert got_j.dtype == object and got_j.shape == want.shape
+                assert all(x == y for x, y in zip(got_j.flat, want.flat))
+
+
 class TestExactBackend:
     def test_exact_arithmetic(self):
         half = sp.Rational(1, 2)
         a = np.array([[half, 0], [0, 1]], dtype=object)
-        p = MatrixPolynomial([a], exact=True)
+        p = MatrixPolynomial([a])
         q = p * p
         assert q.coeffs[0][0, 0] == sp.Rational(1, 4)
+
+    def test_exactness_is_the_dtype(self):
+        third = sp.Rational(1, 3)
+        p = MatrixPolynomial([np.array([[third, 0], [0, 1]], dtype=object)])
+        assert p.exact and not MatrixPolynomial.identity(2).exact
+        # a float zero does not round an exact operand
+        q = MatrixPolynomial.zero(2) + p
+        assert q.exact and q.coeffs[0][0, 0] == third
 
     def test_conj_transpose_object(self):
         a = np.array([[sp.I, 1], [0, 2]], dtype=object)
@@ -115,18 +169,12 @@ class TestExactBackend:
 
     def test_to_float(self):
         p = MatrixPolynomial([np.array([[sp.Rational(1, 4), 0], [0, 1]],
-                                       dtype=object)], exact=True)
+                                       dtype=object)])
         assert np.allclose(p.to_float().coeffs[0],
                            np.array([[0.25, 0], [0, 1.0]]))
 
 
 class TestSerialization:
-    def test_entry_extraction(self, rng):
-        p = rand_poly(rng)
-        e = p.entry(0, 1)
-        for k, c in enumerate(e):
-            assert c == p.coeffs[k][0, 1]
-
     def test_csv_round_trip(self, rng, tmp_path):
         p = rand_poly(rng)
         path = tmp_path / "p.csv"
