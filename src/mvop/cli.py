@@ -281,7 +281,7 @@ def _check_det(seq, cfg):
     residuals = {}
     for n in range(1, cfg.n_max + 1):
         fast = continuant(seq.rho_values(n))
-        if seq.exact:       # Beta-function ratios can stay unevaluated
+        if seq.exact:   # Gamma atoms of two weight classes stay symbolic
             import sympy as sp
             fast = complex(sp.N(fast))
         brute = np.linalg.det(seq.reduced_leading_matrix(n)).real

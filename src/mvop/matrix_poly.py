@@ -17,7 +17,16 @@ import csv
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import InvalidParam, SizeMismatch
+
+
+def _unmixed(x, y):
+    """Refuse an exact operand (object array or sympy number) with nonzero
+    floats, which numpy would round silently; Python ints mix with both."""
+    x, y = np.asarray(x), np.asarray(y)
+    f = y if x.dtype == object else x
+    if f.dtype.kind in "fc" and object in (x.dtype, y.dtype) and f.any():
+        raise InvalidParam("exact and float operands do not mix")
 
 
 def cauchy(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -26,9 +35,10 @@ def cauchy(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
     One GEMM per power of b on a reshaped to (rows, N); coefficient k adds
     a_p b_{k-p} in ascending p.  The result is an object array when either
-    operand is one.  ``out``, if given, receives the product and may hold
-    more powers, which come back zero.
+    operand is one (see ``_unmixed``).  ``out``, if given, receives the
+    product and may hold more powers, which come back zero.
     """
+    _unmixed(a, b)
     *lead, rows, N, _ = a.shape
     if out is None:
         out = np.empty((*lead, rows + len(b) - 1, N, N),
@@ -141,12 +151,14 @@ class MatrixPolynomial:
 
     def __add__(self, other):
         self._check(other)
+        _unmixed(self.coeffs, other.coeffs)
         rows = max(len(self.coeffs), len(other.coeffs))
         return MatrixPolynomial(_pad(self.coeffs, rows)
                                 + _pad(other.coeffs, rows))
 
     def __sub__(self, other):
         self._check(other)
+        _unmixed(self.coeffs, other.coeffs)
         rows = max(len(self.coeffs), len(other.coeffs))
         return MatrixPolynomial(_pad(self.coeffs, rows)
                                 - _pad(other.coeffs, rows))
@@ -158,7 +170,8 @@ class MatrixPolynomial:
         if isinstance(other, MatrixPolynomial):
             self._check(other)
             return MatrixPolynomial(cauchy(self.coeffs, other.coeffs))
-        return MatrixPolynomial(self.coeffs * other)        # scalar
+        _unmixed(self.coeffs, other)                        # scalar
+        return MatrixPolynomial(self.coeffs * other)
 
     def left_mul(self, mat):
         """Constant matrix times the polynomial."""

@@ -15,7 +15,7 @@ x^n, and gives each degree a verdict.  ``q_block``, ``qt_block``,
 ``build_Q`` and ``build_QT`` read its rows, ``p_block`` the diagonal
 P_n.  The float backend assembles each requested range anew; the exact
 backend assembles degrees 0..n_max once and rounds the nonzero entries
-to complex doubles once, as it rounds each ||Q_n||^2 / sigma_n^2.
+to complex doubles once, and ||Q_n||^2 / sigma_n^2 from exact values.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -31,8 +31,7 @@ B_n Q_n - C_n Q_{n-1} summed over the tables, so the orth, norm and
 recurrence checks share this one quadrature path.
 """
 
-import sys
-from math import exp, inf, log, sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 
@@ -44,8 +43,6 @@ from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent
 
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
-#: the largest x whose exp(x) is a double
-_LOG_MAX = log(sys.float_info.max)
 
 
 def _expand(a) -> np.ndarray:
@@ -78,6 +75,21 @@ def _to_complex(a) -> np.ndarray:
         out[nonzero] = np.asarray(a[nonzero], dtype=float)
     except TypeError:
         out[nonzero] = np.asarray(a[nonzero], dtype=complex)
+    return out
+
+
+def _round_scaled(a, log_scale: float) -> np.ndarray:
+    """The nearest complex doubles to the sympy entries of ``a`` times
+    exp(-log_scale): each nonzero entry is evaluated once to 30 digits and
+    scaled in 113-bit mpmath (no exponent limit), each part rounded once."""
+    import mpmath
+    out = np.zeros(a.shape, dtype=complex)
+    with mpmath.workprec(113):
+        factor = mpmath.exp(-log_scale)
+        for i in zip(*np.nonzero(a.astype(bool))):
+            re, im = a[i].evalf(30).as_real_imag()
+            out[i] = complex(float(mpmath.mpf(re) * factor),
+                             float(mpmath.mpf(im) * factor))
     return out
 
 
@@ -193,20 +205,11 @@ class MVOPSequence:
         return np.full(shape, sp.S.Zero, dtype=object)
 
     def _scaled_norms(self, n: int, log_scale: float) -> list:
-        """||p_n^{w_k}||^2 / exp(log_scale), k = 1..N, in log space on the
-        float backend.  Exact norms are multiplied by exp(-log_scale) as a
-        double while that is a normal one, else as a sympy Float, whose
-        exponent has no range limit."""
-        if not self.exact:
-            return [exp(s.log_norms[n] - log_scale) for s in self.scalar_seqs]
-        norms = [sf.squared_norm_exact(s, n) for s in self.scalar_seqs]
-        if not log_scale:
-            return norms
-        factor = exp(-log_scale) if -log_scale <= _LOG_MAX else inf
-        if not sys.float_info.min <= factor < inf:    # not a normal double
-            import sympy as sp
-            factor = sp.exp(sp.Float(-log_scale))
-        return [v * factor for v in norms]
+        """||p_n^{w_k}||^2, k = 1..N: the exact norms on the exact backend,
+        else over exp(log_scale), formed in log space."""
+        if self.exact:
+            return [sf.squared_norm_exact(s, n) for s in self.scalar_seqs]
+        return [exp(s.log_norms[n] - log_scale) for s in self.scalar_seqs]
 
     def _log_ratios(self, n: int):
         """(r, u, a, lr) for each nonzero a = A[r, u] (see ``_pairs``), with
@@ -413,13 +416,13 @@ class MVOPSequence:
         return M
 
     def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
-        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 over
-        exp(log_scale) (``_scaled_norms``), placed on the pairs of A: complex,
-        or sympy entries that the checks read rounded (``_norm_Q``).  Terms
-        are added in the order of the dense products, (A D_{n+1}) A* over
-        ascending k, then D_n + A D_{n+1} A* + (G_n A) D_n, so sympy Floats
-        round as they did there."""
+        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2,
+        placed on the pairs of A: exact sympy entries, which the checks
+        read rounded (``_norm_Q``), or complex over exp(log_scale) on the
+        float backend (``_scaled_norms``)."""
         self._check_n(n)
+        if self.exact and log_scale:
+            raise InvalidParam("the exact ||Q_n||^2 is read unscaled")
         d, d1 = (self._scaled_norms(m, log_scale) for m in (n, n + 1))
         G, pairs = self._ratio(n), self._pairs
         ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
@@ -440,12 +443,13 @@ class MVOPSequence:
 
     def _norm_Q(self, n: int) -> np.ndarray:
         """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
-        as the norm and recurrence checks read it: ``squared_norm_Q``
-        rounded to complex, once per degree, and read-only."""
+        as the norm and recurrence checks read it, once per degree and
+        read-only; exact entries are rounded by ``_round_scaled``."""
         got = self._qnorms.get(n)
         if got is None:
-            got = _to_complex(
-                self.squared_norm_Q(n, 2.0 * self.log_gram_scale(n)))
+            log_scale = 2.0 * self.log_gram_scale(n)
+            got = (_round_scaled(self.squared_norm_Q(n), log_scale)
+                   if self.exact else self.squared_norm_Q(n, log_scale))
             got.flags.writeable = False
             self._qnorms[n] = got
         return got

@@ -139,16 +139,24 @@ def _log_moment0(spec: ScalarWeightSpec) -> float:
 
 
 def _exact_moment0(spec: ScalarWeightSpec):
+    """The zeroth moment, each Gamma(x) as Gamma(f) rf(f, x - f), f in (0, 1]:
+    weights of one ``irreducibility._weight_classes`` class share their
+    atoms, so their moment ratios are rationals."""
     import sympy as sp
+
+    def gamma(x):
+        f = x - sp.ceiling(x) + 1
+        return sp.gamma(f) * sp.rf(f, x - f)
     scale = _rat(spec.scale)
     if spec.family == HERMITE:
         b = _rat(spec.b)
         return scale * sp.sqrt(sp.pi) * sp.exp(b ** 2)
     if spec.family == LAGUERRE:
-        return scale * sp.gamma(_rat(spec.alpha) + 1)
+        return scale * gamma(_rat(spec.alpha) + 1)
     if spec.family == JACOBI:
         a, b = _rat(spec.alpha), _rat(spec.beta)
-        return scale * 2 ** (a + b + 1) * sp.beta(a + 1, b + 1)
+        return (scale * 2 ** (a + b + 1) * gamma(a + 1) * gamma(b + 1)
+                / gamma(a + b + 2))
     return _rat(spec.moments[0])
 
 
@@ -224,14 +232,14 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
         b, c = _classical_recurrence(spec, n_max, backend)
 
     if backend == "exact":
+        import mpmath
         import sympy as sp
         m0 = _exact_moment0(spec)
-        exact_norms = [m0]
-        for ck in c:
-            exact_norms.append(sp.expand(exact_norms[-1] * ck))
-        # unevaluated log: evalf rounds it as float(sp.log(v)) would,
-        # without first simplifying the log of a product
-        log_norms = [float(sp.log(v, evaluate=False)) for v in exact_norms]
+        prods = np.cumprod([sp.Integer(1), *c])     # rationals c_1 ... c_n
+        exact_norms = [sp.expand(m0 * r) for r in prods]
+        with mpmath.workprec(113):  # log m0 once, plus the rational part
+            log_m0 = mpmath.log(m0.evalf(40))
+            log_norms = [float(log_m0 + mpmath.log(r)) for r in prods]
     else:
         exact_norms = None
         log_norms = [_log_moment0(spec)]

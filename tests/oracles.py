@@ -7,7 +7,8 @@ for the stack routines of ``matrix_poly`` and the operator kernel built on
 them.  The product oracles build P_n and Q_n one degree at a time from
 ``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
 reference for the stacked construction in ``MVOPSequence``; the dense
-norm products are the reference for its sparse ||Q_n||^2.  The dense
+norm products are the reference for its sparse ||Q_n||^2, and the
+50-digit rounding for the doubles its norm reader gives.  The dense
 symmetry solve is the reference for the commutant solve in
 ``order_zero_symmetries``.
 """
@@ -217,21 +218,32 @@ def complex_rows(rows):
     return np.asarray(rows, dtype=complex)
 
 
+def nearest_scaled(a, log_scale):
+    """The sympy entries of ``a`` times exp(-log_scale), evaluated to 50
+    digits and rounded to the nearest complex doubles: the reference for
+    the exact ||Q_n||^2 / sigma_n^2 the norm checks read."""
+    def one(v):
+        re, im = sp.N(v * sp.exp(-sp.Float(log_scale, 60)), 50).as_real_imag()
+        return complex(float(re), float(im))
+    return np.array([[one(v) for v in row] for row in a], dtype=complex)
+
+
 def dense_norm_Q(seq, n, log_scale):
-    """||Q_n||^2 / exp(log_scale) from the three dense N x N products the
-    sparse placement replaced: D_n + (A D_{n+1}) A* + (G_n A) D_n, with
-    D_m = diag(||p_m^{w_k}||^2 / exp(log_scale)); sympy objects on the
-    exact backend, complex in log space on the float one."""
+    """||Q_n||^2 from the three dense N x N products the sparse placement
+    replaced: D_n + (A D_{n+1}) A* + (G_n A) D_n, with D_m =
+    diag(||p_m^{w_k}||^2); exact sympy objects on the exact backend (where
+    ``log_scale`` must be 0), complex over exp(log_scale) in log space on
+    the float one."""
     from mvop.matrix_poly import conj_transpose
 
     def norms(m):
         if not seq.exact:
             return np.diag([exp(s.log_norms[m] - log_scale)
                             for s in seq.scalar_seqs]).astype(complex)
+        assert not log_scale
         D = np.full((seq.weight.N,) * 2, sp.S.Zero, dtype=object)
         for k, s in enumerate(seq.scalar_seqs):
-            v = s.exact_norms[m]
-            D[k, k] = v * exp(-log_scale) if log_scale else v
+            D[k, k] = s.exact_norms[m]
         return D
 
     A = seq.A

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from mvop.errors import SizeMismatch
+from mvop.errors import InvalidParam, SizeMismatch
 from mvop.matrix_poly import MatrixPolynomial, cauchy, conj_transpose, falling
 from oracles import cauchy_loop, derivative_loop
 
@@ -161,6 +161,22 @@ class TestExactBackend:
         # a float zero does not round an exact operand
         q = MatrixPolynomial.zero(2) + p
         assert q.exact and q.coeffs[0][0, 0] == third
+
+    def test_float_values_do_not_mix_with_exact_ones(self):
+        # numpy would round 1/3 to a sympy Float and still call it exact
+        third = MatrixPolynomial([[[sp.Rational(1, 3), 0], [0, 1]]])
+        one = MatrixPolynomial.identity(2)
+        for op in (lambda: third * one, lambda: one * third,
+                   lambda: third + one, lambda: one - third,
+                   lambda: third * 2.0, lambda: one * sp.Rational(1, 3),
+                   lambda: cauchy(third.coeffs, one.coeffs)):
+            with pytest.raises(InvalidParam, match="do not mix"):
+                op()
+        # Python ints and sympy numbers keep an exact operand exact
+        two = MatrixPolynomial.identity(2, exact=True) * 2
+        assert two.exact and two.coeffs[0][0, 0] == 2
+        q = third * sp.Rational(3, 2) * MatrixPolynomial.identity(2, True)
+        assert q.exact and q.coeffs[0][0, 0] == sp.Rational(1, 2)
 
     def test_conj_transpose_object(self):
         a = np.array([[sp.I, 1], [0, 2]], dtype=object)

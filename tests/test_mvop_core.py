@@ -12,8 +12,8 @@ from mvop.errors import DegreeCap, OutOfRange, SingularLeading
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import (complex_rows, dense_norm_Q, pairwise_quadrature,
-                     q_product, tridiagonal_from_rho)
+from oracles import (complex_rows, dense_norm_Q, nearest_scaled,
+                     pairwise_quadrature, q_product, tridiagonal_from_rho)
 
 
 def lag2(a=1.0):
@@ -25,7 +25,7 @@ def herm2():
 
 
 #: exact-backend weights: mixed Laguerre, shifted Hermite, the 5x5 Laguerre
-#: chain and a half-step Jacobi weight whose norms keep Beta functions
+#: chain and a half-step Jacobi weight whose slots form one weight class
 EXACT_SPECS = pytest.mark.parametrize("spec", [
     weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
     weight_spec([1.0, -0.5], [sf.hermite(0.5), sf.hermite(0.0),
@@ -162,8 +162,8 @@ class TestConstruction:
     @EXACT_SPECS
     def test_exact_build_Q_matches_product(self, spec):
         # every coefficient of the exact Q_n, n <= 6, equals the per-degree
-        # (Q_n T) T^{-1} product (the Jacobi norm ratios keep unevaluated
-        # Beta functions, hence simplify where expand leaves a difference)
+        # (Q_n T) T^{-1} product (simplify where expand leaves a
+        # difference in the Gamma atoms of different weight classes)
         seq = MVOPSequence(spec, 6, backend="exact")
         for n in range(7):
             got, want = seq.build_Q(n), q_product(seq, n)
@@ -208,10 +208,11 @@ class TestExactCache:
 
     @EXACT_SPECS
     def test_norm_reader_matches_complex(self, spec):
+        # each entry is the nearest double of the exact one over sigma_n^2
         seq = MVOPSequence(spec, 6, backend="exact")
         for n in range(7):
-            want = complex_rows(
-                seq.squared_norm_Q(n, 2.0 * seq.log_gram_scale(n)))
+            want = nearest_scaled(seq.squared_norm_Q(n),
+                                  2.0 * seq.log_gram_scale(n))
             assert same_bits(seq._norm_Q(n), want)
             assert seq._norm_Q(n) is seq._norm_Q(n)
             assert not seq._norm_Q(n).flags.writeable
@@ -219,18 +220,30 @@ class TestExactCache:
     @EXACT_SPECS
     def test_norm_matches_dense_products(self, spec):
         # the sparse placement against the dense N x N products: the same
-        # sympy entries unscaled, the same bits once scaled and rounded;
+        # sympy entries, whose scaled nearest doubles the reader gives;
         # float sums may round in another order, within 4 eps
         seq = MVOPSequence(spec, 6, backend="exact")
         fseq = MVOPSequence(spec, 6)
         for n in range(7):
             assert (seq.squared_norm_Q(n) == dense_norm_Q(seq, n, 0.0)).all()
             log_scale = 2.0 * seq.log_gram_scale(n)
-            want = complex_rows(dense_norm_Q(seq, n, log_scale))
+            want = nearest_scaled(dense_norm_Q(seq, n, 0.0), log_scale)
             assert same_bits(seq._norm_Q(n), want)
             want = dense_norm_Q(fseq, n, 2.0 * fseq.log_gram_scale(n))
             assert np.abs(fseq._norm_Q(n) - want).max() <= \
                 4 * np.finfo(float).eps * np.abs(want).max()
+
+    def test_norm_reader_rounds_complex_entries(self):
+        # a = 1 + i/2 makes the off-diagonal entries of ||Q_n||^2 complex
+        spec = weight_spec([1 + 0.5j, 2.0], [sf.laguerre(0.0),
+                                             sf.laguerre(1.0),
+                                             sf.laguerre(0.5)])
+        seq = MVOPSequence(spec, 6, backend="exact")
+        for n in range(7):
+            got = seq._norm_Q(n)
+            assert np.iscomplex(got).any()
+            assert same_bits(got, nearest_scaled(
+                seq.squared_norm_Q(n), 2.0 * seq.log_gram_scale(n)))
 
     def test_norm_reader_past_float_range(self):
         # ||Q_0||^2 rounds to inf unscaled; the reader scales it exactly
@@ -255,7 +268,49 @@ class TestExactCache:
     @EXACT_SPECS
     def test_log_norms_round_the_exact_norms(self, spec):
         for s in MVOPSequence(spec, 6, backend="exact").scalar_seqs:
-            assert s.log_norms == [float(sp.log(v)) for v in s.exact_norms]
+            assert s.log_norms == [float(sp.N(sp.log(v), 50))
+                                   for v in s.exact_norms]
+
+
+class TestExactMoments:
+    """Moments write each Gamma(x) as Gamma(f) rf(f, x - f), f in (0, 1], so
+    slots of one weight class share their transcendental atoms."""
+
+    @pytest.mark.parametrize("spec", [
+        weight_spec([1.0, 0.5], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5),
+                                 sf.jacobi(1.5, 1.5)]),
+        weight_spec([1.0, -0.5], [sf.jacobi(1 / 3 + k, 1 / 3)
+                                  for k in range(3)]),
+        weight_spec([1.5, 0.75], [sf.laguerre(1 / 3 + k) for k in range(3)]),
+        weight_spec([1.25], [sf.hermite(0.5), sf.hermite(0.5, scale=2.25)]),
+    ], ids=["jac3_half_step", "jac3_third", "lag3_third", "her2_scaled"])
+    def test_one_class_cancels_to_rationals(self, spec):
+        seq = MVOPSequence(spec, 5, backend="exact")
+        for n in range(6):
+            entries = [*seq.ratio_matrix(n).flat, *seq.build_Q(n).coeffs.flat]
+            assert all(isinstance(v, sp.Rational) for v in entries), n
+        for s in seq.scalar_seqs:
+            assert not any(v.has(sp.beta) for v in s.exact_norms)
+
+    def test_two_classes_keep_their_atoms(self):
+        # Laguerre 0 and 1/2: G_n carries sqrt(pi), and the moments are the
+        # ones sympy's gamma gives, so the rounded rows keep their bits
+        seq = MVOPSequence(weight_spec([1.5], [sf.laguerre(0.0),
+                                               sf.laguerre(0.5)]), 5,
+                           backend="exact")
+        assert [s.exact_norms[0] for s in seq.scalar_seqs] == \
+            [1, sp.gamma(sp.Rational(3, 2))]
+        for n in range(1, 6):
+            assert seq.ratio_matrix(n)[1, 0].has(sp.pi)
+
+    def test_jacobi_moment_matches_beta(self):
+        for al, be in ((4 / 3, 1 / 3), (1.5, 0.5), (0.25, 2.75)):
+            got = sf._exact_moment0(sf.jacobi(al, be))
+            a, b = sf._rat(al), sf._rat(be)
+            want = 2 ** (a + b + 1) * sp.beta(a + 1, b + 1)
+            assert abs(sp.N(got - want, 60)) < sp.Float(10) ** -55
+        assert sf._exact_moment0(sf.jacobi(4 / 3, 1 / 3)) == \
+            sf._exact_moment0(sf.jacobi(1 / 3, 1 / 3))
 
 
 class TestNorms:

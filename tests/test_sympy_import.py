@@ -1,4 +1,4 @@
-"""sympy is imported only by the exact backend.
+"""sympy and mpmath are imported only by the exact backend.
 
 Every other test module imports sympy itself, so these tests run their
 code in fresh interpreters and read the outcome from one JSON line.
@@ -13,7 +13,8 @@ import mvop
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mvop.__file__)))
 
-#: float configs, runs and library calls that must leave sympy unloaded
+#: float configs, runs and library calls that must leave sympy and mpmath
+#: unloaded
 FLOAT_SCRIPT = r"""
 import json, sys
 import mvop
@@ -40,6 +41,7 @@ tau, q = dx.synthesize_shift(0.5, 2, -1, r1=(1.0, 1.0))   # self-verifying
 out["shift_q3"] = q(3)
 out["schema_exit"] = CliRunner().invoke(cli.main, ["schema"]).exit_code
 out["sympy_loaded"] = "sympy" in sys.modules
+out["mpmath_loaded"] = "mpmath" in sys.modules
 print(json.dumps(out, default=str))
 """
 
@@ -82,6 +84,7 @@ def run_fresh(script):
 def test_float_path_never_imports_sympy():
     out = run_fresh(FLOAT_SCRIPT)
     assert not out["sympy_loaded"]
+    assert not out["mpmath_loaded"]
     for name in ("lag2", "chain5", "her3"):
         assert all(res["passed"] for res in out[name].values()), out[name]
     assert out["chain5"]["darboux"]["kind"] == "laguerre_n5_chain"
