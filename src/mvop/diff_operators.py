@@ -18,9 +18,11 @@ T^{-1}.
 
 Operators given entry by entry, as scalar coefficient lists (f_0, f_1,
 ...) per matrix entry, are built by one routine, ``entries_to_operator``:
-the diagonal of the bispectral operator, the 5x5 Laguerre chain and every
-size-1 ladder operator.  A size-1 operator acts on a scalar polynomial
-through the same kernel (``apply_scalar``).
+the diagonal of the bispectral operator (scaled and shifted to match
+adjacent eigenvalues in one walk over the slots, for any order of Hermite
+and Laguerre slots and Jacobi chains with matching alpha + beta), the 5x5
+Laguerre chain and every size-1 ladder operator.  A size-1 operator acts
+on a scalar polynomial through the same kernel (``apply_scalar``).
 """
 
 from math import comb
@@ -28,12 +30,15 @@ from math import comb
 import numpy as np
 
 from . import scalar_families as sf
-from .errors import ConditionFailed, SizeMismatch, Unsupported
+from .errors import ConditionFailed, DegreeCap, SizeMismatch, Unsupported
 from .matrix_poly import MatrixPolynomial, cauchy, falling
 from .mvop_core import peak
 from .weight_model import WeightSpec, build_T
 
 CONDITION_TOL = 1e-12
+
+#: coefficients of p(n + 1) from those of p(n), ascending, degree <= 2
+_STEP = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
 
 #: degrees per ``q_block`` in ``eigencheck``; bounds the stacked arrays
 #: (all degrees of n_max = 60-80 sequences at once took about 5 MB more
@@ -208,80 +213,51 @@ def conjugate_by_T(D_tilde: MatrixDiffOperator,
     return op_compose(op_compose(left, D_tilde), right)
 
 
-def _check_condition(eigs, shifts, N):
-    """Eigenvalue matching of the shifted diagonal operators.
-
-    Requires L_n(slot 2i-1) = L_{n+1}(slot 2i) = L_n(slot 2i+1) where
-    L absorbs the constant shifts; the identities are polynomial in n so
-    a handful of n values certifies them.
-    """
-    def lam(i, n):
-        return eigs[i](n) + shifts[i]
-
-    for i in range(1, N // 2 + 1):          # 1-based pair indices
-        odd, even = 2 * i - 2, 2 * i - 1
-        for n in range(4):
-            a, b = lam(odd, n), lam(even, n + 1)
-            if abs(a - b) > CONDITION_TOL * (1.0 + abs(a)):
-                raise ConditionFailed(
-                    f"slots {odd + 1},{even + 1}: L_n != L_(n+1) ({a} vs {b})")
-    for i in range(1, (N - 1) // 2 + 1):
-        even, nxt = 2 * i - 1, 2 * i
-        for n in range(4):
-            a, b = lam(even, n + 1), lam(nxt, n)
-            if abs(a - b) > CONDITION_TOL * (1.0 + abs(a)):
-                raise ConditionFailed(
-                    f"slots {even + 1},{nxt + 1}: L_(n+1) != L_n ({a} vs {b})")
-
-
 def build_bispectral_operator(spec: WeightSpec):
     """The second-order operator D with Q_n . D = Lambda_n Q_n, plus the
     map n -> Lambda_n.
 
-    Families: all-Laguerre (+1 shift on even slots), all-Hermite (-2 on odd
-    slots, matching the explicit 2x2 display), all-Jacobi (+(a1+b1) on even
-    slots under the parameter matching condition), and the 2x2 mixed
-    Hermite-Laguerre weight (Laguerre operator doubled, Hermite shifted -2).
+    D = T diag(c_k D_k + s_k) T^{-1} for the scalar operators D_k, with
+    eigenvalues lambda_k(n), of ``scalar_families.scalar_diff_operator``.
+    A Lambda_{n+1} = Lambda_n A asks c_k lambda_k(n) + s_k = c_{k+1}
+    lambda_{k+1}(n + 1) + s_{k+1} for odd (1-based) k and the same with n
+    + 1 on the left for even k: polynomials in n of degree <= 2, so one
+    walk over the pairs fixes c_{k+1} and s_{k+1} from c_1 = 1 and s_1 =
+    -2 on a Hermite first slot (the paper's 2x2 display), else 0.
+    ``ConditionFailed`` names the first pair no nonzero c_{k+1} matches.
     """
-    fams = [s.family for s in spec.scalars]
-    N = spec.N
-    if any(f == sf.CUSTOM for f in fams):
+    if any(s.family == sf.CUSTOM for s in spec.scalars):
         raise Unsupported("bispectral operators need classical scalar weights")
-
     scalar_ops, eigs = zip(*map(sf.scalar_diff_operator, spec.scalars))
-    scales = [1.0] * N
+    scales = [1.0]
+    shifts = [-2.0 if spec.scalars[0].family == sf.HERMITE else 0.0]
+    for k in range(1, spec.N):              # slots k, k + 1, 1-based
+        left, right = eigs[k - 1].coef, eigs[k].coef
+        lhs = scales[-1] * (left if k % 2 else _STEP @ left)
+        rhs = _STEP @ right if k % 2 else right
+        top = 2 if rhs[2] else 1
+        c = lhs[top] / rhs[top]
+        if c == 0 or np.any(np.abs(lhs[1:] - c * rhs[1:])
+                            > CONDITION_TOL * (1.0 + np.abs(lhs[1:]))):
+            raise ConditionFailed(
+                f"slots {k},{k + 1}: no scale matches the eigenvalues "
+                f"{lhs.tolist()} and {rhs.tolist()} (ascending in n)")
+        scales.append(float(c))
+        shifts.append(float(lhs[0] + shifts[-1] - c * rhs[0]))
 
-    if all(f == sf.LAGUERRE for f in fams):
-        shifts = [1.0 if (i + 1) % 2 == 0 else 0.0 for i in range(N)]
-    elif all(f == sf.HERMITE for f in fams):
-        shifts = [-2.0 if (i + 1) % 2 == 1 else 0.0 for i in range(N)]
-    elif all(f == sf.JACOBI for f in fams):
-        s1 = spec.scalars[0].alpha + spec.scalars[0].beta
-        for j, s in enumerate(spec.scalars, start=1):
-            lhs = s.alpha + s.beta + 1 + (-1) ** j
-            if abs(lhs - s1) > CONDITION_TOL * (1.0 + abs(s1)):
-                raise ConditionFailed(
-                    f"Jacobi parameters at slot {j}: alpha+beta+1+(-1)^j = "
-                    f"{lhs}, expected {s1}")
-        shifts = [s1 if (i + 1) % 2 == 0 else 0.0 for i in range(N)]
-    elif N == 2 and fams == [sf.HERMITE, sf.LAGUERRE]:
-        shifts = [-2.0, 0.0]
-        scales = [1.0, 2.0]
-    else:
-        raise Unsupported(f"no bispectral construction for families {fams}")
-
-    scaled_eigs = [(lambda n, e=e, s=sc: s * e(n))
-                   for e, sc in zip(eigs, scales)]
-    _check_condition(scaled_eigs, shifts, N)
     entries = {}
     for i, (fs, sc, sh) in enumerate(zip(scalar_ops, scales, shifts)):
         entries[i, i] = [[sc * c for c in f] for f in fs]
         entries[i, i][0][0] += sh
-    d_tilde = entries_to_operator(entries, N)
-    D = conjugate_by_T(d_tilde, spec)
+    D = conjugate_by_T(entries_to_operator(entries, spec.N), spec)
 
-    def lam(n, _e=tuple(scaled_eigs), _s=tuple(shifts)):
-        return np.diag([e(n) + s for e, s in zip(_e, _s)]).astype(complex)
+    slots = tuple((*e.coef.tolist(), c, s)
+                  for e, c, s in zip(eigs, scales, shifts))
+
+    def lam(n):
+        # Horner in n, as the eigenvalue polynomials evaluate themselves
+        return np.diag([c * ((l2 * n + l1) * n + l0) + s
+                        for l0, l1, l2, c, s in slots]).astype(complex)
 
     return D, lam
 
@@ -293,19 +269,28 @@ def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
     Degrees go in blocks of ``EIGEN_BLOCK`` rows of ``seq.q_block``; the
     residual of degree n is max|lhs - rhs| / max(max|lhs|, max|rhs|,
     1e-300) over all coefficients.  A non-finite residual is the peak and
-    sets ``non_finite``.
+    sets ``non_finite``; a finite Q_n whose Q_n . D or Lambda_n Q_n leaves
+    the float range raises ``DegreeCap`` instead.
     """
     residuals = []
     for lo in range(0, n_max + 1, EIGEN_BLOCK):
         hi = min(lo + EIGEN_BLOCK, n_max + 1)
         Q = seq.q_block(lo, hi)
-        lhs = op_apply(Q, D)
-        rhs = np.stack([lam(n) for n in range(lo, hi)])[:, None] @ Q
-        scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
-                           np.abs(rhs).max(axis=(1, 2, 3)))
-        lhs[:, :rhs.shape[1]] -= rhs
-        residuals += (np.abs(lhs).max(axis=(1, 2, 3))
-                      / np.maximum(scale, 1e-300)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = op_apply(Q, D)
+            rhs = np.stack([lam(n) for n in range(lo, hi)])[:, None] @ Q
+            scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
+                               np.abs(rhs).max(axis=(1, 2, 3)))
+            lhs[:, :rhs.shape[1]] -= rhs
+            res = np.abs(lhs).max(axis=(1, 2, 3)) / np.maximum(scale, 1e-300)
+        # finite Q_n, non-finite residual: a product past the float range
+        past = ~np.isfinite(res)
+        past[past] = np.isfinite(Q[past]).all(axis=(1, 2, 3))
+        if past.any():
+            n = lo + int(past.argmax())
+            raise DegreeCap(f"Q_{n} . D or Lambda_{n} Q_{n} is past the "
+                            f"float range")
+        residuals += res.tolist()
     worst, worst_n, non_finite = peak(dict(enumerate(residuals)))
     return {"max_scaled_residual": worst, "worst_n": worst_n,
             "residuals": residuals, "non_finite": non_finite}

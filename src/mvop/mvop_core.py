@@ -11,11 +11,12 @@ From one table of scalar power coefficients per sequence (floats, or
 sympy rationals on the exact backend) ``_assemble`` places the three
 terms of every Q_n T column for a range of degrees, applies I - A x by
 one shifted column update per pair, which leaves the closed-form K_n at
-x^n, and gives each degree a verdict.  ``q_block``, ``qt_block``,
-``build_Q`` and ``build_QT`` read its rows, ``p_block`` the diagonal
-P_n.  The float backend assembles each requested range anew; the exact
-backend assembles degrees 0..n_max once and rounds the nonzero entries
-to complex doubles once, and ||Q_n||^2 / sigma_n^2 from exact values.
+x^n, and gives each degree a verdict (det K_n is a ``continuant``).
+``q_block``, ``qt_block``, ``build_Q`` and ``build_QT`` read its rows,
+``p_block`` the diagonal P_n.  The float backend assembles each requested
+range anew; the exact backend assembles degrees 0..n_max once and rounds
+the nonzero entries to complex doubles once, and ||Q_n||^2 / sigma_n^2
+from exact values.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -53,7 +54,8 @@ def _expand(a) -> np.ndarray:
         lambda v: v if isinstance(v, sp.Number) else sp.expand(v), 1, 1)(a)
 
 
-#: errors of the nonzero per-degree verdicts of ``MVOPSequence._assemble``
+#: errors of the nonzero per-degree verdicts of ``MVOPSequence._assemble``:
+#: a non-finite Q_n, powers left above x^n, det K_n = 0
 _FAULTS = (None,
            (DegreeCap, "coefficients of Q_{n} are past the float range"),
            (SingularLeading, "degree overflow at n={n}"),
@@ -130,7 +132,8 @@ def continuant(rho) -> float:
     """Determinant of the unit-diagonal tridiagonal matrix with
     superdiagonal u and subdiagonal l such that -u_i l_i = rho_i.
 
-    D_k = D_{k-1} + rho_{k-1} D_{k-2}.
+    D_k = D_{k-1} + rho_{k-1} D_{k-2}.  Each rho_i may be an array, which
+    gives one continuant per position.
     """
     d_prev, d = 1, 1
     for r in rho:
@@ -272,13 +275,14 @@ class MVOPSequence:
         of Q_n = (Q_n T)(I - A x) loses x (Q_n T)[:, r] A[r, u] per pair,
         which leaves K_n (``leading_closed_form``) at x^n.  Powers n + 1
         and n + 2 cancel structurally (A^2 = 0); anything left there is a
-        degree overflow, and a singular K_n is refused too.  Float: "left"
-        means above 1e-8 of the largest coefficient, scalar coefficients
-        past the float range raise ``DegreeCap`` at once, and a degree
-        whose coefficients leave the float range (G_n P_{n-1} on mixed
-        families) gets a ``DegreeCap`` verdict.  Exact: every entry that is
-        not already a number is expanded, the leftover powers must expand
-        to 0 and the sympy det of K_n must not be 0.
+        degree overflow, and K_n is singular where det K_n, the
+        ``continuant`` of ``rho_values(n)``, is 0 (only a corrupted G_n:
+        every valid rho_i is positive).  Float: "left" means above 1e-8 of
+        the largest coefficient, scalar coefficients past the float range
+        raise ``DegreeCap`` at once, and a degree whose coefficients leave
+        the float range (G_n P_{n-1} on mixed families) gets a
+        ``DegreeCap`` verdict.  Exact: every entry that is not already a
+        number is expanded, and the leftover powers must expand to 0.
         """
         self._check_range(lo, hi)
         N, width = self.weight.N, self.n_max + 3
@@ -304,19 +308,21 @@ class MVOPSequence:
                 q[:, 1:, :, u] -= qt[:, :-1, :, r] * a
         if self.exact:
             qt, q = _expand(qt), _expand(q)
-        K, spill = q[rows, ns], q[rows[:, None], ns[:, None] + [1, 2]]
+        spill = q[rows[:, None], ns[:, None] + [1, 2]]
         if self.exact:
-            import sympy as sp
             finite = np.ones(hi - lo, dtype=bool)
             overflow = (spill != 0).any(axis=(1, 2, 3))
-            singular = np.array([sp.Matrix(k.tolist()).det() == 0 for k in K])
         else:
             # a non-finite Q_n T coefficient leaves Q_n non-finite too
             with np.errstate(over="ignore", invalid="ignore"):
                 top = np.abs(q).max(axis=(1, 2, 3))
                 finite = np.isfinite(top)
                 overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
-                singular = np.abs(np.linalg.det(K)) == 0.0
+        # det K_n: the continuant of ``rho_values`` for all degrees at once;
+        # an overflowed one is regular
+        rho = [a * G[:, u, r] for r, u, a in pairs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            singular = continuant(rho if self.exact else np.real(rho)) == 0
         # later assignments win: non-finite, then overflow, then singular
         verdict = np.zeros(hi - lo, dtype=np.int8)
         verdict[singular] = 3

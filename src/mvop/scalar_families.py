@@ -21,7 +21,8 @@ Power coefficients of the monic polynomials come from one routine,
 at once; ``MonicScalarSequence.polynomial`` and the matrix sequences of
 ``mvop_core`` read its tables.  ``scalar_diff_operator`` gives each
 family's second-order operator as plain coefficient lists (f_0, f_1,
-f_2), which ``diff_operators.entries_to_operator`` turns into operators.
+f_2), which ``diff_operators.entries_to_operator`` turns into operators,
+and its eigenvalue as a polynomial in n read from those lists.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from math import inf, lgamma, log, pi
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import IllConditioned, InvalidParam, OutOfRange, Unsupported
 
@@ -393,13 +395,18 @@ def gauss_rule(spec: ScalarWeightSpec, m: int):
 def scalar_diff_operator(spec: ScalarWeightSpec):
     """Coefficient lists (f_0, f_1, f_2) of the right-acting operator
     sum_j d^j/dx^j . f_j(x) with p_n as eigenfunctions, plus its
-    eigenvalue map."""
+    eigenvalue lambda(n) = f_0[0] + (f_1[1] - f_2[2]) n + f_2[2] n^2 (the
+    x^n coefficient of x^n . D) as a ``numpy.polynomial.Polynomial`` in n,
+    read from the same lists."""
     if spec.family == HERMITE:
-        return ([0], [2.0 * spec.b, -2.0], [1.0]), lambda n: -2.0 * n
-    if spec.family == LAGUERRE:
-        return ([0], [spec.alpha + 1.0, -1.0], [0.0, 1.0]), lambda n: -float(n)
-    if spec.family == JACOBI:
+        fs = [0], [2.0 * spec.b, -2.0], [1.0]
+    elif spec.family == LAGUERRE:
+        fs = [0], [spec.alpha + 1.0, -1.0], [0.0, 1.0]
+    elif spec.family == JACOBI:
         a, b = spec.alpha, spec.beta
-        return (([0], [b - a, -(a + b + 2.0)], [1.0, 0.0, -1.0]),
-                lambda n: -n * (n + a + b + 1.0))
-    raise Unsupported("no differential operator for moment-supplied weights")
+        fs = [0], [b - a, -(a + b + 2.0)], [1.0, 0.0, -1.0]
+    else:
+        raise Unsupported("no differential operator for moment-supplied "
+                          "weights")
+    f22 = fs[2][2] if len(fs[2]) > 2 else 0.0
+    return fs, Polynomial([fs[0][0], fs[1][1] - f22, f22])

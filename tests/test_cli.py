@@ -298,23 +298,49 @@ class TestHighDegree:
     HERMITE_LAGUERRE = ([1.5], [{"family": "hermite", "b": 0.0},
                                 {"family": "laguerre", "alpha": 0.5}])
 
-    @pytest.mark.parametrize("n_max, passes", [(80, True), (120, False),
-                                               (160, False)])
-    def test_eigen_typed_error_on_mixed_families(self, n_max, passes):
-        # G_n P_{n-1} leaves the float range at Q_116 of the mixed
-        # Hermite-Laguerre weight: a DegreeCap there, never NaN residuals
+    @pytest.mark.parametrize("order, n_max, error", [
+        pytest.param("HL", 80, None, id="80-True"),
+        pytest.param("HL", 115, "DegreeCap: Q_115 . D or Lambda_115 Q_115 "
+                     "is past", id="115-False"),
+        pytest.param("HL", 120, "DegreeCap: coefficients of Q_116",
+                     id="120-False"),
+        pytest.param("HL", 160, "DegreeCap: coefficients of Q_116",
+                     id="160-False"),
+        pytest.param("LH", 120, None, id="LH-120-True"),
+        pytest.param("LH", 160, "DegreeCap: norm-ratio log -605.1 exceeds "
+                     "600.0 at n=133", id="LH-160-False"),
+    ])
+    def test_eigen_typed_error_on_mixed_families(self, order, n_max, error):
+        # Hermite first: Q_115 . D leaves the float range while Q_115 does
+        # not, then G_n P_{n-1} does at Q_116; Laguerre first: the norm
+        # ratio passes its cap at n = 133.  A DegreeCap, never NaN residuals
         a, weights = self.HERMITE_LAGUERRE
+        weights = weights if order == "HL" else weights[::-1]
         cfg = config_from_json(base_config(a=a, weights=weights,
                                            n_max=n_max, checks=["eigen"]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run(cfg)["checks"]["eigen"]
-        if passes:
+        if error is None:
             assert res["passed"], res
             assert res["max_scaled_residual"] < 1e-13
         else:
             assert res["status"] == "error"
-            assert res["error"].startswith("DegreeCap: coefficients of Q_116")
+            assert res["error"].startswith(error), res["error"]
+
+    def test_eigen_past_continuant_overflow(self):
+        # the float continuant of rho_n (det K_n) overflows before n = 84
+        # on this weight; an overflowed continuant is a regular K_n and
+        # raises no warning
+        h, l = self.HERMITE_LAGUERRE[1]
+        cfg = config_from_json(base_config(
+            size=5, a=[1.5, -0.7, 1.2, 0.9], weights=[h, l, h, l, h],
+            n_max=100, checks=["eigen"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg)["checks"]["eigen"]
+        assert res["passed"], res
+        assert res["max_scaled_residual"] < 1e-13
 
     @pytest.mark.parametrize("n_max", [90, 120])
     def test_gram_checks_on_mixed_families(self, n_max):
@@ -479,6 +505,21 @@ class TestCommandLine:
         p.write_text("{not json")
         res = CliRunner().invoke(main, ["run", "--config", str(p)])
         assert res.exit_code == 2
+
+    def test_csv_dump_of_wide_leading_block(self, tmp_path):
+        # the float det of K_17 of this weight cancels to 0.0, which once
+        # refused Q_17 here; the continuant of rho_n says K_17 is regular
+        weights = [{"family": "hermite", "b": 0.0},
+                   {"family": "laguerre", "alpha": 0.5}]
+        cfg = base_config(size=6, a=[0.889, 0.851, 1.993, 1.205, 1.755],
+                          weights=[weights[i] for i in (0, 0, 1, 1, 0, 1)],
+                          n_max=17, checks=["orth", "norm", "eigen", "det"])
+        res = CliRunner().invoke(main, ["run", "--config",
+                                        self.write(tmp_path, cfg),
+                                        "--csv-dir", str(tmp_path / "csv")])
+        assert res.exit_code == 0, res.output
+        for n in range(18):
+            assert (tmp_path / "csv" / f"Q_{n}.csv").exists()
 
     def test_nmax_tol_overrides(self, tmp_path):
         res = CliRunner().invoke(main, ["run", "--config",

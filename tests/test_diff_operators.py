@@ -1,5 +1,7 @@
 """Right-acting operators: algebra, conjugation, bispectral construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -11,7 +13,7 @@ from mvop.diff_operators import (MatrixDiffOperator, build_bispectral_operator,
 from mvop.errors import ConditionFailed, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence
-from mvop.weight_model import weight_spec
+from mvop.weight_model import build_nilpotent, weight_spec
 from oracles import op_apply_loop
 
 #: the weights of every bispectral family: Laguerre, Hermite, Jacobi and
@@ -225,12 +227,30 @@ class TestExactness:
         assert C.exact and all(f.exact for f in C.f_coeffs)
 
 
+#: Hermite(0) and Laguerre(0.5) slots in orders no single family covers
+H, L = sf.hermite(0.0), sf.laguerre(0.5)
+MIXED_ORDERS = {
+    "LH": weight_spec([1.5], [L, H]),
+    "HLH": weight_spec([1.5, -0.7], [H, L, H]),
+    "LHL": weight_spec([1.5, -0.7], [L, H, L]),
+    "LHHL": weight_spec([1.5, -0.7, 1.2], [L, H, H, L]),
+    "LLHHL": weight_spec([1.5, -0.7, 1.2, 0.9], [L, L, H, H, L]),
+    "HLHLH": weight_spec([1.5, -0.7, 1.2, 0.9], [H, L, H, L, H]),
+    "HHLLHL": weight_spec([0.889, 0.851, 1.993, 1.205, 1.755],
+                          [H, H, L, L, H, L]),
+}
+
+
 class TestBispectral:
     def test_condition_violation(self):
-        # Jacobi parameters breaking the matching condition
-        spec = weight_spec([1.0], [sf.jacobi(0.5, 2.5), sf.jacobi(1.5, 1.5)])
-        with pytest.raises(ConditionFailed):
-            build_bispectral_operator(spec)
+        # Jacobi parameters breaking the matching condition, and a Jacobi
+        # slot next to a Hermite or Laguerre one: no scale on slot 2
+        # matches the eigenvalues of slot 1
+        for slots in ([sf.jacobi(0.5, 2.5), sf.jacobi(1.5, 1.5)],
+                      [sf.hermite(0.0), sf.jacobi(0.5, 0.5)],
+                      [sf.laguerre(0.5), sf.jacobi(1.5, 1.5)]):
+            with pytest.raises(ConditionFailed, match="slots 1,2"):
+                build_bispectral_operator(weight_spec([1.0], slots))
 
     def test_custom_unsupported(self):
         spec = weight_spec([1.0], [sf.custom([2, 0, 2 / 3, 0, 2 / 5, 0],
@@ -239,10 +259,18 @@ class TestBispectral:
         with pytest.raises(Unsupported):
             build_bispectral_operator(spec)
 
-    def test_mixed_order_unsupported(self):
-        spec = weight_spec([1.0], [sf.laguerre(0.5), sf.hermite(0.0)])
-        with pytest.raises(Unsupported):
-            build_bispectral_operator(spec)
+    @pytest.mark.parametrize("name", list(MIXED_ORDERS))
+    def test_mixed_orders(self, name):
+        # every Hermite/Laguerre order gets an operator from the matching walk
+        spec = MIXED_ORDERS[name]
+        D, lam = build_bispectral_operator(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = eigencheck(MVOPSequence(spec, 41), D, lam, 40)
+        assert rep["max_scaled_residual"] < 1e-13, rep["worst_n"]
+        A = build_nilpotent(spec)
+        for n in range(16):
+            assert np.allclose(A @ lam(n + 1), lam(n) @ A, atol=1e-9)
 
     @pytest.mark.parametrize("spec,lam0,lam1", [
         (weight_spec([2.0], [sf.laguerre(0.0), sf.laguerre(0.5)]),
@@ -271,7 +299,6 @@ class TestBispectral:
             weight_spec([1.0], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5)]),
             weight_spec([1.0], [sf.hermite(0.0), sf.laguerre(0.5)]),
         ]
-        from mvop.weight_model import build_nilpotent
         for spec in specs:
             A = build_nilpotent(spec)
             _, lam = build_bispectral_operator(spec)

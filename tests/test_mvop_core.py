@@ -24,6 +24,13 @@ def herm2():
     return weight_spec([1.0], [sf.hermite(0.0), sf.hermite(0.0)])
 
 
+#: a 6x6 mixed Hermite-Laguerre weight whose leading coefficients K_n have
+#: entries from about 1e-13 to 1e21
+HHLLHL = weight_spec([0.889, 0.851, 1.993, 1.205, 1.755],
+                     [sf.hermite(0.0), sf.hermite(0.0), sf.laguerre(0.5),
+                      sf.laguerre(0.5), sf.hermite(0.0), sf.laguerre(0.5)])
+
+
 #: exact-backend weights: mixed Laguerre, shifted Hermite, the 5x5 Laguerre
 #: chain and a half-step Jacobi weight whose slots form one weight class
 EXACT_SPECS = pytest.mark.parametrize("spec", [
@@ -137,6 +144,18 @@ class TestConstruction:
                 seq.build_Q(3)
             seq.q_block(4, 9)
             seq.build_Q(2)
+
+    def test_q_block_wide_leading_block(self):
+        # K_n of this weight holds a Laguerre 2x2 block near 1e21, and its
+        # float det cancels to 0.0 from n = 17 on; the continuant of rho_n
+        # is det K_n and says every K_n is regular
+        seq = MVOPSequence(HHLLHL, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(seq.q_block(0, 31)).all()
+        for n in range(1, 7):       # cond(K_n) below 1e8
+            assert continuant(seq.rho_values(n)) == pytest.approx(
+                np.linalg.det(seq.leading_closed_form(n)).real, rel=1e-12)
 
     def test_q_block_past_float_range(self):
         # Laguerre power coefficients overflow near degree 170: a typed
