@@ -6,6 +6,7 @@ config schema.  Exit codes: 0 all pass, 1 a check failed, 2 bad config
 or I/O.
 """
 
+import cmath
 import json
 import math
 import os
@@ -280,12 +281,26 @@ def _check_darboux(seq, cfg):
 def _check_det(seq, cfg):
     residuals = {}
     for n in range(1, cfg.n_max + 1):
-        fast = continuant(seq.rho_values(n))
+        M, rho, e = seq.reduced_leading_matrix(n), seq.rho_values(n), 0
         if seq.exact:   # Gamma atoms of two weight classes stay symbolic
-            import sympy as sp
-            fast = complex(sp.N(fast))
-        brute = np.linalg.det(seq.reduced_leading_matrix(n)).real
-        residuals[n] = abs(fast - brute) / max(abs(brute), 1e-300)
+            d = complex(continuant(rho))
+        else:   # the continuant as d 2^e: scaling by 2^-k is exact
+            d_prev = d = 1.0
+            for r in rho:
+                d_prev, d = d, d + r * d_prev
+                if abs(d) > 2.0 ** 100:     # r d_prev stays below 2^1000
+                    k = math.frexp(d)[1]
+                    d_prev, d, e = d_prev / 2.0 ** k, d / 2.0 ** k, e + k
+        fast = d * 2.0 ** e if e < 1024 else math.inf
+        # a det past the float range reads inf or nan, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            brute = np.linalg.det(M).real
+        if cmath.isfinite(brute) and cmath.isfinite(fast):
+            residuals[n] = abs(fast - brute) / max(abs(brute), 1e-300)
+        else:   # compare d 2^e with the sign and log |det| of M
+            sign, logdet = np.linalg.slogdet(M)
+            residuals[n] = abs(d / sign * math.exp(e * math.log(2) - logdet)
+                               - 1)
     worst, worst_n, non_finite = peak(residuals)
     return {"passed": worst < 1e-10, "max_relative_error": worst,
             "worst_n": worst_n, "non_finite": non_finite}

@@ -7,16 +7,17 @@ nonzero per adjacent pair, and every product with A, A* or G_n is placed
 on those pairs, never formed as a dense N x N product.  The ratio entries
 are formed in log space (float backend) because the scalar norms grow
 factorially; each G_n is built once into a table all readers share.
-From one table of scalar power coefficients per sequence (floats, or
-sympy rationals on the exact backend) ``_assemble`` places the three
-terms of every Q_n T column for a range of degrees, applies I - A x by
-one shifted column update per pair, which leaves the closed-form K_n at
-x^n, and gives each degree a verdict (det K_n is a ``continuant``).
-``q_block``, ``qt_block``, ``build_Q`` and ``build_QT`` read its rows,
-``p_block`` the diagonal P_n.  The float backend assembles each requested
-range anew; the exact backend assembles degrees 0..n_max once and rounds
-the nonzero entries to complex doubles once, and ||Q_n||^2 / sigma_n^2
-from exact values.
+From one table of scalar power coefficients per sequence ``_assemble``
+places the three terms of every Q_n T column for a range of degrees,
+applies I - A x by one shifted column update per pair, which leaves the
+closed-form K_n at x^n, and gives each degree a verdict (det K_n is a
+``continuant``).  ``q_block``, ``qt_block``, ``build_Q`` and ``build_QT``
+read its rows, ``p_block`` the diagonal P_n.  The float backend assembles
+each requested range anew.  The exact backend holds rationals (QQ, or QQ_I
+for a complex A) per monomial in the moment atoms (1, sqrt(pi), ...; see
+``KEY``) and assembles degrees 0..n_max once; a rational entry is rounded
+by p / q, and only the public readers and entries that mix two atoms
+(see ``_round``) form sympy expressions.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -32,6 +33,7 @@ B_n Q_n - C_n Q_{n-1} summed over the tables, so the orth, norm and
 recurrence checks share this one quadrature path.
 """
 
+from collections import defaultdict
 from math import exp, log, sqrt
 
 import numpy as np
@@ -45,14 +47,9 @@ from .weight_model import InnerProductEngine, WeightSpec, build_nilpotent
 #: exp-overflow guard on any norm-ratio quotient
 LOG_RATIO_CAP = 600.0
 
-
-def _expand(a) -> np.ndarray:
-    """sp.expand of every entry of an object array; plain numbers (most
-    exact Q_n entries are 0 or a rational) are already expanded."""
-    import sympy as sp
-    return np.frompyfunc(
-        lambda v: v if isinstance(v, sp.Number) else sp.expand(v), 1, 1)(a)
-
+#: prod_c gamma_c^{e_c} over the atoms gamma_c of the weight classes (slots
+#: whose moments share an atom) has the key sum_c e_c KEY^c, |e_c| < KEY/2
+KEY = 1 << 16
 
 #: errors of the nonzero per-degree verdicts of ``MVOPSequence._assemble``:
 #: a non-finite Q_n, powers left above x^n, det K_n = 0
@@ -62,37 +59,44 @@ _FAULTS = (None,
            (SingularLeading, "singular leading coefficient at n={n}"))
 
 
-def _to_complex(a) -> np.ndarray:
-    """An array of sympy entries (or numbers) rounded to complex doubles.
+def _parts(v):
+    """(real, imaginary) parts of an int, QQ or QQ_I element."""
+    return (v.x, v.y) if hasattr(v, "y") else (v, 0)
 
-    Only nonzero entries are rounded (a sympy zero is false).  Real entries
-    go through float, the same doubles as complex() at a fraction of its
-    cost (complex() runs evalf, then splits real and imaginary parts); a
-    non-real entry raises the TypeError that sends them through complex()."""
+
+def _rational(v):
+    """A sympy (Gaussian) rational as a QQ (QQ_I) element."""
+    from sympy import QQ, QQ_I
+    return (QQ if v.is_real else QQ_I).from_sympy(v)
+
+
+def _to_complex(a) -> np.ndarray:
+    """An array rounded to complex doubles, each nonzero exact part once:
+    QQ through float (p / q, Python's correctly rounded division)."""
     if a.dtype != object:
         return a.astype(complex, copy=False)
     out = np.zeros(a.shape, dtype=complex)
     nonzero = a.astype(bool)
     try:
         out[nonzero] = np.asarray(a[nonzero], dtype=float)
-    except TypeError:
-        out[nonzero] = np.asarray(a[nonzero], dtype=complex)
+    except TypeError:   # QQ_I parts through float, sympy through complex()
+        out[nonzero] = [complex(*map(float, _parts(v))) if hasattr(v, "y")
+                        else complex(v) for v in a[nonzero]]
     return out
 
 
-def _round_scaled(a, log_scale: float) -> np.ndarray:
-    """The nearest complex doubles to the sympy entries of ``a`` times
-    exp(-log_scale): each nonzero entry is evaluated once to 30 digits and
-    scaled in 113-bit mpmath (no exponent limit), each part rounded once."""
+def _nearest(terms) -> complex:
+    """The nearest complex double to sum_k m_k q_k over terms (an mpf m_k,
+    an exact rational q_k): one sum at 113 bits, each part rounded once."""
     import mpmath
-    out = np.zeros(a.shape, dtype=complex)
+    out = [0, 0]
     with mpmath.workprec(113):
-        factor = mpmath.exp(-log_scale)
-        for i in zip(*np.nonzero(a.astype(bool))):
-            re, im = a[i].evalf(30).as_real_imag()
-            out[i] = complex(float(mpmath.mpf(re) * factor),
-                             float(mpmath.mpf(im) * factor))
-    return out
+        for m, q in terms:
+            for part, p in enumerate(_parts(q)):
+                if p:
+                    out[part] += mpmath.mpf(int(p.numerator)) * m / int(
+                        p.denominator)
+    return complex(*map(float, out))
 
 
 def peak(residuals: dict):
@@ -128,17 +132,21 @@ def frobenius(X, axis):
         return np.squeeze(s * np.sqrt(sq), axis=axis)
 
 
-def continuant(rho) -> float:
+def continuant(rho, keys=None):
     """Determinant of the unit-diagonal tridiagonal matrix with
     superdiagonal u and subdiagonal l such that -u_i l_i = rho_i.
 
     D_k = D_{k-1} + rho_{k-1} D_{k-2}.  Each rho_i may be an array, which
-    gives one continuant per position.
+    gives one continuant per position.  With ``keys``, rho_i multiplies
+    the monomial keys[i] (see ``KEY``): the result is {key: coefficient}.
     """
-    d_prev, d = 1, 1
-    for r in rho:
-        d_prev, d = d, d + r * d_prev
-    return d
+    d_prev, d = {0: 1}, {0: 1}
+    for key, r in zip([0] * len(rho) if keys is None else keys, rho):
+        nxt = dict(d)
+        for k, v in d_prev.items():
+            nxt[k + key] = nxt.get(k + key, 0) + r * v
+        d_prev, d = d, nxt
+    return d[0] if keys is None else d
 
 
 class MVOPSequence:
@@ -155,11 +163,14 @@ class MVOPSequence:
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
-        self._gram = None
-        self._ptab = None
-        self._qrows = None
-        self._qnorms = {}
-        self._ratios = {}
+        # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[k][n] gamma_k
+        atoms = [s.atom for s in self.scalar_seqs]
+        self._atoms = list(dict.fromkeys(atoms))
+        self._ek = [KEY ** self._atoms.index(t) for t in atoms]
+        self._nu = [list(map(_rational, s.norm_rationals))
+                    for s in self.scalar_seqs] if self.exact else None
+        self._gram = self._ptab = self._qrows = self._atom_values = None
+        self._qnorms, self._ratios, self._monos = {}, {}, {}
         self._pairs_of = None
 
     def _check_n(self, n, hi=None):
@@ -183,73 +194,107 @@ class MVOPSequence:
     def p_block(self, lo: int, hi: int) -> np.ndarray:
         """P_n = diag(p_n^{w_1}, ..., p_n^{w_N}) for n = lo..hi-1, read
         from the scalar table: complex power coefficients shaped like
-        ``q_block``.  The table is real on both backends, and sympy
-        rationals convert far faster through float than through complex."""
+        ``q_block``.  The table is real on both backends, and its rationals
+        round to the nearest doubles through float."""
         self._check_range(lo, hi)
         tab = np.asarray(self._scalar_table()[lo + 1:hi + 1], dtype=float)
         return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(complex)
 
     @property
     def _pairs(self) -> list:
-        """(r, u, a) for the nonzeros a = A[r, u] of A in row-major order
-        (one per adjacent pair, in pair order), a in backend arithmetic;
-        found again whenever A is replaced."""
+        """(r, u, a, conj(a)) for the nonzeros a = A[r, u] of A in row-major
+        order (one per adjacent pair, in pair order), exact ones as QQ or
+        QQ_I elements; found again whenever A is replaced."""
         if self._pairs_of is not self.A:
+            conv = _rational if self.exact else (lambda v: v)
             self._pairs_of, self._pair_list = self.A, [
-                (int(r), int(u), self.A[r, u])
-                for r, u in zip(*np.nonzero(self.A))]
+                (int(r), int(u), conv(a), conv(a.conjugate()))
+                for r, u in zip(*np.nonzero(self.A)) for a in [self.A[r, u]]]
         return self._pair_list
 
     def _zeros(self, shape) -> np.ndarray:
-        """Zeros in backend arithmetic: complex, or sympy zeros."""
-        if not self.exact:
-            return np.zeros(shape, dtype=complex)
-        import sympy as sp
-        return np.full(shape, sp.S.Zero, dtype=object)
-
-    def _scaled_norms(self, n: int, log_scale: float) -> list:
-        """||p_n^{w_k}||^2, k = 1..N: the exact norms on the exact backend,
-        else over exp(log_scale), formed in log space."""
-        if self.exact:
-            return [sf.squared_norm_exact(s, n) for s in self.scalar_seqs]
-        return [exp(s.log_norms[n] - log_scale) for s in self.scalar_seqs]
+        """Zeros in backend arithmetic: complex, or exact integer zeros."""
+        return np.zeros(shape, dtype=object if self.exact else complex)
 
     def _log_ratios(self, n: int):
-        """(r, u, a, lr) for each nonzero a = A[r, u] (see ``_pairs``), with
-        lr = log ||p_n^{w_u}||^2 - log ||p_{n-1}^{w_r}||^2 from the float log
-        norms both backends keep; ``DegreeCap`` once |lr| passes
+        """(r, u, a, conj(a), lr) for the pairs of ``_pairs``, with lr = log
+        ||p_n^{w_u}||^2 - log ||p_{n-1}^{w_r}||^2 from the float log norms
+        both backends keep; ``DegreeCap`` once |lr| passes
         ``LOG_RATIO_CAP``, before exp(lr) can overflow."""
-        for r, u, a in self._pairs:
+        for r, u, a, ac in self._pairs:
             lr = (self.scalar_seqs[u].log_norms[n]
                   - self.scalar_seqs[r].log_norms[n - 1])
             if abs(lr) > LOG_RATIO_CAP:
                 raise DegreeCap(f"norm-ratio log {lr:.1f} exceeds "
                                 f"{LOG_RATIO_CAP} at n={n}")
-            yield r, u, a, lr
+            yield r, u, a, ac, lr
+
+    def _ratio_entries(self, n: int) -> np.ndarray:
+        """G_n as its table holds it: entry (u, r) is conj(a) exp(lr) for a
+        = A[r, u] (see ``_log_ratios``), or the rational conj(a) _nu[u][n] /
+        _nu[r][n-1] times the implied gamma_u / gamma_r.  Zero for n = 0
+        (the paper's ||P_{-1}||^{-2} = 0 convention)."""
+        G = self._zeros((self.weight.N,) * 2)
+        if n == 0:
+            return G
+        self._check_n(n, self.n_max + 1)
+        for r, u, _, ac, lr in self._log_ratios(n):
+            G[u, r] = ac * (self._nu[u][n] / self._nu[r][n - 1] if self.exact
+                            else exp(lr))
+        return G
+
+    def _ratio(self, n: int) -> np.ndarray:
+        """G_n from the sequence's table, filled through ``_ratio_entries``
+        on the first read of each degree; every reader shares it."""
+        got = self._ratios.get(n)
+        if got is None:
+            got = self._ratios[n] = self._ratio_entries(n)
+        return got
 
     def ratio_matrix(self, n: int) -> np.ndarray:
         """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*: entry
         (u, r) is conj(a) ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2 for a = A[r,
-        u], the ratio taken as exp(lr) on the float backend (see
-        ``_log_ratios``).  Zero for n = 0 (the paper's ||P_{-1}||^{-2} = 0
-        convention).  Readers take G_n from the table of ``_ratio``."""
-        G, s = self._zeros((self.weight.N,) * 2), self.scalar_seqs
-        if n == 0:
-            return G
-        self._check_n(n, self.n_max + 1)
-        for r, u, a, lr in self._log_ratios(n):
-            G[u, r] = a.conjugate() * (
-                s[u].exact_norms[n] / s[r].exact_norms[n - 1] if self.exact
-                else exp(lr))
-        return G
+        u], zero for n = 0; complex from the table, or sympy entries."""
+        G = self._ratio(n)
+        if not self.exact:
+            return G.copy()
+        out, nu, ek = np.full(G.shape, self._sympy([])), self._nu, self._ek
+        for r, u, *_ in self._pairs if n else ():
+            out[u, r] = self.A[r, u].conjugate() * self._sympy(
+                [(ek[u] - ek[r], nu[u][n] / nu[r][n - 1])])
+        return out
 
-    def _ratio(self, n: int) -> np.ndarray:
-        """G_n from the sequence's table, filled through ``ratio_matrix``
-        on the first read of each degree; every reader shares it."""
-        got = self._ratios.get(n)
-        if got is None:
-            got = self._ratios[n] = self.ratio_matrix(n)
-        return got
+    def _mono(self, key, sympy=False):
+        """The atom monomial of ``key``, cached: an mpf at 113 bits (each
+        atom evaluated once per sequence), or a sympy expression."""
+        if (key, sympy) not in self._monos:
+            import mpmath
+            import sympy as sp
+            powers, k = [], key
+            while k:    # the exponents: signed base-KEY digits
+                powers.append((k + KEY // 2) % KEY - KEY // 2)
+                k = (k - powers[-1]) // KEY
+            with mpmath.workprec(113):
+                if not (sympy or self._atom_values):
+                    self._atom_values = [mpmath.mpf(t.evalf(40))
+                                         for t in self._atoms]
+                f = [t ** e for t, e in zip(
+                    self._atoms if sympy else self._atom_values, powers)]
+                self._monos[key, sympy] = (sp.Mul(*f) if sympy
+                                           else mpmath.fprod(f))
+        return self._monos[key, sympy]
+
+    def _sympy(self, terms):
+        """sum_k v_k m_k over (key of m_k, rational v_k) in ``terms`` as a
+        sympy expression, each term written out as real + imaginary part."""
+        import sympy as sp
+        out = []
+        for key, v in terms:
+            m = self._mono(key, True)
+            re, im = (sp.Rational(int(p.numerator), int(p.denominator))
+                      for p in _parts(v))
+            out += [re * m, sp.I * im * m] if im else [re * m]
+        return sp.Add(*out)
 
     # -- the orthogonal sequence ------------------------------------------
 
@@ -262,13 +307,14 @@ class MVOPSequence:
         diag([x^{n-1}] p_n)), the x^n coefficient of ``build_Q(n)``: each
         entry is placed from these and G_n alone, so no roundoff on the
         scale of the larger coefficients, which dwarf K_n, reaches it."""
-        return self._rows(n, n + 1)[1][0, n]
+        return self.build_Q(n).coeffs[n]
 
     def _assemble(self, lo: int, hi: int):
-        """(Q_n T, Q_n, verdict) for n = lo..hi-1 in backend arithmetic:
-        power coefficients of shape (hi - lo, n_max + 3, N, N), Q_n zero
-        above degree n, and one verdict per degree (0 for a valid Q_n, else
-        an index into ``_FAULTS``; ``_refuse`` turns it into the error).
+        """(Q_n T, Q_n, verdict) for n = lo..hi-1: power coefficients of
+        shape (hi - lo, n_max + 3, N, N) in backend arithmetic as {monomial
+        key: array} (key 0 alone on the float backend), Q_n zero above
+        degree n, and one verdict per degree (0 for a valid Q_n, else an
+        index into ``_FAULTS``; ``_refuse`` turns it into the error).
 
         Column k of Q_n T holds e_k p_n, A[:, k] p_{n+1} and -G_n[:, k]
         p_{n-1}, placed on the pairs of A (N + 2(N - 1) entries); column u
@@ -281,11 +327,10 @@ class MVOPSequence:
         the largest coefficient, scalar coefficients past the float range
         raise ``DegreeCap`` at once, and a degree whose coefficients leave
         the float range (G_n P_{n-1} on mixed families) gets a
-        ``DegreeCap`` verdict.  Exact: every entry that is not already a
-        number is expanded, and the leftover powers must expand to 0.
+        ``DegreeCap`` verdict.  Exact: the leftover powers must be 0.
         """
         self._check_range(lo, hi)
-        N, width = self.weight.N, self.n_max + 3
+        N, width, ek = self.weight.N, self.n_max + 3, self._ek
         tab = self._scalar_table()
         if not self.exact:
             finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2))
@@ -294,41 +339,46 @@ class MVOPSequence:
                 raise DegreeCap(f"power coefficients of p_{k} are past the "
                                 f"float range")
         ns = np.arange(lo, hi)
-        rows = np.arange(hi - lo)
         G = np.stack([self._ratio(n) for n in ns])
         pairs = self._pairs
-        qt = self._zeros((hi - lo, width, N, N))
+        qt = defaultdict(lambda: self._zeros((hi - lo, width, N, N)))
         with np.errstate(over="ignore", invalid="ignore"):
-            qt[:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
-            for r, u, a in pairs:
-                qt[:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
-                qt[:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
-            q = qt.copy()
-            for r, u, a in pairs:
-                q[:, 1:, :, u] -= qt[:, :-1, :, r] * a
-        if self.exact:
-            qt, q = _expand(qt), _expand(q)
-        spill = q[rows[:, None], ns[:, None] + [1, 2]]
-        if self.exact:
-            finite = np.ones(hi - lo, dtype=bool)
-            overflow = (spill != 0).any(axis=(1, 2, 3))
-        else:
-            # a non-finite Q_n T coefficient leaves Q_n non-finite too
-            with np.errstate(over="ignore", invalid="ignore"):
-                top = np.abs(q).max(axis=(1, 2, 3))
+            qt[0][:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
+            for r, u, a, _ in pairs:
+                qt[0][:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
+                qt[ek[u] - ek[r]][:, :, u, r] -= (G[:, u, r, None]
+                                                  * tab[lo:hi, :, r])
+            q = {k: v.copy() for k, v in qt.items()}
+            for r, u, a, _ in pairs:    # exact: only rows of pairs with r
+                i = sorted({r}.union(*({r2, u2} for r2, u2, *_ in pairs
+                                       if r in (r2, u2)))) if self.exact \
+                    else slice(None)
+                for k, v in q.items():
+                    v[:, 1:, i, u] -= qt[k][:, :-1, i, r] * a
+        spill = [v[np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
+                 for v in q.values()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.exact:
+                finite = np.ones(hi - lo, dtype=bool)
+                overflow = np.any([s.astype(bool).any(axis=(1, 2, 3))
+                                   for s in spill], axis=0)
+            else:   # a non-finite Q_n T coefficient leaves Q_n non-finite
+                top = np.abs(q[0]).max(axis=(1, 2, 3))
                 finite = np.isfinite(top)
-                overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
-        # det K_n: the continuant of ``rho_values`` for all degrees at once;
-        # an overflowed one is regular
-        rho = [a * G[:, u, r] for r, u, a in pairs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            singular = continuant(rho if self.exact else np.real(rho)) == 0
+                overflow = np.abs(spill[0]).max(axis=(1, 2, 3)) > 1e-8 * top
+            # det K_n, the continuant of ``rho_values`` for all degrees at
+            # once, is 0 when 0 at every monomial; an overflowed one is not
+            rho, singular = [G[:, u, r] * a for r, u, a, _ in pairs], True
+            for d in continuant(rho if self.exact else np.real(rho), [
+                    ek[u] - ek[r] for r, u, *_ in pairs]).values():
+                singular = singular & ~np.asarray(d).astype(bool)
         # later assignments win: non-finite, then overflow, then singular
         verdict = np.zeros(hi - lo, dtype=np.int8)
         verdict[singular] = 3
         verdict[overflow] = 2
         verdict[~finite] = 1
-        q[np.arange(width)[None, :] > ns[:, None]] = 0
+        for v in q.values():
+            v[np.arange(width)[None, :] > ns[:, None]] = 0
         return qt, q, verdict
 
     @staticmethod
@@ -341,34 +391,56 @@ class MVOPSequence:
             raise err(what.format(n=lo + int(bad[0])))
 
     def _rows(self, lo: int, hi: int):
-        """(Q_n T, Q_n) in backend arithmetic, then (Q_n T, Q_n) in
-        complex, for n = lo..hi-1; ``SingularLeading`` or ``DegreeCap`` at
-        the first faulty degree of the range.
-
-        Float rows are assembled for the range alone (whole-range float
-        rows would take hundreds of MB at n_max 509) and are complex
-        already.  Exact rows are assembled once for degrees 0..n_max,
-        rounded to complex and published with their verdicts in one
-        assignment; readers get copies of their slice.
-        """
+        """(Q_n T, Q_n) of ``_assemble`` for n = lo..hi-1, then the same in
+        complex; ``SingularLeading`` or ``DegreeCap`` at the first faulty
+        degree of the range.  Float rows are assembled for the range alone
+        (whole-range float rows would take hundreds of MB at n_max 509);
+        exact rows once for degrees 0..n_max, rounded by ``_round`` and
+        published with their verdicts in one assignment."""
         self._check_range(lo, hi)
         if not self.exact:
             qt, q, verdict = self._assemble(lo, hi)
             self._refuse(lo, verdict)
-            return qt, q, qt, q
+            return qt, q, qt[0], q[0]
         got = self._qrows
         if got is None:
             qt, q, verdict = self._assemble(0, self.n_max + 1)
-            got = self._qrows = (verdict, qt, q, _to_complex(qt),
-                                 _to_complex(q))
+            got = self._qrows = (verdict, qt, q, self._round(qt),
+                                 self._round(q))
         self._refuse(lo, got[0][lo:hi])
-        return tuple(a[lo:hi].copy() for a in got[1:])
+        return (*({k: v[lo:hi] for k, v in d.items()} for d in got[1:3]),
+                *(a[lo:hi].copy() for a in got[3:]))
+
+    def _round(self, R) -> np.ndarray:
+        """The nearest complex doubles of {monomial key: rational array}:
+        the rational (key 0) part alone through ``_to_complex``; an entry
+        another key reaches as sympy's 53-bit evalf rounds it (which the
+        exact rows have always been read through)."""
+        out = _to_complex(R[0])
+        for i in {i for k, v in R.items() if k
+                  for i in zip(*np.nonzero(v.astype(bool)))}:
+            entry = self._sympy((k, v[i]) for k, v in R.items())
+            try:    # float is complex() on a real entry, at less cost
+                out[i] = float(entry)
+            except TypeError:
+                out[i] = complex(entry)
+        return out
+
+    def _polynomial(self, n: int, which: int) -> MatrixPolynomial:
+        """Q_n T (which 0) or Q_n (which 1), of degree n + 1 - which, in
+        backend arithmetic, exact entries in sympy."""
+        R = {k: v[0, :n + 2 - which] for k, v in
+             self._rows(n, n + 1)[which].items()}
+        if self.exact:
+            R[0] = np.frompyfunc(lambda *i: self._sympy(
+                (k, v[i]) for k, v in R.items()), 3, 1)(
+                    *np.indices(R[0].shape))
+        return MatrixPolynomial(R[0], size=self.weight.N, trim=False)
 
     def q_block(self, lo: int, hi: int) -> np.ndarray:
         """Complex power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo,
         n_max + 3, N, N), zero above each degree: the Q_n rows of
-        ``_assemble``; exact rows are rounded to the nearest doubles once
-        per sequence (see ``_rows``)."""
+        ``_assemble``, exact ones rounded once per sequence."""
         return self._rows(lo, hi)[3]
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
@@ -380,22 +452,22 @@ class MVOPSequence:
     def build_QT(self, n: int) -> MatrixPolynomial:
         """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
         arithmetic, row n of ``_assemble``."""
-        qt = self._rows(n, n + 1)[0][0, :n + 2]
-        return MatrixPolynomial(qt, size=self.weight.N, trim=False)
+        return self._polynomial(n, 0)
 
     def build_Q(self, n: int) -> MatrixPolynomial:
         """Q_n = (Q_n T) T^{-1}, degree n with nonsingular leading
         coefficient K_n, in backend arithmetic: row n of ``_assemble``."""
-        q = self._rows(n, n + 1)[1][0, :n + 1]
-        return MatrixPolynomial(q, size=self.weight.N, trim=False)
+        return self._polynomial(n, 1)
 
     def rho_values(self, n: int):
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
-        for the pairs a_i = A[r, u] in pair order, read from the G_n table
-        (real floats on the float backend)."""
+        for the pairs a_i = A[r, u] in pair order: real floats from the G_n
+        table, or sympy entries from ``ratio_matrix``."""
+        if self.exact:
+            G = self.ratio_matrix(n)
+            return [self.A[r, u] * G[u, r] for r, u, *_ in self._pairs]
         G = self._ratio(n)
-        rho = [a * G[u, r] for r, u, a in self._pairs]
-        return rho if self.exact else [v.real for v in rho]
+        return [(a * G[u, r]).real for r, u, a, _ in self._pairs]
 
     def reduced_leading_matrix(self, n: int) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
@@ -415,47 +487,77 @@ class MVOPSequence:
             return M
         A = _to_complex(self.A)
         # r: row of the A entry of the pair, u: row of the A* entry
-        for r, u, _, lr in self._log_ratios(n):
+        for r, u, _, _, lr in self._log_ratios(n):
             a, m = A[r, u], exp(0.5 * lr)
             M[r, u] = -a * m
             M[u, r] = a.conjugate() * m
         return M
 
+    def _norm_terms(self, n: int, log_scale: float = 0.0,
+                    sympy: bool = False) -> dict:
+        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 on
+        the pairs of A, as {(i, j, monomial key): value}: complex over
+        exp(log_scale) (float), rationals (exact), or sympy (key 0)."""
+        if sympy:
+            d, d1 = ([sf.squared_norm_exact(s, m) for s in self.scalar_seqs]
+                     for m in (n, n + 1))
+            G, ek = self.ratio_matrix(n), [0] * self.weight.N
+            pairs = [(r, u, self.A[r, u], self.A[r, u].conjugate())
+                     for r, u, *_ in self._pairs]
+        else:
+            d, d1 = ([nu[m] for nu in self._nu] if self.exact else
+                     [exp(s.log_norms[m] - log_scale)
+                      for s in self.scalar_seqs] for m in (n, n + 1))
+            G, ek, pairs = self._ratio(n), self._ek, self._pairs
+        ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
+        for r, u, a, _ in pairs:
+            t = a * d1[u]
+            for r2, u2, a2, ac2 in pairs:
+                if u2 == u:
+                    k = r, r2, ek[u]
+                    ada[k] = ada.get(k, 0) + t * ac2
+                if r2 == r:
+                    k = u2, u, ek[u2] - ek[r]
+                    ga[k] = ga.get(k, 0) + G[u2, r] * a
+        out = {(k, k, ek[k]): v for k, v in enumerate(d)}
+        for (i, j, k), v in [*ada.items(), *(((i, j, k + ek[j]), t * d[j])
+                                             for (i, j, k), t in ga.items())]:
+            out[i, j, k] = out.get((i, j, k), 0) + v
+        return out
+
     def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
-        """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2,
-        placed on the pairs of A: exact sympy entries, which the checks
-        read rounded (``_norm_Q``), or complex over exp(log_scale) on the
-        float backend (``_scaled_norms``)."""
+        """||Q_n||^2 (see ``_norm_terms``): exact sympy entries, which the
+        checks read rounded (``_norm_Q``), or complex over exp(log_scale)
+        on the float backend."""
         self._check_n(n)
         if self.exact and log_scale:
             raise InvalidParam("the exact ||Q_n||^2 is read unscaled")
-        d, d1 = (self._scaled_norms(m, log_scale) for m in (n, n + 1))
-        G, pairs = self._ratio(n), self._pairs
-        ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
-        for r, u, a in pairs:
-            t = a * d1[u]
-            for r2, u2, a2 in pairs:
-                if u2 == u:
-                    ada[r, r2] = ada.get((r, r2), 0) + t * a2.conjugate()
-                if r2 == r:
-                    ga[u2, u] = ga.get((u2, u), 0) + G[u2, r] * a
-        out = self._zeros((self.weight.N,) * 2)
-        out[np.diag_indices_from(out)] = d
-        for key, v in ada.items():
-            out[key] += v
-        for (v, u), t in ga.items():
-            out[v, u] += t * d[u]
+        out = np.full((self.weight.N,) * 2, self._sympy([]) if self.exact
+                      else 0j)
+        for (i, j, _), v in self._norm_terms(n, log_scale, self.exact).items():
+            out[i, j] += v
         return out
 
     def _norm_Q(self, n: int) -> np.ndarray:
         """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
         as the norm and recurrence checks read it, once per degree and
-        read-only; exact entries are rounded by ``_round_scaled``."""
+        read-only.  Each exact entry, its rationals times their monomials
+        and exp(-2 log sigma_n), is summed once at 113 bits and each part
+        rounded once."""
         got = self._qnorms.get(n)
         if got is None:
             log_scale = 2.0 * self.log_gram_scale(n)
-            got = (_round_scaled(self.squared_norm_Q(n), log_scale)
-                   if self.exact else self.squared_norm_Q(n, log_scale))
+            if not self.exact:
+                got = self.squared_norm_Q(n, log_scale)
+            else:
+                import mpmath
+                got = np.zeros((self.weight.N,) * 2, dtype=complex)
+                with mpmath.workprec(113):
+                    f, terms = mpmath.exp(-log_scale), defaultdict(list)
+                    for (i, j, key), v in self._norm_terms(n).items():
+                        terms[i, j].append((self._mono(key) * f, v))
+                for (i, j), t in terms.items():
+                    got[i, j] = _nearest(t)
             got.flags.writeable = False
             self._qnorms[n] = got
         return got
@@ -490,8 +592,13 @@ class MVOPSequence:
         """
         M, N = self.n_max, self.weight.N
         m = M + 2
-        A = np.asarray(self.A, dtype=complex)
-        G = np.stack([_to_complex(self._ratio(n)) for n in range(M + 1)])
+        A = _to_complex(self.A)
+        G = np.stack([self._ratio(n) for n in range(M + 1)])
+        if self.exact:  # G_n[u, r] with its monomial gamma_u / gamma_r
+            R = defaultdict(lambda: self._zeros(G.shape))
+            for r, u, *_ in self._pairs:
+                R[self._ek[u] - self._ek[r]][:, u, r] = G[:, u, r]
+            G = self._round(R)
         log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
         out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
         tables = []

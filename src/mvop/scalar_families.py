@@ -164,7 +164,8 @@ def _exact_moment0(spec: ScalarWeightSpec):
 
 @dataclass
 class MonicScalarSequence:
-    """Recurrence data for p_{n+1} = (x - b_n) p_n - c_n p_{n-1}."""
+    """Recurrence data for p_{n+1} = (x - b_n) p_n - c_n p_{n-1}; exact
+    ||p_n||^2 is the rational norm_rationals[n] times the moment's atom."""
 
     spec: ScalarWeightSpec
     backend: str
@@ -172,26 +173,36 @@ class MonicScalarSequence:
     b_coeffs: list          # b_0 .. b_{n_max}
     c_coeffs: list          # c_1 .. c_{n_max}
     log_norms: list         # log ||p_n||^2, n = 0 .. n_max
-    exact_norms: Optional[list] = None
+    norm_rationals: Optional[list] = None
+    atom: object = None
     _table: Optional[np.ndarray] = field(default=None, repr=False,
                                          compare=False)
 
+    @property
+    def exact_norms(self) -> Optional[list]:
+        """Exact ||p_n||^2, n = 0 .. n_max, formed when read (None when
+        the sequence is float)."""
+        if self.norm_rationals is not None:
+            return [q * self.atom for q in self.norm_rationals]
+
     def polynomial(self, n: int):
-        """Coefficients (ascending) of the monic p_n: row n of the
-        sequence's ``power_table``, built on first use and published with
-        one assignment, so threads sharing the sequence never see a table
-        that another thread is still filling."""
+        """Coefficients (ascending) of the monic p_n, floats or sympy
+        rationals: row n of the sequence's ``power_table``."""
         if n < 0 or n > self.n_max:
             raise OutOfRange(f"n={n} outside 0..{self.n_max}")
         tab = self._table
         if tab is None:
             tab = self._table = power_table([self], self.n_max)
-        return tab[n + 1, :n + 1, 0].tolist()
+        row = tab[n + 1, :n + 1, 0].tolist()
+        if self.backend == "exact":
+            from sympy import QQ
+            row = [QQ.to_sympy(QQ.convert(v)) for v in row]
+        return row
 
 
 def power_table(seqs, n_hi: int) -> np.ndarray:
     """Power coefficients of p_{-1}..p_{n_hi} of every sequence in
-    ``seqs``: floats, or sympy rationals when the first sequence is exact.
+    ``seqs``: floats, or QQ rationals when the first sequence is exact.
 
     Shape (n_hi + 2, n_hi + 2, len(seqs)): entry [n + 1, p, k] is [x^p]
     p_n of sequence k, row 0 (p_{-1}) being zero.  The recurrence
@@ -205,14 +216,18 @@ def power_table(seqs, n_hi: int) -> np.ndarray:
     c = np.zeros((n_hi, N), dtype=dtype)
     c[1:] = np.array([s.c_coeffs[:max(n_hi - 1, 0)] for s in seqs],
                      dtype=dtype).T
+    if dtype is object:     # QQ arithmetic is about twice sympy's speed
+        from sympy import QQ
+        b, c = (np.frompyfunc(lambda v: QQ(v.numerator, v.denominator), 1,
+                              1)(x) for x in (b, c))
     tab = np.zeros((n_hi + 2, n_hi + 2, N), dtype=dtype)
     tab[1, 0] = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_hi):
-            p = tab[n + 1]
-            tab[n + 2, 1:] = p[:-1]
-            tab[n + 2] -= b[n] * p
-            tab[n + 2] -= c[n] * tab[n]
+        for n in range(n_hi):   # p_n has degree n: powers above stay 0
+            p = tab[n + 1, :n + 1]
+            tab[n + 2, 1:n + 2] = p
+            tab[n + 2, :n + 1] -= b[n] * p
+            tab[n + 2, :n] -= c[n] * tab[n, :n]
     return tab
 
 
@@ -237,19 +252,20 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
         import mpmath
         import sympy as sp
         m0 = _exact_moment0(spec)
+        coeff, atom = m0.as_coeff_Mul()
         prods = np.cumprod([sp.Integer(1), *c])     # rationals c_1 ... c_n
-        exact_norms = [sp.expand(m0 * r) for r in prods]
         with mpmath.workprec(113):  # log m0 once, plus the rational part
             log_m0 = mpmath.log(m0.evalf(40))
             log_norms = [float(log_m0 + mpmath.log(r)) for r in prods]
+        exact = {"norm_rationals": [coeff * r for r in prods], "atom": atom}
     else:
-        exact_norms = None
+        exact = {}
         log_norms = [_log_moment0(spec)]
         for ck in c:
             log_norms.append(log_norms[-1] + log(ck))
     return MonicScalarSequence(spec=spec, backend=backend, n_max=n_max,
                                b_coeffs=b, c_coeffs=c, log_norms=log_norms,
-                               exact_norms=exact_norms)
+                               **exact)
 
 
 def _classical_recurrence(spec, n_max, backend):
@@ -326,11 +342,11 @@ def squared_norm_log(seq: MonicScalarSequence, n: int) -> float:
 
 def squared_norm_exact(seq: MonicScalarSequence, n: int):
     """Exact ||p_n||^2 as a sympy expression (exact backend only)."""
-    if seq.exact_norms is None:
+    if seq.norm_rationals is None:
         raise Unsupported("sequence was built with the float backend")
     if n < 0 or n > seq.n_max:
         raise OutOfRange(f"n={n} outside 0..{seq.n_max}")
-    return seq.exact_norms[n]
+    return seq.norm_rationals[n] * seq.atom
 
 
 #: rescale a node's recurrence values once they pass this magnitude

@@ -212,6 +212,21 @@ def q_product(seq, n):
     return qt * build_T(seq.weight, exact=seq.exact)[1]
 
 
+def exact_rows(seq, lo, hi):
+    """(Q_n T, Q_n) for n = lo..hi-1 as sympy arrays shaped like
+    ``q_block``, read through the public ``build_QT`` and ``build_Q``."""
+    N = seq.weight.N
+    out = []
+    for build in (seq.build_QT, seq.build_Q):
+        rows = np.full((hi - lo, seq.n_max + 3, N, N), sp.S.Zero,
+                       dtype=object)
+        for n in range(lo, hi):
+            coeffs = build(n).coeffs
+            rows[n - lo, :len(coeffs)] = coeffs
+        out.append(rows)
+    return out
+
+
 def complex_rows(rows):
     """Exact Q_n (or Q_n T) rows rounded entry by entry through complex():
     the conversion the exact ``q_block`` and ``qt_block`` used to make."""

@@ -188,16 +188,17 @@ class TestRun:
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_ratio_matrix_once_per_degree(self, backend):
-        # every reader takes G_n from the sequence's table
+        # every reader takes G_n from the sequence's table, which
+        # _ratio_entries fills
         cfg = config_from_json(dict(self.HER3_EXACT, backend=backend))
         seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=backend)
         calls = []
-        ratio = seq.ratio_matrix
+        ratio = seq._ratio_entries
 
         def counted(n):
             calls.append(n)
             return ratio(n)
-        seq.ratio_matrix = counted
+        seq._ratio_entries = counted
         for name in ("orth", "norm", "recurrence", "eigen", "det"):
             assert _CHECKS[name](seq, cfg)["passed"], name
         assert sorted(calls) == list(range(cfg.n_max + 2))
@@ -280,6 +281,23 @@ class TestHighDegree:
             assert res["passed"], res
             assert not res["non_finite"]
         assert checks["det"]["max_relative_error"] < 1e-13
+
+    def test_det_continuant_past_float_range(self):
+        # on H, L, H, L, H the continuant and the det of the reduced matrix
+        # both pass the float range from n = 84 on: the continuant is
+        # rescaled by powers of two and compared with log |det|
+        H, L = {"family": "hermite", "b": 0.0}, {"family": "laguerre",
+                                                 "alpha": 0.5}
+        cfg = config_from_json(base_config(
+            size=5, a=[1.5, -0.7, 1.2, 0.9], weights=[H, L, H, L, H],
+            n_max=100, checks=["det"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg)["checks"]["det"]
+        assert res["passed"], res
+        assert not res["non_finite"]
+        assert res["worst_n"] > 83
+        assert res["max_relative_error"] < 1e-12
 
     @pytest.mark.parametrize("n_max", [80, 150])
     @pytest.mark.parametrize("name", ["lag2", "her3", "lag3"])
@@ -404,9 +422,9 @@ class TestHighDegree:
         # leaves the span of its three neighbours
         cfg = config_from_json(base_config(n_max=6, checks=["recurrence"]))
         seq = MVOPSequence(cfg.spec, cfg.n_max + 1)
-        ratio = seq.ratio_matrix
-        seq.ratio_matrix = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
-                                      else ratio(n))
+        ratio = seq._ratio_entries
+        seq._ratio_entries = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
+                                        else ratio(n))
         res = _CHECKS["recurrence"](seq, cfg)
         assert not res["passed"]
         assert res["max_relative_residual"] > 1e-8

@@ -12,7 +12,7 @@ from mvop.errors import DegreeCap, OutOfRange, SingularLeading
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import (complex_rows, dense_norm_Q, nearest_scaled,
+from oracles import (complex_rows, dense_norm_Q, exact_rows, nearest_scaled,
                      pairwise_quadrature, q_product, tridiagonal_from_rho)
 
 
@@ -33,14 +33,17 @@ HHLLHL = weight_spec([0.889, 0.851, 1.993, 1.205, 1.755],
 
 #: exact-backend weights: mixed Laguerre, shifted Hermite, the 5x5 Laguerre
 #: chain and a half-step Jacobi weight whose slots form one weight class
-EXACT_SPECS = pytest.mark.parametrize("spec", [
-    weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
-    weight_spec([1.0, -0.5], [sf.hermite(0.5), sf.hermite(0.0),
-                              sf.hermite(-0.5)]),
-    builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))[0],
-    weight_spec([1.0, 0.5], [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5),
-                             sf.jacobi(1.5, 1.5)]),
-], ids=["lag2", "her3", "lag5_chain", "jac3_half_step"])
+EXACT_WEIGHTS = {
+    "lag2": weight_spec([1.5], [sf.laguerre(0.0), sf.laguerre(0.5)]),
+    "her3": weight_spec([1.0, -0.5], [sf.hermite(0.5), sf.hermite(0.0),
+                                      sf.hermite(-0.5)]),
+    "lag5_chain": builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))[0],
+    "jac3_half_step": weight_spec([1.0, 0.5], [sf.jacobi(1.5, 1.5),
+                                               sf.jacobi(0.5, 0.5),
+                                               sf.jacobi(1.5, 1.5)]),
+}
+EXACT_SPECS = pytest.mark.parametrize("spec", list(EXACT_WEIGHTS.values()),
+                                      ids=list(EXACT_WEIGHTS))
 
 
 def same_bits(a, b):
@@ -131,12 +134,14 @@ class TestConstruction:
 
     def test_q_block_singular_leading(self):
         # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3) and every
-        # block holding degree 3 refuse it, other degrees are unaffected
-        for backend, g in (("float", -0.5), ("exact", sp.Rational(-1, 2))):
+        # block holding degree 3 refuse it, other degrees are unaffected.
+        # The G_n table is filled through _ratio_entries (rationals on the
+        # exact backend)
+        for backend, g in (("float", -0.5), ("exact", sp.QQ(-1, 2))):
             seq = MVOPSequence(lag2(2.0), 8, backend=backend)
-            ratio = seq.ratio_matrix
+            ratio = seq._ratio_entries
             bad = np.array([[0, 0], [g, 0]], dtype=ratio(3).dtype)
-            seq.ratio_matrix = lambda n: bad if n == 3 else ratio(n)
+            seq._ratio_entries = lambda n: bad if n == 3 else ratio(n)
             for lo, hi in ((3, 4), (0, 9), (2, 5)):
                 with pytest.raises(SingularLeading, match="n=3"):
                     seq.q_block(lo, hi)
@@ -178,6 +183,18 @@ class TestConstruction:
             with pytest.raises(SingularLeading, match="degree overflow"):
                 seq.build_Q(2)
 
+    @pytest.mark.parametrize("name", [*EXACT_WEIGHTS, "HHLLHL"])
+    def test_continuant_verdicts(self, name):
+        # every K_n is regular: det K_n, the continuant of rho_values, is
+        # positive at every degree, and _assemble refuses none of them
+        exact = name in EXACT_WEIGHTS
+        seq = MVOPSequence(EXACT_WEIGHTS.get(name, HHLLHL), 12,
+                           backend="exact" if exact else "float")
+        assert not seq._assemble(0, 13)[2].any()
+        for n in range(1, 13):
+            det = continuant(seq.rho_values(n))
+            assert (sp.N(det) if exact else det) > 0
+
     @EXACT_SPECS
     def test_exact_build_Q_matches_product(self, spec):
         # every coefficient of the exact Q_n, n <= 6, equals the per-degree
@@ -200,8 +217,8 @@ class TestExactCache:
     @EXACT_SPECS
     def test_rounded_rows_match_complex_oracle(self, spec):
         seq = MVOPSequence(spec, 6, backend="exact")
-        qt, q, verdict = seq._assemble(0, 7)
-        assert not verdict.any()
+        assert not seq._assemble(0, 7)[2].any()
+        qt, q = exact_rows(seq, 0, 7)
         assert same_bits(seq.q_block(0, 7), complex_rows(q))
         assert same_bits(seq.qt_block(0, 7), complex_rows(qt))
         assert same_bits(seq.q_block(2, 5), complex_rows(q[2:5]))
@@ -263,6 +280,47 @@ class TestExactCache:
             assert np.iscomplex(got).any()
             assert same_bits(got, nearest_scaled(
                 seq.squared_norm_Q(n), 2.0 * seq.log_gram_scale(n)))
+
+    def test_three_classes_complex_a(self):
+        # atoms 1, sqrt(pi) and Gamma(1/3) with a = (1 + i/2, 2): rows and
+        # norms are the nearest doubles of the public readers' entries
+        spec = weight_spec([1 + 0.5j, 2.0], [sf.laguerre(0.0),
+                                             sf.laguerre(0.5),
+                                             sf.laguerre(1 / 3)])
+        seq = MVOPSequence(spec, 6, backend="exact")
+        assert [s.atom for s in seq.scalar_seqs] == \
+            [1, sp.sqrt(sp.pi), sp.gamma(sp.Rational(1, 3))]
+        qt, q = exact_rows(seq, 0, 7)
+        assert same_bits(seq.q_block(0, 7), complex_rows(q))
+        assert same_bits(seq.qt_block(0, 7), complex_rows(qt))
+        assert np.iscomplex(seq.q_block(0, 7)).any()
+        for n in range(7):
+            assert same_bits(seq._norm_Q(n), nearest_scaled(
+                seq.squared_norm_Q(n), 2.0 * seq.log_gram_scale(n)))
+
+    @pytest.mark.parametrize("name", ["lag5_chain", "jac3_half_step"])
+    def test_one_class_reads_without_symbolic_work(self, name, monkeypatch):
+        # every row and norm of a one-class weight comes from rationals and
+        # one evaluation of the class atom
+        seq = MVOPSequence(EXACT_WEIGHTS[name], 6, backend="exact")
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(sp.core.evalf.EvalfMixin, "evalf",
+                            counted("evalf", sp.core.evalf.EvalfMixin.evalf))
+        monkeypatch.setattr(sp.Expr, "expand",
+                            counted("expand", sp.Expr.expand))
+        seq.q_block(0, 7)
+        seq.qt_block(0, 7)
+        for n in range(7):
+            seq._norm_Q(n)
+        assert len({s.atom for s in seq.scalar_seqs}) == 1
+        assert calls.count("evalf") <= 1
+        assert "expand" not in calls
 
     def test_norm_reader_past_float_range(self):
         # ||Q_0||^2 rounds to inf unscaled; the reader scales it exactly
