@@ -6,7 +6,6 @@ config schema.  Exit codes: 0 all pass, 1 a check failed, 2 bad config
 or I/O.
 """
 
-import cmath
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from . import scalar_families as sf
 from .diff_operators import build_bispectral_operator, eigencheck, op_apply
 from .errors import ConfigError, MvopError, Unsupported
 from .matrix_poly import MatrixPolynomial
-from .mvop_core import MVOPSequence, continuant, frobenius, peak
+from .mvop_core import MVOPSequence, frobenius, peak
 from .weight_model import WeightSpec, weight_spec
 
 CHECK_NAMES = ("orth", "norm", "recurrence", "eigen", "darboux",
@@ -228,8 +227,8 @@ def _check_norm(seq, cfg):
 
 
 def _check_recurrence(seq, cfg):
-    residuals = {n: seq.three_term_coefficients(n)[3]
-                 for n in range(1, cfg.n_max)}
+    res = seq.three_term_table()[3][:cfg.n_max - 1]
+    residuals = dict(zip(range(1, cfg.n_max), res.tolist()))
     worst, worst_n, non_finite = peak(residuals)
     return {"passed": worst < cfg.tol,
             "max_relative_residual": worst, "worst_n": worst_n,
@@ -279,29 +278,30 @@ def _check_darboux(seq, cfg):
 
 
 def _check_det(seq, cfg):
-    residuals = {}
-    for n in range(1, cfg.n_max + 1):
-        M, rho, e = seq.reduced_leading_matrix(n), seq.rho_values(n), 0
-        if seq.exact:   # Gamma atoms of two weight classes stay symbolic
-            d = complex(continuant(rho))
-        else:   # the continuant as d 2^e: scaling by 2^-k is exact
-            d_prev = d = 1.0
-            for r in rho:
-                d_prev, d = d, d + r * d_prev
-                if abs(d) > 2.0 ** 100:     # r d_prev stays below 2^1000
-                    k = math.frexp(d)[1]
-                    d_prev, d, e = d_prev / 2.0 ** k, d / 2.0 ** k, e + k
-        fast = d * 2.0 ** e if e < 1024 else math.inf
-        # a det past the float range reads inf or nan, silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            brute = np.linalg.det(M).real
-        if cmath.isfinite(brute) and cmath.isfinite(fast):
-            residuals[n] = abs(fast - brute) / max(abs(brute), 1e-300)
-        else:   # compare d 2^e with the sign and log |det| of M
-            sign, logdet = np.linalg.slogdet(M)
-            residuals[n] = abs(d / sign * math.exp(e * math.log(2) - logdet)
-                               - 1)
-    worst, worst_n, non_finite = peak(residuals)
+    # every degree at once: det K_n from the continuant of rho_values(n)
+    # against the det of the reduced matrix
+    ns = np.arange(1, cfg.n_max + 1)
+    M = np.stack([seq.reduced_leading_matrix(n) for n in ns])
+    e = np.zeros(len(ns), dtype=int)
+    if seq.exact:   # keyed rationals, each monomial rounded once
+        fast = d = np.array([seq.leading_det(n) for n in ns])
+    else:   # the continuant as d 2^e: scaling by 2^-k is exact
+        d_prev = d = np.ones(len(ns))
+        for r in np.array([seq.rho_values(n) for n in ns]).T:
+            d_prev, d = d, d + r * d_prev
+            # r d_prev stays below 2^1000
+            k = np.frexp(d)[1] * (np.abs(d) > 2.0 ** 100)
+            d_prev, d, e = np.ldexp(d_prev, -k), np.ldexp(d, -k), e + k
+        fast = np.where(e < 1024, np.ldexp(d, np.minimum(e, 1023)), np.inf)
+    # a det past the float range reads inf or nan, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        brute = np.linalg.det(M).real
+        res = np.abs(fast - brute) / np.maximum(np.abs(brute), 1e-300)
+    # else compare d 2^e with the sign and log |det| of M
+    bad = np.flatnonzero(~(np.isfinite(brute) & np.isfinite(fast)))
+    for i, sign, logdet in zip(bad, *np.linalg.slogdet(M[bad])):
+        res[i] = abs(d[i] / sign * math.exp(e[i] * math.log(2) - logdet) - 1)
+    worst, worst_n, non_finite = peak(dict(zip(ns.tolist(), res.tolist())))
     return {"passed": worst < 1e-10, "max_relative_error": worst,
             "worst_n": worst_n, "non_finite": non_finite}
 

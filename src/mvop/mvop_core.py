@@ -21,20 +21,23 @@ by p / q, and only the public readers and entries that mix two atoms
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
-exact for every product of that degree.  Column k of Q_n T involves only
-p_{n-1}, p_n, p_{n+1} of w_k, so the orthonormal recurrence values at the
-nodes are taken once per weight and give a node table C_k[n] =
-sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n of every Q_n T column; two
-matmuls per weight on the stacked table give the whole block.  sigma_n =
-exp(1/2 max_k log ||p_n^{w_k}||^2) keeps both finite where the norms
-themselves overflow.  ``gram_qt`` reads pairs from the block, and the
-three-term recurrence residual is the W-norm of x Q_n - A_n Q_{n+1} -
-B_n Q_n - C_n Q_{n-1} summed over the tables, so the orth, norm and
-recurrence checks share this one quadrature path.
+exact for every product of that degree.  One ``scalar_families.gauss_rule``
+pass over the sequence's own recurrences gives every rule and the
+orthonormal recurrence values at its nodes.  Column k of Q_n T involves
+only p_{n-1}, p_n, p_{n+1} of w_k, so these values give one node table
+C[n], whose column range k is sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at
+the nodes of w_k; two matmuls on the whole table give the whole block, in
+real arithmetic where A and every G_n are real.  sigma_n = exp(1/2 max_k
+log ||p_n^{w_k}||^2) keeps both finite where the norms themselves
+overflow.  ``gram_qt`` reads pairs from the block.  The three-term
+coefficients of all degrees come from one stacked solve per neighbour
+against the closed-form norms, and the recurrence residual is the W-norm
+of x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} summed over the table, so
+the orth, norm and recurrence checks share this one quadrature path.
 """
 
 from collections import defaultdict
-from math import exp, log, sqrt
+from math import exp, log
 
 import numpy as np
 
@@ -99,20 +102,22 @@ def _nearest(terms) -> complex:
     return complex(*map(float, out))
 
 
-def peak(residuals: dict):
-    """(largest residual, its key, non_finite) over {key: residual}.
+def peak(residuals):
+    """(largest residual, its key, non_finite) over {key: residual}, or
+    over an array of residuals keyed by index.
 
     The first non-finite residual is the peak, so a NaN or an overflow can
     never hide behind a finite maximum; (0.0, None, False) when no
     residual exceeds zero.
     """
-    worst, where = 0.0, None
-    for key, r in residuals.items():
-        if not np.isfinite(r):
-            return float(r), key, True
-        if r > worst:
-            worst, where = float(r), key
-    return worst, where, False
+    keys = list(residuals) if isinstance(residuals, dict) else None
+    r = np.asarray(residuals if keys is None else list(residuals.values()),
+                   dtype=float)
+    bad = ~np.isfinite(r)
+    i = int(bad.argmax() if bad.any() else r.argmax()) if r.size else 0
+    if not r.size or not (bad[i] or r[i] > 0):
+        return 0.0, None, False
+    return float(r[i]), i if keys is None else keys[i], bool(bad[i])
 
 
 def frobenius(X, axis):
@@ -163,6 +168,10 @@ class MVOPSequence:
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
         self.engine = InnerProductEngine(weight)
+        # log ||p_n^{w_k}||^2 as [k, n], and log sigma_n (``log_gram_scale``)
+        self._log_norms = np.array([s.log_norms for s in self.scalar_seqs],
+                                   dtype=float)
+        self._log_sigma = 0.5 * self._log_norms[:, :n_max + 1].max(axis=0)
         # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[k][n] gamma_k
         atoms = [s.atom for s in self.scalar_seqs]
         self._atoms = list(dict.fromkeys(atoms))
@@ -170,6 +179,7 @@ class MVOPSequence:
         self._nu = [list(map(_rational, s.norm_rationals))
                     for s in self.scalar_seqs] if self.exact else None
         self._gram = self._ptab = self._qrows = self._atom_values = None
+        self._recurrence = None
         self._qnorms, self._ratios, self._monos = {}, {}, {}
         self._pairs_of = None
 
@@ -266,7 +276,8 @@ class MVOPSequence:
 
     def _mono(self, key, sympy=False):
         """The atom monomial of ``key``, cached: an mpf at 113 bits (each
-        atom evaluated once per sequence), or a sympy expression."""
+        atom evaluated once per sequence, and only for a key other than
+        0), or a sympy expression."""
         if (key, sympy) not in self._monos:
             import mpmath
             import sympy as sp
@@ -275,11 +286,11 @@ class MVOPSequence:
                 powers.append((k + KEY // 2) % KEY - KEY // 2)
                 k = (k - powers[-1]) // KEY
             with mpmath.workprec(113):
-                if not (sympy or self._atom_values):
+                if powers and not (sympy or self._atom_values):
                     self._atom_values = [mpmath.mpf(t.evalf(40))
                                          for t in self._atoms]
                 f = [t ** e for t, e in zip(
-                    self._atoms if sympy else self._atom_values, powers)]
+                    self._atoms if sympy else self._atom_values or (), powers)]
                 self._monos[key, sympy] = (sp.Mul(*f) if sympy
                                            else mpmath.fprod(f))
         return self._monos[key, sympy]
@@ -368,9 +379,10 @@ class MVOPSequence:
                 overflow = np.abs(spill[0]).max(axis=(1, 2, 3)) > 1e-8 * top
             # det K_n, the continuant of ``rho_values`` for all degrees at
             # once, is 0 when 0 at every monomial; an overflowed one is not
-            rho, singular = [G[:, u, r] * a for r, u, a, _ in pairs], True
-            for d in continuant(rho if self.exact else np.real(rho), [
-                    ek[u] - ek[r] for r, u, *_ in pairs]).values():
+            rho, keys = self._keyed_rho(G)
+            singular = True
+            for d in continuant(rho if self.exact else np.real(rho),
+                                keys).values():
                 singular = singular & ~np.asarray(d).astype(bool)
         # later assignments win: non-finite, then overflow, then singular
         verdict = np.zeros(hi - lo, dtype=np.int8)
@@ -459,6 +471,22 @@ class MVOPSequence:
         coefficient K_n, in backend arithmetic: row n of ``_assemble``."""
         return self._polynomial(n, 1)
 
+    def _keyed_rho(self, G):
+        """(rho, keys): rho_i = a_i G[..., u, r] for the pairs a_i = A[r, u]
+        of ``_pairs`` over a G_n table (or a stack of them), each with the
+        monomial key of gamma_u / gamma_r, as ``continuant`` takes them."""
+        return ([G[..., u, r] * a for r, u, a, _ in self._pairs],
+                [self._ek[u] - self._ek[r] for r, u, *_ in self._pairs])
+
+    def leading_det(self, n: int) -> complex:
+        """det K_n on the exact backend: the ``continuant`` of the keyed
+        rationals of the G_n table (``_keyed_rho``), each monomial at 113
+        bits, rounded once to the nearest complex double (``_nearest``); a
+        one-class weight forms no sympy expression."""
+        self._check_n(n)
+        d = continuant(*self._keyed_rho(self._ratio(n)))
+        return _nearest((self._mono(k), v) for k, v in d.items())
+
     def rho_values(self, n: int):
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
         for the pairs a_i = A[r, u] in pair order: real floats from the G_n
@@ -493,22 +521,26 @@ class MVOPSequence:
             M[u, r] = a.conjugate() * m
         return M
 
-    def _norm_terms(self, n: int, log_scale: float = 0.0,
-                    sympy: bool = False) -> dict:
+    def _norm_terms(self, n, log_scale=0.0, sympy: bool = False) -> dict:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 on
-        the pairs of A, as {(i, j, monomial key): value}: complex over
-        exp(log_scale) (float), rationals (exact), or sympy (key 0)."""
+        the pairs of A, as {(i, j, monomial key): value}: rationals
+        (exact), sympy (key 0), or on the float backend arrays over the
+        degrees n (an array) of complex values over exp(log_scale), one per
+        degree."""
         if sympy:
             d, d1 = ([sf.squared_norm_exact(s, m) for s in self.scalar_seqs]
                      for m in (n, n + 1))
             G, ek = self.ratio_matrix(n), [0] * self.weight.N
             pairs = [(r, u, self.A[r, u], self.A[r, u].conjugate())
                      for r, u, *_ in self._pairs]
-        else:
-            d, d1 = ([nu[m] for nu in self._nu] if self.exact else
-                     [exp(s.log_norms[m] - log_scale)
-                      for s in self.scalar_seqs] for m in (n, n + 1))
+        elif self.exact:
+            d, d1 = ([nu[m] for nu in self._nu] for m in (n, n + 1))
             G, ek, pairs = self._ratio(n), self._ek, self._pairs
+        else:   # G[u, r] and d[k] are arrays over the degrees
+            d, d1 = (np.exp(self._log_norms[:, m] - log_scale)
+                     for m in (n, n + 1))
+            G = np.moveaxis(np.array([self._ratio(m) for m in n]), 0, -1)
+            ek, pairs = self._ek, self._pairs
         ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
         for r, u, a, _ in pairs:
             t = a * d1[u]
@@ -530,36 +562,50 @@ class MVOPSequence:
         checks read rounded (``_norm_Q``), or complex over exp(log_scale)
         on the float backend."""
         self._check_n(n)
-        if self.exact and log_scale:
+        if not self.exact:
+            return self._norm_stack([n], [log_scale])[0]
+        if log_scale:
             raise InvalidParam("the exact ||Q_n||^2 is read unscaled")
-        out = np.full((self.weight.N,) * 2, self._sympy([]) if self.exact
-                      else 0j)
-        for (i, j, _), v in self._norm_terms(n, log_scale, self.exact).items():
+        out = np.full((self.weight.N,) * 2, self._sympy([]))
+        for (i, j, _), v in self._norm_terms(n, sympy=True).items():
             out[i, j] += v
         return out
 
+    def _norm_stack(self, ns, log_scale) -> np.ndarray:
+        """Float ||Q_n||^2 / exp(log_scale) for the degrees ns, shape
+        (len(ns), N, N), from one ``_norm_terms`` pass over all of them."""
+        out = np.zeros((self.weight.N,) * 2 + (len(ns),), dtype=complex)
+        for (i, j, _), v in self._norm_terms(np.asarray(ns),
+                                             np.asarray(log_scale)).items():
+            out[i, j] += v
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
     def _norm_Q(self, n: int) -> np.ndarray:
         """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
-        as the norm and recurrence checks read it, once per degree and
-        read-only.  Each exact entry, its rationals times their monomials
-        and exp(-2 log sigma_n), is summed once at 113 bits and each part
-        rounded once."""
+        as the norm and recurrence checks read it, read-only.  The first
+        float read fills every degree from one ``_norm_stack``.  Each exact
+        entry, its rationals times their monomials and exp(-2 log
+        sigma_n), is summed once at 113 bits and each part rounded once."""
         got = self._qnorms.get(n)
-        if got is None:
-            log_scale = 2.0 * self.log_gram_scale(n)
-            if not self.exact:
-                got = self.squared_norm_Q(n, log_scale)
-            else:
-                import mpmath
-                got = np.zeros((self.weight.N,) * 2, dtype=complex)
-                with mpmath.workprec(113):
-                    f, terms = mpmath.exp(-log_scale), defaultdict(list)
-                    for (i, j, key), v in self._norm_terms(n).items():
-                        terms[i, j].append((self._mono(key) * f, v))
-                for (i, j), t in terms.items():
-                    got[i, j] = _nearest(t)
-            got.flags.writeable = False
-            self._qnorms[n] = got
+        if got is not None:
+            return got
+        log_scale = 2.0 * self.log_gram_scale(n)
+        if not self.exact:
+            tab = self._norm_stack(range(self.n_max + 1),
+                                   2.0 * self._log_sigma)
+            tab.flags.writeable = False
+            self._qnorms.update(enumerate(tab))
+            return self._qnorms[n]
+        import mpmath
+        got = np.zeros((self.weight.N,) * 2, dtype=complex)
+        with mpmath.workprec(113):
+            f, terms = mpmath.exp(-log_scale), defaultdict(list)
+            for (i, j, key), v in self._norm_terms(n).items():
+                terms[i, j].append((self._mono(key) * f, v))
+        for (i, j), t in terms.items():
+            got[i, j] = _nearest(t)
+        got.flags.writeable = False
+        self._qnorms[n] = got
         return got
 
     # -- the Gram block ------------------------------------------------------
@@ -568,18 +614,21 @@ class MVOPSequence:
         """log sigma_n = 1/2 max_k log ||p_n^{w_k}||^2, the scale of degree
         n in the Gram block."""
         self._check_n(n)
-        return 0.5 * max(float(s.log_norms[n]) for s in self.scalar_seqs)
+        return float(self._log_sigma[n])
 
     def _gram_block(self):
-        """(block, tables, log10_min_weight) from one (n_max + 2)-node
-        Gauss rule per scalar weight.
+        """(block, (nodes, C), log10_min_weight) from one (n_max + 2)-node
+        Gauss rule per scalar weight, all from one
+        ``InnerProductEngine.tables`` pass.
 
         ``block`` is the (2, n_max+1, N, n_max+1, N) array of <x^s Q_n,
-        Q_m>_W / (sigma_n sigma_m).  ``tables`` holds, per scalar weight k,
-        the nodes x_j and the (n_max+1, N, nodes) array C_k[n] =
-        sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n, so <x^s Q_n, Q_m>_W =
-        sigma_n sigma_m sum_k C_k[n] diag(x^s) C_k[m]*.  ``log10_min_weight``
-        is log10 of the smallest Christoffel weight lambda_j of all rules,
+        Q_m>_W / (sigma_n sigma_m), real when A and the G_n table are.  C is
+        the node table of shape (n_max+1, N, N (n_max+2)): column range k
+        of C[n] is sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes
+        x_j of weight k, which ``nodes`` lists in the same order, so
+        <x^s Q_n, Q_m>_W = sigma_n sigma_m C[n] diag(nodes^s) C[m]*, and the
+        block is two matmuls over the whole table.  ``log10_min_weight`` is
+        log10 of the smallest Christoffel weight lambda_j of all rules,
         read in the scaled form, so it stays a number where lambda_j
         underflows.
 
@@ -599,34 +648,31 @@ class MVOPSequence:
             for r, u, *_ in self._pairs:
                 R[self._ek[u] - self._ek[r]][:, u, r] = G[:, u, r]
             G = self._round(R)
-        log_sigma = np.array([self.log_gram_scale(n) for n in range(M + 1)])
-        out = np.zeros((2, (M + 1) * N, (M + 1) * N), dtype=complex)
-        tables = []
-        log_min = np.inf
-        for k, seq in enumerate(self.scalar_seqs):
-            nodes, _ = self.engine.rule(k, m)
-            vals, log_scale = sf.orthonormal_values(seq, nodes, m)
-            norm = np.linalg.norm(vals, axis=0)
-            u = vals / norm
-            # log lambda_j, lambda_j = 1 / sum_i phat_i(x_j)^2
-            log_lam = -2.0 * (log_scale + np.log(norm))
-            log_min = min(log_min, float(log_lam.min()))
-            half = 0.5 * np.asarray(seq.log_norms[:m], dtype=float)
-            # sqrt(lambda) p_{n+d} / sigma_n at the nodes, n = 0..M
-            lo = np.exp(half[:M] - log_sigma[1:])[:, None] * u[:M]
-            mid = np.exp(half[:M + 1] - log_sigma)[:, None] * u[:M + 1]
-            hi = np.exp(half[1:] - log_sigma)[:, None] * u[1:]
-            # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
-            C = A[None, :, k, None] * hi[:, None, :]
-            C[:, k] += mid
-            C[1:] -= G[1:, :, k, None] * lo[:, None, :]
-            tables.append((nodes, C))
-            F = C.reshape(-1, m)
-            FH = F.conj().T
-            out[0] += F @ FH
-            out[1] += (F * nodes) @ FH
-        return (out.reshape(2, M + 1, N, M + 1, N), tables,
-                log_min / log(10.0))
+        if not (A.imag.any() or G.imag.any()):
+            A, G = A.real, G.real
+        slot, nodes, vals, log_scale = self.engine.tables(self.scalar_seqs, m)
+        norm = np.linalg.norm(vals, axis=0)
+        u = (vals / norm)[:, slot]
+        # log lambda_j, lambda_j = 1 / sum_i phat_i(x_j)^2
+        log_min = float((-2.0 * (log_scale + np.log(norm))).min())
+        half = 0.5 * self._log_norms[:, :m, None].swapaxes(0, 1)
+        sigma = self._log_sigma[:, None, None]
+        # sqrt(lambda) p_{n+d} / sigma_n at the nodes, n = 0..M
+        lo = np.exp(half[:M] - sigma[1:]) * u[:M]
+        hi = np.exp(half[1:] - sigma) * u[1:]
+        # column k of Q_n T: e_k p_n + A[:, k] p_{n+1} - G_n[:, k] p_{n-1}
+        C = np.zeros((M + 1, N, N, m), dtype=A.dtype)
+        C[:, range(N), range(N)] = np.exp(half[:M + 1] - sigma) * u[:M + 1]
+        for r, k, *_ in self._pairs:
+            C[:, r, k] = A[r, k] * hi[:, k]
+            C[1:, k, r] = -G[1:, k, r, None] * lo[:, r]
+        F = C.reshape((M + 1) * N, N * m)
+        x = nodes[slot].reshape(-1)
+        out = np.empty((2,) + (F.shape[0],) * 2, dtype=F.dtype)
+        np.matmul(F, F.conj().T, out=out[0])
+        np.matmul(F * x, F.conj().T, out=out[1])
+        return (out.reshape(2, M + 1, N, M + 1, N),
+                (x, C.reshape(M + 1, N, N * m)), log_min / log(10.0))
 
     def gram_data(self):
         """The Gram block, the node tables and the log10 of the smallest
@@ -643,15 +689,16 @@ class MVOPSequence:
 
         With ``scaled`` the result is divided by sigma_n sigma_m (see
         ``log_gram_scale``); residuals are formed from that form, which
-        stays finite at degrees where the Gram itself overflows.
+        stays finite at degrees where the Gram itself overflows.  Complex
+        also where the block is real.
         """
         self._check_n(n)
         self._check_n(m)
         if shift not in (0, 1):
             raise InvalidParam(f"shift must be 0 or 1, got {shift}")
-        g = self.gram_data()[0][shift, n, :, m, :]
+        g = self.gram_data()[0][shift, n, :, m, :].astype(complex)
         if scaled:
-            return g.copy()
+            return g
         log_s = self.log_gram_scale(n) + self.log_gram_scale(m)
         try:
             return g * exp(log_s)
@@ -663,11 +710,12 @@ class MVOPSequence:
         """Nodes per scalar weight of the Gauss rules behind the Gram block
         and the smallest Gauss weight among them, also as a log10 that
         stays finite where the weight itself underflows to 0."""
-        m = self.n_max + 2
+        # the Gram data first: its one pass fills the engine's rules
+        m, log10_min = self.n_max + 2, self.gram_data()[2]
         smallest = min(float(np.min(self.engine.rule(k, m)[1]))
                        for k in range(self.weight.N))
         return {"gauss_nodes": m, "min_gauss_weight": smallest,
-                "log10_min_gauss_weight": self.gram_data()[2]}
+                "log10_min_gauss_weight": log10_min}
 
     # -- verification -------------------------------------------------------
 
@@ -675,8 +723,9 @@ class MVOPSequence:
         """Scaled Gram residuals ||G_nm|| / sqrt(||G_nn||) / sqrt(||G_mm||)
         over all pairs n < m <= n_max, formed from the scaled block by array
         operations (the n_max + 1 diagonal blocks through ``gram_qt``),
-        with every norm taken by ``frobenius``; a non-finite residual
-        fails, and a pair with a non-finite ||G_nn|| reads that norm."""
+        with every norm taken by ``frobenius``, and their peak and failures
+        found on the array; a non-finite residual fails, and a pair with a
+        non-finite ||G_nn|| reads that norm."""
         self._check_n(n_max)
         k = n_max + 1
         self_norm = frobenius(np.stack([self.gram_qt(n, n, scaled=True)
@@ -690,49 +739,94 @@ class MVOPSequence:
         ratio[bad] = self_norm[bad, None]
         ratio[:, bad] = self_norm[bad]
         n_idx, m_idx = np.triu_indices(k, 1)
-        residuals = dict(zip(zip(n_idx.tolist(), m_idx.tolist()),
-                             ratio[n_idx, m_idx].tolist()))
-        worst, worst_pair, non_finite = peak(residuals)
-        failures = [(n, m, r) for (n, m), r in residuals.items()
-                    if not r <= tol]
-        return {"max_scaled_residual": worst, "worst_pair": worst_pair,
-                "tol": tol, "passed": not failures, "failures": failures,
+        r = ratio[n_idx, m_idx]
+        worst, i, non_finite = peak(r)
+        fail = np.flatnonzero(~(r <= tol))
+        return {"max_scaled_residual": worst,
+                "worst_pair": None if i is None else (int(n_idx[i]),
+                                                      int(m_idx[i])),
+                "tol": tol, "passed": not fail.size,
+                "failures": list(zip(n_idx[fail].tolist(),
+                                     m_idx[fail].tolist(), r[fail].tolist())),
                 "non_finite": non_finite}
 
-    def three_term_coefficients(self, n: int):
-        """(A_n, B_n, C_n, residual) for x Q_n = A_n Q_{n+1} + B_n Q_n + C_n Q_{n-1}.
+    def three_term_table(self):
+        """(A_n, B_n, C_n, residual) for x Q_n = A_n Q_{n+1} + B_n Q_n +
+        C_n Q_{n-1}, n = 1..n_max-1, as read-only stacks over the degrees,
+        built on first use.
 
-        Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, from the
-        scaled Gram block and closed-form norms, (sigma_n / sigma_m) times
-        the scaled ratio.  The residual is ||R_n||_W / ||x Q_n||_W with
-        R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and ||P||_W^2 =
-        tr <P, P>_W, summed over the node tables of ``_gram_block`` with
-        every term divided by sigma_n (so A_n and C_n carry the factors
-        sigma_{n+1} / sigma_n and sigma_{n-1} / sigma_n).  It is exact:
-        R_n T has degree n + 2, which the n_max + 2 nodes integrate for
-        every n <= n_max - 1.
+        Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one
+        stacked solve over all degrees per neighbour (``_project``).  If a
+        ||Q_m||^2 is not finite or singular, the degrees are solved one at
+        a time in order instead, so the ``IllConditioned`` error names the
+        first such m a degree reads.  The residual is ||R_n||_W / ||x
+        Q_n||_W with R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and
+        ||P||_W^2 = tr <P, P>_W, summed over the node table of
+        ``_gram_block`` with every term divided by sigma_n (so A_n and C_n
+        carry the factors sigma_{n+1} / sigma_n and sigma_{n-1} /
+        sigma_n).  It is exact: R_n T has degree n + 2, which the n_max + 2
+        nodes integrate for every n <= n_max - 1.
         """
+        got = self._recurrence
+        if got is None:
+            ns = np.arange(1, self.n_max)
+            norms = np.array([self._norm_Q(m) for m in range(self.n_max + 1)])
+            try:
+                mats = [self._project(ns, d, norms) for d in (1, 0, -1)]
+            except IllConditioned:
+                for n in ns:
+                    for d in (1, 0, -1):
+                        self._project(np.array([n]), d, norms)
+                raise
+            got = (*mats, self._residuals(ns, mats))
+            for a in got:
+                a.flags.writeable = False
+            self._recurrence = got
+        return got
+
+    def _project(self, ns, d, norms):
+        """X_n = <x Q_n, Q_m> ||Q_m||^{-2} for m = n + d over the degrees
+        ns, by one stacked solve: (sigma_n / sigma_m) times the scaled
+        ratio, read from the scaled block and the ``_norm_Q`` stack
+        ``norms``."""
+        ms = ns + d
+        norm = norms[ms]
+        finite = np.isfinite(norm).all(axis=(1, 2))
+        if not finite.all():
+            raise IllConditioned(
+                f"||Q_{ms[finite.argmin()]}||^2 is not finite")
+        g = self.gram_data()[0][1, ns, :, ms, :] * np.exp(
+            self._log_sigma[ns] - self._log_sigma[ms])[:, None, None]
+        adjoint = [v.conj().swapaxes(1, 2) for v in (norm, g)]
+        try:    # X ||Q_m||^2 = g, solved as its adjoint
+            return np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
+        except np.linalg.LinAlgError:
+            raise IllConditioned(f"||Q_{ms[0]}||^2 is singular") from None
+
+    def _residuals(self, ns, mats, chunk=64):
+        """The residuals of ``three_term_table`` for the degrees ns,
+        ``chunk`` degrees at a time, in real arithmetic where the node
+        table and the A_n, B_n, C_n are real."""
+        x, C = self.gram_data()[1]
+        out = np.empty(len(ns))
+        for i in range(0, len(ns), chunk):
+            n = ns[i:i + chunk]
+            xq = C[n] * x
+            terms = []
+            for d, X in zip((1, 0, -1), mats):
+                X = X[i:i + chunk] * np.exp(
+                    self._log_sigma[n + d] - self._log_sigma[n])[:, None, None]
+                if not (np.iscomplexobj(C) or X.imag.any()):
+                    X = X.real
+                terms.append(np.matmul(X, C[n + d]))
+            r = xq - sum(terms)
+            num, den = ((v * v.conj()).real.sum(axis=(1, 2)) for v in (r, xq))
+            out[i:i + chunk] = np.sqrt(num / den)
+        return out
+
+    def three_term_coefficients(self, n: int):
+        """(A_n, B_n, C_n, residual) of degree n of ``three_term_table``."""
         if n < 1 or n > self.n_max - 1:
             raise OutOfRange(f"n={n} outside 1..{self.n_max - 1}")
-        ln = self.log_gram_scale(n)
-        mats, terms = [], []
-        for m in (n + 1, n, n - 1):
-            lm = self.log_gram_scale(m)
-            g = self.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
-            norm = self._norm_Q(m)
-            if not np.isfinite(norm).all():
-                raise IllConditioned(f"||Q_{m}||^2 is not finite")
-            try:
-                X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
-            except np.linalg.LinAlgError:
-                raise IllConditioned(f"||Q_{m}||^2 is singular") from None
-            mats.append(X)
-            terms.append((m, X * exp(lm - ln)))
-        num = den = 0.0
-        for nodes, C in self.gram_data()[1]:
-            xq = C[n] * nodes
-            r = xq - sum(X @ C[m] for m, X in terms)
-            num += np.vdot(r, r).real
-            den += np.vdot(xq, xq).real
-        An, Bn, Cn = mats
-        return An, Bn, Cn, sqrt(num / den)
+        *mats, res = self.three_term_table()
+        return (*(X[n - 1].copy() for X in mats), float(res[n - 1]))

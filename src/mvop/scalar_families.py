@@ -353,26 +353,45 @@ def squared_norm_exact(seq: MonicScalarSequence, n: int):
 _RESCALE_AT = 2.0 ** 500
 
 
-def orthonormal_values(seq: MonicScalarSequence, x, count: int):
-    """Orthonormal phat_0..phat_{count-1} at the points x, in scaled form.
+def gauss_rule(spec, m: int):
+    """m-point Gauss rules, exact for polynomials of degree <= 2m - 1.
 
-    Returns (vals, log_scale) with phat_k(x_j) = vals[k, j] *
-    exp(log_scale[j]).  The recurrence phat_{k+1} = ((x - b_k) phat_k -
-    sqrt(c_k) phat_{k-1}) / sqrt(c_{k+1}) is rescaled per point whenever
-    a value passes 2^500, so Laguerre and Hermite values far out in the
-    tails stay finite at every degree below ``NODE_CAP``; entries that
-    a rescale pushes below the float range are negligible against the
-    largest value at their point.
+    ``spec`` is one weight, whose rule (nodes, weights) is returned, or a
+    list of S recurrences reaching degree m - 1 (exact ones read as their
+    nearest doubles), whose rules come from one pass: (nodes, weights,
+    vals, log_scale), nodes and weights of shape (S, m), and phat_k of
+    recurrence s at node j as vals[k, s, j] exp(log_scale[s, j]).
+
+    Nodes are the eigenvalues of the symmetric Jacobi matrices (one
+    batched ``eigvalsh``); weights are the Christoffel numbers lambda_j =
+    1 / sum_{k<m} phat_k(x_j)^2.  The orthonormal recurrence phat_{k+1} =
+    ((x - b_k) phat_k - sqrt(c_k) phat_{k-1}) / sqrt(c_{k+1}) runs on all
+    nodes at once and is rescaled per node whenever a value passes 2^500,
+    so Laguerre and Hermite values far out in the tails stay finite at
+    every degree below ``NODE_CAP``; entries that a rescale pushes below
+    the float range are negligible against the largest value at their
+    node, and tail weights below the float range come out as 0 rather than
+    NaN.  Reads each recurrence up to degree m - 1 only, so a
+    moment-supplied weight needs 2m moments.
     """
-    if count < 1 or count > seq.n_max + 1:
-        raise OutOfRange(f"count={count} outside 1..{seq.n_max + 1}")
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(seq.b_coeffs, dtype=float)
-    rc = np.sqrt(np.asarray(seq.c_coeffs, dtype=float))    # sqrt(c_1..)
-    vals = np.empty((count, len(x)))
-    log_scale = np.full(len(x), -0.5 * float(seq.log_norms[0]))
+    if m < 1:
+        raise InvalidParam("need at least one node")
+    one = isinstance(spec, ScalarWeightSpec)
+    seqs = [recurrence_coefficients(spec, m - 1, backend="float")] if one \
+        else spec
+    b = np.array([s.b_coeffs[:m] for s in seqs], dtype=float)
+    rc = np.sqrt(np.array([s.c_coeffs[:m - 1] for s in seqs], dtype=float))
+    i = np.arange(m)
+    J = np.zeros((len(seqs), m, m))
+    J[:, i, i] = b
+    J[:, i[:-1], i[1:]] = J[:, i[1:], i[:-1]] = rc
+    x = np.linalg.eigvalsh(J)
+    b, rc = b.T[:, :, None], rc.T[:, :, None]
+    vals = np.empty((m, *x.shape))
+    log_scale = np.repeat(-0.5 * np.array(
+        [[float(s.log_norms[0])] for s in seqs]), m, axis=1)
     vals[0] = 1.0
-    for k in range(count - 1):
+    for k in range(m - 1):
         nxt = (x - b[k]) * vals[k]
         if k >= 1:
             nxt -= rc[k - 1] * vals[k - 1]
@@ -382,30 +401,8 @@ def orthonormal_values(seq: MonicScalarSequence, x, count: int):
             f = np.abs(vals[k + 1, big])
             vals[:k + 2, big] /= f
             log_scale[big] += np.log(f)
-    return vals, log_scale
-
-
-def gauss_rule(spec: ScalarWeightSpec, m: int):
-    """m-point Gauss rule (nodes, weights) for the weight of ``spec``.
-
-    Nodes are the eigenvalues of the symmetric Jacobi matrix; weights are
-    the Christoffel numbers lambda_j = 1 / sum_{k<m} phat_k(x_j)^2, formed
-    from scaled recurrence values, so tail weights below the float range
-    come out as 0 rather than NaN.  Exact for polynomials of degree
-    <= 2m - 1.  Reads the recurrence up to degree m - 1 only, so a
-    moment-supplied weight needs 2m moments.
-    """
-    if m < 1:
-        raise InvalidParam("need at least one node")
-    seq = recurrence_coefficients(spec, m - 1, backend="float")
-    J = np.diag(np.asarray(seq.b_coeffs[:m], dtype=float))
-    if m > 1:
-        off = np.sqrt(np.asarray(seq.c_coeffs[:m - 1], dtype=float))
-        J += np.diag(off, 1) + np.diag(off, -1)
-    nodes = np.linalg.eigvalsh(J)
-    vals, log_scale = orthonormal_values(seq, nodes, m)
     weights = np.exp(-2.0 * log_scale - np.log(np.sum(vals ** 2, axis=0)))
-    return nodes, weights
+    return (x[0], weights[0]) if one else (x, weights, vals, log_scale)
 
 
 def scalar_diff_operator(spec: ScalarWeightSpec):

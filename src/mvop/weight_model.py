@@ -6,10 +6,11 @@ the diagonal weight: column k of the integrand sees only the scalar weight
 w_k, so every integral is a polynomial against one scalar weight, and one
 Gauss rule per scalar weight, with enough nodes for the highest degree a
 sequence reaches, is exact for all of them.  ``InnerProductEngine`` holds
-those rules; ``mvop_core.MVOPSequence`` evaluates every Q_n T column on
-them once and forms the whole Gram block from that.  Mixed supports (e.g.
-a Hermite next to a Laguerre weight) come for free since each column is
-integrated over its own weight's support.
+those rules, all of a sequence's taken in one pass;
+``mvop_core.MVOPSequence`` evaluates every Q_n T column on them once and
+forms the whole Gram block from that.  Mixed supports (e.g. a Hermite next
+to a Laguerre weight) come for free since each column is integrated over
+its own weight's support.
 """
 
 from dataclasses import dataclass
@@ -98,13 +99,32 @@ class InnerProductEngine:
         self.weight = weight
         self._rules = {}
 
-    def rule(self, scalar_index: int, m: int):
-        """(nodes, weights) of the m-point Gauss rule of w_{scalar_index+1}."""
+    @staticmethod
+    def _cap(m: int):
         if m > NODE_CAP:
             raise DegreeCap(f"Gauss rule needs {m} > {NODE_CAP} nodes")
+
+    def rule(self, scalar_index: int, m: int):
+        """(nodes, weights) of the m-point Gauss rule of w_{scalar_index+1}."""
+        self._cap(m)
         key = (self.weight.scalars[scalar_index], m)
         got = self._rules.get(key)
         if got is None:
             got = self._rules.setdefault(
                 key, sf.gauss_rule(self.weight.scalars[scalar_index], m))
         return got
+
+    def tables(self, seqs, m: int):
+        """The m-point rules of every slot from one ``sf.gauss_rule``
+        pass over the distinct scalar weights, read from ``seqs`` (one
+        recurrence per slot): (row of each slot, nodes, vals, log_scale)
+        with one row per distinct weight.  Each distinct weight's (nodes,
+        weights) joins the cache ``rule`` reads, unless already there."""
+        self._cap(m)
+        scalars = self.weight.scalars
+        distinct = list(dict.fromkeys(scalars))
+        nodes, weights, vals, log_scale = sf.gauss_rule(
+            [seqs[scalars.index(s)] for s in distinct], m)
+        for i, s in enumerate(distinct):
+            self._rules.setdefault((s, m), (nodes[i], weights[i]))
+        return [distinct.index(s) for s in scalars], nodes, vals, log_scale

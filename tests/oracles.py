@@ -110,6 +110,32 @@ def monic_from_recurrence(bs, cs, n):
     return polys[n]
 
 
+def orthonormal_loop(seq, x, count):
+    """Orthonormal phat_0..phat_{count-1} of one sequence at the points x
+    as (vals, log_scale), phat_k(x_j) = vals[k, j] exp(log_scale[j]): the
+    recurrence run for this sequence alone, rescaling a point whenever a
+    value passes 2^500.  The reference for the values ``gauss_rule``
+    forms for several sequences at once, which must match it bit for
+    bit."""
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(seq.b_coeffs, dtype=float)
+    rc = np.sqrt(np.asarray(seq.c_coeffs, dtype=float))
+    vals = np.empty((count, len(x)))
+    log_scale = np.full(len(x), -0.5 * float(seq.log_norms[0]))
+    vals[0] = 1.0
+    for k in range(count - 1):
+        nxt = (x - b[k]) * vals[k]
+        if k >= 1:
+            nxt -= rc[k - 1] * vals[k - 1]
+        vals[k + 1] = nxt / rc[k]
+        big = np.abs(vals[k + 1]) > 2.0 ** 500
+        if big.any():
+            f = np.abs(vals[k + 1, big])
+            vals[:k + 2, big] /= f
+            log_scale[big] += np.log(f)
+    return vals, log_scale
+
+
 def pairwise_quadrature(weight, A, P, Q):
     """<P, Q>_W on a Gauss rule sized for this one pair: Golub-Welsch
     eigenvector weights, P and Q evaluated in the power basis, and
@@ -266,6 +292,63 @@ def dense_norm_Q(seq, n, log_scale):
     if n >= 1:
         term = term + seq.ratio_matrix(n) @ A @ norms(n)
     return term
+
+
+def three_term_loop(seq, n):
+    """(A_n, B_n, C_n, residual) of x Q_n = A_n Q_{n+1} + B_n Q_n + C_n Q_{n-1}
+    one degree at a time: one solve per neighbour m from the scaled
+    ``gram_qt`` and ``_norm_Q``, and the residual ||R_n||_W / ||x Q_n||_W
+    summed weight by weight over its column range of the node table of
+    ``gram_data``, in complex arithmetic.  The reference for the stacked
+    ``three_term_table``."""
+    ln = seq.log_gram_scale(n)
+    mats, terms = [], []
+    for m in (n + 1, n, n - 1):
+        lm = seq.log_gram_scale(m)
+        g = seq.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
+        norm = seq._norm_Q(m)
+        X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
+        mats.append(X)
+        terms.append((m, X * exp(lm - ln)))
+    x, C = seq.gram_data()[1]
+    width = len(x) // seq.weight.N
+    num = den = 0.0
+    for k in range(0, len(x), width):
+        cols = slice(k, k + width)
+        xq = C[n, :, cols] * x[cols]
+        r = xq - sum(X @ C[m, :, cols] for m, X in terms)
+        num += np.vdot(r, r).real
+        den += np.vdot(xq, xq).real
+    return (*mats, float(np.sqrt(num / den)))
+
+
+def det_loop(seq, n_max):
+    """{n: residual} of the float det check one degree at a time: the
+    continuant of ``rho_values(n)`` as d 2^e, rescaled by powers of two
+    past 2^100, against det of ``reduced_leading_matrix(n)``, or against
+    its sign and log |det| where either is past the float range.  The
+    reference for the check's stacked form, which must match it bit for
+    bit."""
+    import cmath
+    import math
+    out = {}
+    for n in range(1, n_max + 1):
+        M, e = seq.reduced_leading_matrix(n), 0
+        d_prev = d = 1.0
+        for r in seq.rho_values(n):
+            d_prev, d = d, d + r * d_prev
+            if abs(d) > 2.0 ** 100:
+                k = math.frexp(d)[1]
+                d_prev, d, e = d_prev / 2.0 ** k, d / 2.0 ** k, e + k
+        fast = d * 2.0 ** e if e < 1024 else math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            brute = np.linalg.det(M).real
+        if cmath.isfinite(brute) and cmath.isfinite(fast):
+            out[n] = abs(fast - brute) / max(abs(brute), 1e-300)
+        else:
+            sign, logdet = np.linalg.slogdet(M)
+            out[n] = abs(d / sign * math.exp(e * math.log(2) - logdet) - 1)
+    return out
 
 
 def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):

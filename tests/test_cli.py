@@ -2,15 +2,19 @@
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mvop.scalar_families as sf
 from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
                       run)
 from mvop.errors import ConfigError
 from mvop.mvop_core import MVOPSequence, peak
+from mvop.weight_model import weight_spec
+from oracles import det_loop
 
 
 #: raw moments of the Legendre weight on [-1, 1]
@@ -282,6 +286,23 @@ class TestHighDegree:
             assert not res["non_finite"]
         assert checks["det"]["max_relative_error"] < 1e-13
 
+    @pytest.mark.parametrize("spec, n_max", [
+        (weight_spec([2.0], [sf.laguerre(0.0), sf.laguerre(0.5)]), 6),
+        (weight_spec([1 + 0.5j, 2.0], [sf.laguerre(al)
+                                       for al in (0.0, 1.0, 0.5)]), 30),
+        (weight_spec([1.5, -0.7, 1.2, 0.9],
+                     [sf.hermite(0.0), sf.laguerre(0.5)] * 2
+                     + [sf.hermite(0.0)]), 100)],
+        ids=["lag2", "complex_a", "past_float_range"])
+    def test_det_matches_per_degree_loop(self, spec, n_max):
+        # all degrees at once give the per-degree residuals bit for bit
+        seq = MVOPSequence(spec, n_max + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = _CHECKS["det"](seq, SimpleNamespace(n_max=n_max))
+        assert (res["max_relative_error"], res["worst_n"],
+                res["non_finite"]) == peak(det_loop(seq, n_max))
+
     def test_det_continuant_past_float_range(self):
         # on H, L, H, L, H the continuant and the det of the reduced matrix
         # both pass the float range from n = 84 on: the continuant is
@@ -449,10 +470,10 @@ class TestNonFinite:
             seq.gram_qt = lambda n, m, *a, **k: (
                 gram(n, m, *a, **k) * nan if (n, m) == (2, 2)
                 else gram(n, m, *a, **k))
-        elif check == "recurrence":
-            ttc = seq.three_term_coefficients
-            seq.three_term_coefficients = lambda n: (
-                ttc(n)[:3] + (nan,) if n == 2 else ttc(n))
+        elif check == "recurrence":     # the residual of n = 2
+            table = seq.three_term_table
+            seq.three_term_table = lambda: (
+                *table()[:3], np.where(np.arange(1, 6) == 2, nan, table()[3]))
         elif check == "det":
             rho = seq.rho_values
             seq.rho_values = lambda n: [nan] if n == 2 else rho(n)

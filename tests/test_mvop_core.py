@@ -1,6 +1,7 @@
 """The matrix orthogonal sequence: construction, norms, determinants."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 import sympy as sp
 
 import mvop.scalar_families as sf
-from mvop.errors import DegreeCap, OutOfRange, SingularLeading
+from mvop.errors import (DegreeCap, IllConditioned, OutOfRange,
+                         SingularLeading)
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
 from oracles import (complex_rows, dense_norm_Q, exact_rows, nearest_scaled,
-                     pairwise_quadrature, q_product, tridiagonal_from_rho)
+                     pairwise_quadrature, q_product, three_term_loop,
+                     tridiagonal_from_rho)
 
 
 def lag2(a=1.0):
@@ -42,6 +45,9 @@ EXACT_WEIGHTS = {
                                                sf.jacobi(0.5, 0.5),
                                                sf.jacobi(1.5, 1.5)]),
 }
+#: a = (1 + i/2, 2): complex A, G_n and ||Q_n||^2
+COMPLEX_A = weight_spec([1 + 0.5j, 2.0], [sf.laguerre(0.0), sf.laguerre(1.0),
+                                          sf.laguerre(0.5)])
 EXACT_SPECS = pytest.mark.parametrize("spec", list(EXACT_WEIGHTS.values()),
                                       ids=list(EXACT_WEIGHTS))
 
@@ -500,6 +506,28 @@ class TestRho:
             assert continuant(seq.rho_values(n)) == pytest.approx(
                 det, rel=1e-11)
 
+    @EXACT_SPECS
+    def test_exact_leading_det(self, spec):
+        # det K_n from the keyed rationals of the G_n table, rounded once,
+        # against sympy's continuant of rho_values
+        seq = MVOPSequence(spec, 6, backend="exact")
+        for n in range(7):
+            want = complex(continuant(seq.rho_values(n)))
+            assert abs(seq.leading_det(n) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("name", ["lag5_chain", "jac3_half_step"])
+    def test_one_class_det_without_symbolic_work(self, name, monkeypatch):
+        seq = MVOPSequence(EXACT_WEIGHTS[name], 6, backend="exact")
+        calls = []
+        evalf = sp.core.evalf.EvalfMixin.evalf
+        monkeypatch.setattr(sp.core.evalf.EvalfMixin, "evalf",
+                            lambda *a, **k: calls.append(1) or evalf(*a, **k))
+        monkeypatch.setattr(MVOPSequence, "_sympy",
+                            lambda *a, **k: calls.append(2))
+        dets = [seq.leading_det(n) for n in range(7)]
+        assert not calls
+        assert all(d.real > 0 and d.imag == 0 for d in dets)
+
     def test_reduced_matrix_is_similar_to_unscaled(self):
         # same determinant as I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A, formed
         # directly at a degree where that is still in range
@@ -531,6 +559,50 @@ class TestThreeTerm:
         seq = MVOPSequence(lag2(), 4)
         An, _, _, _ = seq.three_term_coefficients(1)
         assert np.allclose(An, [[1, 0.4], [0, 0.4]], atol=1e-12)
+
+    @pytest.mark.parametrize("spec, backend", [
+        (lag2(2.0), "float"), (COMPLEX_A, "float"),
+        (EXACT_WEIGHTS["her3"], "exact"), (COMPLEX_A, "exact")],
+        ids=["real_a", "complex_a", "exact", "exact_complex_a"])
+    def test_table_matches_per_degree_loop(self, spec, backend):
+        # the stacked solves and residuals against one degree at a time;
+        # a residual is relative to ||x Q_n||_W already, so it is compared
+        # absolutely.  A real A and G_n give a real node table.
+        seq = MVOPSequence(spec, 8, backend=backend)
+        real = spec is not COMPLEX_A
+        assert np.isrealobj(seq.gram_data()[1][1]) == real
+        assert np.isrealobj(seq.gram_data()[0]) == real
+        for n in range(1, 8):
+            got, want = seq.three_term_coefficients(n), three_term_loop(seq, n)
+            for g, w in zip(got[:3], want[:3]):
+                assert g.dtype == complex
+                assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+            assert abs(got[3] - want[3]) <= 1e-14
+
+    def test_table_matches_loop_off_orthogonality(self):
+        # G_3 (1 + 1e-6) leaves x Q_n off the span of its neighbours near
+        # n = 3: residuals far above roundoff still agree to 1e-14
+        seq = MVOPSequence(lag2(2.0), 8)
+        ratio = seq._ratio_entries
+        seq._ratio_entries = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
+                                        else ratio(n))
+        res = seq.three_term_table()[3]
+        assert res[1:4].min() > 1e-8
+        for n in range(1, 8):
+            assert abs(res[n - 1] - three_term_loop(seq, n)[3]) <= 1e-14
+
+    @pytest.mark.parametrize("bad, message", [
+        ({4: 0.0}, "||Q_4||^2 is singular"),
+        ({0: np.nan, 2: 0.0}, "||Q_2||^2 is singular"),
+        ({0: np.nan, 5: 0.0}, "||Q_0||^2 is not finite")])
+    def test_ill_conditioned_names_first_degree_read(self, bad, message):
+        # degrees read their neighbours n + 1, n, n - 1 in turn; the error
+        # names the first bad ||Q_m||^2 in that order
+        seq = MVOPSequence(lag2(2.0), 8)
+        norm = seq._norm_Q
+        seq._norm_Q = lambda m: norm(m) * bad[m] if m in bad else norm(m)
+        with pytest.raises(IllConditioned, match=re.escape(message)):
+            seq.three_term_table()
 
     def test_out_of_range(self):
         seq = MVOPSequence(lag2(), 4)

@@ -13,7 +13,8 @@ from mvop.diff_operators import apply_scalar, entries_to_operator
 from mvop.errors import IllConditioned, InvalidParam, OutOfRange, Unsupported
 
 from oracles import (hermite_moments, jacobi_moments, laguerre_moments,
-                     recurrence_from_moments, monic_from_recurrence)
+                     orthonormal_loop, recurrence_from_moments,
+                     monic_from_recurrence)
 
 
 class TestSpecs:
@@ -207,6 +208,26 @@ class TestGaussRules:
             nodes, weights = sf.gauss_rule(spec, m)
             assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-14)
             assert np.allclose(weights, want, rtol=1e-13, atol=0)
+
+
+    @pytest.mark.parametrize("m", [23, 302, 512])
+    def test_one_pass_rules_match_single(self, m):
+        # one pass over several recurrences gives each weight the nodes,
+        # weights and scaled values of its own rule, bit for bit
+        specs = [sf.laguerre(0.0), sf.hermite(0.3), sf.jacobi(0.5, 1.5)]
+        seqs = [sf.recurrence_coefficients(s, m - 1) for s in specs]
+        nodes, weights, vals, log_scale = sf.gauss_rule(seqs, m)
+        assert nodes.shape == weights.shape == log_scale.shape == (3, m)
+        assert vals.shape == (m, 3, m)
+        for k, (spec, seq) in enumerate(zip(specs, seqs)):
+            want_nodes, want_weights = sf.gauss_rule(spec, m)
+            want = (want_nodes, want_weights,
+                    *orthonormal_loop(seq, want_nodes, m))
+            for got, w in zip((nodes[k], weights[k], vals[:, k],
+                               log_scale[k]), want):
+                assert got.shape == w.shape
+                got = np.ascontiguousarray(got)
+                assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
 
 
 class TestPolynomialTable:

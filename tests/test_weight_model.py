@@ -151,3 +151,25 @@ class TestInnerProduct:
         # both slots hold laguerre(0): one rule serves them
         assert seq.engine.rule(1, 6) is r1
         assert np.array_equal(seq.gram_qt(1, 2), g)
+
+    def test_gram_data_reads_own_recurrences(self, monkeypatch):
+        # the Gram data takes every rule from one pass over the sequence's
+        # own N recurrences; equal slots share one cached rule, which is
+        # the weight's own Gauss rule bit for bit
+        calls = []
+        build = sf.recurrence_coefficients
+        monkeypatch.setattr(sf, "recurrence_coefficients", lambda *a, **k: (
+            calls.append(a[0]) or build(*a, **k)))
+        scalars = [sf.laguerre(0.0), sf.hermite(0.3), sf.laguerre(0.0),
+                   sf.jacobi(0.5, 1.5)]
+        seq = MVOPSequence(weight_spec([1.0, 0.5, -2.0], scalars), 6)
+        assert calls == scalars
+        seq.gram_data()
+        seq.quadrature_summary()
+        assert calls == scalars
+        rules = [seq.engine.rule(k, 8) for k in range(4)]
+        assert rules[0] is rules[2]
+        for spec, (nodes, weights) in zip(scalars, rules):
+            want_nodes, want_weights = sf.gauss_rule(spec, 8)
+            assert np.array_equal(nodes, want_nodes)
+            assert np.array_equal(weights, want_weights)
