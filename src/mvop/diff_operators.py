@@ -291,6 +291,6 @@ def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
             raise DegreeCap(f"Q_{n} . D or Lambda_{n} Q_{n} is past the "
                             f"float range")
         residuals += res.tolist()
-    worst, worst_n, non_finite = peak(dict(enumerate(residuals)))
+    worst, worst_n, non_finite = peak(residuals)
     return {"max_scaled_residual": worst, "worst_n": worst_n,
             "residuals": residuals, "non_finite": non_finite}

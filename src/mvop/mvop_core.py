@@ -22,18 +22,19 @@ by p / q, and only the public readers and entries that mix two atoms
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
 exact for every product of that degree.  One ``scalar_families.gauss_rule``
-pass over the sequence's own recurrences gives every rule and the
-orthonormal recurrence values at its nodes.  Column k of Q_n T involves
-only p_{n-1}, p_n, p_{n+1} of w_k, so these values give one node table
-C[n], whose column range k is sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at
-the nodes of w_k; two matmuls on the whole table give the whole block, in
-real arithmetic where A and every G_n are real.  sigma_n = exp(1/2 max_k
-log ||p_n^{w_k}||^2) keeps both finite where the norms themselves
-overflow.  ``gram_qt`` reads pairs from the block.  The three-term
-coefficients of all degrees come from one stacked solve per neighbour
-against the closed-form norms, and the recurrence residual is the W-norm
-of x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} summed over the table, so
-the orth, norm and recurrence checks share this one quadrature path.
+pass over the float recurrences of the slots (the sequence's own on the
+float backend) gives every rule and the orthonormal recurrence values at
+its nodes.  Column k of Q_n T involves only p_{n-1}, p_n, p_{n+1} of
+w_k, so these values give one node table C[n], whose column range k is
+sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; two
+matmuls on the whole table give the whole block, in real arithmetic where
+A and every G_n are real.  sigma_n = exp(1/2 max_k log ||p_n^{w_k}||^2)
+keeps both finite where the norms themselves overflow.  ``gram_qt``
+reads pairs from the block.  The three-term coefficients of degrees 1..hi
+come from one stacked solve per neighbour against the closed-form norms,
+and the recurrence residual is the W-norm of x Q_n - A_n Q_{n+1} - B_n
+Q_n - C_n Q_{n-1} summed over the table, so the orth, norm and
+recurrence checks share this one quadrature path.
 """
 
 from collections import defaultdict
@@ -102,22 +103,20 @@ def _nearest(terms) -> complex:
     return complex(*map(float, out))
 
 
-def peak(residuals):
-    """(largest residual, its key, non_finite) over {key: residual}, or
-    over an array of residuals keyed by index.
+def peak(residuals, first: int = 0):
+    """(largest residual, its key, non_finite) over an array of residuals
+    keyed first, first + 1, ...
 
     The first non-finite residual is the peak, so a NaN or an overflow can
     never hide behind a finite maximum; (0.0, None, False) when no
     residual exceeds zero.
     """
-    keys = list(residuals) if isinstance(residuals, dict) else None
-    r = np.asarray(residuals if keys is None else list(residuals.values()),
-                   dtype=float)
+    r = np.asarray(residuals, dtype=float)
     bad = ~np.isfinite(r)
     i = int(bad.argmax() if bad.any() else r.argmax()) if r.size else 0
     if not r.size or not (bad[i] or r[i] > 0):
         return 0.0, None, False
-    return float(r[i]), i if keys is None else keys[i], bool(bad[i])
+    return float(r[i]), first + i, bool(bad[i])
 
 
 def frobenius(X, axis):
@@ -167,7 +166,9 @@ class MVOPSequence:
         self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
-        self.engine = InnerProductEngine(weight)
+        # Gauss rules read the float recurrences (exact ones are not these)
+        self.engine = InnerProductEngine(
+            weight, None if self.exact else self.scalar_seqs)
         # log ||p_n^{w_k}||^2 as [k, n], and log sigma_n (``log_gram_scale``)
         self._log_norms = np.array([s.log_norms for s in self.scalar_seqs],
                                    dtype=float)
@@ -650,7 +651,7 @@ class MVOPSequence:
             G = self._round(R)
         if not (A.imag.any() or G.imag.any()):
             A, G = A.real, G.real
-        slot, nodes, vals, log_scale = self.engine.tables(self.scalar_seqs, m)
+        slot, nodes, vals, log_scale = self.engine.tables(m)
         norm = np.linalg.norm(vals, axis=0)
         u = (vals / norm)[:, slot]
         # log lambda_j, lambda_j = 1 / sum_i phat_i(x_j)^2
@@ -750,47 +751,55 @@ class MVOPSequence:
                                      m_idx[fail].tolist(), r[fail].tolist())),
                 "non_finite": non_finite}
 
-    def three_term_table(self):
+    def three_term_table(self, hi: int):
         """(A_n, B_n, C_n, residual) for x Q_n = A_n Q_{n+1} + B_n Q_n +
-        C_n Q_{n-1}, n = 1..n_max-1, as read-only stacks over the degrees,
-        built on first use.
+        C_n Q_{n-1}, n = 1..hi, as read-only stacks over the degrees, built
+        on first use (and again for a larger hi).
 
         Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one
-        stacked solve over all degrees per neighbour (``_project``).  If a
-        ||Q_m||^2 is not finite or singular, the degrees are solved one at
-        a time in order instead, so the ``IllConditioned`` error names the
-        first such m a degree reads.  The residual is ||R_n||_W / ||x
-        Q_n||_W with R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and
+        stacked solve over all degrees per neighbour (``_project``), so the
+        table reads ||Q_m||^2 for m = 0..hi + 1.  If one of them is not
+        finite or is singular, the degrees are solved one at a time in
+        order instead, so the ``IllConditioned`` error names the first
+        such m a degree reads.  The residual is ||R_n||_W / ||x Q_n||_W
+        with R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and
         ||P||_W^2 = tr <P, P>_W, summed over the node table of
         ``_gram_block`` with every term divided by sigma_n (so A_n and C_n
         carry the factors sigma_{n+1} / sigma_n and sigma_{n-1} /
         sigma_n).  It is exact: R_n T has degree n + 2, which the n_max + 2
         nodes integrate for every n <= n_max - 1.
         """
+        if hi < 1 or hi > self.n_max - 1:
+            raise OutOfRange(f"hi={hi} outside 1..{self.n_max - 1}")
         got = self._recurrence
-        if got is None:
-            ns = np.arange(1, self.n_max)
-            norms = np.array([self._norm_Q(m) for m in range(self.n_max + 1)])
-            try:
-                mats = [self._project(ns, d, norms) for d in (1, 0, -1)]
-            except IllConditioned:
-                for n in ns:
-                    for d in (1, 0, -1):
-                        self._project(np.array([n]), d, norms)
-                raise
-            got = (*mats, self._residuals(ns, mats))
-            for a in got:
-                a.flags.writeable = False
-            self._recurrence = got
+        if got is None or len(got[3]) < hi:
+            got = self._recurrence = self._three_term(1, hi)
+        return tuple(a[:hi] for a in got)
+
+    def _three_term(self, lo: int, hi: int):
+        """The read-only (A_n, B_n, C_n, residual) stacks of the degrees
+        lo..hi (see ``three_term_table``)."""
+        ns = np.arange(lo, hi + 1)
+        norms = np.array([self._norm_Q(m) for m in range(lo - 1, hi + 2)])
+        try:
+            mats = [self._project(ns, d, norms[ns + d - lo + 1])
+                    for d in (1, 0, -1)]
+        except IllConditioned:
+            for n in ns:
+                for d in (1, 0, -1):
+                    self._project(np.array([n]), d, norms[[n + d - lo + 1]])
+            raise
+        got = (*mats, self._residuals(ns, mats))
+        for a in got:
+            a.flags.writeable = False
         return got
 
-    def _project(self, ns, d, norms):
+    def _project(self, ns, d, norm):
         """X_n = <x Q_n, Q_m> ||Q_m||^{-2} for m = n + d over the degrees
         ns, by one stacked solve: (sigma_n / sigma_m) times the scaled
-        ratio, read from the scaled block and the ``_norm_Q`` stack
-        ``norms``."""
+        ratio, read from the scaled block and ``norm``, the ``_norm_Q``
+        of each m."""
         ms = ns + d
-        norm = norms[ms]
         finite = np.isfinite(norm).all(axis=(1, 2))
         if not finite.all():
             raise IllConditioned(
@@ -803,30 +812,36 @@ class MVOPSequence:
         except np.linalg.LinAlgError:
             raise IllConditioned(f"||Q_{ms[0]}||^2 is singular") from None
 
-    def _residuals(self, ns, mats, chunk=64):
-        """The residuals of ``three_term_table`` for the degrees ns,
-        ``chunk`` degrees at a time, in real arithmetic where the node
-        table and the A_n, B_n, C_n are real."""
+    def _residuals(self, ns, mats):
+        """The residuals of ``three_term_table`` for the degrees ns, in
+        real arithmetic where the node table and the A_n, B_n, C_n are
+        real."""
         x, C = self.gram_data()[1]
         out = np.empty(len(ns))
-        for i in range(0, len(ns), chunk):
-            n = ns[i:i + chunk]
+        step = 64   # degrees per pass, which bounds the temporaries
+        for i in range(0, len(ns), step):
+            n = ns[i:i + step]
             xq = C[n] * x
             terms = []
             for d, X in zip((1, 0, -1), mats):
-                X = X[i:i + chunk] * np.exp(
+                X = X[i:i + step] * np.exp(
                     self._log_sigma[n + d] - self._log_sigma[n])[:, None, None]
                 if not (np.iscomplexobj(C) or X.imag.any()):
                     X = X.real
                 terms.append(np.matmul(X, C[n + d]))
             r = xq - sum(terms)
             num, den = ((v * v.conj()).real.sum(axis=(1, 2)) for v in (r, xq))
-            out[i:i + chunk] = np.sqrt(num / den)
+            out[i:i + step] = np.sqrt(num / den)
         return out
 
     def three_term_coefficients(self, n: int):
-        """(A_n, B_n, C_n, residual) of degree n of ``three_term_table``."""
+        """(A_n, B_n, C_n, residual) of degree n, read from
+        ``three_term_table`` where it holds n, else solved alone, reading
+        ||Q_m||^2 only for m = n - 1, n, n + 1."""
         if n < 1 or n > self.n_max - 1:
             raise OutOfRange(f"n={n} outside 1..{self.n_max - 1}")
-        *mats, res = self.three_term_table()
-        return (*(X[n - 1].copy() for X in mats), float(res[n - 1]))
+        got, i = self._recurrence, n - 1
+        if got is None or len(got[3]) < n:
+            got, i = self._three_term(n, n), 0
+        *mats, res = got
+        return (*(X[i].copy() for X in mats), float(res[i]))

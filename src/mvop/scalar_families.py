@@ -353,14 +353,12 @@ def squared_norm_exact(seq: MonicScalarSequence, n: int):
 _RESCALE_AT = 2.0 ** 500
 
 
-def gauss_rule(spec, m: int):
-    """m-point Gauss rules, exact for polynomials of degree <= 2m - 1.
-
-    ``spec`` is one weight, whose rule (nodes, weights) is returned, or a
-    list of S recurrences reaching degree m - 1 (exact ones read as their
-    nearest doubles), whose rules come from one pass: (nodes, weights,
-    vals, log_scale), nodes and weights of shape (S, m), and phat_k of
-    recurrence s at node j as vals[k, s, j] exp(log_scale[s, j]).
+def gauss_rule(seqs, m: int):
+    """m-point Gauss rules of the S float recurrences ``seqs``, each
+    reaching degree m - 1, from one pass: (nodes, weights, vals,
+    log_scale), nodes and weights of shape (S, m), and phat_k of recurrence
+    s at node j as vals[k, s, j] exp(log_scale[s, j]).  Each rule is exact
+    for polynomials of degree <= 2m - 1.
 
     Nodes are the eigenvalues of the symmetric Jacobi matrices (one
     batched ``eigvalsh``); weights are the Christoffel numbers lambda_j =
@@ -376,9 +374,6 @@ def gauss_rule(spec, m: int):
     """
     if m < 1:
         raise InvalidParam("need at least one node")
-    one = isinstance(spec, ScalarWeightSpec)
-    seqs = [recurrence_coefficients(spec, m - 1, backend="float")] if one \
-        else spec
     b = np.array([s.b_coeffs[:m] for s in seqs], dtype=float)
     rc = np.sqrt(np.array([s.c_coeffs[:m - 1] for s in seqs], dtype=float))
     i = np.arange(m)
@@ -402,7 +397,7 @@ def gauss_rule(spec, m: int):
             vals[:k + 2, big] /= f
             log_scale[big] += np.log(f)
     weights = np.exp(-2.0 * log_scale - np.log(np.sum(vals ** 2, axis=0)))
-    return (x[0], weights[0]) if one else (x, weights, vals, log_scale)
+    return x, weights, vals, log_scale
 
 
 def scalar_diff_operator(spec: ScalarWeightSpec):

@@ -92,39 +92,44 @@ class InnerProductEngine:
     """Caches the Gauss rules of the scalar weights of one W.
 
     Rules are keyed by the scalar weight itself, so equal weights in
-    different slots share one rule.
+    different slots share one rule.  Every rule comes from the float
+    recurrence of its weight: the one given for its slot where that
+    reaches far enough, else one built for the rule.
     """
 
-    def __init__(self, weight: WeightSpec):
+    def __init__(self, weight: WeightSpec, seqs=None):
         self.weight = weight
+        self._seqs = seqs
         self._rules = {}
 
-    @staticmethod
-    def _cap(m: int):
+    def _recurrence(self, spec, m: int):
         if m > NODE_CAP:
             raise DegreeCap(f"Gauss rule needs {m} > {NODE_CAP} nodes")
+        got = self._seqs[self.weight.scalars.index(spec)] if self._seqs \
+            else None
+        if got is None or got.n_max < m - 1:
+            got = sf.recurrence_coefficients(spec, m - 1, backend="float")
+        return got
 
     def rule(self, scalar_index: int, m: int):
         """(nodes, weights) of the m-point Gauss rule of w_{scalar_index+1}."""
-        self._cap(m)
-        key = (self.weight.scalars[scalar_index], m)
-        got = self._rules.get(key)
+        spec = self.weight.scalars[scalar_index]
+        got = self._rules.get((spec, m))
         if got is None:
-            got = self._rules.setdefault(
-                key, sf.gauss_rule(self.weight.scalars[scalar_index], m))
+            nodes, weights, *_ = sf.gauss_rule([self._recurrence(spec, m)], m)
+            got = self._rules.setdefault((spec, m), (nodes[0], weights[0]))
         return got
 
-    def tables(self, seqs, m: int):
-        """The m-point rules of every slot from one ``sf.gauss_rule``
-        pass over the distinct scalar weights, read from ``seqs`` (one
-        recurrence per slot): (row of each slot, nodes, vals, log_scale)
-        with one row per distinct weight.  Each distinct weight's (nodes,
-        weights) joins the cache ``rule`` reads, unless already there."""
-        self._cap(m)
+    def tables(self, m: int):
+        """The m-point rules of every slot from one ``sf.gauss_rule`` pass
+        over the distinct scalar weights: (row of each slot, nodes, vals,
+        log_scale) with one row per distinct weight.  Each distinct
+        weight's (nodes, weights) joins the cache ``rule`` reads, unless
+        already there."""
         scalars = self.weight.scalars
         distinct = list(dict.fromkeys(scalars))
         nodes, weights, vals, log_scale = sf.gauss_rule(
-            [seqs[scalars.index(s)] for s in distinct], m)
+            [self._recurrence(s, m) for s in distinct], m)
         for i, s in enumerate(distinct):
             self._rules.setdefault((s, m), (nodes[i], weights[i]))
         return [distinct.index(s) for s in scalars], nodes, vals, log_scale

@@ -136,6 +136,30 @@ def orthonormal_loop(seq, x, count):
     return vals, log_scale
 
 
+def rule_loop(seq, m):
+    """(nodes, weights, vals, log_scale) of the m-point Gauss rule of one
+    sequence alone: the eigenvalues of its own Jacobi matrix, the
+    ``orthonormal_loop`` values there and the Christoffel weights from
+    them.  The reference for the rules ``gauss_rule`` forms for several
+    sequences in one pass, which must match it bit for bit."""
+    off = np.sqrt(np.asarray(seq.c_coeffs[:m - 1], dtype=float))
+    J = (np.diag(np.asarray(seq.b_coeffs[:m], dtype=float))
+         + np.diag(off, 1) + np.diag(off, -1))
+    x = np.linalg.eigvalsh(J)
+    vals, log_scale = orthonormal_loop(seq, x, m)
+    weights = np.exp(-2.0 * log_scale - np.log(np.sum(vals ** 2, axis=0)))
+    return x, weights, vals, log_scale
+
+
+def one_rule(spec, m):
+    """(nodes, weights) of the m-point Gauss rule of one scalar weight:
+    row 0 of a ``gauss_rule`` pass over its float recurrence alone."""
+    from mvop import scalar_families as sf
+    nodes, weights, *_ = sf.gauss_rule(
+        [sf.recurrence_coefficients(spec, m - 1)], m)
+    return nodes[0], weights[0]
+
+
 def pairwise_quadrature(weight, A, P, Q):
     """<P, Q>_W on a Gauss rule sized for this one pair: Golub-Welsch
     eigenvector weights, P and Q evaluated in the power basis, and
@@ -323,15 +347,15 @@ def three_term_loop(seq, n):
 
 
 def det_loop(seq, n_max):
-    """{n: residual} of the float det check one degree at a time: the
-    continuant of ``rho_values(n)`` as d 2^e, rescaled by powers of two
-    past 2^100, against det of ``reduced_leading_matrix(n)``, or against
-    its sign and log |det| where either is past the float range.  The
-    reference for the check's stacked form, which must match it bit for
-    bit."""
+    """Residuals of n = 1..n_max of the float det check one degree at a
+    time: the continuant of ``rho_values(n)`` as d 2^e, rescaled by powers
+    of two past 2^100, against det of ``reduced_leading_matrix(n)``, or
+    against its sign and log |det| where either is past the float range.
+    The reference for the check's stacked form, which must match it bit
+    for bit."""
     import cmath
     import math
-    out = {}
+    out = []
     for n in range(1, n_max + 1):
         M, e = seq.reduced_leading_matrix(n), 0
         d_prev = d = 1.0
@@ -344,10 +368,11 @@ def det_loop(seq, n_max):
         with np.errstate(over="ignore", invalid="ignore"):
             brute = np.linalg.det(M).real
         if cmath.isfinite(brute) and cmath.isfinite(fast):
-            out[n] = abs(fast - brute) / max(abs(brute), 1e-300)
+            out.append(abs(fast - brute) / max(abs(brute), 1e-300))
         else:
             sign, logdet = np.linalg.slogdet(M)
-            out[n] = abs(d / sign * math.exp(e * math.log(2) - logdet) - 1)
+            out.append(abs(d / sign * math.exp(e * math.log(2) - logdet)
+                           - 1))
     return out
 
 

@@ -301,7 +301,7 @@ class TestHighDegree:
             warnings.simplefilter("error")
             res = _CHECKS["det"](seq, SimpleNamespace(n_max=n_max))
         assert (res["max_relative_error"], res["worst_n"],
-                res["non_finite"]) == peak(det_loop(seq, n_max))
+                res["non_finite"]) == peak(det_loop(seq, n_max), 1)
 
     def test_det_continuant_past_float_range(self):
         # on H, L, H, L, H the continuant and the det of the reduced matrix
@@ -453,9 +453,9 @@ class TestHighDegree:
 
 class TestNonFinite:
     def test_peak_prefers_non_finite(self):
-        assert peak({}) == (0.0, None, False)
-        assert peak({1: 0.1, 2: 0.5, 3: 0.2}) == (0.5, 2, False)
-        worst, where, non_finite = peak({1: 0.1, 2: np.nan, 3: np.inf})
+        assert peak([]) == (0.0, None, False)
+        assert peak([0.1, 0.5, 0.2], 1) == (0.5, 2, False)
+        worst, where, non_finite = peak([0.1, np.nan, np.inf], 1)
         assert np.isnan(worst) and where == 2 and non_finite
 
     @pytest.mark.parametrize("check", ["orth", "norm", "recurrence", "det",
@@ -472,8 +472,9 @@ class TestNonFinite:
                 else gram(n, m, *a, **k))
         elif check == "recurrence":     # the residual of n = 2
             table = seq.three_term_table
-            seq.three_term_table = lambda: (
-                *table()[:3], np.where(np.arange(1, 6) == 2, nan, table()[3]))
+            seq.three_term_table = lambda hi: (
+                *table(hi)[:3],
+                np.where(np.arange(1, hi + 1) == 2, nan, table(hi)[3]))
         elif check == "det":
             rho = seq.rho_values
             seq.rho_values = lambda n: [nan] if n == 2 else rho(n)

@@ -586,7 +586,7 @@ class TestThreeTerm:
         ratio = seq._ratio_entries
         seq._ratio_entries = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
                                         else ratio(n))
-        res = seq.three_term_table()[3]
+        res = seq.three_term_table(7)[3]
         assert res[1:4].min() > 1e-8
         for n in range(1, 8):
             assert abs(res[n - 1] - three_term_loop(seq, n)[3]) <= 1e-14
@@ -602,7 +602,20 @@ class TestThreeTerm:
         norm = seq._norm_Q
         seq._norm_Q = lambda m: norm(m) * bad[m] if m in bad else norm(m)
         with pytest.raises(IllConditioned, match=re.escape(message)):
-            seq.three_term_table()
+            seq.three_term_table(7)
+
+    def test_reads_only_the_norms_of_its_degrees(self):
+        # a bad ||Q_6||^2 is read by degree 5 only: the table up to 4 and
+        # degree 2 alone stay clear of it
+        seq = MVOPSequence(lag2(2.0), 8)
+        norm = seq._norm_Q
+        seq._norm_Q = lambda m: norm(m) * np.nan if m == 6 else norm(m)
+        assert seq.three_term_coefficients(2)[3] < 1e-10
+        assert seq.three_term_table(4)[3].max() < 1e-10
+        with pytest.raises(IllConditioned, match=re.escape("||Q_6||^2")):
+            seq.three_term_table(5)
+        with pytest.raises(IllConditioned, match=re.escape("||Q_6||^2")):
+            seq.three_term_coefficients(5)
 
     def test_out_of_range(self):
         seq = MVOPSequence(lag2(), 4)

@@ -9,7 +9,7 @@ from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence
 from mvop.weight_model import (NODE_CAP, build_nilpotent, build_T,
                                weight_eval, weight_spec)
-from oracles import pairwise_quadrature
+from oracles import one_rule, pairwise_quadrature
 
 
 def lag2(a=1.0):
@@ -152,24 +152,31 @@ class TestInnerProduct:
         assert seq.engine.rule(1, 6) is r1
         assert np.array_equal(seq.gram_qt(1, 2), g)
 
-    def test_gram_data_reads_own_recurrences(self, monkeypatch):
-        # the Gram data takes every rule from one pass over the sequence's
-        # own N recurrences; equal slots share one cached rule, which is
-        # the weight's own Gauss rule bit for bit
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_gram_data_reads_own_recurrences(self, monkeypatch, backend):
+        # the Gram data takes every rule from one pass over float
+        # recurrences: the sequence's own N on the float backend, one per
+        # distinct weight on the exact one, whose own are exact.  Equal
+        # slots share one cached rule, which is the weight's own Gauss
+        # rule bit for bit, as a cache miss would build it.
         calls = []
         build = sf.recurrence_coefficients
-        monkeypatch.setattr(sf, "recurrence_coefficients", lambda *a, **k: (
-            calls.append(a[0]) or build(*a, **k)))
+        monkeypatch.setattr(
+            sf, "recurrence_coefficients", lambda spec, n, backend="float": (
+                calls.append((spec, backend)) or build(spec, n, backend)))
         scalars = [sf.laguerre(0.0), sf.hermite(0.3), sf.laguerre(0.0),
                    sf.jacobi(0.5, 1.5)]
-        seq = MVOPSequence(weight_spec([1.0, 0.5, -2.0], scalars), 6)
-        assert calls == scalars
+        seq = MVOPSequence(weight_spec([1.0, 0.5, -2.0], scalars), 6,
+                           backend=backend)
+        own = [(s, backend) for s in scalars]
+        assert calls == own
         seq.gram_data()
         seq.quadrature_summary()
-        assert calls == scalars
+        assert calls == own + ([] if backend == "float" else [
+            (s, "float") for s in dict.fromkeys(scalars)])
         rules = [seq.engine.rule(k, 8) for k in range(4)]
         assert rules[0] is rules[2]
         for spec, (nodes, weights) in zip(scalars, rules):
-            want_nodes, want_weights = sf.gauss_rule(spec, 8)
+            want_nodes, want_weights = one_rule(spec, 8)
             assert np.array_equal(nodes, want_nodes)
             assert np.array_equal(weights, want_weights)
