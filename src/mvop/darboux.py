@@ -87,14 +87,13 @@ def _verify(op, alpha, da, dn, factor, n_hi, tol, message):
     n_dst = n_hi + max(dn, 0)
     tab = sf.power_table([sf.recurrence_coefficients(sf.laguerre(a), n_dst)
                           for a in (alpha, alpha + da)], n_dst)
-    img = op_apply(tab[1:n_hi + 2, :, 0, None, None].astype(complex),
-                   op)[..., 0, 0]
+    img = op_apply(tab[1:n_hi + 2, :, 0, None, None], op)[..., 0, 0]
     n = np.arange(n_hi + 1)
     # row 0 of a power table is p_{-1} = 0
     want = (np.array([factor(k) for k in n])[:, None]
             * tab[np.maximum(n + dn + 1, 0), :, 1])
     diff = np.zeros((n_hi + 1, max(img.shape[1], want.shape[1])),
-                    dtype=complex)
+                    dtype=np.result_type(img, want))
     diff[:, :img.shape[1]] += img
     diff[:, :want.shape[1]] -= want
     scale = np.maximum(np.maximum(np.abs(img).max(axis=1),
@@ -291,19 +290,20 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     ``P`` stacks the power coefficients of P_0..P_{n_max}, shape (n_max +
     1, powers, N, N), for example ``q_seq.p_block(0, n_max + 1)``.  One
     ``op_apply`` gives every P_n . D1 and one ``q_block`` every Q_n; all
-    A_n come from one batched solve on the leading coefficients.  The
+    A_n come from one batched solve on the leading coefficients, in complex
+    also for real stacks (a real LU rounds A_n otherwise).  The
     residual of degree n is max|L - A_n Q| / max(max|L|, max|Q|, 1e-300)
     over all coefficients; the pass verdict needs every residual under tol
     and nonsingular A_n apart from (at most) an initial finite set.
     """
     d = np.arange(n_max + 1)
-    L = op_apply(np.asarray(P, dtype=complex), D1)
+    L = op_apply(np.asarray(P), D1)
     Q = q_seq.q_block(0, n_max + 1)
     K, lead = Q[d, d], L[d, d]
-    An = np.linalg.solve(K.swapaxes(1, 2),                 # lead = A_n K
+    An = np.linalg.solve(K.swapaxes(1, 2).astype(complex),  # lead = A_n K
                          lead.swapaxes(1, 2)).swapaxes(1, 2)
     R = np.zeros((n_max + 1, max(L.shape[1], Q.shape[1])) + Q.shape[2:],
-                 dtype=complex)
+                 dtype=np.result_type(L, An, Q))
     R[:, :L.shape[1]] += L
     R[:, :Q.shape[1]] -= An[:, None] @ Q
     scale = np.maximum(np.abs(L).max(axis=(1, 2, 3)),

@@ -5,11 +5,13 @@ MatrixPolynomial or a whole stack of coefficient arrays (..., deg + 1, N,
 N) and runs the two stack routines of ``matrix_poly`` on it: ``falling``
 for d^j P and ``cauchy`` for the product with the coefficient stack of
 F_j, one GEMM per power of F_j, so a second-order operator costs about
-fifteen GEMMs whatever the number of polynomials.  ``eigencheck`` runs it
-on blocks of ``EIGEN_BLOCK`` degrees of ``MVOPSequence.q_block``.  numpy
-matmul takes the object arrays of the exact backend too, so exact operands
-go through the same code, and an operator is exact when its coefficient
-stacks are.
+fifteen GEMMs whatever the number of polynomials; they are real when the
+stack and every F_j are.  ``eigencheck`` runs it on blocks of
+``EIGEN_BLOCK`` degrees of ``MVOPSequence.q_block``, which hold only the
+powers their degrees reach and are real where A is, and forms Lambda_n Q_n
+by scaling rows.  numpy matmul takes the object arrays of the exact
+backend too, so exact operands go through the same code, and an operator
+is exact when its coefficient stacks are.
 
 Composition satisfies P . (D1 o D2) = (P . D1) . D2.  Conjugation by T =
 I + A x stays inside polynomial coefficients because A^2 = 0, so it is
@@ -41,8 +43,8 @@ CONDITION_TOL = 1e-12
 _STEP = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
 
 #: degrees per ``q_block`` in ``eigencheck``; bounds the stacked arrays
-#: (all degrees of n_max = 60-80 sequences at once took about 5 MB more
-#: peak memory than blocks of 16)
+#: (all degrees of n_max = 60-80 sequences at once took about 3 MB more
+#: peak memory than blocks of 16, and 10 % more time)
 EIGEN_BLOCK = 16
 
 
@@ -137,10 +139,11 @@ def op_apply(P, D: MatrixDiffOperator):
     A stack has shape (..., deg + 1, N, N), powers ascending on axis -3,
     and comes back as a stack with the same leading axes and as many
     powers as the highest term needs; it is an object array (sympy
-    entries) when P or D is exact.  Term j is ``cauchy(falling(P, j),
-    F_j)``, each derivative one ``falling`` step from the last, and the
-    terms add up in ascending j, so a stack gives the sums of the
-    polynomial-by-polynomial products.
+    entries) when P or D is exact, and real when P is and no F_j has an
+    imaginary part.  Term j is ``cauchy(falling(P, j), F_j)``, each
+    derivative one ``falling`` step from the last, and the terms add up in
+    ascending j, so a stack gives the sums of the polynomial-by-polynomial
+    products.
     """
     if isinstance(P, MatrixPolynomial):
         return MatrixPolynomial(op_apply(P.coeffs, D))
@@ -148,6 +151,9 @@ def op_apply(P, D: MatrixDiffOperator):
     if N != D.size:
         raise SizeMismatch(f"sizes {N} and {D.size} differ")
     fs = [f.coeffs for f in D.f_coeffs[:width]]
+    if P.dtype == float and not any(f.dtype == object or f.imag.any()
+                                    for f in fs):
+        fs = [np.ascontiguousarray(f.real) for f in fs]
     out = np.zeros((*lead, max(width - j + len(f) - 1
                                for j, f in enumerate(fs)), N, N),
                    dtype=np.result_type(P, *fs))
@@ -215,7 +221,7 @@ def conjugate_by_T(D_tilde: MatrixDiffOperator,
 
 def build_bispectral_operator(spec: WeightSpec):
     """The second-order operator D with Q_n . D = Lambda_n Q_n, plus the
-    map n -> Lambda_n.
+    map n -> Lambda_n (real; an array of degrees gives their stack).
 
     D = T diag(c_k D_k + s_k) T^{-1} for the scalar operators D_k, with
     eigenvalues lambda_k(n), of ``scalar_families.scalar_diff_operator``.
@@ -251,26 +257,31 @@ def build_bispectral_operator(spec: WeightSpec):
         entries[i, i][0][0] += sh
     D = conjugate_by_T(entries_to_operator(entries, spec.N), spec)
 
-    slots = tuple((*e.coef.tolist(), c, s)
-                  for e, c, s in zip(eigs, scales, shifts))
+    l0, l1, l2, c, s = np.array([[*e.coef, sc, sh] for e, sc, sh
+                                 in zip(eigs, scales, shifts)]).T
 
     def lam(n):
+        n = np.asarray(n)[..., None]
+        out = np.zeros(n.shape[:-1] + (spec.N, spec.N))
         # Horner in n, as the eigenvalue polynomials evaluate themselves
-        return np.diag([c * ((l2 * n + l1) * n + l0) + s
-                        for l0, l1, l2, c, s in slots]).astype(complex)
+        out[..., range(spec.N), range(spec.N)] = c * ((l2 * n + l1) * n
+                                                      + l0) + s
+        return out
 
     return D, lam
 
 
 def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
     """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max, with
-    Lambda_n = lam(n).
+    the diagonal Lambda_n = lam(n) (lam takes an array of degrees, as the
+    one of ``build_bispectral_operator`` does).
 
-    Degrees go in blocks of ``EIGEN_BLOCK`` rows of ``seq.q_block``; the
-    residual of degree n is max|lhs - rhs| / max(max|lhs|, max|rhs|,
-    1e-300) over all coefficients.  A non-finite residual is the peak and
-    sets ``non_finite``; a finite Q_n whose Q_n . D or Lambda_n Q_n leaves
-    the float range raises ``DegreeCap`` instead.
+    Degrees go in blocks of ``EIGEN_BLOCK`` rows of ``seq.q_block``, and
+    Lambda_n Q_n scales row i of Q_n by Lambda_n[i, i]; the residual of
+    degree n is max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) over all
+    coefficients.  A non-finite residual is the peak and sets
+    ``non_finite``; a finite Q_n whose Q_n . D or Lambda_n Q_n leaves the
+    float range raises ``DegreeCap`` instead.
     """
     residuals = []
     for lo in range(0, n_max + 1, EIGEN_BLOCK):
@@ -278,7 +289,8 @@ def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
         Q = seq.q_block(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = op_apply(Q, D)
-            rhs = np.stack([lam(n) for n in range(lo, hi)])[:, None] @ Q
+            rhs = np.diagonal(lam(np.arange(lo, hi)), axis1=1,
+                              axis2=2)[:, None, :, None] * Q
             scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
                                np.abs(rhs).max(axis=(1, 2, 3)))
             lhs[:, :rhs.shape[1]] -= rhs

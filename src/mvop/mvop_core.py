@@ -13,11 +13,12 @@ applies I - A x by one shifted column update per pair, which leaves the
 closed-form K_n at x^n, and gives each degree a verdict (det K_n is a
 ``continuant``).  ``q_block``, ``qt_block``, ``build_Q`` and ``build_QT``
 read its rows, ``p_block`` the diagonal P_n.  The float backend assembles
-each requested range anew.  The exact backend holds rationals (QQ, or QQ_I
-for a complex A) per monomial in the moment atoms (1, sqrt(pi), ...; see
-``KEY``) and assembles degrees 0..n_max once; a rational entry is rounded
-by p / q, and only the public readers and entries that mix two atoms
-(see ``_round``) form sympy expressions.
+each requested range anew, up to the powers it reaches, in real arithmetic
+where A is real.  The exact backend holds rationals (QQ, or QQ_I for a
+complex A) per monomial in the moment atoms (1, sqrt(pi), ...; see ``KEY``)
+and assembles degrees 0..n_max once; a rational entry is rounded by p / q,
+and only the public readers and entries that mix two atoms (see
+``_round``) form sympy expressions.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -204,12 +205,15 @@ class MVOPSequence:
 
     def p_block(self, lo: int, hi: int) -> np.ndarray:
         """P_n = diag(p_n^{w_1}, ..., p_n^{w_N}) for n = lo..hi-1, read
-        from the scalar table: complex power coefficients shaped like
+        from the scalar table: power coefficients shaped and typed like
         ``q_block``.  The table is real on both backends, and its rationals
         round to the nearest doubles through float."""
         self._check_range(lo, hi)
-        tab = np.asarray(self._scalar_table()[lo + 1:hi + 1], dtype=float)
-        return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(complex)
+        width = self.n_max + 3 if self.exact else hi + 2
+        tab = np.asarray(self._scalar_table()[lo + 1:hi + 1, :width],
+                         dtype=float)
+        return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(
+            complex if self.exact or self.A.imag.any() else float)
 
     @property
     def _pairs(self) -> list:
@@ -323,10 +327,10 @@ class MVOPSequence:
 
     def _assemble(self, lo: int, hi: int):
         """(Q_n T, Q_n, verdict) for n = lo..hi-1: power coefficients of
-        shape (hi - lo, n_max + 3, N, N) in backend arithmetic as {monomial
-        key: array} (key 0 alone on the float backend), Q_n zero above
-        degree n, and one verdict per degree (0 for a valid Q_n, else an
-        index into ``_FAULTS``; ``_refuse`` turns it into the error).
+        shape (hi - lo, hi + 2, N, N) in backend arithmetic as {monomial
+        key: array} (key 0 alone on the float backend, real where A is), Q_n
+        zero above degree n, and one verdict per degree (0 for a valid Q_n,
+        else an index into ``_FAULTS``; ``_refuse`` turns it into the error).
 
         Column k of Q_n T holds e_k p_n, A[:, k] p_{n+1} and -G_n[:, k]
         p_{n-1}, placed on the pairs of A (N + 2(N - 1) entries); column u
@@ -342,8 +346,9 @@ class MVOPSequence:
         ``DegreeCap`` verdict.  Exact: the leftover powers must be 0.
         """
         self._check_range(lo, hi)
-        N, width, ek = self.weight.N, self.n_max + 3, self._ek
-        tab = self._scalar_table()
+        # Q_n T has degree n + 1 <= hi, and x (Q_n T) is the last to place
+        N, width, ek = self.weight.N, hi + 2, self._ek
+        tab = self._scalar_table()[:, :width]
         if not self.exact:
             finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2))
             if not finite.all():
@@ -352,8 +357,11 @@ class MVOPSequence:
                                 f"float range")
         ns = np.arange(lo, hi)
         G = np.stack([self._ratio(n) for n in ns])
-        pairs = self._pairs
-        qt = defaultdict(lambda: self._zeros((hi - lo, width, N, N)))
+        pairs, dtype = self._pairs, object if self.exact else complex
+        if not (self.exact or self.A.imag.any()):   # G_n = conj(a) exp(lr)
+            pairs, dtype = [(r, u, a.real, c) for r, u, a, c in pairs], float
+            G = G.real
+        qt = defaultdict(lambda: np.zeros((hi - lo, width, N, N), dtype))
         with np.errstate(over="ignore", invalid="ignore"):
             qt[0][:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
             for r, u, a, _ in pairs:
@@ -404,12 +412,12 @@ class MVOPSequence:
             raise err(what.format(n=lo + int(bad[0])))
 
     def _rows(self, lo: int, hi: int):
-        """(Q_n T, Q_n) of ``_assemble`` for n = lo..hi-1, then the same in
-        complex; ``SingularLeading`` or ``DegreeCap`` at the first faulty
-        degree of the range.  Float rows are assembled for the range alone
-        (whole-range float rows would take hundreds of MB at n_max 509);
-        exact rows once for degrees 0..n_max, rounded by ``_round`` and
-        published with their verdicts in one assignment."""
+        """(Q_n T, Q_n) of ``_assemble`` for n = lo..hi-1, then the same as
+        float arrays; ``SingularLeading`` or ``DegreeCap`` at the first
+        faulty degree of the range.  Float rows are assembled for the range
+        alone (whole-range float rows would take hundreds of MB at n_max
+        509); exact rows once for degrees 0..n_max, rounded by ``_round``
+        to complex and published with their verdicts in one assignment."""
         self._check_range(lo, hi)
         if not self.exact:
             qt, q, verdict = self._assemble(lo, hi)
@@ -451,15 +459,15 @@ class MVOPSequence:
         return MatrixPolynomial(R[0], size=self.weight.N, trim=False)
 
     def q_block(self, lo: int, hi: int) -> np.ndarray:
-        """Complex power coefficients of Q_lo..Q_{hi-1}, shape (hi - lo,
-        n_max + 3, N, N), zero above each degree: the Q_n rows of
-        ``_assemble``, exact ones rounded once per sequence."""
+        """Power coefficients of Q_lo..Q_{hi-1}, zero above each degree:
+        the Q_n rows of ``_rows``, shape (hi - lo, hi + 2, N, N) and real
+        where A is (float), or (hi - lo, n_max + 3, N, N) complex rounded
+        once per sequence (exact)."""
         return self._rows(lo, hi)[3]
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
-        """Complex power coefficients of Q_lo T..Q_{hi-1} T, shaped like
-        ``q_block``: the Q_n T rows of ``_assemble``, rounded like
-        ``q_block``'s on the exact backend."""
+        """Power coefficients of Q_lo T..Q_{hi-1} T, shaped and typed like
+        ``q_block``: the Q_n T rows of ``_rows``."""
         return self._rows(lo, hi)[2]
 
     def build_QT(self, n: int) -> MatrixPolynomial:

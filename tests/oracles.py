@@ -4,7 +4,8 @@ The recurrence oracle runs Gram-Schmidt on exact moments in sympy
 rationals, sharing no code with the library's recurrence generation.
 The per-coefficient Cauchy product and derivative loops are the reference
 for the stack routines of ``matrix_poly`` and the operator kernel built on
-them.  The product oracles build P_n and Q_n one degree at a time from
+them, and the full-width complex eigen loop for ``eigencheck``.  The
+product oracles build P_n and Q_n one degree at a time from
 ``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
 reference for the stacked construction in ``MVOPSequence``; the dense
 norm products are the reference for its sparse ||Q_n||^2, and the
@@ -220,6 +221,30 @@ def op_apply_loop(P, D):
         if dP:
             out = out + MatrixPolynomial(cauchy_loop(dP, list(fj.coeffs)))
     return out
+
+
+def eigen_loop(seq, D, lam, n_max, block=16):
+    """Residuals of Q_n . D = Lambda_n Q_n for n <= n_max as blocks of
+    ``block`` degrees, each zero-padded to the full n_max + 3 powers of
+    ``seq`` and taken in complex, with Lambda_n Q_n a matmul by the dense
+    Lambda_n: the reference for ``eigencheck`` on real, trimmed blocks."""
+    from mvop.diff_operators import op_apply
+    residuals = []
+    for lo in range(0, n_max + 1, block):
+        hi = min(lo + block, n_max + 1)
+        rows = seq.q_block(lo, hi)
+        Q = np.zeros((hi - lo, seq.n_max + 3) + rows.shape[2:], dtype=complex)
+        Q[:, :rows.shape[1]] = rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = op_apply(Q, D)
+            lams = np.stack([lam(n) for n in range(lo, hi)]).astype(complex)
+            rhs = lams[:, None] @ Q
+            scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
+                               np.abs(rhs).max(axis=(1, 2, 3)))
+            lhs[:, :rhs.shape[1]] -= rhs
+            residuals += (np.abs(lhs).max(axis=(1, 2, 3))
+                          / np.maximum(scale, 1e-300)).tolist()
+    return residuals
 
 
 def tridiagonal_from_rho(rho, rng=None):

@@ -12,9 +12,9 @@ from mvop.diff_operators import (MatrixDiffOperator, build_bispectral_operator,
                                  op_compose)
 from mvop.errors import ConditionFailed, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
-from mvop.mvop_core import MVOPSequence
+from mvop.mvop_core import MVOPSequence, peak
 from mvop.weight_model import build_nilpotent, weight_spec
-from oracles import op_apply_loop
+from oracles import eigen_loop, op_apply_loop
 
 #: the weights of every bispectral family: Laguerre, Hermite, Jacobi and
 #: the mixed Hermite-Laguerre 2x2
@@ -171,6 +171,20 @@ class TestStackKernel:
                 assert np.max(np.abs(got[n, k] - want.coeff(k))) <= \
                     16 * eps * top, (n, k)
 
+    @pytest.mark.parametrize("name", sorted(FAMILY_WEIGHTS))
+    def test_real_stack_matches_complex(self, name):
+        # a real stack and an operator without imaginary parts take the
+        # real kernel, which gives the numbers of the complex one
+        spec = FAMILY_WEIGHTS[name]
+        Q = MVOPSequence(spec, 20).q_block(0, 21)
+        D, _ = build_bispectral_operator(spec)
+        got, want = op_apply(Q, D), op_apply(Q.astype(complex), D)
+        assert got.dtype == float and want.dtype == complex
+        assert not want.imag.any()
+        top = np.abs(want).max(axis=(1, 2, 3), keepdims=True)
+        assert np.all(np.abs(got - want.real) <= 4 * np.finfo(float).eps
+                      * top)
+
     def test_stack_matches_loop_exact(self):
         # exact Q_n against an operator with rational coefficients
         spec = weight_spec([1.0], [sf.hermite(0.0), sf.hermite(0.0)])
@@ -271,6 +285,23 @@ class TestBispectral:
         A = build_nilpotent(spec)
         for n in range(16):
             assert np.allclose(A @ lam(n + 1), lam(n) @ A, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        *FAMILY_WEIGHTS.values(), MIXED_ORDERS["HLH"],
+        weight_spec([1 + 0.5j], [sf.laguerre(0.0), sf.laguerre(0.5)])],
+        ids=[*FAMILY_WEIGHTS, "HLH", "complex_a"])
+    def test_matches_full_width_complex_loop(self, spec):
+        # real, trimmed blocks and row scaling by the diagonal Lambda_n
+        # against full-width complex blocks and a matmul by Lambda_n
+        seq = MVOPSequence(spec, 41)
+        D, lam = build_bispectral_operator(spec)
+        assert seq.q_block(0, 1).dtype == (complex if seq.A.imag.any()
+                                           else float)
+        rep = eigencheck(seq, D, lam, 40)
+        want = np.array(eigen_loop(seq, D, lam, 40))
+        assert rep["worst_n"] == peak(want)[1]
+        assert np.all(np.abs(np.array(rep["residuals"]) - want)
+                      <= 4 * np.finfo(float).eps * want)
 
     @pytest.mark.parametrize("spec,lam0,lam1", [
         (weight_spec([2.0], [sf.laguerre(0.0), sf.laguerre(0.5)]),

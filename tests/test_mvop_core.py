@@ -132,6 +132,24 @@ class TestConstruction:
             assert np.array_equal(block[n, n], seq.leading_closed_form(n))
             assert not block[n, n + 1:].any()
 
+    def test_blocks_trimmed_and_typed(self):
+        # a float block holds powers up to x^{hi+1}, bit for bit those of
+        # the full-range block, and is real exactly where A is; exact
+        # blocks keep the full width
+        for a, dtype in ((1.5, float), (1 + 0.5j, complex)):
+            seq = MVOPSequence(lag2(a), 20)
+            for block in (seq.q_block, seq.qt_block, seq.p_block):
+                full = block(0, 21)
+                for lo, hi in ((0, 5), (3, 4), (7, 19), (16, 21)):
+                    got = block(lo, hi)
+                    assert got.dtype == dtype
+                    assert got.shape == (hi - lo, hi + 2, 2, 2)
+                    assert same_bits(got, full[lo:hi, :hi + 2])
+                    assert not full[lo:hi, hi + 2:].any()
+        seq = MVOPSequence(lag2(1.5), 6, backend="exact")
+        for block in (seq.q_block, seq.qt_block, seq.p_block):
+            assert block(1, 3).shape == (2, 9, 2, 2)
+
     def test_q_block_float_matches_exact(self):
         sf_, se = MVOPSequence(herm2(), 6), MVOPSequence(herm2(), 6,
                                                          backend="exact")
