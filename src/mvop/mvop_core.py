@@ -12,13 +12,14 @@ places the three terms of every Q_n T column for a range of degrees,
 applies I - A x by one shifted column update per pair, which leaves the
 closed-form K_n at x^n, and gives each degree a verdict (det K_n is a
 ``continuant``).  ``q_block``, ``qt_block``, ``build_Q`` and ``build_QT``
-read its rows, ``p_block`` the diagonal P_n.  The float backend assembles
-each requested range anew, up to the powers it reaches, in real arithmetic
-where A is real.  The exact backend holds rationals (QQ, or QQ_I for a
-complex A) per monomial in the moment atoms (1, sqrt(pi), ...; see ``KEY``)
-and assembles degrees 0..n_max once; a rational entry is rounded by p / q,
-and only the public readers and entries that mix two atoms (see
-``_round``) form sympy expressions.
+read its rows, ``p_block`` the diagonal P_n; on both backends a block of
+degrees lo..hi-1 holds hi + 2 powers and is real exactly where A is.  The
+float backend assembles each requested range anew.  The exact backend holds
+rationals (QQ, or QQ_I for a complex A) per monomial in the moment atoms
+(1, sqrt(pi), ...; see ``KEY``) and assembles degrees 0..n_max once.  These
+keyed rationals have two outputs: doubles, a rational entry rounded by p /
+q and any other through ``_nearest``, and sympy, formed by ``_sympy`` for
+the public readers alone.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -167,6 +168,13 @@ class MVOPSequence:
         self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
+        self._real = not _to_complex(self.A).imag.any()
+        # (r, u, a, conj(a)) for the nonzeros a = A[r, u] in row-major order
+        # (one per adjacent pair, in pair order), exact ones as QQ or QQ_I
+        conv = _rational if self.exact else (lambda v: v)
+        self._pairs = [(int(r), int(u), conv(a), conv(a.conjugate()))
+                       for r, u in zip(*np.nonzero(self.A))
+                       for a in [self.A[r, u]]]
         # Gauss rules read the float recurrences (exact ones are not these)
         self.engine = InnerProductEngine(
             weight, None if self.exact else self.scalar_seqs)
@@ -183,7 +191,6 @@ class MVOPSequence:
         self._gram = self._ptab = self._qrows = self._atom_values = None
         self._recurrence = None
         self._qnorms, self._ratios, self._monos = {}, {}, {}
-        self._pairs_of = None
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
@@ -209,23 +216,10 @@ class MVOPSequence:
         ``q_block``.  The table is real on both backends, and its rationals
         round to the nearest doubles through float."""
         self._check_range(lo, hi)
-        width = self.n_max + 3 if self.exact else hi + 2
-        tab = np.asarray(self._scalar_table()[lo + 1:hi + 1, :width],
+        tab = np.asarray(self._scalar_table()[lo + 1:hi + 1, :hi + 2],
                          dtype=float)
         return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(
-            complex if self.exact or self.A.imag.any() else float)
-
-    @property
-    def _pairs(self) -> list:
-        """(r, u, a, conj(a)) for the nonzeros a = A[r, u] of A in row-major
-        order (one per adjacent pair, in pair order), exact ones as QQ or
-        QQ_I elements; found again whenever A is replaced."""
-        if self._pairs_of is not self.A:
-            conv = _rational if self.exact else (lambda v: v)
-            self._pairs_of, self._pair_list = self.A, [
-                (int(r), int(u), conv(a), conv(a.conjugate()))
-                for r, u in zip(*np.nonzero(self.A)) for a in [self.A[r, u]]]
-        return self._pair_list
+            float if self._real else complex)
 
     def _zeros(self, shape) -> np.ndarray:
         """Zeros in backend arithmetic: complex, or exact integer zeros."""
@@ -269,14 +263,14 @@ class MVOPSequence:
     def ratio_matrix(self, n: int) -> np.ndarray:
         """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*: entry
         (u, r) is conj(a) ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2 for a = A[r,
-        u], zero for n = 0; complex from the table, or sympy entries."""
+        u], zero for n = 0; complex from the table, or its keyed rationals
+        as sympy entries (``_sympy``)."""
         G = self._ratio(n)
         if not self.exact:
             return G.copy()
-        out, nu, ek = np.full(G.shape, self._sympy([])), self._nu, self._ek
-        for r, u, *_ in self._pairs if n else ():
-            out[u, r] = self.A[r, u].conjugate() * self._sympy(
-                [(ek[u] - ek[r], nu[u][n] / nu[r][n - 1])])
+        out = np.full(G.shape, self._sympy([]))
+        for r, u, *_ in self._pairs:
+            out[u, r] = self._sympy([(self._ek[u] - self._ek[r], G[u, r])])
         return out
 
     def _mono(self, key, sympy=False):
@@ -358,7 +352,7 @@ class MVOPSequence:
         ns = np.arange(lo, hi)
         G = np.stack([self._ratio(n) for n in ns])
         pairs, dtype = self._pairs, object if self.exact else complex
-        if not (self.exact or self.A.imag.any()):   # G_n = conj(a) exp(lr)
+        if self._real and not self.exact:   # G_n = conj(a) exp(lr)
             pairs, dtype = [(r, u, a.real, c) for r, u, a, c in pairs], float
             G = G.real
         qt = defaultdict(lambda: np.zeros((hi - lo, width, N, N), dtype))
@@ -413,11 +407,12 @@ class MVOPSequence:
 
     def _rows(self, lo: int, hi: int):
         """(Q_n T, Q_n) of ``_assemble`` for n = lo..hi-1, then the same as
-        float arrays; ``SingularLeading`` or ``DegreeCap`` at the first
-        faulty degree of the range.  Float rows are assembled for the range
-        alone (whole-range float rows would take hundreds of MB at n_max
-        509); exact rows once for degrees 0..n_max, rounded by ``_round``
-        to complex and published with their verdicts in one assignment."""
+        float arrays of hi + 2 powers, real where A is; ``SingularLeading``
+        or ``DegreeCap`` at the first faulty degree of the range.  Float
+        rows are assembled for the range alone (whole-range float rows
+        would take hundreds of MB at n_max 509); exact rows once for
+        degrees 0..n_max, rounded by ``_round`` and published with their
+        verdicts in one assignment."""
         self._check_range(lo, hi)
         if not self.exact:
             qt, q, verdict = self._assemble(lo, hi)
@@ -430,22 +425,17 @@ class MVOPSequence:
                                  self._round(q))
         self._refuse(lo, got[0][lo:hi])
         return (*({k: v[lo:hi] for k, v in d.items()} for d in got[1:3]),
-                *(a[lo:hi].copy() for a in got[3:]))
+                *(a[lo:hi, :hi + 2].copy() for a in got[3:]))
 
     def _round(self, R) -> np.ndarray:
-        """The nearest complex doubles of {monomial key: rational array}:
-        the rational (key 0) part alone through ``_to_complex``; an entry
-        another key reaches as sympy's 53-bit evalf rounds it (which the
-        exact rows have always been read through)."""
+        """The nearest doubles of {monomial key: rational array}, real where
+        A is: the rational (key 0) part alone through ``_to_complex``, an
+        entry another key reaches through ``_nearest``."""
         out = _to_complex(R[0])
         for i in {i for k, v in R.items() if k
                   for i in zip(*np.nonzero(v.astype(bool)))}:
-            entry = self._sympy((k, v[i]) for k, v in R.items())
-            try:    # float is complex() on a real entry, at less cost
-                out[i] = float(entry)
-            except TypeError:
-                out[i] = complex(entry)
-        return out
+            out[i] = _nearest((self._mono(k), v[i]) for k, v in R.items())
+        return out.real.copy() if self._real else out
 
     def _polynomial(self, n: int, which: int) -> MatrixPolynomial:
         """Q_n T (which 0) or Q_n (which 1), of degree n + 1 - which, in
@@ -461,8 +451,8 @@ class MVOPSequence:
     def q_block(self, lo: int, hi: int) -> np.ndarray:
         """Power coefficients of Q_lo..Q_{hi-1}, zero above each degree:
         the Q_n rows of ``_rows``, shape (hi - lo, hi + 2, N, N) and real
-        where A is (float), or (hi - lo, n_max + 3, N, N) complex rounded
-        once per sequence (exact)."""
+        where A is, each exact entry the nearest double (rounded once per
+        sequence)."""
         return self._rows(lo, hi)[3]
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
@@ -499,12 +489,11 @@ class MVOPSequence:
     def rho_values(self, n: int):
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
         for the pairs a_i = A[r, u] in pair order: real floats from the G_n
-        table, or sympy entries from ``ratio_matrix``."""
+        table, or sympy entries from its keyed rationals (``_keyed_rho``)."""
+        rho, keys = self._keyed_rho(self._ratio(n))
         if self.exact:
-            G = self.ratio_matrix(n)
-            return [self.A[r, u] * G[u, r] for r, u, *_ in self._pairs]
-        G = self._ratio(n)
-        return [(a * G[u, r]).real for r, u, a, _ in self._pairs]
+            return [self._sympy([kv]) for kv in zip(keys, rho)]
+        return [r.real for r in rho]
 
     def reduced_leading_matrix(self, n: int) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
@@ -530,26 +519,19 @@ class MVOPSequence:
             M[u, r] = a.conjugate() * m
         return M
 
-    def _norm_terms(self, n, log_scale=0.0, sympy: bool = False) -> dict:
+    def _norm_terms(self, n, log_scale=0.0) -> dict:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 on
         the pairs of A, as {(i, j, monomial key): value}: rationals
-        (exact), sympy (key 0), or on the float backend arrays over the
-        degrees n (an array) of complex values over exp(log_scale), one per
-        degree."""
-        if sympy:
-            d, d1 = ([sf.squared_norm_exact(s, m) for s in self.scalar_seqs]
-                     for m in (n, n + 1))
-            G, ek = self.ratio_matrix(n), [0] * self.weight.N
-            pairs = [(r, u, self.A[r, u], self.A[r, u].conjugate())
-                     for r, u, *_ in self._pairs]
-        elif self.exact:
+        (exact), or on the float backend arrays over the degrees n (an
+        array) of complex values over exp(log_scale), one per degree."""
+        if self.exact:
             d, d1 = ([nu[m] for nu in self._nu] for m in (n, n + 1))
-            G, ek, pairs = self._ratio(n), self._ek, self._pairs
+            G = self._ratio(n)
         else:   # G[u, r] and d[k] are arrays over the degrees
             d, d1 = (np.exp(self._log_norms[:, m] - log_scale)
                      for m in (n, n + 1))
             G = np.moveaxis(np.array([self._ratio(m) for m in n]), 0, -1)
-            ek, pairs = self._ek, self._pairs
+        ek, pairs = self._ek, self._pairs
         ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
         for r, u, a, _ in pairs:
             t = a * d1[u]
@@ -566,18 +548,26 @@ class MVOPSequence:
             out[i, j, k] = out.get((i, j, k), 0) + v
         return out
 
+    def _norm_entries(self, n: int) -> dict:
+        """The exact ``_norm_terms`` of degree n by entry: {(i, j): [(key,
+        rational), ...]}."""
+        out = defaultdict(list)
+        for (i, j, key), v in self._norm_terms(n).items():
+            out[i, j].append((key, v))
+        return out
+
     def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
-        """||Q_n||^2 (see ``_norm_terms``): exact sympy entries, which the
-        checks read rounded (``_norm_Q``), or complex over exp(log_scale)
-        on the float backend."""
+        """||Q_n||^2 (see ``_norm_terms``): complex over exp(log_scale) on
+        the float backend, or each exact entry's keyed rationals as sympy
+        (``_sympy``), which the checks read rounded (``_norm_Q``)."""
         self._check_n(n)
         if not self.exact:
             return self._norm_stack([n], [log_scale])[0]
         if log_scale:
             raise InvalidParam("the exact ||Q_n||^2 is read unscaled")
         out = np.full((self.weight.N,) * 2, self._sympy([]))
-        for (i, j, _), v in self._norm_terms(n, sympy=True).items():
-            out[i, j] += v
+        for ij, terms in self._norm_entries(n).items():
+            out[ij] = self._sympy(terms)
         return out
 
     def _norm_stack(self, ns, log_scale) -> np.ndarray:
@@ -606,13 +596,12 @@ class MVOPSequence:
             self._qnorms.update(enumerate(tab))
             return self._qnorms[n]
         import mpmath
-        got = np.zeros((self.weight.N,) * 2, dtype=complex)
         with mpmath.workprec(113):
-            f, terms = mpmath.exp(-log_scale), defaultdict(list)
-            for (i, j, key), v in self._norm_terms(n).items():
-                terms[i, j].append((self._mono(key) * f, v))
-        for (i, j), t in terms.items():
-            got[i, j] = _nearest(t)
+            f = mpmath.exp(-log_scale)
+        got = np.zeros((self.weight.N,) * 2, dtype=complex)
+        for ij, terms in self._norm_entries(n).items():
+            # _nearest reads the terms at 113 bits: m f is formed there too
+            got[ij] = _nearest((self._mono(k) * f, v) for k, v in terms)
         got.flags.writeable = False
         self._qnorms[n] = got
         return got
@@ -657,7 +646,7 @@ class MVOPSequence:
             for r, u, *_ in self._pairs:
                 R[self._ek[u] - self._ek[r]][:, u, r] = G[:, u, r]
             G = self._round(R)
-        if not (A.imag.any() or G.imag.any()):
+        if self._real:  # G_n = conj(a) exp(lr), or rounded real (``_round``)
             A, G = A.real, G.real
         slot, nodes, vals, log_scale = self.engine.tables(m)
         norm = np.linalg.norm(vals, axis=0)
@@ -778,29 +767,23 @@ class MVOPSequence:
         nodes integrate for every n <= n_max - 1.
         """
         if hi < 1 or hi > self.n_max - 1:
-            raise OutOfRange(f"hi={hi} outside 1..{self.n_max - 1}")
+            raise OutOfRange(f"n={hi} outside 1..{self.n_max - 1}")
         got = self._recurrence
         if got is None or len(got[3]) < hi:
-            got = self._recurrence = self._three_term(1, hi)
+            ns = np.arange(1, hi + 1)
+            norms = np.array([self._norm_Q(m) for m in range(hi + 2)])
+            try:
+                mats = [self._project(ns, d, norms[ns + d])
+                        for d in (1, 0, -1)]
+            except IllConditioned:
+                for n in ns:
+                    for d in (1, 0, -1):
+                        self._project(ns[n - 1:n], d, norms[[n + d]])
+                raise
+            got = self._recurrence = (*mats, self._residuals(ns, mats))
+            for a in got:
+                a.flags.writeable = False
         return tuple(a[:hi] for a in got)
-
-    def _three_term(self, lo: int, hi: int):
-        """The read-only (A_n, B_n, C_n, residual) stacks of the degrees
-        lo..hi (see ``three_term_table``)."""
-        ns = np.arange(lo, hi + 1)
-        norms = np.array([self._norm_Q(m) for m in range(lo - 1, hi + 2)])
-        try:
-            mats = [self._project(ns, d, norms[ns + d - lo + 1])
-                    for d in (1, 0, -1)]
-        except IllConditioned:
-            for n in ns:
-                for d in (1, 0, -1):
-                    self._project(np.array([n]), d, norms[[n + d - lo + 1]])
-            raise
-        got = (*mats, self._residuals(ns, mats))
-        for a in got:
-            a.flags.writeable = False
-        return got
 
     def _project(self, ns, d, norm):
         """X_n = <x Q_n, Q_m> ||Q_m||^{-2} for m = n + d over the degrees
@@ -843,13 +826,8 @@ class MVOPSequence:
         return out
 
     def three_term_coefficients(self, n: int):
-        """(A_n, B_n, C_n, residual) of degree n, read from
-        ``three_term_table`` where it holds n, else solved alone, reading
-        ||Q_m||^2 only for m = n - 1, n, n + 1."""
-        if n < 1 or n > self.n_max - 1:
-            raise OutOfRange(f"n={n} outside 1..{self.n_max - 1}")
-        got, i = self._recurrence, n - 1
-        if got is None or len(got[3]) < n:
-            got, i = self._three_term(n, n), 0
-        *mats, res = got
-        return (*(X[i].copy() for X in mats), float(res[i]))
+        """(A_n, B_n, C_n, residual) of degree n: the last row of
+        ``three_term_table(n)``, so degree n reads ||Q_m||^2 for m <= n +
+        1."""
+        *mats, res = self.three_term_table(n)
+        return (*(X[-1].copy() for X in mats), float(res[-1]))

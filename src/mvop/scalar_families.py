@@ -340,15 +340,6 @@ def squared_norm_log(seq: MonicScalarSequence, n: int) -> float:
     return seq.log_norms[n]
 
 
-def squared_norm_exact(seq: MonicScalarSequence, n: int):
-    """Exact ||p_n||^2 as a sympy expression (exact backend only)."""
-    if seq.norm_rationals is None:
-        raise Unsupported("sequence was built with the float backend")
-    if n < 0 or n > seq.n_max:
-        raise OutOfRange(f"n={n} outside 0..{seq.n_max}")
-    return seq.norm_rationals[n] * seq.atom
-
-
 #: rescale a node's recurrence values once they pass this magnitude
 _RESCALE_AT = 2.0 ** 500
 

@@ -302,20 +302,16 @@ def exact_rows(seq, lo, hi):
     return out
 
 
-def complex_rows(rows):
-    """Exact Q_n (or Q_n T) rows rounded entry by entry through complex():
-    the conversion the exact ``q_block`` and ``qt_block`` used to make."""
-    return np.asarray(rows, dtype=complex)
-
-
 def nearest_scaled(a, log_scale):
-    """The sympy entries of ``a`` times exp(-log_scale), evaluated to 50
-    digits and rounded to the nearest complex doubles: the reference for
-    the exact ||Q_n||^2 / sigma_n^2 the norm checks read."""
+    """The sympy entries of the array ``a`` times exp(-log_scale),
+    evaluated to 50 digits and rounded to the nearest complex doubles: the
+    reference for the exact rows (log_scale 0) and for the exact ||Q_n||^2
+    / sigma_n^2 the norm checks read."""
     def one(v):
         re, im = sp.N(v * sp.exp(-sp.Float(log_scale, 60)), 50).as_real_imag()
         return complex(float(re), float(im))
-    return np.array([[one(v) for v in row] for row in a], dtype=complex)
+    return np.array([one(v) for v in np.ravel(a)],
+                    dtype=complex).reshape(np.shape(a))
 
 
 def dense_norm_Q(seq, n, log_scale):

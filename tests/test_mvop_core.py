@@ -1,5 +1,6 @@
 """The matrix orthogonal sequence: construction, norms, determinants."""
 
+import itertools
 import math
 import re
 import warnings
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import mvop.mvop_core as mvop_core
 import mvop.scalar_families as sf
 from mvop.errors import (DegreeCap, IllConditioned, OutOfRange,
                          SingularLeading)
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import (complex_rows, dense_norm_Q, exact_rows, nearest_scaled,
+from oracles import (dense_norm_Q, exact_rows, nearest_scaled,
                      pairwise_quadrature, q_product, three_term_loop,
                      tridiagonal_from_rho)
 
@@ -55,6 +57,13 @@ EXACT_SPECS = pytest.mark.parametrize("spec", list(EXACT_WEIGHTS.values()),
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
+
+
+def nearest_rows(rows, lo, hi, real):
+    """The nearest doubles of the sympy rows of degrees lo..hi-1, shaped
+    and typed like ``q_block(lo, hi)``."""
+    out = nearest_scaled(rows[lo:hi, :hi + 2], 0.0)
+    return out.real.copy() if real else out
 
 
 class TestContinuant:
@@ -133,11 +142,11 @@ class TestConstruction:
             assert not block[n, n + 1:].any()
 
     def test_blocks_trimmed_and_typed(self):
-        # a float block holds powers up to x^{hi+1}, bit for bit those of
-        # the full-range block, and is real exactly where A is; exact
-        # blocks keep the full width
-        for a, dtype in ((1.5, float), (1 + 0.5j, complex)):
-            seq = MVOPSequence(lag2(a), 20)
+        # on both backends a block holds powers up to x^{hi+1}, bit for bit
+        # those of the full-range block, and is real exactly where A is
+        for backend, (a, dtype) in itertools.product(
+                ("float", "exact"), ((1.5, float), (1 + 0.5j, complex))):
+            seq = MVOPSequence(lag2(a), 20, backend=backend)
             for block in (seq.q_block, seq.qt_block, seq.p_block):
                 full = block(0, 21)
                 for lo, hi in ((0, 5), (3, 4), (7, 19), (16, 21)):
@@ -146,9 +155,6 @@ class TestConstruction:
                     assert got.shape == (hi - lo, hi + 2, 2, 2)
                     assert same_bits(got, full[lo:hi, :hi + 2])
                     assert not full[lo:hi, hi + 2:].any()
-        seq = MVOPSequence(lag2(1.5), 6, backend="exact")
-        for block in (seq.q_block, seq.qt_block, seq.p_block):
-            assert block(1, 3).shape == (2, 9, 2, 2)
 
     def test_q_block_float_matches_exact(self):
         sf_, se = MVOPSequence(herm2(), 6), MVOPSequence(herm2(), 6,
@@ -196,11 +202,13 @@ class TestConstruction:
                 seq.q_block(184, 200)
             assert np.isfinite(seq.q_block(0, 16)).all()
 
-    def test_q_block_degree_overflow(self):
+    def test_q_block_degree_overflow(self, monkeypatch):
         # with A^2 != 0 the x^{n+1}, x^{n+2} terms no longer cancel
+        build = mvop_core.build_nilpotent
+        monkeypatch.setattr(mvop_core, "build_nilpotent",
+                            lambda *a, **k: build(*a, **k) + build(*a, **k).T)
         for backend in ("float", "exact"):
             seq = MVOPSequence(lag2(), 4, backend=backend)
-            seq.A = seq.A + seq.A.T
             with pytest.raises(SingularLeading,
                                match="degree overflow at n=0"):
                 seq.q_block(0, 3)
@@ -235,18 +243,28 @@ class TestConstruction:
 
 
 class TestExactCache:
-    """The exact rows and norms are built once per sequence and rounded to
-    doubles once, to the doubles complex() gives entry by entry."""
+    """The exact rows and norms are built once per sequence and rounded
+    once, each entry to its nearest double."""
 
     @EXACT_SPECS
     def test_rounded_rows_match_complex_oracle(self, spec):
         seq = MVOPSequence(spec, 6, backend="exact")
         assert not seq._assemble(0, 7)[2].any()
         qt, q = exact_rows(seq, 0, 7)
-        assert same_bits(seq.q_block(0, 7), complex_rows(q))
-        assert same_bits(seq.qt_block(0, 7), complex_rows(qt))
-        assert same_bits(seq.q_block(2, 5), complex_rows(q[2:5]))
-        assert same_bits(seq.qt_block(6, 7), complex_rows(qt[6:7]))
+        for lo, hi in ((0, 7), (2, 5), (6, 7)):
+            assert same_bits(seq.q_block(lo, hi),
+                             nearest_rows(q, lo, hi, real=True))
+            assert same_bits(seq.qt_block(lo, hi),
+                             nearest_rows(qt, lo, hi, real=True))
+
+    @pytest.mark.parametrize("name, i, want", [
+        ("lag2", (6, 6, 1, 1), 211.5161094022512),
+        ("her3", (5, 1, 1, 0), -4.867504894196281)])
+    def test_two_class_rows_are_nearest(self, name, i, want):
+        # 1 + 243243 sqrt(pi)/2048 and -25 exp(-1/4)/4 mix two atoms; a
+        # 53-bit evalf of the sympy entry reads each one ulp off
+        seq = MVOPSequence(EXACT_WEIGHTS[name], 6, backend="exact")
+        assert seq.q_block(0, 7)[i] == want
 
     def test_readers_return_copies(self):
         seq = MVOPSequence(herm2(), 4, backend="exact")
@@ -315,17 +333,18 @@ class TestExactCache:
         assert [s.atom for s in seq.scalar_seqs] == \
             [1, sp.sqrt(sp.pi), sp.gamma(sp.Rational(1, 3))]
         qt, q = exact_rows(seq, 0, 7)
-        assert same_bits(seq.q_block(0, 7), complex_rows(q))
-        assert same_bits(seq.qt_block(0, 7), complex_rows(qt))
+        assert same_bits(seq.q_block(0, 7), nearest_rows(q, 0, 7, False))
+        assert same_bits(seq.qt_block(0, 7), nearest_rows(qt, 0, 7, False))
         assert np.iscomplex(seq.q_block(0, 7)).any()
         for n in range(7):
             assert same_bits(seq._norm_Q(n), nearest_scaled(
                 seq.squared_norm_Q(n), 2.0 * seq.log_gram_scale(n)))
 
-    @pytest.mark.parametrize("name", ["lag5_chain", "jac3_half_step"])
+    @pytest.mark.parametrize("name", list(EXACT_WEIGHTS))
     def test_one_class_reads_without_symbolic_work(self, name, monkeypatch):
-        # every row and norm of a one-class weight comes from rationals and
-        # one evaluation of the class atom
+        # every row and norm comes from rationals and one evaluation of
+        # each weight class's atom: one atom for lag5_chain and
+        # jac3_half_step, two for lag2 and her3
         seq = MVOPSequence(EXACT_WEIGHTS[name], 6, backend="exact")
         calls = []
 
@@ -342,8 +361,7 @@ class TestExactCache:
         seq.qt_block(0, 7)
         for n in range(7):
             seq._norm_Q(n)
-        assert len({s.atom for s in seq.scalar_seqs}) == 1
-        assert calls.count("evalf") <= 1
+        assert calls.count("evalf") <= len({s.atom for s in seq.scalar_seqs})
         assert "expand" not in calls
 
     def test_norm_reader_past_float_range(self):

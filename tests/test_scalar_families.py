@@ -112,8 +112,7 @@ class TestNorms:
 
     def test_exact_norms(self):
         seq = sf.recurrence_coefficients(sf.hermite(0.0), 3, "exact")
-        assert sp.simplify(sf.squared_norm_exact(seq, 2)
-                           - sp.sqrt(sp.pi) / 2) == 0
+        assert sp.simplify(seq.exact_norms[2] - sp.sqrt(sp.pi) / 2) == 0
 
     def test_scale_multiplies_norms_only(self):
         plain = sf.recurrence_coefficients(sf.laguerre(1.0), 4)
