@@ -262,7 +262,7 @@ def _check_darboux(seq, cfg):
         lhs[:, :rhs.shape[1]] -= rhs
         worst = float(np.max(np.abs(lhs).max(axis=(1, 2, 3)) / scale))
         return {"passed": worst < 1e-10, "kind": "laguerre_n5_chain",
-                "max_relative_residual": worst}
+                "max_relative_residual": worst, "max_degree": n_hi}
     try:
         _, D1, _, _ = dx.hermite_A_factorization(spec)
     except Unsupported:
@@ -272,7 +272,7 @@ def _check_darboux(seq, cfg):
                             tol=cfg.tol)
     return {"passed": rep.passed, "kind": "hermite_A_factorization",
             "worst_residual": rep.worst_residual,
-            "singular_ns": rep.singular_ns}
+            "singular_ns": rep.singular_ns, "max_degree": n_hi}
 
 
 def _check_det(seq, cfg):

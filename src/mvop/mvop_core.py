@@ -14,12 +14,16 @@ closed-form K_n at x^n, and gives each degree a verdict (det K_n is a
 ``continuant``).  ``q_block``, ``qt_block``, ``build_Q`` and ``build_QT``
 read its rows, ``p_block`` the diagonal P_n; on both backends a block of
 degrees lo..hi-1 holds hi + 2 powers and is real exactly where A is.  The
-float backend assembles each requested range anew.  The exact backend holds
-rationals (QQ, or QQ_I for a complex A) per monomial in the moment atoms
-(1, sqrt(pi), ...; see ``KEY``) and assembles degrees 0..n_max once.  These
-keyed rationals have two outputs: doubles, a rational entry rounded by p /
-q and any other through ``_nearest``, and sympy, formed by ``_sympy`` for
-the public readers alone.
+float backend assembles each requested range anew.  The exact backend keys
+every value by monomial in the moment atoms (1, sqrt(pi), ...; see
+``KEY``) and assembles degrees 0..n_max once.  Its scalar values (A, G_n,
+the scalar norms) are rationals (QQ, or QQ_I for a complex A); its rows
+are Python-int numerators per monomial and per real or imaginary part over
+one denominator per degree and entry (``_exact_rows``), built on the
+integer ``scalar_families.power_table``.  These keyed values have two
+outputs: doubles, an entry of key 0 alone rounded by p / q and any other
+by its exact sum in integers (``_exact_sum``, ``_nearest``), and sympy,
+formed by ``_sympy`` for the public readers alone.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
 n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
@@ -40,7 +44,7 @@ recurrence checks share this one quadrature path.
 """
 
 from collections import defaultdict
-from math import exp, log
+from math import exp, inf, lcm, log
 
 import numpy as np
 
@@ -66,7 +70,10 @@ _FAULTS = (None,
 
 
 def _parts(v):
-    """(real, imaginary) parts of an int, QQ or QQ_I element."""
+    """(real, imaginary) parts of a rational (int, Fraction or QQ), a
+    Gaussian rational (QQ_I) or a pair of rationals."""
+    if isinstance(v, tuple):
+        return v
     return (v.x, v.y) if hasattr(v, "y") else (v, 0)
 
 
@@ -77,32 +84,51 @@ def _rational(v):
 
 
 def _to_complex(a) -> np.ndarray:
-    """An array rounded to complex doubles, each nonzero exact part once:
-    QQ through float (p / q, Python's correctly rounded division)."""
+    """An array as complex doubles; sympy entries through float where all
+    are real, else through complex()."""
     if a.dtype != object:
         return a.astype(complex, copy=False)
     out = np.zeros(a.shape, dtype=complex)
     nonzero = a.astype(bool)
     try:
         out[nonzero] = np.asarray(a[nonzero], dtype=float)
-    except TypeError:   # QQ_I parts through float, sympy through complex()
-        out[nonzero] = [complex(*map(float, _parts(v))) if hasattr(v, "y")
-                        else complex(v) for v in a[nonzero]]
+    except TypeError:
+        out[nonzero] = [complex(v) for v in a[nonzero]]
     return out
+
+
+def _exact_sum(terms) -> float:
+    """The nearest double to sum_k m_k p_k / d_k over terms (an mpf m_k,
+    Python ints p_k and d_k > 0).  With m_k = man_k 2^exp_k the sum is one
+    fraction of integers, rounded once by Python's correctly rounded int
+    division; +-inf past the float range."""
+    ints = []   # (man_k p_k, exp_k, d_k)
+    for m, p, d in terms:
+        sign, man, e, _ = m._mpf_
+        if p:
+            ints.append(((-man if sign else man) * p, e, d))
+    if not ints:
+        return 0.0
+    low = min(e for _, e, _ in ints)
+    den = lcm(*(d for *_, d in ints))
+    num = sum(v * (den // d) << (e - low) for v, e, d in ints)
+    num, den = (num << low, den) if low >= 0 else (num, den << -low)
+    try:
+        return num / den
+    except OverflowError:
+        return inf if num > 0 else -inf
 
 
 def _nearest(terms) -> complex:
     """The nearest complex double to sum_k m_k q_k over terms (an mpf m_k,
-    an exact rational q_k): one sum at 113 bits, each part rounded once."""
-    import mpmath
-    out = [0, 0]
-    with mpmath.workprec(113):
-        for m, q in terms:
-            for part, p in enumerate(_parts(q)):
-                if p:
-                    out[part] += mpmath.mpf(int(p.numerator)) * m / int(
-                        p.denominator)
-    return complex(*map(float, out))
+    an exact rational or Gaussian rational q_k, see ``_parts``): the exact
+    sum of each part, rounded once (``_exact_sum``)."""
+    parts = ([], [])
+    for m, q in terms:
+        for out, p in zip(parts, _parts(q)):
+            if p:
+                out.append((m, p.numerator, p.denominator))
+    return complex(*map(_exact_sum, parts))
 
 
 def peak(residuals, first: int = 0):
@@ -197,12 +223,13 @@ class MVOPSequence:
         if n < 0 or n > hi:
             raise OutOfRange(f"n={n} outside 0..{hi}")
 
-    def _scalar_table(self) -> np.ndarray:
+    def _scalar_table(self):
         """``scalar_families.power_table`` of the N scalar sequences up to
         p_{n_max+1}, shape (n_max+3, n_max+3, N): entry [n + 1, p, k] is
-        [x^p] p_n^{w_k}.  Built on first use and published in one
-        assignment; ``_assemble`` refuses float coefficients past the float
-        range."""
+        [x^p] p_n^{w_k}, or on the exact backend (num, den) with the
+        denominator den[n + 1, k] of row n of slot k.  Built on first use
+        and published in one assignment; ``_assemble`` refuses float
+        coefficients past the float range."""
         got = self._ptab
         if got is None:
             got = self._ptab = sf.power_table(self.scalar_seqs, self.n_max + 1)
@@ -214,16 +241,18 @@ class MVOPSequence:
         """P_n = diag(p_n^{w_1}, ..., p_n^{w_N}) for n = lo..hi-1, read
         from the scalar table: power coefficients shaped and typed like
         ``q_block``.  The table is real on both backends, and its rationals
-        round to the nearest doubles through float."""
+        round to the nearest doubles by p / q (Python's correctly rounded
+        int division)."""
         self._check_range(lo, hi)
-        tab = np.asarray(self._scalar_table()[lo + 1:hi + 1, :hi + 2],
-                         dtype=float)
+        tab = self._scalar_table()
+        if self.exact:
+            num, den = tab
+            tab = (num[lo + 1:hi + 1, :hi + 2]
+                   / den[lo + 1:hi + 1, None]).astype(float)
+        else:
+            tab = tab[lo + 1:hi + 1, :hi + 2]
         return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(
             float if self._real else complex)
-
-    def _zeros(self, shape) -> np.ndarray:
-        """Zeros in backend arithmetic: complex, or exact integer zeros."""
-        return np.zeros(shape, dtype=object if self.exact else complex)
 
     def _log_ratios(self, n: int):
         """(r, u, a, conj(a), lr) for the pairs of ``_pairs``, with lr = log
@@ -243,7 +272,8 @@ class MVOPSequence:
         = A[r, u] (see ``_log_ratios``), or the rational conj(a) _nu[u][n] /
         _nu[r][n-1] times the implied gamma_u / gamma_r.  Zero for n = 0
         (the paper's ||P_{-1}||^{-2} = 0 convention)."""
-        G = self._zeros((self.weight.N,) * 2)
+        G = np.zeros((self.weight.N,) * 2,
+                     dtype=object if self.exact else complex)
         if n == 0:
             return G
         self._check_n(n, self.n_max + 1)
@@ -321,10 +351,11 @@ class MVOPSequence:
 
     def _assemble(self, lo: int, hi: int):
         """(Q_n T, Q_n, verdict) for n = lo..hi-1: power coefficients of
-        shape (hi - lo, hi + 2, N, N) in backend arithmetic as {monomial
-        key: array} (key 0 alone on the float backend, real where A is), Q_n
-        zero above degree n, and one verdict per degree (0 for a valid Q_n,
-        else an index into ``_FAULTS``; ``_refuse`` turns it into the error).
+        hi + 2 powers, Q_n zero above degree n (exact: where the verdict is
+        0), and one verdict per degree (0 for a valid Q_n, else an index
+        into ``_FAULTS``; ``_refuse`` turns it into the error).  Float rows
+        are {0: array} of shape (hi - lo, hi + 2, N, N), real where A is;
+        exact rows are the entries of ``_exact_rows``.
 
         Column k of Q_n T holds e_k p_n, A[:, k] p_{n+1} and -G_n[:, k]
         p_{n-1}, placed on the pairs of A (N + 2(N - 1) entries); column u
@@ -337,13 +368,13 @@ class MVOPSequence:
         the largest coefficient, scalar coefficients past the float range
         raise ``DegreeCap`` at once, and a degree whose coefficients leave
         the float range (G_n P_{n-1} on mixed families) gets a
-        ``DegreeCap`` verdict.  Exact: the leftover powers must be 0.
+        ``DegreeCap`` verdict.  Exact: the leftover numerators must be 0.
         """
         self._check_range(lo, hi)
         # Q_n T has degree n + 1 <= hi, and x (Q_n T) is the last to place
-        N, width, ek = self.weight.N, hi + 2, self._ek
-        tab = self._scalar_table()[:, :width]
+        N, width = self.weight.N, hi + 2
         if not self.exact:
+            tab = self._scalar_table()[:, :width]
             finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2))
             if not finite.all():
                 k = lo - 1 + int(finite.argmin())
@@ -351,35 +382,34 @@ class MVOPSequence:
                                 f"float range")
         ns = np.arange(lo, hi)
         G = np.stack([self._ratio(n) for n in ns])
-        pairs, dtype = self._pairs, object if self.exact else complex
-        if self._real and not self.exact:   # G_n = conj(a) exp(lr)
-            pairs, dtype = [(r, u, a.real, c) for r, u, a, c in pairs], float
-            G = G.real
-        qt = defaultdict(lambda: np.zeros((hi - lo, width, N, N), dtype))
-        with np.errstate(over="ignore", invalid="ignore"):
-            qt[0][:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
-            for r, u, a, _ in pairs:
-                qt[0][:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
-                qt[ek[u] - ek[r]][:, :, u, r] -= (G[:, u, r, None]
-                                                  * tab[lo:hi, :, r])
-            q = {k: v.copy() for k, v in qt.items()}
-            for r, u, a, _ in pairs:    # exact: only rows of pairs with r
-                i = sorted({r}.union(*({r2, u2} for r2, u2, *_ in pairs
-                                       if r in (r2, u2)))) if self.exact \
-                    else slice(None)
-                for k, v in q.items():
-                    v[:, 1:, i, u] -= qt[k][:, :-1, i, r] * a
-        spill = [v[np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
-                 for v in q.values()]
+        if self.exact:
+            qt, q = self._exact_rows(lo, hi, G)
+            spill = np.stack([num for num, _ in q.values()])[
+                :, np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
+        else:
+            pairs, dtype = self._pairs, complex
+            if self._real:   # G_n = conj(a) exp(lr)
+                pairs = [(r, u, a.real, c) for r, u, a, c in pairs]
+                dtype, G = float, G.real
+            qt = {0: np.zeros((hi - lo, width, N, N), dtype)}
+            with np.errstate(over="ignore", invalid="ignore"):
+                qt[0][:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
+                for r, u, a, _ in pairs:
+                    qt[0][:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
+                    qt[0][:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
+                q = {0: qt[0].copy()}
+                for r, u, a, _ in pairs:
+                    q[0][:, 1:, :, u] -= qt[0][:, :-1, :, r] * a
+            spill = q[0][np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.exact:
                 finite = np.ones(hi - lo, dtype=bool)
-                overflow = np.any([s.astype(bool).any(axis=(1, 2, 3))
-                                   for s in spill], axis=0)
+                overflow = spill.astype(bool).any(axis=(0, 2))
             else:   # a non-finite Q_n T coefficient leaves Q_n non-finite
                 top = np.abs(q[0]).max(axis=(1, 2, 3))
                 finite = np.isfinite(top)
-                overflow = np.abs(spill[0]).max(axis=(1, 2, 3)) > 1e-8 * top
+                overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
+                q[0][np.arange(width)[None, :] > ns[:, None]] = 0
             # det K_n, the continuant of ``rho_values`` for all degrees at
             # once, is 0 when 0 at every monomial; an overflowed one is not
             rho, keys = self._keyed_rho(G)
@@ -392,9 +422,80 @@ class MVOPSequence:
         verdict[singular] = 3
         verdict[overflow] = 2
         verdict[~finite] = 1
-        for v in q.values():
-            v[np.arange(width)[None, :] > ns[:, None]] = 0
         return qt, q, verdict
+
+    def _keyed_ratios(self, G):
+        """A stack of G_n tables as exact entries (see ``_exact_rows``):
+        {(u, r, key, part): (numerators, denominators)}, arrays over the
+        stack, for each pair a = A[r, u] and nonzero part of G_n[u, r],
+        key the monomial of gamma_u / gamma_r."""
+        out = {}
+        for r, u, *_ in self._pairs:
+            for part, ps in enumerate(zip(*map(_parts, G[:, u, r]))):
+                if any(ps):
+                    out[u, r, self._ek[u] - self._ek[r], part] = tuple(
+                        np.array([getattr(p, f) for p in ps], dtype=object)
+                        for f in ("numerator", "denominator"))
+        return out
+
+    def _exact_rows(self, lo, hi, G):
+        """Exact (Q_n T, Q_n) of ``_assemble`` as entries {(i, j, key,
+        part): (num, den)}: part 0 (real) or 1 (imaginary) of entry (i, j)
+        at monomial ``key`` is num[n - lo, p] / den[n - lo, 0] times x^p,
+        Python ints over one positive denominator per degree and entry.
+
+        Each entry is a sum of terms c_n x^s p_{n+d}^{w_k}, c_n a rational
+        that does not depend on the power: Q_n T has the terms 1 (e_k p_n),
+        a (A p_{n+1}) and -G_n[u, r] (G_n P_{n-1}) of ``_assemble``, one
+        per entry, and Q_n adds -a x times each term of column r of Q_n T
+        to column u for every pair a = A[r, u].  A complex coefficient is
+        two terms, one per part.  The terms of one entry are placed over
+        the lcm of their denominators (c_n's times the scalar row's) from
+        the integer ``power_table``."""
+        num, den = self._scalar_table()
+        width, rows = hi + 2, {}
+
+        def row(slot, d, s):    # x^s p_{n+d}^{w_slot}, n = lo..hi-1
+            if (slot, d, s) not in rows:
+                rows[slot, d, s] = np.zeros((hi - lo, width), dtype=object)
+                rows[slot, d, s][:, s:] = num[lo + 1 + d:hi + 1 + d,
+                                              :width - s, slot]
+            return rows[slot, d, s]
+
+        def place(terms):
+            groups = defaultdict(list)
+            for i, j, key, part, (cn, cd), slot, d, s in terms:
+                groups[i, j, key, part].append(
+                    (cn, cd * den[lo + 1 + d:hi + 1 + d, slot],
+                     row(slot, d, s)))
+            out = {}
+            for e, group in groups.items():
+                L = np.lcm.reduce([t for _, t, _ in group])
+                total, *rest = [r * (cn * (L // t))[:, None]
+                                for cn, t, r in group]
+                for v in rest:
+                    total += v
+                out[e] = total, L[:, None]
+            return out
+
+        # terms (i, j, key, part, (c numerators, c denominators), slot k,
+        # d, s): c_n x^s p_{n+d}^{w_k} in that part of entry (i, j), with c
+        # arrays over the degrees
+        one = np.ones(hi - lo, dtype=object)
+        qt = [(k, k, 0, 0, (one, one), k, 0, 0) for k in range(self.weight.N)]
+        qt += [(r, u, 0, part, (p.numerator * one, p.denominator * one), u, 1,
+                0) for r, u, a, _ in self._pairs
+               for part, p in enumerate(_parts(a)) if p]
+        qt += [(u, r, key, part, (-gn, gd), r, -1, 0) for (u, r, key, part),
+               (gn, gd) in self._keyed_ratios(G).items()]
+        q = list(qt)
+        for r, u, a, _ in self._pairs:  # -a x (Q_n T)[:, r], part by part
+            q += [(i, u, key, (part + pa) % 2,
+                   ((1 if part and pa else -1) * cn * p.numerator,
+                    cd * p.denominator), slot, d, 1)
+                  for i, j, key, part, (cn, cd), slot, d, _ in qt if j == r
+                  for pa, p in enumerate(_parts(a)) if p]
+        return place(qt), place(q)
 
     @staticmethod
     def _refuse(lo: int, verdict):
@@ -405,60 +506,88 @@ class MVOPSequence:
             err, what = _FAULTS[verdict[bad[0]]]
             raise err(what.format(n=lo + int(bad[0])))
 
-    def _rows(self, lo: int, hi: int):
-        """(Q_n T, Q_n) of ``_assemble`` for n = lo..hi-1, then the same as
-        float arrays of hi + 2 powers, real where A is; ``SingularLeading``
-        or ``DegreeCap`` at the first faulty degree of the range.  Float
-        rows are assembled for the range alone (whole-range float rows
-        would take hundreds of MB at n_max 509); exact rows once for
-        degrees 0..n_max, rounded by ``_round`` and published with their
-        verdicts in one assignment."""
+    def _rows(self, lo: int, hi: int, which: int) -> np.ndarray:
+        """Q_n T (which 0) or Q_n (which 1) of ``_assemble`` for n =
+        lo..hi-1 as a float array of hi + 2 powers, real where A is;
+        ``SingularLeading`` or ``DegreeCap`` at the first faulty degree of
+        the range.  Float rows are assembled for the range alone
+        (whole-range float rows would take hundreds of MB at n_max 509);
+        exact rows once for degrees 0..n_max and published with their
+        verdicts in one assignment (``_qrows``), and each of the two rounded
+        by ``_round`` on its first read."""
         self._check_range(lo, hi)
         if not self.exact:
-            qt, q, verdict = self._assemble(lo, hi)
+            *rows, verdict = self._assemble(lo, hi)
             self._refuse(lo, verdict)
-            return qt, q, qt[0], q[0]
+            return rows[which][0]
         got = self._qrows
         if got is None:
-            qt, q, verdict = self._assemble(0, self.n_max + 1)
-            got = self._qrows = (verdict, qt, q, self._round(qt),
-                                 self._round(q))
-        self._refuse(lo, got[0][lo:hi])
-        return (*({k: v[lo:hi] for k, v in d.items()} for d in got[1:3]),
-                *(a[lo:hi, :hi + 2].copy() for a in got[3:]))
+            *rows, verdict = self._assemble(0, self.n_max + 1)
+            got = self._qrows = (verdict, rows, [None, None])
+        verdict, rows, rounded = got
+        self._refuse(lo, verdict[lo:hi])
+        if rounded[which] is None:
+            rounded[which] = self._round(rows[which],
+                                         (self.n_max + 1, self.n_max + 3))
+        return rounded[which][lo:hi, :hi + 2].copy()
 
-    def _round(self, R) -> np.ndarray:
-        """The nearest doubles of {monomial key: rational array}, real where
-        A is: the rational (key 0) part alone through ``_to_complex``, an
-        entry another key reaches through ``_nearest``."""
-        out = _to_complex(R[0])
-        for i in {i for k, v in R.items() if k
-                  for i in zip(*np.nonzero(v.astype(bool)))}:
-            out[i] = _nearest((self._mono(k), v[i]) for k, v in R.items())
-        return out.real.copy() if self._real else out
+    def _round(self, R, lead) -> np.ndarray:
+        """The nearest doubles of the exact entries R ({(i, j, key, part):
+        (numerators, denominators)} as ``_exact_rows`` gives them,
+        numerators of shape ``lead``), shape lead + (N, N) and real where A
+        is.  An entry that key 0 alone reaches is p / q (Python's correctly
+        rounded int division), any other the exact sum over its keys,
+        rounded once (``_exact_sum``)."""
+        out = np.zeros(lead + (self.weight.N,) * 2,
+                       dtype=float if self._real else complex)
+        views = (out, None) if self._real else (out.real, out.imag)
+        entries = defaultdict(list)
+        reached = defaultdict(lambda: np.zeros(lead, dtype=bool))
+        for (i, j, key, part), (num, den) in R.items():
+            entries[i, j].append((key, part, num, den.reshape(-1)))
+            if key:
+                reached[i, j] |= num.astype(bool)
+            else:
+                views[part][..., i, j] = num / den
+        for (i, j), hit in reached.items():
+            terms = entries[i, j]
+            for at in zip(*np.nonzero(hit)):
+                for part in {part for _, part, *_ in terms}:
+                    views[part][at + (i, j)] = _exact_sum(
+                        (self._mono(key), num[at], den[at[0]])
+                        for key, p, num, den in terms if p == part)
+        return out
 
     def _polynomial(self, n: int, which: int) -> MatrixPolynomial:
         """Q_n T (which 0) or Q_n (which 1), of degree n + 1 - which, in
-        backend arithmetic, exact entries in sympy."""
-        R = {k: v[0, :n + 2 - which] for k, v in
-             self._rows(n, n + 1)[which].items()}
-        if self.exact:
-            R[0] = np.frompyfunc(lambda *i: self._sympy(
-                (k, v[i]) for k, v in R.items()), 3, 1)(
-                    *np.indices(R[0].shape))
-        return MatrixPolynomial(R[0], size=self.weight.N, trim=False)
+        backend arithmetic, exact entries in sympy (``_sympy``)."""
+        N, width = self.weight.N, n + 2 - which
+        block = self._rows(n, n + 1, which)
+        if not self.exact:
+            return MatrixPolynomial(block[0, :width], size=N, trim=False)
+        from fractions import Fraction
+        _, rows, _ = self._qrows
+        terms = defaultdict(list)   # (power, i, j): [(key, (re, im))]
+        for (i, j, key, part), (num, den) in rows[which].items():
+            for p, v in enumerate(num[n, :width]):
+                v = Fraction(v, den[n, 0])
+                terms[p, i, j].append((key, (0, v) if part else (v, 0)))
+        out = np.full((width, N, N), self._sympy([]))
+        for at, t in terms.items():
+            out[at] = self._sympy(t)
+        return MatrixPolynomial(out, size=N, trim=False)
 
     def q_block(self, lo: int, hi: int) -> np.ndarray:
         """Power coefficients of Q_lo..Q_{hi-1}, zero above each degree:
         the Q_n rows of ``_rows``, shape (hi - lo, hi + 2, N, N) and real
         where A is, each exact entry the nearest double (rounded once per
         sequence)."""
-        return self._rows(lo, hi)[3]
+        return self._rows(lo, hi, 1)
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
         """Power coefficients of Q_lo T..Q_{hi-1} T, shaped and typed like
         ``q_block``: the Q_n T rows of ``_rows``."""
-        return self._rows(lo, hi)[2]
+        return self._rows(lo, hi, 0)
 
     def build_QT(self, n: int) -> MatrixPolynomial:
         """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
@@ -583,8 +712,9 @@ class MVOPSequence:
         """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
         as the norm and recurrence checks read it, read-only.  The first
         float read fills every degree from one ``_norm_stack``.  Each exact
-        entry, its rationals times their monomials and exp(-2 log
-        sigma_n), is summed once at 113 bits and each part rounded once."""
+        entry is the exact sum of its rationals times their monomials
+        scaled by exp(-2 log sigma_n) (each product at 113 bits), rounded
+        once per part (``_nearest``)."""
         got = self._qnorms.get(n)
         if got is not None:
             return got
@@ -596,12 +726,14 @@ class MVOPSequence:
             self._qnorms.update(enumerate(tab))
             return self._qnorms[n]
         import mpmath
+        got = np.zeros((self.weight.N,) * 2, dtype=complex)
         with mpmath.workprec(113):
             f = mpmath.exp(-log_scale)
-        got = np.zeros((self.weight.N,) * 2, dtype=complex)
-        for ij, terms in self._norm_entries(n).items():
-            # _nearest reads the terms at 113 bits: m f is formed there too
-            got[ij] = _nearest((self._mono(k) * f, v) for k, v in terms)
+            entries = self._norm_entries(n)
+            scaled = {k: self._mono(k) * f for k in
+                      {k for terms in entries.values() for k, _ in terms}}
+        for ij, terms in entries.items():
+            got[ij] = _nearest((scaled[k], v) for k, v in terms)
         got.flags.writeable = False
         self._qnorms[n] = got
         return got
@@ -642,10 +774,7 @@ class MVOPSequence:
         A = _to_complex(self.A)
         G = np.stack([self._ratio(n) for n in range(M + 1)])
         if self.exact:  # G_n[u, r] with its monomial gamma_u / gamma_r
-            R = defaultdict(lambda: self._zeros(G.shape))
-            for r, u, *_ in self._pairs:
-                R[self._ek[u] - self._ek[r]][:, u, r] = G[:, u, r]
-            G = self._round(R)
+            G = self._round(self._keyed_ratios(G), (M + 1,))
         if self._real:  # G_n = conj(a) exp(lr), or rounded real (``_round``)
             A, G = A.real, G.real
         slot, nodes, vals, log_scale = self.engine.tables(m)
@@ -751,12 +880,12 @@ class MVOPSequence:
     def three_term_table(self, hi: int):
         """(A_n, B_n, C_n, residual) for x Q_n = A_n Q_{n+1} + B_n Q_n +
         C_n Q_{n-1}, n = 1..hi, as read-only stacks over the degrees, built
-        on first use (and again for a larger hi).
+        on first use and extended by the new degrees alone for a larger hi.
 
         Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one
-        stacked solve over all degrees per neighbour (``_project``), so the
-        table reads ||Q_m||^2 for m = 0..hi + 1.  If one of them is not
-        finite or is singular, the degrees are solved one at a time in
+        stacked solve over the new degrees per neighbour (``_project``), so
+        the table reads ||Q_m||^2 for m = 0..hi + 1.  If one of them is not
+        finite or is singular, the new degrees are solved one at a time in
         order instead, so the ``IllConditioned`` error names the first
         such m a degree reads.  The residual is ||R_n||_W / ||x Q_n||_W
         with R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and
@@ -764,25 +893,32 @@ class MVOPSequence:
         ``_gram_block`` with every term divided by sigma_n (so A_n and C_n
         carry the factors sigma_{n+1} / sigma_n and sigma_{n-1} /
         sigma_n).  It is exact: R_n T has degree n + 2, which the n_max + 2
-        nodes integrate for every n <= n_max - 1.
+        nodes integrate for every n <= n_max - 1.  Each degree is solved
+        and summed on its own, so the table does not depend on the order
+        of the reads that built it.
         """
         if hi < 1 or hi > self.n_max - 1:
             raise OutOfRange(f"n={hi} outside 1..{self.n_max - 1}")
         got = self._recurrence
-        if got is None or len(got[3]) < hi:
-            ns = np.arange(1, hi + 1)
-            norms = np.array([self._norm_Q(m) for m in range(hi + 2)])
+        have = 0 if got is None else len(got[3])
+        if have < hi:
+            ns = np.arange(have + 1, hi + 1)
+            # norms[i] is ||Q_{have + i}||^2
+            norms = np.array([self._norm_Q(m) for m in range(have, hi + 2)])
             try:
-                mats = [self._project(ns, d, norms[ns + d])
+                mats = [self._project(ns, d, norms[ns + d - have])
                         for d in (1, 0, -1)]
             except IllConditioned:
-                for n in ns:
+                for i, n in enumerate(ns):
                     for d in (1, 0, -1):
-                        self._project(ns[n - 1:n], d, norms[[n + d]])
+                        self._project(ns[i:i + 1], d, norms[[n + d - have]])
                 raise
-            got = self._recurrence = (*mats, self._residuals(ns, mats))
-            for a in got:
+            new = (*mats, self._residuals(ns, mats))
+            if got is not None:
+                new = tuple(np.concatenate(pair) for pair in zip(got, new))
+            for a in new:
                 a.flags.writeable = False
+            got = self._recurrence = new
         return tuple(a[:hi] for a in got)
 
     def _project(self, ns, d, norm):

@@ -17,8 +17,9 @@ exact branches import sympy.  Norms are kept in log space in the float
 backend to dodge factorial overflow.
 
 Power coefficients of the monic polynomials come from one routine,
-``power_table``, which runs the recurrence on a whole list of sequences
-at once; ``MonicScalarSequence.polynomial`` and the matrix sequences of
+``power_table``, which runs the recurrence for a whole list of
+sequences, in floats or in Python-int numerators over one denominator per
+row; ``MonicScalarSequence.polynomial`` and the matrix sequences of
 ``mvop_core`` read its tables.  ``scalar_diff_operator`` gives each
 family's second-order operator as plain coefficient lists (f_0, f_1,
 f_2), which ``diff_operators.entries_to_operator`` turns into operators,
@@ -27,7 +28,7 @@ and its eigenvalue as a polynomial in n read from those lists.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import inf, lgamma, log, pi
+from math import gcd, inf, lcm, lgamma, log, pi
 from typing import Callable, Optional
 
 import numpy as np
@@ -175,8 +176,7 @@ class MonicScalarSequence:
     log_norms: list         # log ||p_n||^2, n = 0 .. n_max
     norm_rationals: Optional[list] = None
     atom: object = None
-    _table: Optional[np.ndarray] = field(default=None, repr=False,
-                                         compare=False)
+    _table: object = field(default=None, repr=False, compare=False)
 
     @property
     def exact_norms(self) -> Optional[list]:
@@ -193,34 +193,58 @@ class MonicScalarSequence:
         tab = self._table
         if tab is None:
             tab = self._table = power_table([self], self.n_max)
-        row = tab[n + 1, :n + 1, 0].tolist()
-        if self.backend == "exact":
-            from sympy import QQ
-            row = [QQ.to_sympy(QQ.convert(v)) for v in row]
-        return row
+        if self.backend != "exact":
+            return tab[n + 1, :n + 1, 0].tolist()
+        from sympy import Rational
+        num, den = tab
+        return [Rational(v, den[n + 1, 0]) for v in num[n + 1, :n + 1, 0]]
 
 
-def power_table(seqs, n_hi: int) -> np.ndarray:
+def power_table(seqs, n_hi: int):
     """Power coefficients of p_{-1}..p_{n_hi} of every sequence in
-    ``seqs``: floats, or QQ rationals when the first sequence is exact.
+    ``seqs``, row 0 (p_{-1}) being zero, from the recurrence p_{n+1} = (x
+    - b_n) p_n - c_n p_{n-1}.
 
-    Shape (n_hi + 2, n_hi + 2, len(seqs)): entry [n + 1, p, k] is [x^p]
-    p_n of sequence k, row 0 (p_{-1}) being zero.  The recurrence
-    p_{n+1} = (x - b_n) p_n - c_n p_{n-1} runs on all sequences at once.
-    Float coefficients past the float range (Laguerre near n = 170) are
-    left infinite for the caller to refuse.
+    Float sequences give one array of shape (n_hi + 2, n_hi + 2,
+    len(seqs)): entry [n + 1, p, k] is [x^p] p_n of sequence k.  Float
+    coefficients past the float range (Laguerre near n = 170) are left
+    infinite for the caller to refuse.
+
+    Exact sequences (the first one decides) give (num, den): Python-int
+    numerators shaped like the float table over one positive denominator
+    per row and sequence, den[n + 1, k], each row reduced (the gcd of its
+    numerators and its denominator is 1).  With p_n = P_n / D_n, b_n = bn
+    / bd and c_n = cn / cd, a step places P_{n+1} over L = lcm(D_n bd, cd
+    D_{n-1}) and divides out one gcd.  Float sequences run the recurrence
+    all at once, exact ones on Python lists one at a time.
     """
     N = len(seqs)
-    dtype = object if seqs[0].backend == "exact" else float
-    b = np.array([s.b_coeffs[:n_hi] for s in seqs], dtype=dtype).T
-    c = np.zeros((n_hi, N), dtype=dtype)
+    if seqs[0].backend == "exact":
+        num = np.zeros((n_hi + 2, n_hi + 2, N), dtype=object)
+        den = np.ones((n_hi + 2, N), dtype=object)
+        num[1, 0] = 1
+        for k, s in enumerate(seqs):
+            (P, D), (back, Db) = ([1], 1), ([], 1)  # p_n = P / D, p_{n-1}
+            for n in range(n_hi):
+                b, c = s.b_coeffs[n], s.c_coeffs[n - 1] if n else 0
+                L = lcm(D * b.denominator, c.denominator * Db)
+                x, f = L // D, b.numerator * (L // (D * b.denominator))
+                g = c.numerator * (L // (c.denominator * Db))
+                new = [0, *(v * x for v in P)]
+                for i, v in enumerate(P):
+                    new[i] -= f * v
+                for i, v in enumerate(back):
+                    new[i] -= g * v
+                common = gcd(*new, L)
+                (P, D), (back, Db) = ([v // common for v in new],
+                                      L // common), (P, D)
+                num[n + 2, :n + 2, k], den[n + 2, k] = P, D
+        return num, den
+    b = np.array([s.b_coeffs[:n_hi] for s in seqs], dtype=float).T
+    c = np.zeros((n_hi, N))
     c[1:] = np.array([s.c_coeffs[:max(n_hi - 1, 0)] for s in seqs],
-                     dtype=dtype).T
-    if dtype is object:     # QQ arithmetic is about twice sympy's speed
-        from sympy import QQ
-        b, c = (np.frompyfunc(lambda v: QQ(v.numerator, v.denominator), 1,
-                              1)(x) for x in (b, c))
-    tab = np.zeros((n_hi + 2, n_hi + 2, N), dtype=dtype)
+                     dtype=float).T
+    tab = np.zeros((n_hi + 2, n_hi + 2, N))
     tab[1, 0] = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_hi):   # p_n has degree n: powers above stay 0
@@ -331,13 +355,6 @@ def _chebyshev_from_moments(moments, n_max):
         sig_prev, sig = sig, new
         norms.append(norms[-1] * c[-1])
     return b[:n_max + 1], c
-
-
-def squared_norm_log(seq: MonicScalarSequence, n: int) -> float:
-    """log ||p_n||^2."""
-    if n < 0 or n > seq.n_max:
-        raise OutOfRange(f"n={n} outside 0..{seq.n_max}")
-    return seq.log_norms[n]
 
 
 #: rescale a node's recurrence values once they pass this magnitude

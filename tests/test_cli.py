@@ -157,6 +157,9 @@ class TestRun:
         res = report["checks"]["darboux"]
         assert res["passed"]
         assert res["kind"] == "laguerre_n5_chain"
+        assert res["max_degree"] == 6
+        res = run(config_from_json(dict(data, n_max=14)))["checks"]["darboux"]
+        assert res["passed"] and res["max_degree"] == 10
 
     def test_gram_data_built_once_with_pool(self, monkeypatch):
         calls = []
@@ -188,6 +191,7 @@ class TestRun:
         assert report["passed"]
         assert report["checks"]["darboux"]["kind"] == \
             "hermite_A_factorization"
+        assert report["checks"]["darboux"]["max_degree"] == 5
         assert calls == [(0, 7)]
 
     @pytest.mark.parametrize("backend", ["float", "exact"])

@@ -4,7 +4,9 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -256,6 +258,20 @@ class TestExactCache:
                              nearest_rows(q, lo, hi, real=True))
             assert same_bits(seq.qt_block(lo, hi),
                              nearest_rows(qt, lo, hi, real=True))
+
+    @EXACT_SPECS
+    def test_p_block_is_nearest(self, spec):
+        # the integer power table rounds to the 50-digit nearest doubles
+        seq = MVOPSequence(spec, 6, backend="exact")
+        N = spec.N
+        rows = np.full((7, 9, N, N), sp.S.Zero, dtype=object)
+        for k, s in enumerate(seq.scalar_seqs):
+            for n in range(7):
+                rows[n, :n + 1, k, k] = s.polynomial(n)
+        got, want = seq.p_block(0, 7), nearest_rows(rows, 0, 7, True)
+        assert np.array_equal(got, want)   # off the diagonal 0 * p reads -0
+        diagonal = (..., range(N), range(N))
+        assert same_bits(got[diagonal], want[diagonal])
 
     @pytest.mark.parametrize("name, i, want", [
         ("lag2", (6, 6, 1, 1), 211.5161094022512),
@@ -528,6 +544,34 @@ class TestOrthogonality:
         assert np.linalg.norm(g) <= 1e-12 * norm
 
 
+class TestNearest:
+    """``_nearest`` rounds the exact sum once to the nearest double."""
+
+    def test_no_double_rounding(self):
+        # 1 + 2^-53 + 2^-200 lies above the tie between 1 and 1 + 2^-52;
+        # a sum rounded to 113 bits first lands on the tie and then on 1
+        mpf = mpmath.mpf
+        want = complex(1 + 2 ** -52)
+        q = Fraction(2 ** 200 + 2 ** 147 + 1, 2 ** 200)
+        assert mvop_core._nearest([(mpf(1), q)]) == want
+        assert mvop_core._nearest([(mpf(1), Fraction(1)),
+                                   (mpf(2) ** -53, 1),
+                                   (mpf(3), Fraction(1, 3 * 2 ** 200))]) \
+            == want
+        got = mvop_core._nearest([(mpf(1), sp.QQ_I(sp.QQ(1), q))])
+        assert got == complex(1, 1 + 2 ** -52)
+
+    def test_past_the_float_range(self):
+        mpf = mpmath.mpf
+        for sign in (1, -1):
+            got = mvop_core._nearest([(mpf(1), Fraction(sign * 10 ** 400))])
+            assert got.real == sign * math.inf and got.imag == 0
+            got = mvop_core._nearest([(mpf(2) ** 2000, sign)])
+            assert got.real == sign * math.inf
+        assert mvop_core._nearest([(mpf(2) ** -1100, 1)]) == 0
+        assert mvop_core._nearest([]) == 0
+
+
 class TestRho:
     def test_rho_frozen_hermite(self):
         # rho_1 = a^2 ||p_n^{w_2}||^2 / ||p_{n-1}^{w_1}||^2 = a^2 n / 2
@@ -652,6 +696,40 @@ class TestThreeTerm:
             seq.three_term_table(5)
         with pytest.raises(IllConditioned, match=re.escape("||Q_6||^2")):
             seq.three_term_coefficients(5)
+
+    def test_ascending_reads_extend_the_table(self, monkeypatch):
+        # reading degree after degree projects each degree once, and the
+        # table so built is bit for bit the one built in one call
+        degrees = []
+        project = MVOPSequence._project
+
+        def counted(seq, ns, d, norm):
+            degrees.extend(ns.tolist() if d == 0 else [])
+            return project(seq, ns, d, norm)
+        monkeypatch.setattr(MVOPSequence, "_project", counted)
+        seq = MVOPSequence(lag2(1.5), 40)
+        rows = [seq.three_term_coefficients(n) for n in range(1, 40)]
+        assert degrees == list(range(1, 40))    # n_max - 1 degrees
+        want = MVOPSequence(lag2(1.5), 40).three_term_table(39)
+        for got, w in zip(seq.three_term_table(39), want):
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+        for n, row in enumerate(rows, 1):
+            assert all(np.asarray(g).tobytes() == w[n - 1].tobytes()
+                       for g, w in zip(row, want))
+
+    def test_ascending_reads_name_the_singular_norm(self):
+        # HLH at n_max 40: ||Q_15||^2 is singular in doubles, whichever
+        # way the table is read
+        HLH = weight_spec([1.5, -0.7], [sf.hermite(0.0), sf.laguerre(0.5),
+                                        sf.hermite(0.0)])
+        message = re.escape("||Q_15||^2 is singular")
+        seq = MVOPSequence(HLH, 40)
+        with pytest.raises(IllConditioned, match=message):
+            for n in range(1, 40):
+                seq.three_term_coefficients(n)
+        assert n == 14
+        with pytest.raises(IllConditioned, match=message):
+            MVOPSequence(HLH, 40).three_term_table(39)
 
     def test_out_of_range(self):
         seq = MVOPSequence(lag2(), 4)

@@ -99,16 +99,15 @@ class TestNorms:
         seq = sf.recurrence_coefficients(sf.hermite(1.0), 8)
         for n in range(9):
             want = math.sqrt(math.pi) * math.e * math.factorial(n) / 2 ** n
-            assert sf.squared_norm_log(seq, n) == pytest.approx(
-                math.log(want), abs=1e-12)
+            assert seq.log_norms[n] == pytest.approx(math.log(want),
+                                                     abs=1e-12)
 
     def test_laguerre_norm_closed_form(self):
         # ||l_n||^2 = n! Gamma(n + alpha + 1)
         seq = sf.recurrence_coefficients(sf.laguerre(0.5), 8)
         for n in range(9):
             want = math.lgamma(n + 1) + math.lgamma(n + 1.5)
-            assert sf.squared_norm_log(seq, n) == pytest.approx(want,
-                                                                abs=1e-12)
+            assert seq.log_norms[n] == pytest.approx(want, abs=1e-12)
 
     def test_exact_norms(self):
         seq = sf.recurrence_coefficients(sf.hermite(0.0), 3, "exact")
@@ -120,9 +119,8 @@ class TestNorms:
         assert scaled.b_coeffs == pytest.approx(plain.b_coeffs)
         assert scaled.c_coeffs == pytest.approx(plain.c_coeffs)
         for n in range(5):
-            assert (sf.squared_norm_log(scaled, n)
-                    - sf.squared_norm_log(plain, n)) == pytest.approx(
-                        math.log(9.0), abs=1e-12)
+            assert scaled.log_norms[n] - plain.log_norms[n] == \
+                pytest.approx(math.log(9.0), abs=1e-12)
 
 
 class TestCustomMoments:
@@ -182,8 +180,7 @@ class TestGaussRules:
     def test_weights_finite_up_to_node_cap(self, spec):
         # NODE_CAP = 512; Laguerre tail weights there are far below the
         # float range and must come out as 0, not NaN
-        m0 = math.exp(sf.squared_norm_log(sf.recurrence_coefficients(spec, 0),
-                                          0))
+        m0 = math.exp(sf.recurrence_coefficients(spec, 0).log_norms[0])
         for m in (1, 2, 7, 40, 90, 200, 512):
             nodes, weights = one_rule(spec, m)
             assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
@@ -228,6 +225,29 @@ class TestGaussRules:
 
 
 class TestPolynomialTable:
+    def test_exact_rows_match_gram_schmidt(self):
+        # the integer table of three sequences run together against the
+        # monic polynomials of exact Gram-Schmidt on their moments; each
+        # row is reduced over one positive denominator
+        cases = [(sf.hermite(0.5), hermite_moments(0.5, 24)),
+                 (sf.laguerre(1.5), laguerre_moments(1.5, 24)),
+                 (sf.jacobi(0.5, 1.5), jacobi_moments(0.5, 1.5, 24))]
+        seqs = [sf.recurrence_coefficients(spec, 12, "exact")
+                for spec, _ in cases]
+        num, den = sf.power_table(seqs, 12)
+        assert num.shape == (14, 14, 3) and den.shape == (14, 3)
+        assert not num[0].any()
+        for k, (_, moments) in enumerate(cases):
+            bs, cs = recurrence_from_moments(moments)
+            for n in range(13):
+                row, d = num[n + 1, :, k].tolist(), den[n + 1, k]
+                assert all(type(v) is int for v in (*row, d))
+                assert d > 0 and math.gcd(*row, d) == 1
+                assert not any(row[n + 1:])
+                want = monic_from_recurrence(bs, cs, n)
+                assert [sp.Rational(v, d) for v in row[:n + 1]] == want
+                assert seqs[k].polynomial(n) == want
+
     def test_shared_sequence_under_thread_contention(self):
         # 8 threads extend one table at once with a tiny switch interval;
         # an extension that is not published whole loses or repeats entries
