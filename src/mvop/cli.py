@@ -276,21 +276,19 @@ def _check_darboux(seq, cfg):
 
 
 def _check_det(seq, cfg):
-    # every degree at once: det K_n from the continuant of rho_values(n)
-    # against the det of the reduced matrix
+    # every degree at once: det K_n from the continuant of rho_n against
+    # the det of the reduced matrix, both read from the G_n table in one
+    # call each
     ns = np.arange(1, cfg.n_max + 1)
-    M = np.stack([seq.reduced_leading_matrix(n) for n in ns])
+    M = seq.reduced_leading_matrix(ns)
     e = np.zeros(len(ns), dtype=int)
     if seq.exact:   # keyed rationals, each monomial rounded once
         fast = d = np.array([seq.leading_det(n) for n in ns])
     else:   # the continuant as d 2^e: scaling by 2^-k is exact
         d_prev = d = np.ones(len(ns))
-        rho = np.array([seq.rho_values(n) for n in ns]).T
-        # |d| <= prod (1 + |rho|): below 2^99 no step can need a rescale
-        bounded = np.log1p(np.abs(rho)).sum(axis=0).max() < 99 * math.log(2)
-        for r in rho:
+        for r in seq.rho_values(ns):    # rho_i over the degrees
             d_prev, d = d, d + r * d_prev
-            if not bounded and np.abs(d).max() > 2.0 ** 100:
+            if np.abs(d).max() > 2.0 ** 100:
                 # r d_prev stays below 2^1000
                 k = np.frexp(d)[1] * (np.abs(d) > 2.0 ** 100)
                 d_prev, d, e = np.ldexp(d_prev, -k), np.ldexp(d, -k), e + k

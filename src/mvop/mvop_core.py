@@ -4,9 +4,9 @@ Q_n is assembled through the identity Q_n (I + A x) = P_n + A P_{n+1}
 - G_n P_{n-1}, where G_n is the norm-ratio matrix with the sparsity
 pattern of A*; multiplying by I - A x then gives Q_n itself.  A has one
 nonzero per adjacent pair, and every product with A, A* or G_n is placed
-on those pairs, never formed as a dense N x N product.  The ratio entries
-are formed in log space (float backend) because the scalar norms grow
-factorially; each G_n is built once into a table all readers share.
+on those pairs, never formed as a dense N x N product.  The scalar norms
+grow factorially, so one table of G_n for degrees 0..n_max+1 is formed
+per sequence from their log ratios, and every reader slices it.
 From one table of scalar power coefficients per sequence ``_assemble``
 places the three terms of every Q_n T column for a range of degrees,
 applies I - A x by one shifted column update per pair, which leaves the
@@ -81,20 +81,6 @@ def _rational(v):
     """A sympy (Gaussian) rational as a QQ (QQ_I) element."""
     from sympy import QQ, QQ_I
     return (QQ if v.is_real else QQ_I).from_sympy(v)
-
-
-def _to_complex(a) -> np.ndarray:
-    """An array as complex doubles; sympy entries through float where all
-    are real, else through complex()."""
-    if a.dtype != object:
-        return a.astype(complex, copy=False)
-    out = np.zeros(a.shape, dtype=complex)
-    nonzero = a.astype(bool)
-    try:
-        out[nonzero] = np.asarray(a[nonzero], dtype=float)
-    except TypeError:
-        out[nonzero] = [complex(v) for v in a[nonzero]]
-    return out
 
 
 def _exact_sum(terms) -> float:
@@ -194,7 +180,8 @@ class MVOPSequence:
         self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
                             for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
-        self._real = not _to_complex(self.A).imag.any()
+        self._A = build_nilpotent(weight)   # complex doubles, both backends
+        self._real = not self._A.imag.any()
         # (r, u, a, conj(a)) for the nonzeros a = A[r, u] in row-major order
         # (one per adjacent pair, in pair order), exact ones as QQ or QQ_I
         conv = _rational if self.exact else (lambda v: v)
@@ -208,6 +195,14 @@ class MVOPSequence:
         self._log_norms = np.array([s.log_norms for s in self.scalar_seqs],
                                    dtype=float)
         self._log_sigma = 0.5 * self._log_norms[:, :n_max + 1].max(axis=0)
+        # lr[n, i] = log ||p_n^{w_u}||^2 - log ||p_{n-1}^{w_r}||^2 for pair
+        # i = (r, u) of ``_pairs``, n >= 1 (row 0 is 0), and whether degree
+        # n holds an |lr| past ``LOG_RATIO_CAP``
+        self._ru = r, u = np.array([p[:2] for p in self._pairs],
+                                   dtype=int).reshape(-1, 2).T
+        self._lr = np.zeros((n_max + 2, len(self._pairs)))
+        self._lr[1:] = (self._log_norms[u, 1:] - self._log_norms[r, :-1]).T
+        self._over = (np.abs(self._lr) > LOG_RATIO_CAP).any(axis=1)
         # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[k][n] gamma_k
         atoms = [s.atom for s in self.scalar_seqs]
         self._atoms = list(dict.fromkeys(atoms))
@@ -215,11 +210,13 @@ class MVOPSequence:
         self._nu = [list(map(_rational, s.norm_rationals))
                     for s in self.scalar_seqs] if self.exact else None
         self._gram = self._ptab = self._qrows = self._atom_values = None
-        self._recurrence = None
-        self._qnorms, self._ratios, self._monos = {}, {}, {}
+        self._recurrence = self._gtab = None
+        self._qnorms, self._monos = {}, {}
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
+        if not isinstance(n, (int, np.integer)):    # an array of degrees
+            n = np.min(n) if np.min(n) < 0 else np.max(n)
         if n < 0 or n > hi:
             raise OutOfRange(f"n={n} outside 0..{hi}")
 
@@ -254,48 +251,54 @@ class MVOPSequence:
         return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(
             float if self._real else complex)
 
-    def _log_ratios(self, n: int):
-        """(r, u, a, conj(a), lr) for the pairs of ``_pairs``, with lr = log
-        ||p_n^{w_u}||^2 - log ||p_{n-1}^{w_r}||^2 from the float log norms
-        both backends keep; ``DegreeCap`` once |lr| passes
-        ``LOG_RATIO_CAP``, before exp(lr) can overflow."""
-        for r, u, a, ac in self._pairs:
-            lr = (self.scalar_seqs[u].log_norms[n]
-                  - self.scalar_seqs[r].log_norms[n - 1])
-            if abs(lr) > LOG_RATIO_CAP:
-                raise DegreeCap(f"norm-ratio log {lr:.1f} exceeds "
-                                f"{LOG_RATIO_CAP} at n={n}")
-            yield r, u, a, ac, lr
-
-    def _ratio_entries(self, n: int) -> np.ndarray:
-        """G_n as its table holds it: entry (u, r) is conj(a) exp(lr) for a
-        = A[r, u] (see ``_log_ratios``), or the rational conj(a) _nu[u][n] /
-        _nu[r][n-1] times the implied gamma_u / gamma_r.  Zero for n = 0
-        (the paper's ||P_{-1}||^{-2} = 0 convention)."""
-        G = np.zeros((self.weight.N,) * 2,
-                     dtype=object if self.exact else complex)
-        if n == 0:
-            return G
-        self._check_n(n, self.n_max + 1)
-        for r, u, _, ac, lr in self._log_ratios(n):
-            G[u, r] = ac * (self._nu[u][n] / self._nu[r][n - 1] if self.exact
-                            else exp(lr))
-        return G
-
-    def _ratio(self, n: int) -> np.ndarray:
-        """G_n from the sequence's table, filled through ``_ratio_entries``
-        on the first read of each degree; every reader shares it."""
-        got = self._ratios.get(n)
+    def _ratio_table(self):
+        """(G, half), read-only: G[n] = G_n for n = 0..n_max+1, zero at n =
+        0 (||P_{-1}||^{-2} = 0), entry (u, r) conj(a) exp(lr) by ``math.exp``
+        for a = A[r, u], or the rational conj(a) _nu[u][n] / _nu[r][n-1]
+        times the implied gamma_u / gamma_r; half[n, i] = exp(lr[n, i] / 2),
+        zero at n = 0.  Built on first use, published in one assignment."""
+        got = self._gtab
         if got is None:
-            got = self._ratios[n] = self._ratio_entries(n)
+            (r, u), ac = self._ru, [p[3] for p in self._pairs]
+            # entries past the cap are never read (``_ratios``)
+            lr = np.clip(self._lr, -LOG_RATIO_CAP, LOG_RATIO_CAP)
+            G = np.zeros((self.n_max + 2,) + (self.weight.N,) * 2,
+                         dtype=object if self.exact else complex)
+            if self.exact:
+                G[1:, u, r] = [[c * (self._nu[j][n] / self._nu[i][n - 1])
+                                for i, j, c in zip(r, u, ac)]
+                               for n in range(1, self.n_max + 2)]
+            else:
+                G[1:, u, r] = np.array(ac) * np.reshape(
+                    [exp(v) for v in lr[1:].flat], lr[1:].shape)
+            half = np.reshape([exp(0.5 * v) for v in lr.flat], lr.shape)
+            half[0] = 0.0
+            G.flags.writeable = half.flags.writeable = False
+            got = self._gtab = G, half
         return got
 
+    def _ratios(self, ns, half=False) -> np.ndarray:
+        """G_n (``half``: exp(lr / 2)) for the degrees ns, an int or an array
+        in 0..n_max+1, sliced from ``_ratio_table``; ``DegreeCap`` at the
+        first degree of ns, and its first pair, where |lr| passes
+        ``LOG_RATIO_CAP``."""
+        self._check_n(ns, self.n_max + 1)
+        over = self._over[ns]
+        if over.any() if over.ndim else over:
+            lr = self._lr[ns]
+            at = np.unravel_index((np.abs(lr) > LOG_RATIO_CAP).argmax(),
+                                  lr.shape)
+            n = ns[at[0]] if over.ndim else ns
+            raise DegreeCap(f"norm-ratio log {lr[at]:.1f} exceeds "
+                            f"{LOG_RATIO_CAP} at n={n}")
+        return self._ratio_table()[1 if half else 0][ns]
+
     def ratio_matrix(self, n: int) -> np.ndarray:
-        """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*: entry
-        (u, r) is conj(a) ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2 for a = A[r,
-        u], zero for n = 0; complex from the table, or its keyed rationals
-        as sympy entries (``_sympy``)."""
-        G = self._ratio(n)
+        """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*, n <=
+        n_max + 1: entry (u, r) is conj(a) ||p_n^{w_u}||^2 /
+        ||p_{n-1}^{w_r}||^2 for a = A[r, u], zero for n = 0; a complex copy
+        of the table, or its keyed rationals as sympy entries (``_sympy``)."""
+        G = self._ratios(n)
         if not self.exact:
             return G.copy()
         out = np.full(G.shape, self._sympy([]))
@@ -354,8 +357,8 @@ class MVOPSequence:
         hi + 2 powers, Q_n zero above degree n (exact: where the verdict is
         0), and one verdict per degree (0 for a valid Q_n, else an index
         into ``_FAULTS``; ``_refuse`` turns it into the error).  Float rows
-        are {0: array} of shape (hi - lo, hi + 2, N, N), real where A is;
-        exact rows are the entries of ``_exact_rows``.
+        are arrays of shape (hi - lo, hi + 2, N, N), real where A is; exact
+        rows are the entries of ``_exact_rows``.
 
         Column k of Q_n T holds e_k p_n, A[:, k] p_{n+1} and -G_n[:, k]
         p_{n-1}, placed on the pairs of A (N + 2(N - 1) entries); column u
@@ -381,7 +384,7 @@ class MVOPSequence:
                 raise DegreeCap(f"power coefficients of p_{k} are past the "
                                 f"float range")
         ns = np.arange(lo, hi)
-        G = np.stack([self._ratio(n) for n in ns])
+        G = self._ratios(ns)
         if self.exact:
             qt, q = self._exact_rows(lo, hi, G)
             spill = np.stack([num for num, _ in q.values()])[
@@ -391,25 +394,25 @@ class MVOPSequence:
             if self._real:   # G_n = conj(a) exp(lr)
                 pairs = [(r, u, a.real, c) for r, u, a, c in pairs]
                 dtype, G = float, G.real
-            qt = {0: np.zeros((hi - lo, width, N, N), dtype)}
+            qt = np.zeros((hi - lo, width, N, N), dtype)
             with np.errstate(over="ignore", invalid="ignore"):
-                qt[0][:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
+                qt[:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
                 for r, u, a, _ in pairs:
-                    qt[0][:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
-                    qt[0][:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
-                q = {0: qt[0].copy()}
+                    qt[:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
+                    qt[:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
+                q = qt.copy()
                 for r, u, a, _ in pairs:
-                    q[0][:, 1:, :, u] -= qt[0][:, :-1, :, r] * a
-            spill = q[0][np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
+                    q[:, 1:, :, u] -= qt[:, :-1, :, r] * a
+            spill = q[np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.exact:
                 finite = np.ones(hi - lo, dtype=bool)
                 overflow = spill.astype(bool).any(axis=(0, 2))
             else:   # a non-finite Q_n T coefficient leaves Q_n non-finite
-                top = np.abs(q[0]).max(axis=(1, 2, 3))
+                top = np.abs(q).max(axis=(1, 2, 3))
                 finite = np.isfinite(top)
                 overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
-                q[0][np.arange(width)[None, :] > ns[:, None]] = 0
+                q[np.arange(width)[None, :] > ns[:, None]] = 0
             # det K_n, the continuant of ``rho_values`` for all degrees at
             # once, is 0 when 0 at every monomial; an overflowed one is not
             rho, keys = self._keyed_rho(G)
@@ -519,7 +522,7 @@ class MVOPSequence:
         if not self.exact:
             *rows, verdict = self._assemble(lo, hi)
             self._refuse(lo, verdict)
-            return rows[which][0]
+            return rows[which]
         got = self._qrows
         if got is None:
             *rows, verdict = self._assemble(0, self.n_max + 1)
@@ -612,21 +615,23 @@ class MVOPSequence:
         bits, rounded once to the nearest complex double (``_nearest``); a
         one-class weight forms no sympy expression."""
         self._check_n(n)
-        d = continuant(*self._keyed_rho(self._ratio(n)))
+        d = continuant(*self._keyed_rho(self._ratios(n)))
         return _nearest((self._mono(k), v) for k, v in d.items())
 
-    def rho_values(self, n: int):
+    def rho_values(self, n):
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
-        for the pairs a_i = A[r, u] in pair order: real floats from the G_n
-        table, or sympy entries from its keyed rationals (``_keyed_rho``)."""
-        rho, keys = self._keyed_rho(self._ratio(n))
+        for the pairs a_i = A[r, u] in pair order, n <= n_max + 1: real
+        floats from the G_n table, shape (pairs,) + n.shape for an array n,
+        or sympy entries from its keyed rationals (``_keyed_rho``)."""
+        rho, keys = self._keyed_rho(self._ratios(n))
         if self.exact:
             return [self._sympy([kv]) for kv in zip(keys, rho)]
-        return [r.real for r in rho]
+        return np.real(rho)
 
-    def reduced_leading_matrix(self, n: int) -> np.ndarray:
+    def reduced_leading_matrix(self, n) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
-        similarity, for brute-force det checks; floats on both backends.
+        similarity, for brute-force det checks; floats on both backends,
+        shape n.shape + (N, N).
 
         The off-diagonal entries sit on the adjacent pairs (i, i+1)/(i+1,
         i), one from A and one from A* (see ``build_nilpotent``).  A
@@ -637,15 +642,12 @@ class MVOPSequence:
         change.
         """
         self._check_n(n)
-        M = np.eye(self.weight.N, dtype=complex)
-        if n == 0:
-            return M
-        A = _to_complex(self.A)
+        N, (r, u) = self.weight.N, self._ru
+        a, half = self._A[r, u], self._ratios(n, half=True)
+        M = np.eye(N, dtype=complex) * np.ones(np.shape(n) + (1, 1))
         # r: row of the A entry of the pair, u: row of the A* entry
-        for r, u, _, _, lr in self._log_ratios(n):
-            a, m = A[r, u], exp(0.5 * lr)
-            M[r, u] = -a * m
-            M[u, r] = a.conjugate() * m
+        M[..., r, u] = -a * half
+        M[..., u, r] = a.conjugate() * half
         return M
 
     def _norm_terms(self, n, log_scale=0.0) -> dict:
@@ -655,11 +657,11 @@ class MVOPSequence:
         array) of complex values over exp(log_scale), one per degree."""
         if self.exact:
             d, d1 = ([nu[m] for nu in self._nu] for m in (n, n + 1))
-            G = self._ratio(n)
+            G = self._ratios(n)
         else:   # G[u, r] and d[k] are arrays over the degrees
             d, d1 = (np.exp(self._log_norms[:, m] - log_scale)
                      for m in (n, n + 1))
-            G = np.moveaxis(np.array([self._ratio(m) for m in n]), 0, -1)
+            G = np.moveaxis(self._ratios(n), 0, -1)
         ek, pairs = self._ek, self._pairs
         ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
         for r, u, a, _ in pairs:
@@ -685,15 +687,13 @@ class MVOPSequence:
             out[i, j].append((key, v))
         return out
 
-    def squared_norm_Q(self, n: int, log_scale: float = 0.0) -> np.ndarray:
-        """||Q_n||^2 (see ``_norm_terms``): complex over exp(log_scale) on
-        the float backend, or each exact entry's keyed rationals as sympy
-        (``_sympy``), which the checks read rounded (``_norm_Q``)."""
+    def squared_norm_Q(self, n: int) -> np.ndarray:
+        """||Q_n||^2 (see ``_norm_terms``): complex on the float backend, or
+        each exact entry's keyed rationals as sympy (``_sympy``), which the
+        checks read rounded (``_norm_Q``)."""
         self._check_n(n)
         if not self.exact:
-            return self._norm_stack([n], [log_scale])[0]
-        if log_scale:
-            raise InvalidParam("the exact ||Q_n||^2 is read unscaled")
+            return self._norm_stack([n], 0.0)[0]
         out = np.full((self.weight.N,) * 2, self._sympy([]))
         for ij, terms in self._norm_entries(n).items():
             out[ij] = self._sympy(terms)
@@ -771,8 +771,8 @@ class MVOPSequence:
         """
         M, N = self.n_max, self.weight.N
         m = M + 2
-        A = _to_complex(self.A)
-        G = np.stack([self._ratio(n) for n in range(M + 1)])
+        A = self._A
+        G = self._ratios(np.arange(M + 1))
         if self.exact:  # G_n[u, r] with its monomial gamma_u / gamma_r
             G = self._round(self._keyed_ratios(G), (M + 1,))
         if self._real:  # G_n = conj(a) exp(lr), or rounded real (``_round``)

@@ -11,7 +11,8 @@ reference for the stacked construction in ``MVOPSequence``; the dense
 norm products are the reference for its sparse ||Q_n||^2, and the
 50-digit rounding for the doubles its norm reader gives.  The dense
 symmetry solve is the reference for the commutant solve in
-``order_zero_symmetries``.
+``order_zero_symmetries``.  ``set_ratio`` is no oracle: it injects a
+wrong G_n into a sequence's G_n table for the fault tests.
 """
 
 from math import comb, exp
@@ -365,6 +366,15 @@ def three_term_loop(seq, n):
         num += np.vdot(r, r).real
         den += np.vdot(xq, xq).real
     return (*mats, float(np.sqrt(num / den)))
+
+
+def set_ratio(seq, n, change):
+    """Replace G_n in the G_n table of ``seq`` by change(G_n), where every
+    reader (rows, norms, Gram block, det) takes it."""
+    G, half = seq._ratio_table()
+    G = G.copy()
+    G[n] = change(G[n])
+    seq._gtab = G, half
 
 
 def det_loop(seq, n_max):

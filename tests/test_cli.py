@@ -14,7 +14,7 @@ from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
 from mvop.errors import ConfigError
 from mvop.mvop_core import MVOPSequence, peak
 from mvop.weight_model import weight_spec
-from oracles import det_loop
+from oracles import det_loop, set_ratio
 
 
 #: raw moments of the Legendre weight on [-1, 1]
@@ -195,21 +195,21 @@ class TestRun:
         assert calls == [(0, 7)]
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
-    def test_ratio_matrix_once_per_degree(self, backend):
-        # every reader takes G_n from the sequence's table, which
-        # _ratio_entries fills
+    def test_ratio_table_once_per_sequence(self, backend):
+        # every reader slices G_n from the sequence's one table, built on
+        # the first read
         cfg = config_from_json(dict(self.HER3_EXACT, backend=backend))
         seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=backend)
         calls = []
-        ratio = seq._ratio_entries
+        table = seq._ratio_table
 
-        def counted(n):
-            calls.append(n)
-            return ratio(n)
-        seq._ratio_entries = counted
+        def counted():
+            calls.append(seq._gtab is None)
+            return table()
+        seq._ratio_table = counted
         for name in ("orth", "norm", "recurrence", "eigen", "det"):
             assert _CHECKS[name](seq, cfg)["passed"], name
-        assert sorted(calls) == list(range(cfg.n_max + 2))
+        assert calls.count(True) == 1
 
     @pytest.mark.parametrize("n_max", [2, 18])
     def test_custom_weight_at_its_moment_count(self, n_max):
@@ -371,6 +371,20 @@ class TestHighDegree:
             assert res["status"] == "error"
             assert res["error"].startswith(error), res["error"]
 
+    @pytest.mark.parametrize("check", ["orth", "det"])
+    def test_gram_typed_error_hermite_first(self, check):
+        # Hermite first: the norm ratio passes its cap at n = 130, and
+        # every reader of the G_n table names that degree and log ratio
+        a, weights = self.HERMITE_LAGUERRE
+        cfg = config_from_json(base_config(a=a, weights=weights,
+                                           n_max=300, checks=[check]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg)["checks"][check]
+        assert res["status"] == "error"
+        assert res["error"] == ("DegreeCap: norm-ratio log 602.3 exceeds "
+                                "600.0 at n=130")
+
     def test_eigen_past_continuant_overflow(self):
         # the float continuant of rho_n (det K_n) overflows before n = 84
         # on this weight; an overflowed continuant is a regular K_n and
@@ -447,9 +461,7 @@ class TestHighDegree:
         # leaves the span of its three neighbours
         cfg = config_from_json(base_config(n_max=6, checks=["recurrence"]))
         seq = MVOPSequence(cfg.spec, cfg.n_max + 1)
-        ratio = seq._ratio_entries
-        seq._ratio_entries = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
-                                        else ratio(n))
+        set_ratio(seq, 3, lambda G: G * (1 + 1e-6))
         res = _CHECKS["recurrence"](seq, cfg)
         assert not res["passed"]
         assert res["max_relative_residual"] > 1e-8
@@ -479,9 +491,8 @@ class TestNonFinite:
             seq.three_term_table = lambda hi: (
                 *table(hi)[:3],
                 np.where(np.arange(1, hi + 1) == 2, nan, table(hi)[3]))
-        elif check == "det":
-            rho = seq.rho_values
-            seq.rho_values = lambda n: [nan] if n == 2 else rho(n)
+        elif check == "det":    # rho_2, read from G_2
+            set_ratio(seq, 2, lambda G: G * nan)
         else:
             q_block = seq.q_block
 

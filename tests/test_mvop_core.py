@@ -19,8 +19,8 @@ from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
 from oracles import (dense_norm_Q, exact_rows, nearest_scaled,
-                     pairwise_quadrature, q_product, three_term_loop,
-                     tridiagonal_from_rho)
+                     pairwise_quadrature, q_product, set_ratio,
+                     three_term_loop, tridiagonal_from_rho)
 
 
 def lag2(a=1.0):
@@ -167,13 +167,11 @@ class TestConstruction:
     def test_q_block_singular_leading(self):
         # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3) and every
         # block holding degree 3 refuse it, other degrees are unaffected.
-        # The G_n table is filled through _ratio_entries (rationals on the
-        # exact backend)
+        # The G_n table holds rationals on the exact backend
         for backend, g in (("float", -0.5), ("exact", sp.QQ(-1, 2))):
             seq = MVOPSequence(lag2(2.0), 8, backend=backend)
-            ratio = seq._ratio_entries
-            bad = np.array([[0, 0], [g, 0]], dtype=ratio(3).dtype)
-            seq._ratio_entries = lambda n: bad if n == 3 else ratio(n)
+            set_ratio(seq, 3, lambda G: np.array([[0, 0], [g, 0]],
+                                                 dtype=G.dtype))
             for lo, hi in ((3, 4), (0, 9), (2, 5)):
                 with pytest.raises(SingularLeading, match="n=3"):
                     seq.q_block(lo, hi)
@@ -626,6 +624,60 @@ class TestRho:
                                                        rel=1e-12)
             assert np.array_equal(got != 0, direct != 0)
 
+    H, L = sf.hermite(0.0), sf.laguerre(0.5)
+    TABLE_WEIGHTS = {
+        "HL": weight_spec([1.5], [H, L]),
+        "LH": weight_spec([1.5], [L, H]),
+        "her3": weight_spec([1.0, -0.7], [sf.hermite(0.3), sf.hermite(-0.2),
+                                          sf.hermite(0.0)]),
+        "HHLLHL": HHLLHL,
+    }
+
+    @pytest.mark.parametrize("name", list(TABLE_WEIGHTS))
+    def test_array_reads_match_per_degree(self, name):
+        # one read for all degrees slices the same G_n table as one read
+        # per degree
+        seq = MVOPSequence(self.TABLE_WEIGHTS[name], 40)
+        ns = np.arange(41)
+        M, rho = seq.reduced_leading_matrix(ns), seq.rho_values(ns)
+        assert M.shape == (41, seq.weight.N, seq.weight.N)
+        assert rho.shape == (seq.weight.N - 1, 41)
+        for n in ns:
+            assert same_bits(M[n], seq.reduced_leading_matrix(int(n)))
+            assert same_bits(rho[:, n], seq.rho_values(int(n)))
+        assert same_bits(seq.rho_values(np.array([41])),
+                         seq.rho_values(41)[:, None])
+        assert (M[0] == np.eye(seq.weight.N)).all()
+
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_degrees_out_of_range(self, backend):
+        # G_n and rho_n are read for 0..n_max+1, the reduced matrix for
+        # 0..n_max; a negative degree never wraps around the table
+        seq = MVOPSequence(lag2(2.0), 6, backend=backend)
+        reads = [(seq.ratio_matrix, 7), (seq.rho_values, 7),
+                 (seq.reduced_leading_matrix, 6)]
+        for read, top in reads:
+            read(0), read(top)
+            for n in (-1, top + 1):
+                with pytest.raises(OutOfRange, match=f"n={n} "):
+                    read(n)
+        for n in (-1, 7):
+            with pytest.raises(OutOfRange, match=f"n={n} "):
+                seq.reduced_leading_matrix(np.array([1, n, 2]))
+        with pytest.raises(OutOfRange, match="n=8 "):
+            MVOPSequence(lag2(2.0), 6).rho_values(np.array([1, 8]))
+
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_table_is_read_only(self, backend):
+        seq = MVOPSequence(lag2(2.0), 6, backend=backend)
+        for table in seq._ratio_table():
+            assert not table.flags.writeable
+        before = seq.ratio_matrix(3)
+        got = seq.ratio_matrix(3)
+        got[1, 0] = 0
+        assert (seq.ratio_matrix(3) == before).all()
+        assert seq.ratio_matrix(3)[1, 0] != 0
+
 
 class TestThreeTerm:
     def test_recurrence_residual(self):
@@ -663,9 +715,7 @@ class TestThreeTerm:
         # G_3 (1 + 1e-6) leaves x Q_n off the span of its neighbours near
         # n = 3: residuals far above roundoff still agree to 1e-14
         seq = MVOPSequence(lag2(2.0), 8)
-        ratio = seq._ratio_entries
-        seq._ratio_entries = lambda n: (ratio(n) * (1 + 1e-6) if n == 3
-                                        else ratio(n))
+        set_ratio(seq, 3, lambda G: G * (1 + 1e-6))
         res = seq.three_term_table(7)[3]
         assert res[1:4].min() > 1e-8
         for n in range(1, 8):
