@@ -177,20 +177,20 @@ def config_from_json(data: dict) -> RunConfig:
     tol = _number(data, "tol", 1e-9)
     if n_max < 1 or tol <= 0:
         raise ConfigError("need n_max >= 1 and tol > 0")
-    # run builds Q_0..Q_{n_max+1}, whose scalar recurrences reach n_max + 2
-    # and read 2 (n_max + 2) + 2 moments
+    # run builds Q_0..Q_{n_max}, whose scalar recurrences reach n_max + 1
+    # and read 2 (n_max + 1) + 2 moments
     for s in scalars:
         if s.family != sf.CUSTOM:
             continue
         if backend == "exact":
             raise ConfigError("the exact backend needs classical families, "
                               "not a custom weight")
-        if n_max + 2 > sf.CUSTOM_DEGREE_CAP:
+        if n_max + 1 > sf.CUSTOM_DEGREE_CAP:
             raise ConfigError(f"custom weights need n_max <= "
-                              f"{sf.CUSTOM_DEGREE_CAP - 2}, got "
+                              f"{sf.CUSTOM_DEGREE_CAP - 1}, got "
                               f"n_max={n_max}")
-        if len(s.moments) < 2 * n_max + 6:
-            raise ConfigError(f"a custom weight needs {2 * n_max + 6} "
+        if len(s.moments) < 2 * n_max + 4:
+            raise ConfigError(f"a custom weight needs {2 * n_max + 4} "
                               f"moments for n_max={n_max}, got "
                               f"{len(s.moments)}")
     return RunConfig(spec=spec, backend=backend, n_max=n_max, tol=tol,
@@ -260,9 +260,11 @@ def _check_darboux(seq, cfg):
         rhs = seq.qt_block(0, n_hi + 1)
         scale = np.abs(rhs).max(axis=(1, 2, 3))
         lhs[:, :rhs.shape[1]] -= rhs
-        worst = float(np.max(np.abs(lhs).max(axis=(1, 2, 3)) / scale))
+        worst, worst_n, non_finite = peak(np.abs(lhs).max(axis=(1, 2, 3))
+                                          / scale)
         return {"passed": worst < 1e-10, "kind": "laguerre_n5_chain",
-                "max_relative_residual": worst, "max_degree": n_hi}
+                "max_relative_residual": worst, "worst_n": worst_n,
+                "non_finite": non_finite, "max_degree": n_hi}
     try:
         _, D1, _, _ = dx.hermite_A_factorization(spec)
     except Unsupported:
@@ -271,8 +273,9 @@ def _check_darboux(seq, cfg):
     rep = dx.darboux_verify(seq.p_block(0, n_hi + 1), D1, seq, n_hi,
                             tol=cfg.tol)
     return {"passed": rep.passed, "kind": "hermite_A_factorization",
-            "worst_residual": rep.worst_residual,
-            "singular_ns": rep.singular_ns, "max_degree": n_hi}
+            "worst_residual": rep.worst_residual, "worst_n": rep.worst_n,
+            "non_finite": rep.non_finite, "singular_ns": rep.singular_ns,
+            "max_degree": n_hi}
 
 
 def _check_det(seq, cfg):
@@ -348,7 +351,7 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
     """Execute the requested checks in order and assemble the report
     dict."""
     t0 = time.perf_counter()
-    seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=cfg.backend)
+    seq = MVOPSequence(cfg.spec, cfg.n_max, backend=cfg.backend)
     checks = {}
     for name in cfg.checks:
         t = time.perf_counter()

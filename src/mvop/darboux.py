@@ -19,7 +19,7 @@ import numpy as np
 from . import scalar_families as sf
 from .errors import CapExceeded, InvalidParam, Unsupported
 from .matrix_poly import MatrixPolynomial, conj_transpose
-from .mvop_core import MVOPSequence
+from .mvop_core import MVOPSequence, peak
 from .diff_operators import (MatrixDiffOperator, apply_scalar,
                              entries_to_operator, op_apply, op_compose)
 from .weight_model import WeightSpec, build_T, build_nilpotent, weight_spec
@@ -271,6 +271,8 @@ class DarbouxReport:
     n_max: int
     tol: float
     worst_residual: float
+    worst_n: Optional[int]  # the degree of the peak (see ``peak``)
+    non_finite: bool
     connection: list = field(repr=False)   # per-n A_n
     dets: list
     singular_ns: list
@@ -279,6 +281,7 @@ class DarbouxReport:
     def to_json(self) -> dict:
         return {"n_max": self.n_max, "tol": self.tol,
                 "worst_residual": self.worst_residual,
+                "worst_n": self.worst_n, "non_finite": self.non_finite,
                 "dets": [[d.real, d.imag] for d in map(complex, self.dets)],
                 "singular_ns": self.singular_ns, "passed": self.passed}
 
@@ -293,8 +296,10 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     A_n come from one batched solve on the leading coefficients, in complex
     also for real stacks (a real LU rounds A_n otherwise).  The
     residual of degree n is max|L - A_n Q| / max(max|L|, max|Q|, 1e-300)
-    over all coefficients; the pass verdict needs every residual under tol
-    and nonsingular A_n apart from (at most) an initial finite set.
+    over all coefficients, and the peak is found by ``peak``, so a
+    non-finite residual is the worst one; the pass verdict needs every
+    residual under tol and nonsingular A_n apart from (at most) an initial
+    finite set.
     """
     d = np.arange(n_max + 1)
     L = op_apply(np.asarray(P), D1)
@@ -309,11 +314,12 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     scale = np.maximum(np.abs(L).max(axis=(1, 2, 3)),
                        np.abs(Q).max(axis=(1, 2, 3)))
     res = np.abs(R).max(axis=(1, 2, 3)) / np.maximum(scale, 1e-300)
-    worst = float(res.max())
+    worst, worst_n, non_finite = peak(res)
     dets = np.linalg.det(An).tolist()
     singular = [n for n, v in enumerate(dets) if abs(v) <= 1e-12]
     passed = (worst <= tol and len(singular) <= n_max
               and (not singular or singular[-1] < n_max))
     return DarbouxReport(n_max=n_max, tol=tol, worst_residual=worst,
+                         worst_n=worst_n, non_finite=non_finite,
                          connection=list(An), dets=dets,
                          singular_ns=singular, passed=passed)

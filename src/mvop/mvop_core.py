@@ -36,11 +36,13 @@ sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; two
 matmuls on the whole table give the whole block, in real arithmetic where
 A and every G_n are real.  sigma_n = exp(1/2 max_k log ||p_n^{w_k}||^2)
 keeps both finite where the norms themselves overflow.  ``gram_qt``
-reads pairs from the block.  The three-term coefficients of degrees 1..hi
-come from one stacked solve per neighbour against the closed-form norms,
-and the recurrence residual is the W-norm of x Q_n - A_n Q_{n+1} - B_n
-Q_n - C_n Q_{n-1} summed over the table, so the orth, norm and
-recurrence checks share this one quadrature path.
+reads pairs from the block.  The closed-form ||Q_n||^2 / sigma_n^2 of
+degrees 0..n_max is one read-only table per sequence, formed by one pass
+over all degrees on both backends (``_norm_table``).  The three-term
+coefficients of degrees 1..hi come from one stacked solve per neighbour
+against that table, and the recurrence residual is the W-norm of x Q_n -
+A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} summed over the node table, so the
+orth, norm and recurrence checks share this one quadrature path.
 """
 
 from collections import defaultdict
@@ -203,15 +205,16 @@ class MVOPSequence:
         self._lr = np.zeros((n_max + 2, len(self._pairs)))
         self._lr[1:] = (self._log_norms[u, 1:] - self._log_norms[r, :-1]).T
         self._over = (np.abs(self._lr) > LOG_RATIO_CAP).any(axis=1)
-        # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[k][n] gamma_k
+        # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[k, n] gamma_k
         atoms = [s.atom for s in self.scalar_seqs]
         self._atoms = list(dict.fromkeys(atoms))
         self._ek = [KEY ** self._atoms.index(t) for t in atoms]
-        self._nu = [list(map(_rational, s.norm_rationals))
-                    for s in self.scalar_seqs] if self.exact else None
+        self._nu = np.array([list(map(_rational, s.norm_rationals))
+                             for s in self.scalar_seqs],
+                            dtype=object) if self.exact else None
         self._gram = self._ptab = self._qrows = self._atom_values = None
-        self._recurrence = self._gtab = None
-        self._qnorms, self._monos = {}, {}
+        self._recurrence = self._gtab = self._qtab = None
+        self._monos = {}
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
@@ -254,7 +257,7 @@ class MVOPSequence:
     def _ratio_table(self):
         """(G, half), read-only: G[n] = G_n for n = 0..n_max+1, zero at n =
         0 (||P_{-1}||^{-2} = 0), entry (u, r) conj(a) exp(lr) by ``math.exp``
-        for a = A[r, u], or the rational conj(a) _nu[u][n] / _nu[r][n-1]
+        for a = A[r, u], or the rational conj(a) _nu[u, n] / _nu[r, n-1]
         times the implied gamma_u / gamma_r; half[n, i] = exp(lr[n, i] / 2),
         zero at n = 0.  Built on first use, published in one assignment."""
         got = self._gtab
@@ -265,12 +268,12 @@ class MVOPSequence:
             G = np.zeros((self.n_max + 2,) + (self.weight.N,) * 2,
                          dtype=object if self.exact else complex)
             if self.exact:
-                G[1:, u, r] = [[c * (self._nu[j][n] / self._nu[i][n - 1])
-                                for i, j, c in zip(r, u, ac)]
-                               for n in range(1, self.n_max + 2)]
+                ratio = (self._nu[u, 1:] / self._nu[r, :-1]).T
             else:
-                G[1:, u, r] = np.array(ac) * np.reshape(
-                    [exp(v) for v in lr[1:].flat], lr[1:].shape)
+                ratio = np.reshape([exp(v) for v in lr[1:].flat],
+                                   lr[1:].shape)
+            # array * QQ_I: QQ_I * array raises in QQ_I's own product
+            G[1:, u, r] = ratio * np.array(ac, dtype=G.dtype)
             half = np.reshape([exp(0.5 * v) for v in lr.flat], lr.shape)
             half[0] = 0.0
             G.flags.writeable = half.flags.writeable = False
@@ -650,22 +653,21 @@ class MVOPSequence:
         M[..., u, r] = a.conjugate() * half
         return M
 
-    def _norm_terms(self, n, log_scale=0.0) -> dict:
+    def _norm_terms(self, ns, log_scale=0.0) -> dict:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 on
-        the pairs of A, as {(i, j, monomial key): value}: rationals
-        (exact), or on the float backend arrays over the degrees n (an
-        array) of complex values over exp(log_scale), one per degree."""
+        the pairs of A for the degrees ns (an array), as {(i, j): {monomial
+        key: values over ns}}: rationals (exact), or complex values over
+        exp(log_scale), a scale per degree (float)."""
         if self.exact:
-            d, d1 = ([nu[m] for nu in self._nu] for m in (n, n + 1))
-            G = self._ratios(n)
-        else:   # G[u, r] and d[k] are arrays over the degrees
+            d, d1 = self._nu[:, ns], self._nu[:, ns + 1]
+        else:
             d, d1 = (np.exp(self._log_norms[:, m] - log_scale)
-                     for m in (n, n + 1))
-            G = np.moveaxis(self._ratios(n), 0, -1)
+                     for m in (ns, ns + 1))
+        G = np.moveaxis(self._ratios(ns), 0, -1)  # G[u, r] over the degrees
         ek, pairs = self._ek, self._pairs
         ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
         for r, u, a, _ in pairs:
-            t = a * d1[u]
+            t = d1[u] * a
             for r2, u2, a2, ac2 in pairs:
                 if u2 == u:
                     k = r, r2, ek[u]
@@ -673,70 +675,56 @@ class MVOPSequence:
                 if r2 == r:
                     k = u2, u, ek[u2] - ek[r]
                     ga[k] = ga.get(k, 0) + G[u2, r] * a
-        out = {(k, k, ek[k]): v for k, v in enumerate(d)}
+        out = defaultdict(dict, {(k, k): {ek[k]: v} for k, v in enumerate(d)})
         for (i, j, k), v in [*ada.items(), *(((i, j, k + ek[j]), t * d[j])
                                              for (i, j, k), t in ga.items())]:
-            out[i, j, k] = out.get((i, j, k), 0) + v
-        return out
-
-    def _norm_entries(self, n: int) -> dict:
-        """The exact ``_norm_terms`` of degree n by entry: {(i, j): [(key,
-        rational), ...]}."""
-        out = defaultdict(list)
-        for (i, j, key), v in self._norm_terms(n).items():
-            out[i, j].append((key, v))
+            out[i, j][k] = out[i, j].get(k, 0) + v
         return out
 
     def squared_norm_Q(self, n: int) -> np.ndarray:
         """||Q_n||^2 (see ``_norm_terms``): complex on the float backend, or
         each exact entry's keyed rationals as sympy (``_sympy``), which the
-        checks read rounded (``_norm_Q``)."""
+        checks read scaled and rounded (``_norm_Q``)."""
         self._check_n(n)
-        if not self.exact:
-            return self._norm_stack([n], 0.0)[0]
-        out = np.full((self.weight.N,) * 2, self._sympy([]))
-        for ij, terms in self._norm_entries(n).items():
-            out[ij] = self._sympy(terms)
+        out = np.full((self.weight.N,) * 2,
+                      self._sympy([]) if self.exact else 0j)
+        for ij, terms in self._norm_terms(np.array([n])).items():
+            out[ij] = (self._sympy([(k, v[0]) for k, v in terms.items()])
+                       if self.exact else sum(v[0] for v in terms.values()))
         return out
 
-    def _norm_stack(self, ns, log_scale) -> np.ndarray:
-        """Float ||Q_n||^2 / exp(log_scale) for the degrees ns, shape
-        (len(ns), N, N), from one ``_norm_terms`` pass over all of them."""
-        out = np.zeros((self.weight.N,) * 2 + (len(ns),), dtype=complex)
-        for (i, j, _), v in self._norm_terms(np.asarray(ns),
-                                             np.asarray(log_scale)).items():
-            out[i, j] += v
-        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    def _norm_table(self):
+        """||Q_n||^2 / sigma_n^2 for n = 0..n_max (log sigma_n =
+        ``log_gram_scale``) as a tuple of read-only complex views, from one
+        ``_norm_terms`` pass over all degrees; built on first use and
+        published in one assignment.  Each exact entry is the exact sum of
+        its rationals times their monomials scaled by exp(-2 log sigma_n)
+        (each product at 113 bits), rounded once per part (``_nearest``)."""
+        got = self._qtab
+        if got is None:
+            ns, log_scale = np.arange(self.n_max + 1), 2.0 * self._log_sigma
+            entries = self._norm_terms(ns, log_scale)
+            tab = np.zeros((len(ns),) + (self.weight.N,) * 2, dtype=complex)
+            if self.exact:
+                import mpmath
+                with mpmath.workprec(113):
+                    f = [mpmath.exp(-float(v)) for v in log_scale]
+                    scaled = {k: [self._mono(k) * fn for fn in f]
+                              for terms in entries.values() for k in terms}
+            for (i, j), terms in entries.items():
+                tab[:, i, j] = ([_nearest((scaled[k][n], v[n])
+                                          for k, v in terms.items())
+                                 for n in ns] if self.exact
+                                else sum(terms.values()))
+            tab.flags.writeable = False
+            got = self._qtab = tuple(tab)
+        return got
 
     def _norm_Q(self, n: int) -> np.ndarray:
-        """Complex ||Q_n||^2 / sigma_n^2 (log sigma_n = ``log_gram_scale``),
-        as the norm and recurrence checks read it, read-only.  The first
-        float read fills every degree from one ``_norm_stack``.  Each exact
-        entry is the exact sum of its rationals times their monomials
-        scaled by exp(-2 log sigma_n) (each product at 113 bits), rounded
-        once per part (``_nearest``)."""
-        got = self._qnorms.get(n)
-        if got is not None:
-            return got
-        log_scale = 2.0 * self.log_gram_scale(n)
-        if not self.exact:
-            tab = self._norm_stack(range(self.n_max + 1),
-                                   2.0 * self._log_sigma)
-            tab.flags.writeable = False
-            self._qnorms.update(enumerate(tab))
-            return self._qnorms[n]
-        import mpmath
-        got = np.zeros((self.weight.N,) * 2, dtype=complex)
-        with mpmath.workprec(113):
-            f = mpmath.exp(-log_scale)
-            entries = self._norm_entries(n)
-            scaled = {k: self._mono(k) * f for k in
-                      {k for terms in entries.values() for k, _ in terms}}
-        for ij, terms in entries.items():
-            got[ij] = _nearest((scaled[k], v) for k, v in terms)
-        got.flags.writeable = False
-        self._qnorms[n] = got
-        return got
+        """Complex ||Q_n||^2 / sigma_n^2 as the norm and recurrence checks
+        read it: degree n of ``_norm_table``, read-only."""
+        self._check_n(n)
+        return self._norm_table()[n]
 
     # -- the Gram block ------------------------------------------------------
 

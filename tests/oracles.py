@@ -414,8 +414,7 @@ def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
     ``darboux_verify``; returns its report."""
     from mvop.darboux import DarbouxReport
     from mvop.diff_operators import op_apply
-    conn, dets, singular = [], [], []
-    worst = 0.0
+    conn, dets, singular, residuals = [], [], [], []
     for n in range(n_max + 1):
         P = p_of(n)
         if P.exact:
@@ -427,15 +426,17 @@ def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
         An = np.linalg.solve(K.T, lead.T).T   # lead = An @ K
         d = complex(np.linalg.det(An))
         scale = max(L.max_coeff_norm(), Q.max_coeff_norm(), 1e-300)
-        res = (L - Q.left_mul(An)).max_coeff_norm() / scale
-        worst = max(worst, res)
+        residuals.append((L - Q.left_mul(An)).max_coeff_norm() / scale)
         conn.append(An)
         dets.append(d)
         if abs(d) <= 1e-12:
             singular.append(n)
+    worst = max(residuals)
     passed = (worst <= tol and len(singular) <= n_max
               and (not singular or singular[-1] < n_max))
     return DarbouxReport(n_max=n_max, tol=tol, worst_residual=worst,
+                         worst_n=residuals.index(worst),
+                         non_finite=not np.isfinite(residuals).all(),
                          connection=conn, dets=dets, singular_ns=singular,
                          passed=passed)
 

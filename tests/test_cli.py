@@ -158,6 +158,7 @@ class TestRun:
         assert res["passed"]
         assert res["kind"] == "laguerre_n5_chain"
         assert res["max_degree"] == 6
+        assert not res["non_finite"] and 0 <= res["worst_n"] <= 6
         res = run(config_from_json(dict(data, n_max=14)))["checks"]["darboux"]
         assert res["passed"] and res["max_degree"] == 10
 
@@ -192,14 +193,14 @@ class TestRun:
         assert report["checks"]["darboux"]["kind"] == \
             "hermite_A_factorization"
         assert report["checks"]["darboux"]["max_degree"] == 5
-        assert calls == [(0, 7)]
+        assert calls == [(0, 6)]
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_ratio_table_once_per_sequence(self, backend):
         # every reader slices G_n from the sequence's one table, built on
         # the first read
         cfg = config_from_json(dict(self.HER3_EXACT, backend=backend))
-        seq = MVOPSequence(cfg.spec, cfg.n_max + 1, backend=backend)
+        seq = MVOPSequence(cfg.spec, cfg.n_max, backend=backend)
         calls = []
         table = seq._ratio_table
 
@@ -211,11 +212,35 @@ class TestRun:
             assert _CHECKS[name](seq, cfg)["passed"], name
         assert calls.count(True) == 1
 
-    @pytest.mark.parametrize("n_max", [2, 18])
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_norm_table_once_per_sequence(self, backend):
+        # the norm and recurrence checks read ||Q_n||^2 / sigma_n^2 from
+        # one read-only table, formed by one pass over all degrees
+        cfg = config_from_json(dict(self.HER3_EXACT, backend=backend))
+        seq = MVOPSequence(cfg.spec, cfg.n_max, backend=backend)
+        calls = []
+        terms = seq._norm_terms
+
+        def counted(ns, *args):
+            calls.append(list(ns))
+            return terms(ns, *args)
+        seq._norm_terms = counted
+        for name in ("norm", "recurrence"):
+            assert _CHECKS[name](seq, cfg)["passed"], name
+        assert calls == [list(range(cfg.n_max + 1))]
+        table = seq._norm_table()
+        assert len(table) == cfg.n_max + 1
+        for n, norm in enumerate(table):
+            assert seq._norm_Q(n) is norm
+            assert not norm.flags.writeable
+            with pytest.raises(ValueError):
+                norm[0, 0] = 0
+
+    @pytest.mark.parametrize("n_max", [2, 19])
     def test_custom_weight_at_its_moment_count(self, n_max):
-        # 2 n_max + 6 moments and n_max 18 are enough for every Gram check
+        # 2 n_max + 4 moments and n_max 19 are enough for every Gram check
         report = run(config_from_json(custom_config(
-            2 * n_max + 6, n_max=n_max,
+            2 * n_max + 4, n_max=n_max,
             checks=["orth", "norm", "recurrence", "det"])))
         assert report["passed"], report["checks"]
 
@@ -263,8 +288,8 @@ class TestHighDegree:
         for check, res in report["checks"].items():
             assert res["passed"], (check, res)
             assert not res["non_finite"]
-            assert res["gauss_nodes"] == n_max + 3
-            # the smallest of 303 Laguerre weights is below the float range
+            assert res["gauss_nodes"] == n_max + 2
+            # the smallest of 302 Laguerre weights is below the float range
             assert (res["min_gauss_weight"] > 0
                     or (name, n_max) == ("lag2", 300))
             # its log10 is a number either way
@@ -385,6 +410,22 @@ class TestHighDegree:
         assert res["error"] == ("DegreeCap: norm-ratio log 602.3 exceeds "
                                 "600.0 at n=130")
 
+    def test_gram_checks_read_no_spare_degree(self):
+        # Hermite first: n = 130 is the first degree past the log ratio
+        # cap.  At n_max 129 no check reads it; at n_max 130 each names it
+        a, weights = self.HERMITE_LAGUERRE
+        names = ["orth", "norm", "recurrence", "det"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below, at = (run(config_from_json(base_config(
+                a=a, weights=weights, n_max=n_max, checks=names)))["checks"]
+                for n_max in (129, 130))
+        for name in names:
+            assert below[name]["passed"], (name, below[name])
+            assert not below[name]["non_finite"]
+            assert at[name]["status"] == "error"
+            assert at[name]["error"].endswith("at n=130"), at[name]["error"]
+
     def test_eigen_past_continuant_overflow(self):
         # the float continuant of rho_n (det K_n) overflows before n = 84
         # on this weight; an overflowed continuant is a regular K_n and
@@ -414,18 +455,23 @@ class TestHighDegree:
             assert res["passed"], res
 
     def test_gram_checks_past_node_cap(self):
-        # n_max 510 needs 513-node Gauss rules: each Gram check reports the
-        # cap, and det, which reads no rule, still runs and passes
+        # n_max 511 needs 513-node Gauss rules: each Gram check reports the
+        # cap, and det, which reads no rule, still runs and passes; n_max
+        # 510 reads 512-node rules, the most the cap allows, and passes
         jac = [{"family": "jacobi", "alpha": 0.5, "beta": 1.0},
                {"family": "jacobi", "alpha": 1.5, "beta": 0.0}]
-        checks = run(config_from_json(base_config(
-            a=[1.5], weights=jac, n_max=510,
+        past, at = (run(config_from_json(base_config(
+            a=[1.5], weights=jac, n_max=n_max,
             checks=["orth", "norm", "recurrence", "det"])))["checks"]
+            for n_max in (511, 510))
         for name in ("orth", "norm", "recurrence"):
-            assert checks[name]["status"] == "error"
-            assert checks[name]["error"] == \
+            assert past[name]["status"] == "error"
+            assert past[name]["error"] == \
                 "DegreeCap: Gauss rule needs 513 > 512 nodes"
-        assert checks["det"]["passed"], checks["det"]
+            assert at[name]["passed"], (name, at[name])
+            assert at[name]["gauss_nodes"] == 512
+        assert past["det"]["passed"], past["det"]
+        assert at["det"]["passed"], at["det"]
 
     @pytest.mark.parametrize("n_max", [25, 30])
     def test_exact_norms_past_the_normal_range(self, n_max):
@@ -460,7 +506,7 @@ class TestHighDegree:
         # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n
         # leaves the span of its three neighbours
         cfg = config_from_json(base_config(n_max=6, checks=["recurrence"]))
-        seq = MVOPSequence(cfg.spec, cfg.n_max + 1)
+        seq = MVOPSequence(cfg.spec, cfg.n_max)
         set_ratio(seq, 3, lambda G: G * (1 + 1e-6))
         res = _CHECKS["recurrence"](seq, cfg)
         assert not res["passed"]
@@ -475,11 +521,15 @@ class TestNonFinite:
         assert np.isnan(worst) and where == 2 and non_finite
 
     @pytest.mark.parametrize("check", ["orth", "norm", "recurrence", "det",
-                                       "eigen"])
+                                       "eigen", "darboux"])
     def test_nan_residual_fails(self, check):
         # one poisoned value at degree 2; every other residual is tiny
         cfg = config_from_json(base_config(n_max=5, checks=[check]))
-        seq = MVOPSequence(cfg.spec, cfg.n_max + 1)
+        if check == "darboux":  # the Hermite(0) factorization
+            cfg = config_from_json(base_config(
+                a=[1.0], n_max=5, checks=[check],
+                weights=[{"family": "hermite", "b": 0.0}] * 2))
+        seq = MVOPSequence(cfg.spec, cfg.n_max)
         nan = float("nan")
         if check in ("orth", "norm"):
             gram = seq.gram_qt
@@ -493,6 +543,14 @@ class TestNonFinite:
                 np.where(np.arange(1, hi + 1) == 2, nan, table(hi)[3]))
         elif check == "det":    # rho_2, read from G_2
             set_ratio(seq, 2, lambda G: G * nan)
+        elif check == "darboux":    # P_2
+            p_block = seq.p_block
+
+            def poisoned(lo, hi):
+                p = p_block(lo, hi)
+                p[2 - lo] *= nan
+                return p
+            seq.p_block = poisoned
         else:
             q_block = seq.q_block
 
@@ -507,7 +565,8 @@ class TestNonFinite:
             res = _CHECKS[check](seq, cfg)
         assert not res["passed"]
         assert res["non_finite"]
-
+        if "worst_n" in res:
+            assert res["worst_n"] == 2
 
     def test_inf_diagonal_block_fails(self, monkeypatch):
         # an inf in G_33 must fail both Gram checks, never read as 0
@@ -616,11 +675,11 @@ class TestCommandLine:
                        "support": [-1, 1, 5]},
                       {"family": "laguerre", "alpha": 0.5}]},
          "support an array of two"),
-        # run reads moments two degrees past n_max; the message names n_max
-        ({**custom_config(8), "n_max": 2},
-         "a custom weight needs 10 moments for n_max=2, got 8"),
-        ({**custom_config(60), "n_max": 19},
-         "custom weights need n_max <= 18, got n_max=19"),
+        # run reads moments one degree past n_max; the message names n_max
+        ({**custom_config(7), "n_max": 2},
+         "a custom weight needs 8 moments for n_max=2, got 7"),
+        ({**custom_config(60), "n_max": 20},
+         "custom weights need n_max <= 19, got n_max=20"),
         ({**custom_config(20), "backend": "exact"},
          "the exact backend needs classical families, not a custom weight"),
     ])

@@ -249,6 +249,9 @@ class TestDarbouxVerify:
         assert js["passed"] is True
         assert js["n_max"] == 4
         assert len(js["dets"]) == 5
+        assert js["non_finite"] is False
+        # no degree peaks when every residual is 0 (see ``peak``)
+        assert (js["worst_n"] is None) == (js["worst_residual"] == 0)
 
     @staticmethod
     def assert_matches_loop(D1, seq, n_max):
@@ -257,6 +260,7 @@ class TestDarbouxVerify:
         loop = darboux_loop(lambda n: p_product(seq, n), D1, seq, n_max)
         assert rep.passed and loop.passed
         assert abs(rep.worst_residual - loop.worst_residual) <= 1e-15
+        assert not (rep.non_finite or loop.non_finite)
         assert rep.singular_ns == loop.singular_ns
         assert np.allclose(rep.dets, loop.dets, rtol=1e-12, atol=0)
         assert np.allclose(rep.connection, loop.connection, rtol=1e-12,
