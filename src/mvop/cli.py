@@ -279,23 +279,13 @@ def _check_darboux(seq, cfg):
 
 
 def _check_det(seq, cfg):
-    # every degree at once: det K_n from the continuant of rho_n against
-    # the det of the reduced matrix, both read from the G_n table in one
-    # call each
+    # every degree at once, on both backends: det K_n = d 2^e, the
+    # continuant of rho_n (``leading_det``), against the det of the reduced
+    # matrix, which reads the log ratios instead; one call each
     ns = np.arange(1, cfg.n_max + 1)
     M = seq.reduced_leading_matrix(ns)
-    e = np.zeros(len(ns), dtype=int)
-    if seq.exact:   # keyed rationals, each monomial rounded once
-        fast = d = np.array([seq.leading_det(n) for n in ns])
-    else:   # the continuant as d 2^e: scaling by 2^-k is exact
-        d_prev = d = np.ones(len(ns))
-        for r in seq.rho_values(ns):    # rho_i over the degrees
-            d_prev, d = d, d + r * d_prev
-            if np.abs(d).max() > 2.0 ** 100:
-                # r d_prev stays below 2^1000
-                k = np.frexp(d)[1] * (np.abs(d) > 2.0 ** 100)
-                d_prev, d, e = np.ldexp(d_prev, -k), np.ldexp(d, -k), e + k
-        fast = np.where(e < 1024, np.ldexp(d, np.minimum(e, 1023)), np.inf)
+    d, e = seq.leading_det(ns)
+    fast = np.where(e < 1024, np.ldexp(d, np.minimum(e, 1023)), np.inf)
     # a det past the float range reads inf or nan, silently
     with np.errstate(over="ignore", invalid="ignore"):
         brute = np.linalg.det(M).real

@@ -25,24 +25,26 @@ outputs: doubles, an entry of key 0 alone rounded by p / q and any other
 by its exact sum in integers (``_exact_sum``, ``_nearest``), and sympy,
 formed by ``_sympy`` for the public readers alone.
 
-All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <=
-n_max, comes from one Gauss rule per scalar weight with n_max + 2 nodes,
-exact for every product of that degree.  One ``scalar_families.gauss_rule``
-pass over the float recurrences of the slots (the sequence's own on the
-float backend) gives every rule and the orthonormal recurrence values at
-its nodes.  Column k of Q_n T involves only p_{n-1}, p_n, p_{n+1} of
-w_k, so these values give one node table C[n], whose column range k is
-sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; two
-matmuls on the whole table give the whole block, in real arithmetic where
-A and every G_n are real.  sigma_n = exp(1/2 max_k log ||p_n^{w_k}||^2)
-keeps both finite where the norms themselves overflow.  ``gram_qt``
-reads pairs from the block.  The closed-form ||Q_n||^2 / sigma_n^2 of
-degrees 0..n_max is one read-only table per sequence, formed by one pass
-over all degrees on both backends (``_norm_table``).  The three-term
-coefficients of degrees 1..hi come from one stacked solve per neighbour
-against that table, and the recurrence residual is the W-norm of x Q_n -
+All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <= n_max,
+comes from one Gauss rule per scalar weight with n_max + 2 nodes, exact for
+every product of that degree.  One ``scalar_families.gauss_rule`` pass over
+the float recurrences of the slots (the sequence's own on the float
+backend) gives every rule and the orthonormal recurrence values at its
+nodes.  Column k of Q_n T involves only p_{n-1}, p_n, p_{n+1} of w_k, so
+these values give one node table C[n], whose column range k is
+sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; two matmuls
+on the whole table give the whole block, in real arithmetic where A and
+every G_n are real.  sigma_n = exp(1/2 max_k log ||p_n^{w_k}||^2) keeps
+both finite where the norms themselves overflow.  ``gram_qt`` reads pairs
+from the block.  The closed-form ||Q_n||^2 / sigma_n^2 of degrees 0..n_max
+is one read-only table per sequence, formed by one pass over all degrees on
+both backends (``_norm_table``), and so are the three-term coefficients of
+degrees 1..n_max-1, one stacked solve per neighbour against it
+(``three_term_table``).  The recurrence residual is the W-norm of x Q_n -
 A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} summed over the node table, so the
-orth, norm and recurrence checks share this one quadrature path.
+orth, norm and recurrence checks share this one quadrature path.  The Gram
+block and det K_n (``leading_det``, a continuant scaled by powers of two)
+read G_n as doubles on both backends (``_float_ratios``).
 """
 
 from collections import defaultdict
@@ -178,9 +180,10 @@ class MVOPSequence:
         self.n_max = n_max
         self.backend = backend
         self.exact = backend == "exact"
-        # P_{n+1} is needed for Q_n
-        self.scalar_seqs = [sf.recurrence_coefficients(s, n_max + 1, backend)
-                            for s in weight.scalars]
+        # P_{n+1} is needed for Q_n; equal slots share one sequence
+        own = {s: sf.recurrence_coefficients(s, n_max + 1, backend)
+               for s in dict.fromkeys(weight.scalars)}
+        self.scalar_seqs = [own[s] for s in weight.scalars]
         self.A = build_nilpotent(weight, exact=self.exact)
         self._A = build_nilpotent(weight)   # complex doubles, both backends
         self._real = not self._A.imag.any()
@@ -295,6 +298,16 @@ class MVOPSequence:
             raise DegreeCap(f"norm-ratio log {lr[at]:.1f} exceeds "
                             f"{LOG_RATIO_CAP} at n={n}")
         return self._ratio_table()[1 if half else 0][ns]
+
+    def _float_ratios(self, ns) -> np.ndarray:
+        """``_ratios`` as doubles: on the exact backend, each keyed entry
+        rounded once to its nearest double (``_round``), real where A is."""
+        G = self._ratios(ns)
+        if not self.exact:
+            return G
+        stack = G.reshape((-1,) + G.shape[-2:])
+        return self._round(self._keyed_ratios(stack),
+                           (len(stack),)).reshape(G.shape)
 
     def ratio_matrix(self, n: int) -> np.ndarray:
         """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*, n <=
@@ -612,14 +625,21 @@ class MVOPSequence:
         return ([G[..., u, r] * a for r, u, a, _ in self._pairs],
                 [self._ek[u] - self._ek[r] for r, u, *_ in self._pairs])
 
-    def leading_det(self, n: int) -> complex:
-        """det K_n on the exact backend: the ``continuant`` of the keyed
-        rationals of the G_n table (``_keyed_rho``), each monomial at 113
-        bits, rounded once to the nearest complex double (``_nearest``); a
-        one-class weight forms no sympy expression."""
-        self._check_n(n)
-        d = continuant(*self._keyed_rho(self._ratios(n)))
-        return _nearest((self._mono(k), v) for k, v in d.items())
+    def leading_det(self, ns):
+        """det K_n = d 2^e as (d, e) shaped like ns (an int or an array in
+        0..n_max), on both backends: the ``continuant`` of rho_i = a_i
+        G_n[u, r] over the doubles of G_n (``_float_ratios``) and of A,
+        scaled by a power of two, which is exact, where |d| passes 2^100."""
+        self._check_n(ns)
+        G, e = self._float_ratios(ns), np.zeros(np.shape(ns), dtype=int)
+        d_prev = d = np.ones(np.shape(ns))
+        for r, u, *_ in self._pairs:
+            d_prev, d = d, d + np.real(G[..., u, r] * self._A[r, u]) * d_prev
+            if np.abs(d).max() > 2.0 ** 100:
+                # rho_i d_prev stays below 2^1000
+                k = np.frexp(d)[1] * (np.abs(d) > 2.0 ** 100)
+                d_prev, d, e = np.ldexp(d_prev, -k), np.ldexp(d, -k), e + k
+        return d, e
 
     def rho_values(self, n):
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
@@ -760,9 +780,7 @@ class MVOPSequence:
         M, N = self.n_max, self.weight.N
         m = M + 2
         A = self._A
-        G = self._ratios(np.arange(M + 1))
-        if self.exact:  # G_n[u, r] with its monomial gamma_u / gamma_r
-            G = self._round(self._keyed_ratios(G), (M + 1,))
+        G = self._float_ratios(np.arange(M + 1))
         if self._real:  # G_n = conj(a) exp(lr), or rounded real (``_round``)
             A, G = A.real, G.real
         slot, nodes, vals, log_scale = self.engine.tables(m)
@@ -867,65 +885,57 @@ class MVOPSequence:
 
     def three_term_table(self, hi: int):
         """(A_n, B_n, C_n, residual) for x Q_n = A_n Q_{n+1} + B_n Q_n +
-        C_n Q_{n-1}, n = 1..hi, as read-only stacks over the degrees, built
-        on first use and extended by the new degrees alone for a larger hi.
+        C_n Q_{n-1}, n = 1..hi: read-only slices of one table per sequence,
+        built on first use and published in one assignment.
 
-        Computed by projection: X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one
-        stacked solve over the new degrees per neighbour (``_project``), so
-        the table reads ||Q_m||^2 for m = 0..hi + 1.  If one of them is not
-        finite or is singular, the new degrees are solved one at a time in
-        order instead, so the ``IllConditioned`` error names the first
-        such m a degree reads.  The residual is ||R_n||_W / ||x Q_n||_W
-        with R_n = x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} and
-        ||P||_W^2 = tr <P, P>_W, summed over the node table of
-        ``_gram_block`` with every term divided by sigma_n (so A_n and C_n
-        carry the factors sigma_{n+1} / sigma_n and sigma_{n-1} /
-        sigma_n).  It is exact: R_n T has degree n + 2, which the n_max + 2
-        nodes integrate for every n <= n_max - 1.  Each degree is solved
-        and summed on its own, so the table does not depend on the order
-        of the reads that built it.
+        X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one stacked solve per neighbour m
+        (``_project``).  The table holds the degrees before the first whose
+        m = n + 1, n or n - 1 has a ||Q_m||^2 that is not finite or is
+        singular (slogdet sign 0 on the adjoint the solve factors); a read
+        past them raises ``IllConditioned`` naming the first such m, in
+        that order.  The residual is ||R_n||_W / ||x Q_n||_W, R_n = x Q_n -
+        A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1}, ||P||_W^2 = tr <P, P>_W, summed
+        over the node table of ``_gram_block`` with every term divided by
+        sigma_n (so A_n and C_n carry sigma_{n+1} / sigma_n and sigma_{n-1}
+        / sigma_n).  It is exact: R_n T has degree n + 2, which the n_max +
+        2 nodes integrate for every n <= n_max - 1.
         """
         if hi < 1 or hi > self.n_max - 1:
             raise OutOfRange(f"n={hi} outside 1..{self.n_max - 1}")
         got = self._recurrence
-        have = 0 if got is None else len(got[3])
-        if have < hi:
-            ns = np.arange(have + 1, hi + 1)
-            # norms[i] is ||Q_{have + i}||^2
-            norms = np.array([self._norm_Q(m) for m in range(have, hi + 2)])
-            try:
-                mats = [self._project(ns, d, norms[ns + d - have])
-                        for d in (1, 0, -1)]
-            except IllConditioned:
-                for i, n in enumerate(ns):
-                    for d in (1, 0, -1):
-                        self._project(ns[i:i + 1], d, norms[[n + d - have]])
-                raise
-            new = (*mats, self._residuals(ns, mats))
-            if got is not None:
-                new = tuple(np.concatenate(pair) for pair in zip(got, new))
-            for a in new:
+        if got is None:
+            ns = np.arange(1, self.n_max)
+            norms = np.array([self._norm_Q(m) for m in range(self.n_max + 1)])
+            finite = np.isfinite(norms).all(axis=(1, 2))
+            norms[~finite] = np.eye(self.weight.N)
+            singular = np.linalg.slogdet(norms.conj().swapaxes(1, 2))[0] == 0
+            # fault[n - 1, i]: 0, 1 (not finite) or 2 (singular) for the
+            # neighbour m = n + 1 - i of degree n
+            fault = np.where(finite, 2 * singular, 1)[ns[:, None] + [1, 0, -1]]
+            ns = ns[np.cumsum(fault.any(axis=1)) == 0]    # readable
+            mats = [self._project(ns, d, norms[ns + d]) for d in (1, 0, -1)]
+            got = (*mats, self._residuals(ns, mats), fault)
+            for a in got:
                 a.flags.writeable = False
-            got = self._recurrence = new
-        return tuple(a[:hi] for a in got)
+            self._recurrence = got
+        *rows, fault = got
+        bad = np.flatnonzero(fault[:hi])
+        if bad.size:
+            n, i = divmod(int(bad[0]), 3)
+            raise IllConditioned(f"||Q_{n + 2 - i}||^2 is " + (
+                "not finite", "singular")[fault[n, i] - 1])
+        return tuple(a[:hi] for a in rows)
 
     def _project(self, ns, d, norm):
         """X_n = <x Q_n, Q_m> ||Q_m||^{-2} for m = n + d over the degrees
-        ns, by one stacked solve: (sigma_n / sigma_m) times the scaled
-        ratio, read from the scaled block and ``norm``, the ``_norm_Q``
-        of each m."""
+        ns by one stacked solve: (sigma_n / sigma_m) times the ratio of the
+        scaled block to ``norm``, the regular ``_norm_Q`` of each m."""
         ms = ns + d
-        finite = np.isfinite(norm).all(axis=(1, 2))
-        if not finite.all():
-            raise IllConditioned(
-                f"||Q_{ms[finite.argmin()]}||^2 is not finite")
         g = self.gram_data()[0][1, ns, :, ms, :] * np.exp(
             self._log_sigma[ns] - self._log_sigma[ms])[:, None, None]
         adjoint = [v.conj().swapaxes(1, 2) for v in (norm, g)]
-        try:    # X ||Q_m||^2 = g, solved as its adjoint
-            return np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
-        except np.linalg.LinAlgError:
-            raise IllConditioned(f"||Q_{ms[0]}||^2 is singular") from None
+        # X ||Q_m||^2 = g, solved as its adjoint
+        return np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
 
     def _residuals(self, ns, mats):
         """The residuals of ``three_term_table`` for the degrees ns, in
@@ -951,7 +961,7 @@ class MVOPSequence:
 
     def three_term_coefficients(self, n: int):
         """(A_n, B_n, C_n, residual) of degree n: the last row of
-        ``three_term_table(n)``, so degree n reads ||Q_m||^2 for m <= n +
-        1."""
+        ``three_term_table(n)``, which refuses it only for a faulty
+        ||Q_m||^2 with m <= n + 1."""
         *mats, res = self.three_term_table(n)
         return (*(X[-1].copy() for X in mats), float(res[-1]))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from sympy import QQ
 
 import mvop.scalar_families as sf
 from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
@@ -332,15 +333,17 @@ class TestHighDegree:
         assert (res["max_relative_error"], res["worst_n"],
                 res["non_finite"]) == peak(det_loop(seq, n_max), 1)
 
-    def test_det_continuant_past_float_range(self):
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_det_continuant_past_float_range(self, backend):
         # on H, L, H, L, H the continuant and the det of the reduced matrix
         # both pass the float range from n = 84 on: the continuant is
-        # rescaled by powers of two and compared with log |det|
+        # rescaled by powers of two and compared with log |det|, on the
+        # exact backend too
         H, L = {"family": "hermite", "b": 0.0}, {"family": "laguerre",
                                                  "alpha": 0.5}
         cfg = config_from_json(base_config(
             size=5, a=[1.5, -0.7, 1.2, 0.9], weights=[H, L, H, L, H],
-            n_max=100, checks=["det"]))
+            n_max=100, checks=["det"], backend=backend))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run(cfg)["checks"]["det"]
@@ -504,13 +507,20 @@ class TestHighDegree:
 
     def test_wrong_ratio_matrix_fails_recurrence(self):
         # Q_3 built from G_3 (1 + 1e-6) is no longer orthogonal, so x Q_n
-        # leaves the span of its three neighbours
-        cfg = config_from_json(base_config(n_max=6, checks=["recurrence"]))
-        seq = MVOPSequence(cfg.spec, cfg.n_max)
-        set_ratio(seq, 3, lambda G: G * (1 + 1e-6))
-        res = _CHECKS["recurrence"](seq, cfg)
-        assert not res["passed"]
-        assert res["max_relative_residual"] > 1e-8
+        # leaves the span of its three neighbours; and det K_3, the
+        # continuant of rho_3 from G_3, leaves the det of the reduced
+        # matrix, which reads the log ratios instead
+        for backend, factor in [("float", 1 + 1e-6),
+                                ("exact", QQ(1000001, 1000000))]:
+            cfg = config_from_json(base_config(n_max=6, backend=backend))
+            seq = MVOPSequence(cfg.spec, cfg.n_max, backend=backend)
+            set_ratio(seq, 3, lambda G: G * factor)
+            res = _CHECKS["recurrence"](seq, cfg)
+            assert not res["passed"]
+            assert res["max_relative_residual"] > 1e-8
+            res = _CHECKS["det"](seq, cfg)
+            assert not res["passed"] and res["worst_n"] == 3
+            assert res["max_relative_error"] > 1e-7
 
 
 class TestNonFinite:

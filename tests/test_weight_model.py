@@ -154,11 +154,13 @@ class TestInnerProduct:
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_gram_data_reads_own_recurrences(self, monkeypatch, backend):
-        # the Gram data takes every rule from one pass over float
-        # recurrences: the sequence's own N on the float backend, one per
-        # distinct weight on the exact one, whose own are exact.  Equal
-        # slots share one cached rule, which is the weight's own Gauss
-        # rule bit for bit, as a cache miss would build it.
+        # the sequence builds one recurrence per distinct weight, which
+        # equal slots share, and the Gram data takes every rule from one
+        # pass over float recurrences: the sequence's own on the float
+        # backend, one more per distinct weight on the exact one, whose own
+        # are exact.  Equal slots share one cached rule, which is the
+        # weight's own Gauss rule bit for bit, as a cache miss would build
+        # it.
         calls = []
         build = sf.recurrence_coefficients
         monkeypatch.setattr(
@@ -168,8 +170,9 @@ class TestInnerProduct:
                    sf.jacobi(0.5, 1.5)]
         seq = MVOPSequence(weight_spec([1.0, 0.5, -2.0], scalars), 6,
                            backend=backend)
-        own = [(s, backend) for s in scalars]
+        own = [(s, backend) for s in dict.fromkeys(scalars)]
         assert calls == own
+        assert seq.scalar_seqs[0] is seq.scalar_seqs[2]
         seq.gram_data()
         seq.quadrature_summary()
         assert calls == own + ([] if backend == "float" else [
