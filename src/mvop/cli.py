@@ -254,8 +254,8 @@ def _check_darboux(seq, cfg):
     spec = seq.weight
     n_hi = min(cfg.n_max, 10)
     if _is_n5_laguerre_chain(spec):
-        _, d1_tilde, _ = dx.builtin_n5_laguerre(spec.scalars[0].alpha,
-                                                spec.a_params)
+        _, d1_tilde = dx.n5_laguerre_d1_tilde(spec.scalars[0].alpha,
+                                              spec.a_params)
         lhs = op_apply(seq.p_block(0, n_hi + 1), d1_tilde)
         rhs = seq.qt_block(0, n_hi + 1)
         scale = np.abs(rhs).max(axis=(1, 2, 3))

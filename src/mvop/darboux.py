@@ -173,10 +173,10 @@ def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
     return tau, q
 
 
-def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
-    """The explicit 5x5 Laguerre chain: weight spec, the entrywise operator
-    D1_tilde with P_n . D1_tilde = Q_n T, and D = (D1_tilde T^{-1})(T (2I - D1_tilde)).
-    """
+def n5_laguerre_d1_tilde(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
+    """The explicit 5x5 Laguerre chain from its entry table: the weight spec
+    and the entrywise operator D1_tilde with P_n . D1_tilde = Q_n T, with
+    no operator composed (``builtin_n5_laguerre`` adds D)."""
     if alpha <= -1:
         raise InvalidParam("alpha must be > -1")
     a1, a2, a3, a4 = (float(v) for v in a)
@@ -213,8 +213,15 @@ def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
         (4, 3): smul(-a4, down1(alpha + 1)),
         (4, 4): ([1.0],),
     }
-    d1_tilde = entries_to_operator(entries, 5)
+    return spec, entries_to_operator(entries, 5)
 
+
+def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
+    """The explicit 5x5 Laguerre chain: weight spec, the entrywise operator
+    D1_tilde with P_n . D1_tilde = Q_n T (``n5_laguerre_d1_tilde``), and D
+    = (D1_tilde T^{-1})(T (2I - D1_tilde)).
+    """
+    spec, d1_tilde = n5_laguerre_d1_tilde(alpha, a)
     T, T_inv = build_T(spec)
     two_minus = MatrixDiffOperator.identity(5) * 2.0 - d1_tilde
     D1 = op_compose(d1_tilde, MatrixDiffOperator.multiplication(T_inv))

@@ -170,15 +170,25 @@ def op_apply(P, D: MatrixDiffOperator):
 def op_compose(D1: MatrixDiffOperator, D2: MatrixDiffOperator) -> MatrixDiffOperator:
     """Composition with P . (D1 o D2) = (P . D1) . D2.
 
-    H_k = sum over i + l = k, l <= j of C(j, l) (d^{j-l} F_i) G_j.
+    H_k = sum over i + l = k, l <= j of C(j, l) (d^{j-l} F_i) G_j, each
+    term ``cauchy(falling(F_i, j - l), G_j)`` on the coefficient stacks,
+    added in ascending i, j, l into one zero-padded stack per H_k, which
+    becomes a ``MatrixPolynomial`` once.
     """
     D1._check(D2)
-    m = D1.order + D2.order
-    out = [MatrixPolynomial.zero(D1.size) for _ in range(m + 1)]
+    terms = [[] for _ in range(D1.order + D2.order + 1)]
     for i, fi in enumerate(D1.f_coeffs):
         for j, gj in enumerate(D2.f_coeffs):
             for l in range(j + 1):
-                out[i + l] = out[i + l] + fi.derivative(j - l) * gj * comb(j, l)
+                terms[i + l].append(cauchy(falling(fi.coeffs, j - l),
+                                           gj.coeffs) * comb(j, l))
+    out = []
+    for ts in terms:
+        h = np.zeros((max(map(len, ts)),) + ts[0].shape[1:],
+                     dtype=np.result_type(*ts))
+        for t in ts:
+            h[:len(t)] += t
+        out.append(MatrixPolynomial(h))
     return MatrixDiffOperator(out)
 
 

@@ -17,13 +17,17 @@ degrees lo..hi-1 holds hi + 2 powers and is real exactly where A is.  The
 float backend assembles each requested range anew.  The exact backend keys
 every value by monomial in the moment atoms (1, sqrt(pi), ...; see
 ``KEY``) and assembles degrees 0..n_max once.  Its scalar values (A, G_n,
-the scalar norms) are rationals (QQ, or QQ_I for a complex A); its rows
-are Python-int numerators per monomial and per real or imaginary part over
-one denominator per degree and entry (``_exact_rows``), built on the
-integer ``scalar_families.power_table``.  These keyed values have two
-outputs: doubles, an entry of key 0 alone rounded by p / q and any other
-by its exact sum in integers (``_exact_sum``, ``_nearest``), and sympy,
-formed by ``_sympy`` for the public readers alone.
+the scalar norms, ||Q_n||^2) are Gaussian rationals held as Python-int
+triples (re, im, den) (``_exact``), tables of them as one object array
+sliced like the float tables, and their products and sums are integer
+arithmetic on whole arrays (``_gmul``, ``_gadd``); its rows are Python-int
+numerators per monomial and per real or imaginary part over one
+denominator per degree and entry (``_exact_rows``), built on the integer
+``scalar_families.power_table``.  These keyed values have two outputs:
+doubles, an entry of key 0 alone rounded by p / q and any other by its
+exact sum in integers (``_exact_sum``, ``_nearest``), and sympy, formed by
+``_sympy`` for the public readers alone.  The G_n table is rounded to
+doubles once per sequence (``_rounded_ratios``).
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <= n_max,
 comes from one Gauss rule per scalar weight with n_max + 2 nodes, exact for
@@ -44,7 +48,8 @@ degrees 1..n_max-1, one stacked solve per neighbour against it
 A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} summed over the node table, so the
 orth, norm and recurrence checks share this one quadrature path.  The Gram
 block and det K_n (``leading_det``, a continuant scaled by powers of two)
-read G_n as doubles on both backends (``_float_ratios``).
+read G_n as doubles on both backends (``_float_ratios``): the float table
+itself, or slices of the once-rounded exact one.
 """
 
 from collections import defaultdict
@@ -73,18 +78,35 @@ _FAULTS = (None,
            (SingularLeading, "singular leading coefficient at n={n}"))
 
 
-def _parts(v):
-    """(real, imaginary) parts of a rational (int, Fraction or QQ), a
-    Gaussian rational (QQ_I) or a pair of rationals."""
-    if isinstance(v, tuple):
-        return v
-    return (v.x, v.y) if hasattr(v, "y") else (v, 0)
+def _exact(re, im, den):
+    """The exact values (re + i im) / den (den > 0) of Python ints or
+    object arrays of them, as one object array whose first axis holds (re,
+    im, den), which slices like a float table (``_nu``, the G_n table).
+    Every exact scalar of a sequence (A, the scalar norms, G_n, ||Q_n||^2)
+    is such a triple, held as a tuple where it is not a table."""
+    out = np.empty((3,) + np.broadcast_shapes(*map(np.shape, (re, im, den))),
+                   dtype=object)
+    out[0], out[1], out[2] = re, im, den
+    return out
 
 
-def _rational(v):
-    """A sympy (Gaussian) rational as a QQ (QQ_I) element."""
-    from sympy import QQ, QQ_I
-    return (QQ if v.is_real else QQ_I).from_sympy(v)
+def _gmul(x, y):
+    """The product of exact values (see ``_exact``), elementwise."""
+    (a, b, d), (c, e, f) = x, y
+    return a * c - b * e, a * e + b * c, d * f
+
+
+def _gadd(x, y):
+    """The sum of exact values (see ``_exact``), elementwise."""
+    (a, b, d), (c, e, f) = x, y
+    return a * f + c * d, b * f + e * d, d * f
+
+
+def _to_exact(v):
+    """A sympy (Gaussian) rational as an exact value (see ``_exact``)."""
+    re, im = v.as_real_imag()
+    den = lcm(re.q, im.q)
+    return re.p * (den // re.q), im.p * (den // im.q), den
 
 
 def _exact_sum(terms) -> float:
@@ -97,11 +119,14 @@ def _exact_sum(terms) -> float:
         sign, man, e, _ = m._mpf_
         if p:
             ints.append(((-man if sign else man) * p, e, d))
-    if not ints:
+    if len(ints) == 1:
+        num, low, den = ints[0]
+    elif ints:
+        low = min(e for _, e, _ in ints)
+        den = lcm(*(d for *_, d in ints))
+        num = sum(v * (den // d) << (e - low) for v, e, d in ints)
+    else:
         return 0.0
-    low = min(e for _, e, _ in ints)
-    den = lcm(*(d for *_, d in ints))
-    num = sum(v * (den // d) << (e - low) for v, e, d in ints)
     num, den = (num << low, den) if low >= 0 else (num, den << -low)
     try:
         return num / den
@@ -111,14 +136,11 @@ def _exact_sum(terms) -> float:
 
 def _nearest(terms) -> complex:
     """The nearest complex double to sum_k m_k q_k over terms (an mpf m_k,
-    an exact rational or Gaussian rational q_k, see ``_parts``): the exact
-    sum of each part, rounded once (``_exact_sum``)."""
-    parts = ([], [])
-    for m, q in terms:
-        for out, p in zip(parts, _parts(q)):
-            if p:
-                out.append((m, p.numerator, p.denominator))
-    return complex(*map(_exact_sum, parts))
+    an exact value q_k = (re + i im) / den given as its three Python ints,
+    see ``_exact``): the exact sum of each part, rounded once
+    (``_exact_sum``)."""
+    return complex(*(_exact_sum((m, q[part], q[2]) for m, q in terms)
+                     for part in (0, 1)))
 
 
 def peak(residuals, first: int = 0):
@@ -171,6 +193,22 @@ def continuant(rho, keys=None):
     return d[0] if keys is None else d
 
 
+def _exact_continuant(rho, keys):
+    """The keyed ``continuant`` of exact rho_i = (re + i im) / den (see
+    ``_exact``) up to a positive factor, in integers: {key: (re, im)} of
+    E_k = D_k den_0 ... den_{k-1}, which is zero exactly where D_k is, from
+    E_k = den_{k-1} E_{k-1} + (re + i im)_{k-1} den_{k-2} E_{k-2}."""
+    e_prev, e, d_prev = {0: (1, 0)}, {0: (1, 0)}, 1
+    for key, (re, im, den) in zip(keys, rho):
+        nxt = {k: (den * x, den * y) for k, (x, y) in e.items()}
+        for k, (x, y) in e_prev.items():
+            s, t = nxt.get(k + key, (0, 0))
+            nxt[k + key] = (s + d_prev * (re * x - im * y),
+                            t + d_prev * (re * y + im * x))
+        e_prev, e, d_prev = e, nxt, den
+    return e
+
+
 class MVOPSequence:
     """Lazily built Q_n, P_n, norms, leading coefficients, and the Gram
     block with its node tables, for one weight."""
@@ -188,8 +226,8 @@ class MVOPSequence:
         self._A = build_nilpotent(weight)   # complex doubles, both backends
         self._real = not self._A.imag.any()
         # (r, u, a, conj(a)) for the nonzeros a = A[r, u] in row-major order
-        # (one per adjacent pair, in pair order), exact ones as QQ or QQ_I
-        conv = _rational if self.exact else (lambda v: v)
+        # (one per adjacent pair, in pair order), exact ones as exact values
+        conv = _to_exact if self.exact else (lambda v: v)
         self._pairs = [(int(r), int(u), conv(a), conv(a.conjugate()))
                        for r, u in zip(*np.nonzero(self.A))
                        for a in [self.A[r, u]]]
@@ -208,15 +246,19 @@ class MVOPSequence:
         self._lr = np.zeros((n_max + 2, len(self._pairs)))
         self._lr[1:] = (self._log_norms[u, 1:] - self._log_norms[r, :-1]).T
         self._over = (np.abs(self._lr) > LOG_RATIO_CAP).any(axis=1)
-        # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[k, n] gamma_k
+        # slot k: atom key _ek[k]; exact ||p_n^{w_k}||^2 = _nu[:, k, n] gamma_k
+        # (an exact value over slots and degrees, see ``_exact``)
         atoms = [s.atom for s in self.scalar_seqs]
         self._atoms = list(dict.fromkeys(atoms))
         self._ek = [KEY ** self._atoms.index(t) for t in atoms]
-        self._nu = np.array([list(map(_rational, s.norm_rationals))
-                             for s in self.scalar_seqs],
-                            dtype=object) if self.exact else None
+        self._nu = None
+        if self.exact:
+            num, den = (np.array([[getattr(q, f) for q in s.norm_rationals]
+                                  for s in self.scalar_seqs], dtype=object)
+                        for f in ("p", "q"))
+            self._nu = _exact(num, 0, den)
         self._gram = self._ptab = self._qrows = self._atom_values = None
-        self._recurrence = self._gtab = self._qtab = None
+        self._recurrence = self._gtab = self._qtab = self._gfloat = None
         self._monos = {}
 
     def _check_n(self, n, hi=None):
@@ -258,25 +300,33 @@ class MVOPSequence:
             float if self._real else complex)
 
     def _ratio_table(self):
-        """(G, half), read-only: G[n] = G_n for n = 0..n_max+1, zero at n =
-        0 (||P_{-1}||^{-2} = 0), entry (u, r) conj(a) exp(lr) by ``math.exp``
-        for a = A[r, u], or the rational conj(a) _nu[u, n] / _nu[r, n-1]
-        times the implied gamma_u / gamma_r; half[n, i] = exp(lr[n, i] / 2),
-        zero at n = 0.  Built on first use, published in one assignment."""
+        """(G, half), read-only: G[..., n, :, :] = G_n for n = 0..n_max+1,
+        zero at n = 0 (||P_{-1}||^{-2} = 0), entry (u, r) conj(a) exp(lr) by
+        ``math.exp`` for a = A[r, u], or on the exact backend the exact
+        value (``_exact``, reduced) conj(a) _nu[u, n] / _nu[r, n-1] times
+        the implied gamma_u / gamma_r; half[n, i] = exp(lr[n, i] / 2), zero
+        at n = 0.  Built on first use, published in one assignment."""
         got = self._gtab
         if got is None:
             (r, u), ac = self._ru, [p[3] for p in self._pairs]
             # entries past the cap are never read (``_ratios``)
             lr = np.clip(self._lr, -LOG_RATIO_CAP, LOG_RATIO_CAP)
-            G = np.zeros((self.n_max + 2,) + (self.weight.N,) * 2,
-                         dtype=object if self.exact else complex)
+            shape = (self.n_max + 2,) + (self.weight.N,) * 2
             if self.exact:
-                ratio = (self._nu[u, 1:] / self._nu[r, :-1]).T
+                G = _exact(np.zeros(shape, dtype=object), 0, 1)
+                nu = self._nu
+                ar, ai, ad = np.array(ac, dtype=object).reshape(-1, 3).T[
+                    ..., None]
+                f = nu[0, u, 1:] * nu[2, r, :-1]
+                re, im, den = ar * f, ai * f, ad * nu[2, u, 1:] * nu[0, r, :-1]
+                g = np.gcd(np.gcd(re, im), den)
+                G[:, 1:, u, r] = _exact(re // g, im // g,
+                                        den // g).swapaxes(1, 2)
             else:
-                ratio = np.reshape([exp(v) for v in lr[1:].flat],
-                                   lr[1:].shape)
-            # array * QQ_I: QQ_I * array raises in QQ_I's own product
-            G[1:, u, r] = ratio * np.array(ac, dtype=G.dtype)
+                G = np.zeros(shape, dtype=complex)
+                G[1:, u, r] = np.reshape([exp(v) for v in lr[1:].flat],
+                                         lr[1:].shape) * np.array(
+                                             ac, dtype=complex)
             half = np.reshape([exp(0.5 * v) for v in lr.flat], lr.shape)
             half[0] = 0.0
             G.flags.writeable = half.flags.writeable = False
@@ -285,9 +335,9 @@ class MVOPSequence:
 
     def _ratios(self, ns, half=False) -> np.ndarray:
         """G_n (``half``: exp(lr / 2)) for the degrees ns, an int or an array
-        in 0..n_max+1, sliced from ``_ratio_table``; ``DegreeCap`` at the
-        first degree of ns, and its first pair, where |lr| passes
-        ``LOG_RATIO_CAP``."""
+        in 0..n_max+1, sliced from ``_ratio_table`` (G[..., ns, :, :]);
+        ``DegreeCap`` at the first degree of ns, and its first pair, where
+        |lr| passes ``LOG_RATIO_CAP``."""
         self._check_n(ns, self.n_max + 1)
         over = self._over[ns]
         if over.any() if over.ndim else over:
@@ -297,29 +347,42 @@ class MVOPSequence:
             n = ns[at[0]] if over.ndim else ns
             raise DegreeCap(f"norm-ratio log {lr[at]:.1f} exceeds "
                             f"{LOG_RATIO_CAP} at n={n}")
-        return self._ratio_table()[1 if half else 0][ns]
+        G, h = self._ratio_table()
+        return h[ns] if half else G[..., ns, :, :]
 
     def _float_ratios(self, ns) -> np.ndarray:
-        """``_ratios`` as doubles: on the exact backend, each keyed entry
-        rounded once to its nearest double (``_round``), real where A is."""
+        """``_ratios`` as doubles: on the exact backend, the same degrees of
+        ``_rounded_ratios``."""
         G = self._ratios(ns)
-        if not self.exact:
-            return G
-        stack = G.reshape((-1,) + G.shape[-2:])
-        return self._round(self._keyed_ratios(stack),
-                           (len(stack),)).reshape(G.shape)
+        return self._rounded_ratios()[ns] if self.exact else G
+
+    def _rounded_ratios(self):
+        """The exact G_n table as doubles, each entry rounded once to its
+        nearest double (``_round``) and real where A is; degrees past
+        ``LOG_RATIO_CAP``, which ``_ratios`` never lets through, hold 0.
+        Built on first use, read-only, published in one assignment."""
+        got = self._gfloat
+        if got is None:
+            ok = np.flatnonzero(~self._over)
+            got = np.zeros((self.n_max + 2,) + (self.weight.N,) * 2,
+                           dtype=float if self._real else complex)
+            got[ok] = self._round(self._keyed_ratios(
+                self._ratio_table()[0][:, ok]), (len(ok),))
+            got.flags.writeable = False
+            self._gfloat = got
+        return got
 
     def ratio_matrix(self, n: int) -> np.ndarray:
         """G_n = ||P_n||^2 A* ||P_{n-1}||^{-2} on the pattern of A*, n <=
         n_max + 1: entry (u, r) is conj(a) ||p_n^{w_u}||^2 /
         ||p_{n-1}^{w_r}||^2 for a = A[r, u], zero for n = 0; a complex copy
-        of the table, or its keyed rationals as sympy entries (``_sympy``)."""
+        of the table, or its exact values as sympy entries (``_sympy``)."""
         G = self._ratios(n)
         if not self.exact:
             return G.copy()
-        out = np.full(G.shape, self._sympy([]))
+        out = np.full(G.shape[-2:], self._sympy([]))
         for r, u, *_ in self._pairs:
-            out[u, r] = self._sympy([(self._ek[u] - self._ek[r], G[u, r])])
+            out[u, r] = self._sympy([(self._ek[u] - self._ek[r], G[:, u, r])])
         return out
 
     def _mono(self, key, sympy=False):
@@ -344,14 +407,14 @@ class MVOPSequence:
         return self._monos[key, sympy]
 
     def _sympy(self, terms):
-        """sum_k v_k m_k over (key of m_k, rational v_k) in ``terms`` as a
-        sympy expression, each term written out as real + imaginary part."""
+        """sum_k v_k m_k over (key of m_k, exact value v_k, see ``_exact``)
+        in ``terms`` as a sympy expression, each term written out as real +
+        imaginary part."""
         import sympy as sp
         out = []
-        for key, v in terms:
+        for key, (re, im, den) in terms:
             m = self._mono(key, True)
-            re, im = (sp.Rational(int(p.numerator), int(p.denominator))
-                      for p in _parts(v))
+            re, im = sp.Rational(re, den), sp.Rational(im, den)
             out += [re * m, sp.I * im * m] if im else [re * m]
         return sp.Add(*out)
 
@@ -433,9 +496,13 @@ class MVOPSequence:
             # once, is 0 when 0 at every monomial; an overflowed one is not
             rho, keys = self._keyed_rho(G)
             singular = True
-            for d in continuant(rho if self.exact else np.real(rho),
-                                keys).values():
-                singular = singular & ~np.asarray(d).astype(bool)
+            if self.exact:
+                for re, im in _exact_continuant(rho, keys).values():
+                    singular = singular & ~(np.asarray(re).astype(bool)
+                                            | np.asarray(im).astype(bool))
+            else:
+                for d in continuant(np.real(rho), keys).values():
+                    singular = singular & ~d.astype(bool)
         # later assignments win: non-finite, then overflow, then singular
         verdict = np.zeros(hi - lo, dtype=np.int8)
         verdict[singular] = 3
@@ -444,17 +511,17 @@ class MVOPSequence:
         return qt, q, verdict
 
     def _keyed_ratios(self, G):
-        """A stack of G_n tables as exact entries (see ``_exact_rows``):
-        {(u, r, key, part): (numerators, denominators)}, arrays over the
-        stack, for each pair a = A[r, u] and nonzero part of G_n[u, r],
-        key the monomial of gamma_u / gamma_r."""
+        """A stack of exact G_n tables (G[:, k] = G_{n_k}) as exact entries
+        (see ``_exact_rows``): {(u, r, key, part): (numerators,
+        denominators)}, arrays over the stack, for each pair a = A[r, u]
+        and nonzero part of G_n[u, r], key the monomial of gamma_u /
+        gamma_r."""
         out = {}
         for r, u, *_ in self._pairs:
-            for part, ps in enumerate(zip(*map(_parts, G[:, u, r]))):
-                if any(ps):
-                    out[u, r, self._ek[u] - self._ek[r], part] = tuple(
-                        np.array([getattr(p, f) for p in ps], dtype=object)
-                        for f in ("numerator", "denominator"))
+            g = G[:, :, u, r]
+            for part in (0, 1):
+                if g[part].any():
+                    out[u, r, self._ek[u] - self._ek[r], part] = g[part], g[2]
         return out
 
     def _exact_rows(self, lo, hi, G):
@@ -502,18 +569,17 @@ class MVOPSequence:
         # arrays over the degrees
         one = np.ones(hi - lo, dtype=object)
         qt = [(k, k, 0, 0, (one, one), k, 0, 0) for k in range(self.weight.N)]
-        qt += [(r, u, 0, part, (p.numerator * one, p.denominator * one), u, 1,
-                0) for r, u, a, _ in self._pairs
-               for part, p in enumerate(_parts(a)) if p]
+        qt += [(r, u, 0, part, (a[part] * one, a[2] * one), u, 1, 0)
+               for r, u, a, _ in self._pairs for part in (0, 1) if a[part]]
         qt += [(u, r, key, part, (-gn, gd), r, -1, 0) for (u, r, key, part),
                (gn, gd) in self._keyed_ratios(G).items()]
         q = list(qt)
         for r, u, a, _ in self._pairs:  # -a x (Q_n T)[:, r], part by part
             q += [(i, u, key, (part + pa) % 2,
-                   ((1 if part and pa else -1) * cn * p.numerator,
-                    cd * p.denominator), slot, d, 1)
+                   ((1 if part and pa else -1) * cn * a[pa], cd * a[2]),
+                   slot, d, 1)
                   for i, j, key, part, (cn, cd), slot, d, _ in qt if j == r
-                  for pa, p in enumerate(_parts(a)) if p]
+                  for pa in (0, 1) if a[pa]]
         return place(qt), place(q)
 
     @staticmethod
@@ -584,13 +650,12 @@ class MVOPSequence:
         block = self._rows(n, n + 1, which)
         if not self.exact:
             return MatrixPolynomial(block[0, :width], size=N, trim=False)
-        from fractions import Fraction
         _, rows, _ = self._qrows
-        terms = defaultdict(list)   # (power, i, j): [(key, (re, im))]
+        terms = defaultdict(list)   # (power, i, j): [(key, exact value)]
         for (i, j, key, part), (num, den) in rows[which].items():
             for p, v in enumerate(num[n, :width]):
-                v = Fraction(v, den[n, 0])
-                terms[p, i, j].append((key, (0, v) if part else (v, 0)))
+                terms[p, i, j].append((key, (0, v, den[n, 0]) if part
+                                       else (v, 0, den[n, 0])))
         out = np.full((width, N, N), self._sympy([]))
         for at, t in terms.items():
             out[at] = self._sympy(t)
@@ -621,8 +686,10 @@ class MVOPSequence:
     def _keyed_rho(self, G):
         """(rho, keys): rho_i = a_i G[..., u, r] for the pairs a_i = A[r, u]
         of ``_pairs`` over a G_n table (or a stack of them), each with the
-        monomial key of gamma_u / gamma_r, as ``continuant`` takes them."""
-        return ([G[..., u, r] * a for r, u, a, _ in self._pairs],
+        monomial key of gamma_u / gamma_r, as ``continuant`` takes them
+        (exact values as ``_exact_continuant`` does)."""
+        mul = _gmul if self.exact else np.multiply
+        return ([mul(G[..., u, r], a) for r, u, a, _ in self._pairs],
                 [self._ek[u] - self._ek[r] for r, u, *_ in self._pairs])
 
     def leading_det(self, ns):
@@ -645,7 +712,7 @@ class MVOPSequence:
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
         for the pairs a_i = A[r, u] in pair order, n <= n_max + 1: real
         floats from the G_n table, shape (pairs,) + n.shape for an array n,
-        or sympy entries from its keyed rationals (``_keyed_rho``)."""
+        or sympy entries from its exact values (``_keyed_rho``)."""
         rho, keys = self._keyed_rho(self._ratios(n))
         if self.exact:
             return [self._sympy([kv]) for kv in zip(keys, rho)]
@@ -676,40 +743,50 @@ class MVOPSequence:
     def _norm_terms(self, ns, log_scale=0.0) -> dict:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 on
         the pairs of A for the degrees ns (an array), as {(i, j): {monomial
-        key: values over ns}}: rationals (exact), or complex values over
-        exp(log_scale), a scale per degree (float)."""
+        key: values over ns}}: exact values (re, im, den) of arrays over ns
+        (see ``_exact``), or complex values over exp(log_scale), a scale per
+        degree (float).  One code path: only the product, the sum and its
+        first term depend on the backend."""
         if self.exact:
-            d, d1 = self._nu[:, ns], self._nu[:, ns + 1]
+            d, d1 = (self._nu[..., m] for m in (ns, ns + 1))
+            mul, add, first = _gmul, _gadd, (lambda v: v)
         else:
             d, d1 = (np.exp(self._log_norms[:, m] - log_scale)
                      for m in (ns, ns + 1))
-        G = np.moveaxis(self._ratios(ns), 0, -1)  # G[u, r] over the degrees
+            # a float sum starts from 0, as ``sum`` does (-0.0 reads 0.0)
+            mul, add, first = np.multiply, np.add, (lambda v: 0 + v)
+        G = self._ratios(ns)    # G[..., n, u, r]
         ek, pairs = self._ek, self._pairs
         ada, ga = {}, {}    # the nonzeros of A D_{n+1} A* and of G_n A
+
+        def accumulate(into, k, v):
+            into[k] = add(into[k], v) if k in into else first(v)
         for r, u, a, _ in pairs:
-            t = d1[u] * a
+            t = mul(d1[..., u, :], a)
             for r2, u2, a2, ac2 in pairs:
                 if u2 == u:
-                    k = r, r2, ek[u]
-                    ada[k] = ada.get(k, 0) + t * ac2
+                    accumulate(ada, (r, r2, ek[u]), mul(t, ac2))
                 if r2 == r:
-                    k = u2, u, ek[u2] - ek[r]
-                    ga[k] = ga.get(k, 0) + G[u2, r] * a
-        out = defaultdict(dict, {(k, k): {ek[k]: v} for k, v in enumerate(d)})
-        for (i, j, k), v in [*ada.items(), *(((i, j, k + ek[j]), t * d[j])
-                                             for (i, j, k), t in ga.items())]:
-            out[i, j][k] = out[i, j].get(k, 0) + v
+                    accumulate(ga, (u2, u, ek[u2] - ek[r]),
+                               mul(G[..., u2, r], a))
+        out = defaultdict(dict, {(k, k): {ek[k]: d[..., k, :]}
+                                 for k in range(self.weight.N)})
+        for (i, j, k), v in [*ada.items(),
+                             *(((i, j, k + ek[j]), mul(t, d[..., j, :]))
+                               for (i, j, k), t in ga.items())]:
+            accumulate(out[i, j], k, v)
         return out
 
     def squared_norm_Q(self, n: int) -> np.ndarray:
         """||Q_n||^2 (see ``_norm_terms``): complex on the float backend, or
-        each exact entry's keyed rationals as sympy (``_sympy``), which the
+        each exact entry's exact values as sympy (``_sympy``), which the
         checks read scaled and rounded (``_norm_Q``)."""
         self._check_n(n)
         out = np.full((self.weight.N,) * 2,
                       self._sympy([]) if self.exact else 0j)
         for ij, terms in self._norm_terms(np.array([n])).items():
-            out[ij] = (self._sympy([(k, v[0]) for k, v in terms.items()])
+            out[ij] = (self._sympy([(k, [x[0] for x in v])
+                                    for k, v in terms.items()])
                        if self.exact else sum(v[0] for v in terms.values()))
         return out
 
@@ -718,8 +795,9 @@ class MVOPSequence:
         ``log_gram_scale``) as a tuple of read-only complex views, from one
         ``_norm_terms`` pass over all degrees; built on first use and
         published in one assignment.  Each exact entry is the exact sum of
-        its rationals times their monomials scaled by exp(-2 log sigma_n)
-        (each product at 113 bits), rounded once per part (``_nearest``)."""
+        its exact values times their monomials scaled by exp(-2 log
+        sigma_n) (each product at 113 bits), rounded once per part
+        (``_nearest``)."""
         got = self._qtab
         if got is None:
             ns, log_scale = np.arange(self.n_max + 1), 2.0 * self._log_sigma
@@ -730,12 +808,16 @@ class MVOPSequence:
                 with mpmath.workprec(113):
                     f = [mpmath.exp(-float(v)) for v in log_scale]
                     scaled = {k: [self._mono(k) * fn for fn in f]
-                              for terms in entries.values() for k in terms}
+                              for k in {k for terms in entries.values()
+                                        for k in terms}}
             for (i, j), terms in entries.items():
-                tab[:, i, j] = ([_nearest((scaled[k][n], v[n])
-                                          for k, v in terms.items())
-                                 for n in ns] if self.exact
-                                else sum(terms.values()))
+                if self.exact:  # per key, the rows (re, im, den) over ns
+                    rows = [(scaled[k], list(zip(*v)))
+                            for k, v in terms.items()]
+                    tab[:, i, j] = [_nearest([(m[n], v[n]) for m, v in rows])
+                                    for n in ns]
+                else:
+                    tab[:, i, j] = sum(terms.values())
             tab.flags.writeable = False
             got = self._qtab = tuple(tab)
         return got

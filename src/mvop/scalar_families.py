@@ -11,10 +11,15 @@ the Golub-Welsch eigenvectors, these weights keep their relative accuracy
 in the tails, where the eigenvector entries are only accurate in absolute
 terms.
 
-Two backends: ``float`` (binary64) and ``exact`` (sympy rationals, for
+Two backends: ``float`` (binary64) and ``exact`` (rationals, for
 classical families with rational parameters at small degree); only the
-exact branches import sympy.  Norms are kept in log space in the float
-backend to dodge factorial overflow.
+exact branches import sympy.  The exact recurrence runs on Python ints:
+b_n, c_n, the products c_1 ... c_n and the norm rationals are reduced
+(numerator, denominator) pairs formed from the numerators and denominators
+of the parameters (``_exact_recurrence``), handed out as sympy Rationals,
+and each log norm is the 113-bit log of the moment plus the 113-bit log of
+the product, rounded once to the nearest double.  Norms are kept in log
+space in the float backend to dodge factorial overflow.
 
 Power coefficients of the monic polynomials come from one routine,
 ``power_table``, which runs the recurrence for a whole list of
@@ -262,46 +267,92 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
         raise InvalidParam("n_max must be nonnegative")
     if backend not in ("float", "exact"):
         raise InvalidParam(f"unknown backend {backend!r}")
+    if backend == "exact":
+        return _exact_sequence(spec, n_max)
     if spec.family == CUSTOM:
-        if backend == "exact":
-            raise Unsupported("exact backend needs a classical family")
         if n_max > CUSTOM_DEGREE_CAP:
             raise InvalidParam(f"moment-supplied weights are capped at "
                                f"n_max <= {CUSTOM_DEGREE_CAP}")
         b, c = _chebyshev_from_moments(spec.moments, n_max)
     else:
-        b, c = _classical_recurrence(spec, n_max, backend)
-
-    if backend == "exact":
-        import mpmath
-        import sympy as sp
-        m0 = _exact_moment0(spec)
-        coeff, atom = m0.as_coeff_Mul()
-        prods = np.cumprod([sp.Integer(1), *c])     # rationals c_1 ... c_n
-        with mpmath.workprec(113):  # log m0 once, plus the rational part
-            log_m0 = mpmath.log(m0.evalf(40))
-            log_norms = [float(log_m0 + mpmath.log(r)) for r in prods]
-        exact = {"norm_rationals": [coeff * r for r in prods], "atom": atom}
-    else:
-        exact = {}
-        log_norms = [_log_moment0(spec)]
-        for ck in c:
-            log_norms.append(log_norms[-1] + log(ck))
+        b, c = _classical_recurrence(spec, n_max)
+    log_norms = [_log_moment0(spec)]
+    for ck in c:
+        log_norms.append(log_norms[-1] + log(ck))
     return MonicScalarSequence(spec=spec, backend=backend, n_max=n_max,
-                               b_coeffs=b, c_coeffs=c, log_norms=log_norms,
-                               **exact)
+                               b_coeffs=b, c_coeffs=c, log_norms=log_norms)
 
 
-def _classical_recurrence(spec, n_max, backend):
-    if backend == "exact":
-        import sympy as sp
-        one = sp.Integer(1)
-        b0 = _rat(spec.b)
-        al = _rat(spec.alpha)
-        be = _rat(spec.beta)
-    else:
-        one = 1.0
-        b0, al, be = spec.b, spec.alpha, spec.beta
+def _exact_sequence(spec, n_max):
+    """The exact ``recurrence_coefficients``: b_n, c_n, the products c_1
+    ... c_n and the norm rationals on Python-int (numerator, denominator)
+    pairs (``_exact_recurrence``), handed out as sympy Rationals.  Each log
+    norm is the 113-bit log m0 plus the 113-bit log of the product, summed
+    at 113 bits and rounded to the nearest double."""
+    import sympy as sp
+    from mpmath import libmp, log as mp_log, workprec
+    b, c = _exact_recurrence(spec, n_max)
+    m0 = _exact_moment0(spec)
+    coeff, atom = m0.as_coeff_Mul()
+    with workprec(113):     # log m0 once, plus the rational part
+        log_m0 = mp_log(m0.evalf(40))._mpf_
+    prods, (p, q) = [], (1, 1)
+    for cn, cd in [(1, 1), *c]:
+        p, q = p * cn, q * cd
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        prods.append((p, q))
+    log_norms = [libmp.to_float(libmp.mpf_add(log_m0, libmp.mpf_log(
+        libmp.from_rational(p, q, 113, "n"), 113, "n"), 113, "n"), rnd="n")
+        for p, q in prods]
+    return MonicScalarSequence(
+        spec=spec, backend="exact", n_max=n_max,
+        b_coeffs=[sp.Rational(*v) for v in b],
+        c_coeffs=[sp.Rational(*v) for v in c], log_norms=log_norms,
+        norm_rationals=[sp.Rational(coeff.p * p, coeff.q * q)
+                        for p, q in prods], atom=atom)
+
+
+def _exact_recurrence(spec, n_max):
+    """b_0..b_{n_max} and c_1..c_{n_max} of ``_classical_recurrence`` as
+    reduced (numerator, denominator > 0) pairs of Python ints, from the
+    numerators and denominators of the ``_rat`` parameters.  Jacobi puts
+    alpha = A / Q and beta = B / Q over Q = q_alpha q_beta, so s = alpha +
+    beta = S / Q and every factor 2n + s + k is (2n Q + S + k Q) / Q."""
+    if spec.family == CUSTOM:
+        raise Unsupported("exact backend needs a classical family")
+
+    def frac(p, q):
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        return p // g, q // g
+    (bp, bq), (ap, aq), (ep, eq) = ((r.p, r.q) for r in map(
+        _rat, (spec.b, spec.alpha, spec.beta)))
+    A, B, Q = ap * eq, ep * aq, aq * eq
+    S = A + B
+    b, c = [], []
+    for n in range(n_max + 1):
+        if spec.family == HERMITE:
+            b.append((bp, bq))
+            if n >= 1:
+                c.append(frac(n, 2))
+        elif spec.family == LAGUERRE:
+            b.append(((2 * n + 1) * aq + ap, aq))
+            if n >= 1:
+                c.append(frac(n * (n * aq + ap), aq))
+        else:  # Jacobi
+            t = 2 * n * Q + S
+            # (b^2-a^2)/(s(s+2)) reduces to this at n = 0; valid also at s = 0
+            b.append(frac(B - A, S + 2 * Q) if n == 0
+                     else frac((B - A) * (B + A), t * (t + 2 * Q)))
+            if n >= 1:
+                c.append(frac(4 * n * Q * (n * Q + A) * (n * Q + B)
+                              * (n * Q + S), t * t * (t + Q) * (t - Q)))
+    return b, c
+
+
+def _classical_recurrence(spec, n_max):
+    one = 1.0
+    b0, al, be = spec.b, spec.alpha, spec.beta
     b, c = [], []
     for n in range(n_max + 1):
         if spec.family == HERMITE:

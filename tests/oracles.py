@@ -2,16 +2,18 @@
 
 The recurrence oracle runs Gram-Schmidt on exact moments in sympy
 rationals, sharing no code with the library's recurrence generation.
-The per-coefficient Cauchy product and derivative loops are the reference
-for the stack routines of ``matrix_poly`` and the operator kernel built on
-them, and the full-width complex eigen loop for ``eigencheck``.  The
-product oracles build P_n and Q_n one degree at a time from
-``MonicScalarSequence.polynomial`` and MatrixPolynomial products, the
-reference for the stacked construction in ``MVOPSequence``; the dense
-norm products are the reference for its sparse ||Q_n||^2, and the
-50-digit rounding for the doubles its norm reader gives.  The dense
-symmetry solve is the reference for the commutant solve in
-``order_zero_symmetries``.  ``set_ratio`` is no oracle: it injects a
+The closed-form recurrences in sympy Rational arithmetic are the reference
+for the integer exact recurrences.  The per-coefficient Cauchy product and
+derivative loops are the reference for the stack routines of
+``matrix_poly`` and the operator kernel built on them, the term-by-term
+MatrixPolynomial composition for ``op_compose``, and the full-width complex
+eigen loop for ``eigencheck``.  The product oracles build P_n and Q_n one
+degree at a time from ``MonicScalarSequence.polynomial`` and
+MatrixPolynomial products, the reference for the stacked construction in
+``MVOPSequence``; the dense norm products are the reference for its sparse
+||Q_n||^2, and the 50-digit rounding for the doubles its norm reader
+gives.  The dense symmetry solve is the reference for the commutant solve
+in ``order_zero_symmetries``.  ``set_ratio`` is no oracle: it injects a
 wrong G_n into a sequence's G_n table for the fault tests.
 """
 
@@ -97,6 +99,45 @@ def recurrence_from_moments(moments):
                    for i, x in enumerate(nxt)]
         polys.append(nxt)
     return bs, cs
+
+
+def classical_exact(spec, n_max):
+    """(b_0..b_{n_max}, c_1..c_{n_max}, norm rationals, log norms) of a
+    classical weight from the closed-form recurrences in sympy Rational
+    arithmetic, with ||p_n||^2 = m0 c_1 ... c_n = (coefficient of m0) times
+    the product times the atom, and log ||p_n||^2 = log m0 (from 40 digits)
+    + log of the product, each at 113 bits and rounded to a double.  The
+    reference for the integer exact recurrences of ``scalar_families``."""
+    import mpmath
+    from mvop.scalar_families import (HERMITE, LAGUERRE, _exact_moment0)
+    b0, al, be = (sp.nsimplify(v, rational=True)
+                  for v in (spec.b, spec.alpha, spec.beta))
+    one, b, c = sp.Integer(1), [], []
+    for n in range(n_max + 1):
+        if spec.family == HERMITE:
+            b.append(b0 * one)
+            if n >= 1:
+                c.append(n * one / 2)
+        elif spec.family == LAGUERRE:
+            b.append((2 * n + 1) * one + al)
+            if n >= 1:
+                c.append(n * (n + al) * one)
+        else:
+            s = al + be
+            b.append((be - al) * one / (s + 2) if n == 0 else
+                     (be - al) * (be + al) * one
+                     / ((2 * n + s) * (2 * n + s + 2)))
+            if n >= 1:
+                c.append(4 * n * (n + al) * (n + be) * (n + s) * one
+                         / ((2 * n + s) ** 2 * (2 * n + s + 1)
+                            * (2 * n + s - 1)))
+    m0 = _exact_moment0(spec)
+    coeff = m0.as_coeff_Mul()[0]
+    prods = np.cumprod([one, *c])
+    with mpmath.workprec(113):
+        log_m0 = mpmath.log(m0.evalf(40))
+        logs = [float(log_m0 + mpmath.log(r)) for r in prods]
+    return b, c, [coeff * r for r in prods], logs
 
 
 def monic_from_recurrence(bs, cs, n):
@@ -209,6 +250,23 @@ def derivative_loop(c, k):
     for _ in range(k):
         c = [i * c[i] for i in range(1, len(c))]
     return c
+
+
+def op_compose_loop(D1, D2):
+    """D1 o D2 by MatrixPolynomial arithmetic, one term at a time: H_k =
+    sum over i + l = k, l <= j of C(j, l) (d^{j-l} F_i) G_j, each term
+    added to H_k as a polynomial.  The reference for the stacked
+    ``op_compose``."""
+    from mvop.diff_operators import MatrixDiffOperator
+    from mvop.matrix_poly import MatrixPolynomial
+    out = [MatrixPolynomial.zero(D1.size)
+           for _ in range(D1.order + D2.order + 1)]
+    for i, fi in enumerate(D1.f_coeffs):
+        for j, gj in enumerate(D2.f_coeffs):
+            for l in range(j + 1):
+                out[i + l] = out[i + l] + fi.derivative(j - l) * gj * comb(
+                    j, l)
+    return MatrixDiffOperator(out)
 
 
 def op_apply_loop(P, D):
@@ -370,11 +428,23 @@ def three_term_loop(seq, n):
 
 def set_ratio(seq, n, change):
     """Replace G_n in the G_n table of ``seq`` by change(G_n), where every
-    reader (rows, norms, Gram block, det) takes it."""
+    reader (rows, norms, Gram block, det) takes it.  On the exact backend
+    change takes and gives G_n as an array of sympy (Gaussian) rationals,
+    and the table holds each as (re, im, den) on its first axis."""
     G, half = seq._ratio_table()
     G = G.copy()
-    G[n] = change(G[n])
-    seq._gtab = G, half
+    if not seq.exact:
+        G[n] = change(G[n])
+    else:
+        re, im, den = G[:, n]
+        want = change(np.vectorize(
+            lambda p, q, d: sp.Rational(p, d) + sp.I * sp.Rational(q, d),
+            otypes=[object])(re, im, den))
+        for at, v in np.ndenumerate(want):
+            p, q = sp.sympify(v).as_real_imag()
+            d = sp.ilcm(p.q, q.q)
+            G[(slice(None), n) + at] = p.p * (d // p.q), q.p * (d // q.q), d
+    seq._gtab, seq._gfloat = (G, half), None
 
 
 def det_loop(seq, n_max):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from sympy import QQ
+import sympy as sp
 
 import mvop.scalar_families as sf
 from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
@@ -212,6 +212,28 @@ class TestRun:
         for name in ("orth", "norm", "recurrence", "eigen", "det"):
             assert _CHECKS[name](seq, cfg)["passed"], name
         assert calls.count(True) == 1
+
+    def test_rounded_ratios_once_per_sequence(self):
+        # the Gram block (orth, recurrence) and det K_n read the doubles of
+        # the exact G_n table from one read-only table, rounded on the
+        # first read
+        cfg = config_from_json(dict(self.HER3_EXACT,
+                                    checks=["orth", "recurrence", "det"]))
+        seq = MVOPSequence(cfg.spec, cfg.n_max, backend="exact")
+        calls, rounds = [], []
+        table, rnd = seq._rounded_ratios, seq._round
+
+        def counted():
+            calls.append(seq._gfloat is None)
+            return table()
+        seq._rounded_ratios = counted
+        seq._round = lambda R, lead: rounds.append(lead) or rnd(R, lead)
+        for name in ("orth", "recurrence", "det"):
+            assert _CHECKS[name](seq, cfg)["passed"], name
+        assert calls == [True, False]     # the Gram block, then det
+        assert rounds == [(cfg.n_max + 2,)]
+        got = seq._rounded_ratios()
+        assert got is seq._rounded_ratios() and not got.flags.writeable
 
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_norm_table_once_per_sequence(self, backend):
@@ -511,7 +533,7 @@ class TestHighDegree:
         # continuant of rho_3 from G_3, leaves the det of the reduced
         # matrix, which reads the log ratios instead
         for backend, factor in [("float", 1 + 1e-6),
-                                ("exact", QQ(1000001, 1000000))]:
+                                ("exact", sp.Rational(1000001, 1000000))]:
             cfg = config_from_json(base_config(n_max=6, backend=backend))
             seq = MVOPSequence(cfg.spec, cfg.n_max, backend=backend)
             set_ratio(seq, 3, lambda G: G * factor)

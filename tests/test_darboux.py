@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 import mvop.darboux as darboux
+import mvop.diff_operators as diff_operators
 import mvop.scalar_families as sf
 from mvop.cli import config_from_json, run
 from mvop.darboux import (DarbouxReport, LadderOperator, apply_scalar,
@@ -183,11 +184,35 @@ class TestBuiltinFiveByFive:
             scale = max(L.max_coeff_norm(), 1.0)
             assert (L - P.left_mul(G)).max_coeff_norm() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("backend, n_max, worst, worst_n", [
+        ("float", 12, 1.4149110442506103e-15, 10), ("exact", 6, 0.0, None)])
+    def test_chain_check_composes_nothing(self, backend, n_max, worst,
+                                          worst_n, monkeypatch):
+        # the darboux check of the chain reads D1_tilde straight from the
+        # entry table; its report is the one it gave when D1_tilde came out
+        # of the whole builder, D included
+        def refuse(*args):
+            raise AssertionError("op_compose called")
+        monkeypatch.setattr(darboux, "op_compose", refuse)
+        monkeypatch.setattr(diff_operators, "op_compose", refuse)
+        alphas = (0.5, 0.5, 1.5, 1.5, 2.5)
+        res = run(config_from_json({
+            "size": 5, "a": [1.0, -0.5, 2.0, 0.75], "n_max": n_max,
+            "weights": [{"family": "laguerre", "alpha": al} for al in alphas],
+            "checks": ["darboux"], "backend": backend}))["checks"]["darboux"]
+        res.pop("wall_time_s", None)
+        assert res == {"passed": True, "kind": "laguerre_n5_chain",
+                       "max_relative_residual": worst, "worst_n": worst_n,
+                       "non_finite": False, "max_degree": min(n_max, 10)}
+        spec, d1_tilde = darboux.n5_laguerre_d1_tilde(0.5)
+        assert spec.N == 5 and d1_tilde.order == 2
+
     def test_invalid_params(self):
-        with pytest.raises(InvalidParam):
-            builtin_n5_laguerre(-2.0)
-        with pytest.raises(InvalidParam):
-            builtin_n5_laguerre(0.5, a=(1.0, 0.0, 1.0, 1.0))
+        for build in (builtin_n5_laguerre, darboux.n5_laguerre_d1_tilde):
+            with pytest.raises(InvalidParam):
+                build(-2.0)
+            with pytest.raises(InvalidParam):
+                build(0.5, a=(1.0, 0.0, 1.0, 1.0))
 
 
 class TestHermiteA:

@@ -10,11 +10,12 @@ import mvop.scalar_families as sf
 from mvop.diff_operators import (MatrixDiffOperator, build_bispectral_operator,
                                  conjugate_by_T, eigencheck, op_apply,
                                  op_compose)
+from mvop.darboux import hermite_A_factorization
 from mvop.errors import ConditionFailed, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence, peak
-from mvop.weight_model import build_nilpotent, weight_spec
-from oracles import eigen_loop, op_apply_loop
+from mvop.weight_model import build_T, build_nilpotent, weight_spec
+from oracles import eigen_loop, op_apply_loop, op_compose_loop
 
 #: the weights of every bispectral family: Laguerre, Hermite, Jacobi and
 #: the mixed Hermite-Laguerre 2x2
@@ -74,6 +75,41 @@ class TestOperatorAlgebra:
             d = lhs.coeff(j) - rhs.coeff(j)
             assert d.max_coeff_norm() <= 1e-11 * (lhs.coeff(j).max_coeff_norm()
                                                   or 1.0)
+
+    @pytest.mark.parametrize("kind", ["float", "complex", "exact"])
+    def test_compose_matches_polynomial_loop(self, kind, rng):
+        # the stacked composition against MatrixPolynomial arithmetic one
+        # term at a time: the same coefficients, bit for bit, or the same
+        # sympy entries.  The T conjugation of a bispectral operator (real
+        # a, complex a, exact) and random operators of unequal orders.
+        a = {"float": [1.5, -0.7], "complex": [1.5 + 0.5j, -0.7],
+             "exact": [1.5, -0.5]}[kind]
+        spec = weight_spec(a, [sf.hermite(0.2), sf.hermite(0.0),
+                               sf.hermite(0.2)])
+        exact = kind == "exact"
+        T, T_inv = build_T(spec, exact=exact)
+        if exact:
+            _, D, _, _ = hermite_A_factorization(
+                weight_spec(a, [sf.hermite(0.0)] * 3), exact=True)
+        else:
+            D = build_bispectral_operator(spec)[0]
+        pairs = [(MatrixDiffOperator.multiplication(T), D),
+                 (D, MatrixDiffOperator.multiplication(T_inv)), (D, D)]
+        if not exact:
+            pairs += [(rand_op(rng, 3, 1, 3), rand_op(rng, 3, 2, 1)),
+                      (rand_op(rng, 3, 2, 0), rand_op(rng, 3, 0, 2))]
+        for D1, D2 in pairs:
+            got, want = op_compose(D1, D2), op_compose_loop(D1, D2)
+            assert got.exact == want.exact == exact
+            assert got.order == want.order
+            for g, w in zip(got.f_coeffs, want.f_coeffs):
+                assert g.coeffs.shape == w.coeffs.shape
+                if exact:
+                    assert (g.coeffs == w.coeffs).all()
+                else:
+                    assert g.coeffs.dtype == w.coeffs.dtype == complex
+                    assert np.array_equal(g.coeffs.view(float),
+                                          w.coeffs.view(float))
 
     def test_multiplication_operator(self, rng):
         P = rand_poly(rng)

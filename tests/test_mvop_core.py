@@ -4,7 +4,6 @@ import itertools
 import math
 import re
 import warnings
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -167,8 +166,8 @@ class TestConstruction:
     def test_q_block_singular_leading(self):
         # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3) and every
         # block holding degree 3 refuse it, other degrees are unaffected.
-        # The G_n table holds rationals on the exact backend
-        for backend, g in (("float", -0.5), ("exact", sp.QQ(-1, 2))):
+        # set_ratio hands the exact G_n over as sympy rationals
+        for backend, g in (("float", -0.5), ("exact", sp.Rational(-1, 2))):
             seq = MVOPSequence(lag2(2.0), 8, backend=backend)
             set_ratio(seq, 3, lambda G: np.array([[0, 0], [g, 0]],
                                                  dtype=G.dtype))
@@ -256,6 +255,28 @@ class TestExactCache:
                              nearest_rows(q, lo, hi, real=True))
             assert same_bits(seq.qt_block(lo, hi),
                              nearest_rows(qt, lo, hi, real=True))
+
+    @pytest.mark.parametrize("spec", [*EXACT_WEIGHTS.values(), COMPLEX_A],
+                             ids=[*EXACT_WEIGHTS, "complex_a"])
+    def test_ratio_table_matches_sympy(self, spec):
+        # the integer G_n table against conj(a) ||p_n^{w_u}||^2 /
+        # ||p_{n-1}^{w_r}||^2 in sympy, and its doubles against their
+        # 50-digit nearest; rho_i = a_i G_n[u, r] is real
+        seq = MVOPSequence(spec, 6, backend="exact")
+        doubles = seq._float_ratios(np.arange(8))
+        for n in range(1, 8):
+            want = np.full((spec.N,) * 2, sp.S.Zero, dtype=object)
+            for r, u in zip(*np.nonzero(seq.A)):
+                want[u, r] = (sp.conjugate(seq.A[r, u])
+                              * seq.scalar_seqs[u].exact_norms[n]
+                              / seq.scalar_seqs[r].exact_norms[n - 1])
+            got = seq.ratio_matrix(n)
+            assert all(sp.simplify(g - w) == 0
+                       for g, w in zip(got.flat, want.flat))
+            assert all(v.is_real for v in seq.rho_values(n))
+            want = nearest_scaled(want, 0.0)
+            assert same_bits(doubles[n].astype(complex), want)
+            assert np.isrealobj(doubles) == (spec is not COMPLEX_A)
 
     @EXACT_SPECS
     def test_p_block_is_nearest(self, spec):
@@ -543,30 +564,31 @@ class TestOrthogonality:
 
 
 class TestNearest:
-    """``_nearest`` rounds the exact sum once to the nearest double."""
+    """``_nearest`` rounds the exact sum once to the nearest double; an
+    exact value is (re, im, den), Python ints."""
 
     def test_no_double_rounding(self):
         # 1 + 2^-53 + 2^-200 lies above the tie between 1 and 1 + 2^-52;
         # a sum rounded to 113 bits first lands on the tie and then on 1
         mpf = mpmath.mpf
         want = complex(1 + 2 ** -52)
-        q = Fraction(2 ** 200 + 2 ** 147 + 1, 2 ** 200)
+        q = (2 ** 200 + 2 ** 147 + 1, 0, 2 ** 200)
         assert mvop_core._nearest([(mpf(1), q)]) == want
-        assert mvop_core._nearest([(mpf(1), Fraction(1)),
-                                   (mpf(2) ** -53, 1),
-                                   (mpf(3), Fraction(1, 3 * 2 ** 200))]) \
+        assert mvop_core._nearest([(mpf(1), (1, 0, 1)),
+                                   (mpf(2) ** -53, (1, 0, 1)),
+                                   (mpf(3), (1, 0, 3 * 2 ** 200))]) \
             == want
-        got = mvop_core._nearest([(mpf(1), sp.QQ_I(sp.QQ(1), q))])
+        got = mvop_core._nearest([(mpf(1), (q[2], q[0], q[2]))])
         assert got == complex(1, 1 + 2 ** -52)
 
     def test_past_the_float_range(self):
         mpf = mpmath.mpf
         for sign in (1, -1):
-            got = mvop_core._nearest([(mpf(1), Fraction(sign * 10 ** 400))])
+            got = mvop_core._nearest([(mpf(1), (sign * 10 ** 400, 0, 1))])
             assert got.real == sign * math.inf and got.imag == 0
-            got = mvop_core._nearest([(mpf(2) ** 2000, sign)])
+            got = mvop_core._nearest([(mpf(2) ** 2000, (sign, 0, 1))])
             assert got.real == sign * math.inf
-        assert mvop_core._nearest([(mpf(2) ** -1100, 1)]) == 0
+        assert mvop_core._nearest([(mpf(2) ** -1100, (1, 0, 1))]) == 0
         assert mvop_core._nearest([]) == 0
 
 

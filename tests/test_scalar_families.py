@@ -12,9 +12,9 @@ import mvop.scalar_families as sf
 from mvop.diff_operators import apply_scalar, entries_to_operator
 from mvop.errors import IllConditioned, InvalidParam, OutOfRange, Unsupported
 
-from oracles import (hermite_moments, jacobi_moments, laguerre_moments,
-                     one_rule, recurrence_from_moments, rule_loop,
-                     monic_from_recurrence)
+from oracles import (classical_exact, hermite_moments, jacobi_moments,
+                     laguerre_moments, one_rule, recurrence_from_moments,
+                     rule_loop, monic_from_recurrence)
 
 
 class TestSpecs:
@@ -112,6 +112,25 @@ class TestNorms:
     def test_exact_norms(self):
         seq = sf.recurrence_coefficients(sf.hermite(0.0), 3, "exact")
         assert sp.simplify(seq.exact_norms[2] - sp.sqrt(sp.pi) / 2) == 0
+
+    @pytest.mark.parametrize("spec", [
+        sf.hermite(0.5), sf.laguerre(1 / 3), sf.laguerre(0.5),
+        sf.jacobi(4 / 3, 1 / 3), sf.jacobi(1.5, 0.5),
+        sf.hermite(-0.75, scale=2.25), sf.jacobi(-0.5, 0.25)],
+        ids=["hermite_half", "laguerre_third", "laguerre_half",
+             "jacobi_4_3_1_3", "jacobi_3_2_1_2", "hermite_scaled",
+             "jacobi_negative"])
+    def test_exact_integers_match_sympy_formulas(self, spec):
+        # the integer recurrence gives the same sympy Rationals as the
+        # closed forms in sympy arithmetic, and the same log norms bit for
+        # bit (113-bit sums rounded to the nearest double)
+        seq = sf.recurrence_coefficients(spec, 40, "exact")
+        b, c, norms, logs = classical_exact(spec, 40)
+        assert seq.b_coeffs == b and seq.c_coeffs == c
+        assert seq.norm_rationals == norms
+        assert all(isinstance(v, sp.Rational)
+                   for v in seq.b_coeffs + seq.c_coeffs + seq.norm_rationals)
+        assert [v.hex() for v in seq.log_norms] == [v.hex() for v in logs]
 
     def test_scale_multiplies_norms_only(self):
         plain = sf.recurrence_coefficients(sf.laguerre(1.0), 4)
