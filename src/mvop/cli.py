@@ -369,6 +369,19 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
             "passed": all(r.get("passed", False) for r in checks.values())}
 
 
+def _finite(value):
+    """``value`` (a report) with every non-finite float written as None, so
+    that it dumps as strict JSON: the check's ``non_finite`` field already
+    says where its headline residual is not a number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 @click.group()
 def main():
     """Matrix-valued orthogonal polynomial construction and verification."""
@@ -412,7 +425,8 @@ def run_cmd(config_path, out_path, csv_dir, nmax, tol):
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                json.dump(report, fh, indent=2, default=str)
+                json.dump(_finite(report), fh, indent=2, default=str,
+                          allow_nan=False)
         except OSError as exc:
             click.echo(f"io error: {exc}", err=True)
             raise SystemExit(2)

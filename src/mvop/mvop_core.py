@@ -23,11 +23,14 @@ sliced like the float tables, and their products and sums are integer
 arithmetic on whole arrays (``_gmul``, ``_gadd``); its rows are Python-int
 numerators per monomial and per real or imaginary part over one
 denominator per degree and entry (``_exact_rows``), built on the integer
-``scalar_families.power_table``.  These keyed values have two outputs:
-doubles, an entry of key 0 alone rounded by p / q and any other by its
-exact sum in integers (``_exact_sum``, ``_nearest``), and sympy, formed by
-``_sympy`` for the public readers alone.  The G_n table is rounded to
-doubles once per sequence (``_rounded_ratios``).
+``scalar_families.power_table``.  A and the scalar norms come as integers
+from ``exact_scalars`` (the parameters through ``a_value``), and each atom
+monomial is an mpf of the atoms' 113-bit mpmath values (``_mono``).  These
+keyed values have two outputs: doubles, an entry of key 0 alone rounded by
+p / q and any other by its exact sum in integers (``_exact_sum``,
+``_nearest``), and sympy, formed by ``_sympy`` (and the ``A`` property) for
+the public readers alone, so that no check loads sympy.  The G_n table is
+rounded to doubles once per sequence (``_rounded_ratios``).
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <= n_max,
 comes from one Gauss rule per scalar weight with n_max + 2 nodes, exact for
@@ -100,13 +103,6 @@ def _gadd(x, y):
     """The sum of exact values (see ``_exact``), elementwise."""
     (a, b, d), (c, e, f) = x, y
     return a * f + c * d, b * f + e * d, d * f
-
-
-def _to_exact(v):
-    """A sympy (Gaussian) rational as an exact value (see ``_exact``)."""
-    re, im = v.as_real_imag()
-    den = lcm(re.q, im.q)
-    return re.p * (den // re.q), im.p * (den // im.q), den
 
 
 def _exact_sum(terms) -> float:
@@ -222,15 +218,19 @@ class MVOPSequence:
         own = {s: sf.recurrence_coefficients(s, n_max + 1, backend)
                for s in dict.fromkeys(weight.scalars)}
         self.scalar_seqs = [own[s] for s in weight.scalars]
-        self.A = build_nilpotent(weight, exact=self.exact)
         self._A = build_nilpotent(weight)   # complex doubles, both backends
         self._real = not self._A.imag.any()
         # (r, u, a, conj(a)) for the nonzeros a = A[r, u] in row-major order
-        # (one per adjacent pair, in pair order), exact ones as exact values
-        conv = _to_exact if self.exact else (lambda v: v)
-        self._pairs = [(int(r), int(u), conv(a), conv(a.conjugate()))
-                       for r, u in zip(*np.nonzero(self.A))
-                       for a in [self.A[r, u]]]
+        # (one per adjacent pair, in pair order); exact ones are the exact
+        # values of the parameter a_i, i = min(r, u), placed there
+        self._pairs = [(int(r), int(u), a, a.conjugate())
+                       for r, u in zip(*np.nonzero(self._A))
+                       for a in [self._A[r, u]]]
+        if self.exact:
+            from .exact_scalars import a_value
+            self._pairs = [(r, u, (re, im, den), (re, -im, den))
+                           for r, u, *_ in self._pairs for re, im, den
+                           in [a_value(weight.a_params[min(r, u)])]]
         # Gauss rules read the float recurrences (exact ones are not these)
         self.engine = InnerProductEngine(
             weight, None if self.exact else self.scalar_seqs)
@@ -253,13 +253,18 @@ class MVOPSequence:
         self._ek = [KEY ** self._atoms.index(t) for t in atoms]
         self._nu = None
         if self.exact:
-            num, den = (np.array([[getattr(q, f) for q in s.norm_rationals]
-                                  for s in self.scalar_seqs], dtype=object)
-                        for f in ("p", "q"))
+            num, den = np.array([s.norms for s in self.scalar_seqs],
+                                dtype=object).transpose(2, 0, 1)
             self._nu = _exact(num, 0, den)
-        self._gram = self._ptab = self._qrows = self._atom_values = None
+        self._gram = self._ptab = self._qrows = None
         self._recurrence = self._gtab = self._qtab = self._gfloat = None
         self._monos = {}
+
+    @property
+    def A(self) -> np.ndarray:
+        """The nilpotent A of ``build_nilpotent``, formed when read:
+        complex, or sympy entries on the exact backend."""
+        return build_nilpotent(self.weight, exact=self.exact)
 
     def _check_n(self, n, hi=None):
         hi = self.n_max if hi is None else hi
@@ -387,23 +392,24 @@ class MVOPSequence:
 
     def _mono(self, key, sympy=False):
         """The atom monomial of ``key``, cached: an mpf at 113 bits (each
-        atom evaluated once per sequence, and only for a key other than
-        0), or a sympy expression."""
+        atom's ``exact_scalars.atom_value``), or a sympy expression
+        (``atom_sympy``)."""
         if (key, sympy) not in self._monos:
             import mpmath
-            import sympy as sp
+            from . import exact_scalars as es
             powers, k = [], key
             while k:    # the exponents: signed base-KEY digits
                 powers.append((k + KEY // 2) % KEY - KEY // 2)
                 k = (k - powers[-1]) // KEY
-            with mpmath.workprec(113):
-                if powers and not (sympy or self._atom_values):
-                    self._atom_values = [mpmath.mpf(t.evalf(40))
-                                         for t in self._atoms]
-                f = [t ** e for t, e in zip(
-                    self._atoms if sympy else self._atom_values or (), powers)]
-                self._monos[key, sympy] = (sp.Mul(*f) if sympy
-                                           else mpmath.fprod(f))
+            if sympy:
+                import sympy as sp
+                self._monos[key, sympy] = sp.Mul(*[
+                    es.atom_sympy(t) ** e for t, e in zip(self._atoms, powers)])
+            else:
+                with mpmath.workprec(113):
+                    self._monos[key, sympy] = mpmath.fprod([
+                        es.atom_value(t) ** e
+                        for t, e in zip(self._atoms, powers)])
         return self._monos[key, sympy]
 
     def _sympy(self, terms):
@@ -1037,8 +1043,16 @@ class MVOPSequence:
                     X = X.real
                 terms.append(np.matmul(X, C[n + d]))
             r = xq - sum(terms)
-            num, den = ((v * v.conj()).real.sum(axis=(1, 2)) for v in (r, xq))
-            out[i:i + step] = np.sqrt(num / den)
+            with np.errstate(over="ignore", invalid="ignore"):
+                num, den = ((v * v.conj()).real.sum(axis=(1, 2))
+                            for v in (r, xq))
+                res = np.sqrt(num / den)
+            # a sum past the float range: its degree again by ``frobenius``
+            bad = ~np.isfinite(num + den)
+            if bad.any():
+                res[bad] = (frobenius(r[bad], axis=(1, 2))
+                            / frobenius(xq[bad], axis=(1, 2)))
+            out[i:i + step] = res
         return out
 
     def three_term_coefficients(self, n: int):

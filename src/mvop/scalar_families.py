@@ -12,13 +12,12 @@ in the tails, where the eigenvector entries are only accurate in absolute
 terms.
 
 Two backends: ``float`` (binary64) and ``exact`` (rationals, for
-classical families with rational parameters at small degree); only the
-exact branches import sympy.  The exact recurrence runs on Python ints:
-b_n, c_n, the products c_1 ... c_n and the norm rationals are reduced
-(numerator, denominator) pairs formed from the numerators and denominators
-of the parameters (``_exact_recurrence``), handed out as sympy Rationals,
-and each log norm is the 113-bit log of the moment plus the 113-bit log of
-the product, rounded once to the nearest double.  Norms are kept in log
+classical families with rational parameters at small degree).  The exact
+scalar layer lives in ``exact_scalars``, which only the exact branches
+import: b_n, c_n and the norms are reduced (numerator, denominator) pairs
+of Python ints, the moments' transcendental atoms are evaluated by mpmath,
+and sympy is formed only by the readers that return it
+(``MonicScalarSequence.b_coeffs`` and the like).  Norms are kept in log
 space in the float backend to dodge factorial overflow.
 
 Power coefficients of the monic polynomials come from one routine,
@@ -32,7 +31,6 @@ and its eigenvalue as a polynomial in n read from those lists.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd, inf, lcm, lgamma, log, pi
 from typing import Callable, Optional
 
@@ -126,14 +124,6 @@ def weight_value(spec: ScalarWeightSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=1024)
-def _rat(x):
-    """x as a sympy Rational; every exact-backend parameter goes through
-    here, and a sequence only ever meets a handful of distinct ones."""
-    import sympy as sp
-    return sp.nsimplify(x, rational=True)
-
-
 def _log_moment0(spec: ScalarWeightSpec) -> float:
     if spec.family == HERMITE:
         return log(spec.scale) + 0.5 * log(pi) + spec.b ** 2
@@ -146,49 +136,55 @@ def _log_moment0(spec: ScalarWeightSpec) -> float:
     return log(spec.moments[0])
 
 
-def _exact_moment0(spec: ScalarWeightSpec):
-    """The zeroth moment, each Gamma(x) as Gamma(f) rf(f, x - f), f in (0, 1]:
-    weights of one ``irreducibility._weight_classes`` class share their
-    atoms, so their moment ratios are rationals."""
-    import sympy as sp
-
-    def gamma(x):
-        f = x - sp.ceiling(x) + 1
-        return sp.gamma(f) * sp.rf(f, x - f)
-    scale = _rat(spec.scale)
-    if spec.family == HERMITE:
-        b = _rat(spec.b)
-        return scale * sp.sqrt(sp.pi) * sp.exp(b ** 2)
-    if spec.family == LAGUERRE:
-        return scale * gamma(_rat(spec.alpha) + 1)
-    if spec.family == JACOBI:
-        a, b = _rat(spec.alpha), _rat(spec.beta)
-        return (scale * 2 ** (a + b + 1) * gamma(a + 1) * gamma(b + 1)
-                / gamma(a + b + 2))
-    return _rat(spec.moments[0])
-
-
 @dataclass
 class MonicScalarSequence:
-    """Recurrence data for p_{n+1} = (x - b_n) p_n - c_n p_{n-1}; exact
-    ||p_n||^2 is the rational norm_rationals[n] times the moment's atom."""
+    """Recurrence data for p_{n+1} = (x - b_n) p_n - c_n p_{n-1}: floats,
+    or on the exact backend reduced (numerator, denominator) pairs of Python
+    ints, with ||p_n||^2 = norms[n] times the moment's atom (see
+    ``exact_scalars``).  The ``*_coeffs`` and norm readers give the exact
+    values as sympy."""
 
     spec: ScalarWeightSpec
     backend: str
     n_max: int
-    b_coeffs: list          # b_0 .. b_{n_max}
-    c_coeffs: list          # c_1 .. c_{n_max}
+    b: list                 # b_0 .. b_{n_max}
+    c: list                 # c_1 .. c_{n_max}
     log_norms: list         # log ||p_n||^2, n = 0 .. n_max
-    norm_rationals: Optional[list] = None
+    norms: Optional[list] = None
     atom: object = None
     _table: object = field(default=None, repr=False, compare=False)
 
+    def _read(self, values):
+        if self.backend != "exact":
+            return values
+        from sympy import Rational
+        return [Rational(*v) for v in values]
+
+    @property
+    def b_coeffs(self) -> list:
+        """b_0 .. b_{n_max}: floats, or sympy Rationals formed when read."""
+        return self._read(self.b)
+
+    @property
+    def c_coeffs(self) -> list:
+        """c_1 .. c_{n_max}: floats, or sympy Rationals formed when read."""
+        return self._read(self.c)
+
+    @property
+    def norm_rationals(self) -> Optional[list]:
+        """The exact ||p_n||^2 / atom, n = 0 .. n_max, as sympy Rationals
+        (None when the sequence is float)."""
+        if self.norms is not None:
+            return self._read(self.norms)
+
     @property
     def exact_norms(self) -> Optional[list]:
-        """Exact ||p_n||^2, n = 0 .. n_max, formed when read (None when
-        the sequence is float)."""
-        if self.norm_rationals is not None:
-            return [q * self.atom for q in self.norm_rationals]
+        """Exact ||p_n||^2, n = 0 .. n_max, formed in sympy when read (None
+        when the sequence is float)."""
+        if self.norms is not None:
+            from .exact_scalars import atom_sympy
+            atom = atom_sympy(self.atom)
+            return [q * atom for q in self.norm_rationals]
 
     def polynomial(self, n: int):
         """Coefficients (ascending) of the monic p_n, floats or sympy
@@ -231,10 +227,10 @@ def power_table(seqs, n_hi: int):
         for k, s in enumerate(seqs):
             (P, D), (back, Db) = ([1], 1), ([], 1)  # p_n = P / D, p_{n-1}
             for n in range(n_hi):
-                b, c = s.b_coeffs[n], s.c_coeffs[n - 1] if n else 0
-                L = lcm(D * b.denominator, c.denominator * Db)
-                x, f = L // D, b.numerator * (L // (D * b.denominator))
-                g = c.numerator * (L // (c.denominator * Db))
+                (bn, bd), (cn, cd) = s.b[n], s.c[n - 1] if n else (0, 1)
+                L = lcm(D * bd, cd * Db)
+                x, f = L // D, bn * (L // (D * bd))
+                g = cn * (L // (cd * Db))
                 new = [0, *(v * x for v in P)]
                 for i, v in enumerate(P):
                     new[i] -= f * v
@@ -245,9 +241,9 @@ def power_table(seqs, n_hi: int):
                                       L // common), (P, D)
                 num[n + 2, :n + 2, k], den[n + 2, k] = P, D
         return num, den
-    b = np.array([s.b_coeffs[:n_hi] for s in seqs], dtype=float).T
+    b = np.array([s.b[:n_hi] for s in seqs], dtype=float).T
     c = np.zeros((n_hi, N))
-    c[1:] = np.array([s.c_coeffs[:max(n_hi - 1, 0)] for s in seqs],
+    c[1:] = np.array([s.c[:max(n_hi - 1, 0)] for s in seqs],
                      dtype=float).T
     tab = np.zeros((n_hi + 2, n_hi + 2, N))
     tab[1, 0] = 1
@@ -268,7 +264,8 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
     if backend not in ("float", "exact"):
         raise InvalidParam(f"unknown backend {backend!r}")
     if backend == "exact":
-        return _exact_sequence(spec, n_max)
+        from .exact_scalars import sequence
+        return sequence(spec, n_max)
     if spec.family == CUSTOM:
         if n_max > CUSTOM_DEGREE_CAP:
             raise InvalidParam(f"moment-supplied weights are capped at "
@@ -280,74 +277,7 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
     for ck in c:
         log_norms.append(log_norms[-1] + log(ck))
     return MonicScalarSequence(spec=spec, backend=backend, n_max=n_max,
-                               b_coeffs=b, c_coeffs=c, log_norms=log_norms)
-
-
-def _exact_sequence(spec, n_max):
-    """The exact ``recurrence_coefficients``: b_n, c_n, the products c_1
-    ... c_n and the norm rationals on Python-int (numerator, denominator)
-    pairs (``_exact_recurrence``), handed out as sympy Rationals.  Each log
-    norm is the 113-bit log m0 plus the 113-bit log of the product, summed
-    at 113 bits and rounded to the nearest double."""
-    import sympy as sp
-    from mpmath import libmp, log as mp_log, workprec
-    b, c = _exact_recurrence(spec, n_max)
-    m0 = _exact_moment0(spec)
-    coeff, atom = m0.as_coeff_Mul()
-    with workprec(113):     # log m0 once, plus the rational part
-        log_m0 = mp_log(m0.evalf(40))._mpf_
-    prods, (p, q) = [], (1, 1)
-    for cn, cd in [(1, 1), *c]:
-        p, q = p * cn, q * cd
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        prods.append((p, q))
-    log_norms = [libmp.to_float(libmp.mpf_add(log_m0, libmp.mpf_log(
-        libmp.from_rational(p, q, 113, "n"), 113, "n"), 113, "n"), rnd="n")
-        for p, q in prods]
-    return MonicScalarSequence(
-        spec=spec, backend="exact", n_max=n_max,
-        b_coeffs=[sp.Rational(*v) for v in b],
-        c_coeffs=[sp.Rational(*v) for v in c], log_norms=log_norms,
-        norm_rationals=[sp.Rational(coeff.p * p, coeff.q * q)
-                        for p, q in prods], atom=atom)
-
-
-def _exact_recurrence(spec, n_max):
-    """b_0..b_{n_max} and c_1..c_{n_max} of ``_classical_recurrence`` as
-    reduced (numerator, denominator > 0) pairs of Python ints, from the
-    numerators and denominators of the ``_rat`` parameters.  Jacobi puts
-    alpha = A / Q and beta = B / Q over Q = q_alpha q_beta, so s = alpha +
-    beta = S / Q and every factor 2n + s + k is (2n Q + S + k Q) / Q."""
-    if spec.family == CUSTOM:
-        raise Unsupported("exact backend needs a classical family")
-
-    def frac(p, q):
-        g = gcd(p, q) if q > 0 else -gcd(p, q)
-        return p // g, q // g
-    (bp, bq), (ap, aq), (ep, eq) = ((r.p, r.q) for r in map(
-        _rat, (spec.b, spec.alpha, spec.beta)))
-    A, B, Q = ap * eq, ep * aq, aq * eq
-    S = A + B
-    b, c = [], []
-    for n in range(n_max + 1):
-        if spec.family == HERMITE:
-            b.append((bp, bq))
-            if n >= 1:
-                c.append(frac(n, 2))
-        elif spec.family == LAGUERRE:
-            b.append(((2 * n + 1) * aq + ap, aq))
-            if n >= 1:
-                c.append(frac(n * (n * aq + ap), aq))
-        else:  # Jacobi
-            t = 2 * n * Q + S
-            # (b^2-a^2)/(s(s+2)) reduces to this at n = 0; valid also at s = 0
-            b.append(frac(B - A, S + 2 * Q) if n == 0
-                     else frac((B - A) * (B + A), t * (t + 2 * Q)))
-            if n >= 1:
-                c.append(frac(4 * n * Q * (n * Q + A) * (n * Q + B)
-                              * (n * Q + S), t * t * (t + Q) * (t - Q)))
-    return b, c
+                               b=b, c=c, log_norms=log_norms)
 
 
 def _classical_recurrence(spec, n_max):
@@ -371,7 +301,10 @@ def _classical_recurrence(spec, n_max):
             else:
                 b.append((be - al) * (be + al) * one
                          / ((2 * n + s) * (2 * n + s + 2)))
-            if n >= 1:
+            if n == 1:  # n + s = 2n + s - 1 cancels: no 0/0 at s = -1
+                c.append(4 * (1 + al) * (1 + be) * one
+                         / ((2 + s) ** 2 * (3 + s)))
+            elif n >= 2:
                 c.append(4 * n * (n + al) * (n + be) * (n + s) * one
                          / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1)))
     return b, c
@@ -433,8 +366,8 @@ def gauss_rule(seqs, m: int):
     """
     if m < 1:
         raise InvalidParam("need at least one node")
-    b = np.array([s.b_coeffs[:m] for s in seqs], dtype=float)
-    rc = np.sqrt(np.array([s.c_coeffs[:m - 1] for s in seqs], dtype=float))
+    b = np.array([s.b[:m] for s in seqs], dtype=float)
+    rc = np.sqrt(np.array([s.c[:m - 1] for s in seqs], dtype=float))
     i = np.arange(m)
     J = np.zeros((len(seqs), m, m))
     J[:, i, i] = b

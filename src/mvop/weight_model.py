@@ -50,13 +50,15 @@ def weight_spec(a_params, scalars) -> WeightSpec:
 
 
 def build_nilpotent(spec: WeightSpec, exact: bool = False) -> np.ndarray:
-    """The order-two nilpotent A with nonzeros at (2j-1,2j) and (2j+1,2j)."""
+    """The order-two nilpotent A with nonzeros at (2j-1,2j) and (2j+1,2j):
+    complex, or sympy entries (``exact_scalars.a_sympy``) when ``exact``."""
     N = spec.N
     A = np.zeros((N, N), dtype=object if exact else complex)
     if exact:
         import sympy as sp
+        from .exact_scalars import a_sympy
         A[:] = sp.Integer(0)
-    a = [sf._rat(v) if exact else complex(v) for v in spec.a_params]
+    a = [a_sympy(v) if exact else complex(v) for v in spec.a_params]
     for j in range(1, N // 2 + 1):            # a_{2j-1} at (2j-1, 2j)
         A[2 * j - 2, 2 * j - 1] = a[2 * j - 2]
     for j in range(1, (N - 1) // 2 + 1):      # a_{2j} at (2j+1, 2j)

@@ -101,18 +101,40 @@ def recurrence_from_moments(moments):
     return bs, cs
 
 
+def moment0_sympy(spec):
+    """The zeroth moment of a classical weight in sympy, each Gamma(x) as
+    Gamma(f) rf(f, x - f), f in (0, 1]: the reference for the rational and
+    the atom of ``exact_scalars.moment0``."""
+    from mvop.scalar_families import HERMITE, LAGUERRE
+
+    def gamma(x):
+        f = x - sp.ceiling(x) + 1
+        return sp.gamma(f) * sp.rf(f, x - f)
+    scale, b0, a, b = (sp.nsimplify(v, rational=True)
+                       for v in (spec.scale, spec.b, spec.alpha, spec.beta))
+    if spec.family == HERMITE:
+        return scale * sp.sqrt(sp.pi) * sp.exp(b0 ** 2)
+    if spec.family == LAGUERRE:
+        return scale * gamma(a + 1)
+    return (scale * 2 ** (a + b + 1) * gamma(a + 1) * gamma(b + 1)
+            / gamma(a + b + 2))
+
+
 def classical_exact(spec, n_max):
     """(b_0..b_{n_max}, c_1..c_{n_max}, norm rationals, log norms) of a
     classical weight from the closed-form recurrences in sympy Rational
     arithmetic, with ||p_n||^2 = m0 c_1 ... c_n = (coefficient of m0) times
     the product times the atom, and log ||p_n||^2 = log m0 (from 40 digits)
     + log of the product, each at 113 bits and rounded to a double.  The
-    reference for the integer exact recurrences of ``scalar_families``."""
+    Jacobi forms are written in symbols alpha, beta and then substituted, so
+    that the factor 1 + alpha + beta of c_1 cancels as sympy cancels it.  The
+    reference for the integer exact recurrences of ``exact_scalars``."""
     import mpmath
-    from mvop.scalar_families import (HERMITE, LAGUERRE, _exact_moment0)
+    from mvop.scalar_families import HERMITE, LAGUERRE
     b0, al, be = (sp.nsimplify(v, rational=True)
                   for v in (spec.b, spec.alpha, spec.beta))
-    one, b, c = sp.Integer(1), [], []
+    x, y = sp.symbols("alpha beta")
+    one, b, c, s = sp.Integer(1), [], [], x + y
     for n in range(n_max + 1):
         if spec.family == HERMITE:
             b.append(b0 * one)
@@ -123,15 +145,14 @@ def classical_exact(spec, n_max):
             if n >= 1:
                 c.append(n * (n + al) * one)
         else:
-            s = al + be
-            b.append((be - al) * one / (s + 2) if n == 0 else
-                     (be - al) * (be + al) * one
-                     / ((2 * n + s) * (2 * n + s + 2)))
+            bn = ((y - x) / (s + 2) if n == 0 else
+                  (y - x) * (y + x) / ((2 * n + s) * (2 * n + s + 2)))
+            b.append(bn.subs({x: al, y: be}))
             if n >= 1:
-                c.append(4 * n * (n + al) * (n + be) * (n + s) * one
-                         / ((2 * n + s) ** 2 * (2 * n + s + 1)
-                            * (2 * n + s - 1)))
-    m0 = _exact_moment0(spec)
+                c.append((4 * n * (n + x) * (n + y) * (n + s)
+                          / ((2 * n + s) ** 2 * (2 * n + s + 1)
+                             * (2 * n + s - 1))).subs({x: al, y: be}))
+    m0 = moment0_sympy(spec)
     coeff = m0.as_coeff_Mul()[0]
     prods = np.cumprod([one, *c])
     with mpmath.workprec(113):

@@ -135,6 +135,45 @@ class TestRun:
         res = run(config_from_json(data))["checks"]["symmetries"]
         assert res["dimension"] == 3
 
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_jacobi_alpha_plus_beta_minus_one(self, backend):
+        # c_1 of Jacobi(-1/2, -1/2) once read 0/0: the factor 1 + alpha +
+        # beta cancels, and every Gram and det check passes
+        data = base_config(a=[1.0], n_max=8, backend=backend,
+                           weights=[{"family": "jacobi", "alpha": -0.5,
+                                     "beta": -0.5},
+                                    {"family": "jacobi", "alpha": 0.5,
+                                     "beta": 0.5}],
+                           checks=["orth", "norm", "recurrence", "det"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(config_from_json(data))
+        for name, res in report["checks"].items():
+            assert res["passed"] and not res["non_finite"], (name, res)
+
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_recurrence_sums_stay_finite(self, backend):
+        # the squared residual sums of this weight pass the float range at
+        # n = 28, 29; those degrees are formed again by frobenius, so the
+        # report holds a number (a FAIL: the mixed-family projection) and
+        # no overflow warning escapes
+        data = base_config(
+            size=5, a=[1e-3, -0.7, 1.0, -0.7], n_max=30, backend=backend,
+            weights=[{"family": "jacobi", "alpha": 25.0, "beta": 1.0},
+                     {"family": "laguerre", "alpha": 0.0},
+                     {"family": "hermite", "b": -2.0},
+                     {"family": "jacobi", "alpha": 25.0, "beta": 3.0},
+                     {"family": "laguerre", "alpha": 0.0}],
+            checks=["orth", "norm", "recurrence", "det"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run(config_from_json(data))["checks"]
+        rec = checks.pop("recurrence")
+        assert np.isfinite(rec["max_relative_residual"])
+        assert not rec["non_finite"] and rec["worst_n"] == 29
+        for name, res in checks.items():
+            assert res["passed"] and not res["non_finite"], (name, res)
+
     def test_exact_jacobi_det(self):
         # the continuant keeps unevaluated Beta-function ratios here
         jac = [{"family": "jacobi", "alpha": al, "beta": al}
@@ -619,6 +658,31 @@ class TestNonFinite:
         assert checks["orth"]["worst_pair"] == (0, 3)
         assert checks["norm"]["max_relative_error"] == np.inf
         assert checks["norm"]["worst_n"] == 3
+
+
+    def test_out_file_is_strict_json(self, tmp_path, monkeypatch):
+        # an inf in G_33 makes orth and norm non-finite: --out writes each
+        # such number as null next to non_finite: true, and a strict parser
+        # reads the file
+        build = MVOPSequence._gram_block
+
+        def poisoned(seq):
+            block, tables, log_min = build(seq)
+            block[0, 3, 0, 3, 0] = np.inf
+            return block, tables, log_min
+        monkeypatch.setattr(MVOPSequence, "_gram_block", poisoned)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(base_config(checks=["orth", "norm"])))
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                        "--out", str(out)])
+        assert res.exit_code == 1, res.output
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        checks = json.loads(out.read_text(), parse_constant=refuse)["checks"]
+        assert checks["orth"]["max_scaled_residual"] is None
+        assert checks["norm"]["max_relative_error"] is None
+        assert all(res["non_finite"] for res in checks.values())
 
 
 class TestCommandLine:

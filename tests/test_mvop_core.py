@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import mvop.exact_scalars as es
 import mvop.mvop_core as mvop_core
 import mvop.scalar_families as sf
 from mvop.errors import (DegreeCap, IllConditioned, OutOfRange,
@@ -17,7 +18,7 @@ from mvop.errors import (DegreeCap, IllConditioned, OutOfRange,
 from mvop.darboux import builtin_n5_laguerre
 from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
-from oracles import (dense_norm_Q, exact_rows, nearest_scaled,
+from oracles import (dense_norm_Q, exact_rows, moment0_sympy, nearest_scaled,
                      pairwise_quadrature, q_product, set_ratio,
                      three_term_loop, tridiagonal_from_rho)
 
@@ -365,7 +366,7 @@ class TestExactCache:
                                              sf.laguerre(0.5),
                                              sf.laguerre(1 / 3)])
         seq = MVOPSequence(spec, 6, backend="exact")
-        assert [s.atom for s in seq.scalar_seqs] == \
+        assert [es.atom_sympy(s.atom) for s in seq.scalar_seqs] == \
             [1, sp.sqrt(sp.pi), sp.gamma(sp.Rational(1, 3))]
         qt, q = exact_rows(seq, 0, 7)
         assert same_bits(seq.q_block(0, 7), nearest_rows(q, 0, 7, False))
@@ -408,16 +409,29 @@ class TestExactCache:
         assert np.allclose(got, [[3, 0], [0, 1]], rtol=1e-12, atol=0)
 
     def test_rat_matches_nsimplify(self):
-        # every a and family parameter the benchmark generator draws:
-        # binary fractions for the exact suite, six-decimal floats elsewhere
+        # every a and family parameter the benchmark generator draws
+        # (binary fractions for the exact suite, six-decimal floats
+        # elsewhere), thirds, sevenths, decimals, ints, values past the
+        # range where mpmath.identify finds a fraction, and values next to
+        # 2^-103, below which sympy's 30-digit evaluation chops to 0
         rng = np.random.default_rng(3)
         values = ([s * v for s in (-1, 1)
-                   for v in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)]
-                  + [k / 2 for k in range(8)] + [1e308]
-                  + [round(float(v), 6) for v in rng.uniform(-2.0, 4.0, 40)])
+                   for v in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 1 / 3, 2 / 3,
+                             4 / 3, 1 / 7, 3 / 7, 22 / 7, 0.1, 0.3, 0.7,
+                             2.5e-3, 123456.789, 1e-5, 1e308, 1e23, 1e-300,
+                             2 ** 0.5, math.pi, 1 / 12288, 12288.0)]
+                  + [k / 2 for k in range(8)] + [2, -3, 10 ** 23, 0, -0.0]
+                  + [math.ldexp(0.75, e) for e in (-102, -103, -104, -105)]
+                  + [round(float(v), 6) for v in rng.uniform(-2.0, 4.0, 40)]
+                  + [float(v) for v in rng.uniform(-5.0, 5.0, 20)])
         for v in values:
-            assert sf._rat(v) == sp.nsimplify(v, rational=True)
-            assert sf._rat(v) is sf._rat(v)
+            want = sp.nsimplify(v, rational=True)
+            assert sp.srepr(sp.Rational(*es.rat(v))) == sp.srepr(want), v
+            assert es.rat(v) is es.rat(v)
+        # a complex a, part by part, as the A entries take it
+        for v in (1 + 0.5j, -0.25 + 1 / 3j, 2j, complex(1.5, 0.0), 3.0, 7):
+            assert sp.srepr(es.a_sympy(v)) == \
+                sp.srepr(sp.nsimplify(v, rational=True)), v
 
     @EXACT_SPECS
     def test_log_norms_round_the_exact_norms(self, spec):
@@ -459,12 +473,56 @@ class TestExactMoments:
 
     def test_jacobi_moment_matches_beta(self):
         for al, be in ((4 / 3, 1 / 3), (1.5, 0.5), (0.25, 2.75)):
-            got = sf._exact_moment0(sf.jacobi(al, be))
-            a, b = sf._rat(al), sf._rat(be)
+            (p, q), atom = es.moment0(sf.jacobi(al, be))
+            got = sp.Rational(p, q) * es.atom_sympy(atom)
+            a, b = sp.nsimplify(al, rational=True), \
+                sp.nsimplify(be, rational=True)
             want = 2 ** (a + b + 1) * sp.beta(a + 1, b + 1)
             assert abs(sp.N(got - want, 60)) < sp.Float(10) ** -55
-        assert sf._exact_moment0(sf.jacobi(4 / 3, 1 / 3)) == \
-            sf._exact_moment0(sf.jacobi(1 / 3, 1 / 3))
+        assert es.moment0(sf.jacobi(4 / 3, 1 / 3))[1] == \
+            es.moment0(sf.jacobi(1 / 3, 1 / 3))[1]
+
+    #: Hermite with b != 0 and a scale, Laguerre in halves and thirds,
+    #: Jacobi (alpha + beta = -1 and 2^f with f below 0 included), and HL
+    ATOM_SPECS = [sf.hermite(0.5, scale=2.25), sf.hermite(-0.75),
+                  sf.hermite(0.0), sf.hermite(0.0, scale=3.0),
+                  *(sf.laguerre(k / 2) for k in range(-1, 5)),
+                  *(sf.laguerre(k / 3) for k in (-2, -1, 1, 2, 4, 5)),
+                  sf.jacobi(-0.5, -0.5), sf.jacobi(0.5, 0.5),
+                  sf.jacobi(-0.25, -0.75), sf.jacobi(1.5, 1.5),
+                  sf.jacobi(1 / 3, 1 / 3), sf.jacobi(4 / 3, 1 / 3),
+                  sf.jacobi(-2 / 3, -2 / 3), sf.jacobi(0.25, 2.75),
+                  sf.jacobi(0.0, 0.0), sf.jacobi(3.0, -0.5, scale=0.5)]
+
+    @pytest.mark.parametrize("spec", ATOM_SPECS)
+    def test_atoms_match_sympy(self, spec):
+        # the rational and the atom are sympy's as_coeff_Mul of the sympy
+        # moment, srepr for srepr, and their 113-bit values are sympy's
+        # 40-digit ones rounded to 113 bits
+        coeff, atom = es.moment0(spec)
+        want = moment0_sympy(spec)
+        wc, wa = want.as_coeff_Mul()
+        assert sp.Rational(*coeff) == wc
+        assert sp.srepr(es.atom_sympy(atom)) == sp.srepr(wa)
+        with mpmath.workprec(113):
+            assert es.atom_value(atom) == mpmath.mpf(wa.evalf(40))
+            assert es.atom_value(atom, coeff) == mpmath.mpf(want.evalf(40))
+
+    def test_atoms_group_as_sympy(self):
+        # two weights share an atom exactly where their sympy moments do:
+        # Hermite(0) and Laguerre(1/2) (HL) share sqrt(pi)
+        atoms = [es.moment0(s)[1] for s in self.ATOM_SPECS]
+        sympy_atoms = [moment0_sympy(s).as_coeff_Mul()[1]
+                       for s in self.ATOM_SPECS]
+        for (a, sa), (b, sb) in itertools.combinations(
+                zip(atoms, sympy_atoms), 2):
+            assert (a == b) == (sa == sb)
+        assert es.moment0(sf.hermite(0.0))[1] == \
+            es.moment0(sf.laguerre(0.5))[1]
+        hl = MVOPSequence(weight_spec([1.5], [sf.hermite(0.0),
+                                              sf.laguerre(0.5)]), 4,
+                          backend="exact")
+        assert len(hl._atoms) == 1
 
 
 class TestNorms:

@@ -116,10 +116,11 @@ class TestNorms:
     @pytest.mark.parametrize("spec", [
         sf.hermite(0.5), sf.laguerre(1 / 3), sf.laguerre(0.5),
         sf.jacobi(4 / 3, 1 / 3), sf.jacobi(1.5, 0.5),
-        sf.hermite(-0.75, scale=2.25), sf.jacobi(-0.5, 0.25)],
+        sf.hermite(-0.75, scale=2.25), sf.jacobi(-0.5, 0.25),
+        sf.jacobi(-0.5, -0.5), sf.jacobi(-0.25, -0.75)],
         ids=["hermite_half", "laguerre_third", "laguerre_half",
              "jacobi_4_3_1_3", "jacobi_3_2_1_2", "hermite_scaled",
-             "jacobi_negative"])
+             "jacobi_negative", "chebyshev_first", "jacobi_sum_minus_one"])
     def test_exact_integers_match_sympy_formulas(self, spec):
         # the integer recurrence gives the same sympy Rationals as the
         # closed forms in sympy arithmetic, and the same log norms bit for

@@ -1,4 +1,4 @@
-"""sympy and mpmath are imported only by the exact backend.
+"""sympy and mpmath stay unloaded by float runs, and sympy by exact checks.
 
 Every other test module imports sympy itself, so these tests run their
 code in fresh interpreters and read the outcome from one JSON line.
@@ -45,12 +45,17 @@ out["mpmath_loaded"] = "mpmath" in sys.modules
 print(json.dumps(out, default=str))
 """
 
-#: exact configs run in a fresh process: every check's report
+#: exact configs run in a fresh process: every check leaves sympy unloaded;
+#: build_Q, a public sympy reader, then loads it, and the checks read the
+#: same values before and after
 EXACT_SCRIPT = r"""
 import json, sys
+import numpy as np
 import mvop.cli as cli
+from mvop.mvop_core import MVOPSequence
 
-CHECKS = ["orth", "norm", "recurrence", "eigen", "darboux", "det", "reduce"]
+CHECKS = ["orth", "norm", "recurrence", "eigen", "darboux", "det", "reduce",
+          "symmetries"]
 configs = [
     {"size": 2, "a": [1.5],
      "weights": [{"family": "laguerre", "alpha": 0.0},
@@ -60,12 +65,37 @@ configs = [
      "weights": [{"family": "jacobi", "alpha": al, "beta": al}
                  for al in (1.5, 0.5, 1.5)]},
 ]
-assert "sympy" not in sys.modules
-out = []
-for cfg in configs:
-    cfg.update(backend="exact", n_max=5, checks=CHECKS)
-    out.append(cli.run(cli.config_from_json(cfg))["checks"])
-print(json.dumps(out, default=str))
+
+
+def reports():
+    out = []
+    for cfg in configs:
+        cfg.update(backend="exact", n_max=5)
+        checks = {}
+        for name in CHECKS:     # one check at a time, sympy looked at after each
+            cfg["checks"] = [name]
+            res = cli.run(cli.config_from_json(cfg))["checks"][name]
+            res.pop("wall_time_s")
+            checks[name] = dict(res, sympy_loaded="sympy" in sys.modules)
+        out.append(checks)
+    return out
+
+
+before = reports()
+seq = MVOPSequence(cli.config_from_json(configs[0]).spec, 5, backend="exact")
+rows = seq.q_block(0, 6)
+unloaded = "sympy" not in sys.modules
+Q2 = seq.build_Q(2)
+rounded = np.array([[[complex(v) for v in row] for row in c]
+                    for c in Q2.coeffs])
+print(json.dumps({"before": before, "after": reports(),
+                  "unloaded_before_build_Q": unloaded,
+                  "loaded_by_build_Q": "sympy" in sys.modules,
+                  "build_Q_rounds_to_q_block": bool(
+                      np.allclose(rounded, rows[2, :3], rtol=1e-15, atol=0)),
+                  "q_block_same": bool(np.array_equal(rows,
+                                                      seq.q_block(0, 6)))},
+                 default=str))
 """
 
 
@@ -96,8 +126,18 @@ def test_float_path_never_imports_sympy():
     assert out["schema_exit"] == 0
 
 
-def test_exact_reports_same_whichever_thread_imports_sympy():
-    # the first exact call imports sympy; every exact check still passes
-    for checks in run_fresh(EXACT_SCRIPT):
-        assert all(res["passed"] for res in checks.values()), checks
-
+def test_exact_checks_never_import_sympy():
+    out = run_fresh(EXACT_SCRIPT)
+    for checks in out["before"]:
+        for name, res in checks.items():
+            assert res["passed"], (name, res)
+            assert not res["sympy_loaded"], name
+    assert out["unloaded_before_build_Q"]
+    assert out["loaded_by_build_Q"]
+    assert out["build_Q_rounds_to_q_block"] and out["q_block_same"]
+    # the same reports once sympy is loaded
+    after = [{k: {kk: vv for kk, vv in v.items() if kk != "sympy_loaded"}
+              for k, v in checks.items()} for checks in out["after"]]
+    before = [{k: {kk: vv for kk, vv in v.items() if kk != "sympy_loaded"}
+               for k, v in checks.items()} for checks in out["before"]]
+    assert after == before
