@@ -10,13 +10,13 @@ per sequence from their log ratios, and every reader slices it.
 From one table of scalar power coefficients per sequence ``_assemble``
 places the three terms of every Q_n T column for a range of degrees,
 applies I - A x by one shifted column update per pair, which leaves the
-closed-form K_n at x^n, and gives each degree a verdict (det K_n is a
-``continuant``).  ``q_block``, ``qt_block``, ``build_Q`` and ``build_QT``
-read its rows, ``p_block`` the diagonal P_n; on both backends a block of
-degrees lo..hi-1 holds hi + 2 powers and is real exactly where A is.  The
-float backend assembles each requested range anew.  The exact backend keys
-every value by monomial in the moment atoms (1, sqrt(pi), ...; see
-``KEY``) and assembles degrees 0..n_max once.  Its scalar values (A, G_n,
+closed-form K_n at x^n, and gives each degree a verdict (det K_n as
+``leading_det`` forms it).  ``q_block``, ``qt_block``, ``build_Q`` and
+``build_QT`` read its rows, ``p_block`` the diagonal P_n; on both backends
+a block of degrees lo..hi-1 holds hi + 2 powers and is real exactly where A
+is.  The float backend assembles each requested range anew.  The exact
+backend keys every value by monomial in the moment atoms (1, sqrt(pi), ...;
+see ``KEY``) and assembles degrees 0..n_max once.  Its scalar values (A, G_n,
 the scalar norms, ||Q_n||^2) are Gaussian rationals held as Python-int
 triples (re, im, den) (``_exact``), tables of them as one object array
 sliced like the float tables, and their products and sums are integer
@@ -26,11 +26,10 @@ denominator per degree and entry (``_exact_rows``), built on the integer
 ``scalar_families.power_table``.  A and the scalar norms come as integers
 from ``exact_scalars`` (the parameters through ``a_value``), and each atom
 monomial is an mpf of the atoms' 113-bit mpmath values (``_mono``).  These
-keyed values have two outputs: doubles, an entry of key 0 alone rounded by
-p / q and any other by its exact sum in integers (``_exact_sum``,
-``_nearest``), and sympy, formed by ``_sympy`` (and the ``A`` property) for
-the public readers alone, so that no check loads sympy.  The G_n table is
-rounded to doubles once per sequence (``_rounded_ratios``).
+keyed values have two outputs: doubles, the rows, the G_n table and the
+||Q_n||^2 table each rounded once per sequence by one routine (``_round``,
+through ``_exact_sum``), and sympy, formed by ``_sympy`` (and the ``A``
+property) for the public readers alone, so that no check loads sympy.
 
 All Gram data of a sequence, <x^s Q_n, Q_m> for s = 0, 1 and n, m <= n_max,
 comes from one Gauss rule per scalar weight with n_max + 2 nodes, exact for
@@ -130,15 +129,6 @@ def _exact_sum(terms) -> float:
         return inf if num > 0 else -inf
 
 
-def _nearest(terms) -> complex:
-    """The nearest complex double to sum_k m_k q_k over terms (an mpf m_k,
-    an exact value q_k = (re + i im) / den given as its three Python ints,
-    see ``_exact``): the exact sum of each part, rounded once
-    (``_exact_sum``)."""
-    return complex(*(_exact_sum((m, q[part], q[2]) for m, q in terms)
-                     for part in (0, 1)))
-
-
 def peak(residuals, first: int = 0):
     """(largest residual, its key, non_finite) over an array of residuals
     keyed first, first + 1, ...
@@ -172,37 +162,16 @@ def frobenius(X, axis):
         return np.squeeze(s * np.sqrt(sq), axis=axis)
 
 
-def continuant(rho, keys=None):
+def continuant(rho):
     """Determinant of the unit-diagonal tridiagonal matrix with
-    superdiagonal u and subdiagonal l such that -u_i l_i = rho_i.
-
-    D_k = D_{k-1} + rho_{k-1} D_{k-2}.  Each rho_i may be an array, which
-    gives one continuant per position.  With ``keys``, rho_i multiplies
-    the monomial keys[i] (see ``KEY``): the result is {key: coefficient}.
+    superdiagonal u and subdiagonal l such that -u_i l_i = rho_i:
+    D_k = D_{k-1} + rho_{k-1} D_{k-2}, D_0 = D_{-1} = 1.  Each rho_i may be
+    an array, which gives one continuant per position.
     """
-    d_prev, d = {0: 1}, {0: 1}
-    for key, r in zip([0] * len(rho) if keys is None else keys, rho):
-        nxt = dict(d)
-        for k, v in d_prev.items():
-            nxt[k + key] = nxt.get(k + key, 0) + r * v
-        d_prev, d = d, nxt
-    return d[0] if keys is None else d
-
-
-def _exact_continuant(rho, keys):
-    """The keyed ``continuant`` of exact rho_i = (re + i im) / den (see
-    ``_exact``) up to a positive factor, in integers: {key: (re, im)} of
-    E_k = D_k den_0 ... den_{k-1}, which is zero exactly where D_k is, from
-    E_k = den_{k-1} E_{k-1} + (re + i im)_{k-1} den_{k-2} E_{k-2}."""
-    e_prev, e, d_prev = {0: (1, 0)}, {0: (1, 0)}, 1
-    for key, (re, im, den) in zip(keys, rho):
-        nxt = {k: (den * x, den * y) for k, (x, y) in e.items()}
-        for k, (x, y) in e_prev.items():
-            s, t = nxt.get(k + key, (0, 0))
-            nxt[k + key] = (s + d_prev * (re * x - im * y),
-                            t + d_prev * (re * y + im * x))
-        e_prev, e, d_prev = e, nxt, den
-    return e
+    d_prev = d = 1
+    for r in rho:
+        d_prev, d = d, d + r * d_prev
+    return d
 
 
 class MVOPSequence:
@@ -450,12 +419,12 @@ class MVOPSequence:
         of Q_n = (Q_n T)(I - A x) loses x (Q_n T)[:, r] A[r, u] per pair,
         which leaves K_n (``leading_closed_form``) at x^n.  Powers n + 1
         and n + 2 cancel structurally (A^2 = 0); anything left there is a
-        degree overflow, and K_n is singular where det K_n, the
-        ``continuant`` of ``rho_values(n)``, is 0 (only a corrupted G_n:
-        every valid rho_i is positive).  Float: "left" means above 1e-8 of
-        the largest coefficient, scalar coefficients past the float range
-        raise ``DegreeCap`` at once, and a degree whose coefficients leave
-        the float range (G_n P_{n-1} on mixed families) gets a
+        degree overflow, and K_n is singular where det K_n (``_scaled_det``
+        of the doubles of G_n on both backends) is 0, only on a corrupted
+        G_n: every valid rho_i is positive.  Float: "left" means above 1e-8
+        of the largest coefficient, scalar coefficients past the float
+        range raise ``DegreeCap`` at once, and a degree whose coefficients
+        leave the float range (G_n P_{n-1} on mixed families) gets a
         ``DegreeCap`` verdict.  Exact: the leftover numerators must be 0.
         """
         self._check_range(lo, hi)
@@ -498,17 +467,9 @@ class MVOPSequence:
                 finite = np.isfinite(top)
                 overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
                 q[np.arange(width)[None, :] > ns[:, None]] = 0
-            # det K_n, the continuant of ``rho_values`` for all degrees at
-            # once, is 0 when 0 at every monomial; an overflowed one is not
-            rho, keys = self._keyed_rho(G)
-            singular = True
-            if self.exact:
-                for re, im in _exact_continuant(rho, keys).values():
-                    singular = singular & ~(np.asarray(re).astype(bool)
-                                            | np.asarray(im).astype(bool))
-            else:
-                for d in continuant(np.real(rho), keys).values():
-                    singular = singular & ~d.astype(bool)
+            # det K_n as ``leading_det`` forms it, over the doubles of G_n
+            singular = self._scaled_det(
+                self._rounded_ratios()[ns] if self.exact else G)[0] == 0
         # later assignments win: non-finite, then overflow, then singular
         verdict = np.zeros(hi - lo, dtype=np.int8)
         verdict[singular] = 3
@@ -622,13 +583,15 @@ class MVOPSequence:
                                          (self.n_max + 1, self.n_max + 3))
         return rounded[which][lo:hi, :hi + 2].copy()
 
-    def _round(self, R, lead) -> np.ndarray:
+    def _round(self, R, lead, monos=None) -> np.ndarray:
         """The nearest doubles of the exact entries R ({(i, j, key, part):
         (numerators, denominators)} as ``_exact_rows`` gives them,
         numerators of shape ``lead``), shape lead + (N, N) and real where A
         is.  An entry that key 0 alone reaches is p / q (Python's correctly
         rounded int division), any other the exact sum over its keys,
-        rounded once (``_exact_sum``)."""
+        rounded once (``_exact_sum``).  ``monos`` ({key: an mpf per index of
+        the first axis}) replaces the monomials of ``_mono``, and then every
+        entry is an exact sum."""
         out = np.zeros(lead + (self.weight.N,) * 2,
                        dtype=float if self._real else complex)
         views = (out, None) if self._real else (out.real, out.imag)
@@ -636,7 +599,7 @@ class MVOPSequence:
         reached = defaultdict(lambda: np.zeros(lead, dtype=bool))
         for (i, j, key, part), (num, den) in R.items():
             entries[i, j].append((key, part, num, den.reshape(-1)))
-            if key:
+            if key or monos:
                 reached[i, j] |= num.astype(bool)
             else:
                 views[part][..., i, j] = num / den
@@ -645,7 +608,8 @@ class MVOPSequence:
             for at in zip(*np.nonzero(hit)):
                 for part in {part for _, part, *_ in terms}:
                     views[part][at + (i, j)] = _exact_sum(
-                        (self._mono(key), num[at], den[at[0]])
+                        (monos[key][at[0]] if monos else self._mono(key),
+                         num[at], den[at[0]])
                         for key, p, num, den in terms if p == part)
         return out
 
@@ -689,23 +653,19 @@ class MVOPSequence:
         coefficient K_n, in backend arithmetic: row n of ``_assemble``."""
         return self._polynomial(n, 1)
 
-    def _keyed_rho(self, G):
-        """(rho, keys): rho_i = a_i G[..., u, r] for the pairs a_i = A[r, u]
-        of ``_pairs`` over a G_n table (or a stack of them), each with the
-        monomial key of gamma_u / gamma_r, as ``continuant`` takes them
-        (exact values as ``_exact_continuant`` does)."""
-        mul = _gmul if self.exact else np.multiply
-        return ([mul(G[..., u, r], a) for r, u, a, _ in self._pairs],
-                [self._ek[u] - self._ek[r] for r, u, *_ in self._pairs])
-
     def leading_det(self, ns):
         """det K_n = d 2^e as (d, e) shaped like ns (an int or an array in
-        0..n_max), on both backends: the ``continuant`` of rho_i = a_i
-        G_n[u, r] over the doubles of G_n (``_float_ratios``) and of A,
-        scaled by a power of two, which is exact, where |d| passes 2^100."""
+        0..n_max), on both backends: ``_scaled_det`` of the doubles of G_n
+        (``_float_ratios``)."""
         self._check_n(ns)
-        G, e = self._float_ratios(ns), np.zeros(np.shape(ns), dtype=int)
-        d_prev = d = np.ones(np.shape(ns))
+        return self._scaled_det(self._float_ratios(ns))
+
+    def _scaled_det(self, G):
+        """(d, e) with d 2^e the ``continuant`` of rho_i = a_i G[..., u, r]
+        over a stack of G_n doubles and the doubles of A, scaled by a power
+        of two, which is exact, where |d| passes 2^100."""
+        e = np.zeros(G.shape[:-2], dtype=int)
+        d_prev = d = np.ones(G.shape[:-2])
         for r, u, *_ in self._pairs:
             d_prev, d = d, d + np.real(G[..., u, r] * self._A[r, u]) * d_prev
             if np.abs(d).max() > 2.0 ** 100:
@@ -718,11 +678,14 @@ class MVOPSequence:
         """rho_i = a_i G_n[u, r] = a_i^2 ||p_n^{w_u}||^2 / ||p_{n-1}^{w_r}||^2
         for the pairs a_i = A[r, u] in pair order, n <= n_max + 1: real
         floats from the G_n table, shape (pairs,) + n.shape for an array n,
-        or sympy entries from its exact values (``_keyed_rho``)."""
-        rho, keys = self._keyed_rho(self._ratios(n))
+        or sympy entries from its exact values, each at the monomial key of
+        gamma_u / gamma_r."""
+        G = self._ratios(n)
         if self.exact:
-            return [self._sympy([kv]) for kv in zip(keys, rho)]
-        return np.real(rho)
+            return [self._sympy([(self._ek[u] - self._ek[r],
+                                  _gmul(G[..., u, r], a))])
+                    for r, u, a, _ in self._pairs]
+        return np.real([G[..., u, r] * a for r, u, a, _ in self._pairs])
 
     def reduced_leading_matrix(self, n) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
@@ -800,15 +763,13 @@ class MVOPSequence:
         """||Q_n||^2 / sigma_n^2 for n = 0..n_max (log sigma_n =
         ``log_gram_scale``) as a tuple of read-only complex views, from one
         ``_norm_terms`` pass over all degrees; built on first use and
-        published in one assignment.  Each exact entry is the exact sum of
-        its exact values times their monomials scaled by exp(-2 log
-        sigma_n) (each product at 113 bits), rounded once per part
-        (``_nearest``)."""
+        published in one assignment.  Each exact entry is rounded once per
+        part by ``_round``, with the monomials scaled by exp(-2 log sigma_n)
+        (each product at 113 bits)."""
         got = self._qtab
         if got is None:
             ns, log_scale = np.arange(self.n_max + 1), 2.0 * self._log_sigma
             entries = self._norm_terms(ns, log_scale)
-            tab = np.zeros((len(ns),) + (self.weight.N,) * 2, dtype=complex)
             if self.exact:
                 import mpmath
                 with mpmath.workprec(113):
@@ -816,13 +777,15 @@ class MVOPSequence:
                     scaled = {k: [self._mono(k) * fn for fn in f]
                               for k in {k for terms in entries.values()
                                         for k in terms}}
-            for (i, j), terms in entries.items():
-                if self.exact:  # per key, the rows (re, im, den) over ns
-                    rows = [(scaled[k], list(zip(*v)))
-                            for k, v in terms.items()]
-                    tab[:, i, j] = [_nearest([(m[n], v[n]) for m, v in rows])
-                                    for n in ns]
-                else:
+                tab = self._round(
+                    {(i, j, k, part): (v[part], v[2])
+                     for (i, j), terms in entries.items()
+                     for k, v in terms.items() for part in (0, 1)
+                     if v[part].any()}, ns.shape, scaled).astype(complex)
+            else:
+                tab = np.zeros((len(ns),) + (self.weight.N,) * 2,
+                               dtype=complex)
+                for (i, j), terms in entries.items():
                     tab[:, i, j] = sum(terms.values())
             tab.flags.writeable = False
             got = self._qtab = tuple(tab)

@@ -281,31 +281,29 @@ def recurrence_coefficients(spec: ScalarWeightSpec, n_max: int,
 
 
 def _classical_recurrence(spec, n_max):
-    one = 1.0
     b0, al, be = spec.b, spec.alpha, spec.beta
     b, c = [], []
     for n in range(n_max + 1):
         if spec.family == HERMITE:
-            b.append(b0 * one)
+            b.append(float(b0))
             if n >= 1:
-                c.append(n * one / 2)
+                c.append(n / 2)
         elif spec.family == LAGUERRE:
-            b.append((2 * n + 1) * one + al)
+            b.append(2 * n + 1.0 + al)
             if n >= 1:
-                c.append(n * (n + al) * one)
+                c.append(float(n * (n + al)))
         else:  # Jacobi
             s = al + be
             if n == 0:
                 # (b^2-a^2)/(s(s+2)) reduces to this; valid also when s = 0
-                b.append((be - al) * one / (s + 2))
+                b.append((be - al) / (s + 2))
             else:
-                b.append((be - al) * (be + al) * one
+                b.append((be - al) * (be + al)
                          / ((2 * n + s) * (2 * n + s + 2)))
             if n == 1:  # n + s = 2n + s - 1 cancels: no 0/0 at s = -1
-                c.append(4 * (1 + al) * (1 + be) * one
-                         / ((2 + s) ** 2 * (3 + s)))
+                c.append(4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s)))
             elif n >= 2:
-                c.append(4 * n * (n + al) * (n + be) * (n + s) * one
+                c.append(4 * n * (n + al) * (n + be) * (n + s)
                          / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1)))
     return b, c
 
@@ -326,7 +324,6 @@ def _chebyshev_from_moments(moments, n_max):
     sig = list(m)
     b = [m[1] / m[0]]
     c = []
-    norms = [m[0]]
     for k in range(1, n_max + 1):
         new = [0.0] * L
         for l in range(k, 2 * n_max + 2 - k):
@@ -337,7 +334,6 @@ def _chebyshev_from_moments(moments, n_max):
         c.append(new[k] / sig[k - 1])
         b.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
         sig_prev, sig = sig, new
-        norms.append(norms[-1] * c[-1])
     return b[:n_max + 1], c
 
 

@@ -266,11 +266,13 @@ class TestRun:
             calls.append(seq._gfloat is None)
             return table()
         seq._rounded_ratios = counted
-        seq._round = lambda R, lead: rounds.append(lead) or rnd(R, lead)
+        seq._round = lambda R, lead, monos=None: (rounds.append(lead)
+                                                  or rnd(R, lead, monos))
         for name in ("orth", "recurrence", "det"):
             assert _CHECKS[name](seq, cfg)["passed"], name
         assert calls == [True, False]     # the Gram block, then det
-        assert rounds == [(cfg.n_max + 2,)]
+        # the G_n table once, and the norm table (recurrence) once
+        assert sorted(rounds) == [(cfg.n_max + 1,), (cfg.n_max + 2,)]
         got = seq._rounded_ratios()
         assert got is seq._rounded_ratios() and not got.flags.writeable
 

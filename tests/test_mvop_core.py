@@ -165,20 +165,26 @@ class TestConstruction:
         assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_q_block_singular_leading(self):
-        # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3) and every
-        # block holding degree 3 refuse it, other degrees are unaffected.
+        # 1 + g a = 0 in G_3 A makes K_3 singular; build_Q(3), build_QT(3)
+        # and every block holding degree 3 refuse it, other degrees are
+        # unaffected; the verdict is det K_n = 0 as ``leading_det`` reads it.
         # set_ratio hands the exact G_n over as sympy rationals
         for backend, g in (("float", -0.5), ("exact", sp.Rational(-1, 2))):
             seq = MVOPSequence(lag2(2.0), 8, backend=backend)
             set_ratio(seq, 3, lambda G: np.array([[0, 0], [g, 0]],
                                                  dtype=G.dtype))
-            for lo, hi in ((3, 4), (0, 9), (2, 5)):
+            for block in (seq.q_block, seq.qt_block):
+                for lo, hi in ((3, 4), (0, 9), (2, 5)):
+                    with pytest.raises(SingularLeading, match="n=3"):
+                        block(lo, hi)
+                block(4, 9)
+            for build in (seq.build_Q, seq.build_QT):
                 with pytest.raises(SingularLeading, match="n=3"):
-                    seq.q_block(lo, hi)
-            with pytest.raises(SingularLeading):
-                seq.build_Q(3)
-            seq.q_block(4, 9)
-            seq.build_Q(2)
+                    build(3)
+                build(2)
+            verdict, ns = seq._assemble(0, 9)[2], np.arange(9)
+            assert (verdict == 3 * (ns == 3)).all()
+            assert ((verdict == 3) == (seq.leading_det(ns)[0] == 0)).all()
 
     def test_q_block_wide_leading_block(self):
         # K_n of this weight holds a Laguerre 2x2 block near 1e21, and its
@@ -622,32 +628,31 @@ class TestOrthogonality:
 
 
 class TestNearest:
-    """``_nearest`` rounds the exact sum once to the nearest double; an
-    exact value is (re, im, den), Python ints."""
+    """``_exact_sum`` rounds the exact sum of m_k p_k / d_k once to the
+    nearest double; a complex value takes one sum per part."""
 
     def test_no_double_rounding(self):
         # 1 + 2^-53 + 2^-200 lies above the tie between 1 and 1 + 2^-52;
         # a sum rounded to 113 bits first lands on the tie and then on 1
-        mpf = mpmath.mpf
-        want = complex(1 + 2 ** -52)
-        q = (2 ** 200 + 2 ** 147 + 1, 0, 2 ** 200)
-        assert mvop_core._nearest([(mpf(1), q)]) == want
-        assert mvop_core._nearest([(mpf(1), (1, 0, 1)),
-                                   (mpf(2) ** -53, (1, 0, 1)),
-                                   (mpf(3), (1, 0, 3 * 2 ** 200))]) \
-            == want
-        got = mvop_core._nearest([(mpf(1), (q[2], q[0], q[2]))])
+        mpf, exact_sum = mpmath.mpf, mvop_core._exact_sum
+        want = 1 + 2 ** -52
+        p, d = 2 ** 200 + 2 ** 147 + 1, 2 ** 200
+        assert exact_sum([(mpf(1), p, d)]) == want
+        assert exact_sum([(mpf(1), 1, 1), (mpf(2) ** -53, 1, 1),
+                          (mpf(3), 1, 3 * 2 ** 200)]) == want
+        got = complex(*(exact_sum([(mpf(1), v, d)]) for v in (d, p)))
         assert got == complex(1, 1 + 2 ** -52)
 
     def test_past_the_float_range(self):
-        mpf = mpmath.mpf
+        mpf, exact_sum = mpmath.mpf, mvop_core._exact_sum
         for sign in (1, -1):
-            got = mvop_core._nearest([(mpf(1), (sign * 10 ** 400, 0, 1))])
+            got = complex(*(exact_sum([(mpf(1), v, 1)])
+                            for v in (sign * 10 ** 400, 0)))
             assert got.real == sign * math.inf and got.imag == 0
-            got = mvop_core._nearest([(mpf(2) ** 2000, (sign, 0, 1))])
-            assert got.real == sign * math.inf
-        assert mvop_core._nearest([(mpf(2) ** -1100, (1, 0, 1))]) == 0
-        assert mvop_core._nearest([]) == 0
+            got = exact_sum([(mpf(2) ** 2000, sign, 1)])
+            assert got == sign * math.inf
+        assert exact_sum([(mpf(2) ** -1100, 1, 1)]) == 0
+        assert exact_sum([]) == 0
 
 
 class TestRho:
