@@ -9,8 +9,10 @@ differ by a polynomial factor form one class with a base weight w_g:
 Hermite weights with equal b, Laguerre weights with alpha equal mod 1
 (w_{alpha+j} = x^j w_alpha), Jacobi weights with alpha and beta equal mod 1
 (factors (1-x)^i (1+x)^j).  So W = sum_g w_g(x) Pi_g(x), where Pi_g =
-sum_j x^j G_gj is a matrix polynomial, and since the functions w_g x^j are
-linearly independent, F W = W F* holds on the whole support exactly when
+sum_j x^j G_gj is a matrix polynomial, formed for all slots of a class at
+once: a table of the polynomials f_k = w_k / w_g against a stack of the
+three terms of each t_k t_k*.  Since the functions w_g x^j are linearly
+independent, F W = W F* holds on the whole support exactly when
 F G = G F* for every coefficient matrix G = G_gj, the generators of W.
 With S = sum_i W(x_i) = L L* over sample points, a combination of the
 generators, the Gt = L^-1 G L^-* span a space that holds I, so F is a
@@ -22,7 +24,7 @@ Math. 27, 2010).  The basis is checked on the generators.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import inf
+from math import comb, inf
 
 import numpy as np
 
@@ -125,48 +127,66 @@ def _weight_classes(spec: WeightSpec):
     """[(w_g, Pi_g)] with W(x) = sum_g w_g(x) Pi_g(x): the base weight of
     each class (scale 1, parameters at the class minimum) and the (deg + 1,
     N, N) power coefficients of Pi_g = sum_k f_k(x) t_k t_k*, f_k = w_k /
-    w_g.  A coefficient that cancels to at most NULL_TOL times its largest
-    term is set to 0: with w_1 = a^2 (1 - x^2) w_2 and a_1 = a, the x^2
-    terms of the two slots cancel up to rounding."""
+    w_g.  The f_k form one (slots, degree) table: binomial rows of (1 -
+    x)^i (1 + x)^j for Jacobi, x^i for Laguerre, 1 for Hermite, times the
+    slot's scale.  With c_k = A e_k, t_k t_k* = e_k e_k* + x (e_k c_k* + c_k
+    e_k*) + x^2 c_k c_k*, whose three terms form one (3, slots, N, N) stack.
+    Each slot's terms touch disjoint entries, so its part of Pi_g is exact,
+    and the parts are summed in slot order: Pi_g comes out bit for bit as a
+    slot-by-slot loop adds it (a BLAS contraction over the slots would not
+    keep that where two or three slots meet on a diagonal entry).  A
+    coefficient that cancels to at most NULL_TOL times its largest term
+    (over the same tables) is set to 0: with w_1 = a^2 (1 - x^2) w_2 and
+    a_1 = a, the x^2 terms of the two slots cancel up to rounding."""
     classes = []                # [(family, [(slot, params)])]
     for k, s in enumerate(spec.scalars):
         if s.family == sf.CUSTOM:
             raise Unsupported("symmetries need closed-form scalar weights, "
                               "not a moment-supplied one")
-        p = np.array({sf.HERMITE: (s.b,), sf.LAGUERRE: (s.alpha,),
-                      sf.JACOBI: (s.alpha, s.beta)}[s.family])
+        p = {sf.HERMITE: (s.b,), sf.LAGUERRE: (s.alpha,),
+             sf.JACOBI: (s.alpha, s.beta)}[s.family]
         for fam, slots in classes:
-            d = p - slots[0][1]
-            if fam == s.family and np.all(np.abs(
-                    d - (0.0 if fam == sf.HERMITE else np.rint(d)))
-                    <= CLASS_TOL):
+            d = [u - v for u, v in zip(p, slots[0][1])]
+            if fam == s.family and all(
+                    abs(e - (0.0 if fam == sf.HERMITE else round(e)))
+                    <= CLASS_TOL for e in d):
                 slots.append((k, p))
                 break
         else:
             classes.append((s.family, [(k, p)]))
 
-    A, eye = build_nilpotent(spec), np.eye(spec.N)
-    npoly = np.polynomial.polynomial
+    A, N = build_nilpotent(spec), spec.N
     out = []
     for fam, slots in classes:
-        low = np.min([p for _, p in slots], axis=0)
-        steps = [(k, np.rint(p - low).astype(int)) for k, p in slots]
-        Pi = np.zeros((max(i.sum() for _, i in steps) + 3, spec.N, spec.N),
-                      complex)
-        terms = np.zeros(len(Pi))
-        for k, i in steps:
-            f = spec.scalars[k].scale * (
-                npoly.polymul(npoly.polypow([1, -1], i[0]),
-                              npoly.polypow([1, 1], i[1]))
-                if fam == sf.JACOBI else npoly.polypow([0, 1], i[0]))
-            c = A[:, k]
-            E = (np.outer(eye[k], eye[k]),
-                 np.outer(eye[k], c.conj()) + np.outer(c, eye[k]),
-                 np.outer(c, c.conj()))
-            for m, Em in enumerate(E):
-                Pi[m:m + len(f)] += f[:, None, None] * Em
-                terms[m:m + len(f)] = np.maximum(
-                    terms[m:m + len(f)], np.abs(f) * np.max(np.abs(Em)))
+        ks = [k for k, _ in slots]
+        low = [min(v) for v in zip(*(p for _, p in slots))]
+        steps = [[round(u - v) for u, v in zip(p, low)] for _, p in slots]
+        # f_k = w_k / w_g: one row per slot, power coefficients
+        f = np.zeros((len(ks), max(map(sum, steps)) + 1))
+        if fam == sf.JACOBI:            # (1 - x)^i (1 + x)^j
+            f[:] = [[sum((-1) ** a * comb(i, a) * comb(j, d - a)
+                         for a in range(min(i, d) + 1))
+                     for d in range(len(f[0]))] for i, j in steps]
+        else:                           # x^i, or 1 for Hermite
+            f[range(len(ks)), [i[0] for i in steps]] = 1.0
+        f *= [[spec.scalars[k].scale] for k in ks]
+        # e_k e_k*, e_k c_k* + c_k e_k* and c_k c_k* of each slot, c_k = A e_k
+        r, c = range(len(ks)), A[:, ks].T
+        E = np.zeros((3, len(ks), N, N), complex)
+        E[0, r, ks, ks] = 1.0
+        E[1, r, ks, :] = c.conj()
+        E[1, r, :, ks] += c
+        E[2] = c[:, :, None] * c.conj()[:, None, :]
+        # a slot's three terms touch disjoint entries, so its part of Pi is
+        # exact; the parts are added in slot order, as a slot loop adds them
+        fs = np.zeros((3, len(ks), len(f[0]) + 2))    # x^m f_k
+        part = np.zeros((len(ks), len(f[0]) + 2, N, N), complex)
+        for m in range(3):
+            fs[m, :, m:m + len(f[0])] = f
+            part += fs[m, :, :, None, None] * E[m][:, None]
+        Pi = part.sum(axis=0)
+        terms = np.max(np.abs(fs) * np.max(np.abs(E), axis=(2, 3))[..., None],
+                       axis=(0, 1))
         Pi[np.max(np.abs(Pi), axis=(1, 2)) <= NULL_TOL * terms] = 0.0
         base = {sf.HERMITE: sf.hermite, sf.LAGUERRE: sf.laguerre,
                 sf.JACOBI: sf.jacobi}[fam](*low)
@@ -194,25 +214,36 @@ def _commutator_rows(M, a, b):
 
 
 def _twisted(F, Gs):
-    """(F_d G_p - G_p F_d*) for the Hermitian stack Gs, as (d, p, N, N)."""
-    FG = F[:, None] @ Gs
-    return FG - FG.conj().swapaxes(-1, -2)
+    """F_d G_p - G_p F_d* for the Hermitian stack Gs, with the generators
+    side by side: (d, N, P, N), term (d, p) at [d, :, p, :]."""
+    d, N, _ = F.shape
+    X = (F @ np.concatenate(Gs, axis=1)).reshape(d, N, len(Gs), N)
+    return X - X.transpose(0, 3, 2, 1).conj()
 
 
 def _polish(F, Gs):
     """F after POLISH_STEPS CGLS steps on min ||T(F)||, T = ``_twisted``;
-    the steps lie in the range of T*: G -> 2 sum_p G_p W_p for
-    anti-Hermitian G, orthogonal to the symmetries."""
+    the steps lie in the range of T*: R -> 2 sum_p R_p G_p for
+    anti-Hermitian R, orthogonal to the symmetries.  The sum is one matmul
+    of the side-by-side R_p against the stacked G_p."""
+    Gv = Gs.reshape(-1, Gs.shape[2])
+
+    def adjoint(r):
+        return 2 * (r.reshape(len(r), len(Gv[0]), -1) @ Gv)
+
+    def sq(X):
+        v = X.reshape(len(X), -1).view(float)
+        return np.einsum("ij,ij->i", v, v)
+
     r = _twisted(F, Gs)
-    p = s = 2 * np.sum(r @ Gs, axis=1)
-    gamma = np.sum(np.abs(s) ** 2, axis=(1, 2))
+    p = s = adjoint(r)
+    gamma = sq(s)
     for _ in range(POLISH_STEPS):
         q = _twisted(p, Gs)
-        alpha = gamma / np.maximum(np.sum(np.abs(q) ** 2, axis=(1, 2, 3)),
-                                   1e-300)
+        alpha = gamma / np.maximum(sq(q), 1e-300)
         F, r = F - alpha[:, None, None] * p, r - alpha[:, None, None, None] * q
-        s = 2 * np.sum(r @ Gs, axis=1)
-        g = np.sum(np.abs(s) ** 2, axis=(1, 2))
+        s = adjoint(r)
+        g = sq(s)
         p, gamma = s + (g / np.maximum(gamma, 1e-300))[:, None, None] * p, g
     return F
 

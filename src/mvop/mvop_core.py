@@ -765,18 +765,21 @@ class MVOPSequence:
         ``_norm_terms`` pass over all degrees; built on first use and
         published in one assignment.  Each exact entry is rounded once per
         part by ``_round``, with the monomials scaled by exp(-2 log sigma_n)
-        (each product at 113 bits)."""
+        (the exponential and each product rounded to nearest at 113 bits by
+        ``libmp``)."""
         got = self._qtab
         if got is None:
             ns, log_scale = np.arange(self.n_max + 1), 2.0 * self._log_sigma
             entries = self._norm_terms(ns, log_scale)
             if self.exact:
-                import mpmath
-                with mpmath.workprec(113):
-                    f = [mpmath.exp(-float(v)) for v in log_scale]
-                    scaled = {k: [self._mono(k) * fn for fn in f]
-                              for k in {k for terms in entries.values()
-                                        for k in terms}}
+                from mpmath import libmp, mp
+                f = [libmp.mpf_exp(libmp.from_float(-float(v)), 113, "n")
+                     for v in log_scale]
+                scaled = {}
+                for k in {k for terms in entries.values() for k in terms}:
+                    m = self._mono(k)._mpf_
+                    scaled[k] = [mp.make_mpf(libmp.mpf_mul(m, fn, 113, "n"))
+                                 for fn in f]
                 tab = self._round(
                     {(i, j, k, part): (v[part], v[2])
                      for (i, j), terms in entries.items()

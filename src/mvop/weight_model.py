@@ -79,13 +79,14 @@ def weight_eval(spec: WeightSpec, x) -> np.ndarray:
     """W(x) = T(x) diag(w_1(x), ..., w_N(x)) T(x)*; Hermitian PSD.
 
     A float x gives one (N, N) matrix; an array of P points gives the
-    (P, N, N) stack.
+    (P, N, N) stack.  Each distinct scalar weight is evaluated once.
     """
     xs = np.asarray(x, dtype=float)
     pts = xs.reshape(-1)
     A = build_nilpotent(spec)
     Tx = np.eye(spec.N, dtype=complex) + A * pts[:, None, None]
-    wd = np.stack([sf.weight_value(s, pts) for s in spec.scalars], axis=-1)
+    w = {s: sf.weight_value(s, pts) for s in dict.fromkeys(spec.scalars)}
+    wd = np.stack([w[s] for s in spec.scalars], axis=-1)
     W = (Tx * wd[:, None, :]) @ Tx.conj().swapaxes(1, 2)
     return W[0] if xs.ndim == 0 else W
 

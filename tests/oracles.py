@@ -570,3 +570,75 @@ def dense_symmetries(spec, n_points=None):
     return SymmetrySpace(dimension=len(basis), basis=basis,
                          sample_points=used.tolist(),
                          singular_values=list(svals), null_scale=svals[0])
+
+
+def weight_classes_loop(spec):
+    """[(w_g, Pi_g)] as ``_weight_classes`` gives them, built slot by slot:
+    each f_k by ``polypow``/``polymul`` and each term by ``np.outer``, added
+    into Pi_g in slot order."""
+    import mvop.scalar_families as sf
+    from mvop.irreducibility import CLASS_TOL, NULL_TOL
+    from mvop.weight_model import build_nilpotent
+    classes = []                # [(family, [(slot, params)])]
+    for k, s in enumerate(spec.scalars):
+        p = np.array({sf.HERMITE: (s.b,), sf.LAGUERRE: (s.alpha,),
+                      sf.JACOBI: (s.alpha, s.beta)}[s.family])
+        for fam, slots in classes:
+            d = p - slots[0][1]
+            if fam == s.family and np.all(np.abs(
+                    d - (0.0 if fam == sf.HERMITE else np.rint(d)))
+                    <= CLASS_TOL):
+                slots.append((k, p))
+                break
+        else:
+            classes.append((s.family, [(k, p)]))
+
+    A, eye = build_nilpotent(spec), np.eye(spec.N)
+    npoly = np.polynomial.polynomial
+    out = []
+    for fam, slots in classes:
+        low = np.min([p for _, p in slots], axis=0)
+        steps = [(k, np.rint(p - low).astype(int)) for k, p in slots]
+        Pi = np.zeros((max(i.sum() for _, i in steps) + 3, spec.N, spec.N),
+                      complex)
+        terms = np.zeros(len(Pi))
+        for k, i in steps:
+            f = spec.scalars[k].scale * (
+                npoly.polymul(npoly.polypow([1, -1], i[0]),
+                              npoly.polypow([1, 1], i[1]))
+                if fam == sf.JACOBI else npoly.polypow([0, 1], i[0]))
+            c = A[:, k]
+            E = (np.outer(eye[k], eye[k]),
+                 np.outer(eye[k], c.conj()) + np.outer(c, eye[k]),
+                 np.outer(c, c.conj()))
+            for m, Em in enumerate(E):
+                Pi[m:m + len(f)] += f[:, None, None] * Em
+                terms[m:m + len(f)] = np.maximum(
+                    terms[m:m + len(f)], np.abs(f) * np.max(np.abs(Em)))
+        Pi[np.max(np.abs(Pi), axis=(1, 2)) <= NULL_TOL * terms] = 0.0
+        base = {sf.HERMITE: sf.hermite, sf.LAGUERRE: sf.laguerre,
+                sf.JACOBI: sf.jacobi}[fam](*low)
+        out.append((base, Pi))
+    return out
+
+
+def polish_loop(F, Gs, steps):
+    """``steps`` CGLS steps on min ||F_d G_p - G_p F_d*|| over the
+    generators Gs, with sum_p R_p G_p summed per generator and the squared
+    norms taken from |.|^2: the reference for ``irreducibility._polish``."""
+    def twisted(F):
+        FG = F[:, None] @ Gs
+        return FG - FG.conj().swapaxes(-1, -2)
+
+    r = twisted(F)
+    p = s = 2 * np.sum(r @ Gs, axis=1)
+    gamma = np.sum(np.abs(s) ** 2, axis=(1, 2))
+    for _ in range(steps):
+        q = twisted(p)
+        alpha = gamma / np.maximum(np.sum(np.abs(q) ** 2, axis=(1, 2, 3)),
+                                   1e-300)
+        F, r = F - alpha[:, None, None] * p, r - alpha[:, None, None, None] * q
+        s = 2 * np.sum(r @ Gs, axis=1)
+        g = np.sum(np.abs(s) ** 2, axis=(1, 2))
+        p, gamma = s + (g / np.maximum(gamma, 1e-300))[:, None, None] * p, g
+    return F

@@ -15,7 +15,8 @@ from mvop.irreducibility import (NULL_TOL, SymmetrySpace, _commutator_rows,
                                  try_reduce_2x2, try_reduce_3x3_w1w3)
 from mvop.weight_model import weight_eval, weight_spec
 
-from oracles import dense_symmetries, relation_rows
+from oracles import (dense_symmetries, polish_loop, relation_rows,
+                     weight_classes_loop)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -77,6 +78,7 @@ class TestSymmetryDimension:
 
 
 A10 = [1.0, -0.7, 1.3, 0.6, -1.1, 0.9, 1.5, -0.8, 1.2]
+A4 = [1.234567, -0.713, 1.3091, 0.6042]
 
 
 class TestSpanSizedSolve:
@@ -258,6 +260,71 @@ class TestGenerators:
         assert np.all(top > 0)
         assert np.max(np.abs(got - want) / top[:, None, None]) < 1e-13
 
+    # A4 and the scales are not short binary fractions, so the sums that
+    # meet on an even diagonal entry (two Hermite or Laguerre slots, three
+    # Jacobi ones) round differently in another order or with an FMA
+    @pytest.mark.parametrize("a,scalars", [
+        (A10[:4], [sf.hermite(0.3)] * 5),
+        (A4, [sf.hermite(0.3, scale=s) for s in (1.0, 0.37, 1.0, 2.9, 1.3)]),
+        (A10[:5], [sf.laguerre(0.5 + (k + 1) // 2) for k in range(6)]),
+        (A4, [sf.laguerre(1.5), sf.laguerre(-0.5, scale=1.9),
+              sf.laguerre(1.5, scale=0.61), sf.laguerre(-0.5, scale=3.3),
+              sf.laguerre(0.5)]),
+        (A10[:4], [sf.jacobi(0.5, 1.0), sf.jacobi(1.5, 3.0, scale=0.5),
+                   sf.jacobi(-0.5, 0.0), sf.jacobi(0.5, 1.0),
+                   sf.jacobi(0.2, 0.7)]),
+        (A4, [sf.jacobi(2.3, 0.1), sf.jacobi(0.3, 3.1, scale=1.7),
+              sf.jacobi(4.3, 1.1, scale=0.83), sf.jacobi(0.3, 0.1, scale=2.21),
+              sf.jacobi(1.3, 2.1)]),
+        ([0.42536 + 0.86754j, -1.10948 + 0.3681j, -1.02852 + 0.64756j],
+         [sf.jacobi(3.44, 3.31), sf.jacobi(2.44, 0.31, scale=3.54),
+          sf.jacobi(4.44, 1.31, scale=3.86), sf.jacobi(3.44, 3.31)]),
+        ([0.8, -1.2], [sf.hermite(0.0), sf.laguerre(0.5), sf.jacobi(0.5, 1.0)]),
+        ([0.7], [sf.jacobi(1.0, 1.5, scale=0.49), sf.jacobi(0.0, 0.5)]),
+    ], ids=["hermite", "hermite-scales", "laguerre-ladder",
+            "laguerre-negative-alpha", "jacobi", "jacobi-steps", "complex-a",
+            "mixed3", "cancelled"])
+    def test_slot_loop_bits(self, a, scalars):
+        # the slot tables give Pi_g bit for bit as the slot-by-slot loop
+        spec = weight_spec(a, scalars)
+        got, want = _weight_classes(spec), weight_classes_loop(spec)
+        assert [b for b, _ in got] == [b for b, _ in want]
+        for (_, P), (_, Q) in zip(got, want):
+            assert P.shape == Q.shape
+            assert np.array_equal(P.view(np.uint64), Q.view(np.uint64))
+
+    @pytest.mark.parametrize("a,scalars", [
+        (A10, [sf.hermite(0.2)] * 10),
+        (A10, [sf.laguerre(0.5 + (k + 1) // 2) for k in range(10)]),
+        (A10[:4], [sf.jacobi(0.5, 1.0)] * 5),
+        ([1.0, 1.0], [sf.laguerre(0.5), sf.laguerre(1.5), sf.laguerre(0.5)]),
+        ([1 + 0.5j, -0.8], [sf.hermite(0.0), sf.laguerre(0.5),
+                            sf.jacobi(0.5, 1.0)]),
+    ], ids=["hermite", "laguerre-ladder", "jacobi", "lag3-w1w3", "mixed3"])
+    def test_polish_matches_loop(self, monkeypatch, a, scalars):
+        # the stacked CGLS steps against the per-generator sums, on the
+        # start and generators the solve hands over
+        seen, polish = [], irr._polish
+        monkeypatch.setattr(irr, "_polish",
+                            lambda F, Gs: seen.append((F, Gs)) or polish(F, Gs))
+        order_zero_symmetries(weight_spec(a, scalars))
+        (F, Gs), = seen
+        got, want = polish(F, Gs), polish_loop(F, Gs, irr.POLISH_STEPS)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_polish_far_start_matches_loop(self):
+        # from random starts the steps are far from converged and eight
+        # of them amplify rounding up to about 1e-13: a coarser bound,
+        # which still reads a wrong step length or adjoint
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            A = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+            Gs = A + A.conj().swapaxes(1, 2)
+            F = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+            got = irr._polish(F, Gs)
+            want = polish_loop(F, Gs, irr.POLISH_STEPS)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("scalars,classes", [
         ([sf.laguerre(0.1), sf.laguerre(1.1)], 1),
         ([sf.laguerre(0.1), sf.laguerre(0.6)], 2),
@@ -312,6 +379,15 @@ class TestGenerators:
         monkeypatch.setattr(irr, "_polish", perturbed)
         with pytest.raises(InvalidParam, match="failed on the generators"):
             order_zero_symmetries(weight_spec(A10, [sf.hermite(0.2)] * 10))
+
+    @pytest.mark.xfail(strict=True, raises=InvalidParam,
+                       reason="a_i a factor 1e6 apart: the basis fails on "
+                              "the generators of W")
+    def test_a_six_decades_apart(self):
+        spec = weight_spec([1e-3, 1e3, 1e-3],
+                           [sf.hermite(5.0), sf.laguerre(-0.5),
+                            sf.laguerre(1.0), sf.hermite(0.3)])
+        assert order_zero_symmetries(spec).validation_residual < 1e-9
 
     def test_custom_slot_unsupported(self):
         spec = weight_spec([1.0], [sf.custom([2.0, 0.0, 2 / 3], (-1, 1)),

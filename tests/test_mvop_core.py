@@ -326,7 +326,8 @@ class TestExactCache:
         assert all(isinstance(v, sp.Basic)
                    for v in seq.squared_norm_Q(3).flat)
 
-    @EXACT_SPECS
+    @pytest.mark.parametrize("spec", [*EXACT_WEIGHTS.values(), COMPLEX_A],
+                             ids=[*EXACT_WEIGHTS, "complex_a"])
     def test_norm_reader_matches_complex(self, spec):
         # each entry is the nearest double of the exact one over sigma_n^2
         seq = MVOPSequence(spec, 6, backend="exact")

@@ -76,6 +76,24 @@ class TestWeightEval:
                                rtol=1e-14, atol=0)
 
 
+    def test_distinct_weights_evaluated_once(self, monkeypatch):
+        # five slots, three distinct weights: three evaluations, and the
+        # stack equal bit for bit to the slot-by-slot one
+        spec = weight_spec([1.5, -0.5, 0.8, 1 + 0.5j],
+                           [sf.hermite(0.3), sf.laguerre(1.0), sf.hermite(0.3),
+                            sf.laguerre(1.0), sf.hermite(-0.2)])
+        xs = np.linspace(-3.0, 9.0, 41)
+        Tx = np.eye(5) + build_nilpotent(spec) * xs[:, None, None]
+        wd = np.stack([sf.weight_value(s, xs) for s in spec.scalars], axis=-1)
+        want = (Tx * wd[:, None, :]) @ Tx.conj().swapaxes(1, 2)
+        calls, value = [], sf.weight_value
+        monkeypatch.setattr(sf, "weight_value",
+                            lambda s, x: calls.append(s) or value(s, x))
+        got = weight_eval(spec, xs)
+        assert len(calls) == 3
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestInnerProduct:
     """The inner product as the sequence's Gram block reads it."""
 
