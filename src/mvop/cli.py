@@ -207,7 +207,9 @@ def _check_orth(seq, cfg):
     return {"passed": rep["passed"],
             "max_scaled_residual": rep["max_scaled_residual"],
             "worst_pair": rep["worst_pair"],
-            "non_finite": rep["non_finite"], **seq.quadrature_summary()}
+            "non_finite": rep["non_finite"],
+            "max_abs_log_ratio": seq.max_abs_log_ratio(),
+            **seq.quadrature_summary()}
 
 
 def _check_norm(seq, cfg):
@@ -222,6 +224,7 @@ def _check_norm(seq, cfg):
     worst, worst_n, non_finite = peak(np.where(np.isfinite(g), rel, g))
     return {"passed": worst < cfg.tol, "max_relative_error": worst,
             "worst_n": worst_n, "non_finite": non_finite,
+            "max_abs_log_ratio": seq.max_abs_log_ratio(),
             **seq.quadrature_summary()}
 
 
@@ -230,7 +233,9 @@ def _check_recurrence(seq, cfg):
     worst, worst_n, non_finite = peak(res, 1)
     return {"passed": worst < cfg.tol,
             "max_relative_residual": worst, "worst_n": worst_n,
-            "non_finite": non_finite, **seq.quadrature_summary()}
+            "non_finite": non_finite,
+            "max_abs_log_ratio": seq.max_abs_log_ratio(),
+            **seq.quadrature_summary()}
 
 
 def _check_eigen(seq, cfg):
@@ -297,7 +302,8 @@ def _check_det(seq, cfg):
         res[i] = abs(d[i] / sign * math.exp(e[i] * math.log(2) - logdet) - 1)
     worst, worst_n, non_finite = peak(res, 1)
     return {"passed": worst < 1e-10, "max_relative_error": worst,
-            "worst_n": worst_n, "non_finite": non_finite}
+            "worst_n": worst_n, "non_finite": non_finite,
+            "max_abs_log_ratio": seq.max_abs_log_ratio()}
 
 
 def _check_reduce(seq, cfg):

@@ -38,20 +38,23 @@ the float recurrences of the slots (the sequence's own on the float
 backend) gives every rule and the orthonormal recurrence values at its
 nodes.  Column k of Q_n T involves only p_{n-1}, p_n, p_{n+1} of w_k, so
 these values give one node table C[n], whose column range k is
-sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; two matmuls
-on the whole table give the whole block, in real arithmetic where A and
-every G_n are real.  sigma_n = exp(1/2 max_k log ||p_n^{w_k}||^2) keeps
-both finite where the norms themselves overflow.  ``gram_qt`` reads pairs
-from the block.  The closed-form ||Q_n||^2 / sigma_n^2 of degrees 0..n_max
-is one read-only table per sequence, formed by one pass over all degrees on
-both backends (``_norm_table``), and so are the three-term coefficients of
-degrees 1..n_max-1, one stacked solve per neighbour against it
-(``three_term_table``).  The recurrence residual is the W-norm of x Q_n -
-A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} summed over the node table, so the
-orth, norm and recurrence checks share this one quadrature path.  The Gram
-block and det K_n (``leading_det``, a continuant scaled by powers of two)
-read G_n as doubles on both backends (``_float_ratios``): the float table
-itself, or slices of the once-rounded exact one.
+sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; one matmul
+on the whole table gives the whole shift-0 block <Q_n, Q_m>, in real
+arithmetic where A and every G_n are real, and a shift-1 product <x Q_n,
+Q_m> is C[n] diag(x_j) C[m]* from the table itself.  sigma_n = exp(1/2
+max_k log ||p_n^{w_k}||^2) keeps both finite where the norms themselves
+overflow.  ``gram_qt`` reads pairs from the block or the table.  The
+closed-form ||Q_n||^2 / sigma_n^2 of degrees 0..n_max is one read-only
+table per sequence, formed by one pass over all degrees on both backends
+(``_norm_table``), and so are the three-term coefficients of degrees
+1..n_max-1 with their residuals (``three_term_table``): one pass over the
+node table forms the band <x Q_n, Q_m>, m = n + 1, n, n - 1, solves it
+against ||Q_m||^2 per neighbour, and sums the W-norm of x Q_n - A_n
+Q_{n+1} - B_n Q_n - C_n Q_{n-1} over the same table, so the orth, norm and
+recurrence checks share this one quadrature path.  The Gram block and det
+K_n (``leading_det``, a continuant scaled by powers of two) read G_n as
+doubles on both backends (``_float_ratios``): the float table itself, or
+slices of the once-rounded exact one.
 """
 
 from collections import defaultdict
@@ -323,6 +326,12 @@ class MVOPSequence:
                             f"{LOG_RATIO_CAP} at n={n}")
         G, h = self._ratio_table()
         return h[ns] if half else G[..., ns, :, :]
+
+    def max_abs_log_ratio(self) -> float:
+        """The largest |lr| of G_0..G_{n_max}, the value that ``_ratios``
+        compares with ``LOG_RATIO_CAP``: the checks report it as their
+        headroom to the cap."""
+        return float(np.abs(self._lr[:self.n_max + 1]).max())
 
     def _float_ratios(self, ns) -> np.ndarray:
         """``_ratios`` as doubles: on the exact backend, the same degrees of
@@ -747,16 +756,22 @@ class MVOPSequence:
         return out
 
     def squared_norm_Q(self, n: int) -> np.ndarray:
-        """||Q_n||^2 (see ``_norm_terms``): complex on the float backend, or
-        each exact entry's exact values as sympy (``_sympy``), which the
-        checks read scaled and rounded (``_norm_Q``)."""
+        """||Q_n||^2 (see ``_norm_terms``): complex on the float backend,
+        ``DegreeCap`` where an entry is past the float range, or each exact
+        entry's exact values as sympy (``_sympy``), which the checks read
+        scaled and rounded (``_norm_Q``)."""
         self._check_n(n)
         out = np.full((self.weight.N,) * 2,
                       self._sympy([]) if self.exact else 0j)
-        for ij, terms in self._norm_terms(np.array([n])).items():
-            out[ij] = (self._sympy([(k, [x[0] for x in v])
-                                    for k, v in terms.items()])
-                       if self.exact else sum(v[0] for v in terms.values()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ij, terms in self._norm_terms(np.array([n])).items():
+                out[ij] = (self._sympy([(k, [x[0] for x in v])
+                                        for k, v in terms.items()])
+                           if self.exact
+                           else sum(v[0] for v in terms.values()))
+        if not (self.exact or np.isfinite(out).all()):
+            raise DegreeCap(f"||Q_{n}||^2 is past the float range; read it "
+                            f"scaled")
         return out
 
     def _norm_table(self):
@@ -813,16 +828,16 @@ class MVOPSequence:
         Gauss rule per scalar weight, all from one
         ``InnerProductEngine.tables`` pass.
 
-        ``block`` is the (2, n_max+1, N, n_max+1, N) array of <x^s Q_n,
-        Q_m>_W / (sigma_n sigma_m), real when A and the G_n table are.  C is
-        the node table of shape (n_max+1, N, N (n_max+2)): column range k
-        of C[n] is sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes
-        x_j of weight k, which ``nodes`` lists in the same order, so
-        <x^s Q_n, Q_m>_W = sigma_n sigma_m C[n] diag(nodes^s) C[m]*, and the
-        block is two matmuls over the whole table.  ``log10_min_weight`` is
-        log10 of the smallest Christoffel weight lambda_j of all rules,
-        read in the scaled form, so it stays a number where lambda_j
-        underflows.
+        ``block`` is the (n_max+1, N, n_max+1, N) array of <Q_n, Q_m>_W /
+        (sigma_n sigma_m), real when A and the G_n table are.  C is the
+        node table of shape (n_max+1, N, N (n_max+2)): column range k of
+        C[n] is sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes x_j
+        of weight k, which ``nodes`` lists in the same order, so <x^s Q_n,
+        Q_m>_W = sigma_n sigma_m C[n] diag(nodes^s) C[m]*.  The block is
+        one matmul over the whole table; shift-1 products are read from the
+        table (``gram_qt``, ``_three_term_pass``).  ``log10_min_weight`` is
+        log10 of the smallest Christoffel weight lambda_j of all rules, read
+        in the scaled form, so it stays a number where lambda_j underflows.
 
         At node x_j of weight k,
         sqrt(lambda_j) p_i(x_j) / sigma_n = u_i(x_j) ||p_i|| / sigma_n,
@@ -854,12 +869,9 @@ class MVOPSequence:
             C[:, r, k] = A[r, k] * hi[:, k]
             C[1:, k, r] = -G[1:, k, r, None] * lo[:, r]
         F = C.reshape((M + 1) * N, N * m)
-        x = nodes[slot].reshape(-1)
-        out = np.empty((2,) + (F.shape[0],) * 2, dtype=F.dtype)
-        np.matmul(F, F.conj().T, out=out[0])
-        np.matmul(F * x, F.conj().T, out=out[1])
-        return (out.reshape(2, M + 1, N, M + 1, N),
-                (x, C.reshape(M + 1, N, N * m)), log_min / log(10.0))
+        return ((F @ F.conj().T).reshape(M + 1, N, M + 1, N),
+                (nodes[slot].reshape(-1), C.reshape(M + 1, N, N * m)),
+                log_min / log(10.0))
 
     def gram_data(self):
         """The Gram block, the node tables and the log10 of the smallest
@@ -872,26 +884,39 @@ class MVOPSequence:
 
     def gram_qt(self, n: int, m: int, shift: int = 0,
                 scaled: bool = False) -> np.ndarray:
-        """<x^shift Q_n, Q_m>_W for shift 0 or 1, read from the Gram block.
+        """<x^shift Q_n, Q_m>_W for shift 0 or 1: shift 0 read from the Gram
+        block, shift 1 formed as C[n] diag(nodes) C[m]* from the node table
+        (see ``_gram_block``).
 
         With ``scaled`` the result is divided by sigma_n sigma_m (see
         ``log_gram_scale``); residuals are formed from that form, which
-        stays finite at degrees where the Gram itself overflows.  Complex
-        also where the block is real.
+        stays finite at degrees where the Gram itself overflows, and the
+        plain form raises ``DegreeCap`` there.  Complex also where the
+        block is real.
         """
         self._check_n(n)
         self._check_n(m)
         if shift not in (0, 1):
             raise InvalidParam(f"shift must be 0 or 1, got {shift}")
-        g = self.gram_data()[0][shift, n, :, m, :].astype(complex)
+        if shift:
+            x, C = self.gram_data()[1]
+            g = ((C[n] * x) @ C[m].conj().T).astype(complex)
+        else:
+            g = self.gram_data()[0][n, :, m, :].astype(complex)
         if scaled:
             return g
         log_s = self.log_gram_scale(n) + self.log_gram_scale(m)
         try:
-            return g * exp(log_s)
+            scale = exp(log_s)
         except OverflowError:
-            raise DegreeCap(f"<Q_{n}, Q_{m}> is past the float range (log "
-                            f"scale {log_s:.1f}); read it scaled") from None
+            scale = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = g * scale
+        if (np.isfinite(g) & ~np.isfinite(out)).any():
+            raise DegreeCap(f"<{'x ' if shift else ''}Q_{n}, Q_{m}> is past "
+                            f"the float range (log scale {log_s:.1f}); read "
+                            f"it scaled")
+        return out
 
     def quadrature_summary(self) -> dict:
         """Nodes per scalar weight of the Gauss rules behind the Gram block
@@ -918,7 +943,7 @@ class MVOPSequence:
         self_norm = frobenius(np.stack([self.gram_qt(n, n, scaled=True)
                                         for n in range(k)]), axis=(1, 2))
         root = np.sqrt(self_norm)
-        block = self.gram_data()[0][0, :k, :, :k, :]
+        block = self.gram_data()[0][:k, :, :k, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = frobenius(block, axis=(1, 3)) / root[:, None] / root
         # a diagonal norm that is not finite is the residual of its pairs
@@ -943,16 +968,17 @@ class MVOPSequence:
         built on first use and published in one assignment.
 
         X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one stacked solve per neighbour m
-        (``_project``).  The table holds the degrees before the first whose
-        m = n + 1, n or n - 1 has a ||Q_m||^2 that is not finite or is
-        singular (slogdet sign 0 on the adjoint the solve factors); a read
-        past them raises ``IllConditioned`` naming the first such m, in
-        that order.  The residual is ||R_n||_W / ||x Q_n||_W, R_n = x Q_n -
-        A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1}, ||P||_W^2 = tr <P, P>_W, summed
-        over the node table of ``_gram_block`` with every term divided by
-        sigma_n (so A_n and C_n carry sigma_{n+1} / sigma_n and sigma_{n-1}
-        / sigma_n).  It is exact: R_n T has degree n + 2, which the n_max +
-        2 nodes integrate for every n <= n_max - 1.
+        in one pass over the node table (``_three_term_pass``).  The table
+        holds the degrees before the first whose m = n + 1, n or n - 1 has
+        a ||Q_m||^2 that is not finite or is singular (slogdet sign 0 on
+        the adjoint the solve factors); a read past them raises
+        ``IllConditioned`` naming the first such m, in that order.  The
+        residual is ||R_n||_W / ||x Q_n||_W, R_n = x Q_n - A_n Q_{n+1} -
+        B_n Q_n - C_n Q_{n-1}, ||P||_W^2 = tr <P, P>_W, summed over the
+        node table of ``_gram_block`` in the same pass, with every term
+        divided by sigma_n (so A_n and C_n carry sigma_{n+1} / sigma_n and
+        sigma_{n-1} / sigma_n).  It is exact: R_n T has degree n + 2, which
+        the n_max + 2 nodes integrate for every n <= n_max - 1.
         """
         if hi < 1 or hi > self.n_max - 1:
             raise OutOfRange(f"n={hi} outside 1..{self.n_max - 1}")
@@ -967,8 +993,7 @@ class MVOPSequence:
             # neighbour m = n + 1 - i of degree n
             fault = np.where(finite, 2 * singular, 1)[ns[:, None] + [1, 0, -1]]
             ns = ns[np.cumsum(fault.any(axis=1)) == 0]    # readable
-            mats = [self._project(ns, d, norms[ns + d]) for d in (1, 0, -1)]
-            got = (*mats, self._residuals(ns, mats), fault)
+            got = (*self._three_term_pass(ns, norms), fault)
             for a in got:
                 a.flags.writeable = False
             self._recurrence = got
@@ -980,35 +1005,31 @@ class MVOPSequence:
                 "not finite", "singular")[fault[n, i] - 1])
         return tuple(a[:hi] for a in rows)
 
-    def _project(self, ns, d, norm):
-        """X_n = <x Q_n, Q_m> ||Q_m||^{-2} for m = n + d over the degrees
-        ns by one stacked solve: (sigma_n / sigma_m) times the ratio of the
-        scaled block to ``norm``, the regular ``_norm_Q`` of each m."""
-        ms = ns + d
-        g = self.gram_data()[0][1, ns, :, ms, :] * np.exp(
-            self._log_sigma[ns] - self._log_sigma[ms])[:, None, None]
-        adjoint = [v.conj().swapaxes(1, 2) for v in (norm, g)]
-        # X ||Q_m||^2 = g, solved as its adjoint
-        return np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
-
-    def _residuals(self, ns, mats):
-        """The residuals of ``three_term_table`` for the degrees ns, in
-        real arithmetic where the node table and the A_n, B_n, C_n are
-        real."""
+    def _three_term_pass(self, ns, norms):
+        """(A_n, B_n, C_n, residual) of ``three_term_table`` for the degrees
+        ns from the node table alone, in blocks of degrees: per neighbour m
+        = n + d, X_n ||Q_m||^2 = <x Q_n, Q_m>, the band (C[n] x) C[m]*,
+        solved as its adjoint against the regular ``norms``, and X_n Q_m
+        subtracted for the residual, in real arithmetic where the node
+        table and X_n are real."""
         x, C = self.gram_data()[1]
+        mats = np.empty((3, len(ns)) + (self.weight.N,) * 2, dtype=complex)
         out = np.empty(len(ns))
         step = 64   # degrees per pass, which bounds the temporaries
         for i in range(0, len(ns), step):
             n = ns[i:i + step]
-            xq = C[n] * x
-            terms = []
-            for d, X in zip((1, 0, -1), mats):
-                X = X[i:i + step] * np.exp(
-                    self._log_sigma[n + d] - self._log_sigma[n])[:, None, None]
+            r = xq = C[n] * x
+            for d, X in zip((1, 0, -1), mats[:, i:i + step]):
+                s = np.exp(self._log_sigma[n] - self._log_sigma[n + d])[
+                    :, None, None]
+                g = np.matmul(xq, C[n + d].conj().swapaxes(1, 2)) * s
+                # X ||Q_m||^2 = g, solved as its adjoint
+                adjoint = [v.conj().swapaxes(1, 2) for v in (norms[n + d], g)]
+                X[:] = np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
+                X = X / s
                 if not (np.iscomplexobj(C) or X.imag.any()):
                     X = X.real
-                terms.append(np.matmul(X, C[n + d]))
-            r = xq - sum(terms)
+                r = r - np.matmul(X, C[n + d])
             with np.errstate(over="ignore", invalid="ignore"):
                 num, den = ((v * v.conj()).real.sum(axis=(1, 2))
                             for v in (r, xq))
@@ -1019,7 +1040,7 @@ class MVOPSequence:
                 res[bad] = (frobenius(r[bad], axis=(1, 2))
                             / frobenius(xq[bad], axis=(1, 2)))
             out[i:i + step] = res
-        return out
+        return (*mats, out)
 
     def three_term_coefficients(self, n: int):
         """(A_n, B_n, C_n, residual) of degree n: the last row of

@@ -128,7 +128,7 @@ class TestRun:
         assert res["passed"] and res["status"] == "skipped"
         assert "moment-supplied" in res["reason"]
 
-    def test_symmetry_report_same_with_pool(self):
+    def test_symmetry_report_on_five_equal_slots(self):
         her = [{"family": "hermite", "b": 0.3}] * 5
         data = base_config(size=5, a=[1.0, -0.7, 1.3, 0.6], weights=her,
                            checks=["symmetries", "reduce", "det"])
@@ -202,7 +202,7 @@ class TestRun:
         res = run(config_from_json(dict(data, n_max=14)))["checks"]["darboux"]
         assert res["passed"] and res["max_degree"] == 10
 
-    def test_gram_data_built_once_with_pool(self, monkeypatch):
+    def test_gram_data_built_once(self, monkeypatch):
         calls = []
         build = MVOPSequence._gram_block
 
@@ -214,6 +214,25 @@ class TestRun:
             n_max=20, checks=["orth", "norm", "recurrence", "det"])))
         assert report["passed"]
         assert len(calls) == 1
+
+    def test_log_ratio_headroom(self):
+        # Hermite(0), Laguerre(1/2), a = 1.5 at n_max 129: every check that
+        # reads G_n passes and reports the largest |log ratio| of G_0..G_129,
+        # below LOG_RATIO_CAP = 600.  A[0, 1] = a is the one pair, so that
+        # log ratio is log ||p_n^{w_1}||^2 - log ||p_{n-1}^{w_0}||^2
+        data = base_config(
+            a=[1.5], n_max=129,
+            weights=[{"family": "hermite", "b": 0.0},
+                     {"family": "laguerre", "alpha": 0.5}],
+            checks=["orth", "norm", "recurrence", "det"])
+        checks = run(config_from_json(data))["checks"]
+        her, lag = (sf.recurrence_coefficients(s, 130).log_norms
+                    for s in (sf.hermite(0.0), sf.laguerre(0.5)))
+        want = max(abs(lag[n] - her[n - 1]) for n in range(1, 130))
+        assert len(checks) == 4
+        for name, res in checks.items():
+            assert res["passed"], (name, res)
+            assert res["max_abs_log_ratio"] == want < 600, (name, res)
 
     HER3_EXACT = base_config(
         size=3, a=[1.0, -0.5], backend="exact", n_max=5,
@@ -647,7 +666,7 @@ class TestNonFinite:
 
         def poisoned(seq):
             block, tables, log_min = build(seq)
-            block[0, 3, 0, 3, 0] = np.inf
+            block[3, 0, 3, 0] = np.inf
             return block, tables, log_min
         monkeypatch.setattr(MVOPSequence, "_gram_block", poisoned)
         with warnings.catch_warnings():
@@ -661,6 +680,29 @@ class TestNonFinite:
         assert checks["norm"]["max_relative_error"] == np.inf
         assert checks["norm"]["worst_n"] == 3
 
+    def test_recurrence_reads_the_node_table_alone(self, monkeypatch):
+        # a Gram block of NaN next to a whole node table: the three-term
+        # table is bit for bit the same and recurrence passes, while orth
+        # and norm, which read the block, report non-finite
+        cfg = config_from_json(base_config(
+            n_max=12, checks=["orth", "norm", "recurrence"]))
+        want = MVOPSequence(cfg.spec, cfg.n_max).three_term_table(11)
+        build = MVOPSequence._gram_block
+
+        def poisoned(seq):
+            block, tables, log_min = build(seq)
+            return np.full_like(block, np.nan), tables, log_min
+        monkeypatch.setattr(MVOPSequence, "_gram_block", poisoned)
+        got = MVOPSequence(cfg.spec, cfg.n_max).three_term_table(11)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = run(cfg)["checks"]
+        rec = checks.pop("recurrence")
+        assert rec["passed"] and not rec["non_finite"], rec
+        for res in checks.values():
+            assert not res["passed"] and res["non_finite"], res
 
     def test_out_file_is_strict_json(self, tmp_path, monkeypatch):
         # an inf in G_33 makes orth and norm non-finite: --out writes each
@@ -670,7 +712,7 @@ class TestNonFinite:
 
         def poisoned(seq):
             block, tables, log_min = build(seq)
-            block[0, 3, 0, 3, 0] = np.inf
+            block[3, 0, 3, 0] = np.inf
             return block, tables, log_min
         monkeypatch.setattr(MVOPSequence, "_gram_block", poisoned)
         cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"

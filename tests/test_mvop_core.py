@@ -620,6 +620,32 @@ class TestOrthogonality:
         g = seq.gram_qt(150, 150, scaled=True)
         assert np.all(np.isfinite(g)) and np.linalg.norm(g) > 0
 
+    @pytest.mark.parametrize("a, scalars, over, under", [
+        (1.5, [sf.laguerre(0.0), sf.laguerre(0.5)],
+         [("gram_qt", (97, 97), "<Q_97, Q_97>"),
+          ("gram_qt", (96, 96, 1), "<x Q_96, Q_96>"),
+          ("squared_norm_Q", (97,), "||Q_97||^2")],
+         [("gram_qt", (96, 96)), ("gram_qt", (95, 95, 1)),
+          ("squared_norm_Q", (96,))]),
+        (1e3, [sf.hermite(0.0)] * 2,
+         [("gram_qt", (193, 193), "<Q_193, Q_193>")],
+         [("gram_qt", (192, 192))])], ids=["laguerre", "hermite"])
+    def test_unscaled_readers_at_the_float_edge(self, a, scalars, over,
+                                                under):
+        # the first degree past the float range raises DegreeCap naming it,
+        # with no overflow warning (<Q_97, Q_97> on the Laguerre pair has
+        # log scale 702.2, where exp itself is finite); the degree before
+        # stays a finite number
+        seq = MVOPSequence(weight_spec([a], scalars), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, args, what in over:
+                with pytest.raises(DegreeCap, match=re.escape(what)):
+                    getattr(seq, name)(*args)
+            for name, args in under:
+                got = getattr(seq, name)(*args)
+                assert np.isfinite(got).all() and np.abs(got).max() > 1e300
+
     def test_gram_cross_zero(self):
         seq = MVOPSequence(herm2(), 11)
         g = seq.gram_qt(3, 7)
@@ -838,15 +864,15 @@ class TestThreeTerm:
             seq.three_term_coefficients(5)
 
     def test_table_is_built_once(self, monkeypatch):
-        # reading degree after degree projects each degree once, and the
-        # table so read is bit for bit the one read in one call
+        # reading degree after degree passes over each degree once, and
+        # the table so read is bit for bit the one read in one call
         degrees = []
-        project = MVOPSequence._project
+        three_term = MVOPSequence._three_term_pass
 
-        def counted(seq, ns, d, norm):
-            degrees.extend(ns.tolist() if d == 0 else [])
-            return project(seq, ns, d, norm)
-        monkeypatch.setattr(MVOPSequence, "_project", counted)
+        def counted(seq, ns, norms):
+            degrees.extend(ns.tolist())
+            return three_term(seq, ns, norms)
+        monkeypatch.setattr(MVOPSequence, "_three_term_pass", counted)
         seq = MVOPSequence(lag2(1.5), 40)
         rows = [seq.three_term_coefficients(n) for n in range(1, 40)]
         assert degrees == list(range(1, 40))    # n_max - 1 degrees

@@ -269,8 +269,10 @@ class TestPolynomialTable:
                 assert seqs[k].polynomial(n) == want
 
     def test_shared_sequence_under_thread_contention(self):
-        # 8 threads extend one table at once with a tiny switch interval;
-        # an extension that is not published whole loses or repeats entries
+        # 8 threads read one sequence at once with a tiny switch interval;
+        # ``polynomial`` builds its power table on first read and publishes
+        # it in one assignment, so a thread that races the build may build
+        # it again but never reads a table that is not whole
         spec = sf.laguerre(0.5)
         want = [sf.recurrence_coefficients(spec, 30).polynomial(n)
                 for n in range(31)]
