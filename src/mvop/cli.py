@@ -85,7 +85,10 @@ class RunConfig:
             if s.scale != 1.0:
                 d["scale"] = s.scale
             ws.append(d)
-        return {"size": self.spec.N, "a": list(self.spec.a_params),
+        # a complex a_i (given through the API) as its [re, im] pair
+        a = [[v.real, v.imag] if isinstance(v, complex) else v
+             for v in self.spec.a_params]
+        return {"size": self.spec.N, "a": a,
                 "weights": ws, "backend": self.backend, "n_max": self.n_max,
                 "tol": self.tol, "checks": list(self.checks)}
 
@@ -246,21 +249,14 @@ def _check_eigen(seq, cfg):
             "worst_n": rep["worst_n"], "non_finite": rep["non_finite"]}
 
 
-def _is_n5_laguerre_chain(spec):
-    s = spec.scalars
-    if spec.N != 5 or any(w.family != sf.LAGUERRE for w in s):
-        return False
-    a = s[0].alpha
-    return ([w.alpha for w in s] == [a, a, a + 1, a + 1, a + 2]
-            and all(w.scale == 1.0 for w in s))
-
-
 def _check_darboux(seq, cfg):
     spec = seq.weight
     n_hi = min(cfg.n_max, 10)
-    if _is_n5_laguerre_chain(spec):
-        _, d1_tilde = dx.n5_laguerre_d1_tilde(spec.scalars[0].alpha,
-                                              spec.a_params)
+    # the 5x5 chain is the weight its own builder makes from alpha_1 and a
+    chain, d1_tilde = (dx.n5_laguerre_d1_tilde(spec.scalars[0].alpha,
+                                               spec.a_params)
+                       if spec.N == 5 else (None, None))
+    if spec == chain:
         lhs = op_apply(seq.p_block(0, n_hi + 1), d1_tilde)
         rhs = seq.qt_block(0, n_hi + 1)
         scale = np.abs(rhs).max(axis=(1, 2, 3))
@@ -306,6 +302,14 @@ def _check_det(seq, cfg):
             "max_abs_log_ratio": seq.max_abs_log_ratio()}
 
 
+def _matrix(M):
+    """M as nested lists: of numbers when M is real, of [re, im] pairs when
+    it is complex (a complex a)."""
+    if np.isrealobj(M):
+        return M.tolist()
+    return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
 def _check_reduce(seq, cfg):
     spec = seq.weight
     if spec.N == 2:
@@ -315,13 +319,11 @@ def _check_reduce(seq, cfg):
                     "note": "no scalar-sum reduction detected"}
         b, c, M, desc = got
         return {"passed": True, "reducible": True, "b": b, "c": c,
-                "M": M.tolist(),
-                "description": desc}
+                "M": _matrix(M), "description": desc}
     if spec.N == 3 and spec.scalars[0] == spec.scalars[2]:
         M, desc = irr.try_reduce_3x3_w1w3(spec)
         return {"passed": True, "reducible": True,
-                "M": M.tolist(),
-                "description": desc}
+                "M": _matrix(M), "description": desc}
     return {"passed": True, "status": "skipped",
             "reason": "no reduction template for this size"}
 

@@ -6,8 +6,14 @@ scalar factor times another monic Laguerre polynomial, with the factor
 checked against the scalar sequences at build time.  Ladders and
 synthesized shifts go through one stacked check (``_verify``): one
 ``op_apply`` on the power coefficients of p_0..p_{n_hi}, compared with the
-factor times the target rows.  Every operator given entry by entry is
-built by ``diff_operators.entries_to_operator``.
+factor times the target rows.  Each ladder is stated once, as its
+``_ladder_forms`` entry (operator, factor, (dn, dalpha)): ``ladder`` reads
+one entry, ``synthesize_shift`` walks a list of them, and the 5x5 chain
+``n5_laguerre_d1_tilde`` takes its n_up and n_down entries from the same
+table.  That builder is also the chain's only statement: ``mvop run``
+treats a 5x5 weight as the chain when it equals the spec the builder
+returns.  Every operator given entry by entry is built by
+``diff_operators.entries_to_operator``.
 """
 
 from dataclasses import dataclass, field
@@ -109,10 +115,14 @@ def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
     ell_n^(alpha) . tau = q(n) (r1(n)/r2(n)) ell_{n+m}^(alpha+k).
 
     r1 and r2 are polynomials in n given as nonempty ascending coefficient
-    lists.  Built by composing calibrated ladders; the rational prefactor
-    r1 is realized as r1(-delta_alpha) applied up front.  q(n) is r2(n)
-    times the ladder factors f_i(n), so r2 cancels and the identity is
-    checked as ell_n . tau = r1(n) prod_i f_i(n) ell_{n+m}.
+    lists.  tau composes |m| degree steps (n_up, or n_down, which also
+    raises alpha) and then the alpha steps left to reach alpha + k; each
+    step's operator, factor f_i and (dn, dalpha) are its ``_ladder_forms``
+    entry at the current alpha, the factor read at degree n + dn_i, the
+    degree shift so far.  The rational prefactor r1 is realized as
+    r1(-delta_alpha) applied up front.  q(n) is r2(n) prod_i f_i(n + dn_i),
+    so r2 cancels and the identity is checked as ell_n . tau = r1(n)
+    prod_i f_i(n + dn_i) ell_{n+m}.
     """
     if abs(k) + abs(m) > SHIFT_CAP:
         raise CapExceeded(f"|k|+|m| = {abs(k) + abs(m)} exceeds {SHIFT_CAP}")
@@ -122,32 +132,18 @@ def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
     if not r1 or not r2:
         raise InvalidParam("r1 and r2 need at least one coefficient")
 
-    def form(kind, a):
-        return entries_to_operator({(0, 0): _ladder_forms(a)[kind][0]}, 1)
-
-    ops = []
-    factors = []
+    # |m| degree steps (each n_down also raises alpha), then the alpha steps
+    k_rem = k - max(-m, 0)
+    kinds = (["n_up"] * m + ["n_down"] * -m
+             + ["alpha_up"] * k_rem + ["alpha_down"] * -k_rem)
+    ops, factors = [], []
     cur_alpha, cur_dn = float(alpha), 0
-    if m >= 0:
-        for _ in range(m):
-            ops.append(form("n_up", cur_alpha))
-            cur_dn += 1
-    else:
-        for _ in range(-m):
-            ops.append(form("n_down", cur_alpha))
-            factors.append(lambda n, d=cur_dn: float(n + d))
-            cur_dn -= 1
-            cur_alpha += 1.0
-    k_rem = k - round(cur_alpha - alpha)
-    while k_rem > 0:
-        ops.append(form("alpha_up", cur_alpha))
-        cur_alpha += 1.0
-        k_rem -= 1
-    while k_rem < 0:
-        ops.append(form("alpha_down", cur_alpha))
-        factors.append(lambda n, d=cur_dn, a=cur_alpha: float(n + d) + a)
-        cur_alpha -= 1.0
-        k_rem += 1
+    for kind in kinds:
+        fs, factor, (dn, da) = _ladder_forms(cur_alpha)[kind]
+        ops.append(entries_to_operator({(0, 0): fs}, 1))
+        factors.append(lambda n, f=factor, d=cur_dn: f(n + d))
+        cur_dn += dn
+        cur_alpha += da
 
     tau = reduce(op_compose, ops) if ops else MatrixDiffOperator.identity(1)
     # rational prefactor: r1(n) is realized by r1(-delta_alpha) applied first
@@ -176,16 +172,19 @@ def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
 def n5_laguerre_d1_tilde(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
     """The explicit 5x5 Laguerre chain from its entry table: the weight spec
     and the entrywise operator D1_tilde with P_n . D1_tilde = Q_n T, with
-    no operator composed (``builtin_n5_laguerre`` adds D)."""
+    no operator composed (``builtin_n5_laguerre`` adds D).  ``a`` is kept
+    as given; a complex a_i enters the entries (1, 0), (1, 2), (3, 2) and
+    (3, 4), the ones that carry G_n, as conj(a_i)."""
     if alpha <= -1:
         raise InvalidParam("alpha must be > -1")
-    a1, a2, a3, a4 = (float(v) for v in a)
-    if 0 in (a1, a2, a3, a4):
+    a = tuple(a)
+    if 0 in a:
         raise InvalidParam("all a_i must be nonzero")
-    spec = weight_spec([a1, a2, a3, a4],
-                       [sf.laguerre(alpha), sf.laguerre(alpha),
-                        sf.laguerre(alpha + 1), sf.laguerre(alpha + 1),
-                        sf.laguerre(alpha + 2)])
+    a1, a2, a3, a4 = a
+    c1, c2, c3, c4 = np.conj(a)
+    spec = weight_spec(a, [sf.laguerre(alpha), sf.laguerre(alpha),
+                           sf.laguerre(alpha + 1), sf.laguerre(alpha + 1),
+                           sf.laguerre(alpha + 2)])
 
     def down2(al):           # d^2 x + d (al+1)
         return ([0.0], [al + 1.0], [0.0, 1.0])
@@ -201,15 +200,15 @@ def n5_laguerre_d1_tilde(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
     entries = {
         (0, 0): ([1.0],),
         (0, 1): smul(a1, up[0]),
-        (1, 0): smul(-a1, down2(alpha)),
+        (1, 0): smul(-c1, down2(alpha)),
         (1, 1): ([1.0],),
-        (1, 2): smul(-a2, d),
+        (1, 2): smul(-c2, d),
         (2, 1): smul(-a2, down1(alpha)),
         (2, 2): ([1.0],),
         (2, 3): smul(a3, up[1]),
-        (3, 2): smul(-a3, down2(alpha + 1)),
+        (3, 2): smul(-c3, down2(alpha + 1)),
         (3, 3): ([1.0],),
-        (3, 4): smul(-a4, d),
+        (3, 4): smul(-c4, d),
         (4, 3): smul(-a4, down1(alpha + 1)),
         (4, 4): ([1.0],),
     }

@@ -301,9 +301,28 @@ def _sample_inside(support, m=20):
     return _chebyshev_points(lo, hi, m, phase=0.1)
 
 
+def _real_a(spec: WeightSpec):
+    """(r, u) with W(a) = U W(r) U*, U = diag(u), for N <= 3, where each row
+    of A holds at most one a_i: r_i = a_i where a_i is real and |a_i|
+    otherwise, and u holds a_i / r_i on the row of a_i's entry in A (rows 0
+    and 2; 1 for a real a_i) and 1 on row 1, so u is real when a is.  A
+    template solved at r gives M(a) = M(r) U*."""
+    a = [complex(v) for v in spec.a_params]
+    r = [v.real if v.imag == 0 else abs(v) for v in a]
+    u = [v / s if v.imag else 1.0 for v, s in zip(a, r)]
+    return r, np.array([u[0], 1.0, *u[1:]][:spec.N])
+
+
 def try_reduce_2x2(spec: WeightSpec):
-    """Scalar-sum reduction of a 2x2 weight, if w1/w2 = -a^2 (x-b)(x-c)
-    with the support inside (b, c).
+    """Scalar-sum reduction of a 2x2 weight, read off its parameters.
+
+    With w1/w2 = -a^2 (x-b)(x-c) and the support inside (b, c), W is
+    congruent to a diagonal weight.  Among the classical families only
+    Jacobi weights have bounded support, and a ratio of two Jacobi weights
+    is such a quadratic only when w1 = a^2 (1 - x^2) w2: alpha and beta of
+    w1 one step above those of w2 (within CLASS_TOL) and scales s1 = a^2
+    s2 (within 1e-8 relative), with |a| in place of a complex a.  Then b =
+    -1 and c = 1, and M W M* is checked diagonal at 20 sample points.
 
     Returns (b, c, M, description) with M W M* diagonal, or None.
     """
@@ -312,32 +331,17 @@ def try_reduce_2x2(spec: WeightSpec):
     w1, w2 = spec.scalars
     if w1.family == sf.CUSTOM or w2.family == sf.CUSTOM:
         raise Unsupported("needs classical scalar weights")
-    if w1.support != w2.support:
+    (a,), u = _real_a(spec)
+    if not (w1.family == w2.family == sf.JACOBI
+            and abs(w1.alpha - w2.alpha - 1.0) <= CLASS_TOL
+            and abs(w1.beta - w2.beta - 1.0) <= CLASS_TOL
+            and abs(w1.scale / w2.scale - a * a) <= 1e-8 * a * a):
         return None
-    a = float(np.real(spec.a_params[0]))
-
-    xs = _sample_inside(w1.support, 5)
-    ratio = sf.weight_value(w1, xs) / sf.weight_value(w2, xs)
-    q = np.polynomial.polynomial.polyfit(xs, ratio, 2)
-
-    xv = _sample_inside(w1.support, 20)
-    rv = sf.weight_value(w1, xv) / sf.weight_value(w2, xv)
-    fit = np.polynomial.polynomial.polyval(xv, q)
-    scale = np.max(np.abs(rv))
-    if np.max(np.abs(fit - rv)) > 1e-10 * scale:
-        return None                      # ratio is not a quadratic
-    if abs(q[2] + a * a) > 1e-8 * a * a:
-        return None                      # wrong leading coefficient
-    roots = np.roots([q[2], q[1], q[0]])
-    if np.max(np.abs(roots.imag)) > 1e-8 * (1 + np.max(np.abs(roots))):
-        return None
-    b, c = sorted(roots.real)
-    lo, hi = w1.support
-    if lo < b - 1e-9 or hi > c + 1e-9 or lo == -inf or hi == inf:
-        return None                      # support not inside (b, c)
+    b, c = -1.0, 1.0
 
     M = np.array([[1.0 / (a * (b - c)), -b / (b - c)],
-                  [1.0, -a * c]])
+                  [1.0, -a * c]]) * u.conj()
+    xv = _sample_inside(w1.support, 20)
     D = M @ weight_eval(spec, xv) @ M.conj().T
     off = np.maximum(np.abs(D[:, 0, 1]), np.abs(D[:, 1, 0]))
     if np.any(off > 1e-10 * np.max(np.abs(D), axis=(1, 2))):
@@ -357,11 +361,11 @@ def try_reduce_3x3_w1w3(spec: WeightSpec):
     w1, w2, w3 = spec.scalars
     if w1 != w3:
         raise Unsupported("needs w1 = w3 (same family and parameters)")
-    a1, a2 = (float(np.real(a)) for a in spec.a_params)
+    (a1, a2), u = _real_a(spec)
     s = a1 * a1 + a2 * a2
     M = np.array([[1.0, 0.0, -a1 / a2],
                   [0.0, 1.0, 0.0],
-                  [a1 * a2 / s, 0.0, a2 * a2 / s]])
+                  [a1 * a2 / s, 0.0, a2 * a2 / s]]) * u.conj()
 
     lo = min(w.support[0] for w in spec.scalars)
     hi = max(w.support[1] for w in spec.scalars)

@@ -13,7 +13,10 @@ MatrixPolynomial products, the reference for the stacked construction in
 ``MVOPSequence``; the dense norm products are the reference for its sparse
 ||Q_n||^2, and the 50-digit rounding for the doubles its norm reader
 gives.  The dense symmetry solve is the reference for the commutant solve
-in ``order_zero_symmetries``.  ``set_ratio`` is no oracle: it injects a
+in ``order_zero_symmetries``.  The hand-written ladder steps are the
+reference for ``synthesize_shift``'s walk over the ladder table, and the
+sampled quadratic fit of w1/w2 for the 2x2 reduction read off the Jacobi
+parameters.  ``set_ratio`` is no oracle: it injects a
 wrong G_n into a sequence's G_n table for the fault tests.
 """
 
@@ -642,3 +645,113 @@ def polish_loop(F, Gs, steps):
         g = np.sum(np.abs(s) ** 2, axis=(1, 2))
         p, gamma = s + (g / np.maximum(gamma, 1e-300))[:, None, None] * p, g
     return F
+
+
+def shift_by_hand(alpha, k, m, r1=(1,), r2=(1,)):
+    """(tau, q) as ``darboux.synthesize_shift`` gives them, with the ladder
+    steps and their factors written out by hand: the reference for the
+    walk over ``_ladder_forms``."""
+    from functools import reduce
+
+    from mvop.darboux import SHIFT_CAP, _ladder_forms, _verify
+    from mvop.diff_operators import (MatrixDiffOperator,
+                                     entries_to_operator, op_compose)
+    from mvop.errors import CapExceeded, InvalidParam
+    if abs(k) + abs(m) > SHIFT_CAP:
+        raise CapExceeded(f"|k|+|m| = {abs(k) + abs(m)} exceeds {SHIFT_CAP}")
+    if alpha <= -1 or alpha + k <= -1:
+        raise InvalidParam("alpha and alpha+k must both be > -1")
+    r1, r2 = list(r1), list(r2)
+    if not r1 or not r2:
+        raise InvalidParam("r1 and r2 need at least one coefficient")
+
+    def form(kind, a):
+        return entries_to_operator({(0, 0): _ladder_forms(a)[kind][0]}, 1)
+
+    ops = []
+    factors = []
+    cur_alpha, cur_dn = float(alpha), 0
+    if m >= 0:
+        for _ in range(m):
+            ops.append(form("n_up", cur_alpha))
+            cur_dn += 1
+    else:
+        for _ in range(-m):
+            ops.append(form("n_down", cur_alpha))
+            factors.append(lambda n, d=cur_dn: float(n + d))
+            cur_dn -= 1
+            cur_alpha += 1.0
+    k_rem = k - round(cur_alpha - alpha)
+    while k_rem > 0:
+        ops.append(form("alpha_up", cur_alpha))
+        cur_alpha += 1.0
+        k_rem -= 1
+    while k_rem < 0:
+        ops.append(form("alpha_down", cur_alpha))
+        factors.append(lambda n, d=cur_dn, a=cur_alpha: float(n + d) + a)
+        cur_alpha -= 1.0
+        k_rem += 1
+
+    tau = reduce(op_compose, ops) if ops else MatrixDiffOperator.identity(1)
+    if any(r1[1:]) or r1[0] != 1:
+        eig = _ladder_forms(alpha)["eigen"][0]
+        neg_eig = entries_to_operator({(0, 0): [[-c for c in f] for f in eig]},
+                                      1)
+        term = MatrixDiffOperator.identity(1)
+        r1_op = MatrixDiffOperator.zero(1)
+        for c in r1:
+            r1_op = r1_op + term * c
+            term = op_compose(term, neg_eig)
+        tau = op_compose(r1_op, tau)
+
+    def q(n, _r=tuple(r2), _f=tuple(factors)):
+        out = float(np.polyval(_r[::-1], float(n)))
+        for f in _f:
+            out *= f(n)
+        return out
+
+    _verify(tau, alpha, k, m, lambda n: q(n, tuple(r1)), 10, 1e-10,
+            f"shift synthesis (k={k}, m={m}) failed at n={{n}}")
+    return tau, q
+
+
+def reduce_2x2_fit(spec):
+    """(b, c, M) or None as ``irreducibility.try_reduce_2x2`` decides it,
+    from samples of w1/w2 instead of the parameters: a quadratic fitted at
+    5 points, checked at 20, its leading coefficient against -a^2 and its
+    roots b < c around the support (real a only)."""
+    from math import inf
+
+    import mvop.scalar_families as sf
+    from mvop.irreducibility import _sample_inside
+    from mvop.weight_model import weight_eval
+    w1, w2 = spec.scalars
+    if w1.support != w2.support:
+        return None
+    a = float(np.real(spec.a_params[0]))
+    npoly = np.polynomial.polynomial
+
+    xs = _sample_inside(w1.support, 5)
+    q = npoly.polyfit(xs, sf.weight_value(w1, xs) / sf.weight_value(w2, xs),
+                      2)
+    xv = _sample_inside(w1.support, 20)
+    rv = sf.weight_value(w1, xv) / sf.weight_value(w2, xv)
+    if np.max(np.abs(npoly.polyval(xv, q) - rv)) > 1e-10 * np.max(np.abs(rv)):
+        return None
+    if abs(q[2] + a * a) > 1e-8 * a * a:
+        return None
+    roots = np.roots([q[2], q[1], q[0]])
+    if np.max(np.abs(roots.imag)) > 1e-8 * (1 + np.max(np.abs(roots))):
+        return None
+    b, c = sorted(roots.real)
+    lo, hi = w1.support
+    if lo < b - 1e-9 or hi > c + 1e-9 or lo == -inf or hi == inf:
+        return None
+
+    M = np.array([[1.0 / (a * (b - c)), -b / (b - c)],
+                  [1.0, -a * c]])
+    D = M @ weight_eval(spec, xv) @ M.conj().T
+    off = np.maximum(np.abs(D[:, 0, 1]), np.abs(D[:, 1, 0]))
+    if np.any(off > 1e-10 * np.max(np.abs(D), axis=(1, 2))):
+        return None
+    return b, c, M

@@ -1,6 +1,7 @@
 """Config parsing, the batch runner, and CLI exit codes."""
 
 import json
+import random
 import warnings
 from types import SimpleNamespace
 
@@ -10,8 +11,8 @@ from click.testing import CliRunner
 import sympy as sp
 
 import mvop.scalar_families as sf
-from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, config_from_json, main,
-                      run)
+from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, RunConfig,
+                      config_from_json, main, run)
 from mvop.errors import ConfigError
 from mvop.mvop_core import MVOPSequence, peak
 from mvop.weight_model import weight_spec
@@ -110,6 +111,76 @@ class TestRun:
         assert red["c"] == pytest.approx(1.0, abs=1e-8)
         assert len(red["M"]) == 2
         assert report["checks"]["symmetries"]["dimension"] == 2
+
+    JAC = {"family": "jacobi", "alpha": 1.0, "beta": 1.5, "scale": 2.25}
+    REDUCE_DESC_2 = ("W congruent to diag(w2(x)(x-b)/(c-b), a^2 w2(x)(c-b)"
+                     "(c-x)) with b=-1, c=1")
+    REDUCE_DESC_3 = ("W congruent to diag((a1^2+a2^2)/a2^2 w1(x), [[w2, a2 x "
+                     "w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w2]])")
+
+    @pytest.mark.parametrize("data,want", [
+        (base_config(a=[1.5], weights=[JAC, {"family": "jacobi",
+                                             "alpha": 0.0, "beta": 0.5}]),
+         {"passed": True, "reducible": True, "b": -1.0, "c": 1.0,
+          "M": [[-1 / 3, -0.5], [1.0, -1.5]], "description": REDUCE_DESC_2}),
+        (base_config(a=[1.5], weights=[JAC, {"family": "jacobi",
+                                             "alpha": 0.0, "beta": 0.25}]),
+         {"passed": True, "reducible": False,
+          "note": "no scalar-sum reduction detected"}),
+        (base_config(size=3, a=[3.0, 4.0],
+                     weights=[{"family": "laguerre", "alpha": 0.5},
+                              {"family": "laguerre", "alpha": 1.5},
+                              {"family": "laguerre", "alpha": 0.5}]),
+         {"passed": True, "reducible": True,
+          "M": [[1.0, 0.0, -0.75], [0.0, 1.0, 0.0], [0.48, 0.0, 0.64]],
+          "description": REDUCE_DESC_3}),
+        (base_config(size=4, a=[1.0, 1.0, 1.0],
+                     weights=[{"family": "hermite"}] * 4),
+         {"passed": True, "status": "skipped",
+          "reason": "no reduction template for this size"}),
+        (custom_config(20),
+         {"passed": True, "status": "skipped",
+          "reason": "needs classical scalar weights"}),
+    ], ids=["2x2", "2x2-none", "3x3", "4x4-skip", "custom-skip"])
+    def test_reduce_report_on_every_branch(self, data, want):
+        res = run(config_from_json(dict(data, checks=["reduce"])))
+        got = res["checks"]["reduce"]
+        got.pop("wall_time_s")
+        assert got == want
+
+    CHAIN5 = base_config(size=5, a=[1.0, -0.5, 2.0, 0.75],
+                         weights=[{"family": "laguerre", "alpha": al}
+                                  for al in (0.5, 0.5, 1.5, 1.5, 2.5)])
+
+    @pytest.mark.parametrize("data,kind,residual,extra", [
+        (CHAIN5, "laguerre_n5_chain", "max_relative_residual", {}),
+        (base_config(size=3, a=[1.0, -0.5],
+                     weights=[{"family": "hermite"}] * 3),
+         "hermite_A_factorization", "worst_residual", {"singular_ns": []}),
+    ], ids=["chain", "hermite"])
+    def test_darboux_report_per_template(self, data, kind, residual, extra):
+        got = run(config_from_json(dict(data, checks=["darboux"])))
+        got = got["checks"]["darboux"]
+        got.pop("wall_time_s")
+        assert got.pop(residual) < 1e-13
+        assert got.pop("worst_n") in range(7)
+        assert got == {"passed": True, "kind": kind, "non_finite": False,
+                       "max_degree": 6, **extra}
+
+    @pytest.mark.parametrize("data", [
+        # one slot off the chain's alphas, or a scale, is no chain
+        dict(CHAIN5, weights=CHAIN5["weights"][:3]
+             + [{"family": "laguerre", "alpha": 2.5}] * 2),
+        dict(CHAIN5, weights=CHAIN5["weights"][:4]
+             + [{"family": "laguerre", "alpha": 2.5, "scale": 2.0}]),
+        base_config(),
+    ], ids=["chain-alpha-off", "chain-scaled", "lag2"])
+    def test_darboux_report_without_template(self, data):
+        got = run(config_from_json(dict(data, checks=["darboux"])))
+        got = got["checks"]["darboux"]
+        got.pop("wall_time_s")
+        assert got == {"passed": True, "status": "skipped",
+                       "reason": "no Darboux template for this weight"}
 
     def test_symmetry_report_gives_points_and_gap(self):
         lag = [{"family": "laguerre", "alpha": al} for al in (0.5, 1.5, 0.5)]
@@ -603,6 +674,60 @@ class TestHighDegree:
             res = _CHECKS["det"](seq, cfg)
             assert not res["passed"] and res["worst_n"] == 3
             assert res["max_relative_error"] > 1e-7
+
+
+def sweep(seed, count):
+    """``count`` seeded (spec, n_max) pairs over the accepted domain: N = 2-6
+    of Hermite, Laguerre and Jacobi slots on half steps, each a_i real,
+    complex or purely imaginary, and one in ten each a 5x5 Laguerre chain,
+    a reducible 2x2 Jacobi weight (scale |a|^2) or a 3x3 with w1 = w3."""
+    rng = random.Random(seed)
+    steps, sizes = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0), (0.5, 0.75, 1.0, 1.5, 2.0)
+
+    def a_value():
+        re, im = (rng.choice((-1, 1)) * rng.choice(sizes) for _ in range(2))
+        return rng.choice((re, complex(re, im), complex(0.0, im)))
+
+    def scalar():
+        fam = rng.choice((sf.hermite, sf.laguerre, sf.jacobi))
+        return fam(*(rng.choice(steps) for _ in range(1 + (fam is sf.jacobi))))
+
+    for _ in range(count):
+        u, n_max = rng.random(), rng.choice((3, 6))
+        if u < 0.1:
+            al = rng.choice(steps)
+            scalars = [sf.laguerre(al + k // 2) for k in range(5)]
+        elif u < 0.2:
+            a, al, be = a_value(), rng.choice(steps), rng.choice(steps)
+            yield weight_spec([a], [sf.jacobi(al + 1, be + 1,
+                                              scale=abs(a) ** 2),
+                                    sf.jacobi(al, be)]), n_max
+            continue
+        elif u < 0.3:
+            w1, w2 = scalar(), scalar()
+            scalars = [w1, w2, w1]
+        else:
+            scalars = [scalar() for _ in range(rng.randint(2, 6))]
+        yield weight_spec([a_value() for _ in scalars[1:]], scalars), n_max
+
+
+class TestSweep:
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_every_config_reports(self, backend):
+        # every check runs to a report on both backends, complex a included,
+        # and the report is strict JSON; no warning escapes
+        kinds = set()
+        for spec, n_max in sweep(30, 60):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = run(RunConfig(spec=spec, backend=backend,
+                                       n_max=n_max, checks=CHECK_NAMES))
+            json.dumps(report, allow_nan=False)
+            assert set(report["checks"]) == set(CHECK_NAMES)
+            kinds.add(report["checks"]["darboux"].get("kind"))
+            kinds.add(report["checks"]["reduce"].get("reducible"))
+        # the chain and both reduce verdicts are hit
+        assert kinds >= {"laguerre_n5_chain", True, False}
 
 
 class TestNonFinite:

@@ -7,16 +7,16 @@ import sympy as sp
 import mvop.darboux as darboux
 import mvop.diff_operators as diff_operators
 import mvop.scalar_families as sf
-from mvop.cli import config_from_json, run
+from mvop.cli import RunConfig, config_from_json, run
 from mvop.darboux import (DarbouxReport, LadderOperator, apply_scalar,
                           builtin_n5_laguerre, darboux_verify,
                           hermite_A_factorization, ladder, synthesize_shift)
 from mvop.diff_operators import MatrixDiffOperator, op_apply, op_compose
-from mvop.errors import CapExceeded, InvalidParam, Unsupported
+from mvop.errors import CapExceeded, InvalidParam, MvopError, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence
 from mvop.weight_model import build_T, weight_spec
-from oracles import darboux_loop, p_product
+from oracles import darboux_loop, p_product, shift_by_hand
 
 
 def laguerre_seq(alpha, n_max):
@@ -118,6 +118,29 @@ class TestShiftSynthesis:
         with pytest.raises(InvalidParam):
             synthesize_shift(0.5, -2, 0)   # alpha + k = -1.5
 
+    @pytest.mark.parametrize("r1,r2", [((1,), (1,)), ((0, 1), (1, 1)),
+                                       ((2.0, 0.5), (-3, 1))])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.7, 3.0])
+    def test_walk_matches_hand_steps(self, alpha, r1, r2):
+        # the walk over the ladder table gives the operator bytes and the
+        # factors of the hand-written steps, and raises where they raise
+        def outcome(build, k, m):
+            try:
+                tau, q = build(alpha, k, m, r1, r2)
+            except MvopError as exc:
+                return type(exc), str(exc)
+            return ([tau.coeff(j).coeffs.tobytes()
+                     for j in range(tau.order + 1)],
+                    np.array([q(n) for n in range(12)]).tobytes())
+
+        raised = 0
+        for k in range(-3, 4):
+            for m in range(-3, 4):
+                got = outcome(synthesize_shift, k, m)
+                assert got == outcome(shift_by_hand, k, m), (k, m)
+                raised += isinstance(got[0], type)
+        assert raised == 7 * sum(alpha + k <= -1 for k in range(-3, 4))
+
 
 class TestVerifiersRejectWrongOperator:
     @pytest.fixture
@@ -206,6 +229,34 @@ class TestBuiltinFiveByFive:
                        "non_finite": False, "max_degree": min(n_max, 10)}
         spec, d1_tilde = darboux.n5_laguerre_d1_tilde(0.5)
         assert spec.N == 5 and d1_tilde.order == 2
+
+    @staticmethod
+    def chain_residual(alpha, a, n_hi):
+        # max over n <= n_hi of |P_n . D1_tilde - Q_n T| / max |Q_n T|
+        spec, d1_tilde = darboux.n5_laguerre_d1_tilde(alpha, a)
+        seq = MVOPSequence(spec, n_hi)
+        lhs = op_apply(seq.p_block(0, n_hi + 1), d1_tilde)
+        rhs = seq.qt_block(0, n_hi + 1)
+        lhs[:, :rhs.shape[1]] -= rhs
+        return np.max(np.abs(lhs).max(axis=(1, 2, 3))
+                      / np.abs(rhs).max(axis=(1, 2, 3)))
+
+    def test_complex_a(self):
+        # a complex a_i enters the four entries that carry G_n conjugated
+        # (with a_i there as well the chain misses by 0.11)
+        a = (1 + 0.5j, -0.5 + 0.2j, 1.5, 0.75 - 0.3j)
+        assert self.chain_residual(0.5, a, 8) < 1e-14
+
+    def test_complex_a_through_run(self):
+        # the chain is the weight its builder makes, complex a included
+        alphas = (0.5, 0.5, 1.5, 1.5, 2.5)
+        spec = weight_spec([1 + 0.5j, -0.5, 1.5, 0.75],
+                           [sf.laguerre(al) for al in alphas])
+        for backend in ("float", "exact"):
+            res = run(RunConfig(spec=spec, backend=backend, n_max=8,
+                                checks=("darboux",)))["checks"]["darboux"]
+            assert res["kind"] == "laguerre_n5_chain" and res["passed"], res
+            assert res["max_relative_residual"] < 1e-14
 
     def test_invalid_params(self):
         for build in (builtin_n5_laguerre, darboux.n5_laguerre_d1_tilde):

@@ -2,6 +2,7 @@
 
 import os
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from mvop.irreducibility import (NULL_TOL, SymmetrySpace, _commutator_rows,
                                  try_reduce_2x2, try_reduce_3x3_w1w3)
 from mvop.weight_model import weight_eval, weight_spec
 
-from oracles import (dense_symmetries, polish_loop, relation_rows,
-                     weight_classes_loop)
+from oracles import (dense_symmetries, polish_loop, reduce_2x2_fit,
+                     relation_rows, weight_classes_loop)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -427,6 +428,56 @@ class TestReduce2x2:
         with pytest.raises(Unsupported):
             try_reduce_2x2(weight_spec([1.0, 1.0], [sf.hermite(0.0)] * 3))
 
+    @pytest.mark.parametrize("a", [1.5, -0.7])
+    def test_verdict_matches_fit(self, a):
+        # the verdict read off the parameters is the one the sampled
+        # quadratic fit of w1 / w2 reaches, near misses included: steps of
+        # 1 +- 1e-6, a scale off a^2 by 1e-6, the slots swapped, and pairs
+        # of other families
+        near = (1.0, 1 + 1e-6, 1 - 1e-6)
+        specs = [weight_spec([a], pair) for pair in (
+            (sf.laguerre(1.5, scale=a * a), sf.laguerre(0.5)),
+            (sf.hermite(0.3, scale=a * a), sf.hermite(0.0)),
+            (sf.jacobi(1.0, 1.5, scale=a * a), sf.laguerre(0.5)))]
+        for (al, be), da, db, f in product(
+                ((0.0, 0.5), (-0.5, 1.5), (2.0, 0.25)), near, near, near):
+            w1 = sf.jacobi(al + da, be + db, scale=f * a * a)
+            w2 = sf.jacobi(al, be)
+            specs += [weight_spec([a], [w1, w2]), weight_spec([a], [w2, w1])]
+        reducible = 0
+        for spec in specs:
+            got, want = try_reduce_2x2(spec), reduce_2x2_fit(spec)
+            assert (got is None) == (want is None), spec
+            if got is not None:
+                reducible += 1
+                b, c, M, _ = got
+                assert (b, c) == (-1.0, 1.0)
+                assert (b, c) == pytest.approx(want[:2], abs=1e-14)
+                assert np.isrealobj(M)
+                assert np.allclose(M, want[2], rtol=1e-13, atol=0)
+        assert reducible == 3
+
+    def test_complex_a(self):
+        # W(a) = U W(|a|) U*, so M = M(|a|) U* with U = diag(a / |a|, 1);
+        # the scale is |a|^2
+        a = 1 + 0.5j
+        spec = weight_spec([a], [sf.jacobi(1.0, 1.5, scale=abs(a) ** 2),
+                                 sf.jacobi(0.0, 0.5)])
+        b, c, M, _ = try_reduce_2x2(spec)
+        assert (b, c) == (-1.0, 1.0)
+        xs = np.linspace(-0.95, 0.95, 20)
+        D = M @ weight_eval(spec, xs) @ M.conj().swapaxes(-1, -2)
+        w2 = sf.weight_value(spec.scalars[1], xs)
+        assert np.max(np.abs(D[:, 0, 1]) / np.abs(D[:, 1, 1])) < 1e-15
+        assert np.allclose(D[:, 0, 0], w2 * (xs + 1) / 2, rtol=1e-12, atol=0)
+        assert np.allclose(D[:, 1, 1], abs(a) ** 2 * 2 * (1 - xs) * w2,
+                           rtol=1e-12, atol=0)
+        # a scale of Re(a)^2 or a^2 is no reduction
+        for scale in (1.0, a.real ** 2):
+            assert try_reduce_2x2(weight_spec(
+                [a], [sf.jacobi(1.0, 1.5, scale=scale),
+                      sf.jacobi(0.0, 0.5)])) is None
+
 
 class TestReduce3x3:
     @pytest.mark.parametrize("a1,a2", [(1.0, 1.0), (3.0, 4.0)])
@@ -442,6 +493,39 @@ class TestReduce3x3:
             assert abs(D[0, 1]) < 1e-10 and abs(D[0, 2]) < 1e-10
             w1 = sf.weight_value(spec.scalars[0], x)
             assert D[0, 0] == pytest.approx(s / (a2 * a2) * w1, rel=1e-10)
+
+    @pytest.mark.parametrize("a,scalars", [
+        ((1 + 0.5j, 0.5j), [sf.hermite(0.0)] * 3),
+        ((1 + 0.5j, -0.5), [sf.hermite(0.3), sf.hermite(-0.2),
+                            sf.hermite(0.3)]),
+        ((1 + 0.5j, 0.7), [sf.jacobi(1.5, 1.5), sf.jacobi(0.5, 0.5),
+                           sf.jacobi(1.5, 1.5)]),
+        ((-0.5j, 2 - 1j), [sf.laguerre(0.5), sf.laguerre(1.5),
+                           sf.laguerre(0.5)])])
+    def test_complex_a(self, a, scalars):
+        # M = M(r) U*, r_i = |a_i| for complex a_i and U = diag(a_1 / r_1,
+        # 1, a_2 / r_2): the blocks of M(r) W(r) M(r)*, with r in the
+        # scalar block.  Re(a_2) = 0 once divided by zero
+        spec = weight_spec(list(a), scalars)
+        M, _ = try_reduce_3x3_w1w3(spec)
+        xs = np.array(irr._sample_inside(
+            (max(w.support[0] for w in scalars),
+             min(w.support[1] for w in scalars)), 20))
+        D = M @ weight_eval(spec, xs) @ M.conj().swapaxes(-1, -2)
+        top = np.max(np.abs(D), axis=(1, 2))
+        assert np.max(np.abs(D[:, [0, 0, 1, 2], [1, 2, 0, 0]]).max(axis=1)
+                      / top) < 1e-15
+        r1, r2 = np.abs(a)
+        want = (r1 ** 2 + r2 ** 2) / r2 ** 2 * sf.weight_value(scalars[0], xs)
+        assert np.max(np.abs(D[:, 0, 0] - want) / top) < 1e-14
+
+    def test_real_a_keeps_m_real(self):
+        spec = weight_spec([3.0, -4.0], [sf.laguerre(0.5), sf.laguerre(1.5),
+                                         sf.laguerre(0.5)])
+        M, _ = try_reduce_3x3_w1w3(spec)
+        assert np.isrealobj(M)
+        assert M.tolist() == [[1.0, 0.0, 0.75], [0.0, 1.0, 0.0],
+                              [-12 / 25, 0.0, 16 / 25]]
 
     def test_unsupported(self):
         with pytest.raises(Unsupported):
