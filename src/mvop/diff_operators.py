@@ -4,19 +4,23 @@ Application is P . D = sum_j (d^j P)(x) F_j(x).  ``op_apply`` takes one
 MatrixPolynomial or a whole stack of coefficient arrays (..., deg + 1, N,
 N) and runs the two stack routines of ``matrix_poly`` on it: ``falling``
 for d^j P and ``cauchy`` for the product with the coefficient stack of
-F_j, one GEMM per power of F_j, so a second-order operator costs about
-fifteen GEMMs whatever the number of polynomials; they are real when the
-stack and every F_j are.  ``eigencheck`` runs it on blocks of
-``EIGEN_BLOCK`` degrees of ``MVOPSequence.q_block``, which hold only the
-powers their degrees reach and are real where A is, and forms Lambda_n Q_n
-by scaling rows.  numpy matmul takes the object arrays of the exact
-backend too, so exact operands go through the same code, and an operator
-is exact when its coefficient stacks are.
+F_j, one GEMM per power of F_j whatever the number of polynomials (four to
+seven for the bispectral operators, whose F_j have degree j or less); they
+are real when the stack and every F_j are.  ``eigencheck`` runs it once
+per block of ``MVOPSequence.q_block``, which holds only the powers its
+degrees reach and is real where A is: a block of degrees lo..hi-1 holds
+(hi - lo)(hi + 2) degree-powers, at most ``EIGEN_BLOCK`` (n_max + 3), so
+low degrees share a block (three or four blocks at n_max 60-80).  It reads
+Lambda_n for all degrees at once and forms Lambda_n Q_n by scaling rows.
+numpy matmul takes the object arrays of the exact backend too, so exact
+operands go through the same code, and an operator is exact when its
+coefficient stacks are.
 
 Composition satisfies P . (D1 o D2) = (P . D1) . D2.  Conjugation by T =
-I + A x stays inside polynomial coefficients because A^2 = 0, so it is
-done by composing with the order-zero multiplication operators for T and
-T^{-1}.
+I + A x has a closed form: T'' = 0 gives d^j (P T) = (d^j P) T + j (d^{j-1}
+P) A, and T^{-1} = I - A x because A^2 = 0, so T D~ T^{-1} has the
+coefficients F_i = (T F~_i + (i + 1) A F~_{i+1}) T^{-1}, each formed by
+``cauchy`` on the coefficient stacks.
 
 Operators given entry by entry, as scalar coefficient lists (f_0, f_1,
 ...) per matrix entry, are built by one routine, ``entries_to_operator``:
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import scalar_families as sf
 from .errors import ConditionFailed, DegreeCap, SizeMismatch, Unsupported
-from .matrix_poly import MatrixPolynomial, cauchy, falling
+from .matrix_poly import MatrixPolynomial, _pad, cauchy, falling
 from .mvop_core import peak
 from .weight_model import WeightSpec, build_T
 
@@ -42,9 +46,11 @@ CONDITION_TOL = 1e-12
 #: coefficients of p(n + 1) from those of p(n), ascending, degree <= 2
 _STEP = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
 
-#: degrees per ``q_block`` in ``eigencheck``; bounds the stacked arrays
-#: (all degrees of n_max = 60-80 sequences at once took about 3 MB more
-#: peak memory than blocks of 16, and 10 % more time)
+#: ``eigencheck`` takes at most EIGEN_BLOCK (n_max + 3) degree-powers per
+#: ``q_block``, the size of a block of this many top degrees, which bounds
+#: the stacked arrays: one block for all degrees of an n_max = 60-80
+#: sequence took 0.8-3.0 MB more traced peak memory, and at N = 4-5 about
+#: 80 % more eigen time (2-core VM)
 EIGEN_BLOCK = 16
 
 
@@ -222,11 +228,26 @@ def apply_scalar(op: MatrixDiffOperator, poly):
 def conjugate_by_T(D_tilde: MatrixDiffOperator,
                    spec: WeightSpec) -> MatrixDiffOperator:
     """T D_tilde T^{-1} as a right-acting operator: P -> ((P T) . D_tilde)
-    T^{-1}, in the arithmetic of D_tilde."""
-    T, T_inv = build_T(spec, exact=D_tilde.exact)
-    left = MatrixDiffOperator.multiplication(T)
-    right = MatrixDiffOperator.multiplication(T_inv)
-    return op_compose(op_compose(left, D_tilde), right)
+    T^{-1}, in the arithmetic of D_tilde.
+
+    T'' = 0 gives d^j (P T) = (d^j P) T + j (d^{j-1} P) A, so the
+    coefficients are F_i = (T F~_i + (i + 1) A F~_{i+1}) T^{-1} with
+    T^{-1} = I - A x: three ``cauchy`` products on the coefficient stacks
+    per i.  The A term is scaled by i + 1 after its product, as
+    ``op_compose`` with the multiplication operators for T and T^{-1}
+    scales it, so both give the same doubles.
+    """
+    T, T_inv = (t.coeffs for t in build_T(spec, exact=D_tilde.exact))
+    fs = [f.coeffs for f in D_tilde.f_coeffs]
+    out = []
+    for i, f in enumerate(fs):
+        h = cauchy(T, f)
+        if i < D_tilde.order:
+            g = cauchy(T[1:], fs[i + 1]) * (i + 1)      # A = T', as a stack
+            h = _pad(h, max(len(h), len(g)))
+            h[:len(g)] += g
+        out.append(MatrixPolynomial(cauchy(h, T_inv)))
+    return MatrixDiffOperator(out)
 
 
 def build_bispectral_operator(spec: WeightSpec):
@@ -281,26 +302,40 @@ def build_bispectral_operator(spec: WeightSpec):
     return D, lam
 
 
+def _eigen_blocks(n_max: int):
+    """(lo, hi) for the ``q_block`` calls of ``eigencheck``: 0..n_max in
+    order, each block as many degrees as keep its (hi - lo)(hi + 2)
+    degree-powers within ``EIGEN_BLOCK`` (n_max + 3), which one degree
+    always does."""
+    budget = EIGEN_BLOCK * (n_max + 3)
+    lo = 0
+    while lo <= n_max:
+        hi = lo + 1
+        while hi <= n_max and (hi + 1 - lo) * (hi + 3) <= budget:
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
 def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
     """Scaled residuals of Q_n . D = Lambda_n Q_n for n <= n_max, with
     the diagonal Lambda_n = lam(n) (lam takes an array of degrees, as the
-    one of ``build_bispectral_operator`` does).
+    one of ``build_bispectral_operator`` does, and is called once).
 
-    Degrees go in blocks of ``EIGEN_BLOCK`` rows of ``seq.q_block``, and
-    Lambda_n Q_n scales row i of Q_n by Lambda_n[i, i]; the residual of
-    degree n is max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) over all
-    coefficients.  A non-finite residual is the peak and sets
-    ``non_finite``; a finite Q_n whose Q_n . D or Lambda_n Q_n leaves the
-    float range raises ``DegreeCap`` instead.
+    Degrees go in the blocks of ``_eigen_blocks``, one ``seq.q_block`` and
+    one ``op_apply`` each, and Lambda_n Q_n scales row i of Q_n by
+    Lambda_n[i, i]; the residual of degree n is max|lhs - rhs| /
+    max(max|lhs|, max|rhs|, 1e-300) over all coefficients.  A non-finite
+    residual is the peak and sets ``non_finite``; a finite Q_n whose Q_n .
+    D or Lambda_n Q_n leaves the float range raises ``DegreeCap`` instead.
     """
+    lams = np.diagonal(lam(np.arange(n_max + 1)), axis1=1, axis2=2)
     residuals = []
-    for lo in range(0, n_max + 1, EIGEN_BLOCK):
-        hi = min(lo + EIGEN_BLOCK, n_max + 1)
+    for lo, hi in _eigen_blocks(n_max):
         Q = seq.q_block(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = op_apply(Q, D)
-            rhs = np.diagonal(lam(np.arange(lo, hi)), axis1=1,
-                              axis2=2)[:, None, :, None] * Q
+            rhs = lams[lo:hi, None, :, None] * Q
             scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
                                np.abs(rhs).max(axis=(1, 2, 3)))
             lhs[:, :rhs.shape[1]] -= rhs

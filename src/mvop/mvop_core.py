@@ -810,8 +810,8 @@ class MVOPSequence:
         return got
 
     def _norm_Q(self, n: int) -> np.ndarray:
-        """Complex ||Q_n||^2 / sigma_n^2 as the norm and recurrence checks
-        read it: degree n of ``_norm_table``, read-only."""
+        """Complex ||Q_n||^2 / sigma_n^2 as the norm check reads it: degree
+        n of ``_norm_table`` (which the recurrence reads whole), read-only."""
         self._check_n(n)
         return self._norm_table()[n]
 
@@ -968,7 +968,8 @@ class MVOPSequence:
         built on first use and published in one assignment.
 
         X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one stacked solve per neighbour m
-        in one pass over the node table (``_three_term_pass``).  The table
+        in one pass over the node table (``_three_term_pass``), against the
+        norms of ``_norm_table`` read as one array.  The table
         holds the degrees before the first whose m = n + 1, n or n - 1 has
         a ||Q_m||^2 that is not finite or is singular (slogdet sign 0 on
         the adjoint the solve factors); a read past them raises
@@ -985,7 +986,7 @@ class MVOPSequence:
         got = self._recurrence
         if got is None:
             ns = np.arange(1, self.n_max)
-            norms = np.array([self._norm_Q(m) for m in range(self.n_max + 1)])
+            norms = np.array(self._norm_table())
             finite = np.isfinite(norms).all(axis=(1, 2))
             norms[~finite] = np.eye(self.weight.N)
             singular = np.linalg.slogdet(norms.conj().swapaxes(1, 2))[0] == 0

@@ -6,9 +6,11 @@ The closed-form recurrences in sympy Rational arithmetic are the reference
 for the integer exact recurrences.  The per-coefficient Cauchy product and
 derivative loops are the reference for the stack routines of
 ``matrix_poly`` and the operator kernel built on them, the term-by-term
-MatrixPolynomial composition for ``op_compose``, and the full-width complex
-eigen loop for ``eigencheck``.  The product oracles build P_n and Q_n one
-degree at a time from ``MonicScalarSequence.polynomial`` and
+MatrixPolynomial composition for ``op_compose``, the two compositions for
+the closed-form ``conjugate_by_T``, and the full-width complex eigen loop
+and the fixed 16-degree blocks for ``eigencheck``.  The product oracles
+build P_n and Q_n one degree at a time from
+``MonicScalarSequence.polynomial`` and
 MatrixPolynomial products, the reference for the stacked construction in
 ``MVOPSequence``; the dense norm products are the reference for its sparse
 ||Q_n||^2, and the 50-digit rounding for the doubles its norm reader
@@ -293,6 +295,18 @@ def op_compose_loop(D1, D2):
     return MatrixDiffOperator(out)
 
 
+def conjugate_loop(D_tilde, spec):
+    """T D_tilde T^{-1} as two compositions with the multiplication
+    operators for T and T^{-1}: the reference for the closed form of
+    ``conjugate_by_T``."""
+    from mvop.diff_operators import MatrixDiffOperator, op_compose
+    from mvop.weight_model import build_T
+    T, T_inv = build_T(spec, exact=D_tilde.exact)
+    return op_compose(op_compose(MatrixDiffOperator.multiplication(T),
+                                 D_tilde),
+                      MatrixDiffOperator.multiplication(T_inv))
+
+
 def op_apply_loop(P, D):
     """P . D = sum_j (d^j P) F_j for one MatrixPolynomial P, from
     ``derivative_loop`` and ``cauchy_loop``: the per-polynomial reference
@@ -322,6 +336,28 @@ def eigen_loop(seq, D, lam, n_max, block=16):
             lhs = op_apply(Q, D)
             lams = np.stack([lam(n) for n in range(lo, hi)]).astype(complex)
             rhs = lams[:, None] @ Q
+            scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
+                               np.abs(rhs).max(axis=(1, 2, 3)))
+            lhs[:, :rhs.shape[1]] -= rhs
+            residuals += (np.abs(lhs).max(axis=(1, 2, 3))
+                          / np.maximum(scale, 1e-300)).tolist()
+    return residuals
+
+
+def eigen_fixed_blocks(seq, D, lam, n_max, block=16):
+    """Residuals of Q_n . D = Lambda_n Q_n for n <= n_max as ``eigencheck``
+    forms them (real, trimmed ``q_block`` rows, Lambda_n Q_n by row
+    scaling), but in blocks of a fixed ``block`` degrees, each with its own
+    lam call: the reference for its budget-sized blocks."""
+    from mvop.diff_operators import op_apply
+    residuals = []
+    for lo in range(0, n_max + 1, block):
+        hi = min(lo + block, n_max + 1)
+        Q = seq.q_block(lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = op_apply(Q, D)
+            rhs = np.diagonal(lam(np.arange(lo, hi)), axis1=1,
+                              axis2=2)[:, None, :, None] * Q
             scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
                                np.abs(rhs).max(axis=(1, 2, 3)))
             lhs[:, :rhs.shape[1]] -= rhs

@@ -648,8 +648,8 @@ class TestHighDegree:
     def test_singular_norm_is_a_typed_error(self, monkeypatch):
         # a zero ||Q_n||^2 fails the recurrence check with IllConditioned
         # and leaves the other checks to report
-        monkeypatch.setattr(MVOPSequence, "_norm_Q",
-                            lambda seq, n: np.zeros((2, 2), dtype=complex))
+        monkeypatch.setattr(MVOPSequence, "_norm_table", lambda seq: (
+            np.zeros((2, 2), dtype=complex),) * (seq.n_max + 1))
         checks = run(config_from_json(base_config(
             checks=["orth", "norm", "recurrence", "det"])))["checks"]
         assert checks["recurrence"]["status"] == "error"

@@ -7,15 +7,17 @@ import pytest
 import sympy as sp
 
 import mvop.scalar_families as sf
-from mvop.diff_operators import (MatrixDiffOperator, build_bispectral_operator,
-                                 conjugate_by_T, eigencheck, op_apply,
-                                 op_compose)
+from mvop import diff_operators
+from mvop.diff_operators import (EIGEN_BLOCK, MatrixDiffOperator,
+                                 build_bispectral_operator, conjugate_by_T,
+                                 eigencheck, op_apply, op_compose)
 from mvop.darboux import hermite_A_factorization
-from mvop.errors import ConditionFailed, Unsupported
+from mvop.errors import ConditionFailed, DegreeCap, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence, peak
 from mvop.weight_model import build_T, build_nilpotent, weight_spec
-from oracles import eigen_loop, op_apply_loop, op_compose_loop
+from oracles import (conjugate_loop, eigen_fixed_blocks, eigen_loop,
+                     op_apply_loop, op_compose_loop)
 
 #: the weights of every bispectral family: Laguerre, Hermite, Jacobi and
 #: the mixed Hermite-Laguerre 2x2
@@ -289,6 +291,149 @@ MIXED_ORDERS = {
     "HHLLHL": weight_spec([0.889, 0.851, 1.993, 1.205, 1.755],
                           [H, H, L, L, H, L]),
 }
+
+
+def conjugated(spec, monkeypatch):
+    """The D of ``build_bispectral_operator`` and the diagonal D_tilde it
+    conjugated by T."""
+    seen = []
+
+    def spy(D_tilde, s):
+        seen.append(D_tilde)
+        return conjugate_by_T(D_tilde, s)
+    monkeypatch.setattr(diff_operators, "conjugate_by_T", spy)
+    D, _ = build_bispectral_operator(spec)
+    return D, seen[0]
+
+
+def assert_same_bits(got, want):
+    assert got.order == want.order
+    for g, w in zip(got.f_coeffs, want.f_coeffs):
+        assert g.coeffs.dtype == w.coeffs.dtype == complex
+        assert g.coeffs.shape == w.coeffs.shape
+        assert np.array_equal(g.coeffs.view(float), w.coeffs.view(float))
+
+
+class TestClosedFormConjugation:
+    """F_i = (T F~_i + (i + 1) A F~_{i+1}) T^{-1} against the two
+    compositions with the multiplication operators for T and T^{-1}."""
+
+    @pytest.mark.parametrize("spec", [
+        *FAMILY_WEIGHTS.values(), *MIXED_ORDERS.values(),
+        weight_spec([1 + 0.5j], [sf.laguerre(0.0), sf.laguerre(0.5)]),
+        weight_spec([1.5 - 0.5j, 0.7j], [sf.hermite(0.2), sf.hermite(0.0),
+                                         sf.hermite(0.2)])],
+        ids=[*FAMILY_WEIGHTS, *MIXED_ORDERS, "complex_a_2", "complex_a_3"])
+    def test_bispectral_operator_bit_identical(self, spec, monkeypatch):
+        # every MIXED_ORDERS weight passes the matching walk
+        # (``test_mixed_orders``), so each one is compared
+        D, D_tilde = conjugated(spec, monkeypatch)
+        assert D_tilde.order == D.order == 2
+        assert_same_bits(D, conjugate_loop(D_tilde, spec))
+
+    @pytest.mark.parametrize("a", [[1.5, -0.5], [1.5 + 0.5j, -0.5]],
+                             ids=["real_a", "complex_a"])
+    def test_exact_operator_stays_exact(self, a):
+        spec = weight_spec(a, [sf.hermite(0.0)] * 3)
+        _, D_herm, _, _ = hermite_A_factorization(
+            weight_spec([1.5, -0.5], [sf.hermite(0.0)] * 3), exact=True)
+        third = sp.Rational(1, 3)
+        P = MatrixPolynomial([np.array([[third, 0, 1], [0, 1, 0],
+                                        [2, 0, -third]], dtype=object),
+                              np.array([[0, third, 0], [0, 0, 1],
+                                        [0, 0, 0]], dtype=object)])
+        for D_tilde in (D_herm, MatrixDiffOperator([P, P * 2, P])):
+            got, want = (conjugate_by_T(D_tilde, spec),
+                         conjugate_loop(D_tilde, spec))
+            assert got.exact and want.exact
+            assert got.order == want.order
+            for g, w in zip(got.f_coeffs, want.f_coeffs):
+                assert g.coeffs.shape == w.coeffs.shape
+                assert (g.coeffs == w.coeffs).all()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_random_operators(self, order, rng):
+        for a in ([1.5, -0.7], [1.5 + 0.5j, -0.7j]):
+            spec = weight_spec(a, [sf.hermite(0.0)] * 3)
+            for deg in (0, 1, 3):
+                D_tilde = rand_op(rng, 3, order, deg)
+                got = conjugate_by_T(D_tilde, spec)
+                want = conjugate_loop(D_tilde, spec)
+                assert got.order == want.order
+                for g, w in zip(got.f_coeffs, want.f_coeffs):
+                    assert g.coeffs.shape == w.coeffs.shape
+                    assert np.abs(g.coeffs - w.coeffs).max() <= \
+                        1e-15 * np.abs(w.coeffs).max()
+
+
+#: the five operator-sweep templates: the 5x5 Laguerre chain, a 4x4
+#: Hermite(0), a 3x3 Jacobi weight meeting the matching condition, the
+#: Hermite-Laguerre 2x2 and the reducible 2x2 Jacobi weight
+OPERATOR_TEMPLATES = {
+    "lag5_chain": weight_spec([1.5, -0.7, 1.2, 0.9],
+                              [sf.laguerre(0.5 + d) for d in (0, 0, 1, 1, 2)]),
+    "her4": weight_spec([1.5, -0.7, 1.2], [sf.hermite(0.0)] * 4),
+    "jac3_matching": weight_spec([1.5, -0.7], [sf.jacobi(1.0, 2.0),
+                                               sf.jacobi(0.5, 0.5),
+                                               sf.jacobi(2.0, 1.0)]),
+    "her_lag2": weight_spec([1.5], [sf.hermite(0.2), sf.laguerre(0.5)]),
+    "jac2_reducible": weight_spec([1.5], [sf.jacobi(1.5, 1.5, scale=2.25),
+                                          sf.jacobi(0.5, 0.5)]),
+}
+
+
+class TestEigenBlocks:
+    """``eigencheck`` in blocks of at most EIGEN_BLOCK (n_max + 3)
+    degree-powers, with Lambda_n read once."""
+
+    @pytest.mark.parametrize("n_max", [80, 150])
+    @pytest.mark.parametrize("name", list(OPERATOR_TEMPLATES))
+    def test_residuals_equal_fixed_blocks(self, name, n_max):
+        spec = OPERATOR_TEMPLATES[name]
+        seq = MVOPSequence(spec, n_max)
+        D, lam = build_bispectral_operator(spec)
+        if name == "her_lag2" and n_max == 150:
+            # the mixed 2x2 leaves the float range at Q_116 (ROADMAP item
+            # 3): both raise it, whichever block holds that degree
+            for check in (eigencheck, eigen_fixed_blocks):
+                with pytest.raises(DegreeCap, match="of Q_116 are past"):
+                    check(seq, D, lam, n_max)
+            return
+        rep = eigencheck(seq, D, lam, n_max)
+        assert rep["residuals"] == eigen_fixed_blocks(seq, D, lam, n_max)
+        assert rep["max_scaled_residual"] < 1e-13
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 16, 80, 150])
+    def test_blocks_cover_degrees_within_budget(self, n_max, monkeypatch):
+        blocks = []
+        q_block = MVOPSequence.q_block
+
+        def spy(seq, lo, hi):
+            blocks.append((lo, hi))
+            return q_block(seq, lo, hi)
+        monkeypatch.setattr(MVOPSequence, "q_block", spy)
+        spec = FAMILY_WEIGHTS["jacobi"]
+        D, lam = build_bispectral_operator(spec)
+        eigencheck(MVOPSequence(spec, n_max), D, lam, n_max)
+        budget = EIGEN_BLOCK * (n_max + 3)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n_max + 1
+        assert all(lo < hi and (hi - lo) * (hi + 2) <= budget
+                   for lo, hi in blocks)
+        # each block but the last is full: one more degree would not fit
+        assert all((hi + 1 - lo) * (hi + 3) > budget
+                   for lo, hi in blocks[:-1])
+
+    def test_lam_called_once(self):
+        spec = FAMILY_WEIGHTS["hermite"]
+        D, lam = build_bispectral_operator(spec)
+        calls = []
+
+        def counted(n):
+            calls.append(np.asarray(n).tolist())
+            return lam(n)
+        eigencheck(MVOPSequence(spec, 80), D, counted, 80)
+        assert calls == [list(range(81))]
 
 
 class TestBispectral:

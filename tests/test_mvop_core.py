@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 import warnings
 
 import mpmath
@@ -440,6 +441,35 @@ class TestExactCache:
             assert sp.srepr(es.a_sympy(v)) == \
                 sp.srepr(sp.nsimplify(v, rational=True)), v
 
+    def test_short_decimals_skip_identify(self):
+        # a float whose repr has at most 7 significant digits and no
+        # exponent reads as written: the pair of the mpmath.identify path
+        # (sympy's reading) on a seeded grid of such decimals, from 1e-4
+        # to 1e15 and of both signs, and in under 1 ms each
+        rng = np.random.default_rng(31)
+        values = ({round(float(v), k) for k in range(1, 7)
+                   for v in rng.uniform(-3.0, 9.9, 6)}
+                  | {round(float(v), 5) for v in rng.uniform(10.0, 25.0, 6)}
+                  | {float(m) * 10 ** e if e >= 0 else int(m) / 10 ** -e
+                     for m, e in zip(rng.integers(1, 10 ** 7, 12),
+                                     range(-10, 9, 2))}
+                  | {12.0, -0.001234, 1234567.0, 1e15, 0.1, 2.5e-3})
+        for v in values:
+            assert es._short_decimal(v) is not None, v
+            want = es._identify(v)
+            assert es.rat.__wrapped__(v) == (want.numerator,
+                                             want.denominator), v
+        for v in (1 / 3, 0.12345678, 1e-5, 1e16, 2 ** 0.5):
+            assert es._short_decimal(v) is None, v
+        # ROADMAP item 9's limit, on values past the cache
+        for v in (0.123457, 1.234567, 3.14159):
+            took = []
+            for _ in range(3):
+                t = time.perf_counter()
+                es.rat.__wrapped__(v)
+                took.append(time.perf_counter() - t)
+            assert min(took) < 1e-3, (v, took)
+
     @EXACT_SPECS
     def test_log_norms_round_the_exact_norms(self, spec):
         for s in MVOPSequence(spec, 6, backend="exact").scalar_seqs:
@@ -845,8 +875,9 @@ class TestThreeTerm:
         # degrees read their neighbours n + 1, n, n - 1 in turn; the error
         # names the first bad ||Q_m||^2 in that order
         seq = MVOPSequence(lag2(2.0), 8)
-        norm = seq._norm_Q
-        seq._norm_Q = lambda m: norm(m) * bad[m] if m in bad else norm(m)
+        table = seq._norm_table()
+        seq._norm_table = lambda: tuple(v * bad[m] if m in bad else v
+                                        for m, v in enumerate(table))
         with pytest.raises(IllConditioned, match=re.escape(message)):
             seq.three_term_table(7)
 
@@ -854,8 +885,9 @@ class TestThreeTerm:
         # a bad ||Q_6||^2 is read by degree 5 only: the table up to 4 and
         # degree 2 alone stay clear of it
         seq = MVOPSequence(lag2(2.0), 8)
-        norm = seq._norm_Q
-        seq._norm_Q = lambda m: norm(m) * np.nan if m == 6 else norm(m)
+        table = seq._norm_table()
+        seq._norm_table = lambda: tuple(v * np.nan if m == 6 else v
+                                        for m, v in enumerate(table))
         assert seq.three_term_coefficients(2)[3] < 1e-10
         assert seq.three_term_table(4)[3].max() < 1e-10
         with pytest.raises(IllConditioned, match=re.escape("||Q_6||^2")):
