@@ -216,10 +216,11 @@ def _check_orth(seq, cfg):
 
 
 def _check_norm(seq, cfg):
-    # both sides divided by sigma_n^2, so neither can overflow
-    k = cfg.n_max + 1
-    gram = np.stack([seq.gram_qt(n, n, scaled=True) for n in range(k)])
-    closed = np.stack([seq._norm_Q(n) for n in range(k)])
+    # both sides divided by sigma_n^2, so neither can overflow; every
+    # degree in one read of each
+    ns = np.arange(cfg.n_max + 1)
+    gram = seq.gram_qt(ns, ns, scaled=True)
+    closed = np.array(seq._norm_table()[:len(ns)])
     g = frobenius(gram, axis=(1, 2))
     with np.errstate(invalid="ignore"):
         rel = frobenius(gram - closed, axis=(1, 2)) / g
@@ -246,7 +247,8 @@ def _check_eigen(seq, cfg):
     rep = eigencheck(seq, D, lam, cfg.n_max)
     return {"passed": rep["max_scaled_residual"] < cfg.tol,
             "max_scaled_residual": rep["max_scaled_residual"],
-            "worst_n": rep["worst_n"], "non_finite": rep["non_finite"]}
+            "worst_n": rep["worst_n"], "non_finite": rep["non_finite"],
+            "max_abs_log_ratio": seq.max_abs_log_ratio()}
 
 
 def _check_darboux(seq, cfg):

@@ -86,25 +86,33 @@ def _verify(op, alpha, da, dn, factor, n_hi, tol, message):
     factor(n) ell_{n+dn}^(alpha+da) for n <= n_hi, with ell_m = 0 for m < 0.
 
     One ``op_apply`` on the stacked power coefficients of the source
-    polynomials; the residual of degree n is max|img - want| /
-    max(max|img|, max|want|, 1), and ``message`` is formatted with the
-    first n whose residual r is above tol or not a number.
+    polynomials; the residual of degree n is max|img - want| divided by
+    the size of the terms that cancel there, the row maximum of
+    op_apply(|p_n|, |op|) + |want| (|op| the operator of the coefficient
+    magnitudes), so that neither a near-zero image nor a large one
+    decides the verdict; ``message`` is formatted with the first n whose
+    residual r is above tol or not a number.
     """
     n_dst = n_hi + max(dn, 0)
     tab = sf.power_table([sf.recurrence_coefficients(sf.laguerre(a), n_dst)
                           for a in (alpha, alpha + da)], n_dst)
-    img = op_apply(tab[1:n_hi + 2, :, 0, None, None], op)[..., 0, 0]
+    src = tab[1:n_hi + 2, :, 0, None, None]
+    size = MatrixDiffOperator([MatrixPolynomial(np.abs(f.coeffs))
+                               for f in op.f_coeffs])
+    img, terms = (op_apply(p, o)[..., 0, 0]
+                  for p, o in ((src, op), (np.abs(src), size)))
     n = np.arange(n_hi + 1)
     # row 0 of a power table is p_{-1} = 0
     want = (np.array([factor(k) for k in n])[:, None]
             * tab[np.maximum(n + dn + 1, 0), :, 1])
-    diff = np.zeros((n_hi + 1, max(img.shape[1], want.shape[1])),
-                    dtype=np.result_type(img, want))
+    width = max(img.shape[1], want.shape[1])
+    diff = np.zeros((n_hi + 1, width), dtype=np.result_type(img, want))
     diff[:, :img.shape[1]] += img
     diff[:, :want.shape[1]] -= want
-    scale = np.maximum(np.maximum(np.abs(img).max(axis=1),
-                                  np.abs(want).max(axis=1)), 1.0)
-    res = np.abs(diff).max(axis=1) / scale
+    scale = np.zeros((n_hi + 1, width))
+    scale[:, :terms.shape[1]] += terms
+    scale[:, :want.shape[1]] += np.abs(want)
+    res = np.abs(diff).max(axis=1) / np.maximum(scale.max(axis=1), 1e-300)
     bad = np.flatnonzero(~(res <= tol))      # a NaN residual fails too
     if bad.size:
         raise InvalidParam(message.format(n=int(bad[0]), r=res[bad[0]]))

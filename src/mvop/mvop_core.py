@@ -43,15 +43,18 @@ on the whole table gives the whole shift-0 block <Q_n, Q_m>, in real
 arithmetic where A and every G_n are real, and a shift-1 product <x Q_n,
 Q_m> is C[n] diag(x_j) C[m]* from the table itself.  sigma_n = exp(1/2
 max_k log ||p_n^{w_k}||^2) keeps both finite where the norms themselves
-overflow.  ``gram_qt`` reads pairs from the block or the table.  The
+overflow.  ``gram_qt`` reads a pair, or every pair of two degree arrays
+in one call, from the block or the table, and the quadrature summary of
+the Gauss rules is formed once with the Gram data.  The
 closed-form ||Q_n||^2 / sigma_n^2 of degrees 0..n_max is one read-only
 table per sequence, formed by one pass over all degrees on both backends
 (``_norm_table``), and so are the three-term coefficients of degrees
 1..n_max-1 with their residuals (``three_term_table``): one pass over the
 node table forms the band <x Q_n, Q_m>, m = n + 1, n, n - 1, solves it
-against ||Q_m||^2 per neighbour, and sums the W-norm of x Q_n - A_n
-Q_{n+1} - B_n Q_n - C_n Q_{n-1} over the same table, so the orth, norm and
-recurrence checks share this one quadrature path.  The Gram block and det
+against ||Q_m||^2, both stacked over the three neighbours, and sums the
+W-norm of x Q_n - A_n Q_{n+1} - B_n Q_n - C_n Q_{n-1} over the same table,
+so the orth, norm and recurrence checks share this one quadrature path,
+each reading all its degrees at once.  The Gram block and det
 K_n (``leading_det``, a continuant scaled by powers of two) read G_n as
 doubles on both backends (``_float_ratios``): the float table itself, or
 slices of the once-rounded exact one.
@@ -61,6 +64,7 @@ from collections import defaultdict
 from math import exp, inf, lcm, log
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import scalar_families as sf
 from .errors import (DegreeCap, IllConditioned, InvalidParam, OutOfRange,
@@ -130,6 +134,14 @@ def _exact_sum(terms) -> float:
         return num / den
     except OverflowError:
         return inf if num > 0 else -inf
+
+
+def _exp(v) -> float:
+    """``math.exp``, inf past the float range."""
+    try:
+        return exp(v)
+    except OverflowError:
+        return inf
 
 
 def peak(residuals, first: int = 0):
@@ -759,7 +771,7 @@ class MVOPSequence:
         """||Q_n||^2 (see ``_norm_terms``): complex on the float backend,
         ``DegreeCap`` where an entry is past the float range, or each exact
         entry's exact values as sympy (``_sympy``), which the checks read
-        scaled and rounded (``_norm_Q``)."""
+        scaled and rounded (``_norm_table``)."""
         self._check_n(n)
         out = np.full((self.weight.N,) * 2,
                       self._sympy([]) if self.exact else 0j)
@@ -810,8 +822,8 @@ class MVOPSequence:
         return got
 
     def _norm_Q(self, n: int) -> np.ndarray:
-        """Complex ||Q_n||^2 / sigma_n^2 as the norm check reads it: degree
-        n of ``_norm_table`` (which the recurrence reads whole), read-only."""
+        """Complex ||Q_n||^2 / sigma_n^2, degree n of ``_norm_table`` (which
+        the norm and recurrence checks read whole), read-only."""
         self._check_n(n)
         return self._norm_table()[n]
 
@@ -824,9 +836,8 @@ class MVOPSequence:
         return float(self._log_sigma[n])
 
     def _gram_block(self):
-        """(block, (nodes, C), log10_min_weight) from one (n_max + 2)-node
-        Gauss rule per scalar weight, all from one
-        ``InnerProductEngine.tables`` pass.
+        """(block, (nodes, C), summary) from one (n_max + 2)-node Gauss rule
+        per scalar weight, all from one ``InnerProductEngine.tables`` pass.
 
         ``block`` is the (n_max+1, N, n_max+1, N) array of <Q_n, Q_m>_W /
         (sigma_n sigma_m), real when A and the G_n table are.  C is the
@@ -835,9 +846,11 @@ class MVOPSequence:
         of weight k, which ``nodes`` lists in the same order, so <x^s Q_n,
         Q_m>_W = sigma_n sigma_m C[n] diag(nodes^s) C[m]*.  The block is
         one matmul over the whole table; shift-1 products are read from the
-        table (``gram_qt``, ``_three_term_pass``).  ``log10_min_weight`` is
-        log10 of the smallest Christoffel weight lambda_j of all rules, read
-        in the scaled form, so it stays a number where lambda_j underflows.
+        table (``gram_qt``, ``_three_term_pass``).  ``summary`` is what
+        ``quadrature_summary`` reports: the nodes per rule, the smallest
+        Christoffel weight lambda_j of all rules (read through
+        ``InnerProductEngine.rule``, once per slot), and its log10, read in
+        the scaled form, so it stays a number where lambda_j underflows.
 
         At node x_j of weight k,
         sqrt(lambda_j) p_i(x_j) / sigma_n = u_i(x_j) ||p_i|| / sigma_n,
@@ -869,30 +882,38 @@ class MVOPSequence:
             C[:, r, k] = A[r, k] * hi[:, k]
             C[1:, k, r] = -G[1:, k, r, None] * lo[:, r]
         F = C.reshape((M + 1) * N, N * m)
+        # the smallest weight through the rule cache the pass above filled
+        smallest = min(float(np.min(self.engine.rule(k, m)[1]))
+                       for k in range(N))
         return ((F @ F.conj().T).reshape(M + 1, N, M + 1, N),
                 (nodes[slot].reshape(-1), C.reshape(M + 1, N, N * m)),
-                log_min / log(10.0))
+                {"gauss_nodes": m, "min_gauss_weight": smallest,
+                 "log10_min_gauss_weight": log_min / log(10.0)})
 
     def gram_data(self):
-        """The Gram block, the node tables and the log10 of the smallest
-        Gauss weight (see ``_gram_block``), built on first use and
-        published together in one assignment."""
+        """The Gram block, the node tables and the quadrature summary (see
+        ``_gram_block``), built on first use and published together in one
+        assignment."""
         got = self._gram
         if got is None:
             got = self._gram = self._gram_block()
         return got
 
-    def gram_qt(self, n: int, m: int, shift: int = 0,
+    def gram_qt(self, n, m, shift: int = 0,
                 scaled: bool = False) -> np.ndarray:
-        """<x^shift Q_n, Q_m>_W for shift 0 or 1: shift 0 read from the Gram
-        block, shift 1 formed as C[n] diag(nodes) C[m]* from the node table
-        (see ``_gram_block``).
+        """<x^shift Q_n, Q_m>_W for shift 0 or 1, for an int n and m or for
+        equal-shape int arrays of them, as the stacked (..., N, N) blocks:
+        shift 0 read from the Gram block (``block[n, :, m, :]``), shift 1
+        formed as C[n] diag(nodes) C[m]* from the node table by one batched
+        matmul (see ``_gram_block``).
 
         With ``scaled`` the result is divided by sigma_n sigma_m (see
         ``log_gram_scale``); residuals are formed from that form, which
-        stays finite at degrees where the Gram itself overflows, and the
-        plain form raises ``DegreeCap`` there.  Complex also where the
-        block is real.
+        stays finite at degrees where the Gram itself overflows.  The plain
+        form multiplies by sigma_n sigma_m, each pair's ``math.exp`` of its
+        log scale, and raises ``DegreeCap`` naming the first pair (in the
+        order of n and m) that the product takes past the float range.
+        Complex also where the block is real.
         """
         self._check_n(n)
         self._check_n(m)
@@ -900,48 +921,47 @@ class MVOPSequence:
             raise InvalidParam(f"shift must be 0 or 1, got {shift}")
         if shift:
             x, C = self.gram_data()[1]
-            g = ((C[n] * x) @ C[m].conj().T).astype(complex)
+            g = np.matmul(C[n] * x, C[m].conj().swapaxes(-1, -2))
         else:
-            g = self.gram_data()[0][n, :, m, :].astype(complex)
+            g = self.gram_data()[0][n, :, m, :]
+        g = g.astype(complex)
         if scaled:
             return g
-        log_s = self.log_gram_scale(n) + self.log_gram_scale(m)
-        try:
-            scale = exp(log_s)
-        except OverflowError:
-            scale = inf
+        log_s = np.asarray(self._log_sigma[n] + self._log_sigma[m])
+        # math.exp per pair, so that an array read scales each pair as its
+        # own read does: np.exp rounds some arguments the other way
+        scale = np.reshape([_exp(v) for v in log_s.flat], log_s.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = g * scale
-        if (np.isfinite(g) & ~np.isfinite(out)).any():
+            out = g * scale[..., None, None]
+        over = (np.isfinite(g) & ~np.isfinite(out)).any(axis=(-2, -1))
+        if over.any():
+            at = np.unravel_index(over.argmax(), over.shape)
+            n, m = (np.broadcast_to(v, over.shape)[at] for v in (n, m))
             raise DegreeCap(f"<{'x ' if shift else ''}Q_{n}, Q_{m}> is past "
-                            f"the float range (log scale {log_s:.1f}); read "
-                            f"it scaled")
+                            f"the float range (log scale {log_s[at]:.1f}); "
+                            f"read it scaled")
         return out
 
     def quadrature_summary(self) -> dict:
         """Nodes per scalar weight of the Gauss rules behind the Gram block
         and the smallest Gauss weight among them, also as a log10 that
-        stays finite where the weight itself underflows to 0."""
-        # the Gram data first: its one pass fills the engine's rules
-        m, log10_min = self.n_max + 2, self.gram_data()[2]
-        smallest = min(float(np.min(self.engine.rule(k, m)[1]))
-                       for k in range(self.weight.N))
-        return {"gauss_nodes": m, "min_gauss_weight": smallest,
-                "log10_min_gauss_weight": log10_min}
+        stays finite where the weight itself underflows to 0: formed once
+        per sequence with the Gram data (``_gram_block``); a copy."""
+        return dict(self.gram_data()[2])
 
     # -- verification -------------------------------------------------------
 
     def verify_orthogonality(self, n_max: int, tol: float) -> dict:
         """Scaled Gram residuals ||G_nm|| / sqrt(||G_nn||) / sqrt(||G_mm||)
         over all pairs n < m <= n_max, formed from the scaled block by array
-        operations (the n_max + 1 diagonal blocks through ``gram_qt``),
+        operations (the n_max + 1 diagonal blocks by one ``gram_qt`` read),
         with every norm taken by ``frobenius``, and their peak and failures
         found on the array; a non-finite residual fails, and a pair with a
         non-finite ||G_nn|| reads that norm."""
         self._check_n(n_max)
         k = n_max + 1
-        self_norm = frobenius(np.stack([self.gram_qt(n, n, scaled=True)
-                                        for n in range(k)]), axis=(1, 2))
+        ns = np.arange(k)
+        self_norm = frobenius(self.gram_qt(ns, ns, scaled=True), axis=(1, 2))
         root = np.sqrt(self_norm)
         block = self.gram_data()[0][:k, :, :k, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1007,30 +1027,38 @@ class MVOPSequence:
         return tuple(a[:hi] for a in rows)
 
     def _three_term_pass(self, ns, norms):
-        """(A_n, B_n, C_n, residual) of ``three_term_table`` for the degrees
-        ns from the node table alone, in blocks of degrees: per neighbour m
-        = n + d, X_n ||Q_m||^2 = <x Q_n, Q_m>, the band (C[n] x) C[m]*,
-        solved as its adjoint against the regular ``norms``, and X_n Q_m
-        subtracted for the residual, in real arithmetic where the node
-        table and X_n are real."""
+        """(A_n, B_n, C_n, residual) of ``three_term_table`` for the
+        consecutive degrees ns from the node table alone, in blocks of
+        degrees, each one stacked pass over the neighbours m = n + 1, n,
+        n - 1 (a view of the table, no copy): X_n ||Q_m||^2 = <x Q_n, Q_m>,
+        the band (C[n] x) C[m]* by one batched matmul, solved as its adjoint
+        against the regular ``norms`` by one stacked solve, and X_n Q_m
+        subtracted for the residual in that order of m, in real arithmetic
+        where the node table and every X_n are real."""
         x, C = self.gram_data()[1]
         mats = np.empty((3, len(ns)) + (self.weight.N,) * 2, dtype=complex)
         out = np.empty(len(ns))
         step = 64   # degrees per pass, which bounds the temporaries
         for i in range(0, len(ns), step):
             n = ns[i:i + step]
-            r = xq = C[n] * x
-            for d, X in zip((1, 0, -1), mats[:, i:i + step]):
-                s = np.exp(self._log_sigma[n] - self._log_sigma[n + d])[
-                    :, None, None]
-                g = np.matmul(xq, C[n + d].conj().swapaxes(1, 2)) * s
-                # X ||Q_m||^2 = g, solved as its adjoint
-                adjoint = [v.conj().swapaxes(1, 2) for v in (norms[n + d], g)]
-                X[:] = np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
-                X = X / s
-                if not (np.iscomplexobj(C) or X.imag.any()):
-                    X = X.real
-                r = r - np.matmul(X, C[n + d])
+            m = n + np.array([1, 0, -1])[:, None]
+            # C[m] as a view of the table: ns are consecutive degrees
+            Cm = np.moveaxis(sliding_window_view(
+                C[n[0] - 1:n[-1] + 2], 3, axis=0), -1, 0)[::-1]
+            xq = C[n] * x
+            s = np.exp(self._log_sigma[n] - self._log_sigma[m])[
+                ..., None, None]
+            g = np.matmul(xq, Cm.conj().swapaxes(-1, -2)) * s
+            # X ||Q_m||^2 = g, solved as its adjoint
+            adjoint = [v.conj().swapaxes(-1, -2) for v in (norms[m], g)]
+            X = mats[:, i:i + step]
+            X[:] = np.linalg.solve(*adjoint).conj().swapaxes(-1, -2)
+            X = X / s
+            if not (np.iscomplexobj(C) or X.imag.any()):
+                X = X.real
+            r = xq.copy()
+            for Xd, Cd in zip(X, Cm):
+                r -= np.matmul(Xd, Cd)
             with np.errstate(over="ignore", invalid="ignore"):
                 num, den = ((v * v.conj()).real.sum(axis=(1, 2))
                             for v in (r, xq))

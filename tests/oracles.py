@@ -14,7 +14,8 @@ build P_n and Q_n one degree at a time from
 MatrixPolynomial products, the reference for the stacked construction in
 ``MVOPSequence``; the dense norm products are the reference for its sparse
 ||Q_n||^2, and the 50-digit rounding for the doubles its norm reader
-gives.  The dense symmetry solve is the reference for the commutant solve
+gives; the three-solve pass is the reference for the stacked three-term
+pass.  The dense symmetry solve is the reference for the commutant solve
 in ``order_zero_symmetries``.  The hand-written ladder steps are the
 reference for ``synthesize_shift``'s walk over the ladder table, and the
 sampled quadratic fit of w1/w2 for the 2x2 reduction read off the Jacobi
@@ -484,6 +485,40 @@ def three_term_loop(seq, n):
         num += np.vdot(r, r).real
         den += np.vdot(xq, xq).real
     return (*mats, float(np.sqrt(num / den)))
+
+
+def three_solve_pass(seq, ns, norms):
+    """(A_n, B_n, C_n, residual) of ``MVOPSequence._three_term_pass`` with
+    one band matmul, one solve and one residual matmul per neighbour m =
+    n + 1, n, n - 1 in turn, over blocks of 64 degrees: the reference for
+    the stacked pass, which must match it bit for bit."""
+    from mvop.mvop_core import frobenius
+    x, C = seq.gram_data()[1]
+    log_sigma = np.array([seq.log_gram_scale(n) for n in range(seq.n_max + 1)])
+    mats = np.empty((3, len(ns)) + (seq.weight.N,) * 2, dtype=complex)
+    out = np.empty(len(ns))
+    for i in range(0, len(ns), 64):
+        n = ns[i:i + 64]
+        r = xq = C[n] * x
+        for d, X in zip((1, 0, -1), mats[:, i:i + 64]):
+            s = np.exp(log_sigma[n] - log_sigma[n + d])[:, None, None]
+            g = np.matmul(xq, C[n + d].conj().swapaxes(1, 2)) * s
+            adjoint = [v.conj().swapaxes(1, 2) for v in (norms[n + d], g)]
+            X[:] = np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
+            X = X / s
+            if not (np.iscomplexobj(C) or X.imag.any()):
+                X = X.real
+            r = r - np.matmul(X, C[n + d])
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = ((v * v.conj()).real.sum(axis=(1, 2))
+                        for v in (r, xq))
+            res = np.sqrt(num / den)
+        bad = ~np.isfinite(num + den)
+        if bad.any():
+            res[bad] = (frobenius(r[bad], axis=(1, 2))
+                        / frobenius(xq[bad], axis=(1, 2)))
+        out[i:i + 64] = res
+    return (*mats, out)
 
 
 def set_ratio(seq, n, change):

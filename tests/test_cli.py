@@ -286,24 +286,56 @@ class TestRun:
         assert report["passed"]
         assert len(calls) == 1
 
-    def test_log_ratio_headroom(self):
-        # Hermite(0), Laguerre(1/2), a = 1.5 at n_max 129: every check that
-        # reads G_n passes and reports the largest |log ratio| of G_0..G_129,
-        # below LOG_RATIO_CAP = 600.  A[0, 1] = a is the one pair, so that
-        # log ratio is log ||p_n^{w_1}||^2 - log ||p_{n-1}^{w_0}||^2
-        data = base_config(
-            a=[1.5], n_max=129,
-            weights=[{"family": "hermite", "b": 0.0},
-                     {"family": "laguerre", "alpha": 0.5}],
-            checks=["orth", "norm", "recurrence", "det"])
-        checks = run(config_from_json(data))["checks"]
-        her, lag = (sf.recurrence_coefficients(s, 130).log_norms
-                    for s in (sf.hermite(0.0), sf.laguerre(0.5)))
-        want = max(abs(lag[n] - her[n - 1]) for n in range(1, 130))
-        assert len(checks) == 4
-        for name, res in checks.items():
+    def test_gram_checks_read_in_whole_arrays(self):
+        # orth and norm read every diagonal block by one gram_qt call, and
+        # the quadrature summary of the three Gram checks comes from one
+        # InnerProductEngine.rule call per slot, made with the Gram data
+        cfg = config_from_json(base_config(
+            size=3, a=[1.5, -0.7], n_max=12,
+            weights=[{"family": "laguerre", "alpha": 0.0},
+                     {"family": "hermite", "b": 0.3},
+                     {"family": "laguerre", "alpha": 0.0}],
+            checks=["orth", "norm", "recurrence"]))
+        seq = MVOPSequence(cfg.spec, cfg.n_max)
+        reads, rules = [], []
+        gram, rule = seq.gram_qt, seq.engine.rule
+        seq.gram_qt = lambda *a, **k: reads.append(a) or gram(*a, **k)
+        seq.engine.rule = lambda *a: rules.append(a) or rule(*a)
+        summaries = []
+        for name in cfg.checks:
+            reads.clear()
+            res = _CHECKS[name](seq, cfg)
             assert res["passed"], (name, res)
-            assert res["max_abs_log_ratio"] == want < 600, (name, res)
+            assert len(reads) == (name != "recurrence"), name
+            summaries.append({k: res[k] for k in (
+                "gauss_nodes", "min_gauss_weight", "log10_min_gauss_weight")})
+        assert rules == [(k, cfg.n_max + 2) for k in range(3)]
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert summaries[0]["min_gauss_weight"] > 0
+
+    def test_log_ratio_headroom(self):
+        # Hermite(0), Laguerre(1/2), a = 1.5: every check that reads G_n
+        # passes and reports the largest |log ratio| of G_0..G_{n_max},
+        # below LOG_RATIO_CAP = 600 (``eigen`` stops at Q_115 on power
+        # coefficients, so it is read at n_max 100).  A[0, 1] = a is the
+        # one pair, so that log ratio is log ||p_n^{w_1}||^2 - log
+        # ||p_{n-1}^{w_0}||^2
+        for n_max, names in ((129, ["orth", "norm", "recurrence", "det"]),
+                             (100, ["orth", "norm", "recurrence", "eigen",
+                                    "det"])):
+            data = base_config(
+                a=[1.5], n_max=n_max,
+                weights=[{"family": "hermite", "b": 0.0},
+                         {"family": "laguerre", "alpha": 0.5}],
+                checks=names)
+            checks = run(config_from_json(data))["checks"]
+            her, lag = (sf.recurrence_coefficients(s, n_max + 1).log_norms
+                        for s in (sf.hermite(0.0), sf.laguerre(0.5)))
+            want = max(abs(lag[n] - her[n - 1]) for n in range(1, n_max + 1))
+            assert list(checks) == names
+            for name, res in checks.items():
+                assert res["passed"], (name, res)
+                assert res["max_abs_log_ratio"] == want < 600, (name, res)
 
     HER3_EXACT = base_config(
         size=3, a=[1.0, -0.5], backend="exact", n_max=5,
@@ -748,11 +780,14 @@ class TestNonFinite:
                 weights=[{"family": "hermite", "b": 0.0}] * 2))
         seq = MVOPSequence(cfg.spec, cfg.n_max)
         nan = float("nan")
-        if check in ("orth", "norm"):
+        if check in ("orth", "norm"):    # degree 2's diagonal block
             gram = seq.gram_qt
-            seq.gram_qt = lambda n, m, *a, **k: (
-                gram(n, m, *a, **k) * nan if (n, m) == (2, 2)
-                else gram(n, m, *a, **k))
+
+            def poisoned(n, m, *a, **k):
+                g = gram(n, m, *a, **k)
+                g[(np.asarray(n) == 2) & (np.asarray(m) == 2)] *= nan
+                return g
+            seq.gram_qt = poisoned
         elif check == "recurrence":     # the residual of n = 2
             table = seq.three_term_table
             seq.three_term_table = lambda hi: (

@@ -8,8 +8,8 @@ import mvop.darboux as darboux
 import mvop.diff_operators as diff_operators
 import mvop.scalar_families as sf
 from mvop.cli import RunConfig, config_from_json, run
-from mvop.darboux import (DarbouxReport, LadderOperator, apply_scalar,
-                          builtin_n5_laguerre, darboux_verify,
+from mvop.darboux import (LADDER_KINDS, DarbouxReport, LadderOperator,
+                          apply_scalar, builtin_n5_laguerre, darboux_verify,
                           hermite_A_factorization, ladder, synthesize_shift)
 from mvop.diff_operators import MatrixDiffOperator, op_apply, op_compose
 from mvop.errors import CapExceeded, InvalidParam, MvopError, Unsupported
@@ -105,6 +105,21 @@ class TestShiftSynthesis:
             img = apply_scalar(tau, src.polynomial(n))
             assert scalar_close(img, dst.polynomial(n))
 
+    @pytest.mark.parametrize("k", [-2, -1, 2, 3])
+    def test_r1_root_in_checked_range(self, k):
+        # r1(n) = 2 - n/2 vanishes at n = 4, where the image is what is
+        # left of terms that cancel: the check measures it against those
+        # terms, not against max(|image|, 1), and accepts tau
+        tau, q = synthesize_shift(1.7, k, 3, r1=(2, -0.5), r2=(-3, 1))
+        src = laguerre_seq(1.7, 14)
+        dst = laguerre_seq(1.7 + k, 14)
+        img = [apply_scalar(tau, src.polynomial(n)) for n in range(9)]
+        for n in set(range(9)) - {3, 4}:   # the roots of r2 and r1
+            want = q(n) * (2 - n / 2) / (n - 3)
+            assert scalar_close(img[n], np.multiply(dst.polynomial(n + 3),
+                                                    want))
+        assert np.abs(img[4]).max() < 1e-9 * np.abs(img[5]).max()
+
     @pytest.mark.parametrize("r1,r2", [((), (1,)), ((1,), ())])
     def test_empty_prefactor_rejected(self, r1, r2):
         with pytest.raises(InvalidParam):
@@ -160,6 +175,21 @@ class TestVerifiersRejectWrongOperator:
     def test_ladder(self, perturbed_n_up):
         with pytest.raises(InvalidParam, match="failed its shift identity"):
             ladder("n_up", 0.5)
+
+    @pytest.mark.parametrize("kind", LADDER_KINDS)
+    def test_ladder_factor(self, monkeypatch, kind):
+        # a factor off by a relative 1e-6 reads 5e-7 against the terms
+        # that cancel, far above the 1e-9 gate
+        forms = darboux._ladder_forms
+
+        def wrong(alpha):
+            out = forms(alpha)
+            fs, factor, delta = out[kind]
+            out[kind] = (fs, lambda n: factor(n) * (1 + 1e-6), delta)
+            return out
+        monkeypatch.setattr(darboux, "_ladder_forms", wrong)
+        with pytest.raises(InvalidParam, match="failed its shift identity"):
+            ladder(kind, 0.5)
 
     def test_shift_synthesis(self, perturbed_n_up):
         with pytest.raises(InvalidParam, match=r"shift synthesis .* failed"):

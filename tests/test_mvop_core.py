@@ -21,7 +21,8 @@ from mvop.mvop_core import MVOPSequence, continuant
 from mvop.weight_model import weight_spec
 from oracles import (dense_norm_Q, exact_rows, moment0_sympy, nearest_scaled,
                      pairwise_quadrature, q_product, set_ratio,
-                     three_term_loop, tridiagonal_from_rho)
+                     three_solve_pass, three_term_loop, tridiagonal_from_rho)
+from test_diff_operators import FAMILY_WEIGHTS
 
 
 def lag2(a=1.0):
@@ -676,6 +677,42 @@ class TestOrthogonality:
                 got = getattr(seq, name)(*args)
                 assert np.isfinite(got).all() and np.abs(got).max() > 1e300
 
+    @pytest.mark.parametrize("spec, backend", [
+        *((w, "float") for w in FAMILY_WEIGHTS.values()),
+        (COMPLEX_A, "float"), (EXACT_WEIGHTS["her3"], "exact")],
+        ids=[*FAMILY_WEIGHTS, "complex_a", "exact"])
+    def test_array_read_matches_pair_reads(self, spec, backend):
+        # one gram_qt call over degree arrays is the stack of its pair
+        # reads, bit for bit, for a 2-D array of pairs and for the diagonal
+        seq = MVOPSequence(spec, 12, backend=backend)
+        n, m = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
+        for shift in (0, 1):
+            for scaled in (False, True):
+                for ns, ms in ((n, m), (n[:, 0], m[0])):
+                    got = seq.gram_qt(ns, ms, shift, scaled)
+                    want = [seq.gram_qt(int(i), int(j), shift, scaled)
+                            for i, j in zip(ns.flat, ms.flat)]
+                    assert same_bits(got, np.reshape(want, got.shape))
+
+    def test_array_read_names_first_pair_past_float_range(self):
+        # the 2x2 Laguerre pair of the float-edge test: <Q_97, Q_97> is the
+        # first diagonal block past the float range; an array read names
+        # the first such pair in array order, with no overflow warning
+        seq = MVOPSequence(weight_spec([1.5], [sf.laguerre(0.0),
+                                               sf.laguerre(0.5)]), 200)
+        ns = np.arange(90, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegreeCap, match=re.escape("<Q_97, Q_97>")):
+                seq.gram_qt(ns, ns)
+            with pytest.raises(DegreeCap, match=re.escape("<x Q_96, Q_96>")):
+                seq.gram_qt(ns, ns, 1)
+            order = np.array([[95, 99], [97, 98]])
+            with pytest.raises(DegreeCap, match=re.escape("<Q_99, Q_99>")):
+                seq.gram_qt(order, order)
+            got = seq.gram_qt(ns[:7], ns[:7])
+            assert np.isfinite(got).all() and np.abs(got).max() > 1e300
+
     def test_gram_cross_zero(self):
         seq = MVOPSequence(herm2(), 11)
         g = seq.gram_qt(3, 7)
@@ -856,6 +893,22 @@ class TestThreeTerm:
                 assert g.dtype == complex
                 assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
             assert abs(got[3] - want[3]) <= 1e-14
+
+    @pytest.mark.parametrize("spec, n_max, backend", [
+        (lag2(2.0), 150, "float"), (COMPLEX_A, 70, "float"),
+        (FAMILY_WEIGHTS["hermite"], 40, "float"),
+        (FAMILY_WEIGHTS["jacobi"], 80, "float"),
+        (EXACT_WEIGHTS["her3"], 8, "exact")],
+        ids=["lag2", "complex_a", "hermite", "jacobi", "exact"])
+    def test_stacked_pass_matches_three_solves(self, spec, n_max, backend):
+        # one band matmul and one solve over the stacked neighbours give
+        # the bits of one matmul and one solve per neighbour, across the
+        # 64-degree blocks
+        seq = MVOPSequence(spec, n_max, backend=backend)
+        ns, norms = np.arange(1, n_max), np.array(seq._norm_table())
+        for got, want in zip(seq._three_term_pass(ns, norms),
+                             three_solve_pass(seq, ns, norms)):
+            assert same_bits(got, want)
 
     def test_table_matches_loop_off_orthogonality(self):
         # G_3 (1 + 1e-6) leaves x Q_n off the span of its neighbours near
