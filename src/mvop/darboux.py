@@ -3,10 +3,11 @@
 The ladder operators are stored in calibrated normal form: each one is
 normalized so that the image of the monic Laguerre polynomial is a known
 scalar factor times another monic Laguerre polynomial, with the factor
-checked against the scalar sequences at build time.  Ladders and
-synthesized shifts go through one stacked check (``_verify``): one
-``op_apply`` on the power coefficients of p_0..p_{n_hi}, compared with the
-factor times the target rows.  Each ladder is stated once, as its
+checked against the scalar sequences at build time.  Every Darboux
+identity, here and in ``mvop run``, reads one residual scaled by the terms
+that cancel, ``diff_operators.identity_residual``: the ladders and
+synthesized shifts (one stacked ``_verify`` each), P_n . D1 = A_n Q_n and
+the chain's P_n . D1_tilde = Q_n T.  Each ladder is stated once, as its
 ``_ladder_forms`` entry (operator, factor, (dn, dalpha)): ``ladder`` reads
 one entry, ``synthesize_shift`` walks a list of them, and the 5x5 chain
 ``n5_laguerre_d1_tilde`` takes its n_up and n_down entries from the same
@@ -27,8 +28,9 @@ from .errors import CapExceeded, InvalidParam, Unsupported
 from .matrix_poly import MatrixPolynomial, conj_transpose
 from .mvop_core import MVOPSequence, peak
 from .diff_operators import (MatrixDiffOperator, apply_scalar,
-                             entries_to_operator, op_apply, op_compose)
-from .weight_model import WeightSpec, build_T, build_nilpotent, weight_spec
+                             entries_to_operator, identity_residual, op_apply,
+                             op_compose)
+from .weight_model import WeightSpec, build_nilpotent, weight_spec
 
 LADDER_KINDS = ("alpha_up", "alpha_down", "n_up", "n_down", "eigen")
 
@@ -85,34 +87,20 @@ def _verify(op, alpha, da, dn, factor, n_hi, tol, message):
     """Raise ``InvalidParam(message)`` unless ell_n^(alpha) . op =
     factor(n) ell_{n+dn}^(alpha+da) for n <= n_hi, with ell_m = 0 for m < 0.
 
-    One ``op_apply`` on the stacked power coefficients of the source
-    polynomials; the residual of degree n is max|img - want| divided by
-    the size of the terms that cancel there, the row maximum of
-    op_apply(|p_n|, |op|) + |want| (|op| the operator of the coefficient
-    magnitudes), so that neither a near-zero image nor a large one
-    decides the verdict; ``message`` is formatted with the first n whose
-    residual r is above tol or not a number.
+    The stacked power coefficients of the source polynomials and of the
+    scaled targets go through ``identity_residual`` at once; ``message`` is
+    formatted with the first n whose residual r is above tol or not a
+    number.
     """
     n_dst = n_hi + max(dn, 0)
     tab = sf.power_table([sf.recurrence_coefficients(sf.laguerre(a), n_dst)
                           for a in (alpha, alpha + da)], n_dst)
-    src = tab[1:n_hi + 2, :, 0, None, None]
-    size = MatrixDiffOperator([MatrixPolynomial(np.abs(f.coeffs))
-                               for f in op.f_coeffs])
-    img, terms = (op_apply(p, o)[..., 0, 0]
-                  for p, o in ((src, op), (np.abs(src), size)))
     n = np.arange(n_hi + 1)
     # row 0 of a power table is p_{-1} = 0
     want = (np.array([factor(k) for k in n])[:, None]
             * tab[np.maximum(n + dn + 1, 0), :, 1])
-    width = max(img.shape[1], want.shape[1])
-    diff = np.zeros((n_hi + 1, width), dtype=np.result_type(img, want))
-    diff[:, :img.shape[1]] += img
-    diff[:, :want.shape[1]] -= want
-    scale = np.zeros((n_hi + 1, width))
-    scale[:, :terms.shape[1]] += terms
-    scale[:, :want.shape[1]] += np.abs(want)
-    res = np.abs(diff).max(axis=1) / np.maximum(scale.max(axis=1), 1e-300)
+    res = identity_residual(tab[1:n_hi + 2, :, 0, None, None], op,
+                            want[..., None, None])
     bad = np.flatnonzero(~(res <= tol))      # a NaN residual fails too
     if bad.size:
         raise InvalidParam(message.format(n=int(bad[0]), r=res[bad[0]]))
@@ -226,14 +214,9 @@ def n5_laguerre_d1_tilde(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
 def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
     """The explicit 5x5 Laguerre chain: weight spec, the entrywise operator
     D1_tilde with P_n . D1_tilde = Q_n T (``n5_laguerre_d1_tilde``), and D
-    = (D1_tilde T^{-1})(T (2I - D1_tilde)).
-    """
+    = (D1_tilde T^{-1})(T (2I - D1_tilde)) = D1_tilde (2I - D1_tilde)."""
     spec, d1_tilde = n5_laguerre_d1_tilde(alpha, a)
-    T, T_inv = build_T(spec)
-    two_minus = MatrixDiffOperator.identity(5) * 2.0 - d1_tilde
-    D1 = op_compose(d1_tilde, MatrixDiffOperator.multiplication(T_inv))
-    D2 = op_compose(MatrixDiffOperator.multiplication(T), two_minus)
-    D = op_compose(D1, D2)
+    D = op_compose(d1_tilde, MatrixDiffOperator.identity(5) * 2.0 - d1_tilde)
     return spec, d1_tilde, D
 
 
@@ -308,12 +291,11 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     1, powers, N, N), for example ``q_seq.p_block(0, n_max + 1)``.  One
     ``op_apply`` gives every P_n . D1 and one ``q_block`` every Q_n; all
     A_n come from one batched solve on the leading coefficients, in complex
-    also for real stacks (a real LU rounds A_n otherwise).  The
-    residual of degree n is max|L - A_n Q| / max(max|L|, max|Q|, 1e-300)
-    over all coefficients, and the peak is found by ``peak``, so a
-    non-finite residual is the worst one; the pass verdict needs every
-    residual under tol and nonsingular A_n apart from (at most) an initial
-    finite set.
+    also for real stacks (a real LU rounds A_n otherwise).  The residual of
+    degree n is the ``identity_residual`` of P_n . D1 = A_n Q_n, and the
+    peak is found by ``peak``, so a non-finite residual is the worst one;
+    the pass verdict needs every residual under tol and nonsingular A_n
+    apart from (at most) an initial finite set.
     """
     d = np.arange(n_max + 1)
     L = op_apply(np.asarray(P), D1)
@@ -321,14 +303,8 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     K, lead = Q[d, d], L[d, d]
     An = np.linalg.solve(K.swapaxes(1, 2).astype(complex),  # lead = A_n K
                          lead.swapaxes(1, 2)).swapaxes(1, 2)
-    R = np.zeros((n_max + 1, max(L.shape[1], Q.shape[1])) + Q.shape[2:],
-                 dtype=np.result_type(L, An, Q))
-    R[:, :L.shape[1]] += L
-    R[:, :Q.shape[1]] -= An[:, None] @ Q
-    scale = np.maximum(np.abs(L).max(axis=(1, 2, 3)),
-                       np.abs(Q).max(axis=(1, 2, 3)))
-    res = np.abs(R).max(axis=(1, 2, 3)) / np.maximum(scale, 1e-300)
-    worst, worst_n, non_finite = peak(res)
+    worst, worst_n, non_finite = peak(
+        identity_residual(P, D1, An[:, None] @ Q, lhs=L))
     dets = np.linalg.det(An).tolist()
     singular = [n for n, v in enumerate(dets) if abs(v) <= 1e-12]
     passed = (worst <= tol and len(singular) <= n_max

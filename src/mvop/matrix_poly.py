@@ -78,9 +78,10 @@ def _zeros(rows, size, exact):
 
 
 def _pad(c, rows):
-    """The stack c with zero coefficients appended up to ``rows`` powers."""
-    return np.concatenate([c, np.zeros((rows - len(c),) + c.shape[1:],
-                                       dtype=c.dtype)])
+    """The stack c with zero powers appended up to ``rows`` (axis -3)."""
+    return np.concatenate([c, np.zeros((*c.shape[:-3], rows - c.shape[-3],
+                                        *c.shape[-2:]), dtype=c.dtype)],
+                          axis=-3)
 
 
 class MatrixPolynomial:

@@ -821,12 +821,6 @@ class MVOPSequence:
             got = self._qtab = tuple(tab)
         return got
 
-    def _norm_Q(self, n: int) -> np.ndarray:
-        """Complex ||Q_n||^2 / sigma_n^2, degree n of ``_norm_table`` (which
-        the norm and recurrence checks read whole), read-only."""
-        self._check_n(n)
-        return self._norm_table()[n]
-
     # -- the Gram block ------------------------------------------------------
 
     def log_gram_scale(self, n: int) -> float:

@@ -462,7 +462,7 @@ def dense_norm_Q(seq, n, log_scale):
 def three_term_loop(seq, n):
     """(A_n, B_n, C_n, residual) of x Q_n = A_n Q_{n+1} + B_n Q_n + C_n Q_{n-1}
     one degree at a time: one solve per neighbour m from the scaled
-    ``gram_qt`` and ``_norm_Q``, and the residual ||R_n||_W / ||x Q_n||_W
+    ``gram_qt`` and ``_norm_table``, and the residual ||R_n||_W / ||x Q_n||_W
     summed weight by weight over its column range of the node table of
     ``gram_data``, in complex arithmetic.  The reference for the stacked
     ``three_term_table``."""
@@ -471,7 +471,7 @@ def three_term_loop(seq, n):
     for m in (n + 1, n, n - 1):
         lm = seq.log_gram_scale(m)
         g = seq.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
-        norm = seq._norm_Q(m)
+        norm = seq._norm_table()[m]
         X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
         mats.append(X)
         terms.append((m, X * exp(lm - ln)))
@@ -575,10 +575,16 @@ def det_loop(seq, n_max):
 def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
     """P_n . D1 = A_n Q_n one degree at a time: ``p_of(n)`` is P_n as a
     MatrixPolynomial, Q_n is ``q_seq.build_Q(n)``, and A_n is solved from
-    the leading coefficients.  The reference for the stacked
-    ``darboux_verify``; returns its report."""
+    the leading coefficients.  Row i of the residual is max|row i of L -
+    A_n Q_n| over the largest entry of row i of |P_n| . |D1| + |A_n Q_n|
+    (|D1| the operator of the |F_j|), and the residual of degree n the
+    largest over rows.  The reference for the stacked ``darboux_verify``;
+    returns its report."""
     from mvop.darboux import DarbouxReport
-    from mvop.diff_operators import op_apply
+    from mvop.diff_operators import MatrixDiffOperator, op_apply
+    from mvop.matrix_poly import MatrixPolynomial
+    size = MatrixDiffOperator([MatrixPolynomial(np.abs(f.coeffs))
+                               for f in D1.f_coeffs])
     conn, dets, singular, residuals = [], [], [], []
     for n in range(n_max + 1):
         P = p_of(n)
@@ -590,8 +596,14 @@ def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
         lead = L.coeff(n)
         An = np.linalg.solve(K.T, lead.T).T   # lead = An @ K
         d = complex(np.linalg.det(An))
-        scale = max(L.max_coeff_norm(), Q.max_coeff_norm(), 1e-300)
-        residuals.append((L - Q.left_mul(An)).max_coeff_norm() / scale)
+        want = Q.left_mul(An)
+        diff = (L - want).coeffs
+        scale = (op_apply(MatrixPolynomial(np.abs(P.coeffs)), size)
+                 + MatrixPolynomial(np.abs(want.coeffs))).coeffs
+        residuals.append(max(
+            np.abs(diff[:, i]).max(initial=0.0)
+            / max(np.abs(scale[:, i]).max(initial=0.0), 1e-300)
+            for i in range(Q.size)))
         conn.append(An)
         dets.append(d)
         if abs(d) <= 1e-12:

@@ -417,7 +417,6 @@ class TestRun:
         table = seq._norm_table()
         assert len(table) == cfg.n_max + 1
         for n, norm in enumerate(table):
-            assert seq._norm_Q(n) is norm
             assert not norm.flags.writeable
             with pytest.raises(ValueError):
                 norm[0, 0] = 0

@@ -1,9 +1,12 @@
 """Ladder operators, shift synthesis, and Darboux-type factorizations."""
 
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
 
+import mvop.cli as cli
 import mvop.darboux as darboux
 import mvop.diff_operators as diff_operators
 import mvop.scalar_families as sf
@@ -237,8 +240,31 @@ class TestBuiltinFiveByFive:
             scale = max(L.max_coeff_norm(), 1.0)
             assert (L - P.left_mul(G)).max_coeff_norm() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("alpha, a", [
+        (0.5, (1.0, 1.0, 1.0, 1.0)), (1.5, (1.0, -0.5, 2.0, 0.75)),
+        (0.0, (1 + 0.5j, -0.5 + 0.2j, 1.5, 0.75 - 0.3j))])
+    def test_product_is_one_composition(self, alpha, a):
+        # D is D1_tilde (2I - D1_tilde) composed once, bit for bit, and
+        # still the product of the factors D1_tilde T^{-1} and
+        # T (2I - D1_tilde)
+        spec, d1_tilde, D = builtin_n5_laguerre(alpha, a)
+        two_minus = MatrixDiffOperator.identity(5) * 2.0 - d1_tilde
+        want = op_compose(d1_tilde, two_minus)
+        assert D.order == want.order == 4
+        for f, g in zip(D.f_coeffs, want.f_coeffs):
+            assert f.coeffs.shape == g.coeffs.shape
+            assert f.coeffs.tobytes() == g.coeffs.tobytes()
+        T, T_inv = build_T(spec)
+        factored = op_compose(
+            op_compose(d1_tilde, MatrixDiffOperator.multiplication(T_inv)),
+            op_compose(MatrixDiffOperator.multiplication(T), two_minus))
+        for j in range(D.order + 1):
+            diff = (factored.coeff(j) - D.coeff(j)).coeffs
+            assert np.abs(diff).max(initial=0.0) <= \
+                1e-15 * np.abs(D.coeff(j).coeffs).max()
+
     @pytest.mark.parametrize("backend, n_max, worst, worst_n", [
-        ("float", 12, 1.4149110442506103e-15, 10), ("exact", 6, 0.0, None)])
+        ("float", 12, 1.3510435318365184e-15, 10), ("exact", 6, 0.0, None)])
     def test_chain_check_composes_nothing(self, backend, n_max, worst,
                                           worst_n, monkeypatch):
         # the darboux check of the chain reads D1_tilde straight from the
@@ -380,9 +406,59 @@ class TestDarbouxVerify:
         _, D1, _, _ = hermite_A_factorization(spec)
         self.assert_matches_loop(D1, MVOPSequence(spec, n_max), n_max)
 
+    @pytest.mark.parametrize("a", [(1.0, -0.5), (1.0, 0.5, 2.0),
+                                   (1.0, -0.5, 2.0, 0.75)],
+                             ids=["her3", "her4", "her5"])
+    def test_perturbed_d1_fails(self, a):
+        # every nonzero coefficient of D1, off by a relative 1e-6, reads at
+        # least 5e-8 against the terms that cancel (1.4e-16 unperturbed)
+        spec = weight_spec(list(a), [sf.hermite(0.0)] * (len(a) + 1))
+        _, D1, _, _ = hermite_A_factorization(spec)
+        seq = MVOPSequence(spec, 10)
+        P = seq.p_block(0, 11)
+        assert darboux_verify(P, D1, seq, 10).passed
+        count = 0
+        for j, f in enumerate(D1.f_coeffs):
+            for idx in zip(*np.nonzero(f.coeffs)):
+                fs = [g.coeffs.copy() for g in D1.f_coeffs]
+                fs[j][idx] *= 1 + 1e-6
+                wrong = MatrixDiffOperator([MatrixPolynomial(c) for c in fs])
+                rep = darboux_verify(P, wrong, seq, 10, tol=1e-9)
+                assert not rep.passed, (j, idx, rep.worst_residual)
+                count += 1
+        assert count >= 8
+
     def test_stacked_matches_loop_chain(self):
         # D1_tilde T^{-1} maps P_n to Q_n on the 5x5 chain, so A_n = I
         spec, d1_tilde, _ = builtin_n5_laguerre(0.5, (1.0, -0.5, 2.0, 0.75))
         D1 = op_compose(d1_tilde,
                         MatrixDiffOperator.multiplication(build_T(spec)[1]))
         self.assert_matches_loop(D1, MVOPSequence(spec, 60), 60)
+
+
+class TestOneResidual:
+    def test_every_site_reads_identity_residual(self, monkeypatch):
+        # ladders, shift synthesis, the Hermite factorization and the 5x5
+        # chain all measure their identity through one helper
+        callers = []
+        real = diff_operators.identity_residual
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(darboux, "identity_residual", spy)
+        monkeypatch.setattr(cli, "identity_residual", spy)
+        ladder("n_up", 0.5)
+        synthesize_shift(0.5, 1, 1)
+        assert callers == ["_verify", "_verify"]
+        chain = run(config_from_json({
+            "size": 5, "a": [1.0, -0.5, 2.0, 0.75], "n_max": 6,
+            "weights": [{"family": "laguerre", "alpha": al}
+                        for al in (0.5, 0.5, 1.5, 1.5, 2.5)],
+            "checks": ["darboux"]}))["checks"]["darboux"]
+        assert chain["passed"] and callers[2:] == ["_check_darboux"]
+        her = run(config_from_json({
+            "size": 3, "a": [1.0, -0.5], "n_max": 6,
+            "weights": [{"family": "hermite"}] * 3,
+            "checks": ["darboux"]}))["checks"]["darboux"]
+        assert her["passed"] and callers[3:] == ["darboux_verify"]

@@ -10,7 +10,8 @@ import mvop.scalar_families as sf
 from mvop import diff_operators
 from mvop.diff_operators import (EIGEN_BLOCK, MatrixDiffOperator,
                                  build_bispectral_operator, conjugate_by_T,
-                                 eigencheck, op_apply, op_compose)
+                                 eigencheck, entries_to_operator,
+                                 identity_residual, op_apply, op_compose)
 from mvop.darboux import hermite_A_factorization
 from mvop.errors import ConditionFailed, DegreeCap, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
@@ -527,3 +528,38 @@ class TestBispectral:
         rep = eigencheck(seq, D, lam, 10)
         assert rep["max_scaled_residual"] < 1e-11
         assert np.allclose(np.diag(lam(2)).real, [-2, -1, -2, -1, -2])
+
+
+class TestIdentityResidual:
+    # D = d . x/2 - 1/2 maps x to x/2 - x/2 = 0: the terms that cancel are
+    # O(1) while both sides of x . D = want are at most 1e-10
+    D = entries_to_operator({(0, 0): ([-0.5], [0.0, 0.5]),
+                             (1, 1): ([-0.5], [0.0, 0.5])}, 2)
+
+    def test_cancelling_terms_set_the_scale(self):
+        P = np.zeros((1, 2, 2, 2))
+        P[0, 1] = np.diag([1.0, 1e6])       # row 1 a million times larger
+        want = np.zeros((1, 2, 2, 2))
+        want[0, 1, 0, 0] = 1e-10
+        res = identity_residual(P, self.D, want)
+        assert res.shape == (1,)
+        # row 0 reads 1e-10 / (1 + 1e-10); a scale over the whole matrix
+        # (1e6) or over the two sides alone (1e-10) would read 1e-16 or 1
+        assert res[0] == pytest.approx(1e-10, rel=1e-9)
+        assert identity_residual(P, self.D, want,
+                                 lhs=op_apply(P, self.D)).tobytes() == \
+            res.tobytes()
+
+    def test_stacks_and_widths(self):
+        # one residual per polynomial of the stack, whatever the widths of
+        # P . D and want; an exact identity reads 0
+        P = np.zeros((3, 4, 2, 2))
+        for n in range(3):
+            P[n, n + 1] = np.eye(2)                      # x^(n+1) I
+        lhs = op_apply(P, self.D)
+        want = lhs[:, :3].copy()
+        want[1, 2, 1, 1] += 1e-8
+        res = identity_residual(P, self.D, want)
+        assert res[0] == 0.0 and res[2] > 0.1           # x^3 . D misses
+        # x^2 . D = 2x (x/2) - x^2/2 against terms x^2 + x^2/2 + |want|
+        assert res[1] == pytest.approx(1e-8 / (2 + 1e-8), rel=1e-9)

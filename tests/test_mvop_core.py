@@ -336,9 +336,9 @@ class TestExactCache:
         for n in range(7):
             want = nearest_scaled(seq.squared_norm_Q(n),
                                   2.0 * seq.log_gram_scale(n))
-            assert same_bits(seq._norm_Q(n), want)
-            assert seq._norm_Q(n) is seq._norm_Q(n)
-            assert not seq._norm_Q(n).flags.writeable
+            assert same_bits(seq._norm_table()[n], want)
+            assert seq._norm_table()[n] is seq._norm_table()[n]
+            assert not seq._norm_table()[n].flags.writeable
 
     @EXACT_SPECS
     def test_norm_matches_dense_products(self, spec):
@@ -351,9 +351,9 @@ class TestExactCache:
             assert (seq.squared_norm_Q(n) == dense_norm_Q(seq, n, 0.0)).all()
             log_scale = 2.0 * seq.log_gram_scale(n)
             want = nearest_scaled(dense_norm_Q(seq, n, 0.0), log_scale)
-            assert same_bits(seq._norm_Q(n), want)
+            assert same_bits(seq._norm_table()[n], want)
             want = dense_norm_Q(fseq, n, 2.0 * fseq.log_gram_scale(n))
-            assert np.abs(fseq._norm_Q(n) - want).max() <= \
+            assert np.abs(fseq._norm_table()[n] - want).max() <= \
                 4 * np.finfo(float).eps * np.abs(want).max()
 
     def test_norm_reader_rounds_complex_entries(self):
@@ -363,7 +363,7 @@ class TestExactCache:
                                              sf.laguerre(0.5)])
         seq = MVOPSequence(spec, 6, backend="exact")
         for n in range(7):
-            got = seq._norm_Q(n)
+            got = seq._norm_table()[n]
             assert np.iscomplex(got).any()
             assert same_bits(got, nearest_scaled(
                 seq.squared_norm_Q(n), 2.0 * seq.log_gram_scale(n)))
@@ -382,7 +382,7 @@ class TestExactCache:
         assert same_bits(seq.qt_block(0, 7), nearest_rows(qt, 0, 7, False))
         assert np.iscomplex(seq.q_block(0, 7)).any()
         for n in range(7):
-            assert same_bits(seq._norm_Q(n), nearest_scaled(
+            assert same_bits(seq._norm_table()[n], nearest_scaled(
                 seq.squared_norm_Q(n), 2.0 * seq.log_gram_scale(n)))
 
     @pytest.mark.parametrize("name", list(EXACT_WEIGHTS))
@@ -405,7 +405,7 @@ class TestExactCache:
         seq.q_block(0, 7)
         seq.qt_block(0, 7)
         for n in range(7):
-            seq._norm_Q(n)
+            seq._norm_table()[n]
         assert calls.count("evalf") <= len({s.atom for s in seq.scalar_seqs})
         assert "expand" not in calls
 
@@ -413,7 +413,7 @@ class TestExactCache:
         # ||Q_0||^2 rounds to inf unscaled; the reader scales it exactly
         spec = weight_spec([2.0], [sf.hermite(0.0, scale=1e308)] * 2)
         seq = MVOPSequence(spec, 3, backend="exact")
-        got = seq._norm_Q(0)
+        got = seq._norm_table()[0]
         assert np.isfinite(got).all()
         assert np.allclose(got, [[3, 0], [0, 1]], rtol=1e-12, atol=0)
 
