@@ -2,17 +2,19 @@
 
 ``mvop run --config cfg.json`` builds the weight, runs the requested
 checks and prints one status line per check; ``mvop schema`` prints the
-config schema.  Exit codes: 0 all pass, 1 a check failed, 2 bad config
-or I/O.
+config schema.  Exit codes: 0 all pass, 1 a check failed, 2 bad config,
+I/O or usage.  The shell is stdlib ``argparse``, imported by ``main``
+alone, so importing this module loads numpy and nothing else outside the
+standard library.
 """
 
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 
-import click
 import numpy as np
 
 from . import darboux as dx
@@ -391,25 +393,14 @@ def _finite(value):
     return value
 
 
-@click.group()
-def main():
-    """Matrix-valued orthogonal polynomial construction and verification."""
-
-
-@main.command("run")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", type=click.Path(dir_okay=False))
-@click.option("--csv-dir", type=click.Path(file_okay=False))
-@click.option("--nmax", type=int, help="override n_max from the config")
-@click.option("--tol", type=float, help="override tol from the config")
-def run_cmd(config_path, out_path, csv_dir, nmax, tol):
-    """Run the checks requested in a JSON config."""
+def _run_cmd(config_path, out_path, csv_dir, nmax, tol):
+    """``mvop run``: the checks of one JSON config, a status line each."""
     try:
         with open(config_path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        # a missing --config or a directory lands here too
+        print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     if isinstance(data, dict):      # the overrides go through validation
         data.update({k: v for k, v in (("n_max", nmax), ("tol", tol))
@@ -417,10 +408,10 @@ def run_cmd(config_path, out_path, csv_dir, nmax, tol):
     try:
         report = run(config_from_json(data), csv_dir=csv_dir)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except MvopError as exc:
-        click.echo(f"check error: {exc}", err=True)
+        print(f"check error: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
     for name, res in report["checks"].items():
@@ -428,24 +419,50 @@ def run_cmd(config_path, out_path, csv_dir, nmax, tol):
                   else "PASS" if res["passed"] else "FAIL")
         detail = {k: v for k, v in res.items()
                   if isinstance(v, (int, float, str)) and k != "passed"}
-        click.echo(f"{name:12s} {status}  {detail}")
-    click.echo(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
-               f"({report['wall_time_s']:.2f} s)")
+        print(f"{name:12s} {status}  {detail}")
+    print(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
+          f"({report['wall_time_s']:.2f} s)")
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 json.dump(_finite(report), fh, indent=2, default=str,
                           allow_nan=False)
         except OSError as exc:
-            click.echo(f"io error: {exc}", err=True)
+            print(f"io error: {exc}", file=sys.stderr)
             raise SystemExit(2)
     raise SystemExit(0 if report["passed"] else 1)
 
 
-@main.command("schema")
-def schema_cmd():
-    """Print the JSON schema of run configs."""
-    click.echo(json.dumps(SCHEMA, indent=2))
+def main(argv=None):
+    """The ``mvop`` console script, subcommands ``run`` and ``schema``;
+    always ends in ``SystemExit``, with 2 for a usage error."""
+    import argparse     # the shell only: a check run never parses options
+
+    def not_a(test, what):
+        """A path option refused at parse time when ``test`` holds."""
+        def check(path):
+            if test(path):
+                raise argparse.ArgumentTypeError(f"{path!r} is {what}")
+            return path
+        return check
+
+    ap = argparse.ArgumentParser(
+        prog="mvop", description="Matrix-valued orthogonal polynomial "
+                                 "construction and verification.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    rp = sub.add_parser("run", help="run the checks requested in a JSON "
+                                    "config")
+    rp.add_argument("--config", required=True)
+    rp.add_argument("--out", type=not_a(os.path.isdir, "a directory"))
+    rp.add_argument("--csv-dir", type=not_a(os.path.isfile, "a file"))
+    rp.add_argument("--nmax", type=int, help="override n_max from the config")
+    rp.add_argument("--tol", type=float, help="override tol from the config")
+    sub.add_parser("schema", help="print the JSON schema of run configs")
+    args = ap.parse_args(argv)
+    if args.command == "schema":
+        print(json.dumps(SCHEMA, indent=2))
+        raise SystemExit(0)
+    _run_cmd(args.config, args.out, args.csv_dir, args.nmax, args.tol)
 
 
 if __name__ == "__main__":

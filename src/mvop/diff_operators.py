@@ -293,7 +293,7 @@ def build_bispectral_operator(spec: WeightSpec):
     scales = [1.0]
     shifts = [-2.0 if spec.scalars[0].family == sf.HERMITE else 0.0]
     for k in range(1, spec.N):              # slots k, k + 1, 1-based
-        left, right = eigs[k - 1].coef, eigs[k].coef
+        left, right = eigs[k - 1], eigs[k]
         lhs = scales[-1] * (left if k % 2 else _STEP @ left)
         rhs = _STEP @ right if k % 2 else right
         top = 2 if rhs[2] else 1
@@ -312,13 +312,13 @@ def build_bispectral_operator(spec: WeightSpec):
         entries[i, i][0][0] += sh
     D = conjugate_by_T(entries_to_operator(entries, spec.N), spec)
 
-    l0, l1, l2, c, s = np.array([[*e.coef, sc, sh] for e, sc, sh
+    l0, l1, l2, c, s = np.array([[*e, sc, sh] for e, sc, sh
                                  in zip(eigs, scales, shifts)]).T
 
     def lam(n):
         n = np.asarray(n)[..., None]
         out = np.zeros(n.shape[:-1] + (spec.N, spec.N))
-        # Horner in n, as the eigenvalue polynomials evaluate themselves
+        # Horner in n
         out[..., range(spec.N), range(spec.N)] = c * ((l2 * n + l1) * n
                                                       + l0) + s
         return out

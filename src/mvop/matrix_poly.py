@@ -13,8 +13,6 @@ with any leading axes, so ``MatrixPolynomial`` and the operator kernel
 whole block of them.
 """
 
-import csv
-
 import numpy as np
 
 from .errors import InvalidParam, SizeMismatch
@@ -206,6 +204,7 @@ class MatrixPolynomial:
 
     def dump_csv(self, path):
         """One row per power; entries column-major, complex as 're+imi'."""
+        import csv      # only --csv-dir writes files; a check run loads none
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             for k, c in enumerate(self.coeffs):

@@ -27,7 +27,8 @@ row; ``MonicScalarSequence.polynomial`` and the matrix sequences of
 ``mvop_core`` read its tables.  ``scalar_diff_operator`` gives each
 family's second-order operator as plain coefficient lists (f_0, f_1,
 f_2), which ``diff_operators.entries_to_operator`` turns into operators,
-and its eigenvalue as a polynomial in n read from those lists.
+and its eigenvalue as the coefficients of a polynomial in n read from
+those lists.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from math import gcd, inf, lcm, lgamma, log, pi
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import IllConditioned, InvalidParam, OutOfRange, Unsupported
 
@@ -392,8 +392,8 @@ def scalar_diff_operator(spec: ScalarWeightSpec):
     """Coefficient lists (f_0, f_1, f_2) of the right-acting operator
     sum_j d^j/dx^j . f_j(x) with p_n as eigenfunctions, plus its
     eigenvalue lambda(n) = f_0[0] + (f_1[1] - f_2[2]) n + f_2[2] n^2 (the
-    x^n coefficient of x^n . D) as a ``numpy.polynomial.Polynomial`` in n,
-    read from the same lists."""
+    x^n coefficient of x^n . D) as its float coefficients (lambda_0,
+    lambda_1, lambda_2), ascending in n, read from the same lists."""
     if spec.family == HERMITE:
         fs = [0], [2.0 * spec.b, -2.0], [1.0]
     elif spec.family == LAGUERRE:
@@ -405,4 +405,4 @@ def scalar_diff_operator(spec: ScalarWeightSpec):
         raise Unsupported("no differential operator for moment-supplied "
                           "weights")
     f22 = fs[2][2] if len(fs[2]) > 2 else 0.0
-    return fs, Polynomial([fs[0][0], fs[1][1] - f22, f22])
+    return fs, np.array([fs[0][0], fs[1][1] - f22, f22], dtype=float)

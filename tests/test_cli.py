@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 import sympy as sp
 
 import mvop.scalar_families as sf
@@ -34,6 +33,14 @@ def base_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def invoke(capsys, *args):
+    """Exit code, stdout and stderr of the console script on ``args``."""
+    with pytest.raises(SystemExit) as done:
+        main(list(args))
+    out, err = capsys.readouterr()
+    return done.value.code, out, err
 
 
 def custom_config(n_moments, **over):
@@ -742,6 +749,34 @@ def sweep(seed, count):
         yield weight_spec([a_value() for _ in scalars[1:]], scalars), n_max
 
 
+def edge_sweep(seed, count):
+    """``count`` seeded RunConfigs at the edges of the accepted domain: N =
+    2-5 of Hermite, Laguerre and Jacobi slots with parameters near -1 and
+    up to 25, a_i from 1e-3 to 1e3, n_max up to 30, all eight checks and
+    about one in seven on the exact backend."""
+    rng = random.Random(seed)
+    params = (-0.999, -0.5, 0.0, 0.5, 1.0, 3.0, 25.0, None)
+
+    def param():
+        p = rng.choice(params)
+        return round(rng.uniform(-0.999, 25.0), 3) if p is None else p
+
+    def scalar():
+        fam = rng.choice(("hermite", "laguerre", "jacobi"))
+        if fam == "hermite":
+            return sf.hermite(rng.choice((0.0, 0.3, -2.0, 5.0)))
+        if fam == "laguerre":
+            return sf.laguerre(param())
+        return sf.jacobi(param(), param())
+
+    for _ in range(count):
+        scalars = [scalar() for _ in range(rng.randint(2, 5))]
+        a = [rng.choice((1.0, -0.7, 1e-3, 1e3, 2.5)) for _ in scalars[1:]]
+        yield RunConfig(spec=weight_spec(a, scalars),
+                        backend="exact" if rng.random() < 0.15 else "float",
+                        n_max=rng.choice((5, 12, 30)), checks=CHECK_NAMES)
+
+
 class TestSweep:
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_every_config_reports(self, backend):
@@ -759,6 +794,19 @@ class TestSweep:
             kinds.add(report["checks"]["reduce"].get("reducible"))
         # the chain and both reduce verdicts are hit
         assert kinds >= {"laguerre_n5_chain", True, False}
+
+    def test_domain_edges(self):
+        # a FAIL or a typed error is a report too; run raises nothing, no
+        # warning escapes and every report is strict JSON
+        backends = set()
+        for cfg in edge_sweep(7, 400):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = run(cfg)
+            json.dumps(report, allow_nan=False)
+            assert set(report["checks"]) == set(CHECK_NAMES)
+            backends.add(cfg.backend)
+        assert backends == {"float", "exact"}
 
 
 class TestNonFinite:
@@ -863,7 +911,7 @@ class TestNonFinite:
         for res in checks.values():
             assert not res["passed"] and res["non_finite"], res
 
-    def test_out_file_is_strict_json(self, tmp_path, monkeypatch):
+    def test_out_file_is_strict_json(self, tmp_path, monkeypatch, capsys):
         # an inf in G_33 makes orth and norm non-finite: --out writes each
         # such number as null next to non_finite: true, and a strict parser
         # reads the file
@@ -876,9 +924,9 @@ class TestNonFinite:
         monkeypatch.setattr(MVOPSequence, "_gram_block", poisoned)
         cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
         cfg.write_text(json.dumps(base_config(checks=["orth", "norm"])))
-        res = CliRunner().invoke(main, ["run", "--config", str(cfg),
-                                        "--out", str(out)])
-        assert res.exit_code == 1, res.output
+        code, stdout, err = invoke(capsys, "run", "--config", str(cfg),
+                                   "--out", str(out))
+        assert code == 1, stdout + err
 
         def refuse(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -894,32 +942,72 @@ class TestCommandLine:
         p.write_text(json.dumps(data))
         return str(p)
 
-    def test_exit_zero_and_report(self, tmp_path):
+    def test_exit_zero_and_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path, base_config()),
-                                        "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        assert "overall: PASS" in res.output
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   self.write(tmp_path, base_config()),
+                                   "--out", str(out))
+        assert code == 0, stdout + err
+        assert "overall: PASS" in stdout
         assert json.loads(out.read_text())["passed"]
         # one status line per requested check
         for name in base_config()["checks"]:
-            assert any(line.startswith(name) for line
-                       in res.output.splitlines())
+            assert any(line.startswith(name) for line in stdout.splitlines())
 
-    def test_exit_two_on_bad_config(self, tmp_path):
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path,
-                                                   base_config(a=[0.0]))])
-        assert res.exit_code == 2
+    def test_exit_two_on_bad_config(self, tmp_path, capsys):
+        code, _, _ = invoke(capsys, "run", "--config",
+                            self.write(tmp_path, base_config(a=[0.0])))
+        assert code == 2
 
-    def test_exit_two_on_malformed_json(self, tmp_path):
+    def test_exit_two_on_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
-        res = CliRunner().invoke(main, ["run", "--config", str(p)])
-        assert res.exit_code == 2
+        code, _, _ = invoke(capsys, "run", "--config", str(p))
+        assert code == 2
 
-    def test_csv_dump_of_wide_leading_block(self, tmp_path):
+    # refused before any check runs
+    @pytest.mark.parametrize("where", ["missing.json", "."])
+    def test_config_missing_or_directory(self, tmp_path, capsys, where):
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   str(tmp_path / where))
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("config error: ")
+
+    # an --out directory or a --csv-dir file: nothing is written or run
+    @pytest.mark.parametrize("option, where", [("--out", "."),
+                                               ("--csv-dir", "cfg.json")])
+    def test_output_path_refused(self, tmp_path, capsys, option, where):
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   self.write(tmp_path, base_config()),
+                                   option, str(tmp_path / where))
+        assert code == 2
+        assert "overall" not in stdout + err
+        assert f"argument {option}:" in err
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--config", "cfg.json", "--nmax", "abc"],
+        ["run", "--config", "cfg.json", "--tol", "x"],
+        ["run"],
+        [],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exits_two(self, tmp_path, capsys, monkeypatch,
+                                   args):
+        monkeypatch.chdir(tmp_path)
+        self.write(tmp_path, base_config())
+        code, stdout, err = invoke(capsys, *args)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("usage: mvop")
+
+    def test_help_exits_zero(self, capsys):
+        code, stdout, _ = invoke(capsys, "--help")
+        assert code == 0
+        assert "run" in stdout and "schema" in stdout
+
+    def test_csv_dump_of_wide_leading_block(self, tmp_path, capsys):
         # the float det of K_17 of this weight cancels to 0.0, which once
         # refused Q_17 here; the continuant of rho_n says K_17 is regular
         weights = [{"family": "hermite", "b": 0.0},
@@ -927,29 +1015,29 @@ class TestCommandLine:
         cfg = base_config(size=6, a=[0.889, 0.851, 1.993, 1.205, 1.755],
                           weights=[weights[i] for i in (0, 0, 1, 1, 0, 1)],
                           n_max=17, checks=["orth", "norm", "eigen", "det"])
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path, cfg),
-                                        "--csv-dir", str(tmp_path / "csv")])
-        assert res.exit_code == 0, res.output
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   self.write(tmp_path, cfg),
+                                   "--csv-dir", str(tmp_path / "csv"))
+        assert code == 0, stdout + err
         for n in range(18):
             assert (tmp_path / "csv" / f"Q_{n}.csv").exists()
 
-    def test_nmax_tol_overrides(self, tmp_path):
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path, base_config()),
-                                        "--nmax", "3", "--tol", "1e-6"])
-        assert res.exit_code == 0
+    def test_nmax_tol_overrides(self, tmp_path, capsys):
+        code, _, _ = invoke(capsys, "run", "--config",
+                            self.write(tmp_path, base_config()),
+                            "--nmax", "3", "--tol", "1e-6")
+        assert code == 0
 
     # the overrides are validated like the config fields they replace
     @pytest.mark.parametrize("flags", [["--nmax", "0"], ["--nmax", "-3"],
                                        ["--tol", "-1"]])
-    def test_bad_overrides_exit_two(self, tmp_path, flags):
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path, base_config())]
-                                 + flags)
-        assert res.exit_code == 2
-        assert "need n_max >= 1 and tol > 0" in res.output
-        assert "overall" not in res.output
+    def test_bad_overrides_exit_two(self, tmp_path, capsys, flags):
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   self.write(tmp_path, base_config()),
+                                   *flags)
+        assert code == 2
+        assert "need n_max >= 1 and tol > 0" in err
+        assert "overall" not in stdout + err
 
     @pytest.mark.parametrize("over, message", [
         ({"weights": {"family": "laguerre", "alpha": 0.0}},
@@ -982,27 +1070,28 @@ class TestCommandLine:
         ({**custom_config(20), "backend": "exact"},
          "the exact backend needs classical families, not a custom weight"),
     ])
-    def test_malformed_field_exits_two(self, tmp_path, over, message):
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path,
-                                                   base_config(**over))])
-        assert res.exit_code == 2
-        assert res.output.splitlines() == [res.output.strip()]
-        assert res.output.startswith("config error: ")
-        assert message in res.output
+    def test_malformed_field_exits_two(self, tmp_path, capsys, over,
+                                       message):
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   self.write(tmp_path, base_config(**over)))
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("config error: ")
+        assert message in err
 
-    def test_schema_command(self):
-        res = CliRunner().invoke(main, ["schema"])
-        assert res.exit_code == 0
-        schema = json.loads(res.output)
+    def test_schema_command(self, capsys):
+        code, stdout, _ = invoke(capsys, "schema")
+        assert code == 0
+        schema = json.loads(stdout)
         assert schema["required"] == ["size", "a", "weights"]
         assert set(schema["properties"]["checks"]["items"]["enum"]) == \
             set(CHECK_NAMES)
 
-    def test_failing_check_exits_one(self, tmp_path, monkeypatch):
+    def test_failing_check_exits_one(self, tmp_path, capsys):
         # an unreachable tolerance forces a FAIL verdict
-        res = CliRunner().invoke(main, ["run", "--config",
-                                        self.write(tmp_path, base_config()),
-                                        "--tol", "1e-30"])
-        assert res.exit_code == 1
-        assert "overall: FAIL" in res.output
+        code, stdout, _ = invoke(capsys, "run", "--config",
+                                 self.write(tmp_path, base_config()),
+                                 "--tol", "1e-30")
+        assert code == 1
+        assert "overall: FAIL" in stdout

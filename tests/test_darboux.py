@@ -264,7 +264,8 @@ class TestBuiltinFiveByFive:
                 1e-15 * np.abs(D.coeff(j).coeffs).max()
 
     @pytest.mark.parametrize("backend, n_max, worst, worst_n", [
-        ("float", 12, 1.3510435318365184e-15, 10), ("exact", 6, 0.0, None)])
+        pytest.param("float", 12, 1.3510435318365184e-15, 10, id="float-12"),
+        pytest.param("exact", 6, 0.0, None, id="exact-6")])
     def test_chain_check_composes_nothing(self, backend, n_max, worst,
                                           worst_n, monkeypatch):
         # the darboux check of the chain reads D1_tilde straight from the

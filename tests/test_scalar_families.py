@@ -317,13 +317,16 @@ class TestScalarDiffOperators:
     ])
     def test_eigenfunction_identity(self, spec, eig):
         fs, ev = sf.scalar_diff_operator(spec)
+        # the eigenvalue as plain float coefficients, ascending in n
+        assert isinstance(ev, np.ndarray)
+        assert ev.dtype == np.float64 and ev.shape == (3,)
         op = entries_to_operator({(0, 0): fs}, 1)
         seq = sf.recurrence_coefficients(spec, 9)
         for n in range(9):
             p = np.array(seq.polynomial(n))
             got = np.array(apply_scalar(op, p))
             want = p * eig(n)
-            assert ev(n) == pytest.approx(eig(n))
+            assert ev @ [1, n, n * n] == pytest.approx(eig(n))
             diff = np.zeros(max(len(got), len(want)), dtype=complex)
             diff[:len(got)] += got
             diff[:len(want)] -= want

@@ -1,7 +1,10 @@
-"""sympy and mpmath stay unloaded by float runs, and sympy by exact checks.
+"""What a check run loads: numpy and nothing else outside the standard
+library on the float backend, and mpmath besides on the exact one.
 
 Every other test module imports sympy itself, so these tests run their
-code in fresh interpreters and read the outcome from one JSON line.
+code in fresh interpreters and read the outcome from one JSON line.  The
+modules the interpreter loaded before the script ran (``site`` and the
+``.pth`` hooks of the environment) are left out of the count.
 """
 
 import json
@@ -13,14 +16,25 @@ import mvop
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mvop.__file__)))
 
-#: float configs, runs and library calls that must leave sympy and mpmath
-#: unloaded
+#: top-level packages loaded since ``AT_START`` that the standard library
+#: does not hold
+LOADED = r"""
+def loaded():
+    return sorted({m.split(".")[0] for m in set(sys.modules) - AT_START}
+                  - set(sys.stdlib_module_names))
+"""
+
+#: float configs, runs and library calls that must load numpy and nothing
+#: else outside the standard library: no sympy, mpmath, click,
+#: numpy.polynomial or csv
 FLOAT_SCRIPT = r"""
-import json, sys
+import sys
+AT_START = set(sys.modules)
+import contextlib, io, json
 import mvop
 import mvop.cli as cli
-from click.testing import CliRunner
 from mvop import darboux as dx
+""" + LOADED + r"""
 
 ALL = list(cli.CHECK_NAMES)
 lag2 = {"size": 2, "a": [2.0],
@@ -39,20 +53,30 @@ for name, cfg in (("lag2", lag2), ("chain5", chain5), ("her3", her3)):
 out["ladders"] = [dx.ladder(k, 0.5).kind for k in dx.LADDER_KINDS]
 tau, q = dx.synthesize_shift(0.5, 2, -1, r1=(1.0, 1.0))   # self-verifying
 out["shift_q3"] = q(3)
-out["schema_exit"] = CliRunner().invoke(cli.main, ["schema"]).exit_code
-out["sympy_loaded"] = "sympy" in sys.modules
-out["mpmath_loaded"] = "mpmath" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as schema:
+    try:
+        cli.main(["schema"])
+    except SystemExit as exc:
+        out["schema_exit"] = exc.code
+out["schema_required"] = json.loads(schema.getvalue())["required"]
+out["loaded"] = loaded()
+out["modules"] = [m for m in ("numpy.polynomial", "csv", "click")
+                  if m in sys.modules]
 print(json.dumps(out, default=str))
 """
 
-#: exact configs run in a fresh process: every check leaves sympy unloaded;
-#: build_Q, a public sympy reader, then loads it, and the checks read the
-#: same values before and after
+#: exact configs run in a fresh process: every check loads numpy and
+#: mpmath and nothing else outside the standard library; build_Q, a public
+#: sympy reader, then loads sympy, and the checks read the same values
+#: before and after
 EXACT_SCRIPT = r"""
-import json, sys
+import sys
+AT_START = set(sys.modules)
+import json
 import numpy as np
 import mvop.cli as cli
 from mvop.mvop_core import MVOPSequence
+""" + LOADED + r"""
 
 CHECKS = ["orth", "norm", "recurrence", "eigen", "darboux", "det", "reduce",
           "symmetries"]
@@ -82,6 +106,7 @@ def reports():
 
 
 before = reports()
+loaded_by_checks = loaded()
 seq = MVOPSequence(cli.config_from_json(configs[0]).spec, 5, backend="exact")
 rows = seq.q_block(0, 6)
 unloaded = "sympy" not in sys.modules
@@ -89,6 +114,7 @@ Q2 = seq.build_Q(2)
 rounded = np.array([[[complex(v) for v in row] for row in c]
                     for c in Q2.coeffs])
 print(json.dumps({"before": before, "after": reports(),
+                  "loaded_by_checks": loaded_by_checks,
                   "unloaded_before_build_Q": unloaded,
                   "loaded_by_build_Q": "sympy" in sys.modules,
                   "build_Q_rounds_to_q_block": bool(
@@ -113,8 +139,8 @@ def run_fresh(script):
 
 def test_float_path_never_imports_sympy():
     out = run_fresh(FLOAT_SCRIPT)
-    assert not out["sympy_loaded"]
-    assert not out["mpmath_loaded"]
+    assert out["loaded"] == ["mvop", "numpy"]
+    assert out["modules"] == []
     for name in ("lag2", "chain5", "her3"):
         assert all(res["passed"] for res in out[name].values()), out[name]
     assert out["chain5"]["darboux"]["kind"] == "laguerre_n5_chain"
@@ -124,10 +150,12 @@ def test_float_path_never_imports_sympy():
                               "eigen"]
     assert out["shift_q3"] != 0
     assert out["schema_exit"] == 0
+    assert out["schema_required"] == ["size", "a", "weights"]
 
 
 def test_exact_checks_never_import_sympy():
     out = run_fresh(EXACT_SCRIPT)
+    assert out["loaded_by_checks"] == ["mpmath", "mvop", "numpy"]
     for checks in out["before"]:
         for name, res in checks.items():
             assert res["passed"], (name, res)
