@@ -22,7 +22,8 @@ from .diff_operators import (MatrixDiffOperator, op_apply, op_compose,
                              conjugate_by_T,
                              build_bispectral_operator, eigencheck)
 from .darboux import (LadderOperator, ladder, synthesize_shift,
-                      builtin_n5_laguerre, hermite_A_factorization,
+                      laguerre_chain, builtin_n5_laguerre,
+                      hermite_A_factorization,
                       darboux_verify, DarbouxReport)
 from .irreducibility import (SymmetrySpace, order_zero_symmetries,
                              try_reduce_2x2, try_reduce_3x3_w1w3)
@@ -42,7 +43,8 @@ __all__ = [
     "MVOPSequence", "continuant",
     "MatrixDiffOperator", "op_apply", "op_compose",
     "conjugate_by_T", "build_bispectral_operator", "eigencheck",
-    "LadderOperator", "ladder", "synthesize_shift", "builtin_n5_laguerre",
+    "LadderOperator", "ladder", "synthesize_shift", "laguerre_chain",
+    "builtin_n5_laguerre",
     "hermite_A_factorization", "darboux_verify", "DarbouxReport",
     "SymmetrySpace", "order_zero_symmetries", "try_reduce_2x2",
     "try_reduce_3x3_w1w3",

@@ -259,14 +259,14 @@ def _check_eigen(seq, cfg):
 def _check_darboux(seq, cfg):
     spec = seq.weight
     n_hi = min(cfg.n_max, 10)
-    # the 5x5 chain is the weight its own builder makes from alpha_1 and a
-    chain, d1_tilde = (dx.n5_laguerre_d1_tilde(spec.scalars[0].alpha,
-                                               spec.a_params)
-                       if spec.N == 5 else (None, None))
+    # a chain is the weight its own builder makes from alpha_1 and a
+    chain, d1_tilde = (dx.laguerre_chain(spec.scalars[0].alpha, spec.a_params)
+                       if spec.scalars[0].family == sf.LAGUERRE
+                       else (None, None))
     if spec == chain:
         worst, worst_n, non_finite = peak(identity_residual(
             seq.p_block(0, n_hi + 1), d1_tilde, seq.qt_block(0, n_hi + 1)))
-        return {"passed": worst < 1e-10, "kind": "laguerre_n5_chain",
+        return {"passed": worst < 1e-10, "kind": "laguerre_chain",
                 "max_relative_residual": worst, "worst_n": worst_n,
                 "non_finite": non_finite, "max_degree": n_hi}
     try:
@@ -352,6 +352,8 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
     """Execute the requested checks in order and assemble the report
     dict."""
     t0 = time.perf_counter()
+    if csv_dir:     # an unusable directory fails before any check runs
+        os.makedirs(csv_dir, exist_ok=True)
     seq = MVOPSequence(cfg.spec, cfg.n_max, backend=cfg.backend)
     checks = {}
     for name in cfg.checks:
@@ -367,7 +369,6 @@ def run(cfg: RunConfig, csv_dir=None) -> dict:
         checks[name] = res
 
     if csv_dir:
-        os.makedirs(csv_dir, exist_ok=True)
         Q = seq.q_block(0, cfg.n_max + 1)
         for n in range(cfg.n_max + 1):
             MatrixPolynomial(Q[n, :n + 1], size=cfg.spec.N,
@@ -393,26 +394,34 @@ def _finite(value):
     return value
 
 
+def _exit(code: int, message: str):
+    """End ``mvop run`` with one line on stderr."""
+    print(message, file=sys.stderr)
+    raise SystemExit(code)
+
+
 def _run_cmd(config_path, out_path, csv_dir, nmax, tol):
     """``mvop run``: the checks of one JSON config, a status line each."""
+    out_dir = os.path.dirname(out_path or "")
+    if out_dir and not os.path.isdir(out_dir):
+        _exit(2, f"io error: no directory {out_dir!r} for --out")
     try:
         with open(config_path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         # a missing --config or a directory lands here too
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _exit(2, f"config error: {exc}")
     if isinstance(data, dict):      # the overrides go through validation
         data.update({k: v for k, v in (("n_max", nmax), ("tol", tol))
                      if v is not None})
     try:
         report = run(config_from_json(data), csv_dir=csv_dir)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _exit(2, f"config error: {exc}")
     except MvopError as exc:
-        print(f"check error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        _exit(1, f"check error: {exc}")
+    except OSError as exc:          # --csv-dir could not be made or written
+        _exit(2, f"io error: {exc}")
 
     for name, res in report["checks"].items():
         status = ("SKIP" if res.get("status") == "skipped"
@@ -428,8 +437,7 @@ def _run_cmd(config_path, out_path, csv_dir, nmax, tol):
                 json.dump(_finite(report), fh, indent=2, default=str,
                           allow_nan=False)
         except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            _exit(2, f"io error: {exc}")
     raise SystemExit(0 if report["passed"] else 1)
 
 

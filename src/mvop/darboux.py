@@ -9,12 +9,12 @@ that cancel, ``diff_operators.identity_residual``: the ladders and
 synthesized shifts (one stacked ``_verify`` each), P_n . D1 = A_n Q_n and
 the chain's P_n . D1_tilde = Q_n T.  Each ladder is stated once, as its
 ``_ladder_forms`` entry (operator, factor, (dn, dalpha)): ``ladder`` reads
-one entry, ``synthesize_shift`` walks a list of them, and the 5x5 chain
-``n5_laguerre_d1_tilde`` takes its n_up and n_down entries from the same
-table.  That builder is also the chain's only statement: ``mvop run``
-treats a 5x5 weight as the chain when it equals the spec the builder
-returns.  Every operator given entry by entry is built by
-``diff_operators.entries_to_operator``.
+one entry, ``synthesize_shift`` walks a list of them, and the Laguerre
+chain of any size N >= 2, ``laguerre_chain``, takes each entry of its
+period-2 table from the same forms.  That builder is also the chain's
+only statement: ``mvop run`` treats a weight with a Laguerre first slot as
+the chain when it equals the spec the builder returns.  Every operator
+given entry by entry is built by ``diff_operators.entries_to_operator``.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +31,6 @@ from .diff_operators import (MatrixDiffOperator, apply_scalar,
                              entries_to_operator, identity_residual, op_apply,
                              op_compose)
 from .weight_model import WeightSpec, build_nilpotent, weight_spec
-
-LADDER_KINDS = ("alpha_up", "alpha_down", "n_up", "n_down", "eigen")
 
 #: practical cap on |k| + |m| in shift synthesis
 SHIFT_CAP = 6
@@ -62,7 +60,15 @@ def _ladder_forms(alpha):
         "n_up": (([-a1, 1.0], [a1, -2.0], [0.0, 1.0]), lambda n: 1.0, (1, 0)),
         "n_down": (([0.0], [1.0]), lambda n: float(n), (-1, 1)),
         "eigen": (([0.0], [a1, -1.0], [0.0, 1.0]), lambda n: -float(n), (0, 0)),
+        # x d^2 + (alpha + 1) d and x d - x + alpha, the chain's other two
+        "x_down": (([0.0], [a1], [0.0, 1.0]), lambda n: float(n * (n + alpha)),
+                   (-1, 0)),
+        "n_up_alpha_down": (([alpha, -1.0], [0.0, 1.0]), lambda n: -1.0,
+                            (1, -1)),
     }
+
+
+LADDER_KINDS = tuple(_ladder_forms(0.0))
 
 
 def ladder(kind: str, alpha: float) -> LadderOperator:
@@ -165,57 +171,47 @@ def synthesize_shift(alpha: float, k: int, m: int, r1=(1,), r2=(1,)):
     return tau, q
 
 
-def n5_laguerre_d1_tilde(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
-    """The explicit 5x5 Laguerre chain from its entry table: the weight spec
-    and the entrywise operator D1_tilde with P_n . D1_tilde = Q_n T, with
-    no operator composed (``builtin_n5_laguerre`` adds D).  ``a`` is kept
-    as given; a complex a_i enters the entries (1, 0), (1, 2), (3, 2) and
-    (3, 4), the ones that carry G_n, as conj(a_i)."""
-    if alpha <= -1:
-        raise InvalidParam("alpha must be > -1")
+def laguerre_chain(alpha: float, a):
+    """The Laguerre Darboux chain of size N = len(a) + 1: the weight spec,
+    slot k Laguerre(alpha + floor(k/2)), and the entrywise operator
+    D1_tilde with P_n . D1_tilde = Q_n T, with no operator composed.
+
+    Every entry of D1_tilde off the unit diagonal is a ``_ladder_forms``
+    entry at its row's alpha, times a_i, and the table has period 2: an
+    even row k holds n_up times a_k at (k, k+1) and n_up_alpha_down times
+    -a_{k-1} at (k, k-1); an odd row holds x_down times -conj(a_{k-1}) at
+    (k, k-1) and n_down times -conj(a_k) at (k, k+1).  ``a`` is kept as
+    given: a complex a_i enters the entries of odd rows, the ones that
+    carry G_n, conjugated.
+    """
     a = tuple(a)
-    if 0 in a:
-        raise InvalidParam("all a_i must be nonzero")
-    a1, a2, a3, a4 = a
-    c1, c2, c3, c4 = np.conj(a)
-    spec = weight_spec(a, [sf.laguerre(alpha), sf.laguerre(alpha),
-                           sf.laguerre(alpha + 1), sf.laguerre(alpha + 1),
-                           sf.laguerre(alpha + 2)])
+    N = len(a) + 1
+    alphas = [alpha + k // 2 for k in range(N)]
+    spec = weight_spec(a, [sf.laguerre(al) for al in alphas])
+    c = np.conj(a)
+    entries = {(k, k): ([1.0],) for k in range(N)}
 
-    def down2(al):           # d^2 x + d (al+1)
-        return ([0.0], [al + 1.0], [0.0, 1.0])
+    def put(k, j, kind, s):
+        fs = _ladder_forms(alphas[k])[kind][0]
+        entries[k, j] = tuple([s * v for v in f] for f in fs)
 
-    def down1(al):           # d x - (x - al - 1)
-        return ([al + 1.0, -1.0], [0.0, 1.0])
-
-    def smul(s, fs):
-        return tuple([s * c for c in f] for f in fs)
-
-    up = [_ladder_forms(al)["n_up"][0] for al in (alpha, alpha + 1)]
-    d = _ladder_forms(alpha)["n_down"][0]
-    entries = {
-        (0, 0): ([1.0],),
-        (0, 1): smul(a1, up[0]),
-        (1, 0): smul(-c1, down2(alpha)),
-        (1, 1): ([1.0],),
-        (1, 2): smul(-c2, d),
-        (2, 1): smul(-a2, down1(alpha)),
-        (2, 2): ([1.0],),
-        (2, 3): smul(a3, up[1]),
-        (3, 2): smul(-c3, down2(alpha + 1)),
-        (3, 3): ([1.0],),
-        (3, 4): smul(-c4, d),
-        (4, 3): smul(-a4, down1(alpha + 1)),
-        (4, 4): ([1.0],),
-    }
-    return spec, entries_to_operator(entries, 5)
+    for k in range(N):
+        even = k % 2 == 0
+        if k > 0:
+            put(k, k - 1, *(("n_up_alpha_down", -a[k - 1]) if even
+                            else ("x_down", -c[k - 1])))
+        if k < N - 1:
+            put(k, k + 1, *(("n_up", a[k]) if even else ("n_down", -c[k])))
+    return spec, entries_to_operator(entries, N)
 
 
 def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
-    """The explicit 5x5 Laguerre chain: weight spec, the entrywise operator
-    D1_tilde with P_n . D1_tilde = Q_n T (``n5_laguerre_d1_tilde``), and D
-    = (D1_tilde T^{-1})(T (2I - D1_tilde)) = D1_tilde (2I - D1_tilde)."""
-    spec, d1_tilde = n5_laguerre_d1_tilde(alpha, a)
+    """The 5x5 Laguerre chain: weight spec, the entrywise operator D1_tilde
+    with P_n . D1_tilde = Q_n T (``laguerre_chain`` at N = 5), and D =
+    (D1_tilde T^{-1})(T (2I - D1_tilde)) = D1_tilde (2I - D1_tilde)."""
+    if len(a) != 4:
+        raise InvalidParam(f"the 5x5 chain needs 4 a_i, got {len(a)}")
+    spec, d1_tilde = laguerre_chain(alpha, a)
     D = op_compose(d1_tilde, MatrixDiffOperator.identity(5) * 2.0 - d1_tilde)
     return spec, d1_tilde, D
 
@@ -231,32 +227,25 @@ def hermite_A_factorization(spec: WeightSpec, exact: bool = False):
     Astar = conj_transpose(A)
     AAs = A @ Astar
     AsA = Astar @ A
-    if exact:
-        import sympy as sp
-        eye = np.array(sp.eye(N).tolist(), dtype=object)
-        half = sp.Rational(1, 2)
-        quarter = sp.Rational(1, 4)
-    else:
-        eye = np.eye(N, dtype=complex)
-        half, quarter = 0.5, 0.25
+    eye = np.eye(N, dtype=A.dtype)
 
     D = MatrixDiffOperator([
-        MatrixPolynomial([AAs * half + eye]),
-        MatrixPolynomial([0 * eye, (AAs + AsA) * half]),
-        MatrixPolynomial([-(AAs + AsA) * quarter]),
+        MatrixPolynomial([AAs / 2 + eye]),
+        MatrixPolynomial([0 * eye, (AAs + AsA) / 2]),
+        MatrixPolynomial([-(AAs + AsA) / 4]),
     ])
     D1 = MatrixDiffOperator([
         MatrixPolynomial([eye]),
-        MatrixPolynomial([-(A + Astar) * half, AsA * half]),
+        MatrixPolynomial([-(A + Astar) / 2, AsA / 2]),
     ])
     D2 = MatrixDiffOperator([
-        MatrixPolynomial([AAs * half + eye]),
-        MatrixPolynomial([(A + Astar) * half, AAs * half]),
+        MatrixPolynomial([AAs / 2 + eye]),
+        MatrixPolynomial([(A + Astar) / 2, AAs / 2]),
     ])
     D_swapped = MatrixDiffOperator([
-        MatrixPolynomial([AAs * half + eye]),
-        MatrixPolynomial([-(AAs @ A) * half, (AAs + AsA) * half]),
-        MatrixPolynomial([-(AsA + AAs) * quarter]),
+        MatrixPolynomial([AAs / 2 + eye]),
+        MatrixPolynomial([-(AAs @ A) / 2, (AAs + AsA) / 2]),
+        MatrixPolynomial([-(AsA + AAs) / 4]),
     ])
     return D, D1, D2, D_swapped
 

@@ -28,8 +28,8 @@ Operators given entry by entry, as scalar coefficient lists (f_0, f_1,
 ...) per matrix entry, are built by one routine, ``entries_to_operator``:
 the diagonal of the bispectral operator (scaled and shifted to match
 adjacent eigenvalues in one walk over the slots, for any order of Hermite
-and Laguerre slots and Jacobi chains with matching alpha + beta), the 5x5
-Laguerre chain and every size-1 ladder operator.  A size-1 operator acts
+and Laguerre slots and Jacobi chains with matching alpha + beta), the
+Laguerre chain of each size and every size-1 ladder operator.  A size-1 operator acts
 on a scalar polynomial through the same kernel (``apply_scalar``).
 """
 

@@ -17,7 +17,8 @@ MatrixPolynomial products, the reference for the stacked construction in
 gives; the three-solve pass is the reference for the stacked three-term
 pass.  The dense symmetry solve is the reference for the commutant solve
 in ``order_zero_symmetries``.  The hand-written ladder steps are the
-reference for ``synthesize_shift``'s walk over the ladder table, and the
+reference for ``synthesize_shift``'s walk over the ladder table, the
+13-entry 5x5 table for ``laguerre_chain``'s period-2 loop, and the
 sampled quadratic fit of w1/w2 for the 2x2 reduction read off the Jacobi
 parameters.  ``set_ratio`` is no oracle: it injects a
 wrong G_n into a sequence's G_n table for the fault tests.
@@ -796,6 +797,52 @@ def shift_by_hand(alpha, k, m, r1=(1,), r2=(1,)):
     _verify(tau, alpha, k, m, lambda n: q(n, tuple(r1)), 10, 1e-10,
             f"shift synthesis (k={k}, m={m}) failed at n={{n}}")
     return tau, q
+
+
+def chain5_table(alpha, a=(1.0, 1.0, 1.0, 1.0)):
+    """(spec, D1_tilde) of the 5x5 Laguerre chain from its 13 entries
+    written out one by one, each ladder by hand: the reference for
+    ``darboux.laguerre_chain`` at N = 5, bit for bit."""
+    import mvop.scalar_families as sf
+    from mvop.diff_operators import entries_to_operator
+    from mvop.weight_model import weight_spec
+    a = tuple(a)
+    a1, a2, a3, a4 = a
+    c1, c2, c3, c4 = np.conj(a)
+    spec = weight_spec(a, [sf.laguerre(alpha), sf.laguerre(alpha),
+                           sf.laguerre(alpha + 1), sf.laguerre(alpha + 1),
+                           sf.laguerre(alpha + 2)])
+
+    def up(al):              # d^2 x + d (al + 1 - 2x) + x - al - 1
+        return ([-(al + 1.0), 1.0], [al + 1.0, -2.0], [0.0, 1.0])
+
+    def down2(al):           # d^2 x + d (al + 1)
+        return ([0.0], [al + 1.0], [0.0, 1.0])
+
+    def down1(al):           # d x - (x - al - 1)
+        return ([al + 1.0, -1.0], [0.0, 1.0])
+
+    d = ([0.0], [1.0])
+
+    def smul(s, fs):
+        return tuple([s * c for c in f] for f in fs)
+
+    entries = {
+        (0, 0): ([1.0],),
+        (0, 1): smul(a1, up(alpha)),
+        (1, 0): smul(-c1, down2(alpha)),
+        (1, 1): ([1.0],),
+        (1, 2): smul(-c2, d),
+        (2, 1): smul(-a2, down1(alpha)),
+        (2, 2): ([1.0],),
+        (2, 3): smul(a3, up(alpha + 1)),
+        (3, 2): smul(-c3, down2(alpha + 1)),
+        (3, 3): ([1.0],),
+        (3, 4): smul(-c4, d),
+        (4, 3): smul(-a4, down1(alpha + 1)),
+        (4, 4): ([1.0],),
+    }
+    return spec, entries_to_operator(entries, 5)
 
 
 def reduce_2x2_fit(spec):

@@ -160,7 +160,7 @@ class TestRun:
                                   for al in (0.5, 0.5, 1.5, 1.5, 2.5)])
 
     @pytest.mark.parametrize("data,kind,residual,extra", [
-        (CHAIN5, "laguerre_n5_chain", "max_relative_residual", {}),
+        (CHAIN5, "laguerre_chain", "max_relative_residual", {}),
         (base_config(size=3, a=[1.0, -0.5],
                      weights=[{"family": "hermite"}] * 3),
          "hermite_A_factorization", "worst_residual", {"singular_ns": []}),
@@ -274,7 +274,7 @@ class TestRun:
         report = run(config_from_json(data))
         res = report["checks"]["darboux"]
         assert res["passed"]
-        assert res["kind"] == "laguerre_n5_chain"
+        assert res["kind"] == "laguerre_chain"
         assert res["max_degree"] == 6
         assert not res["non_finite"] and 0 <= res["worst_n"] <= 6
         res = run(config_from_json(dict(data, n_max=14)))["checks"]["darboux"]
@@ -793,7 +793,7 @@ class TestSweep:
             kinds.add(report["checks"]["darboux"].get("kind"))
             kinds.add(report["checks"]["reduce"].get("reducible"))
         # the chain and both reduce verdicts are hit
-        assert kinds >= {"laguerre_n5_chain", True, False}
+        assert kinds >= {"laguerre_chain", True, False}
 
     def test_domain_edges(self):
         # a FAIL or a typed error is a report too; run raises nothing, no
@@ -985,6 +985,24 @@ class TestCommandLine:
         assert code == 2
         assert "overall" not in stdout + err
         assert f"argument {option}:" in err
+
+    # an --out in a missing directory or a --csv-dir under a file: one
+    # line on stderr, and no check runs
+    @pytest.mark.parametrize("option, where", [("--out", "nodir/x.json"),
+                                               ("--csv-dir", "cfg.json/sub")])
+    def test_output_path_unusable(self, tmp_path, capsys, monkeypatch,
+                                  option, where):
+        def refuse(*args):
+            raise AssertionError("a check ran")
+        monkeypatch.setitem(_CHECKS, "orth", refuse)
+        code, stdout, err = invoke(capsys, "run", "--config",
+                                   self.write(tmp_path, base_config()),
+                                   option, str(tmp_path / where))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("io error: ")
+        assert err.splitlines() == [err.strip()]
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("args", [
         ["run", "--config", "cfg.json", "--nmax", "abc"],

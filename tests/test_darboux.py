@@ -13,13 +13,14 @@ import mvop.scalar_families as sf
 from mvop.cli import RunConfig, config_from_json, run
 from mvop.darboux import (LADDER_KINDS, DarbouxReport, LadderOperator,
                           apply_scalar, builtin_n5_laguerre, darboux_verify,
-                          hermite_A_factorization, ladder, synthesize_shift)
+                          hermite_A_factorization, ladder, laguerre_chain,
+                          synthesize_shift)
 from mvop.diff_operators import MatrixDiffOperator, op_apply, op_compose
 from mvop.errors import CapExceeded, InvalidParam, MvopError, Unsupported
 from mvop.matrix_poly import MatrixPolynomial
 from mvop.mvop_core import MVOPSequence
 from mvop.weight_model import build_T, weight_spec
-from oracles import darboux_loop, p_product, shift_by_hand
+from oracles import chain5_table, darboux_loop, p_product, shift_by_hand
 
 
 def laguerre_seq(alpha, n_max):
@@ -39,6 +40,7 @@ class TestLadders:
     @pytest.mark.parametrize("kind,dn,da", [
         ("alpha_up", 0, 1), ("alpha_down", 0, -1),
         ("n_up", 1, 0), ("n_down", -1, 1), ("eigen", 0, 0),
+        ("x_down", -1, 0), ("n_up_alpha_down", 1, -1),
     ])
     def test_shift_identity(self, kind, dn, da):
         alpha = 0.5
@@ -57,6 +59,8 @@ class TestLadders:
         assert ladder("alpha_down", 0.5).factor(3) == pytest.approx(3.5)
         assert ladder("n_down", 0.5).factor(4) == pytest.approx(4.0)
         assert ladder("eigen", 0.5).factor(4) == pytest.approx(-4.0)
+        assert ladder("x_down", 0.5).factor(4) == pytest.approx(18.0)
+        assert ladder("n_up_alpha_down", 0.5).factor(4) == -1.0
 
     def test_invalid_kind(self):
         with pytest.raises(InvalidParam):
@@ -67,6 +71,8 @@ class TestLadders:
             ladder("n_up", -1.5)
         with pytest.raises(InvalidParam):
             ladder("alpha_down", -0.5)   # would land at alpha = -1.5
+        with pytest.raises(InvalidParam, match="leaves the family"):
+            ladder("n_up_alpha_down", 0.0)   # needs alpha > 0
 
 
 class TestShiftSynthesis:
@@ -206,7 +212,17 @@ class TestVerifiersRejectWrongOperator:
                         for a in (0.5, 0.5, 1.5, 1.5, 2.5)],
             "checks": ["darboux"]})
         rep = run(cfg)["checks"]["darboux"]
-        assert rep["kind"] == "laguerre_n5_chain"
+        assert rep["kind"] == "laguerre_chain"
+        assert not rep["passed"] and rep["max_relative_residual"] > 1e-8
+
+    @pytest.mark.parametrize("N", [3, 8])
+    def test_chain_of_any_size(self, perturbed_n_up, N):
+        # and so does the chain of every size: the fault shows at N = 3,
+        # whose one n_up is at (0, 1), as at N = 8
+        spec, _ = laguerre_chain(0.5, ([1.0, -0.5, 2.0, 0.75] * 2)[:N - 1])
+        rep = run(RunConfig(spec=spec, n_max=8,
+                            checks=("darboux",)))["checks"]["darboux"]
+        assert rep["kind"] == "laguerre_chain"
         assert not rep["passed"] and rep["max_relative_residual"] > 1e-8
 
 
@@ -281,16 +297,16 @@ class TestBuiltinFiveByFive:
             "weights": [{"family": "laguerre", "alpha": al} for al in alphas],
             "checks": ["darboux"], "backend": backend}))["checks"]["darboux"]
         res.pop("wall_time_s", None)
-        assert res == {"passed": True, "kind": "laguerre_n5_chain",
+        assert res == {"passed": True, "kind": "laguerre_chain",
                        "max_relative_residual": worst, "worst_n": worst_n,
                        "non_finite": False, "max_degree": min(n_max, 10)}
-        spec, d1_tilde = darboux.n5_laguerre_d1_tilde(0.5)
+        spec, d1_tilde = laguerre_chain(0.5, (1.0, 1.0, 1.0, 1.0))
         assert spec.N == 5 and d1_tilde.order == 2
 
     @staticmethod
     def chain_residual(alpha, a, n_hi):
         # max over n <= n_hi of |P_n . D1_tilde - Q_n T| / max |Q_n T|
-        spec, d1_tilde = darboux.n5_laguerre_d1_tilde(alpha, a)
+        spec, d1_tilde = laguerre_chain(alpha, a)
         seq = MVOPSequence(spec, n_hi)
         lhs = op_apply(seq.p_block(0, n_hi + 1), d1_tilde)
         rhs = seq.qt_block(0, n_hi + 1)
@@ -312,15 +328,96 @@ class TestBuiltinFiveByFive:
         for backend in ("float", "exact"):
             res = run(RunConfig(spec=spec, backend=backend, n_max=8,
                                 checks=("darboux",)))["checks"]["darboux"]
-            assert res["kind"] == "laguerre_n5_chain" and res["passed"], res
+            assert res["kind"] == "laguerre_chain" and res["passed"], res
             assert res["max_relative_residual"] < 1e-14
 
     def test_invalid_params(self):
-        for build in (builtin_n5_laguerre, darboux.n5_laguerre_d1_tilde):
-            with pytest.raises(InvalidParam):
-                build(-2.0)
-            with pytest.raises(InvalidParam):
+        # the scalar weight and the spec refuse them, with their messages
+        for build in (builtin_n5_laguerre, laguerre_chain):
+            with pytest.raises(InvalidParam, match="alpha must be > -1"):
+                build(-2.0, (1.0, 1.0, 1.0, 1.0))
+            with pytest.raises(InvalidParam, match="a_i must be nonzero"):
                 build(0.5, a=(1.0, 0.0, 1.0, 1.0))
+        with pytest.raises(InvalidParam, match="N >= 2"):
+            laguerre_chain(0.5, ())
+        with pytest.raises(InvalidParam, match="needs 4 a_i, got 3"):
+            builtin_n5_laguerre(0.5, (1.0, 1.0, 1.0))
+
+    @staticmethod
+    def op_bytes(op):
+        return [(f.coeffs.dtype, f.coeffs.shape, f.coeffs.tobytes())
+                for f in op.f_coeffs]
+
+    @pytest.mark.parametrize("a", [
+        (1.0, 1.0, 1.0, 1.0), (1.0, -0.5, 2.0, 0.75),
+        (1 + 0.5j, -0.5 + 0.2j, 1.5, 0.75 - 0.3j), (2j, -0.5, 1e-3, 1e3)],
+        ids=["ones", "real", "complex", "mixed"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.7])
+    def test_matches_the_entry_table(self, alpha, a):
+        # the period-2 loop gives the 13-entry table bit for bit, and
+        # builtin_n5_laguerre composes D from it
+        want_spec, want = chain5_table(alpha, a)
+        spec, d1_tilde = laguerre_chain(alpha, a)
+        assert spec == want_spec
+        assert self.op_bytes(d1_tilde) == self.op_bytes(want)
+        spec, d1_tilde, D = builtin_n5_laguerre(alpha, a)
+        assert spec == want_spec
+        assert self.op_bytes(d1_tilde) == self.op_bytes(want)
+        two_minus = MatrixDiffOperator.identity(5) * 2.0 - want
+        assert self.op_bytes(D) == self.op_bytes(op_compose(want, two_minus))
+
+
+class TestLaguerreChain:
+    """The chain of any size N >= 2 through ``run``: the weight the
+    builder makes is the chain, and passes."""
+
+    @staticmethod
+    def chain_run(N, alpha, a, **kw):
+        spec, _ = laguerre_chain(alpha, a)
+        assert spec.N == N and spec.scalars[-1].alpha == alpha + (N - 1) // 2
+        return run(RunConfig(spec=spec, checks=("darboux",),
+                             **kw))["checks"]["darboux"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_float_chains_at_n_max_60(self, N):
+        rng = np.random.default_rng(N)
+        for alpha in (-0.999, 0.0, 1.7, 25.0):
+            a = (10 ** rng.uniform(-3, 3, N - 1)
+                 * rng.choice([-1, 1], N - 1)).tolist()
+            if alpha == 1.7:
+                a[0] = complex(a[0], 0.5)
+            res = self.chain_run(N, alpha, a, n_max=60)
+            assert res["kind"] == "laguerre_chain", res
+            assert res["passed"] and not res["non_finite"], (alpha, res)
+            assert res["max_relative_residual"] < 1e-13
+            assert res["max_degree"] == 10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N", range(2, 6))
+    def test_exact_chains(self, N):
+        for a in ([1.0] * (N - 1), [1.5, -0.5, 2.0, 0.75][:N - 1]):
+            res = self.chain_run(N, 0.5, a, n_max=6, backend="exact")
+            assert res["kind"] == "laguerre_chain" and res["passed"], res
+            assert res["max_relative_residual"] < 1e-15
+
+    @pytest.mark.parametrize("weights, chain", [
+        ([{"family": "laguerre", "alpha": 0.5}] * 2, True),
+        ([{"family": "laguerre", "alpha": 0.5},
+          {"family": "laguerre", "alpha": 1.5}], False),
+        ([{"family": "laguerre", "alpha": 0.5}] * 2
+         + [{"family": "laguerre", "alpha": 1.5}], True),
+        ([{"family": "laguerre", "alpha": 0.5}] * 3, False),
+        ([{"family": "hermite"}] * 3, False)],
+        ids=["lag-a-a", "lag-a-a1", "lag-a-a-a1", "lag-a-a-a", "her3"])
+    def test_which_weights_are_chains(self, weights, chain):
+        # a weight is the chain exactly when the builder makes it from its
+        # first alpha and its a
+        data = {"size": len(weights), "a": [1.5, -0.5][:len(weights) - 1],
+                "n_max": 8, "weights": weights, "checks": ["darboux"]}
+        res = run(config_from_json(data))["checks"]["darboux"]
+        assert (res.get("kind") == "laguerre_chain") == chain, res
+        assert res["passed"]
 
 
 class TestHermiteA:

@@ -143,11 +143,11 @@ def test_float_path_never_imports_sympy():
     assert out["modules"] == []
     for name in ("lag2", "chain5", "her3"):
         assert all(res["passed"] for res in out[name].values()), out[name]
-    assert out["chain5"]["darboux"]["kind"] == "laguerre_n5_chain"
+    assert out["chain5"]["darboux"]["kind"] == "laguerre_chain"
     assert out["her3"]["darboux"]["kind"] == "hermite_A_factorization"
     assert out["her3"]["reduce"]["reducible"]
     assert out["ladders"] == ["alpha_up", "alpha_down", "n_up", "n_down",
-                              "eigen"]
+                              "eigen", "x_down", "n_up_alpha_down"]
     assert out["shift_q3"] != 0
     assert out["schema_exit"] == 0
     assert out["schema_required"] == ["size", "a", "weights"]
