@@ -257,13 +257,16 @@ def _check_eigen(seq, cfg):
 
 
 def _check_darboux(seq, cfg):
-    spec = seq.weight
+    spec, first = seq.weight, seq.weight.scalars[0]
     n_hi = min(cfg.n_max, 10)
-    # a chain is the weight its own builder makes from alpha_1 and a
-    chain, d1_tilde = (dx.laguerre_chain(spec.scalars[0].alpha, spec.a_params)
-                       if spec.scalars[0].family == sf.LAGUERRE
-                       else (None, None))
-    if spec == chain:
+    # a chain is the weight its own builder makes from alpha_1 and a, each
+    # alpha_k within CLASS_TOL, at one common scale (which Q_n does not see)
+    chain, d1_tilde = (dx.laguerre_chain(first.alpha, spec.a_params)
+                       if first.family == sf.LAGUERRE else (None, None))
+    if chain is not None and all(
+            s.family == sf.LAGUERRE and s.scale == first.scale
+            and abs(s.alpha - c.alpha) <= irr.CLASS_TOL
+            for s, c in zip(spec.scalars, chain.scalars)):
         worst, worst_n, non_finite = peak(identity_residual(
             seq.p_block(0, n_hi + 1), d1_tilde, seq.qt_block(0, n_hi + 1)))
         return {"passed": worst < 1e-10, "kind": "laguerre_chain",
@@ -289,9 +292,11 @@ def _check_det(seq, cfg):
     ns = np.arange(1, cfg.n_max + 1)
     M = seq.reduced_leading_matrix(ns)
     d, e = seq.leading_det(ns)
-    fast = np.where(e < 1024, np.ldexp(d, np.minimum(e, 1023)), np.inf)
-    # a det past the float range reads inf or nan, silently
+    # a det past the float range reads inf or nan, silently: d 2^e is inf
+    # from e = 1024 on, and 2^e is not formed there
     with np.errstate(over="ignore", invalid="ignore"):
+        fast = np.where(e < 1024, np.ldexp(d, np.where(e < 1024, e, 0)),
+                        np.inf)
         brute = np.linalg.det(M).real
         res = np.abs(fast - brute) / np.maximum(np.abs(brute), 1e-300)
     # else compare d 2^e with the sign and log |det| of M

@@ -13,8 +13,10 @@ one entry, ``synthesize_shift`` walks a list of them, and the Laguerre
 chain of any size N >= 2, ``laguerre_chain``, takes each entry of its
 period-2 table from the same forms.  That builder is also the chain's
 only statement: ``mvop run`` treats a weight with a Laguerre first slot as
-the chain when it equals the spec the builder returns.  Every operator
-given entry by entry is built by ``diff_operators.entries_to_operator``.
+the chain when its slots are Laguerre at one common scale and each alpha_k
+is within ``irreducibility.CLASS_TOL`` of the spec the builder returns.
+Every operator given entry by entry is built by
+``diff_operators.entries_to_operator``.
 """
 
 from dataclasses import dataclass, field
@@ -279,9 +281,9 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     ``P`` stacks the power coefficients of P_0..P_{n_max}, shape (n_max +
     1, powers, N, N), for example ``q_seq.p_block(0, n_max + 1)``.  One
     ``op_apply`` gives every P_n . D1 and one ``q_block`` every Q_n; all
-    A_n come from one batched solve on the leading coefficients, in complex
-    also for real stacks (a real LU rounds A_n otherwise).  The residual of
-    degree n is the ``identity_residual`` of P_n . D1 = A_n Q_n, and the
+    A_n come from one batched solve on the leading coefficients, real where
+    both stacks are.  The residual of degree n is the
+    ``identity_residual`` of P_n . D1 = A_n Q_n, and the
     peak is found by ``peak``, so a non-finite residual is the worst one;
     the pass verdict needs every residual under tol and nonsingular A_n
     apart from (at most) an initial finite set.
@@ -290,7 +292,7 @@ def darboux_verify(P, D1: MatrixDiffOperator, q_seq: MVOPSequence,
     L = op_apply(np.asarray(P), D1)
     Q = q_seq.q_block(0, n_max + 1)
     K, lead = Q[d, d], L[d, d]
-    An = np.linalg.solve(K.swapaxes(1, 2).astype(complex),  # lead = A_n K
+    An = np.linalg.solve(K.swapaxes(1, 2),  # lead = A_n K
                          lead.swapaxes(1, 2)).swapaxes(1, 2)
     worst, worst_n, non_finite = peak(
         identity_residual(P, D1, An[:, None] @ Q, lhs=L))

@@ -172,7 +172,7 @@ def _weight_classes(spec: WeightSpec):
         f *= [[spec.scalars[k].scale] for k in ks]
         # e_k e_k*, e_k c_k* + c_k e_k* and c_k c_k* of each slot, c_k = A e_k
         r, c = range(len(ks)), A[:, ks].T
-        E = np.zeros((3, len(ks), N, N), complex)
+        E = np.zeros((3, len(ks), N, N), A.dtype)
         E[0, r, ks, ks] = 1.0
         E[1, r, ks, :] = c.conj()
         E[1, r, :, ks] += c
@@ -180,7 +180,7 @@ def _weight_classes(spec: WeightSpec):
         # a slot's three terms touch disjoint entries, so its part of Pi is
         # exact; the parts are added in slot order, as a slot loop adds them
         fs = np.zeros((3, len(ks), len(f[0]) + 2))    # x^m f_k
-        part = np.zeros((len(ks), len(f[0]) + 2, N, N), complex)
+        part = np.zeros((len(ks), len(f[0]) + 2, N, N), A.dtype)
         for m in range(3):
             fs[m, :, m:m + len(f[0])] = f
             part += fs[m, :, :, None, None] * E[m][:, None]
@@ -251,7 +251,9 @@ def _polish(F, Gs):
 def order_zero_symmetries(spec: WeightSpec) -> SymmetrySpace:
     """Orthonormal basis of constant solutions of F W(x) = W(x) F*, solved
     on the generators of W and normalized by W summed over 3N + 10 sample
-    points."""
+    points.  W, its generators, L, H and the eigenbasis U take the dtype
+    of A, real for a real a; the unknowns Z, and so the basis, are
+    complex."""
     N = spec.N
     Gs = np.concatenate([Pi for _, Pi in _weight_classes(spec)])
     top = np.max(np.abs(Gs), axis=(1, 2))

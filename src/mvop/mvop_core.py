@@ -40,8 +40,8 @@ nodes.  Column k of Q_n T involves only p_{n-1}, p_n, p_{n+1} of w_k, so
 these values give one node table C[n], whose column range k is
 sqrt(lambda_j) (Q_n T e_k)(x_j) / sigma_n at the nodes of w_k; one matmul
 on the whole table gives the whole shift-0 block <Q_n, Q_m>, in real
-arithmetic where A and every G_n are real, and a shift-1 product <x Q_n,
-Q_m> is C[n] diag(x_j) C[m]* from the table itself.  sigma_n = exp(1/2
+arithmetic where A is real, and a shift-1 product <x Q_n, Q_m> is C[n]
+diag(x_j) C[m]* from the table itself.  sigma_n = exp(1/2
 max_k log ||p_n^{w_k}||^2) keeps both finite where the norms themselves
 overflow.  ``gram_qt`` reads a pair, or every pair of two degree arrays
 in one call, from the block or the table, and the quadrature summary of
@@ -177,6 +177,17 @@ def frobenius(X, axis):
         return np.squeeze(s * np.sqrt(sq), axis=axis)
 
 
+def equilibrate(H):
+    """(S H S, s) for a stack H of square matrices, S = diag(s) with s_i
+    the power of two that puts s_i^2 |H_ii| in [1/2, 2) (1 where H_ii =
+    0): a diagonal near 1, whose LU stays accurate where the diagonal
+    entries of H span many orders of magnitude.  Powers of two scale
+    without rounding, so S H S and every product with S are exact."""
+    e = np.frexp(np.diagonal(H, axis1=-2, axis2=-1).real)[1]
+    s = np.ldexp(1.0, -(e // 2))
+    return H * s[..., :, None] * s[..., None, :], s
+
+
 def continuant(rho):
     """Determinant of the unit-diagonal tridiagonal matrix with
     superdiagonal u and subdiagonal l such that -u_i l_i = rho_i:
@@ -202,8 +213,9 @@ class MVOPSequence:
         own = {s: sf.recurrence_coefficients(s, n_max + 1, backend)
                for s in dict.fromkeys(weight.scalars)}
         self.scalar_seqs = [own[s] for s in weight.scalars]
-        self._A = build_nilpotent(weight)   # complex doubles, both backends
-        self._real = not self._A.imag.any()
+        # doubles on both backends, real unless some a_i is complex: every
+        # float table below takes its dtype from A by numpy promotion
+        self._A = build_nilpotent(weight)
         # (r, u, a, conj(a)) for the nonzeros a = A[r, u] in row-major order
         # (one per adjacent pair, in pair order); exact ones are the exact
         # values of the parameter a_i, i = min(r, u), placed there
@@ -247,7 +259,8 @@ class MVOPSequence:
     @property
     def A(self) -> np.ndarray:
         """The nilpotent A of ``build_nilpotent``, formed when read:
-        complex, or sympy entries on the exact backend."""
+        doubles, real unless some a_i is complex, or sympy entries on the
+        exact backend."""
         return build_nilpotent(self.weight, exact=self.exact)
 
     def _check_n(self, n, hi=None):
@@ -286,7 +299,7 @@ class MVOPSequence:
         else:
             tab = tab[lo + 1:hi + 1, :hi + 2]
         return (np.eye(self.weight.N) * tab[:, :, None, :]).astype(
-            float if self._real else complex)
+            self._A.dtype)
 
     def _ratio_table(self):
         """(G, half), read-only: G[..., n, :, :] = G_n for n = 0..n_max+1,
@@ -312,10 +325,9 @@ class MVOPSequence:
                 G[:, 1:, u, r] = _exact(re // g, im // g,
                                         den // g).swapaxes(1, 2)
             else:
-                G = np.zeros(shape, dtype=complex)
+                G = np.zeros(shape, dtype=self._A.dtype)
                 G[1:, u, r] = np.reshape([exp(v) for v in lr[1:].flat],
-                                         lr[1:].shape) * np.array(
-                                             ac, dtype=complex)
+                                         lr[1:].shape) * np.array(ac)
             half = np.reshape([exp(0.5 * v) for v in lr.flat], lr.shape)
             half[0] = 0.0
             G.flags.writeable = half.flags.writeable = False
@@ -360,7 +372,7 @@ class MVOPSequence:
         if got is None:
             ok = np.flatnonzero(~self._over)
             got = np.zeros((self.n_max + 2,) + (self.weight.N,) * 2,
-                           dtype=float if self._real else complex)
+                           dtype=self._A.dtype)
             got[ok] = self._round(self._keyed_ratios(
                 self._ratio_table()[0][:, ok]), (len(ok),))
             got.flags.writeable = False
@@ -374,7 +386,7 @@ class MVOPSequence:
         of the table, or its exact values as sympy entries (``_sympy``)."""
         G = self._ratios(n)
         if not self.exact:
-            return G.copy()
+            return G.astype(complex)
         out = np.full(G.shape[-2:], self._sympy([]))
         for r, u, *_ in self._pairs:
             out[u, r] = self._sympy([(self._ek[u] - self._ek[r], G[:, u, r])])
@@ -465,18 +477,14 @@ class MVOPSequence:
             spill = np.stack([num for num, _ in q.values()])[
                 :, np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
         else:
-            pairs, dtype = self._pairs, complex
-            if self._real:   # G_n = conj(a) exp(lr)
-                pairs = [(r, u, a.real, c) for r, u, a, c in pairs]
-                dtype, G = float, G.real
-            qt = np.zeros((hi - lo, width, N, N), dtype)
+            qt = np.zeros((hi - lo, width, N, N), self._A.dtype)
             with np.errstate(over="ignore", invalid="ignore"):
                 qt[:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
-                for r, u, a, _ in pairs:
+                for r, u, a, _ in self._pairs:
                     qt[:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
                     qt[:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
                 q = qt.copy()
-                for r, u, a, _ in pairs:
+                for r, u, a, _ in self._pairs:
                     q[:, 1:, :, u] -= qt[:, :-1, :, r] * a
             spill = q[np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -613,9 +621,8 @@ class MVOPSequence:
         rounded once (``_exact_sum``).  ``monos`` ({key: an mpf per index of
         the first axis}) replaces the monomials of ``_mono``, and then every
         entry is an exact sum."""
-        out = np.zeros(lead + (self.weight.N,) * 2,
-                       dtype=float if self._real else complex)
-        views = (out, None) if self._real else (out.real, out.imag)
+        out = np.zeros(lead + (self.weight.N,) * 2, dtype=self._A.dtype)
+        views = out.real, out.imag  # only a complex a has imaginary parts
         entries = defaultdict(list)
         reached = defaultdict(lambda: np.zeros(lead, dtype=bool))
         for (i, j, key, part), (num, den) in R.items():
@@ -710,8 +717,8 @@ class MVOPSequence:
 
     def reduced_leading_matrix(self, n) -> np.ndarray:
         """I + ||P_n||^2 A* - ||P_{n-1}||^{-2} A up to a diagonal
-        similarity, for brute-force det checks; floats on both backends,
-        shape n.shape + (N, N).
+        similarity, for brute-force det checks; doubles on both backends,
+        real where A is, shape n.shape + (N, N).
 
         The off-diagonal entries sit on the adjacent pairs (i, i+1)/(i+1,
         i), one from A and one from A* (see ``build_nilpotent``).  A
@@ -724,7 +731,7 @@ class MVOPSequence:
         self._check_n(n)
         N, (r, u) = self.weight.N, self._ru
         a, half = self._A[r, u], self._ratios(n, half=True)
-        M = np.eye(N, dtype=complex) * np.ones(np.shape(n) + (1, 1))
+        M = np.eye(N, dtype=a.dtype) * np.ones(np.shape(n) + (1, 1))
         # r: row of the A entry of the pair, u: row of the A* entry
         M[..., r, u] = -a * half
         M[..., u, r] = a.conjugate() * half
@@ -734,9 +741,9 @@ class MVOPSequence:
         """||Q_n||^2 = ||P_n||^2 + A ||P_{n+1}||^2 A* + G_n A ||P_n||^2 on
         the pairs of A for the degrees ns (an array), as {(i, j): {monomial
         key: values over ns}}: exact values (re, im, den) of arrays over ns
-        (see ``_exact``), or complex values over exp(log_scale), a scale per
-        degree (float).  One code path: only the product, the sum and its
-        first term depend on the backend."""
+        (see ``_exact``), or doubles over exp(log_scale), a scale per
+        degree, real where A is (float).  One code path: only the product,
+        the sum and its first term depend on the backend."""
         if self.exact:
             d, d1 = (self._nu[..., m] for m in (ns, ns + 1))
             mul, add, first = _gmul, _gadd, (lambda v: v)
@@ -788,12 +795,12 @@ class MVOPSequence:
 
     def _norm_table(self):
         """||Q_n||^2 / sigma_n^2 for n = 0..n_max (log sigma_n =
-        ``log_gram_scale``) as a tuple of read-only complex views, from one
-        ``_norm_terms`` pass over all degrees; built on first use and
-        published in one assignment.  Each exact entry is rounded once per
-        part by ``_round``, with the monomials scaled by exp(-2 log sigma_n)
-        (the exponential and each product rounded to nearest at 113 bits by
-        ``libmp``)."""
+        ``log_gram_scale``) as a tuple of read-only views, real where A is,
+        from one ``_norm_terms`` pass over all degrees; built on first use
+        and published in one assignment.  Each exact entry is rounded once
+        per part by ``_round``, with the monomials scaled by exp(-2 log
+        sigma_n) (the exponential and each product rounded to nearest at 113
+        bits by ``libmp``)."""
         got = self._qtab
         if got is None:
             ns, log_scale = np.arange(self.n_max + 1), 2.0 * self._log_sigma
@@ -811,10 +818,10 @@ class MVOPSequence:
                     {(i, j, k, part): (v[part], v[2])
                      for (i, j), terms in entries.items()
                      for k, v in terms.items() for part in (0, 1)
-                     if v[part].any()}, ns.shape, scaled).astype(complex)
+                     if v[part].any()}, ns.shape, scaled)
             else:
                 tab = np.zeros((len(ns),) + (self.weight.N,) * 2,
-                               dtype=complex)
+                               dtype=self._A.dtype)
                 for (i, j), terms in entries.items():
                     tab[:, i, j] = sum(terms.values())
             tab.flags.writeable = False
@@ -857,8 +864,6 @@ class MVOPSequence:
         m = M + 2
         A = self._A
         G = self._float_ratios(np.arange(M + 1))
-        if self._real:  # G_n = conj(a) exp(lr), or rounded real (``_round``)
-            A, G = A.real, G.real
         slot, nodes, vals, log_scale = self.engine.tables(m)
         norm = np.linalg.norm(vals, axis=0)
         u = (vals / norm)[:, slot]
@@ -983,10 +988,12 @@ class MVOPSequence:
 
         X_n = <x Q_n, Q_m> ||Q_m||^{-2}, one stacked solve per neighbour m
         in one pass over the node table (``_three_term_pass``), against the
-        norms of ``_norm_table`` read as one array.  The table
+        norms of ``_norm_table`` read as one array, each equilibrated to
+        S_m ||Q_m||^2 S_m (``equilibrate``): the diagonal entries of
+        ||Q_m||^2 span many orders of magnitude at large N.  The table
         holds the degrees before the first whose m = n + 1, n or n - 1 has
         a ||Q_m||^2 that is not finite or is singular (slogdet sign 0 on
-        the adjoint the solve factors); a read past them raises
+        the equilibrated adjoint the solve factors); a read past them raises
         ``IllConditioned`` naming the first such m, in that order.  The
         residual is ||R_n||_W / ||x Q_n||_W, R_n = x Q_n - A_n Q_{n+1} -
         B_n Q_n - C_n Q_{n-1}, ||P||_W^2 = tr <P, P>_W, summed over the
@@ -1003,12 +1010,13 @@ class MVOPSequence:
             norms = np.array(self._norm_table())
             finite = np.isfinite(norms).all(axis=(1, 2))
             norms[~finite] = np.eye(self.weight.N)
+            norms, eq = equilibrate(norms)
             singular = np.linalg.slogdet(norms.conj().swapaxes(1, 2))[0] == 0
             # fault[n - 1, i]: 0, 1 (not finite) or 2 (singular) for the
             # neighbour m = n + 1 - i of degree n
             fault = np.where(finite, 2 * singular, 1)[ns[:, None] + [1, 0, -1]]
             ns = ns[np.cumsum(fault.any(axis=1)) == 0]    # readable
-            got = (*self._three_term_pass(ns, norms), fault)
+            got = (*self._three_term_pass(ns, norms, eq), fault)
             for a in got:
                 a.flags.writeable = False
             self._recurrence = got
@@ -1020,17 +1028,19 @@ class MVOPSequence:
                 "not finite", "singular")[fault[n, i] - 1])
         return tuple(a[:hi] for a in rows)
 
-    def _three_term_pass(self, ns, norms):
+    def _three_term_pass(self, ns, norms, eq):
         """(A_n, B_n, C_n, residual) of ``three_term_table`` for the
         consecutive degrees ns from the node table alone, in blocks of
         degrees, each one stacked pass over the neighbours m = n + 1, n,
         n - 1 (a view of the table, no copy): X_n ||Q_m||^2 = <x Q_n, Q_m>,
-        the band (C[n] x) C[m]* by one batched matmul, solved as its adjoint
-        against the regular ``norms`` by one stacked solve, and X_n Q_m
-        subtracted for the residual in that order of m, in real arithmetic
-        where the node table and every X_n are real."""
+        the band (C[n] x) C[m]* by one batched matmul, is Y (S_m ||Q_m||^2
+        S_m) = <x Q_n, Q_m> S_m with X_n = Y S_m, solved as its adjoint
+        against the regular equilibrated ``norms`` (S_m = diag(eq[m])) by
+        one stacked solve, and X_n Q_m subtracted for the residual in that
+        order of m, in real arithmetic where A is real."""
         x, C = self.gram_data()[1]
-        mats = np.empty((3, len(ns)) + (self.weight.N,) * 2, dtype=complex)
+        mats = np.empty((3, len(ns)) + (self.weight.N,) * 2,
+                        dtype=np.result_type(C, norms))
         out = np.empty(len(ns))
         step = 64   # degrees per pass, which bounds the temporaries
         for i in range(0, len(ns), step):
@@ -1043,13 +1053,12 @@ class MVOPSequence:
             s = np.exp(self._log_sigma[n] - self._log_sigma[m])[
                 ..., None, None]
             g = np.matmul(xq, Cm.conj().swapaxes(-1, -2)) * s
-            # X ||Q_m||^2 = g, solved as its adjoint
-            adjoint = [v.conj().swapaxes(-1, -2) for v in (norms[m], g)]
+            # X ||Q_m||^2 = g, solved as its adjoint against S ||Q_m||^2 S
+            e = eq[m][..., None, :]
+            adjoint = [v.conj().swapaxes(-1, -2) for v in (norms[m], g * e)]
             X = mats[:, i:i + step]
-            X[:] = np.linalg.solve(*adjoint).conj().swapaxes(-1, -2)
+            X[:] = np.linalg.solve(*adjoint).conj().swapaxes(-1, -2) * e
             X = X / s
-            if not (np.iscomplexobj(C) or X.imag.any()):
-                X = X.real
             r = xq.copy()
             for Xd, Cd in zip(X, Cm):
                 r -= np.matmul(Xd, Cd)
@@ -1066,8 +1075,8 @@ class MVOPSequence:
         return (*mats, out)
 
     def three_term_coefficients(self, n: int):
-        """(A_n, B_n, C_n, residual) of degree n: the last row of
-        ``three_term_table(n)``, which refuses it only for a faulty
-        ||Q_m||^2 with m <= n + 1."""
+        """(A_n, B_n, C_n, residual) of degree n, the matrices complex: the
+        last row of ``three_term_table(n)``, which refuses it only for a
+        faulty ||Q_m||^2 with m <= n + 1."""
         *mats, res = self.three_term_table(n)
-        return (*(X[-1].copy() for X in mats), float(res[-1]))
+        return (*(X[-1].astype(complex) for X in mats), float(res[-1]))

@@ -51,14 +51,20 @@ def weight_spec(a_params, scalars) -> WeightSpec:
 
 def build_nilpotent(spec: WeightSpec, exact: bool = False) -> np.ndarray:
     """The order-two nilpotent A with nonzeros at (2j-1,2j) and (2j+1,2j):
-    complex, or sympy entries (``exact_scalars.a_sympy``) when ``exact``."""
+    float64 when every a_i is real, complex128 otherwise, or sympy entries
+    (``exact_scalars.a_sympy``) when ``exact``.  Every float table built
+    from A takes its dtype by numpy promotion, so a real A keeps them
+    real."""
     N = spec.N
-    A = np.zeros((N, N), dtype=object if exact else complex)
     if exact:
         import sympy as sp
         from .exact_scalars import a_sympy
-        A[:] = sp.Integer(0)
-    a = [a_sympy(v) if exact else complex(v) for v in spec.a_params]
+        A = np.full((N, N), sp.Integer(0), dtype=object)
+        a = [a_sympy(v) for v in spec.a_params]
+    else:
+        a = np.array([complex(v) for v in spec.a_params])
+        a = a if a.imag.any() else a.real
+        A = np.zeros((N, N), dtype=a.dtype)
     for j in range(1, N // 2 + 1):            # a_{2j-1} at (2j-1, 2j)
         A[2 * j - 2, 2 * j - 1] = a[2 * j - 2]
     for j in range(1, (N - 1) // 2 + 1):      # a_{2j} at (2j+1, 2j)
@@ -76,15 +82,15 @@ def build_T(spec: WeightSpec, exact: bool = False):
 
 
 def weight_eval(spec: WeightSpec, x) -> np.ndarray:
-    """W(x) = T(x) diag(w_1(x), ..., w_N(x)) T(x)*; Hermitian PSD.
+    """W(x) = T(x) diag(w_1(x), ..., w_N(x)) T(x)*; Hermitian PSD, and
+    real symmetric (float64) when A is real.
 
     A float x gives one (N, N) matrix; an array of P points gives the
     (P, N, N) stack.  Each distinct scalar weight is evaluated once.
     """
     xs = np.asarray(x, dtype=float)
     pts = xs.reshape(-1)
-    A = build_nilpotent(spec)
-    Tx = np.eye(spec.N, dtype=complex) + A * pts[:, None, None]
+    Tx = np.eye(spec.N) + build_nilpotent(spec) * pts[:, None, None]
     w = {s: sf.weight_value(s, pts) for s in dict.fromkeys(spec.scalars)}
     wd = np.stack([w[s] for s in spec.scalars], axis=-1)
     W = (Tx * wd[:, None, :]) @ Tx.conj().swapaxes(1, 2)

@@ -465,15 +465,18 @@ def three_term_loop(seq, n):
     one degree at a time: one solve per neighbour m from the scaled
     ``gram_qt`` and ``_norm_table``, and the residual ||R_n||_W / ||x Q_n||_W
     summed weight by weight over its column range of the node table of
-    ``gram_data``, in complex arithmetic.  The reference for the stacked
-    ``three_term_table``."""
+    ``gram_data``.  Each solve is against S ||Q_m||^2 S, S the diagonal of
+    powers of two that puts each diagonal entry in [1/2, 2), multiplied
+    back by S.  The reference for the stacked ``three_term_table``."""
     ln = seq.log_gram_scale(n)
     mats, terms = [], []
     for m in (n + 1, n, n - 1):
         lm = seq.log_gram_scale(m)
         g = seq.gram_qt(n, m, shift=1, scaled=True) * exp(ln - lm)
         norm = seq._norm_table()[m]
-        X = np.linalg.solve(norm.conj().T, g.conj().T).conj().T
+        e = np.ldexp(1.0, -(np.frexp(np.diag(norm).real)[1] // 2))
+        X = np.linalg.solve((norm * e[:, None] * e).conj().T,
+                            (g * e).conj().T).conj().T * e
         mats.append(X)
         terms.append((m, X * exp(lm - ln)))
     x, C = seq.gram_data()[1]
@@ -488,15 +491,17 @@ def three_term_loop(seq, n):
     return (*mats, float(np.sqrt(num / den)))
 
 
-def three_solve_pass(seq, ns, norms):
+def three_solve_pass(seq, ns, norms, eq):
     """(A_n, B_n, C_n, residual) of ``MVOPSequence._three_term_pass`` with
-    one band matmul, one solve and one residual matmul per neighbour m =
-    n + 1, n, n - 1 in turn, over blocks of 64 degrees: the reference for
-    the stacked pass, which must match it bit for bit."""
+    one band matmul, one solve (against the equilibrated ``norms``, S_m =
+    diag(eq[m])) and one residual matmul per neighbour m = n + 1, n, n - 1
+    in turn, over blocks of 64 degrees: the reference for the stacked
+    pass, which must match it bit for bit."""
     from mvop.mvop_core import frobenius
     x, C = seq.gram_data()[1]
     log_sigma = np.array([seq.log_gram_scale(n) for n in range(seq.n_max + 1)])
-    mats = np.empty((3, len(ns)) + (seq.weight.N,) * 2, dtype=complex)
+    mats = np.empty((3, len(ns)) + (seq.weight.N,) * 2,
+                    dtype=np.result_type(C, norms))
     out = np.empty(len(ns))
     for i in range(0, len(ns), 64):
         n = ns[i:i + 64]
@@ -504,11 +509,10 @@ def three_solve_pass(seq, ns, norms):
         for d, X in zip((1, 0, -1), mats[:, i:i + 64]):
             s = np.exp(log_sigma[n] - log_sigma[n + d])[:, None, None]
             g = np.matmul(xq, C[n + d].conj().swapaxes(1, 2)) * s
-            adjoint = [v.conj().swapaxes(1, 2) for v in (norms[n + d], g)]
-            X[:] = np.linalg.solve(*adjoint).conj().swapaxes(1, 2)
+            e = eq[n + d][:, None, :]
+            adjoint = [v.conj().swapaxes(1, 2) for v in (norms[n + d], g * e)]
+            X[:] = np.linalg.solve(*adjoint).conj().swapaxes(1, 2) * e
             X = X / s
-            if not (np.iscomplexobj(C) or X.imag.any()):
-                X = X.real
             r = r - np.matmul(X, C[n + d])
         with np.errstate(over="ignore", invalid="ignore"):
             num, den = ((v * v.conj()).real.sum(axis=(1, 2))
@@ -595,6 +599,8 @@ def darboux_loop(p_of, D1, q_seq, n_max, tol=1e-9):
         Q = q_seq.build_Q(n).to_float()
         K = Q.coeffs[Q.degree]
         lead = L.coeff(n)
+        if not (K.imag.any() or lead.imag.any()):   # real stacks, real solve
+            K, lead = K.real, lead.real
         An = np.linalg.solve(K.T, lead.T).T   # lead = An @ K
         d = complex(np.linalg.det(An))
         want = Q.left_mul(An)
@@ -687,7 +693,7 @@ def weight_classes_loop(spec):
         low = np.min([p for _, p in slots], axis=0)
         steps = [(k, np.rint(p - low).astype(int)) for k, p in slots]
         Pi = np.zeros((max(i.sum() for _, i in steps) + 3, spec.N, spec.N),
-                      complex)
+                      A.dtype)
         terms = np.zeros(len(Pi))
         for k, i in steps:
             f = spec.scalars[k].scale * (

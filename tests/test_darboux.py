@@ -419,6 +419,30 @@ class TestLaguerreChain:
         assert (res.get("kind") == "laguerre_chain") == chain, res
         assert res["passed"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alphas, scales, chain", [
+        # -0.999 + 1 is 0.0010000000000000009 in doubles, not 0.001
+        ((-0.999, -0.999, 0.001), (1.0,) * 3, True),
+        ((-0.999, -0.999, 0.001 + 1e-6), (1.0,) * 3, False),
+        ((0.5, 0.5 + 1e-6, 1.5), (1.0,) * 3, False),
+        # one common scale leaves every G_n, so Q_n, as it is
+        ((0.5, 0.5, 1.5), (2.0,) * 3, True),
+        ((0.5, 0.5, 1.5), (2.0, 1.0, 1.0), False)],
+        ids=["decimal", "decimal-off-1e-6", "slot-off-1e-6", "common-scale",
+             "one-scale"])
+    def test_chains_match_within_class_tol(self, alphas, scales, chain):
+        # each alpha_k within CLASS_TOL of the builder's, at one scale
+        for backend in ("float", "exact"):
+            data = {"size": 3, "a": [1.5, -0.5], "n_max": 8,
+                    "backend": backend, "checks": ["darboux"],
+                    "weights": [{"family": "laguerre", "alpha": al,
+                                 "scale": s} for al, s in zip(alphas, scales)]}
+            res = run(config_from_json(data))["checks"]["darboux"]
+            assert (res.get("kind") == "laguerre_chain") == chain, res
+            assert res["passed"]
+            if chain:
+                assert res["max_relative_residual"] < 1e-13, res
+
 
 class TestHermiteA:
     def spec(self, n=2, a=(1.0,)):
