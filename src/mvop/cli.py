@@ -2,10 +2,12 @@
 
 ``mvop run --config cfg.json`` builds the weight, runs the requested
 checks and prints one status line per check; ``mvop schema`` prints the
-config schema.  Exit codes: 0 all pass, 1 a check failed, 2 bad config,
-I/O or usage.  The shell is stdlib ``argparse``, imported by ``main``
-alone, so importing this module loads numpy and nothing else outside the
-standard library.
+config schema.  ``darboux`` and ``reduce`` run the first template of their
+table whose relation on the slots' parameters holds, and a skip names
+each template's unmet relation.  Exit codes: 0 all pass, 1 a check
+failed, 2 bad config, I/O or usage.  The shell is stdlib ``argparse``,
+imported by ``main`` alone, so importing this module loads numpy and
+nothing else outside the standard library.
 """
 
 import json
@@ -14,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -256,27 +259,33 @@ def _check_eigen(seq, cfg):
             "max_abs_log_ratio": seq.max_abs_log_ratio()}
 
 
-def _check_darboux(seq, cfg):
-    spec, first = seq.weight, seq.weight.scalars[0]
+def _match(table, seq, cfg):
+    """The report of the first row (name, relation, run) of ``table`` whose
+    relation holds for the weight (returns None); when none does, the
+    check is skipped and its reason names each row's unmet relation."""
+    misses = []
+    for name, relation, check in table:
+        miss = relation(seq.weight)
+        if miss is None:
+            return check(seq, cfg)
+        misses.append(f"{name}: {miss}")
+    raise Unsupported("; ".join(misses))
+
+
+def _darboux_chain(seq, cfg):
     n_hi = min(cfg.n_max, 10)
-    # a chain is the weight its own builder makes from alpha_1 and a, each
-    # alpha_k within CLASS_TOL, at one common scale (which Q_n does not see)
-    chain, d1_tilde = (dx.laguerre_chain(first.alpha, spec.a_params)
-                       if first.family == sf.LAGUERRE else (None, None))
-    if chain is not None and all(
-            s.family == sf.LAGUERRE and s.scale == first.scale
-            and abs(s.alpha - c.alpha) <= irr.CLASS_TOL
-            for s, c in zip(spec.scalars, chain.scalars)):
-        worst, worst_n, non_finite = peak(identity_residual(
-            seq.p_block(0, n_hi + 1), d1_tilde, seq.qt_block(0, n_hi + 1)))
-        return {"passed": worst < 1e-10, "kind": "laguerre_chain",
-                "max_relative_residual": worst, "worst_n": worst_n,
-                "non_finite": non_finite, "max_degree": n_hi}
-    try:
-        _, D1, _, _ = dx.hermite_A_factorization(spec)
-    except Unsupported:
-        return {"passed": True, "status": "skipped",
-                "reason": "no Darboux template for this weight"}
+    _, d1_tilde = dx.laguerre_chain(seq.weight.scalars[0].alpha,
+                                    seq.weight.a_params)
+    worst, worst_n, non_finite = peak(identity_residual(
+        seq.p_block(0, n_hi + 1), d1_tilde, seq.qt_block(0, n_hi + 1)))
+    return {"passed": worst < 1e-10, "kind": "laguerre_chain",
+            "max_relative_residual": worst, "worst_n": worst_n,
+            "non_finite": non_finite, "max_degree": n_hi}
+
+
+def _darboux_hermite(seq, cfg):
+    n_hi = min(cfg.n_max, 10)
+    _, D1, _, _ = dx.hermite_A_factorization(seq.weight)
     rep = dx.darboux_verify(seq.p_block(0, n_hi + 1), D1, seq, n_hi,
                             tol=cfg.tol)
     return {"passed": rep.passed, "kind": "hermite_A_factorization",
@@ -318,22 +327,21 @@ def _matrix(M):
     return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
-def _check_reduce(seq, cfg):
-    spec = seq.weight
-    if spec.N == 2:
-        got = irr.try_reduce_2x2(spec)
-        if got is None:
-            return {"passed": True, "reducible": False,
-                    "note": "no scalar-sum reduction detected"}
-        b, c, M, desc = got
-        return {"passed": True, "reducible": True, "b": b, "c": c,
-                "M": _matrix(M), "description": desc}
-    if spec.N == 3 and spec.scalars[0] == spec.scalars[2]:
-        M, desc = irr.try_reduce_3x3_w1w3(spec)
-        return {"passed": True, "reducible": True,
-                "M": _matrix(M), "description": desc}
-    return {"passed": True, "status": "skipped",
-            "reason": "no reduction template for this size"}
+def _reduce_2x2(seq, cfg):
+    got = irr.try_reduce_2x2(seq.weight)
+    if got is None:
+        return {"passed": True, "reducible": False,
+                "note": "no scalar-sum reduction: "
+                        + irr.jacobi_pair_relation(seq.weight)}
+    b, c, M, desc = got
+    return {"passed": True, "reducible": True, "b": b, "c": c,
+            "M": _matrix(M), "description": desc}
+
+
+def _reduce_3x3(seq, cfg):
+    M, desc = irr.try_reduce_3x3_w1w3(seq.weight)
+    return {"passed": True, "reducible": True,
+            "M": _matrix(M), "description": desc}
 
 
 def _check_symmetries(seq, cfg):
@@ -347,10 +355,18 @@ def _check_symmetries(seq, cfg):
             "null_gap": space.null_gap}
 
 
+# the templates of ``darboux`` and ``reduce``, each row (name, relation,
+# run) with the relation read off the slots' parameters (see ``_match``)
+_DARBOUX = (("laguerre_chain", dx.chain_relation, _darboux_chain),
+            ("hermite_A_factorization", dx.hermite_relation,
+             _darboux_hermite))
+_REDUCE = (("2x2 scalar sum", irr.pair_relation, _reduce_2x2),
+           ("3x3 w1 = w3", irr.w1w3_relation, _reduce_3x3))
+
 _CHECKS = {"orth": _check_orth, "norm": _check_norm,
            "recurrence": _check_recurrence, "eigen": _check_eigen,
-           "darboux": _check_darboux, "det": _check_det,
-           "reduce": _check_reduce, "symmetries": _check_symmetries}
+           "darboux": partial(_match, _DARBOUX), "det": _check_det,
+           "reduce": partial(_match, _REDUCE), "symmetries": _check_symmetries}
 
 
 def run(cfg: RunConfig, csv_dir=None) -> dict:

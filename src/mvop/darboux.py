@@ -11,10 +11,10 @@ the chain's P_n . D1_tilde = Q_n T.  Each ladder is stated once, as its
 ``_ladder_forms`` entry (operator, factor, (dn, dalpha)): ``ladder`` reads
 one entry, ``synthesize_shift`` walks a list of them, and the Laguerre
 chain of any size N >= 2, ``laguerre_chain``, takes each entry of its
-period-2 table from the same forms.  That builder is also the chain's
-only statement: ``mvop run`` treats a weight with a Laguerre first slot as
-the chain when its slots are Laguerre at one common scale and each alpha_k
-is within ``irreducibility.CLASS_TOL`` of the spec the builder returns.
+period-2 table from the same forms.  Each template's relation on the
+slots' parameters is one function of the spec, None when it holds and
+otherwise the first unmet relation: ``chain_relation`` and
+``hermite_relation``, read by ``mvop run`` and the builders' guards.
 Every operator given entry by entry is built by
 ``diff_operators.entries_to_operator``.
 """
@@ -32,6 +32,7 @@ from .mvop_core import MVOPSequence, peak
 from .diff_operators import (MatrixDiffOperator, apply_scalar,
                              entries_to_operator, identity_residual, op_apply,
                              op_compose)
+from .irreducibility import CLASS_TOL
 from .weight_model import WeightSpec, build_nilpotent, weight_spec
 
 #: practical cap on |k| + |m| in shift synthesis
@@ -207,6 +208,35 @@ def laguerre_chain(alpha: float, a):
     return spec, entries_to_operator(entries, N)
 
 
+def chain_relation(spec: WeightSpec) -> Optional[str]:
+    """None when ``spec`` is the Laguerre chain ``laguerre_chain`` builds
+    from its first alpha and its a: every slot Laguerre at slot 1's scale
+    (which Q_n does not see) and each alpha_k within ``CLASS_TOL`` of
+    alpha_1 + floor((k-1)/2), slots counted from 1.  Otherwise the first
+    unmet relation, e.g. "slot 3: alpha 0.0015 is not alpha_1 + 1"."""
+    first = spec.scalars[0]
+    for k, s in enumerate(spec.scalars, 1):
+        step = (k - 1) // 2
+        if s.family != sf.LAGUERRE:
+            return f"slot {k}: family {s.family} is not laguerre"
+        if s.scale != first.scale:
+            return f"slot {k}: scale {s.scale} is not scale_1"
+        if abs(s.alpha - (first.alpha + step)) > CLASS_TOL:
+            return (f"slot {k}: alpha {s.alpha} is not alpha_1"
+                    + (f" + {step}" if step else ""))
+    return None
+
+
+def hermite_relation(spec: WeightSpec) -> Optional[str]:
+    """None when every slot is Hermite(0) at scale 1, the weight of
+    ``hermite_A_factorization``; otherwise the first slot that is not."""
+    for k, s in enumerate(spec.scalars, 1):
+        for name, want in (("family", sf.HERMITE), ("b", 0), ("scale", 1)):
+            if getattr(s, name) != want:
+                return f"slot {k}: {name} {getattr(s, name)} is not {want}"
+    return None
+
+
 def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
     """The 5x5 Laguerre chain: weight spec, the entrywise operator D1_tilde
     with P_n . D1_tilde = Q_n T (``laguerre_chain`` at N = 5), and D =
@@ -220,10 +250,11 @@ def builtin_n5_laguerre(alpha: float, a=(1.0, 1.0, 1.0, 1.0)):
 
 def hermite_A_factorization(spec: WeightSpec, exact: bool = False):
     """For all-Hermite(0) scalars: D, its factors D1 and D2, and the
-    swapped product D_swapped = D2 D1 in the transformed algebra."""
-    for s in spec.scalars:
-        if s.family != sf.HERMITE or s.b != 0 or s.scale != 1.0:
-            raise Unsupported("needs every scalar weight equal to Hermite(0)")
+    swapped product D_swapped = D2 D1 in the transformed algebra;
+    ``Unsupported`` naming the unmet ``hermite_relation`` otherwise."""
+    miss = hermite_relation(spec)
+    if miss:
+        raise Unsupported(miss)
     N = spec.N
     A = build_nilpotent(spec, exact=exact)
     Astar = conj_transpose(A)

@@ -19,12 +19,17 @@ generators, the Gt = L^-1 G L^-* span a space that holds I, so F is a
 solution exactly when L^-1 F L is Hermitian and commutes with every Gt,
 hence with H = sum_g r_g Gt_g: in an eigenbasis of H it lives on pairs of
 equal eigenvalues (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl.
-Math. 27, 2010).  The basis is checked on the generators.
+Math. 27, 2010).  The basis is checked on the generators.  The explicit
+2x2 and 3x3 reductions are read off relations on the slots' parameters
+(``pair_relation``, ``jacobi_pair_relation``, ``w1w3_relation``: None when
+they hold, else the first unmet one), and M W M* is checked entry by entry
+against the terms that cancel in it.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb, inf
+from typing import Optional
 
 import numpy as np
 
@@ -315,39 +320,87 @@ def _real_a(spec: WeightSpec):
     return r, np.array([u[0], 1.0, *u[1:]][:spec.N])
 
 
+def pair_relation(spec: WeightSpec) -> Optional[str]:
+    """None when ``spec`` is 2x2 with classical slots, where the parameters
+    decide a scalar sum (``jacobi_pair_relation``); else why not."""
+    if spec.N != 2:
+        return f"size {spec.N} is not 2"
+    for k, s in enumerate(spec.scalars, 1):
+        if s.family == sf.CUSTOM:
+            return f"slot {k}: family custom is not classical"
+    return None
+
+
+def jacobi_pair_relation(spec: WeightSpec) -> Optional[str]:
+    """None when w1 = a^2 (1 - x^2) w2: two Jacobi slots, alpha and beta of
+    w1 one step above those of w2 (within CLASS_TOL) and scales s1 = a^2
+    s2 (within 1e-8 relative), |a| for a complex a; else the first unmet
+    relation."""
+    miss = pair_relation(spec)
+    if miss:
+        return miss
+    for k, s in enumerate(spec.scalars, 1):
+        if s.family != sf.JACOBI:
+            return f"slot {k}: family {s.family} is not jacobi"
+    w1, w2 = spec.scalars
+    (a,), _ = _real_a(spec)
+    for name in ("alpha", "beta"):
+        if abs(getattr(w1, name) - getattr(w2, name) - 1.0) > CLASS_TOL:
+            return f"slot 1: {name} {getattr(w1, name)} is not {name}_2 + 1"
+    if abs(w1.scale / w2.scale - a * a) > 1e-8 * a * a:
+        return f"slot 1: scale {w1.scale} is not a_1^2 scale_2"
+    return None
+
+
+def w1w3_relation(spec: WeightSpec) -> Optional[str]:
+    """None when ``spec`` is 3x3 with w1 = w3, every field of the two
+    scalar weights equal; else the first unmet relation."""
+    if spec.N != 3:
+        return f"size {spec.N} is not 3"
+    w1, _, w3 = spec.scalars
+    for f in fields(w1):
+        if getattr(w3, f.name) != getattr(w1, f.name):
+            return f"slot 3: {f.name} {getattr(w3, f.name)} is not {f.name}_1"
+    return None
+
+
+def _check_congruence(M, spec: WeightSpec, xs, entries, want, what):
+    """``InvalidParam`` unless M W(x) M* = want on ``entries`` (rows, cols)
+    at every x in xs, each entry within 1e-10 of the terms that cancel in
+    it, |M| |W(x)| |M|^T + |want| (as ``diff_operators.identity_residual``),
+    so that a_1 / a_2 far from 1 reads no spurious miss."""
+    W = weight_eval(spec, xs)
+    terms = (np.abs(M) @ np.abs(W) @ np.abs(M).T)[:, entries[0], entries[1]]
+    err = np.abs((M @ W @ M.conj().T)[:, entries[0], entries[1]] - want)
+    if not np.all(err <= 1e-10 * (terms + np.abs(want))):
+        raise InvalidParam(f"{what} failed numeric verification")
+
+
 def try_reduce_2x2(spec: WeightSpec):
     """Scalar-sum reduction of a 2x2 weight, read off its parameters.
 
     With w1/w2 = -a^2 (x-b)(x-c) and the support inside (b, c), W is
     congruent to a diagonal weight.  Among the classical families only
     Jacobi weights have bounded support, and a ratio of two Jacobi weights
-    is such a quadratic only when w1 = a^2 (1 - x^2) w2: alpha and beta of
-    w1 one step above those of w2 (within CLASS_TOL) and scales s1 = a^2
-    s2 (within 1e-8 relative), with |a| in place of a complex a.  Then b =
-    -1 and c = 1, and M W M* is checked diagonal at 20 sample points.
+    is such a quadratic only when ``jacobi_pair_relation`` holds.  Then
+    b = -1 and c = 1, and M W M* is checked diagonal at 20 sample points.
 
-    Returns (b, c, M, description) with M W M* diagonal, or None.
+    Returns (b, c, M, description) with M W M* diagonal, or None when that
+    relation does not hold; ``Unsupported`` names the unmet
+    ``pair_relation``, and ``InvalidParam`` says M failed its check.
     """
-    if spec.N != 2:
-        raise Unsupported("needs a 2x2 weight")
-    w1, w2 = spec.scalars
-    if w1.family == sf.CUSTOM or w2.family == sf.CUSTOM:
-        raise Unsupported("needs classical scalar weights")
-    (a,), u = _real_a(spec)
-    if not (w1.family == w2.family == sf.JACOBI
-            and abs(w1.alpha - w2.alpha - 1.0) <= CLASS_TOL
-            and abs(w1.beta - w2.beta - 1.0) <= CLASS_TOL
-            and abs(w1.scale / w2.scale - a * a) <= 1e-8 * a * a):
+    miss = pair_relation(spec)
+    if miss:
+        raise Unsupported(miss)
+    if jacobi_pair_relation(spec):
         return None
+    (a,), u = _real_a(spec)
     b, c = -1.0, 1.0
 
     M = np.array([[1.0 / (a * (b - c)), -b / (b - c)],
                   [1.0, -a * c]]) * u.conj()
-    xv = _sample_inside(w1.support, 20)
-    D = M @ weight_eval(spec, xv) @ M.conj().T
-    off = np.maximum(np.abs(D[:, 0, 1]), np.abs(D[:, 1, 0]))
-    if np.any(off > 1e-10 * np.max(np.abs(D), axis=(1, 2))):
-        return None
+    _check_congruence(M, spec, _sample_inside((b, c), 20), ([0, 1], [1, 0]),
+                      0.0, "diagonal form")
     desc = ("W congruent to diag(w2(x)(x-b)/(c-b), a^2 w2(x)(c-b)(c-x)) "
             f"with b={b:.12g}, c={c:.12g}")
     return b, c, M, desc
@@ -357,12 +410,11 @@ def try_reduce_3x3_w1w3(spec: WeightSpec):
     """Split of a 3x3 weight with w1 = w3 into a scalar plus a 2x2 block.
 
     Returns (M, description); M W M* = diag((a1^2+a2^2)/a2^2 w1, 2x2 block).
+    ``Unsupported`` names the unmet ``w1w3_relation``.
     """
-    if spec.N != 3:
-        raise Unsupported("needs a 3x3 weight")
-    w1, w2, w3 = spec.scalars
-    if w1 != w3:
-        raise Unsupported("needs w1 = w3 (same family and parameters)")
+    miss = w1w3_relation(spec)
+    if miss:
+        raise Unsupported(miss)
     (a1, a2), u = _real_a(spec)
     s = a1 * a1 + a2 * a2
     M = np.array([[1.0, 0.0, -a1 / a2],
@@ -372,15 +424,11 @@ def try_reduce_3x3_w1w3(spec: WeightSpec):
     lo = min(w.support[0] for w in spec.scalars)
     hi = max(w.support[1] for w in spec.scalars)
     xs = _sample_inside((lo, hi), 20)
-    D = M @ weight_eval(spec, xs) @ M.conj().T
-    off = np.max(np.abs(D[:, [0, 0, 1, 2], [1, 2, 0, 0]]), axis=1)
-    top = np.max(np.abs(D), axis=(1, 2))
-    if np.any(off > 1e-10 * top):
-        raise InvalidParam("block structure failed numeric verification")
-    want = s / (a2 * a2) * sf.weight_value(w1, xs)
-    if np.any(np.abs(D[:, 0, 0] - want)
-              > 1e-10 * np.maximum(top, np.abs(want))):
-        raise InvalidParam("scalar block failed numeric verification")
+    # the scalar block (0, 0) and the zeros beside it
+    want = np.zeros((len(xs), 5))
+    want[:, 0] = s / (a2 * a2) * sf.weight_value(spec.scalars[0], xs)
+    _check_congruence(M, spec, xs, ([0, 0, 0, 1, 2], [0, 1, 2, 0, 0]), want,
+                      "block structure")
     desc = ("W congruent to diag((a1^2+a2^2)/a2^2 w1(x), "
             "[[w2, a2 x w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w2]])")
     return M, desc

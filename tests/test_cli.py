@@ -1,7 +1,9 @@
 """Config parsing, the batch runner, and CLI exit codes."""
 
+import itertools
 import json
 import random
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -133,7 +135,8 @@ class TestRun:
         (base_config(a=[1.5], weights=[JAC, {"family": "jacobi",
                                              "alpha": 0.0, "beta": 0.25}]),
          {"passed": True, "reducible": False,
-          "note": "no scalar-sum reduction detected"}),
+          "note": "no scalar-sum reduction: slot 1: beta 1.5 is not "
+                  "beta_2 + 1"}),
         (base_config(size=3, a=[3.0, 4.0],
                      weights=[{"family": "laguerre", "alpha": 0.5},
                               {"family": "laguerre", "alpha": 1.5},
@@ -144,10 +147,12 @@ class TestRun:
         (base_config(size=4, a=[1.0, 1.0, 1.0],
                      weights=[{"family": "hermite"}] * 4),
          {"passed": True, "status": "skipped",
-          "reason": "no reduction template for this size"}),
+          "reason": "2x2 scalar sum: size 4 is not 2; 3x3 w1 = w3: size 4 "
+                    "is not 3"}),
         (custom_config(20),
          {"passed": True, "status": "skipped",
-          "reason": "needs classical scalar weights"}),
+          "reason": "2x2 scalar sum: slot 1: family custom is not "
+                    "classical; 3x3 w1 = w3: size 2 is not 3"}),
     ], ids=["2x2", "2x2-none", "3x3", "4x4-skip", "custom-skip"])
     def test_reduce_report_on_every_branch(self, data, want):
         res = run(config_from_json(dict(data, checks=["reduce"])))
@@ -174,20 +179,29 @@ class TestRun:
         assert got == {"passed": True, "kind": kind, "non_finite": False,
                        "max_degree": 6, **extra}
 
-    @pytest.mark.parametrize("data", [
-        # one slot off the chain's alphas, or a scale, is no chain
-        dict(CHAIN5, weights=CHAIN5["weights"][:3]
-             + [{"family": "laguerre", "alpha": 2.5}] * 2),
-        dict(CHAIN5, weights=CHAIN5["weights"][:4]
-             + [{"family": "laguerre", "alpha": 2.5, "scale": 2.0}]),
-        base_config(),
+    NOT_HERMITE = ("hermite_A_factorization: slot 1: family laguerre is not "
+                   "hermite")
+
+    @pytest.mark.parametrize("data,reason", [
+        # one slot off the chain's alphas, or a scale, is no chain; the
+        # reason names each template's first unmet relation
+        (dict(CHAIN5, weights=CHAIN5["weights"][:3]
+              + [{"family": "laguerre", "alpha": 2.5}] * 2),
+         "laguerre_chain: slot 4: alpha 2.5 is not alpha_1 + 1; "
+         + NOT_HERMITE),
+        (dict(CHAIN5, weights=CHAIN5["weights"][:4]
+              + [{"family": "laguerre", "alpha": 2.5, "scale": 2.0}]),
+         "laguerre_chain: slot 5: scale 2.0 is not scale_1; "
+         + NOT_HERMITE),
+        (base_config(),
+         "laguerre_chain: slot 2: alpha 0.5 is not alpha_1; "
+         + NOT_HERMITE),
     ], ids=["chain-alpha-off", "chain-scaled", "lag2"])
-    def test_darboux_report_without_template(self, data):
+    def test_darboux_report_without_template(self, data, reason):
         got = run(config_from_json(dict(data, checks=["darboux"])))
         got = got["checks"]["darboux"]
         got.pop("wall_time_s")
-        assert got == {"passed": True, "status": "skipped",
-                       "reason": "no Darboux template for this weight"}
+        assert got == {"passed": True, "status": "skipped", "reason": reason}
 
     def test_symmetry_report_gives_points_and_gap(self):
         lag = [{"family": "laguerre", "alpha": al} for al in (0.5, 1.5, 0.5)]
@@ -912,6 +926,50 @@ class TestSweep:
             assert set(report["checks"]) == set(CHECK_NAMES)
             backends.add(cfg.backend)
         assert backends == {"float", "exact"}
+
+    #: slot k of each large-size pattern, and the Darboux template it has
+    LARGE = {
+        "hermite0": (lambda k, N: sf.hermite(0.0), "hermite_A_factorization"),
+        "hermite_b": (lambda k, N: sf.hermite(-0.5 + k / N), None),
+        "laguerre_chain": (lambda k, N: sf.laguerre(0.5 + k // 2),
+                           "laguerre_chain"),
+        "laguerre_k": (lambda k, N: sf.laguerre(float(k)), None),
+        "alternating": (lambda k, N: (sf.laguerre(0.5) if k % 2
+                                      else sf.hermite(0.0)), None),
+        "jacobi_matching": (lambda k, N: (sf.jacobi(0.5, 0.5) if k % 2
+                                          else sf.jacobi(1.5, 1.5)), None),
+    }
+
+    def test_large_sizes(self):
+        # the paper's weights of "arbitrary size", N = 8 to 40 at n_max 12
+        # and 30: every check but reduce (symmetries up to N = 16) passes,
+        # darboux is skipped where the weight has no template, with each
+        # template's unmet relation naming a slot; no warning escapes and
+        # the report is strict JSON
+        rng = random.Random(15)
+        for (name, (slot, kind)), N, n_max in itertools.product(
+                self.LARGE.items(), (8, 16, 24, 40), (12, 30)):
+            a = [rng.choice((1.2, -0.7, 0.5, 1.5)) for _ in range(N - 1)]
+            checks = ["orth", "norm", "recurrence", "eigen", "darboux", "det"]
+            checks += ["symmetries"] if N <= 16 else []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = run(RunConfig(
+                    spec=weight_spec(a, [slot(k, N) for k in range(N)]),
+                    n_max=n_max, checks=tuple(checks)))
+            json.dumps(report, allow_nan=False)
+            where = (name, N, n_max)
+            darboux = report["checks"].pop("darboux")
+            assert all(r["passed"] and "status" not in r
+                       for r in report["checks"].values()), where
+            if kind:
+                assert darboux["passed"] and darboux["kind"] == kind, where
+            else:
+                assert darboux["status"] == "skipped", where
+                misses = darboux["reason"].split("; ")
+                assert len(misses) == 2, where
+                assert all(re.fullmatch(r"\w+: slot \d+: .+", m)
+                           for m in misses), where
 
 
 class TestNonFinite:

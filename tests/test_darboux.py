@@ -1,6 +1,9 @@
 """Ladder operators, shift synthesis, and Darboux-type factorizations."""
 
+import itertools
+import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ import mvop.diff_operators as diff_operators
 import mvop.scalar_families as sf
 from mvop.cli import RunConfig, config_from_json, run
 from mvop.darboux import (LADDER_KINDS, DarbouxReport, LadderOperator,
-                          apply_scalar, builtin_n5_laguerre, darboux_verify,
-                          hermite_A_factorization, ladder, laguerre_chain,
+                          apply_scalar, builtin_n5_laguerre, chain_relation,
+                          darboux_verify, hermite_A_factorization,
+                          hermite_relation, ladder, laguerre_chain,
                           synthesize_shift)
 from mvop.diff_operators import MatrixDiffOperator, op_apply, op_compose
 from mvop.errors import CapExceeded, InvalidParam, MvopError, Unsupported
@@ -483,6 +487,76 @@ class TestHermiteA:
                 weight_spec([1.0], [sf.laguerre(0.5)] * 2))
 
 
+class TestRelations:
+    # each template's relation on the slots' parameters: None on its own
+    # weights, and the first unmet relation, slot and parameter, otherwise
+    A = [1.0, -0.5, 2.0, 0.75, 1.2, -0.7, 0.5, 1.5, 1.0]
+
+    def test_chains_of_every_size(self):
+        for N, alpha in itertools.product(range(2, 11), (0.0, 0.5, -0.999)):
+            spec, _ = laguerre_chain(alpha, self.A[:N - 1])
+            assert chain_relation(spec) is None
+            assert hermite_relation(spec) == ("slot 1: family laguerre is "
+                                              "not hermite")
+
+    def test_hermite_of_every_size(self):
+        for N in range(2, 7):
+            spec = weight_spec(self.A[:N - 1], [sf.hermite(0.0)] * N)
+            assert hermite_relation(spec) is None
+            assert chain_relation(spec) == ("slot 1: family hermite is not "
+                                            "laguerre")
+
+    @pytest.mark.parametrize("k,change,miss", [
+        (3, {"alpha": 1.5015}, "slot 3: alpha 1.5015 is not alpha_1 + 1"),
+        (2, {"alpha": 0.501}, "slot 2: alpha 0.501 is not alpha_1"),
+        (5, {"alpha": 2.5 + 1e-6}, "slot 5: alpha 2.500001 is not "
+                                   "alpha_1 + 2"),
+        (4, {"scale": 2.0}, "slot 4: scale 2.0 is not scale_1"),
+        (5, {"family": sf.JACOBI}, "slot 5: family jacobi is not laguerre"),
+        # a change of slot 1 moves alpha_1, which slot 2 then misses
+        (1, {"alpha": 0.501}, "slot 2: alpha 0.5 is not alpha_1"),
+    ])
+    def test_chain_names_slot_and_parameter(self, k, change, miss):
+        spec, _ = laguerre_chain(0.5, self.A[:4])
+        scalars = list(spec.scalars)
+        scalars[k - 1] = replace(scalars[k - 1], **change)
+        assert chain_relation(weight_spec(self.A[:4], scalars)) == miss
+
+    @pytest.mark.parametrize("k,change,miss", [
+        (2, {"b": 0.001}, "slot 2: b 0.001 is not 0"),
+        (1, {"scale": 2.0}, "slot 1: scale 2.0 is not 1"),
+        (4, {"family": sf.LAGUERRE, "alpha": 0.5},
+         "slot 4: family laguerre is not hermite"),
+    ])
+    def test_hermite_names_slot_and_parameter(self, k, change, miss):
+        scalars = [sf.hermite(0.0)] * 4
+        scalars[k - 1] = replace(scalars[k - 1], **change)
+        spec = weight_spec(self.A[:3], scalars)
+        assert hermite_relation(spec) == miss
+        # the builder's guard raises the relation's own message
+        with pytest.raises(Unsupported) as exc:
+            hermite_A_factorization(spec)
+        assert str(exc.value) == miss
+
+    def test_decimal_chains(self):
+        # 1000 seeded (alpha, k) pairs, alpha from -0.999 to 24.999 by 0.001
+        # and k = 1..4: the chain of size 2k + 1, each alpha_j written as a
+        # 3-decimal value, as a JSON config gives it.  In doubles such an
+        # alpha_j need not equal alpha_1 + floor((j - 1)/2), so the relation
+        # reads it within CLASS_TOL
+        rng = random.Random(35)
+        inexact = 0
+        for _ in range(1000):
+            m, k = rng.randrange(-999, 25000), rng.randint(1, 4)
+            alphas = [float(f"{m + 1000 * (j // 2)}e-3")
+                      for j in range(2 * k + 1)]
+            inexact += alphas[-1] != alphas[0] + k
+            spec = weight_spec(self.A[:2 * k],
+                               [sf.laguerre(al) for al in alphas])
+            assert chain_relation(spec) is None, alphas
+        assert inexact > 0
+
+
 class TestDarbouxVerify:
     def test_zero_operator_fails(self):
         spec = weight_spec([1.0], [sf.hermite(0.0)] * 2)
@@ -578,7 +652,7 @@ class TestOneResidual:
             "weights": [{"family": "laguerre", "alpha": al}
                         for al in (0.5, 0.5, 1.5, 1.5, 2.5)],
             "checks": ["darboux"]}))["checks"]["darboux"]
-        assert chain["passed"] and callers[2:] == ["_check_darboux"]
+        assert chain["passed"] and callers[2:] == ["_darboux_chain"]
         her = run(config_from_json({
             "size": 3, "a": [1.0, -0.5], "n_max": 6,
             "weights": [{"family": "hermite"}] * 3,

@@ -2,6 +2,7 @@
 
 import os
 import sys
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -25,9 +26,9 @@ from generate import generate  # noqa: E402
 
 
 def jacobi_reducible(a=1.0, alpha=0.0, beta=0.5):
-    # w1 / w2 = a^2 (1 - x^2): reducible by a constant congruence
-    return weight_spec([a], [sf.jacobi(alpha + 1, beta + 1, scale=a * a),
-                             sf.jacobi(alpha, beta)])
+    # w1 / w2 = |a|^2 (1 - x^2): reducible by a constant congruence
+    w1 = sf.jacobi(alpha + 1, beta + 1, scale=abs(a) ** 2)
+    return weight_spec([a], [w1, sf.jacobi(alpha, beta)])
 
 
 class TestSymmetryDimension:
@@ -541,3 +542,114 @@ class TestReduce3x3:
                                         sf.laguerre(0.5)])
         assert try_reduce_3x3_w1w3(spec) is not None
         assert order_zero_symmetries(spec).dimension >= 2
+
+    #: w1 = w3 with Hermite, Jacobi and Laguerre slots, and a Laguerre slot
+    #: between two Hermite ones
+    W1W3 = ([sf.hermite(0.0), sf.hermite(0.3), sf.hermite(0.0)],
+            [sf.jacobi(0.5, 1.5), sf.laguerre(1.5), sf.jacobi(0.5, 1.5)],
+            [sf.laguerre(0.5), sf.laguerre(1.5), sf.laguerre(0.5)],
+            [sf.hermite(0.0), sf.laguerre(1.5), sf.hermite(0.0)])
+    FAR = ((1.0, 1.0), (1e3, 1.0), (1e3, 1e-3), (1e5, 1e-5), (1e5, 1.0),
+           (1e-5, 1e5), (1.0, 1e5))
+
+    def test_a_far_apart(self):
+        # the split is exact for every a, so its check passes however far
+        # a_1 / a_2 is from 1: each entry of M W M* is measured against
+        # the terms that cancel in it, not against the largest entry (which
+        # read 1.7e-10 on the Jacobi slots at a = (1000, 1))
+        for scalars, a in product(self.W1W3, self.FAR):
+            M, _ = try_reduce_3x3_w1w3(weight_spec(list(a), scalars))
+            assert M[0, 2] == -a[0] / a[1]
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_wrong_m_fails_its_check(self, size, monkeypatch):
+        # one entry of M off by a factor 1 + 1e-6 fails the check: every
+        # entry of the 2x2, and M[0, 2] (a_1 / a_2) of the 3x3 on each
+        # weight of ``test_a_far_apart``
+        check = irr._check_congruence
+        if size == 2:
+            cases = [(jacobi_reducible(a, al, be), entry)
+                     for a, (al, be), entry in product(
+                         (1.5, -0.7, 1e3, 1e-3, 1 + 0.5j),
+                         ((0.0, 0.5), (2.0, 0.25)),
+                         product(range(2), range(2)))]
+            reduce_ = try_reduce_2x2
+        else:
+            cases = [(weight_spec(list(a), scalars), (0, 2))
+                     for scalars, a in product(self.W1W3, self.FAR)]
+            reduce_ = try_reduce_3x3_w1w3
+        for spec, entry in cases:
+            def skewed(M, *args):
+                M = M.copy()
+                M[entry] *= 1 + 1e-6
+                return check(M, *args)
+            monkeypatch.setattr(irr, "_check_congruence", skewed)
+            with pytest.raises(InvalidParam, match="numeric verification"):
+                reduce_(spec)
+
+
+class TestRelations:
+    # each reduction's relation on the slots' parameters: None on its own
+    # weights, and the first unmet relation, slot and parameter, otherwise
+
+    def test_on_their_templates(self):
+        for a in (1.5, -0.7, 1e3, 1 + 0.5j):
+            spec = jacobi_reducible(a)
+            assert irr.pair_relation(spec) is None
+            assert irr.jacobi_pair_relation(spec) is None
+        for scalars, a in product(TestReduce3x3.W1W3, TestReduce3x3.FAR):
+            assert irr.w1w3_relation(weight_spec(list(a), scalars)) is None
+
+    @pytest.mark.parametrize("w1,w2,miss", [
+        (sf.jacobi(1.0, 1.5, scale=2.25), sf.jacobi(0.0, 0.25),
+         "slot 1: beta 1.5 is not beta_2 + 1"),
+        (sf.jacobi(1.001, 1.5, scale=2.25), sf.jacobi(0.0, 0.5),
+         "slot 1: alpha 1.001 is not alpha_2 + 1"),
+        (sf.jacobi(1.0, 1.5, scale=2.25), sf.jacobi(0.0, 0.5, scale=1.01),
+         "slot 1: scale 2.25 is not a_1^2 scale_2"),
+        (sf.jacobi(1.0, 1.5, scale=2.25), sf.laguerre(0.5),
+         "slot 2: family laguerre is not jacobi"),
+    ])
+    def test_jacobi_pair_names_the_parameter(self, w1, w2, miss):
+        spec = weight_spec([1.5], [w1, w2])
+        assert irr.jacobi_pair_relation(spec) == miss
+        # the public guard: no reduction, the weight is still 2x2 classical
+        assert irr.pair_relation(spec) is None
+        assert try_reduce_2x2(spec) is None
+
+    @pytest.mark.parametrize("spec,miss", [
+        (weight_spec([1.0, 1.0], [sf.hermite(0.0)] * 3), "size 3 is not 2"),
+        (weight_spec([1.0], [sf.jacobi(0.0, 0.0),
+                             sf.custom([2.0, 0.0, 2 / 3], (-1, 1))]),
+         "slot 2: family custom is not classical"),
+    ])
+    def test_pair_guard(self, spec, miss):
+        assert irr.pair_relation(spec) == miss
+        assert irr.jacobi_pair_relation(spec) == miss
+        with pytest.raises(Unsupported) as exc:
+            try_reduce_2x2(spec)
+        assert str(exc.value) == miss
+
+    @pytest.mark.parametrize("name,value,miss", [
+        ("b", 0.3, "slot 3: b 0.3 is not b_1"),
+        ("scale", 2.0, "slot 3: scale 2.0 is not scale_1"),
+        ("family", sf.LAGUERRE, "slot 3: family laguerre is not family_1"),
+    ])
+    def test_w1w3_names_the_parameter(self, name, value, miss):
+        w = sf.hermite(0.0)
+        spec = weight_spec([1.0, 2.0], [w, sf.hermite(0.5),
+                                        replace(w, **{name: value})])
+        assert irr.w1w3_relation(spec) == miss
+        with pytest.raises(Unsupported) as exc:
+            try_reduce_3x3_w1w3(spec)
+        assert str(exc.value) == miss
+
+    def test_w1w3_jacobi_parameters(self):
+        for name, miss in (("alpha", "slot 3: alpha 0.501 is not alpha_1"),
+                           ("beta", "slot 3: beta 0.501 is not beta_1")):
+            w3 = replace(sf.jacobi(0.5, 0.5), **{name: 0.501})
+            spec = weight_spec([1.0, 2.0], [sf.jacobi(0.5, 0.5),
+                                            sf.jacobi(1.5, 1.5), w3])
+            assert irr.w1w3_relation(spec) == miss
+        spec = weight_spec([1.0] * 3, [sf.hermite(0.0)] * 4)
+        assert irr.w1w3_relation(spec) == "size 4 is not 3"
