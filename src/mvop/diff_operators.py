@@ -5,15 +5,18 @@ MatrixPolynomial or a whole stack of coefficient arrays (..., deg + 1, N,
 N) and runs the two stack routines of ``matrix_poly`` on it: ``falling``
 for d^j P and ``cauchy`` for the product with the coefficient stack of
 F_j, one GEMM per power of F_j whatever the number of polynomials (four to
-seven for the bispectral operators, whose F_j have degree j or less); they
-are real when the stack and every F_j are.  ``eigencheck`` runs it once
-per block of ``MVOPSequence.q_block``, which holds only the powers its
-degrees reach and is real where A is: a block of degrees lo..hi-1 holds
-(hi - lo)(hi + 2) degree-powers, at most ``EIGEN_BLOCK`` (n_max + 3), so
-low degrees share a block (three or four blocks at n_max 60-80).  It reads
-Lambda_n for all degrees at once and forms Lambda_n Q_n by scaling rows.
-Every Darboux identity reads ``identity_residual``, scaled by the terms that
-cancel; ``eigencheck`` keeps max(|lhs|, |rhs|) for cost (see the comment).
+seven for the bispectral operators, whose F_j have degree j + 1 or less);
+they are real when the stack and every F_j are.  A stack may also be
+packed, polynomials back to back on one axis with the power of each row
+given (``falling``).  ``eigencheck`` runs it once per chunk of
+``MVOPSequence.q_packed``, consecutive degrees with no padding, real where
+A is: degree n takes its n + 1 coefficients and two zero spill powers
+(``mvop_core.packed_rows``), and a chunk takes at most ``EIGEN_BLOCK``
+(n_max + 3) rows (three chunks at n_max 60-80).  It reads Lambda_n for
+all degrees at once, forms Lambda_n Q_n by scaling rows and each degree's
+maxima by one ``np.maximum.reduceat`` over its rows.  Every Darboux
+identity reads ``identity_residual``, scaled by the terms that cancel;
+``eigencheck`` keeps max(|lhs|, |rhs|) for cost (see the comment).
 numpy matmul takes the object arrays of the exact backend too, so exact
 operands go through the same code, and an operator is exact when its
 coefficient stacks are.
@@ -40,7 +43,7 @@ import numpy as np
 from . import scalar_families as sf
 from .errors import ConditionFailed, DegreeCap, SizeMismatch, Unsupported
 from .matrix_poly import MatrixPolynomial, _pad, cauchy, falling
-from .mvop_core import peak
+from .mvop_core import packed_rows, peak
 from .weight_model import WeightSpec, build_T
 
 CONDITION_TOL = 1e-12
@@ -48,11 +51,12 @@ CONDITION_TOL = 1e-12
 #: coefficients of p(n + 1) from those of p(n), ascending, degree <= 2
 _STEP = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
 
-#: ``eigencheck`` takes at most EIGEN_BLOCK (n_max + 3) degree-powers per
-#: ``q_block``, the size of a block of this many top degrees, which bounds
-#: the stacked arrays: one block for all degrees of an n_max = 60-80
-#: sequence took 0.8-3.0 MB more traced peak memory, and at N = 4-5 about
-#: 80 % more eigen time (2-core VM)
+#: ``eigencheck`` takes at most EIGEN_BLOCK (n_max + 3) packed rows per
+#: ``q_packed`` chunk, about this many top degrees, which bounds the stacked
+#: arrays: one padded block for all degrees of an n_max = 60-80 sequence
+#: took 0.8-3.0 MB more traced peak memory and at N = 4-5 about 80 % more
+#: eigen time, and one packed chunk for all degrees 1.7 MB more peak RSS
+#: over the operator-sweep configs (2-core VM)
 EIGEN_BLOCK = 16
 
 
@@ -140,7 +144,7 @@ class MatrixDiffOperator:
         return cls(fs)
 
 
-def op_apply(P, D: MatrixDiffOperator):
+def op_apply(P, D: MatrixDiffOperator, powers=None):
     """P . D = sum_j (d^j P) F_j, for a MatrixPolynomial P or for every
     polynomial of a stack P of power coefficients at once.
 
@@ -151,7 +155,9 @@ def op_apply(P, D: MatrixDiffOperator):
     imaginary part.  Term j is ``cauchy(falling(P, j), F_j)``, each
     derivative one ``falling`` step from the last, and the terms add up in
     ascending j, so a stack gives the sums of the polynomial-by-polynomial
-    products.
+    products.  With ``powers`` (see ``falling``) P is packed, and so is
+    the result, in the same rows plus the extra ones at the end: each
+    polynomial needs zero top rows for the powers that D adds to it.
     """
     if isinstance(P, MatrixPolynomial):
         return MatrixPolynomial(op_apply(P.coeffs, D))
@@ -162,15 +168,16 @@ def op_apply(P, D: MatrixDiffOperator):
     if P.dtype == float and not any(f.dtype == object or f.imag.any()
                                     for f in fs):
         fs = [np.ascontiguousarray(f.real) for f in fs]
-    out = np.zeros((*lead, max(width - j + len(f) - 1
+    out = np.empty((*lead, max(width - j + len(f) - 1
                                for j, f in enumerate(fs)), N, N),
                    dtype=np.result_type(P, *fs))
-    # every term goes through one work array of out's shape: terms of their
-    # own sizes made glibc fault in fresh pages on every call (+35 % page
-    # faults, +8 % wall time on the operator-sweep workload, 2-core VM)
+    # every later term goes through one work array of out's shape: terms of
+    # their own sizes made glibc fault in fresh pages on every call (+35 %
+    # page faults, +8 % wall time on the operator-sweep workload, 2-core VM)
     term = np.empty_like(out)
-    for j, f in enumerate(fs):
-        P = falling(P, 1) if j else P
+    cauchy(P, fs[0], out=out)
+    for f in fs[1:]:
+        P = falling(P, 1, powers)
         out += cauchy(P, f, out=term)
     return out
 
@@ -326,16 +333,17 @@ def build_bispectral_operator(spec: WeightSpec):
     return D, lam
 
 
-def _eigen_blocks(n_max: int):
-    """(lo, hi) for the ``q_block`` calls of ``eigencheck``: 0..n_max in
-    order, each block as many degrees as keep its (hi - lo)(hi + 2)
-    degree-powers within ``EIGEN_BLOCK`` (n_max + 3), which one degree
-    always does."""
+def _eigen_chunks(n_max: int):
+    """(lo, hi) for the ``q_packed`` calls of ``eigencheck``: 0..n_max in
+    order, each chunk as many degrees as keep its packed rows (n + 3 per
+    degree n) within ``EIGEN_BLOCK`` (n_max + 3), which one degree always
+    does."""
     budget = EIGEN_BLOCK * (n_max + 3)
     lo = 0
     while lo <= n_max:
-        hi = lo + 1
-        while hi <= n_max and (hi + 1 - lo) * (hi + 3) <= budget:
+        hi, rows = lo + 1, lo + 3
+        while hi <= n_max and rows + hi + 3 <= budget:
+            rows += hi + 3
             hi += 1
         yield lo, hi
         lo = hi
@@ -346,31 +354,42 @@ def eigencheck(seq, D: MatrixDiffOperator, lam, n_max: int) -> dict:
     the diagonal Lambda_n = lam(n) (lam takes an array of degrees, as the
     one of ``build_bispectral_operator`` does, and is called once).
 
-    Degrees go in the blocks of ``_eigen_blocks``, one ``seq.q_block`` and
-    one ``op_apply`` each, and Lambda_n Q_n scales row i of Q_n by
-    Lambda_n[i, i]; the residual of degree n is max|lhs - rhs| /
-    max(max|lhs|, max|rhs|, 1e-300) over all coefficients.  A non-finite
-    residual is the peak and sets ``non_finite``; a finite Q_n whose Q_n .
-    D or Lambda_n Q_n leaves the float range raises ``DegreeCap`` instead.
+    Degrees go in the chunks of ``_eigen_chunks``, one ``seq.q_packed``
+    and one packed ``op_apply`` each, and Lambda_n Q_n scales row i of
+    Q_n by Lambda_n[i, i]; the residual of degree n is max|lhs - rhs| /
+    max(max|lhs|, max|rhs|, 1e-300) over all coefficients, each maximum
+    one ``np.maximum.reduceat`` over the degree's contiguous rows.  A
+    packed Q_n has two zero powers above x^n, so D must raise no degree by
+    more than two (``Unsupported``).  A non-finite residual is the peak
+    and sets ``non_finite``; a finite Q_n whose Q_n . D or Lambda_n Q_n
+    leaves the float range raises ``DegreeCap`` instead.
     """
+    if any(len(f.coeffs) > j + 3 for j, f in enumerate(D.f_coeffs)):
+        raise Unsupported("eigencheck takes operators that raise degrees "
+                          "by at most 2")
     lams = np.diagonal(lam(np.arange(n_max + 1)), axis1=1, axis2=2)
     residuals = []
-    for lo, hi in _eigen_blocks(n_max):
-        Q = seq.q_block(lo, hi)
+
+    def seg_max(X, at):     # max |X| per degree; extra rows go to the last
+        return np.maximum.reduceat(np.abs(X).reshape(-1), at)
+    for lo, hi in _eigen_chunks(n_max):
+        Q = seq.q_packed(lo, hi)
+        deg, power, starts = packed_rows(lo, hi)
+        at = starts * Q[0].size     # each degree's first entry
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs = op_apply(Q, D)
-            rhs = lams[lo:hi, None, :, None] * Q
+            lhs = op_apply(Q, D, power)
+            rhs = lams[deg, :, None] * Q
             # not ``identity_residual``: on the median in-process
             # operator-sweep pass (seed 4242, 2-core VM) op_apply(|Q|, |D|)
             # alone cost 17.1-19.9 -> 21.6-23.4 ms and the whole terms
             # residual 16.5-16.9 -> 29.0-34.2 ms, past the 25 % time bound
-            scale = np.maximum(np.abs(lhs).max(axis=(1, 2, 3)),
-                               np.abs(rhs).max(axis=(1, 2, 3)))
-            lhs[:, :rhs.shape[1]] -= rhs
-            res = np.abs(lhs).max(axis=(1, 2, 3)) / np.maximum(scale, 1e-300)
+            scale = np.maximum(seg_max(lhs, at), seg_max(rhs, at))
+            lhs[:len(Q)] -= rhs
+            res = seg_max(lhs, at) / np.maximum(scale, 1e-300)
         # finite Q_n, non-finite residual: a product past the float range
         past = ~np.isfinite(res)
-        past[past] = np.isfinite(Q[past]).all(axis=(1, 2, 3))
+        if past.any():
+            past &= np.logical_and.reduceat(np.isfinite(Q).reshape(-1), at)
         if past.any():
             n = lo + int(past.argmax())
             raise DegreeCap(f"Q_{n} . D or Lambda_{n} Q_{n} is past the "

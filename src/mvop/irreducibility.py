@@ -409,8 +409,9 @@ def try_reduce_2x2(spec: WeightSpec):
 def try_reduce_3x3_w1w3(spec: WeightSpec):
     """Split of a 3x3 weight with w1 = w3 into a scalar plus a 2x2 block.
 
-    Returns (M, description); M W M* = diag((a1^2+a2^2)/a2^2 w1, 2x2 block).
-    ``Unsupported`` names the unmet ``w1w3_relation``.
+    Returns (M, description); M W M* = diag((a1^2+a2^2)/a2^2 w1, 2x2 block),
+    checked entry by entry, the zeros beside the scalar included, at 20
+    points.  ``Unsupported`` names the unmet ``w1w3_relation``.
     """
     miss = w1w3_relation(spec)
     if miss:
@@ -424,11 +425,17 @@ def try_reduce_3x3_w1w3(spec: WeightSpec):
     lo = min(w.support[0] for w in spec.scalars)
     hi = max(w.support[1] for w in spec.scalars)
     xs = _sample_inside((lo, hi), 20)
-    # the scalar block (0, 0) and the zeros beside it
-    want = np.zeros((len(xs), 5))
-    want[:, 0] = s / (a2 * a2) * sf.weight_value(spec.scalars[0], xs)
-    _check_congruence(M, spec, xs, ([0, 0, 0, 1, 2], [0, 1, 2, 0, 0]), want,
+    w1, w2 = (sf.weight_value(w, xs) for w in spec.scalars[:2])
+    # the whole of M W M*: the scalar block, the zeros beside it and the
+    # 2x2 block of the description
+    want = np.zeros((len(xs), 3, 3))
+    want[:, 0, 0] = s / (a2 * a2) * w1
+    want[:, 1, 1] = w2
+    want[:, 1, 2] = want[:, 2, 1] = a2 * xs * w2
+    want[:, 2, 2] = a2 * a2 * xs * xs * w2 + a2 * a2 / s * w1
+    rows, cols = np.indices((3, 3)).reshape(2, -1)
+    _check_congruence(M, spec, xs, (rows, cols), want.reshape(len(xs), -1),
                       "block structure")
     desc = ("W congruent to diag((a1^2+a2^2)/a2^2 w1(x), "
-            "[[w2, a2 x w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w2]])")
+            "[[w2, a2 x w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w1]])")
     return M, desc

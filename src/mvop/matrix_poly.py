@@ -10,7 +10,8 @@ Two stack routines hold the arithmetic: ``cauchy``, the noncommutative
 Cauchy product, and ``falling``, the j-th derivative.  They take stacks
 with any leading axes, so ``MatrixPolynomial`` and the operator kernel
 ``diff_operators.op_apply`` run the same code on one polynomial or on a
-whole block of them.
+whole block of them; ``falling`` also takes polynomials packed back to
+back on one axis.
 """
 
 import numpy as np
@@ -50,15 +51,24 @@ def cauchy(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def falling(a: np.ndarray, j: int) -> np.ndarray:
+def falling(a: np.ndarray, j: int, powers=None) -> np.ndarray:
     """d^j/dx^j of every polynomial of the stack a (..., rows, N, N): j
     steps of dropping the constant and scaling power p by p, so rows - j
     powers remain (none when j >= rows).  The scale is the falling
-    factorial p!/(p-j)!, in Python integers on object stacks."""
+    factorial p!/(p-j)!, in Python integers on object stacks.
+
+    With ``powers``, the power of each row, a is packed: polynomials back
+    to back on axis -3.  A step then scales each row by its own power and
+    moves it up one row, and each constant leaves an exact zero in the row
+    above (the top power of the polynomial before), so the derivatives
+    keep the layout, less j rows at the end."""
     for _ in range(j):
-        p = np.arange(1, a.shape[-3], dtype=object if a.dtype == object
-                      else float)
-        a = a[..., 1:, :, :] * p[:, None, None]
+        p = (np.arange(1, a.shape[-3]) if powers is None
+             else powers[1:a.shape[-3]])
+        a = a[..., 1:, :, :] * p.astype(object if a.dtype == object
+                                        else float)[:, None, None]
+        if powers is not None:    # 0 * inf or 0 * nan would read nan there
+            a[..., p == 0, :, :] = 0
     return a
 
 

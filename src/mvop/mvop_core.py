@@ -11,10 +11,14 @@ From one table of scalar power coefficients per sequence ``_assemble``
 places the three terms of every Q_n T column for a range of degrees,
 applies I - A x by one shifted column update per pair, which leaves the
 closed-form K_n at x^n, and gives each degree a verdict (det K_n as
-``leading_det`` forms it).  ``q_block``, ``qt_block``, ``build_Q`` and
-``build_QT`` read its rows, ``p_block`` the diagonal P_n; on both backends
-a block of degrees lo..hi-1 holds hi + 2 powers and is real exactly where A
-is.  The float backend assembles each requested range anew.  The exact
+``leading_det`` forms it).  ``q_packed``, ``q_block``, ``qt_block``,
+``build_Q`` and ``build_QT`` read its rows, ``p_block`` the diagonal P_n.
+Rows come packed (``packed_rows``): degree n takes n + 3 consecutive rows,
+its coefficients and two spill powers, with no padding; ``q_block`` and
+``qt_block`` unpack them to hi + 2 powers per degree of lo..hi-1.  On both
+backends they are real exactly where A is.  The float backend assembles
+each requested range anew, from one gather of p_{n-1}, p_n and p_{n+1}
+out of the scalar table.  The exact
 backend keys every value by monomial in the moment atoms (1, sqrt(pi), ...;
 see ``KEY``) and assembles degrees 0..n_max once.  Its scalar values (A, G_n,
 the scalar norms, ||Q_n||^2) are Gaussian rationals held as Python-int
@@ -188,6 +192,18 @@ def equilibrate(H):
     return H * s[..., :, None] * s[..., None, :], s
 
 
+def packed_rows(lo: int, hi: int):
+    """(degree, power, starts) of the rows of a packed stack of degrees
+    lo..hi-1: degree n takes n + 3 consecutive rows, powers 0..n + 2 (its
+    n + 1 coefficients, then the spill powers n + 1 and n + 2), in
+    ascending n; ``starts`` holds the first row of each degree."""
+    sizes = np.arange(lo + 3, hi + 3)
+    starts = np.cumsum(sizes) - sizes
+    return (np.repeat(np.arange(lo, hi), sizes),
+            np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes),
+            starts)
+
+
 def continuant(rho):
     """Determinant of the unit-diagonal tridiagonal matrix with
     superdiagonal u and subdiagonal l such that -u_i l_i = rho_i:
@@ -254,6 +270,7 @@ class MVOPSequence:
             self._nu = _exact(num, 0, den)
         self._gram = self._ptab = self._qrows = None
         self._recurrence = self._gtab = self._qtab = self._gfloat = None
+        self._sing = None
         self._monos = {}
 
     @property
@@ -440,71 +457,96 @@ class MVOPSequence:
         return self.build_Q(n).coeffs[n]
 
     def _assemble(self, lo: int, hi: int):
-        """(Q_n T, Q_n, verdict) for n = lo..hi-1: power coefficients of
-        hi + 2 powers, Q_n zero above degree n (exact: where the verdict is
-        0), and one verdict per degree (0 for a valid Q_n, else an index
-        into ``_FAULTS``; ``_refuse`` turns it into the error).  Float rows
-        are arrays of shape (hi - lo, hi + 2, N, N), real where A is; exact
-        rows are the entries of ``_exact_rows``.
+        """(Q_n T, Q_n, verdict) for n = lo..hi-1: power coefficients, Q_n
+        zero above degree n (exact: where the verdict is 0), and one
+        verdict per degree (0 for a valid Q_n, else an index into
+        ``_FAULTS``; ``_refuse`` turns it into the error).  Float rows are
+        one packed stack each (``packed_rows``: n + 3 powers for degree n),
+        shape (rows, N, N), real where A is; exact rows are the entries of
+        ``_exact_rows`` (hi + 2 powers).
 
         Column k of Q_n T holds e_k p_n, A[:, k] p_{n+1} and -G_n[:, k]
         p_{n-1}, placed on the pairs of A (N + 2(N - 1) entries); column u
         of Q_n = (Q_n T)(I - A x) loses x (Q_n T)[:, r] A[r, u] per pair,
         which leaves K_n (``leading_closed_form``) at x^n.  Powers n + 1
         and n + 2 cancel structurally (A^2 = 0); anything left there is a
-        degree overflow, and K_n is singular where det K_n (``_scaled_det``
-        of the doubles of G_n on both backends) is 0, only on a corrupted
-        G_n: every valid rho_i is positive.  Float: "left" means above 1e-8
-        of the largest coefficient, scalar coefficients past the float
-        range raise ``DegreeCap`` at once, and a degree whose coefficients
-        leave the float range (G_n P_{n-1} on mixed families) gets a
-        ``DegreeCap`` verdict.  Exact: the leftover numerators must be 0.
+        degree overflow, and K_n is singular where det K_n (``_singular``)
+        is 0, only on a corrupted G_n: every valid rho_i is positive.
+        Float: "left" means above 1e-8 of the largest coefficient, scalar
+        coefficients past the float range raise ``DegreeCap`` at once, and
+        a degree whose coefficients leave the float range (G_n P_{n-1} on
+        mixed families) gets a ``DegreeCap`` verdict.  Exact: the leftover
+        numerators must be 0.
         """
         self._check_range(lo, hi)
-        # Q_n T has degree n + 1 <= hi, and x (Q_n T) is the last to place
-        N, width = self.weight.N, hi + 2
+        N, ns = self.weight.N, np.arange(lo, hi)
         if not self.exact:
-            tab = self._scalar_table()[:, :width]
-            finite = np.isfinite(tab[lo:hi + 2]).all(axis=(1, 2))
+            # Q_n T has degree n + 1 <= hi, and x (Q_n T) is the last to place
+            tab = self._scalar_table()
+            finite = np.isfinite(tab[lo:hi + 2, :hi + 2]).all(axis=(1, 2))
             if not finite.all():
                 k = lo - 1 + int(finite.argmin())
                 raise DegreeCap(f"power coefficients of p_{k} are past the "
                                 f"float range")
-        ns = np.arange(lo, hi)
         G = self._ratios(ns)
         if self.exact:
             qt, q = self._exact_rows(lo, hi, G)
             spill = np.stack([num for num, _ in q.values()])[
                 :, np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
         else:
-            qt = np.zeros((hi - lo, width, N, N), self._A.dtype)
+            deg, power, starts = packed_rows(lo, hi)
+            # p_{n-1}, p_n and p_{n+1} at every row's degree and power, by
+            # one take from the table's rows n, n + 1 and n + 2
+            w = tab.shape[1]
+            pm, p0, pp = tab.reshape(-1, N).take(
+                deg * w + power + w * np.arange(3)[:, None], axis=0)
+            # G_n[u, r] of every pair at every row, (pairs, rows)
+            (r_, u_), rows = self._ru, len(deg)
+            g = G[:, u_, r_].T[:, deg - lo]
+            qt = np.zeros((rows, N, N), self._A.dtype)
             with np.errstate(over="ignore", invalid="ignore"):
-                qt[:, :, range(N), range(N)] = tab[lo + 1:hi + 1]
-                for r, u, a, _ in self._pairs:
-                    qt[:, :, r, u] += tab[lo + 2:hi + 2, :, u] * a
-                    qt[:, :, u, r] -= G[:, u, r, None] * tab[lo:hi, :, r]
+                qt.reshape(rows, N * N)[:, ::N + 1] = p0
+                for i, (r, u, a, _) in enumerate(self._pairs):
+                    qt[:, r, u] += pp[:, u] * a
+                    qt[:, u, r] -= g[i] * pm[:, r]
                 q = qt.copy()
+                # x (Q_n T) moves every row up one: the row above a degree's
+                # constant is the zero power n + 1 of Q_{n-1} T
                 for r, u, a, _ in self._pairs:
-                    q[:, 1:, :, u] -= qt[:, :-1, :, r] * a
-            spill = q[np.arange(hi - lo)[:, None], ns[:, None] + [1, 2]]
+                    q[1:, :, u] -= qt[:-1, :, r] * a
+            # the spill powers n + 1 and n + 2: the last two rows of each
+            spill_rows = np.append(starts[1:], rows) - [[2], [1]]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.exact:
                 finite = np.ones(hi - lo, dtype=bool)
                 overflow = spill.astype(bool).any(axis=(0, 2))
             else:   # a non-finite Q_n T coefficient leaves Q_n non-finite
-                top = np.abs(q).max(axis=(1, 2, 3))
+                top = np.maximum.reduceat(np.abs(q).reshape(-1),
+                                          starts * N * N)
                 finite = np.isfinite(top)
-                overflow = np.abs(spill).max(axis=(1, 2, 3)) > 1e-8 * top
-                q[np.arange(width)[None, :] > ns[:, None]] = 0
-            # det K_n as ``leading_det`` forms it, over the doubles of G_n
-            singular = self._scaled_det(
-                self._rounded_ratios()[ns] if self.exact else G)[0] == 0
+                overflow = (np.abs(q[spill_rows]).max(axis=(0, 2, 3))
+                            > 1e-8 * top)
+                q[spill_rows] = 0
         # later assignments win: non-finite, then overflow, then singular
         verdict = np.zeros(hi - lo, dtype=np.int8)
-        verdict[singular] = 3
+        verdict[self._singular()[ns]] = 3
         verdict[overflow] = 2
         verdict[~finite] = 1
         return qt, q, verdict
+
+    def _singular(self):
+        """det K_n = 0 for n = 0..n_max, read-only: ``_scaled_det`` of the
+        doubles of the whole G_n table, as ``leading_det`` forms it, built
+        on first use and published in one assignment.  Degrees past
+        ``LOG_RATIO_CAP`` are never read: ``_ratios`` refuses them."""
+        got = self._sing
+        if got is None:
+            G = self._rounded_ratios() if self.exact else self._ratio_table()[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = self._scaled_det(G[:self.n_max + 1])[0] == 0
+            got.flags.writeable = False
+            self._sing = got
+        return got
 
     def _keyed_ratios(self, G):
         """A stack of exact G_n tables (G[:, k] = G_{n_k}) as exact entries
@@ -589,13 +631,13 @@ class MVOPSequence:
 
     def _rows(self, lo: int, hi: int, which: int) -> np.ndarray:
         """Q_n T (which 0) or Q_n (which 1) of ``_assemble`` for n =
-        lo..hi-1 as a float array of hi + 2 powers, real where A is;
-        ``SingularLeading`` or ``DegreeCap`` at the first faulty degree of
-        the range.  Float rows are assembled for the range alone
+        lo..hi-1 as one packed float stack (``packed_rows``), real where A
+        is; ``SingularLeading`` or ``DegreeCap`` at the first faulty degree
+        of the range.  Float rows are assembled for the range alone
         (whole-range float rows would take hundreds of MB at n_max 509);
         exact rows once for degrees 0..n_max and published with their
-        verdicts in one assignment (``_qrows``), and each of the two rounded
-        by ``_round`` on its first read."""
+        verdicts in one assignment (``_qrows``), each of the two rounded by
+        ``_round`` on its first read and read into the packed layout."""
         self._check_range(lo, hi)
         if not self.exact:
             *rows, verdict = self._assemble(lo, hi)
@@ -610,7 +652,17 @@ class MVOPSequence:
         if rounded[which] is None:
             rounded[which] = self._round(rows[which],
                                          (self.n_max + 1, self.n_max + 3))
-        return rounded[which][lo:hi, :hi + 2].copy()
+        deg, power, _ = packed_rows(lo, hi)
+        return rounded[which][deg, power]
+
+    def _block(self, lo: int, hi: int, which: int) -> np.ndarray:
+        """The packed rows of ``_rows`` unpacked to (hi - lo, hi + 2, N, N),
+        zero past each degree's n + 3 powers."""
+        rows = self._rows(lo, hi, which)
+        deg, power, _ = packed_rows(lo, hi)
+        out = np.zeros((hi - lo, hi + 2) + rows.shape[1:], dtype=rows.dtype)
+        out[deg - lo, power] = rows
+        return out
 
     def _round(self, R, lead, monos=None) -> np.ndarray:
         """The nearest doubles of the exact entries R ({(i, j, key, part):
@@ -647,7 +699,7 @@ class MVOPSequence:
         N, width = self.weight.N, n + 2 - which
         block = self._rows(n, n + 1, which)
         if not self.exact:
-            return MatrixPolynomial(block[0, :width], size=N, trim=False)
+            return MatrixPolynomial(block[:width], size=N, trim=False)
         _, rows, _ = self._qrows
         terms = defaultdict(list)   # (power, i, j): [(key, exact value)]
         for (i, j, key, part), (num, den) in rows[which].items():
@@ -659,17 +711,22 @@ class MVOPSequence:
             out[at] = self._sympy(t)
         return MatrixPolynomial(out, size=N, trim=False)
 
-    def q_block(self, lo: int, hi: int) -> np.ndarray:
-        """Power coefficients of Q_lo..Q_{hi-1}, zero above each degree:
-        the Q_n rows of ``_rows``, shape (hi - lo, hi + 2, N, N) and real
-        where A is, each exact entry the nearest double (rounded once per
-        sequence)."""
+    def q_packed(self, lo: int, hi: int) -> np.ndarray:
+        """Power coefficients of Q_lo..Q_{hi-1}, zero above each degree, as
+        one packed stack (``packed_rows``): the Q_n rows of ``_rows``, shape
+        (rows, N, N) and real where A is, each exact entry the nearest
+        double (rounded once per sequence)."""
         return self._rows(lo, hi, 1)
+
+    def q_block(self, lo: int, hi: int) -> np.ndarray:
+        """``q_packed`` with one axis per degree: shape (hi - lo, hi + 2, N,
+        N), zero above each degree."""
+        return self._block(lo, hi, 1)
 
     def qt_block(self, lo: int, hi: int) -> np.ndarray:
         """Power coefficients of Q_lo T..Q_{hi-1} T, shaped and typed like
         ``q_block``: the Q_n T rows of ``_rows``."""
-        return self._rows(lo, hi, 0)
+        return self._block(lo, hi, 0)
 
     def build_QT(self, n: int) -> MatrixPolynomial:
         """Q_n T = P_n + A P_{n+1} - G_n P_{n-1} (degree n + 1) in backend
@@ -952,17 +1009,17 @@ class MVOPSequence:
 
     def verify_orthogonality(self, n_max: int, tol: float) -> dict:
         """Scaled Gram residuals ||G_nm|| / sqrt(||G_nn||) / sqrt(||G_mm||)
-        over all pairs n < m <= n_max, formed from the scaled block by array
-        operations (the n_max + 1 diagonal blocks by one ``gram_qt`` read),
-        with every norm taken by ``frobenius``, and their peak and failures
-        found on the array; a non-finite residual fails, and a pair with a
-        non-finite ||G_nn|| reads that norm."""
+        over all pairs n < m <= n_max, formed from the scaled block, in its
+        own dtype, by array operations, with every norm taken by
+        ``frobenius``, and their peak and failures found on the array; a
+        non-finite residual fails, and a pair with a non-finite ||G_nn||
+        reads that norm."""
         self._check_n(n_max)
         k = n_max + 1
         ns = np.arange(k)
-        self_norm = frobenius(self.gram_qt(ns, ns, scaled=True), axis=(1, 2))
-        root = np.sqrt(self_norm)
         block = self.gram_data()[0][:k, :, :k, :]
+        self_norm = frobenius(block[ns, :, ns, :], axis=(1, 2))
+        root = np.sqrt(self_norm)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = frobenius(block, axis=(1, 3)) / root[:, None] / root
         # a diagonal norm that is not finite is the residual of its pairs

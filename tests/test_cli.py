@@ -15,7 +15,7 @@ import mvop.scalar_families as sf
 from mvop.cli import (_CHECKS, CHECK_NAMES, SCHEMA, RunConfig,
                       config_from_json, main, run)
 from mvop.errors import ConfigError
-from mvop.mvop_core import MVOPSequence, peak
+from mvop.mvop_core import MVOPSequence, packed_rows, peak
 from mvop.weight_model import weight_spec
 from oracles import det_loop, set_ratio
 
@@ -125,7 +125,7 @@ class TestRun:
     REDUCE_DESC_2 = ("W congruent to diag(w2(x)(x-b)/(c-b), a^2 w2(x)(c-b)"
                      "(c-x)) with b=-1, c=1")
     REDUCE_DESC_3 = ("W congruent to diag((a1^2+a2^2)/a2^2 w1(x), [[w2, a2 x "
-                     "w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w2]])")
+                     "w2], [a2 x w2, a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w1]])")
 
     @pytest.mark.parametrize("data,want", [
         (base_config(a=[1.5], weights=[JAC, {"family": "jacobi",
@@ -308,9 +308,10 @@ class TestRun:
         assert len(calls) == 1
 
     def test_gram_checks_read_in_whole_arrays(self):
-        # orth and norm read every diagonal block by one gram_qt call, and
-        # the quadrature summary of the three Gram checks comes from one
-        # InnerProductEngine.rule call per slot, made with the Gram data
+        # norm reads every diagonal block by one gram_qt call (orth reads
+        # them from the Gram block itself), and the quadrature summary of
+        # the three Gram checks comes from one InnerProductEngine.rule call
+        # per slot, made with the Gram data
         cfg = config_from_json(base_config(
             size=3, a=[1.5, -0.7], n_max=12,
             weights=[{"family": "laguerre", "alpha": 0.0},
@@ -327,7 +328,7 @@ class TestRun:
             reads.clear()
             res = _CHECKS[name](seq, cfg)
             assert res["passed"], (name, res)
-            assert len(reads) == (name != "recurrence"), name
+            assert len(reads) == (name == "norm"), name
             summaries.append({k: res[k] for k in (
                 "gauss_nodes", "min_gauss_weight", "log10_min_gauss_weight")})
         assert rules == [(k, cfg.n_max + 2) for k in range(3)]
@@ -991,13 +992,7 @@ class TestNonFinite:
         seq = MVOPSequence(cfg.spec, cfg.n_max)
         nan = float("nan")
         if check in ("orth", "norm"):    # degree 2's diagonal block
-            gram = seq.gram_qt
-
-            def poisoned(n, m, *a, **k):
-                g = gram(n, m, *a, **k)
-                g[(np.asarray(n) == 2) & (np.asarray(m) == 2)] *= nan
-                return g
-            seq.gram_qt = poisoned
+            seq.gram_data()[0][2, :, 2, :] *= nan
         elif check == "recurrence":     # the residual of n = 2
             table = seq.three_term_table
             seq.three_term_table = lambda hi: (
@@ -1013,15 +1008,14 @@ class TestNonFinite:
                 p[2 - lo] *= nan
                 return p
             seq.p_block = poisoned
-        else:
-            q_block = seq.q_block
+        else:   # every packed row of Q_2, its constant term too
+            q_packed = seq.q_packed
 
             def poisoned(lo, hi):
-                q = q_block(lo, hi)
-                if lo <= 2 < hi:
-                    q[2 - lo] *= nan
+                q = q_packed(lo, hi)
+                q[packed_rows(lo, hi)[0] == 2] *= nan
                 return q
-            seq.q_block = poisoned
+            seq.q_packed = poisoned
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = _CHECKS[check](seq, cfg)

@@ -384,8 +384,9 @@ OPERATOR_TEMPLATES = {
 
 
 class TestEigenBlocks:
-    """``eigencheck`` in blocks of at most EIGEN_BLOCK (n_max + 3)
-    degree-powers, with Lambda_n read once."""
+    """``eigencheck`` on packed chunks of at most EIGEN_BLOCK (n_max + 3)
+    rows, with Lambda_n read once, against the padded fixed blocks of
+    ``eigen_fixed_blocks`` bit for bit."""
 
     @pytest.mark.parametrize("n_max", [80, 150])
     @pytest.mark.parametrize("name", list(OPERATOR_TEMPLATES))
@@ -404,26 +405,70 @@ class TestEigenBlocks:
         assert rep["residuals"] == eigen_fixed_blocks(seq, D, lam, n_max)
         assert rep["max_scaled_residual"] < 1e-13
 
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 16, 80, 150])
-    def test_blocks_cover_degrees_within_budget(self, n_max, monkeypatch):
-        blocks = []
-        q_block = MVOPSequence.q_block
+    @pytest.mark.parametrize("spec,n_max,backend", [
+        (weight_spec([1 + 0.5j], [sf.laguerre(0.0), sf.laguerre(0.5)]), 80,
+         "float"),
+        (weight_spec([1.0, -0.5], [sf.hermite(0.0)] * 3), 150, "float"),
+        (FAMILY_WEIGHTS["jacobi"], 300, "float"),
+        (weight_spec([1.0, -0.5], [sf.hermite(0.0)] * 3), 7, "exact"),
+        (weight_spec([1.5, -0.5], [sf.laguerre(0.0), sf.laguerre(0.5),
+                                   sf.laguerre(0.0)]), 7, "exact")],
+        ids=["complex_a", "her3-150", "jac2-300", "her3-exact",
+             "lag3-exact"])
+    def test_bits_equal_fixed_blocks(self, spec, n_max, backend,
+                                     monkeypatch):
+        chunks = []
+        q_packed = MVOPSequence.q_packed
 
         def spy(seq, lo, hi):
-            blocks.append((lo, hi))
-            return q_block(seq, lo, hi)
-        monkeypatch.setattr(MVOPSequence, "q_block", spy)
+            chunks.append((lo, hi))
+            return q_packed(seq, lo, hi)
+        monkeypatch.setattr(MVOPSequence, "q_packed", spy)
+        seq = MVOPSequence(spec, n_max, backend=backend)
+        D, lam = build_bispectral_operator(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = eigencheck(seq, D, lam, n_max)
+        want = eigen_fixed_blocks(seq, D, lam, n_max)
+        assert np.array(rep["residuals"]).tobytes() == \
+            np.array(want).tobytes()
+        assert rep["max_scaled_residual"] < 1e-13
+        # several chunks from n_max 80 on (3 at 80, 5 at 150, 10 at 300)
+        assert len(chunks) >= (3 if n_max >= 80 else 1)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 16, 80, 150])
+    def test_blocks_cover_degrees_within_budget(self, n_max, monkeypatch):
+        chunks = []
+        q_packed = MVOPSequence.q_packed
+
+        def spy(seq, lo, hi):
+            chunks.append((lo, hi))
+            return q_packed(seq, lo, hi)
+        monkeypatch.setattr(MVOPSequence, "q_packed", spy)
         spec = FAMILY_WEIGHTS["jacobi"]
         D, lam = build_bispectral_operator(spec)
         eigencheck(MVOPSequence(spec, n_max), D, lam, n_max)
         budget = EIGEN_BLOCK * (n_max + 3)
-        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-        assert blocks[-1][1] == n_max + 1
-        assert all(lo < hi and (hi - lo) * (hi + 2) <= budget
-                   for lo, hi in blocks)
-        # each block but the last is full: one more degree would not fit
-        assert all((hi + 1 - lo) * (hi + 3) > budget
-                   for lo, hi in blocks[:-1])
+
+        def rows(lo, hi):   # n + 3 packed rows per degree n
+            return sum(n + 3 for n in range(lo, hi))
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == n_max + 1
+        assert all(lo < hi and rows(lo, hi) <= budget for lo, hi in chunks)
+        # each chunk but the last is full: one more degree would not fit
+        assert all(rows(lo, hi + 1) > budget for lo, hi in chunks[:-1])
+        if n_max == 80:
+            assert len(chunks) == 3
+
+    def test_operator_raising_degrees_refused(self):
+        # a packed Q_n has two zero powers above x^n: an F_j of degree
+        # j + 3 would spill into the next degree's rows
+        spec = FAMILY_WEIGHTS["jacobi"]
+        D, lam = build_bispectral_operator(spec)
+        x3 = MatrixPolynomial([np.zeros((2, 2))] * 3 + [np.eye(2)])
+        with pytest.raises(Unsupported, match="at most 2"):
+            eigencheck(MVOPSequence(spec, 5), D + MatrixDiffOperator([x3]),
+                       lam, 5)
 
     def test_lam_called_once(self):
         spec = FAMILY_WEIGHTS["hermite"]

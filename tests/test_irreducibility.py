@@ -495,6 +495,27 @@ class TestReduce3x3:
             w1 = sf.weight_value(spec.scalars[0], x)
             assert D[0, 0] == pytest.approx(s / (a2 * a2) * w1, rel=1e-10)
 
+    def test_description_matches_the_block(self):
+        # the stated 2x2 block, entry by entry: its (3, 3) entry holds w1
+        # (a2^2 x^2 w2 + a2^2 / (a1^2 + a2^2) w1), which differs from the
+        # same form with w2 where w1 != w2
+        a1, a2, x = 3.0, 4.0, 0.5
+        spec = weight_spec([a1, a2], [sf.laguerre(0.5), sf.laguerre(1.5),
+                                      sf.laguerre(0.5)])
+        M, desc = try_reduce_3x3_w1w3(spec)
+        assert desc.endswith("a2^2 x^2 w2 + a2^2/(a1^2+a2^2) w1]])")
+        D = M @ weight_eval(spec, x) @ M.conj().T
+        w1, w2 = (sf.weight_value(w, x) for w in spec.scalars[:2])
+        s = a1 * a1 + a2 * a2
+        assert D[2, 2] == pytest.approx(1.132, abs=5e-4)
+        assert D[2, 2] == pytest.approx(
+            a2 * a2 * x * x * w2 + a2 * a2 / s * w1, rel=1e-12)
+        assert D[2, 2] != pytest.approx(
+            a2 * a2 * x * x * w2 + a2 * a2 / s * w2, rel=1e-2)
+        assert D[1, 1] == pytest.approx(w2, rel=1e-12)
+        assert D[1, 2] == pytest.approx(a2 * x * w2, rel=1e-12)
+        assert D[2, 1] == pytest.approx(a2 * x * w2, rel=1e-12)
+
     @pytest.mark.parametrize("a,scalars", [
         ((1 + 0.5j, 0.5j), [sf.hermite(0.0)] * 3),
         ((1 + 0.5j, -0.5), [sf.hermite(0.3), sf.hermite(-0.2),
@@ -564,8 +585,11 @@ class TestReduce3x3:
     @pytest.mark.parametrize("size", [2, 3])
     def test_wrong_m_fails_its_check(self, size, monkeypatch):
         # one entry of M off by a factor 1 + 1e-6 fails the check: every
-        # entry of the 2x2, and M[0, 2] (a_1 / a_2) of the 3x3 on each
-        # weight of ``test_a_far_apart``
+        # entry of the 2x2, M[0, 2] (a_1 / a_2) of the 3x3 on each weight
+        # of ``test_a_far_apart``, and M[2, 0] and M[2, 2], which move the
+        # stated 2x2 block, on Hermite(0), Hermite(0.3), Hermite(0); the
+        # zeros beside the scalar block alone miss M[2, 0] at a = (1000, 1)
+        # and M[2, 2] at a = (1, 1000)
         check = irr._check_congruence
         if size == 2:
             cases = [(jacobi_reducible(a, al, be), entry)
@@ -577,6 +601,12 @@ class TestReduce3x3:
         else:
             cases = [(weight_spec(list(a), scalars), (0, 2))
                      for scalars, a in product(self.W1W3, self.FAR)]
+            cases += [(weight_spec(list(a), self.W1W3[0]), entry)
+                      for a, entry in product(
+                          ((1.0, 1.0), (3.0, 4.0), (1.5, -0.7), (10.0, 1.0),
+                           (1.0, 10.0)), ((2, 0), (2, 2)))]
+            cases += [(weight_spec([1e3, 1.0], self.W1W3[0]), (2, 0)),
+                      (weight_spec([1.0, 1e3], self.W1W3[0]), (2, 2))]
             reduce_ = try_reduce_3x3_w1w3
         for spec, entry in cases:
             def skewed(M, *args):

@@ -124,6 +124,29 @@ class TestStackRoutines:
                 assert falling(a, j)[s].tobytes() == \
                     np.array(want, dtype=complex).reshape(-1, N, N).tobytes()
 
+    def test_packed_falling(self, rng):
+        # polynomials of 3, 4 and 6 powers back to back, each with two zero
+        # top powers: the packed derivatives are the derivatives of each,
+        # bit for bit, in the same rows, and a nan constant, which every
+        # derivative drops, leaves no nan in the row above it
+        sizes, N = [3, 4, 6], 2
+        polys = [rng.standard_normal((k, N, N)) for k in sizes]
+        for p in polys:
+            p[-2:] = 0
+        powers = np.concatenate([np.arange(k) for k in sizes])
+        starts = np.cumsum(sizes) - sizes
+        packed = np.concatenate(polys)
+        packed[starts[1]] = np.nan
+        for j in range(1, 3):
+            got = falling(packed, j, powers)
+            assert got.shape == (sum(sizes) - j, N, N)
+            for s, p, k in zip(starts, polys, sizes):
+                want = np.zeros((k, N, N))
+                want[:k - j] = falling(p, j)
+                assert got[s:s + k][:len(got) - s].tobytes() == \
+                    want[:len(got) - s].tobytes()
+            assert np.isfinite(got).all()
+
     def test_exact(self):
         r = np.random.default_rng(5)
 
